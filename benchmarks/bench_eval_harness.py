@@ -47,7 +47,7 @@ def test_eval_harness_full_pass():
 
     backends = {}
     for name in ESTIMATORS:
-        broker = MetasearchBroker(estimator=get_estimator(name), columnar=True)
+        broker = MetasearchBroker(estimator=get_estimator(name))
         for engine in engines:
             broker.register(engine, representative=representatives[engine.name])
         backends[name] = broker

@@ -1,8 +1,9 @@
-"""Fleet-scaling bench — the columnar representative store vs the scalar path.
+"""Fleet-scaling bench — the broker's columnar grid vs the scalar loop.
 
-Sweeps fleet width (default 16/64/256 engines): at each width a scalar
-broker (dict-of-dataclasses representatives, per-engine Python estimation)
-and a columnar broker (shared-vocabulary
+Sweeps fleet width (default 16/64/256 engines): at each width the paper's
+scalar estimator looped over dict-of-dataclasses representatives (the
+reference algorithm, per-engine Python estimation) and the broker
+(shared-vocabulary
 :class:`~repro.representatives.columnar.FleetRepresentativeStore`,
 engine-axis vectorized estimation) answer the same Zipf query log over the
 same thresholds with *both caches disabled* — pure selection cost.  For
@@ -67,7 +68,7 @@ from repro.core import (
 from repro.corpus import Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
-from repro.metasearch import MetasearchBroker
+from repro.metasearch import EstimatedUsefulness, MetasearchBroker
 from repro.representatives import build_representative
 
 from _bench_utils import BENCH_SEED, emit
@@ -110,22 +111,39 @@ def _build_fleet(width: int):
     return engines, representatives, queries
 
 
-def _make_broker(engines, representatives, estimator, columnar: bool):
+def _make_broker(engines, representatives, estimator):
     broker = MetasearchBroker(
-        estimator=estimator,
-        columnar=columnar,
-        cache_size=0,
-        polycache_size=0,
+        estimator=estimator, cache_size=0, polycache_size=0
     )
     for engine in engines:
         broker.register(engine, representative=representatives[engine.name])
     return broker
 
 
+class _ScalarLoop:
+    """The scalar side: the estimator itself, once per dict representative,
+    rows ranked like the broker's."""
+
+    def __init__(self, representatives, estimator):
+        self.representatives = representatives
+        self.estimator = estimator
+
+    def estimate_all(self, query, threshold):
+        row = [
+            EstimatedUsefulness(
+                engine=name,
+                usefulness=self.estimator.estimate(query, rep, threshold),
+            )
+            for name, rep in self.representatives.items()
+        ]
+        row.sort(key=lambda e: e.sort_key)
+        return row
+
+
 def _run_selection_pair(scalar, columnar, queries, passes=2):
     """Estimate rows plus per-query latency for both paths.
 
-    The two brokers are timed *interleaved* (scalar then columnar on each
+    The two sides are timed *interleaved* (scalar then columnar on each
     query) and each query's latency is the minimum over ``passes`` sweeps:
     on a shared machine, CPU-speed drift between two long sequential
     blocks would land entirely on one side of the speedup ratio, while
@@ -264,8 +282,8 @@ def test_fleet_scaling(benchmark):
         )
         columnar_broker = None
         for est_name, est_cls in ESTIMATORS:
-            scalar = _make_broker(engines, representatives, est_cls(), False)
-            columnar = _make_broker(engines, representatives, est_cls(), True)
+            scalar = _ScalarLoop(representatives, est_cls())
+            columnar = _make_broker(engines, representatives, est_cls())
             # Warm both paths once (columnar packs the fleet arrays here)
             # so the timed loop measures steady-state selection.
             scalar.estimate_all(queries[0], THRESHOLDS[0])
@@ -359,7 +377,7 @@ def test_fleet_scaling(benchmark):
 
     # Benchmark kernel: steady-state columnar selection on a small fleet.
     engines, representatives, queries = _build_fleet(min(WIDTHS))
-    broker = _make_broker(engines, representatives, SubrangeEstimator(), True)
+    broker = _make_broker(engines, representatives, SubrangeEstimator())
     broker.estimate_all(queries[0], THRESHOLDS[0])
     final_query = queries[0]
     benchmark(lambda: broker.estimate_all(final_query, THRESHOLDS[0]))

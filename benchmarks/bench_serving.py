@@ -13,12 +13,12 @@ overhead over the in-process path.
 
 The sharded bench pits the 4-shard scatter-gather coordinator (spawned
 end-to-end through ``repro serve coordinator --shards 4``: four shard
-worker processes plus the asyncio frontend) against the PR 4
+worker processes plus the coordinator) against the PR 4
 single-broker gateway over the same collections, driven by a
 *multi-process* closed-loop load generator (each worker is its own
 Python process with its own keep-alive connection, barrier-released so
 interpreter startup never lands inside the timed window).  Exactness vs
-the in-process columnar broker is asserted outside the timed section;
+the in-process broker is asserted outside the timed section;
 the machine-readable outcome lands in ``BENCH_sharded_serving.json``
 (override: ``REPRO_BENCH_SHARDED_JSON``).  The >=2x throughput floor is
 armed only on machines with >=4 usable CPUs (a 1-CPU container cannot
@@ -479,7 +479,7 @@ def test_sharded_coordinator_throughput_vs_single_broker(tmp_path):
 
         # Exactness first, outside the timed section: both coordinators'
         # merged rankings are exactly the in-process columnar broker's.
-        local_broker = MetasearchBroker(columnar=True)
+        local_broker = MetasearchBroker()
         for collection in collections:
             local_broker.register(SearchEngine(collection))
         for url in (sharded_url, coalesced_url):
@@ -560,8 +560,8 @@ def test_sharded_coordinator_throughput_vs_single_broker(tmp_path):
 
     lines = [
         "",
-        f"=== sharded coordinator ({N_SHARDS} shard processes, asyncio "
-        f"frontend) vs single-broker gateway ===",
+        f"=== sharded coordinator ({N_SHARDS} shard processes) vs "
+        f"single-broker gateway ===",
         f"workload   : {len(requests)} Zipf queries x {SHARDED_ROUNDS} "
         f"rounds from {SHARDED_WORKERS} load-generator processes",
         f"{'path':<14} {'req/s':>8} {'p50 ms':>8} {'p95 ms':>8}",
@@ -767,7 +767,7 @@ def test_coalescing_gateway_throughput():
         for index, slice_collections in enumerate(
             partition_round_robin(collections, N_SHARDS)
         ):
-            broker = MetasearchBroker(columnar=True)
+            broker = MetasearchBroker()
             for collection in slice_collections:
                 engine = SearchEngine(collection)
                 broker.register(

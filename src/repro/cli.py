@@ -468,12 +468,7 @@ def _cmd_serve_engine(args: argparse.Namespace) -> int:
 
 def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     """Serve a metasearch broker over remote and/or local engines."""
-    from repro.serving import (
-        AsyncServingServer,
-        GatewayApp,
-        RemoteEngine,
-        ServingServer,
-    )
+    from repro.serving import GatewayApp, RemoteEngine, ServingServer
 
     if not args.engines and not args.collections:
         print(
@@ -517,11 +512,7 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         registry=registry,
         default_deadline=args.default_deadline,
     )
-    if args.async_io:
-        server = AsyncServingServer(app, host=args.host, port=args.port)
-    else:
-        server = ServingServer(app, host=args.host, port=args.port)
-    return _serve(server, args)
+    return _serve(ServingServer(app, host=args.host, port=args.port), args)
 
 
 def _serving_registry():
@@ -531,8 +522,8 @@ def _serving_registry():
 
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
-    """Serve one shard of a partitioned fleet: a columnar broker over the
-    engines assigned to this shard, behind the shard scatter endpoints."""
+    """Serve one shard of a partitioned fleet: a broker over the engines
+    assigned to this shard, behind the shard scatter endpoints."""
     from repro.serving import ServingServer, ShardApp
 
     registry = _serving_registry()
@@ -552,7 +543,6 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             cache_size=args.cache_size,
-            columnar=True,
             fleet=fleet,
             registry=registry,
         )
@@ -637,7 +627,6 @@ def _cmd_serve_coordinator(args: argparse.Namespace) -> int:
     here (``--shards N`` partitioning ``--collections``) or already
     running (``--shard-urls``)."""
     from repro.serving import (
-        AsyncServingServer,
         CoordinatorApp,
         RemoteServingError,
         ServingServer,
@@ -696,11 +685,7 @@ def _cmd_serve_coordinator(args: argparse.Namespace) -> int:
             registry=registry,
             default_deadline=args.default_deadline,
         )
-        if args.sync:
-            server = ServingServer(app, host=args.host, port=args.port)
-        else:
-            server = AsyncServingServer(app, host=args.host, port=args.port)
-        return _serve(server, args)
+        return _serve(ServingServer(app, host=args.host, port=args.port), args)
     finally:
         for proc in children:
             proc.terminate()
@@ -818,12 +803,9 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
     from repro.representatives import partition_round_robin
 
     backends = {}
-    if args.config in ("dict", "columnar"):
+    if args.config == "columnar":
         for name in estimator_names:
-            broker = MetasearchBroker(
-                estimator=get_estimator(name),
-                columnar=(args.config == "columnar"),
-            )
+            broker = MetasearchBroker(estimator=get_estimator(name))
             for engine in engines:
                 broker.register(engine, representative=representatives[engine.name])
             backends[name] = broker
@@ -881,9 +863,7 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
         for index, engine_slice in enumerate(
             s for s in partition_round_robin(engines, args.shards) if s
         ):
-            broker = MetasearchBroker(
-                estimator=get_estimator(name), columnar=True
-            )
+            broker = MetasearchBroker(estimator=get_estimator(name))
             for engine in engine_slice:
                 broker.register(engine, representative=representatives[engine.name])
             server = ServingServer(ShardApp(broker, shard_index=index))
@@ -1247,9 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "always take the idle fast-path)")
     sp.add_argument("--coalesce-max-batch", type=int, default=64,
                     help="flush a coalescing window at this occupancy")
-    sp.add_argument("--async-io", action="store_true",
-                    help="serve on the asyncio connection frontend instead "
-                         "of a thread per connection")
     _common_serve_args(sp)
     sp.set_defaults(func=_cmd_serve_gateway)
 
@@ -1313,9 +1290,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "always take the idle fast-path)")
     sp.add_argument("--coalesce-max-batch", type=int, default=64,
                     help="flush a coalescing window at this occupancy")
-    sp.add_argument("--sync", action="store_true",
-                    help="serve on the threaded server instead of the "
-                         "asyncio connection frontend")
     _common_serve_args(sp)
     sp.set_defaults(func=_cmd_serve_coordinator)
 
@@ -1323,16 +1297,15 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="score engine selection as a ranking task over golden strata",
     )
-    p.add_argument("--config", choices=("dict", "columnar", "sharded", "delta"),
+    p.add_argument("--config", choices=("columnar", "sharded", "delta"),
                    default="columnar",
-                   help="broker backend under test: per-engine dict "
-                        "representatives, the columnar fleet store, a "
-                        "sharded scatter-gather topology, or the live-fleet "
-                        "delta path (partial registration caught up through "
-                        "versioned deltas)")
+                   help="topology under test: one in-process broker on its "
+                        "columnar fleet store, a sharded scatter-gather "
+                        "topology, or the live-fleet delta path (partial "
+                        "registration caught up through versioned deltas)")
     p.add_argument("--estimators", nargs="+", default=_EVAL_ESTIMATORS,
                    help="estimators to score (default: the five with a "
-                        "vectorized fleet path)")
+                        "batched grid kernel)")
     p.add_argument("--golden-dir", default="tests/integration/golden/queries",
                    help="directory of committed golden strata (falls back "
                         "to in-memory generation when absent)")

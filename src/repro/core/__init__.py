@@ -33,7 +33,6 @@ from repro.core.vectorized import (
     fallback_count,
     fleet_usefulness_grid,
     reset_fallback_count,
-    supports_fleet,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "fleet_usefulness_grid",
     "get_estimator",
     "reset_fallback_count",
-    "supports_fleet",
     "true_usefulness",
     "true_usefulness_many",
 ]

@@ -27,18 +27,28 @@ The contract throughout is *bit-identity with the scalar estimators*:
 
 There is no configuration-triggered fallback: pruning floors, expansion
 budgets, off-grid ``decimals``, and exponents past ``2**53`` all run
-through the batched kernel with scalar-identical semantics.  The only
-escape hatch is per-engine *demotion* for rows whose factor exponents are
-non-finite (or whose rounding would overflow float64) — those rows alone
-are expanded with the scalar :meth:`GenFunc.product`, everything else
-stays batched, and every demotion is counted (:func:`fallback_count`) and
-reported to the estimator's metrics registry as
-``vectorized.scalar_demotions``.
+through the batched kernel with scalar-identical semantics.  Two things
+are evaluated per engine row instead, both with the scalar code itself:
+
+* *Demotion* — rows whose factor exponents are non-finite (or whose
+  rounding would overflow float64) are expanded with the scalar
+  :meth:`GenFunc.product`; everything else stays batched, and every
+  demotion is counted (:func:`fallback_count`) and reported to the
+  estimator's metrics registry as ``vectorized.scalar_demotions``.
+* *Estimators without a batched kernel* — the previous-method baseline and
+  any subclass of the five (which may override ``term_polynomial`` or
+  ``estimate``, so a re-implementation would silently diverge) run their
+  own ``estimate_many`` per row over a
+  :class:`~repro.representatives.columnar.FleetRepresentativeRef`.
+
+So :func:`fleet_usefulness_grid` is total: every estimator gets a grid, and
+the broker needs no second estimation path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,19 +60,23 @@ from repro.core.gloss import GlossDisjointEstimator, GlossHighCorrelationEstimat
 from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
-from repro.representatives.columnar import FleetRepresentativeStore
+from repro.obs.registry import LATENCY_BUCKETS, MASS_BUCKETS, SIZE_BUCKETS
+from repro.representatives.columnar import (
+    FleetRepresentativeRef,
+    FleetRepresentativeStore,
+)
 
 __all__ = [
     "fallback_count",
     "fleet_usefulness_grid",
     "reset_fallback_count",
-    "supports_fleet",
 ]
 
-#: Estimator types with a vectorized fleet path.  Exact types, not
-#: subclasses: a subclass may override term_polynomial/estimate and the
-#: vectorized re-implementation would silently diverge from it.
-_FLEET_TYPES = (
+#: Estimator types with a batched kernel.  Exact types, not subclasses: a
+#: subclass may override term_polynomial/estimate and the vectorized
+#: re-implementation would silently diverge from it, so it is evaluated
+#: per row with its own code instead.
+_BATCHED_TYPES = (
     SubrangeEstimator,
     BasicEstimator,
     BinaryIndependenceEstimator,
@@ -95,23 +109,19 @@ def reset_fallback_count() -> None:
     _SCALAR_DEMOTIONS = 0
 
 
-def supports_fleet(estimator: UsefulnessEstimator) -> bool:
-    """Whether ``estimator`` has a bit-identical vectorized fleet path."""
-    return type(estimator) in _FLEET_TYPES
-
-
 def fleet_usefulness_grid(
     estimator: UsefulnessEstimator,
     store: FleetRepresentativeStore,
     query: Query,
     thresholds: Sequence[float],
     polycache=None,
-) -> Optional[List[List[Usefulness]]]:
+) -> List[List[Usefulness]]:
     """Usefulness of every engine in ``store`` at every threshold.
 
     Args:
-        estimator: One of the five supported estimators (see
-            :func:`supports_fleet`); ``None`` is returned otherwise.
+        estimator: Any estimator.  The five exact types in
+            ``_BATCHED_TYPES`` run their batched kernel; anything else is
+            evaluated per engine row with its own ``estimate_many``.
         store: The packed fleet; rows follow its ``engine_names`` order.
         query: The query.
         thresholds: Thresholds to read out (the expansion estimators share
@@ -123,14 +133,13 @@ def fleet_usefulness_grid(
 
     Returns:
         ``grid[t][e]`` — the estimate for ``thresholds[t]`` and engine
-        ``store.engine_names[e]``, bit-identical to the scalar estimator;
-        or ``None`` when the estimator has no vectorized path.
+        ``store.engine_names[e]``, bit-identical to the scalar estimator.
     """
-    if not supports_fleet(estimator):
-        return None
     thresholds = [float(t) for t in thresholds]
     if len(store) == 0:
         return [[] for __ in thresholds]
+    if type(estimator) not in _BATCHED_TYPES:
+        return _per_row_grid(estimator, store, query, thresholds)
     ids = store.vocab.ids_of(query.terms)
     p, w, sigma, mw = store.gather(ids)
     u = np.asarray(query.normalized_weights(), dtype=np.float64)
@@ -170,6 +179,40 @@ def _unsafe_rows(exponent_bound: np.ndarray, decimals: int) -> np.ndarray:
     return bad
 
 
+def _per_row_grid(
+    estimator: UsefulnessEstimator,
+    store: FleetRepresentativeStore,
+    query: Query,
+    thresholds: List[float],
+) -> List[List[Usefulness]]:
+    """The grid of an estimator without a batched kernel: its own
+    ``estimate_many`` per engine row, reading the packed store through a
+    :class:`FleetRepresentativeRef` (bit-exact term statistics)."""
+    columns = [
+        estimator.estimate_many(
+            query, FleetRepresentativeRef(name, store), thresholds
+        )
+        for name in store.engine_names
+    ]
+    return [[column[i] for column in columns] for i in range(len(thresholds))]
+
+
+def _report_expansions(registry, batch: BatchedGenFunc, seconds: float) -> None:
+    """The ``estimator.*`` series :meth:`ExpansionEstimator.expand` reports
+    on the scalar path: one size/pruned-mass observation per engine row,
+    and the batched product's duration as one sample (a demoted row shows
+    as the one-term identity its batch slot still holds)."""
+    registry.counter("estimator.expansions").inc(batch.n_rows)
+    registry.histogram(
+        "estimator.expansion.seconds", buckets=LATENCY_BUCKETS
+    ).observe(seconds)
+    sizes = registry.histogram("estimator.genfunc.terms", buckets=SIZE_BUCKETS)
+    masses = registry.histogram("estimator.pruned.mass", buckets=MASS_BUCKETS)
+    for n_terms, mass in zip(batch.row_len.tolist(), batch.pruned_mass.tolist()):
+        sizes.observe(n_terms)
+        masses.observe(mass)
+
+
 def _demote_rows(
     est,
     rows: np.ndarray,
@@ -193,13 +236,19 @@ def _demote_rows(
 
 
 def _grid_readout(
+    est,
     batch: BatchedGenFunc,
     n: np.ndarray,
     thresholds: List[float],
     scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    started: float,
 ) -> List[List[Usefulness]]:
     """Batched tails -> per-threshold Usefulness rows (scalar-identical
-    ``nodoc = n * mass`` / ``avgsim = moment / mass`` arithmetic)."""
+    ``nodoc = n * mass`` / ``avgsim = moment / mass`` arithmetic); an
+    instrumented estimator gets its expansion series for the product that
+    began at ``started``."""
+    if not est.registry.null:
+        _report_expansions(est.registry, batch, time.perf_counter() - started)
     mass, moment = batch.tail_profile(thresholds)
     for e, (row_mass, row_moment) in scalar_tails.items():
         mass[:, e] = row_mass
@@ -228,6 +277,7 @@ def _subrange_grid(
 ):
     """All subrange polynomial factors in one numpy pass, expanded with the
     batched :class:`BatchedGenFunc` product across the engine axis."""
+    started = time.perf_counter()
     n_engines, n_terms = p.shape
     exps, coeffs, has_max_row, remaining = est.factor_grid(p, w, sigma, mw, u, n)
     n_sub = est._offsets.size
@@ -265,7 +315,7 @@ def _subrange_grid(
             ),
             thresholds,
         )
-    return _grid_readout(batch, n, thresholds, scalar_tails)
+    return _grid_readout(est, batch, n, thresholds, scalar_tails, started)
 
 
 def _subrange_factor_rows(exps, coeffs, has_max_row, remaining, rows, j, n_sub):
@@ -334,12 +384,12 @@ def _maintain_subrange_polycache(
     """Keep the term-polynomial cache warm from the vectorized tensors.
 
     The batched kernel computes every factor in one pass, so the cache is
-    no longer consulted *for* the computation — but it is still the
-    scalar/batch interchange point (the scalar broker path and
-    ``TermPolynomialCache`` invalidation tests rely on it), so the grid
-    performs the same lookup/store protocol: misses are populated with
-    frozen copies bit-identical to :meth:`term_polynomial`'s output and
-    unmatched terms are negatively cached.
+    not consulted *for* the computation — but its hit/miss series and its
+    precise per-term invalidation are part of the broker's observable
+    behaviour, so the grid performs the scalar estimator's lookup/store
+    protocol: misses are populated with frozen copies bit-identical to
+    :meth:`term_polynomial`'s output and unmatched terms are negatively
+    cached.
     """
     config = est.polynomial_config()
     names = store.engine_names
@@ -373,6 +423,7 @@ def _expansion_grid(est, x, p, matched, n, thresholds):
     """Engine-parallel expansion of the two-point factors
     ``p * X^x + (1-p)`` through the batched kernel — every estimator
     configuration (pruning, budgets, any ``decimals``) included."""
+    started = time.perf_counter()
     n_engines, n_terms = x.shape
     bound = np.where(matched, np.abs(x), 0.0).sum(axis=1)
     demoted = _unsafe_rows(bound, est.decimals)
@@ -408,7 +459,7 @@ def _expansion_grid(est, x, p, matched, n, thresholds):
             ],
             thresholds,
         )
-    return _grid_readout(batch, n, thresholds, scalar_tails)
+    return _grid_readout(est, batch, n, thresholds, scalar_tails, started)
 
 
 # -- gGlOSS ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.metasearch.protocol import (
     SubscribingBroker,
 )
 from repro.metasearch.broker import (
-    EngineRegistration,
     MetasearchBroker,
     MetasearchResponse,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ConcurrentDispatcher",
     "DispatchReport",
     "EngineFailure",
-    "EngineRegistration",
     "EngineServer",
     "EstimateCache",
     "HierarchySearchReport",

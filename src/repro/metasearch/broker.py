@@ -7,30 +7,46 @@ estimates every registered engine's usefulness from its representative,
 engines only, and (4) merges their results.  A ``search_all`` baseline
 broadcasts to every engine, which is what selection is meant to avoid.
 
-Two production concerns live behind the same interface:
+There is one path through it — ``estimate rows → select → dispatch →
+merge`` — and one of everything on that path:
 
-* Dispatch runs through a :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
+* **One representative backend.**  Every registered representative is
+  packed into the broker's
+  :class:`~repro.representatives.columnar.FleetRepresentativeStore`
+  (``broker.fleet``, never ``None``): terms interned into one shared
+  vocabulary, per-engine statistics as packed numpy columns.  A dict
+  :class:`~repro.representatives.representative.DatabaseRepresentative` is
+  the builder/interchange format; the broker drops it once packed and keeps
+  a name-keyed :class:`~repro.representatives.columnar.FleetRepresentativeRef`.
+* **One estimation routine.**  :meth:`MetasearchBroker._estimate_rows`
+  answers any ``(queries, thresholds)`` batch: group the queries by their
+  normalized ``(terms, weights)`` identity, probe the
+  :class:`~repro.metasearch.cache.EstimateCache`, make one
+  :func:`~repro.core.vectorized.fleet_usefulness_grid` call per group over
+  the thresholds the cache could not answer, populate the cache, sort.
+  :meth:`~MetasearchBroker.estimate_all` is the batch of one,
+  :meth:`~MetasearchBroker.estimate_batch` the general case and
+  :meth:`~MetasearchBroker.estimate_all_cached` the probe-only step.  The
+  grid is total — estimators without a batched kernel are evaluated per
+  engine row inside it — and bit-identical to the scalar estimators, which
+  stay public as the paper's reference algorithms and the oracle the test
+  suites compare against.
+* **One dispatcher.**  A :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
   — parallel fan-out with per-dispatch timeout, bounded retry, and graceful
-  degradation.  ``workers=1`` (the default) preserves the historical serial
-  semantics exactly.
-* Estimates are memoized in an :class:`~repro.metasearch.cache.EstimateCache`
-  keyed on (engine, query, threshold); re-registering an engine invalidates
-  its entries, so a rebuilt representative is never shadowed by stale
-  estimates.
-* Below the estimate cache sits a
-  :class:`~repro.metasearch.cache.TermPolynomialCache` memoizing each
-  expansion estimator's per-term ``(exponents, coeffs)`` factor keyed on
-  (estimator config, engine, term, normalized query weight) — distinct
-  queries sharing vocabulary share factors even when their estimate keys
-  differ.  Both caches invalidate through the same per-engine
-  registration hook, and the cached factors are bit-identical to fresh
-  computation, so memoized answers equal unmemoized ones exactly.
-* :meth:`MetasearchBroker.estimate_batch` and
-  :meth:`MetasearchBroker.search_batch` run many queries in one pass:
-  expansions are shared across a batch's duplicate queries, both caches
-  are consulted and populated in one sweep, and dispatch pools every
-  query's engine calls on the dispatcher's thread pool under a single
-  batch deadline (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
+  degradation; ``workers=1`` (the default) is serial dispatch.
+  :meth:`~MetasearchBroker.search_batch` pools every query's engine calls
+  under a single batch deadline
+  (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
+* **One response assembly.**  ``search``, ``search_all`` and
+  ``search_batch`` all turn a dispatch report into a
+  :class:`MetasearchResponse` through the same trace → merge → count step.
+
+Two caches sit on the path and invalidate through the same per-engine
+registration hook (or per term, on a representative delta): the estimate
+cache keyed on (engine, query, threshold), and below it a
+:class:`~repro.metasearch.cache.TermPolynomialCache` of the subrange
+estimator's per-term ``(exponents, coeffs)`` factors.  Cached answers are
+bit-identical to fresh computation.
 
 The whole pipeline is observable: every search builds a
 :class:`~repro.obs.QueryTrace` with one span per stage (``estimate``,
@@ -43,20 +59,24 @@ dispatcher/cache/estimator series.  The default
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.base import ExpansionEstimator, UsefulnessEstimator
+from repro.core.base import UsefulnessEstimator
 from repro.core.subrange_estimator import SubrangeEstimator
-from repro.core.types import Usefulness
-from repro.core.vectorized import fleet_usefulness_grid, supports_fleet
+from repro.core.vectorized import fleet_usefulness_grid
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
 from repro.engine.search_engine import SearchEngine
-from repro.fleet.delta import RepresentativeDelta, apply_delta as _apply_dict_delta
+from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.cache import EstimateCache, TermPolynomialCache
-from repro.metasearch.dispatch import ConcurrentDispatcher, EngineFailure
+from repro.metasearch.dispatch import (
+    ConcurrentDispatcher,
+    DispatchReport,
+    EngineFailure,
+)
 from repro.metasearch.merge import merge_hits
 from repro.metasearch.selection import (
     EstimatedUsefulness,
@@ -74,18 +94,30 @@ from repro.representatives.representative import DatabaseRepresentative
 
 __all__ = [
     "DeltaApplyReport",
-    "EngineRegistration",
     "MetasearchBroker",
     "MetasearchResponse",
+    "broadcast_thresholds",
 ]
 
 
-@dataclass
-class EngineRegistration:
-    """An engine known to the broker, with its representative."""
+def broadcast_thresholds(
+    queries: Sequence[Query], thresholds: Union[float, Sequence[float]]
+) -> List[float]:
+    """One float threshold per query: a scalar (any :class:`numbers.Real`,
+    numpy scalars included) is repeated, a sequence must be parallel to
+    ``queries``.
 
-    engine: SearchEngine
-    representative: DatabaseRepresentative
+    Raises:
+        ValueError: A sequence whose length differs from ``len(queries)``.
+    """
+    if isinstance(thresholds, numbers.Real):
+        return [float(thresholds)] * len(queries)
+    per_query = [float(t) for t in thresholds]
+    if len(per_query) != len(queries):
+        raise ValueError(
+            f"got {len(per_query)} thresholds for {len(queries)} queries"
+        )
+    return per_query
 
 
 @dataclass(frozen=True)
@@ -179,24 +211,16 @@ class MetasearchBroker:
         backoff: Base backoff in seconds between retry attempts.
         cache_size: Capacity of the estimate cache; ``0`` disables
             caching entirely.
-        polycache_size: Capacity of the term-polynomial cache memoizing
-            each expansion estimator's per-term factors across queries;
-            ``0`` disables it.  Only expansion estimators use it.
-        columnar: Keep representatives in a columnar
-            :class:`~repro.representatives.columnar.FleetRepresentativeStore`
-            (terms interned into one shared vocabulary, per-engine stats as
-            packed numpy arrays) and answer :meth:`estimate_all` /
-            :meth:`estimate_batch` through the engine-axis vectorized pass
-            of :mod:`repro.core.vectorized` when the estimator supports it.
-            Estimates are bit-identical to the scalar path; estimators
-            without a vectorized path fall back to it transparently.
+        polycache_size: Capacity of the term-polynomial cache holding the
+            subrange estimator's per-term factors across queries; ``0``
+            disables it.
         fleet: A pre-built
             :class:`~repro.representatives.columnar.FleetRepresentativeStore`
-            to adopt instead of creating a fresh one (implies
-            ``columnar=True``).  Shard workers use this to serve a slice
-            shipped as an ``.npz`` bundle: engines registered without an
-            explicit representative reuse their resident fleet entry
-            rather than rebuilding from the engine (which may be remote).
+            to adopt instead of creating an empty one.  Shard workers use
+            this to serve a slice shipped as an ``.npz`` bundle: engines
+            registered without an explicit representative reuse their
+            resident fleet entry rather than rebuilding from the engine
+            (which may be remote).
         registry: A :class:`~repro.obs.MetricsRegistry` receiving search
             totals, per-stage latency histograms, and the dispatcher /
             cache / estimator series; the shared no-op registry by default,
@@ -214,7 +238,7 @@ class MetasearchBroker:
         backoff: float = 0.05,
         cache_size: int = 1024,
         polycache_size: int = 4096,
-        columnar: bool = False,
+        columnar: bool = True,
         fleet: Optional[FleetRepresentativeStore] = None,
         registry=None,
     ):
@@ -234,10 +258,9 @@ class MetasearchBroker:
             backoff=backoff,
             registry=self.registry,
         )
-        if fleet is not None:
-            self.fleet: Optional[FleetRepresentativeStore] = fleet
-        else:
-            self.fleet = FleetRepresentativeStore() if columnar else None
+        self.fleet: FleetRepresentativeStore = (
+            fleet if fleet is not None else FleetRepresentativeStore()
+        )
         self.cache: Optional[EstimateCache] = (
             EstimateCache(cache_size, registry=self.registry) if cache_size else None
         )
@@ -245,12 +268,12 @@ class MetasearchBroker:
             TermPolynomialCache(
                 polycache_size,
                 registry=self.registry,
-                vocab=self.fleet.vocab if self.fleet is not None else None,
+                vocab=self.fleet.vocab,
             )
             if polycache_size
             else None
         )
-        self._engines: Dict[str, EngineRegistration] = {}
+        self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
         self._m_searches = self.registry.counter("broker.searches")
         self._m_degraded = self.registry.counter("broker.searches.degraded")
@@ -318,38 +341,30 @@ class MetasearchBroker:
                 version (unknown provenance).
         """
         existing = self._engines.get(engine.name)
-        if existing is not None and existing.engine is not engine:
+        if existing is not None and existing is not engine:
             raise ValueError(f"engine {engine.name!r} already registered")
-        if representative is None:
-            if (
-                self.fleet is not None
-                and existing is None
-                and engine.name in self.fleet
-            ):
-                # First registration of an engine whose representative is
-                # already resident in a pre-built fleet (a shard slice):
-                # adopt the resident entry instead of rebuilding from the
-                # engine, which may be remote or expensive to walk.
-                representative = FleetRepresentativeRef(engine.name, self.fleet)
-            else:
+        # First registration of an engine whose representative is already
+        # resident in a pre-built fleet (a shard slice): adopt the resident
+        # entry instead of rebuilding from the engine, which may be remote
+        # or expensive to walk.
+        adopt = (
+            representative is None
+            and existing is None
+            and engine.name in self.fleet
+        )
+        if not adopt:
+            if representative is None:
                 representative = build_representative(engine)
-        if self.fleet is not None and not (
-            isinstance(representative, FleetRepresentativeRef)
-            and representative._store is self.fleet
-        ):
-            # The fleet owns the packed arrays; the registration keeps a
-            # lightweight name-keyed view (the dict representative is
-            # dropped — that is the columnar memory win).
             if representative.name != engine.name:
                 representative = DatabaseRepresentative(
                     name=engine.name,
                     n_documents=representative.n_documents,
                     term_stats=dict(representative.items()),
                 )
-            representative = self.fleet.add(representative)
-        self._engines[engine.name] = EngineRegistration(
-            engine=engine, representative=representative
-        )
+            # The fleet owns the packed arrays; the dict representative is
+            # dropped here, so the two forms are never resident together.
+            self.fleet.add(representative)
+        self._engines[engine.name] = engine
         if version is not None:
             self._rep_versions[engine.name] = version
         else:
@@ -366,8 +381,12 @@ class MetasearchBroker:
     def __len__(self) -> int:
         return len(self._engines)
 
-    def representative_of(self, name: str) -> DatabaseRepresentative:
-        return self._engines[name].representative
+    def representative_of(self, name: str) -> FleetRepresentativeRef:
+        """A read-through view of ``name``'s packed representative
+        (``.materialize()`` rebuilds the dict form on demand)."""
+        if name not in self._engines:
+            raise KeyError(name)
+        return FleetRepresentativeRef(name, self.fleet)
 
     def representative_version(self, name: str) -> Optional[int]:
         """Recorded source version of ``name``'s representative, if known."""
@@ -378,17 +397,17 @@ class MetasearchBroker:
     def engine_of(self, name: str) -> SearchEngine:
         """The registered engine object itself (shard workers dispatch to
         a requested subset of engines directly)."""
-        return self._engines[name].engine
+        return self._engines[name]
 
     # -- live-fleet delta propagation ---------------------------------------------
 
-    def _present_terms(self, name: str, representative) -> set:
+    def _present_terms(self, name: str) -> set:
         """Term strings currently present in ``name``'s representative."""
-        if self.fleet is not None and name in self.fleet:
-            columns = self.fleet.columnar_of(name)
-            vocab = self.fleet.vocab
-            return {vocab.term_of(int(t)) for t in columns.term_ids}
-        return {term for term, __ in representative.items()}
+        vocab = self.fleet.vocab
+        return {
+            vocab.term_of(int(t))
+            for t in self.fleet.columnar_of(name).term_ids
+        }
 
     def apply_representative_delta(
         self, delta: RepresentativeDelta, *, precise: bool = True
@@ -397,8 +416,9 @@ class MetasearchBroker:
 
         The mutation is bit-exact: the updated representative equals the
         one a full rebuild of the mutated corpus would produce (in
-        canonical sorted-term order), on both the dict and the columnar
-        fleet backend.
+        canonical sorted-term order);
+        :func:`repro.fleet.delta.apply_delta` is the dict-form reference
+        the fleet store's in-place edit is tested against.
 
         Cache invalidation is *precise* when the estimator declares
         ``term_local``: only estimate-cache entries whose queries touch an
@@ -418,8 +438,7 @@ class MetasearchBroker:
                 or the delta's base document count does not match.
         """
         started = time.perf_counter()
-        registration = self._engines.get(delta.name)
-        if registration is None:
+        if delta.name not in self._engines:
             raise KeyError(f"engine {delta.name!r} not registered")
         known = self._rep_versions.get(delta.name)
         if known is not None and known != delta.from_version:
@@ -436,21 +455,8 @@ class MetasearchBroker:
                 # Every present term's probability rescales with n; terms
                 # this engine never held keep their (zero / negative)
                 # entries — they do not depend on the document count.
-                affected |= self._present_terms(
-                    delta.name, registration.representative
-                )
-        if self.fleet is not None and delta.name in self.fleet:
-            self.fleet.apply_delta(delta)
-        else:
-            representative = registration.representative
-            if not isinstance(representative, DatabaseRepresentative):
-                raise TypeError(
-                    "cannot apply a delta to a "
-                    f"{type(representative).__name__} representative"
-                )
-            registration.representative = _apply_dict_delta(
-                representative, delta
-            )
+                affected |= self._present_terms(delta.name)
+        self.fleet.apply_delta(delta)
         cache_evicted = cache_retained = 0
         poly_evicted = poly_retained = 0
         if affected is not None:
@@ -517,117 +523,92 @@ class MetasearchBroker:
         )
         return None
 
-    # -- estimation and search ---------------------------------------------------------
+    # -- estimation ------------------------------------------------------------------------
 
-    def _compute_estimate(
-        self, name: str, registration: EngineRegistration, query: Query, threshold: float
-    ) -> Usefulness:
-        """One fresh estimate, routed through the term-polynomial cache
-        when the estimator supports it (cached factors are bit-identical
-        to fresh computation, so the answer is too)."""
-        if isinstance(self.estimator, ExpansionEstimator):
-            expansion = self.estimator.expand(
-                query, registration.representative, self.polycache, name
-            )
-            return Usefulness(
-                nodoc=expansion.est_nodoc(
-                    threshold, registration.representative.n_documents
-                ),
-                avgsim=expansion.est_avgsim(threshold),
-            )
-        return self.estimator.estimate(
-            query, registration.representative, threshold
-        )
-
-    def _estimate_one(
-        self, name: str, registration: EngineRegistration, query: Query, threshold: float
-    ):
-        if self.cache is None:
-            return self._compute_estimate(name, registration, query, threshold)
-        key = EstimateCache.key_for(name, query, threshold)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        usefulness = self._compute_estimate(name, registration, query, threshold)
-        self.cache.put(key, usefulness)
-        return usefulness
-
-    def _fleet_rows(
-        self, query: Query, thresholds: List[float]
+    def _estimate_rows(
+        self,
+        queries: Sequence[Query],
+        thresholds: Sequence[float],
+        *,
+        cached_only: bool = False,
     ) -> Optional[List[List[EstimatedUsefulness]]]:
-        """Vectorized estimate rows for one query at several thresholds.
+        """One best-first estimate row per ``(query, threshold)`` — the only
+        estimation routine; every public estimate/search entry point is a
+        view of it.
 
-        One :func:`~repro.core.vectorized.fleet_usefulness_grid` call
-        answers every (engine, threshold) pair that the estimate cache
-        cannot; cache hits are honored and misses populated exactly as the
-        scalar path would (the grid is bit-identical to it, so the cache
-        stays interchangeable between paths).  Returns ``None`` when the
-        estimator has no vectorized path — the caller falls back to the
-        scalar loop.  For supported estimators the route is unconditional:
-        pruning floors, ``max_terms`` caps, non-default decimals, and
-        triplet mode all run through the batched
-        :class:`~repro.core.genfunc.BatchedGenFunc` product (the grid only
-        ever demotes individual engines whose exponents would overflow
-        ``np.round``'s float64 scaling, counted by
-        :func:`repro.core.fallback_count`).
+        Queries sharing a normalized ``(terms, weights)`` identity form a
+        group.  Per group, each distinct threshold's full engine row is
+        read from the estimate cache (one counted ``get`` per engine, keys
+        built from the group's ``query_key`` computed once); the thresholds with
+        at least one miss are answered by a single
+        :func:`~repro.core.vectorized.fleet_usefulness_grid` call, whose
+        values fill exactly the missed slots and populate the cache.  So a
+        batch both benefits from and warms what a single
+        :meth:`estimate_all` would, and its rows are bit-identical to
+        per-query calls.
+
+        With ``cached_only`` nothing is ever computed: the rows are returned
+        only when every needed entry is resident — checked with
+        non-counting ``peek``s first, so a failed probe leaves the hit/miss
+        accounting untouched — and ``None`` otherwise.
         """
-        if self.fleet is None or not supports_fleet(self.estimator):
-            return None
         names = self.fleet.engine_names
-        per_threshold: Dict[float, tuple] = {}
-        missing: List[float] = []
-        for t in thresholds:
-            if t in per_threshold:
-                continue
-            if self.cache is not None and names:
-                keys = [EstimateCache.key_for(name, query, t) for name in names]
-                vals = [self.cache.get(key) for key in keys]
-                per_threshold[t] = (vals, keys)
-                if all(v is not None for v in vals):
+        if cached_only and (self.cache is None or not names):
+            return None
+        groups: Dict[tuple, List[int]] = {}
+        for i, query in enumerate(queries):
+            groups.setdefault(EstimateCache.query_key(query), []).append(i)
+        rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
+        for query_key, members in groups.items():
+            keys: Dict[float, list] = {}
+            values: Dict[float, list] = {}
+            for t in dict.fromkeys(thresholds[i] for i in members):
+                if self.cache is None:
+                    values[t] = [None] * len(names)
                     continue
-            else:
-                per_threshold[t] = (None, None)
-            missing.append(t)
-        fresh: Dict[float, List[Usefulness]] = {}
-        if missing:
-            grid = fleet_usefulness_grid(
-                self.estimator, self.fleet, query, missing, self.polycache
-            )
-            fresh = dict(zip(missing, grid))
-        rows = []
-        for t in thresholds:
-            vals, keys = per_threshold[t]
-            row = []
-            for i, name in enumerate(names):
-                usefulness = vals[i] if vals is not None else None
-                if usefulness is None:
-                    usefulness = fresh[t][i]
-                    if keys is not None:
-                        self.cache.put(keys[i], usefulness)
-                row.append(
-                    EstimatedUsefulness(engine=name, usefulness=usefulness)
+                keys[t] = [
+                    EstimateCache.key_from(name, query_key, t) for name in names
+                ]
+                if cached_only and not all(map(self.cache.peek, keys[t])):
+                    return None
+                values[t] = [self.cache.get(key) for key in keys[t]]
+            missing = [t for t, row in values.items() if None in row]
+            if missing:
+                if cached_only:  # raced an eviction between peek and get
+                    return None
+                grid = fleet_usefulness_grid(
+                    self.estimator,
+                    self.fleet,
+                    queries[members[0]],
+                    missing,
+                    self.polycache,
                 )
-            row.sort(key=lambda e: e.sort_key)
-            rows.append(row)
+                for t, fresh in zip(missing, grid):
+                    row = values[t]
+                    for e, cached in enumerate(row):
+                        if cached is None:
+                            row[e] = fresh[e]
+                            if self.cache is not None:
+                                self.cache.put(keys[t][e], fresh[e])
+            ranked = {
+                t: sorted(
+                    (
+                        EstimatedUsefulness(engine=name, usefulness=usefulness)
+                        for name, usefulness in zip(names, row)
+                    ),
+                    key=lambda e: e.sort_key,
+                )
+                for t, row in values.items()
+            }
+            for i in members:
+                rows[i] = list(ranked[thresholds[i]])
         return rows
 
     def estimate_all(
         self, query: Query, threshold: float
     ) -> List[EstimatedUsefulness]:
         """Usefulness estimate for every registered engine, best first."""
-        if self.fleet is not None:
-            rows = self._fleet_rows(query, [float(threshold)])
-            if rows is not None:
-                return rows[0]
-        estimates = [
-            EstimatedUsefulness(
-                engine=name,
-                usefulness=self._estimate_one(name, registration, query, threshold),
-            )
-            for name, registration in self._engines.items()
-        ]
-        estimates.sort(key=lambda e: e.sort_key)
-        return estimates
+        return self._estimate_rows([query], [float(threshold)])[0]
 
     def estimate_all_cached(
         self, query: Query, threshold: float
@@ -643,131 +624,10 @@ class MetasearchBroker:
         hit accounting: a full-row probe counts one hit per engine, and a
         failed probe counts nothing (it peeks without touching stats).
         """
-        if self.cache is None or not self._engines:
-            return None
-        threshold = float(threshold)
-        keys = [
-            EstimateCache.key_for(name, query, threshold)
-            for name in self._engines
-        ]
-        if not all(self.cache.peek(key) for key in keys):
-            return None
-        row = []
-        for name, key in zip(self._engines, keys):
-            usefulness = self.cache.get(key)
-            if usefulness is None:  # raced an eviction between peek and get
-                return None
-            row.append(EstimatedUsefulness(engine=name, usefulness=usefulness))
-        row.sort(key=lambda e: e.sort_key)
-        return row
-
-    def select(self, query: Query, threshold: float) -> List[str]:
-        """Names of the engines the policy picks for this query."""
-        return self.policy.select(self.estimate_all(query, threshold))
-
-    # -- batch estimation and search ----------------------------------------------
-
-    @staticmethod
-    def _broadcast_thresholds(
-        queries: List[Query], thresholds: Union[float, Sequence[float]]
-    ) -> List[float]:
-        if isinstance(thresholds, (int, float)):
-            return [float(thresholds)] * len(queries)
-        per_query = [float(t) for t in thresholds]
-        if len(per_query) != len(queries):
-            raise ValueError(
-                f"got {len(per_query)} thresholds for {len(queries)} queries"
-            )
-        return per_query
-
-    def _estimate_batch_rows(
-        self, queries: List[Query], per_query: List[float]
-    ) -> List[List[EstimatedUsefulness]]:
-        """Per-query estimate rows, engines best first — the batch core.
-
-        Engines are visited in registration order (exactly as
-        :meth:`estimate_all` does) and, per engine, queries sharing a
-        normalized ``(terms, weights)`` identity share one expansion.
-        Every (engine, query, threshold) consults the estimate cache
-        first and populates it on a miss, so a batch both benefits from
-        and warms the serial path's cache.  All read-outs go through the
-        same expansion/tail code as the serial path, so the rows are
-        bit-identical to per-query :meth:`estimate_all` calls.
-
-        With a columnar fleet and a supported estimator the whole batch is
-        answered by the vectorized fast path instead: queries sharing a
-        normalized identity are grouped (the same sharing rule as the
-        expansion memo below) and each group costs one fleet grid over its
-        distinct thresholds.
-        """
-        if self.fleet is not None:
-            fleet_rows = self._fleet_batch_rows(queries, per_query)
-            if fleet_rows is not None:
-                return fleet_rows
-        rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
-        is_expansion = isinstance(self.estimator, ExpansionEstimator)
-        for name, registration in self._engines.items():
-            expansions: Dict = {}
-            for i, (query, threshold) in enumerate(zip(queries, per_query)):
-                key = None
-                usefulness = None
-                if self.cache is not None:
-                    key = EstimateCache.key_for(name, query, threshold)
-                    usefulness = self.cache.get(key)
-                if usefulness is None:
-                    if is_expansion:
-                        gkey = EstimateCache.query_key(query)
-                        expansion = expansions.get(gkey)
-                        if expansion is None:
-                            expansion = self.estimator.expand(
-                                query,
-                                registration.representative,
-                                self.polycache,
-                                name,
-                            )
-                            expansions[gkey] = expansion
-                        usefulness = Usefulness(
-                            nodoc=expansion.est_nodoc(
-                                threshold, registration.representative.n_documents
-                            ),
-                            avgsim=expansion.est_avgsim(threshold),
-                        )
-                    else:
-                        usefulness = self.estimator.estimate(
-                            query, registration.representative, threshold
-                        )
-                    if self.cache is not None:
-                        self.cache.put(key, usefulness)
-                rows[i].append(
-                    EstimatedUsefulness(engine=name, usefulness=usefulness)
-                )
-        for row in rows:
-            row.sort(key=lambda e: e.sort_key)
-        return rows
-
-    def _fleet_batch_rows(
-        self, queries: List[Query], per_query: List[float]
-    ) -> Optional[List[List[EstimatedUsefulness]]]:
-        """Batch rows through the vectorized fleet path, or ``None``.
-
-        Queries with the same normalized ``(terms, weights)`` identity
-        share one grid computed from the first of them — mirroring how the
-        scalar batch shares one expansion per identity.
-        """
-        if not supports_fleet(self.estimator):
-            return None
-        groups: Dict[tuple, List[int]] = {}
-        for i, query in enumerate(queries):
-            groups.setdefault(EstimateCache.query_key(query), []).append(i)
-        rows: List[Optional[List[EstimatedUsefulness]]] = [None] * len(queries)
-        for indices in groups.values():
-            thresholds = [float(per_query[i]) for i in indices]
-            group_rows = self._fleet_rows(queries[indices[0]], thresholds)
-            if group_rows is None:
-                return None
-            for i, row in zip(indices, group_rows):
-                rows[i] = row
-        return rows
+        rows = self._estimate_rows(
+            [query], [float(threshold)], cached_only=True
+        )
+        return rows[0] if rows else None
 
     def estimate_batch(
         self,
@@ -787,128 +647,53 @@ class MetasearchBroker:
         """
         started = time.perf_counter()
         queries = list(queries)
-        per_query = self._broadcast_thresholds(queries, thresholds)
-        rows = self._estimate_batch_rows(queries, per_query)
+        rows = self._estimate_rows(
+            queries, broadcast_thresholds(queries, thresholds)
+        )
         self._m_batches.inc()
         self._m_batch_queries.inc(len(queries))
         self._m_batch_seconds.observe(time.perf_counter() - started)
         return rows
 
-    def search_batch(
-        self,
-        queries: Sequence[Query],
-        thresholds: Union[float, Sequence[float]],
-        limit: Optional[int] = None,
-    ) -> List[MetasearchResponse]:
-        """The full pipeline — estimate, select, dispatch, merge — for a
-        whole batch of queries.
+    def select(self, query: Query, threshold: float) -> List[str]:
+        """Names of the engines the policy picks for this query."""
+        return self.policy.select(self.estimate_all(query, threshold))
 
-        Estimation runs through :meth:`estimate_batch`'s shared-expansion
-        pass; dispatch pools every selected engine call of every query on
-        the dispatcher's thread pool under a *single* batch deadline
-        (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
-        Each query still gets its own :class:`~repro.obs.QueryTrace` and
-        its own :class:`MetasearchResponse`, equal to what a serial
-        :meth:`search` call would produce for healthy engines.
-        """
-        started = time.perf_counter()
-        queries = list(queries)
-        per_query = self._broadcast_thresholds(queries, thresholds)
-        traces = [QueryTrace() for __ in queries]
+    # -- search ------------------------------------------------------------------------------
 
-        est_start = time.perf_counter()
-        all_estimates = self._estimate_batch_rows(queries, per_query)
-        est_elapsed = time.perf_counter() - est_start
-        self._stage_seconds("estimate").observe(est_elapsed)
-        shared = est_elapsed / len(queries) if queries else 0.0
-        for trace in traces:
-            trace.add("estimate", shared, engines=len(self._engines))
+    def _select(
+        self, estimates: List[EstimatedUsefulness], trace: QueryTrace
+    ) -> List[str]:
+        with trace.span("select") as span:
+            invoked = self.policy.select(estimates)
+            span.metadata["selected"] = len(invoked)
+        self._stage_seconds("select").observe(span.duration)
+        return invoked
 
-        invoked_lists: List[List[str]] = []
-        batches = []
-        for query, threshold, estimates, trace in zip(
-            queries, per_query, all_estimates, traces
-        ):
-            with trace.span("select") as span:
-                invoked = self.policy.select(estimates)
-                span.metadata["selected"] = len(invoked)
-            self._stage_seconds("select").observe(span.duration)
-            invoked_lists.append(invoked)
-            batches.append(
-                {
-                    name: (
-                        lambda engine=self._engines[name].engine,
-                        q=query,
-                        t=threshold: engine.search(q, t)
-                    )
-                    for name in invoked
-                }
-            )
-
-        dispatch_start = time.perf_counter()
-        reports = self.dispatcher.dispatch_many(batches)
-        self._stage_seconds("dispatch").observe(
-            time.perf_counter() - dispatch_start
-        )
-
-        responses = []
-        for query, estimates, trace, invoked, report in zip(
-            queries, all_estimates, traces, invoked_lists, reports
-        ):
-            failed = {failure.engine for failure in report.failures}
-            for name in invoked:
-                trace.add(
-                    f"dispatch:{name}",
-                    report.latencies.get(name, 0.0),
-                    ok=name not in failed,
+    def _engine_calls(
+        self, names: List[str], query: Query, threshold: float
+    ) -> Dict[str, Callable[[], List[SearchHit]]]:
+        return {
+            name: (
+                lambda engine=self._engines[name]: engine.search(
+                    query, threshold
                 )
-            with trace.span("merge") as span:
-                hits = merge_hits(report.result_lists(), limit=limit)
-                span.metadata["hits"] = len(hits)
-            self._stage_seconds("merge").observe(span.duration)
-            response = MetasearchResponse(
-                hits=hits,
-                invoked=invoked,
-                estimates=estimates,
-                failures=report.failures,
-                latencies=report.latencies,
-                trace=trace,
             )
-            self._m_searches.inc()
-            self._m_invoked.inc(len(invoked))
-            if response.degraded:
-                self._m_degraded.inc()
-            responses.append(response)
+            for name in names
+        }
 
-        self._m_batches.inc()
-        self._m_batch_queries.inc(len(queries))
-        self._m_batch_seconds.observe(time.perf_counter() - started)
-        return responses
-
-    def _dispatch(
+    def _respond(
         self,
-        names: List[str],
-        query: Query,
-        threshold: float,
-        limit: Optional[int],
+        invoked: List[str],
         estimates: List[EstimatedUsefulness],
+        report: DispatchReport,
+        limit: Optional[int],
         trace: QueryTrace,
     ) -> MetasearchResponse:
-        with trace.span("dispatch", engines=len(names)) as span:
-            report = self.dispatcher.dispatch(
-                {
-                    name: (
-                        lambda engine=self._engines[name].engine: engine.search(
-                            query, threshold
-                        )
-                    )
-                    for name in names
-                }
-            )
-            span.metadata["failures"] = len(report.failures)
-        self._stage_seconds("dispatch").observe(span.duration)
+        """Dispatch report -> traced, merged, counted response: the one
+        assembly behind ``search``, ``search_all`` and ``search_batch``."""
         failed = {failure.engine for failure in report.failures}
-        for name in names:
+        for name in invoked:
             trace.add(
                 f"dispatch:{name}",
                 report.latencies.get(name, 0.0),
@@ -918,20 +703,37 @@ class MetasearchBroker:
             hits = merge_hits(report.result_lists(), limit=limit)
             span.metadata["hits"] = len(hits)
         self._stage_seconds("merge").observe(span.duration)
-        return MetasearchResponse(
+        response = MetasearchResponse(
             hits=hits,
-            invoked=names,
+            invoked=invoked,
             estimates=estimates,
             failures=report.failures,
             latencies=report.latencies,
             trace=trace,
         )
-
-    def _finish(self, response: MetasearchResponse, started: float) -> MetasearchResponse:
         self._m_searches.inc()
-        self._m_invoked.inc(len(response.invoked))
+        self._m_invoked.inc(len(invoked))
         if response.degraded:
             self._m_degraded.inc()
+        return response
+
+    def _dispatch_one(
+        self,
+        invoked: List[str],
+        query: Query,
+        threshold: float,
+        limit: Optional[int],
+        estimates: List[EstimatedUsefulness],
+        trace: QueryTrace,
+        started: float,
+    ) -> MetasearchResponse:
+        with trace.span("dispatch", engines=len(invoked)) as span:
+            report = self.dispatcher.dispatch(
+                self._engine_calls(invoked, query, threshold)
+            )
+            span.metadata["failures"] = len(report.failures)
+        self._stage_seconds("dispatch").observe(span.duration)
+        response = self._respond(invoked, estimates, report, limit, trace)
         self._m_search_seconds.observe(time.perf_counter() - started)
         return response
 
@@ -947,12 +749,10 @@ class MetasearchBroker:
         with trace.span("estimate", engines=len(self._engines)) as span:
             estimates = self.estimate_all(query, threshold)
         self._stage_seconds("estimate").observe(span.duration)
-        with trace.span("select") as span:
-            invoked = self.policy.select(estimates)
-            span.metadata["selected"] = len(invoked)
-        self._stage_seconds("select").observe(span.duration)
-        response = self._dispatch(invoked, query, threshold, limit, estimates, trace)
-        return self._finish(response, started)
+        invoked = self._select(estimates, trace)
+        return self._dispatch_one(
+            invoked, query, threshold, limit, estimates, trace, started
+        )
 
     def search_all(
         self,
@@ -961,18 +761,73 @@ class MetasearchBroker:
         limit: Optional[int] = None,
     ) -> MetasearchResponse:
         """Broadcast baseline: query every engine regardless of estimates."""
-        started = time.perf_counter()
-        response = self._dispatch(
-            self.engine_names, query, threshold, limit, [], QueryTrace()
+        return self._dispatch_one(
+            self.engine_names, query, threshold, limit, [], QueryTrace(),
+            time.perf_counter(),
         )
-        return self._finish(response, started)
+
+    def search_batch(
+        self,
+        queries: Sequence[Query],
+        thresholds: Union[float, Sequence[float]],
+        limit: Optional[int] = None,
+    ) -> List[MetasearchResponse]:
+        """The full pipeline — estimate, select, dispatch, merge — for a
+        whole batch of queries.
+
+        Estimation is one :meth:`_estimate_rows` pass; dispatch pools every
+        selected engine call of every query on the dispatcher's thread pool
+        under a *single* batch deadline
+        (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
+        Each query still gets its own :class:`~repro.obs.QueryTrace` and
+        its own :class:`MetasearchResponse`, equal to what a serial
+        :meth:`search` call would produce for healthy engines.
+        """
+        started = time.perf_counter()
+        queries = list(queries)
+        per_query = broadcast_thresholds(queries, thresholds)
+        traces = [QueryTrace() for __ in queries]
+
+        est_start = time.perf_counter()
+        all_estimates = self._estimate_rows(queries, per_query)
+        est_elapsed = time.perf_counter() - est_start
+        self._stage_seconds("estimate").observe(est_elapsed)
+        shared = est_elapsed / len(queries) if queries else 0.0
+        for trace in traces:
+            trace.add("estimate", shared, engines=len(self._engines))
+
+        invoked_lists = [
+            self._select(estimates, trace)
+            for estimates, trace in zip(all_estimates, traces)
+        ]
+        dispatch_start = time.perf_counter()
+        reports = self.dispatcher.dispatch_many(
+            [
+                self._engine_calls(invoked, query, threshold)
+                for invoked, query, threshold in zip(
+                    invoked_lists, queries, per_query
+                )
+            ]
+        )
+        self._stage_seconds("dispatch").observe(
+            time.perf_counter() - dispatch_start
+        )
+        responses = [
+            self._respond(invoked, estimates, report, limit, trace)
+            for invoked, estimates, report, trace in zip(
+                invoked_lists, all_estimates, reports, traces
+            )
+        ]
+        self._m_batches.inc()
+        self._m_batch_queries.inc(len(queries))
+        self._m_batch_seconds.observe(time.perf_counter() - started)
+        return responses
 
     def true_selection(self, query: Query, threshold: float) -> List[str]:
         """Oracle: engines that *actually* hold a document above threshold
         (by exhaustive search) — the reference for selection accuracy."""
         selected = []
         for name in self.engine_names:
-            engine = self._engines[name].engine
-            if engine.max_similarity(query) > threshold:
+            if self._engines[name].max_similarity(query) > threshold:
                 selected.append(name)
         return selected

@@ -94,11 +94,18 @@ class EstimateCache:
         )
         return (query.terms, normalized)
 
+    @staticmethod
+    def key_from(engine: str, query_key: Tuple, threshold: float) -> CacheKey:
+        """The cache key for one estimate, from an already computed
+        :meth:`query_key` — a fleet-wide row normalizes the query once,
+        not once per engine."""
+        terms, normalized = query_key
+        return (engine, terms, normalized, float(threshold))
+
     @classmethod
     def key_for(cls, engine: str, query: Query, threshold: float) -> CacheKey:
         """The cache key for one estimate."""
-        terms, normalized = cls.query_key(query)
-        return (engine, terms, normalized, float(threshold))
+        return cls.key_from(engine, cls.query_key(query), threshold)
 
     def get(self, key: CacheKey) -> Optional[Usefulness]:
         """The cached estimate, refreshed as most recently used; None on miss."""

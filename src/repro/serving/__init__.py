@@ -21,17 +21,13 @@ that split on the wire with nothing beyond the standard library:
 * :mod:`repro.serving.coordinator` — scatter-gather over shard workers
   behind the broker interface; :class:`CoordinatorApp` is the gateway
   served over a :class:`ShardedFleet`.
-* :mod:`repro.serving.async_gateway` — an asyncio connection frontend
-  (one coroutine per keep-alive connection instead of one thread) for
-  any of the apps.
 
-Start servers with ``repro serve engine|gateway|shard|coordinator ...``
-or programmatically via :class:`ServingServer` /
-:class:`AsyncServingServer`.
+Every role is served by the one threaded stdlib frontend: start servers
+with ``repro serve engine|gateway|shard|coordinator ...`` or
+programmatically via :class:`ServingServer`.
 """
 
 from repro.serving.admission import AdmissionQueue
-from repro.serving.async_gateway import AsyncServingServer
 from repro.serving.coalesce import (
     CoalesceClosed,
     CoalesceExpired,
@@ -74,7 +70,6 @@ from repro.serving.wire import (
 
 __all__ = [
     "AdmissionQueue",
-    "AsyncServingServer",
     "CoalesceClosed",
     "CoalesceExpired",
     "CoalescingWindow",

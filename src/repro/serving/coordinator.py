@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
-from repro.metasearch.broker import MetasearchBroker, MetasearchResponse
+from repro.metasearch.broker import MetasearchResponse, broadcast_thresholds
 from repro.metasearch.dispatch import ConcurrentDispatcher, EngineFailure
 from repro.metasearch.merge import merge_hits
 from repro.metasearch.selection import (
@@ -386,7 +386,7 @@ class ShardedFleet:
         thresholds: Union[float, Sequence[float]],
     ) -> List[List[EstimatedUsefulness]]:
         queries = list(queries)
-        per_query = MetasearchBroker._broadcast_thresholds(queries, thresholds)
+        per_query = broadcast_thresholds(queries, thresholds)
         rows, __ = self._scatter_estimates(queries, per_query)
         return rows
 
@@ -525,7 +525,7 @@ class ShardedFleet:
         dispatch scatter, per-query responses equal to the in-process
         broker's (restricted to the engines of answering shards)."""
         queries = list(queries)
-        per_query = MetasearchBroker._broadcast_thresholds(queries, thresholds)
+        per_query = broadcast_thresholds(queries, thresholds)
         traces = [QueryTrace() for __ in queries]
 
         est_start = time.perf_counter()

@@ -1,6 +1,6 @@
 """One shard of a partitioned fleet, behind HTTP.
 
-A shard worker owns a *slice* of the fleet: a columnar
+A shard worker owns a *slice* of the fleet: a
 :class:`~repro.metasearch.broker.MetasearchBroker` whose
 :class:`~repro.representatives.columnar.FleetRepresentativeStore` holds
 the representatives of the engines assigned to this shard (typically
@@ -16,7 +16,7 @@ a slice estimates bit-identically to the full fleet.
 
 * ``POST /estimate`` — a *batch* of queries with per-query thresholds;
   returns one estimate row per query covering this shard's engines,
-  computed through the broker's vectorized columnar path.
+  computed by the broker's batch estimation routine.
 * ``POST /dispatch`` — a batch of ``{query, threshold, engines}``
   entries; forwards each query to the named engines (which must live on
   this shard) through the broker's dispatcher and returns per-engine
@@ -67,9 +67,8 @@ class ShardApp(ServingApp):
     """Serve one fleet shard: batch estimation, targeted dispatch, slice.
 
     Args:
-        broker: The shard's broker, holding this shard's engines and (for
-            ``/slice``) a columnar fleet store.  Construct it with
-            ``columnar=True`` or with a pre-built ``fleet=`` slice.
+        broker: The shard's broker, holding this shard's engines; its
+            fleet store is what ``/slice`` ships.
         shard_index: This shard's position in the coordinator's shard
             list; echoed in ``/healthz`` and the ``X-Repro-Shard`` header
             so a misconfigured topology is visible.
@@ -227,10 +226,6 @@ class ShardApp(ServingApp):
         mutates the slice (which drops the cache)."""
         with self._slice_lock:
             if self._slice_cache is None:
-                if self.broker.fleet is None:
-                    raise HTTPError(
-                        404, "this shard's broker has no columnar fleet"
-                    )
                 buffer = io.BytesIO()
                 self.broker.fleet.save_npz(buffer)
                 self._slice_cache = buffer.getvalue()

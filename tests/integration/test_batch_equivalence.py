@@ -1,16 +1,18 @@
 """Differential suite: the batch pipeline vs the serial per-query path.
 
-The batch APIs (`estimate_batch` / `search_batch`) and the two-level
-memoization behind them (estimate cache + term-polynomial cache) promise
-*exact* equality with the serial path — cached polynomial factors are
-bit-for-bit what a fresh computation produces, every tail is read off the
-same cumulative-sum arrays, and rows are assembled in the same engine
-order.  So every comparison here is ``==``, never ``approx``.
+The batch APIs (`estimate_batch` / `search_batch`) group queries, share one
+grid call per group and read through the estimate cache; they promise
+*exact* equality with per-query answers.  The estimate reference is the
+scalar oracle (:class:`tests.oracle.ScalarOracle`: the paper's estimator
+looped over dict representatives, query by query); the search reference is
+a second broker answering one ``search`` at a time, whose estimates are
+themselves pinned to the oracle.  Every comparison is ``==``, never
+``approx``.
 
 Covered: plain equivalence over a realistic query log, per-query
 thresholds, injected engine failures (a broker whose backend is down),
 mid-batch cache invalidation via re-registration, disabled caches, and
-non-expansion estimators falling back to the per-threshold path.
+estimators without a batched kernel (evaluated per engine row).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
 from repro.representatives import build_representative
+from tests.oracle import ScalarOracle
 
 THRESHOLD = 0.25
 N_QUERIES = 40
@@ -59,6 +62,13 @@ def make_broker(engines, **kwargs) -> MetasearchBroker:
     return broker
 
 
+def make_oracle(engines, estimator=None) -> ScalarOracle:
+    oracle = ScalarOracle(estimator)
+    for engine in engines:
+        oracle.register(engine)
+    return oracle
+
+
 def response_signature(response):
     """Everything except timing: EngineFailure carries wall-clock fields,
     so failures compare by (engine, kind) instead of dataclass equality."""
@@ -72,7 +82,7 @@ def response_signature(response):
 
 class TestEstimateEquivalence:
     def test_batch_equals_serial_exactly(self, fleet_engines, fleet_queries):
-        serial = make_broker(fleet_engines)
+        serial = make_oracle(fleet_engines)
         batch = make_broker(fleet_engines)
         expected = [
             serial.estimate_all(query, THRESHOLD) for query in fleet_queries
@@ -80,7 +90,7 @@ class TestEstimateEquivalence:
         assert batch.estimate_batch(fleet_queries, THRESHOLD) == expected
 
     def test_batch_with_caches_disabled(self, fleet_engines, fleet_queries):
-        serial = make_broker(fleet_engines)
+        serial = make_oracle(fleet_engines)
         batch = make_broker(fleet_engines, cache_size=0, polycache_size=0)
         expected = [
             serial.estimate_all(query, THRESHOLD) for query in fleet_queries
@@ -91,7 +101,7 @@ class TestEstimateEquivalence:
         thresholds = [
             0.1 + 0.05 * (i % 6) for i in range(len(fleet_queries))
         ]
-        serial = make_broker(fleet_engines)
+        serial = make_oracle(fleet_engines)
         batch = make_broker(fleet_engines)
         expected = [
             serial.estimate_all(query, threshold)
@@ -106,7 +116,7 @@ class TestEstimateEquivalence:
         shared-expansion path; answers still match serial exactly."""
         query = fleet_queries[0]
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        serial = make_broker(fleet_engines)
+        serial = make_oracle(fleet_engines)
         batch = make_broker(fleet_engines)
         expected = [serial.estimate_all(query, t) for t in grid]
         assert batch.estimate_batch([query] * len(grid), grid) == expected
@@ -127,11 +137,9 @@ class TestEstimateEquivalence:
             batch.estimate_batch(fleet_queries, [0.1, 0.2])
 
     def test_non_expansion_estimator(self, fleet_engines, fleet_queries):
-        """Direct (threshold-dependent) estimators take the fallback path;
-        equality must still be exact."""
-        serial = make_broker(
-            fleet_engines, estimator=PreviousMethodEstimator()
-        )
+        """Direct (threshold-dependent) estimators have no batched kernel
+        and are evaluated per engine row; equality must still be exact."""
+        serial = make_oracle(fleet_engines, PreviousMethodEstimator())
         batch = make_broker(fleet_engines, estimator=PreviousMethodEstimator())
         expected = [
             serial.estimate_all(query, THRESHOLD)
@@ -153,6 +161,10 @@ class TestSearchEquivalence:
             for response in batch.search_batch(fleet_queries, THRESHOLD)
         ]
         assert got == expected
+        oracle = make_oracle(fleet_engines)
+        assert [sig[2] for sig in got] == [
+            oracle.estimate_all(query, THRESHOLD) for query in fleet_queries
+        ]
 
     def test_search_batch_concurrent_dispatch(
         self, fleet_engines, fleet_queries
@@ -223,7 +235,7 @@ class TestMidBatchInvalidation:
         )
         batch.register(original, representative=replacement)
 
-        fresh = MetasearchBroker()
+        fresh = ScalarOracle()
         fresh.register(original, representative=replacement)
         expected = [fresh.estimate_all(query, THRESHOLD) for query in queries]
         assert batch.estimate_batch(queries, THRESHOLD) == expected
@@ -242,11 +254,12 @@ class TestMidBatchInvalidation:
 
 class TestBudgetedPipeline:
     def test_budget_applies_on_both_paths(self, fleet_engines, fleet_queries):
-        """With the adaptive budget *enabled*, serial and batch still agree
-        exactly — both run the identical budgeted expansion."""
+        """With the adaptive budget *enabled*, the scalar oracle and the
+        batch still agree exactly — both run the identical budgeted
+        expansion."""
         estimator_a = SubrangeEstimator(max_terms=64)
         estimator_b = SubrangeEstimator(max_terms=64)
-        serial = make_broker(fleet_engines, estimator=estimator_a)
+        serial = make_oracle(fleet_engines, estimator_a)
         batch = make_broker(fleet_engines, estimator=estimator_b)
         queries = fleet_queries[:15]
         expected = [serial.estimate_all(query, THRESHOLD) for query in queries]

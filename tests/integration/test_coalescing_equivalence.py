@@ -8,7 +8,8 @@ compares each response against a coalescing-off twin serving identical
 collections:
 
 * ``/estimate`` responses must match **byte-for-byte** across all five
-  estimators and both representative backends (dict and columnar).
+  estimators, against both the coalescing-off twin and a gateway serving
+  the scalar oracle (:class:`tests.oracle.ScalarOracle`).
 * ``/search`` responses must match exactly after zeroing the wall-clock
   timing fields (``latencies`` values and ``failures[*].elapsed`` — the
   only nondeterministic bytes on the wire), including the per-engine
@@ -46,6 +47,7 @@ from repro.serving import (
     ShardedFleet,
 )
 from repro.serving.wire import query_to_wire
+from tests.oracle import ScalarOracle
 
 pytestmark = pytest.mark.slow
 
@@ -97,12 +99,12 @@ COALESCE_KWARGS = dict(
 )
 
 
-def make_broker(estimator_name, columnar, collections, wrap=None, **kwargs):
+def make_broker(estimator_name, collections, wrap=None, **kwargs):
     """A broker over fresh engines for ``collections``; ``wrap`` maps an
     engine to its registered stand-in (representatives always build from
     the real engine, so estimates stay identical)."""
     broker = MetasearchBroker(
-        estimator=get_estimator(estimator_name), columnar=columnar, **kwargs
+        estimator=get_estimator(estimator_name), **kwargs
     )
     for collection in collections:
         engine = SearchEngine(collection)
@@ -111,6 +113,13 @@ def make_broker(estimator_name, columnar, collections, wrap=None, **kwargs):
             registered, representative=build_representative(engine)
         )
     return broker
+
+
+def make_oracle(estimator_name, collections):
+    oracle = ScalarOracle(get_estimator(estimator_name))
+    for collection in collections:
+        oracle.register(SearchEngine(collection))
+    return oracle
 
 
 def estimate_body(query, threshold):
@@ -169,25 +178,24 @@ def normalized(response):
 
 
 class TestEstimateMatrix:
-    """/estimate: byte-for-byte across estimators x backends."""
+    """/estimate: byte-for-byte across estimators, against the
+    coalescing-off twin and against the scalar oracle."""
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["dict", "columnar"])
     @pytest.mark.parametrize("estimator_name", ESTIMATORS)
-    def test_coalesced_estimates_match_per_request_bytes(
-        self, estimator_name, columnar
-    ):
+    def test_coalesced_estimates_match_per_request_bytes(self, estimator_name):
         collections = fleet_collections()
         registry = MetricsRegistry()
         on = GatewayApp(
-            make_broker(estimator_name, columnar, collections),
+            make_broker(estimator_name, collections),
             registry=registry,
             **COALESCE_KWARGS,
         )
         off = GatewayApp(
-            make_broker(estimator_name, columnar, collections),
+            make_broker(estimator_name, collections),
             max_active=32,
             max_queued=64,
         )
+        oracle = GatewayApp(make_oracle(estimator_name, collections))
         bodies = [
             estimate_body(query, threshold)
             for query in QUERIES
@@ -195,9 +203,10 @@ class TestEstimateMatrix:
         ]
         coalesced = fire_concurrently(on, "/estimate", bodies)
         reference = serially(off, "/estimate", bodies)
-        for got, want in zip(coalesced, reference):
-            assert got.status == 200 and want.status == 200
-            assert got.body_bytes() == want.body_bytes()
+        scalar = serially(oracle, "/estimate", bodies)
+        for got, want, exact in zip(coalesced, reference, scalar):
+            assert got.status == want.status == exact.status == 200
+            assert got.body_bytes() == want.body_bytes() == exact.body_bytes()
         assert registry.value(
             "serving.coalesce.requests", labels={"window": "estimate"}
         ) == len(bodies)
@@ -215,11 +224,11 @@ class TestSearchEquivalence:
             return engine
 
         on = GatewayApp(
-            make_broker("subrange", True, collections, wrap=wrap, workers=4),
+            make_broker("subrange", collections, wrap=wrap, workers=4),
             **COALESCE_KWARGS,
         )
         off = GatewayApp(
-            make_broker("subrange", True, collections, wrap=wrap, workers=4),
+            make_broker("subrange", collections, wrap=wrap, workers=4),
             max_active=32,
             max_queued=64,
         )
@@ -249,7 +258,7 @@ class TestSearchEquivalence:
         still answer byte-for-byte."""
         collections = fleet_collections()
         registry = MetricsRegistry()
-        broker = make_broker("subrange", True, collections)
+        broker = make_broker("subrange", collections)
         grid_rows = []
         original = broker.estimate_batch
 
@@ -260,7 +269,7 @@ class TestSearchEquivalence:
 
         broker.estimate_batch = counting_estimate_batch
         on = GatewayApp(broker, registry=registry, **COALESCE_KWARGS)
-        off = GatewayApp(make_broker("subrange", True, collections))
+        off = GatewayApp(make_oracle("subrange", collections))
         body = estimate_body(QUERIES[0], 0.2)
         bodies = [body] * 8
         coalesced = fire_concurrently(on, "/estimate", bodies)
@@ -286,7 +295,7 @@ class TestCacheInterplay:
         collections = fleet_collections()
         registry = MetricsRegistry()
         app = GatewayApp(
-            make_broker("subrange", True, collections),
+            make_broker("subrange", collections),
             registry=registry,
             **COALESCE_KWARGS,
         )
@@ -319,7 +328,7 @@ class TestCacheInterplay:
         stalled leader: the flushed batch recomputes and still answers
         byte-for-byte."""
         collections = fleet_collections()
-        broker = make_broker("subrange", True, collections)
+        broker = make_broker("subrange", collections)
         entered = threading.Event()
         gate = threading.Event()
         original = broker.estimate_batch
@@ -334,7 +343,7 @@ class TestCacheInterplay:
 
         broker.estimate_batch = gated_estimate_batch
         app = GatewayApp(broker, **COALESCE_KWARGS)
-        off = GatewayApp(make_broker("subrange", True, collections))
+        off = GatewayApp(make_oracle("subrange", collections))
         leader_body = estimate_body(QUERIES[0], 0.0)
         member_bodies = [
             estimate_body(query, 0.2) for query in QUERIES[:3]
@@ -393,7 +402,7 @@ class TestShardedCoordinator:
         servers = []
         try:
             for index, slice_collections in enumerate(slices):
-                broker = MetasearchBroker(columnar=True)
+                broker = MetasearchBroker()
                 for collection in slice_collections:
                     engine = SearchEngine(collection)
                     broker.register(
@@ -527,13 +536,13 @@ class TestArrivalJitter:
     ):
         collections = fleet_collections()
         on = GatewayApp(
-            make_broker("basic", True, collections),
+            make_broker("basic", collections),
             coalesce_window=window_ms / 1000.0,
             coalesce_max_batch=max_batch,
             max_active=32,
             max_queued=64,
         )
-        off = GatewayApp(make_broker("basic", True, collections))
+        off = GatewayApp(make_oracle("basic", collections))
         bodies = [
             estimate_body(QUERIES[qi], threshold)
             for qi, threshold, __ in schedule

@@ -1,17 +1,17 @@
-"""Differential suite: the columnar broker vs the scalar broker.
+"""Differential suite: the broker vs the scalar oracle.
 
-A broker constructed with ``columnar=True`` keeps the fleet's
-representatives in the packed :class:`FleetRepresentativeStore` and
-answers supported estimators through the engine-axis vectorized grid.
-That path promises *exact* equality with the scalar broker — same bits,
-same row order, same cache interplay — so every comparison here is
-``==``, never ``approx``.
+The broker keeps the fleet's representatives in the packed
+:class:`FleetRepresentativeStore` and answers every estimator through the
+engine-axis vectorized grid.  That path promises *exact* equality with the
+paper's scalar estimators looped over dict representatives
+(:class:`tests.oracle.ScalarOracle`) — same bits, same row order — so
+every comparison here is ``==``, never ``approx``.
 
 Covered: estimate_all/estimate_batch/search equality across estimator
-families, the estimate cache in front of the fleet path, representative
-refresh via re-registration, fall-back for estimators the grid does not
-support, and the lightweight read-through ref the registration keeps in
-place of the dict representative.
+families, the estimate cache in front of the grid, representative refresh
+via re-registration, per-row evaluation of estimators the grid has no
+batched kernel for, and the lightweight read-through ref the registration
+keeps in place of the dict representative.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from repro.core import (
 )
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
-from repro.metasearch import MetasearchBroker
+from repro.metasearch import MetasearchBroker, ThresholdPolicy, merge_hits
 from repro.representatives import (
     DatabaseRepresentative,
     FleetRepresentativeRef,
     SubrangeScheme,
     build_representative,
 )
+from tests.oracle import ScalarOracle
 
 N_QUERIES = 25
 THRESHOLDS = (0.1, 0.3, 0.6)
@@ -65,15 +66,15 @@ def fleet_queries(fleet_model):
 
 
 def make_pair(engines, estimator_factory, **kwargs):
-    brokers = []
-    for columnar in (False, True):
-        broker = MetasearchBroker(
-            estimator=estimator_factory(), columnar=columnar, **kwargs
-        )
+    """``(scalar oracle, broker)`` over the same engines."""
+    pair = [
+        ScalarOracle(estimator_factory()),
+        MetasearchBroker(estimator=estimator_factory(), **kwargs),
+    ]
+    for backend in pair:
         for engine in engines:
-            broker.register(engine)
-        brokers.append(broker)
-    return brokers
+            backend.register(engine)
+    return pair
 
 
 ESTIMATOR_FACTORIES = [
@@ -111,11 +112,16 @@ class TestEquality:
 
     def test_search_exact(self, fleet_engines, fleet_queries):
         scalar, columnar = make_pair(fleet_engines, SubrangeEstimator)
+        by_name = {engine.name: engine for engine in fleet_engines}
         for query in fleet_queries[:8]:
-            a = scalar.search(query, 0.3)
+            estimates = scalar.estimate_all(query, 0.3)
+            invoked = ThresholdPolicy().select(estimates)
             b = columnar.search(query, 0.3)
-            assert b.estimates == a.estimates
-            assert b.hits == a.hits
+            assert b.estimates == estimates
+            assert b.invoked == invoked
+            assert b.hits == merge_hits(
+                [by_name[name].search(query, 0.3) for name in invoked]
+            )
 
 
 class TestCacheInterplay:
@@ -176,6 +182,7 @@ class TestRegistration:
         assert dict(materialized.items()) == dict(donor.items())
 
     def test_unsupported_estimator_falls_back(self, fleet_engines, fleet_queries):
+        """No batched kernel: the grid evaluates the estimator per row."""
         scalar, columnar = make_pair(fleet_engines, PreviousMethodEstimator)
         for query in fleet_queries[:6]:
             assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(

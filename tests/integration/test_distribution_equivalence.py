@@ -48,7 +48,7 @@ class TestEquivalence:
         for query in small_queries[:40]:
             fleet_max = max(
                 (
-                    broker._engines[name].engine.max_similarity(query)
+                    broker.engine_of(name).max_similarity(query)
                     for name in broker.engine_names
                 ),
                 default=0.0,

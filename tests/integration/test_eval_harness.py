@@ -3,8 +3,8 @@
 Three guarantees the ``repro eval`` pipeline rests on:
 
 * the committed golden sets regenerate byte-identically from their seed,
-* every backend configuration (dict, columnar, sharded) produces an
-  *identical* report over them, and
+* the broker (columnar), a sharded topology and the scalar oracle over
+  dict representatives all produce an *identical* report over them, and
 * the committed floors file passes against the current code — the same
   gate CI applies, so a floor regression fails here first.
 """
@@ -32,7 +32,9 @@ from repro.evaluation.harness import (
 from repro.metasearch import MetasearchBroker
 from repro.representatives import build_representative, partition_round_robin
 from repro.serving import ServingServer, ShardApp, ShardedFleet
+from tests.oracle import ScalarOracle
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = Path(__file__).parent / "golden" / "queries"
 FLOORS_PATH = Path(__file__).parent / "golden" / "floors.json"
 
@@ -61,15 +63,13 @@ def eval_fleet():
     return engines, representatives
 
 
-def _broker_backends(engines, representatives, columnar):
+def _backends(make_backend, engines, representatives):
     backends = {}
     for name in ESTIMATORS:
-        broker = MetasearchBroker(
-            estimator=get_estimator(name), columnar=columnar
-        )
+        backend = make_backend(get_estimator(name))
         for engine in engines:
-            broker.register(engine, representative=representatives[engine.name])
-        backends[name] = broker
+            backend.register(engine, representative=representatives[engine.name])
+        backends[name] = backend
     return backends
 
 
@@ -112,14 +112,20 @@ class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def columnar_result(self, golden, eval_fleet):
         engines, representatives = eval_fleet
-        backends = _broker_backends(engines, representatives, columnar=True)
+        backends = _backends(
+            lambda estimator: MetasearchBroker(estimator=estimator),
+            engines,
+            representatives,
+        )
         return run_evaluation(
             backends, engines, golden, config="columnar",
         )
 
     def test_dict_matches_columnar(self, golden, eval_fleet, columnar_result):
+        # The wall's reference: scalar estimators looped over the dict
+        # representatives score exactly like the broker's columnar grid.
         engines, representatives = eval_fleet
-        backends = _broker_backends(engines, representatives, columnar=False)
+        backends = _backends(ScalarOracle, engines, representatives)
         dict_result = run_evaluation(backends, engines, golden, config="dict")
         assert dict_result.comparable() == columnar_result.comparable()
         assert dict_result.detail == columnar_result.detail
@@ -137,9 +143,7 @@ class TestBackendEquivalence:
                 for index, engine_slice in enumerate(
                     s for s in partition_round_robin(engines, 2) if s
                 ):
-                    broker = MetasearchBroker(
-                        estimator=get_estimator(name), columnar=True
-                    )
+                    broker = MetasearchBroker(estimator=get_estimator(name))
                     for engine in engine_slice:
                         broker.register(
                             engine, representative=representatives[engine.name]
@@ -183,14 +187,21 @@ class TestEvalCli:
 
         code = main([
             "eval",
-            "--config", "dict",
+            "--config", "columnar",
             "--golden-dir", str(GOLDEN_DIR),
             "--out-dir", str(tmp_path),
             "--check-floors", str(FLOORS_PATH),
         ])
         assert code == 0
-        payload = json.loads((tmp_path / "eval_dict.json").read_text())
+        payload = json.loads((tmp_path / "eval_columnar.json").read_text())
         assert payload["kind"] == "eval_report"
         assert payload["generated_at"]
-        md = (tmp_path / "eval_dict.md").read_text()
+        # The committed report is the trajectory's quality anchor: the
+        # same run today must reproduce it apart from the timestamp.
+        committed = json.loads(
+            (REPO_ROOT / "results" / "eval_columnar.json").read_text()
+        )
+        payload.pop("generated_at"), committed.pop("generated_at")
+        assert payload == committed
+        md = (tmp_path / "eval_columnar.md").read_text()
         assert "Engine-selection evaluation" in md

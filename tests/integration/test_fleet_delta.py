@@ -2,9 +2,11 @@
 
 The contract under test: a broker that catches up with a mutating engine
 through :class:`RepresentativeDelta` application answers **exactly**
-(``==``, never ``approx``) like a broker handed the engine's fresh
-canonical snapshot — on the dict backend, the columnar fleet store, and
-the sharded topology, for all five paper estimators.  On top of the
+(``==``, never ``approx``) like the scalar oracle
+(:class:`tests.oracle.ScalarOracle`) handed the engine's fresh canonical
+snapshot — in one process and on the sharded topology, for all five paper
+estimators — and so does the dict-form reference
+:func:`repro.fleet.delta.apply_delta`.  On top of the
 bit-exactness story sit the safety properties: precise invalidation never
 serves a stale cache entry while retaining entries for untouched terms,
 version mismatches are rejected, and a compacted delta log degrades to a
@@ -19,6 +21,7 @@ import pytest
 from repro.core import get_estimator
 from repro.corpus import Document, Query
 from repro.fleet import DeltaCompactedError, LiveEngineServer
+from repro.fleet.delta import apply_delta
 from repro.metasearch import MetasearchBroker
 from repro.serving import (
     LiveEngineApp,
@@ -28,6 +31,7 @@ from repro.serving import (
     ShardApp,
     ShardedFleet,
 )
+from tests.oracle import ScalarOracle
 
 pytestmark = pytest.mark.slow
 
@@ -100,11 +104,12 @@ def assert_rows_match(stale_broker_like, fresh_broker):
             ) == fresh_broker.estimate_all(query, threshold)
 
 
-def fresh_broker_for(fleet, estimator_name, **kwargs):
-    broker = MetasearchBroker(estimator=get_estimator(estimator_name), **kwargs)
+def fresh_oracle_for(fleet, estimator_name="subrange"):
+    """The scalar oracle over every engine's fresh canonical snapshot."""
+    oracle = ScalarOracle(get_estimator(estimator_name))
     for live, __ in fleet:
-        broker.register(live, representative=live.snapshot().representative)
-    return broker
+        oracle.register(live, representative=live.snapshot().representative)
+    return oracle
 
 
 class TestDifferentialBackends:
@@ -119,6 +124,20 @@ class TestDifferentialBackends:
 
     @pytest.mark.parametrize("estimator_name", ESTIMATORS)
     def test_dict_backend_exact(self, churned_fleet, estimator_name):
+        """The dict-form reference: ``apply_delta`` on the base snapshot
+        estimates exactly like the fresh snapshot."""
+        patched = ScalarOracle(get_estimator(estimator_name))
+        for live, base in churned_fleet:
+            patched.register(
+                live,
+                representative=apply_delta(
+                    base.representative, live.delta_since(base.version)
+                ),
+            )
+        assert_rows_match(patched, fresh_oracle_for(churned_fleet, estimator_name))
+
+    @pytest.mark.parametrize("estimator_name", ESTIMATORS)
+    def test_columnar_backend_exact(self, churned_fleet, estimator_name):
         broker = MetasearchBroker(estimator=get_estimator(estimator_name))
         for live, base in churned_fleet:
             broker.register(
@@ -129,22 +148,7 @@ class TestDifferentialBackends:
             )
             assert report.to_version == live.version
             assert broker.representative_version(live.name) == live.version
-        assert_rows_match(broker, fresh_broker_for(churned_fleet, estimator_name))
-
-    @pytest.mark.parametrize("estimator_name", ESTIMATORS)
-    def test_columnar_backend_exact(self, churned_fleet, estimator_name):
-        broker = MetasearchBroker(
-            estimator=get_estimator(estimator_name), columnar=True
-        )
-        for live, base in churned_fleet:
-            broker.register(
-                live, representative=base.representative, version=base.version
-            )
-            broker.apply_representative_delta(live.delta_since(base.version))
-        assert_rows_match(
-            broker,
-            fresh_broker_for(churned_fleet, estimator_name, columnar=True),
-        )
+        assert_rows_match(broker, fresh_oracle_for(churned_fleet, estimator_name))
 
     def test_sync_representative_uses_delta_path(self, churned_fleet):
         broker = MetasearchBroker(estimator=get_estimator("subrange"))
@@ -155,9 +159,7 @@ class TestDifferentialBackends:
         report = broker.sync_representative(live)
         assert report is not None and report.mode == "precise"
         assert broker.representative_version(live.name) == live.version
-        fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-        fresh.register(live, representative=live.snapshot().representative)
-        assert_rows_match(broker, fresh)
+        assert_rows_match(broker, fresh_oracle_for([churned_fleet[0]]))
 
 
 class TestShardedDeltaPropagation:
@@ -167,7 +169,7 @@ class TestShardedDeltaPropagation:
         servers, urls = [], []
         try:
             for index in range(2):
-                shard_broker = MetasearchBroker(columnar=True)
+                shard_broker = MetasearchBroker()
                 for live, base in fleet[index::2]:
                     shard_broker.register(
                         live,
@@ -195,9 +197,7 @@ class TestShardedDeltaPropagation:
             assert answer["engine"] == live.name
             assert answer["to_version"] == live.version
             assert answer["mode"] == "precise"
-        local = MetasearchBroker(columnar=True)
-        for live, __ in fleet:
-            local.register(live, representative=live.snapshot().representative)
+        local = fresh_oracle_for(fleet)
         for query in QUERIES:
             for threshold in THRESHOLDS:
                 assert sharded_fleet.estimate_all(
@@ -254,8 +254,7 @@ class TestPreciseInvalidation:
         assert report.mode == "precise"
         assert report.cache_retained >= 1
 
-        fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-        fresh.register(live, representative=live.snapshot().representative)
+        fresh = fresh_oracle_for([(live, base)])
         assert broker.estimate_all(touched, 0.2) == fresh.estimate_all(
             touched, 0.2
         )
@@ -277,8 +276,7 @@ class TestPreciseInvalidation:
         # n changed: every present term's probability rescaled, so the
         # untouched-term entry must go too.
         assert report.mode == "precise"
-        fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-        fresh.register(live, representative=live.snapshot().representative)
+        fresh = fresh_oracle_for([(live, base)])
         assert broker.estimate_all(untouched, 0.2) == fresh.estimate_all(
             untouched, 0.2
         )
@@ -296,8 +294,7 @@ class TestPreciseInvalidation:
         # The binary baseline folds every term's mean into one database
         # weight, so a single-term mutation still invalidates everything.
         assert report.mode == "full"
-        fresh = MetasearchBroker(estimator=get_estimator("binary-independence"))
-        fresh.register(live, representative=live.snapshot().representative)
+        fresh = fresh_oracle_for([(live, base)], "binary-independence")
         assert broker.estimate_all(query, 0.2) == fresh.estimate_all(query, 0.2)
 
     def test_version_mismatch_is_rejected(self):
@@ -330,9 +327,7 @@ class TestCompactionFallback:
         report = broker.sync_representative(live)
         assert report is None  # snapshot path, not a delta apply
         assert broker.representative_version(live.name) == live.version
-        fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-        fresh.register(live, representative=live.snapshot().representative)
-        assert_rows_match(broker, fresh)
+        assert_rows_match(broker, fresh_oracle_for([(live, base)]))
 
 
 class TestHTTPDeltaLoop:
@@ -383,9 +378,7 @@ class TestHTTPDeltaLoop:
         report = broker.sync_representative(remote)
         assert report is not None
         assert report.from_version == 0 and report.to_version == 2
-        fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-        fresh.register(remote, representative=live.snapshot().representative)
-        assert_rows_match(broker, fresh)
+        assert_rows_match(broker, fresh_oracle_for([(live, None)]))
 
     def test_compaction_over_http_falls_back_to_snapshot(self):
         live = LiveEngineServer("engine0", make_documents(0), log_limit=1)
@@ -401,8 +394,6 @@ class TestHTTPDeltaLoop:
             # back as a snapshot re-registration, not a delta.
             assert broker.sync_representative(remote) is None
             assert broker.representative_version(remote.name) == live.version
-            fresh = MetasearchBroker(estimator=get_estimator("subrange"))
-            fresh.register(remote, representative=live.snapshot().representative)
-            assert_rows_match(broker, fresh)
+            assert_rows_match(broker, fresh_oracle_for([(live, None)]))
         finally:
             server.drain(timeout=10)

@@ -35,6 +35,7 @@ from repro.evaluation import (
 )
 from repro.metasearch import MetasearchBroker
 from repro.representatives import quantize_representative
+from tests.oracle import ScalarOracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -109,11 +110,11 @@ class TestEstimatorTables:
 
 class _BatchPipelineEstimator:
     """Adapter running every ``estimate_many`` through a single-engine
-    broker's batched estimation path (one query duplicated across the
+    backend's ``estimate_batch`` (one query duplicated across the
     threshold grid), so the paper-table experiment exercises the batch
     pipeline end to end."""
 
-    def __init__(self, broker: MetasearchBroker):
+    def __init__(self, broker):
         self.broker = broker
         self.name = broker.estimator.name
         self.label = broker.estimator.label
@@ -124,42 +125,52 @@ class _BatchPipelineEstimator:
         return [row[0].usefulness for row in rows]
 
 
+def _batch_pipeline_methods(make_backend, small_engine, small_representative):
+    """The Tables 1-12 method sweep, each method answered by
+    ``make_backend(estimator)``'s ``estimate_batch``."""
+    specs = [
+        ("gloss-hc", get_estimator("gloss-hc"), small_representative, ""),
+        ("prev", get_estimator("prev"), small_representative, ""),
+        ("subrange", get_estimator("subrange"), small_representative, ""),
+        (
+            "subrange-1byte",
+            get_estimator("subrange"),
+            quantize_representative(small_representative),
+            "Sub 1-byte",
+        ),
+        (
+            "subrange-triplet",
+            SubrangeEstimator(use_stored_max=False),
+            small_representative,
+            "Sub triplet",
+        ),
+    ]
+    methods = []
+    for key, estimator, representative, label in specs:
+        backend = make_backend(estimator)
+        backend.register(small_engine, representative=representative)
+        methods.append(
+            MethodSpec(
+                key,
+                _BatchPipelineEstimator(backend),
+                representative,
+                label=label,
+            )
+        )
+    return methods
+
+
 class TestBatchPipelineTables:
-    """Tables 1-12 computed through ``estimate_batch`` (adaptive budget
-    disabled, both caches on) and pinned to the *same* golden files as the
-    serial experiment — the batch pipeline must be drop-in identical."""
+    """Tables 1-12 computed through the scalar oracle's ``estimate_batch``
+    and pinned to the *same* golden files as the serial experiment — the
+    reference every differential suite compares the broker against is
+    itself held to the paper tables."""
 
     @pytest.fixture(scope="class")
     def batch_experiment(self, small_engine, small_representative, small_queries):
-        specs = [
-            ("gloss-hc", get_estimator("gloss-hc"), small_representative, ""),
-            ("prev", get_estimator("prev"), small_representative, ""),
-            ("subrange", get_estimator("subrange"), small_representative, ""),
-            (
-                "subrange-1byte",
-                get_estimator("subrange"),
-                quantize_representative(small_representative),
-                "Sub 1-byte",
-            ),
-            (
-                "subrange-triplet",
-                SubrangeEstimator(use_stored_max=False),
-                small_representative,
-                "Sub triplet",
-            ),
-        ]
-        methods = []
-        for key, estimator, representative, label in specs:
-            broker = MetasearchBroker(estimator=estimator)
-            broker.register(small_engine, representative=representative)
-            methods.append(
-                MethodSpec(
-                    key,
-                    _BatchPipelineEstimator(broker),
-                    representative,
-                    label=label,
-                )
-            )
+        methods = _batch_pipeline_methods(
+            ScalarOracle, small_engine, small_representative
+        )
         return run_usefulness_experiment(
             small_engine, small_queries, methods, thresholds=THRESHOLDS
         )
@@ -190,45 +201,22 @@ class TestBatchPipelineTables:
 
 
 class TestColumnarGridTables:
-    """Tables 1-12 computed through a ``columnar=True`` broker — the
-    vectorized subrange grid with the batched ``BatchedGenFunc`` product
-    — and pinned to the *same* golden files as the serial experiment.
-    The paper-table numbers must survive the vectorized path bit-for-bit,
-    with zero scalar-fallback demotions along the way."""
+    """Tables 1-12 computed through the broker — the columnar fleet store,
+    both caches on, the vectorized subrange grid with the batched
+    ``BatchedGenFunc`` product — and pinned to the *same* golden files as
+    the serial experiment.  The paper-table numbers must survive the
+    production path bit-for-bit, with zero scalar-fallback demotions along
+    the way."""
 
     @pytest.fixture(scope="class")
     def columnar_experiment(
         self, small_engine, small_representative, small_queries
     ):
-        specs = [
-            ("gloss-hc", get_estimator("gloss-hc"), small_representative, ""),
-            ("prev", get_estimator("prev"), small_representative, ""),
-            ("subrange", get_estimator("subrange"), small_representative, ""),
-            (
-                "subrange-1byte",
-                get_estimator("subrange"),
-                quantize_representative(small_representative),
-                "Sub 1-byte",
-            ),
-            (
-                "subrange-triplet",
-                SubrangeEstimator(use_stored_max=False),
-                small_representative,
-                "Sub triplet",
-            ),
-        ]
-        methods = []
-        for key, estimator, representative, label in specs:
-            broker = MetasearchBroker(estimator=estimator, columnar=True)
-            broker.register(small_engine, representative=representative)
-            methods.append(
-                MethodSpec(
-                    key,
-                    _BatchPipelineEstimator(broker),
-                    representative,
-                    label=label,
-                )
-            )
+        methods = _batch_pipeline_methods(
+            lambda estimator: MetasearchBroker(estimator=estimator),
+            small_engine,
+            small_representative,
+        )
         reset_fallback_count()
         experiment = run_usefulness_experiment(
             small_engine, small_queries, methods, thresholds=THRESHOLDS

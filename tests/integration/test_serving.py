@@ -34,6 +34,7 @@ from repro.serving import (
     RemoteServingError,
     ServingServer,
 )
+from tests.oracle import ScalarOracle
 
 pytestmark = pytest.mark.slow
 
@@ -148,38 +149,52 @@ class TestSubprocessFleet:
             broker.register(SearchEngine(collection))
         return broker
 
+    @pytest.fixture(scope="class")
+    def oracle(self, fleet):
+        collections, __ = fleet
+        oracle = ScalarOracle()
+        for collection in collections:
+            oracle.register(SearchEngine(collection))
+        return oracle
+
     def test_fleet_is_at_least_four_processes(self, fleet):
         __, urls = fleet
         assert len(urls) >= 4
         assert len(set(urls)) == len(urls)
 
     def test_search_matches_in_process_broker_exactly(
-        self, gateway, local_broker
+        self, gateway, local_broker, oracle
     ):
         for query in QUERIES:
             for threshold in (0.0, 0.2, 0.5):
                 remote = gateway.search(query, threshold)
                 local = local_broker.search(query, threshold)
                 assert remote.hits == local.hits
-                assert remote.estimates == local.estimates
+                assert (
+                    remote.estimates
+                    == local.estimates
+                    == oracle.estimate_all(query, threshold)
+                )
                 assert remote.invoked == local.invoked
                 assert remote.failures == local.failures
 
-    def test_estimates_match_in_process_broker_exactly(
-        self, gateway, local_broker
-    ):
+    def test_estimates_match_in_process_broker_exactly(self, gateway, oracle):
         for query in QUERIES:
-            assert gateway.estimate(query, 0.2) == local_broker.estimate_all(
+            assert gateway.estimate(query, 0.2) == oracle.estimate_all(
                 query, 0.2
             )
 
     def test_batch_matches_in_process_broker_exactly(
-        self, gateway, local_broker
+        self, gateway, local_broker, oracle
     ):
         remote = gateway.search_batch(QUERIES, 0.2, limit=5)
         local = local_broker.search_batch(QUERIES, 0.2, limit=5)
         assert [r.hits for r in remote] == [r.hits for r in local]
-        assert [r.estimates for r in remote] == [r.estimates for r in local]
+        assert (
+            [r.estimates for r in remote]
+            == [r.estimates for r in local]
+            == oracle.estimate_batch(QUERIES, 0.2)
+        )
         assert [r.invoked for r in remote] == [r.invoked for r in local]
 
     def test_limit_respected_over_the_wire(self, gateway, local_broker):
@@ -459,9 +474,9 @@ class TestColumnarSnapshot:
         engine, server = engine_server
         remote = RemoteEngine(server.url)
         snapshot = remote.snapshot_representative(columnar=True)
-        broker = MetasearchBroker(columnar=True)
+        broker = MetasearchBroker()
         broker.register(remote, representative=snapshot.representative)
-        local = MetasearchBroker()
+        local = ScalarOracle()
         local.register(engine)
         query = Query.from_terms(["rocket", "orbit"])
         assert [

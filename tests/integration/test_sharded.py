@@ -2,14 +2,15 @@
 
 The headline contract: a fleet partitioned across shard-worker
 *processes* behind the scatter-gather coordinator answers every query
-**exactly** (``==``) like an in-process columnar broker over the same
+**exactly** (``==``) like an in-process broker over the same
 collections — same merged hits, same estimate rows, same invoked
-engines — at 2 shards and at 4.  Plus the degradation story: a shard
+engines — at 2 shards and at 4, with the estimate rows pinned to the
+scalar oracle (:class:`tests.oracle.ScalarOracle`).  Plus the degradation story: a shard
 killed mid-flight becomes per-engine ``EngineFailure`` records naming
 the shard, while the surviving shards' answers merge exactly as the
 in-process broker restricted to the surviving engines would.  The
-asyncio frontend's framing policy (keep-alive reuse, 411/413/400) is
-covered here too, since the coordinator is its primary tenant.
+HTTP frontend's framing policy (keep-alive reuse, 411/413/400) is
+covered here too.
 """
 
 import http.client
@@ -31,7 +32,6 @@ from repro.metasearch import MetasearchBroker
 from repro.obs import MetricsRegistry
 from repro.representatives import partition_round_robin
 from repro.serving import (
-    AsyncServingServer,
     CoordinatorApp,
     GatewayApp,
     GatewayClient,
@@ -39,6 +39,7 @@ from repro.serving import (
     ShardApp,
     ShardedFleet,
 )
+from tests.oracle import ScalarOracle
 
 pytestmark = pytest.mark.slow
 
@@ -136,15 +137,16 @@ def stop_processes(processes):
             proc.communicate()
 
 
-def local_columnar_broker(collections):
-    broker = MetasearchBroker(columnar=True)
+def local_broker_for(collections, make_backend=MetasearchBroker):
+    broker = make_backend()
     for collection in collections:
         broker.register(SearchEngine(collection))
     return broker
 
 
 class TestShardedExactness:
-    """2- and 4-shard topologies vs the in-process columnar broker."""
+    """2- and 4-shard topologies vs the in-process broker (hits, invoked,
+    failures) and the scalar oracle (estimate rows)."""
 
     @pytest.fixture(scope="class", params=[2, 4])
     def topology(self, request, tmp_path_factory):
@@ -163,7 +165,12 @@ class TestShardedExactness:
     @pytest.fixture(scope="class")
     def local_broker(self, topology):
         collections, __, __urls = topology
-        return local_columnar_broker(collections)
+        return local_broker_for(collections)
+
+    @pytest.fixture(scope="class")
+    def oracle(self, topology):
+        collections, __, __urls = topology
+        return local_broker_for(collections, ScalarOracle)
 
     def test_every_engine_is_owned_exactly_once(self, topology):
         __, fleet, urls = topology
@@ -184,13 +191,15 @@ class TestShardedExactness:
                 assert sharded.failures == local.failures
 
     def test_estimates_match_in_process_broker_exactly(
-        self, topology, local_broker
+        self, topology, local_broker, oracle
     ):
         __, fleet, __urls = topology
         for query in QUERIES:
             for threshold in THRESHOLDS:
-                assert fleet.estimate_all(query, threshold) == (
-                    local_broker.estimate_all(query, threshold)
+                assert (
+                    fleet.estimate_all(query, threshold)
+                    == local_broker.estimate_all(query, threshold)
+                    == oracle.estimate_all(query, threshold)
                 )
 
     def test_batch_matches_in_process_broker_exactly(
@@ -204,19 +213,21 @@ class TestShardedExactness:
         assert [r.invoked for r in sharded] == [r.invoked for r in local]
         assert [r.failures for r in sharded] == [r.failures for r in local]
 
-    def test_per_query_thresholds_match(self, topology, local_broker):
+    def test_per_query_thresholds_match(self, topology, local_broker, oracle):
         __, fleet, __urls = topology
         thresholds = [0.1, 0.3, 0.0, 0.5]
-        assert fleet.estimate_batch(QUERIES, thresholds) == (
-            local_broker.estimate_batch(QUERIES, thresholds)
+        assert (
+            fleet.estimate_batch(QUERIES, thresholds)
+            == local_broker.estimate_batch(QUERIES, thresholds)
+            == oracle.estimate_batch(QUERIES, thresholds)
         )
 
     def test_coordinator_app_serves_the_fleet(self, topology, local_broker):
-        """The coordinator behind the asyncio frontend answers the PR 4
+        """The coordinator behind the HTTP frontend answers the PR 4
         wire schema exactly like a single-broker gateway would."""
         __, fleet, urls = topology
         app = CoordinatorApp(fleet, max_active=8, max_queued=16)
-        server = AsyncServingServer(app)
+        server = ServingServer(app)
         server.start_background()
         try:
             client = GatewayClient(server.url)
@@ -237,7 +248,6 @@ class TestShardedExactness:
             ]
             metrics = client.metrics_text()
             assert "repro_serving_requests_total" in metrics
-            assert "repro_serving_async_connections" in metrics
         finally:
             assert server.drain(timeout=15)
         assert server.final_metrics is not None
@@ -271,7 +281,7 @@ class TestPartialShardFailure:
 
     def test_search_degrades_to_surviving_engines(self, degraded):
         fleet, survivors, dead_engines = degraded
-        local = local_columnar_broker(survivors)
+        local = local_broker_for(survivors)
         for query in QUERIES[:2]:
             sharded = fleet.search(query, 0.2)
             expected = local.search(query, 0.2)
@@ -292,7 +302,7 @@ class TestPartialShardFailure:
 
     def test_estimates_degrade_to_surviving_engines(self, degraded):
         fleet, survivors, dead_engines = degraded
-        local = local_columnar_broker(survivors)
+        local = local_broker_for(survivors)
         query = QUERIES[0]
         assert fleet.estimate_all(query, 0.2) == local.estimate_all(query, 0.2)
 
@@ -302,7 +312,7 @@ class TestShardAppValidation:
 
     @pytest.fixture(scope="class")
     def shard_app(self):
-        broker = local_columnar_broker(fleet_collections()[:2])
+        broker = local_broker_for(fleet_collections()[:2])
         return ShardApp(broker, shard_index=3, max_batch=2)
 
     def post(self, app, path, payload):
@@ -380,18 +390,18 @@ class TestShardAppValidation:
         assert again.raw is response.raw
 
 
-class TestAsyncFrontendFraming:
-    """The asyncio server's body/keep-alive policy mirrors the threaded one."""
+class TestFrontendFraming:
+    """The HTTP frontend's body/keep-alive policy."""
 
     @pytest.fixture(scope="class")
-    def async_gateway(self):
-        broker = local_columnar_broker(fleet_collections())
+    def gateway_server(self):
+        broker = local_broker_for(fleet_collections())
         registry = MetricsRegistry()
         app = GatewayApp(
             broker, max_active=4, max_queued=8, registry=registry,
             max_body=4096,
         )
-        server = AsyncServingServer(app)
+        server = ServingServer(app)
         server.start_background()
         yield server
         server.drain(timeout=10)
@@ -418,24 +428,24 @@ class TestAsyncFrontendFraming:
         }
     ).encode("utf-8")
 
-    def test_keep_alive_reuses_one_connection(self, async_gateway):
+    def test_keep_alive_reuses_one_connection(self, gateway_server):
         conn = http.client.HTTPConnection(
-            async_gateway.host, async_gateway.port, timeout=10
+            gateway_server.host, gateway_server.port, timeout=10
         )
         try:
-            first, __ = self.request_raw(async_gateway, self.SEARCH, conn)
+            first, __ = self.request_raw(gateway_server, self.SEARCH, conn)
             assert first.status == 200
             sock = conn.sock
-            second, body = self.request_raw(async_gateway, self.SEARCH, conn)
+            second, body = self.request_raw(gateway_server, self.SEARCH, conn)
             assert second.status == 200
             assert conn.sock is sock, "server closed a keep-alive connection"
             assert json.loads(body)["kind"] == "response"
         finally:
             conn.close()
 
-    def test_chunked_body_is_411(self, async_gateway):
+    def test_chunked_body_is_411(self, gateway_server):
         conn = http.client.HTTPConnection(
-            async_gateway.host, async_gateway.port, timeout=10
+            gateway_server.host, gateway_server.port, timeout=10
         )
         try:
             conn.putrequest("POST", "/search")
@@ -448,15 +458,15 @@ class TestAsyncFrontendFraming:
         finally:
             conn.close()
 
-    def test_oversized_body_is_413_and_closes(self, async_gateway):
-        response, body = self.request_raw(async_gateway, b"x" * 8192)
+    def test_oversized_body_is_413_and_closes(self, gateway_server):
+        response, body = self.request_raw(gateway_server, b"x" * 8192)
         assert response.status == 413
         assert response.getheader("Connection") == "close"
         assert "exceeds" in json.loads(body)["error"]
 
-    def test_bad_content_length_is_400(self, async_gateway):
+    def test_bad_content_length_is_400(self, gateway_server):
         with socket.create_connection(
-            (async_gateway.host, async_gateway.port), timeout=10
+            (gateway_server.host, gateway_server.port), timeout=10
         ) as raw:
             raw.sendall(
                 b"POST /search HTTP/1.1\r\n"
@@ -465,42 +475,18 @@ class TestAsyncFrontendFraming:
             answer = raw.recv(4096)
         assert answer.startswith(b"HTTP/1.1 400")
 
-    def test_deadline_header_is_honored_case_insensitively(self, async_gateway):
+    def test_deadline_header_is_honored_case_insensitively(self, gateway_server):
         response, body = self.request_raw(
-            async_gateway, self.SEARCH, extra=[("x-repro-deadline", "0.0")]
+            gateway_server, self.SEARCH, extra=[("x-repro-deadline", "0.0")]
         )
         assert response.status == 504
 
-    def test_unknown_route_is_404(self, async_gateway):
+    def test_unknown_route_is_404(self, gateway_server):
         conn = http.client.HTTPConnection(
-            async_gateway.host, async_gateway.port, timeout=10
+            gateway_server.host, gateway_server.port, timeout=10
         )
         try:
             conn.request("GET", "/nope")
             assert conn.getresponse().status == 404
         finally:
             conn.close()
-
-
-class TestThreadedAndAsyncAgree:
-    """One app, both servers, identical answers — the frontends are
-    interchangeable by contract."""
-
-    def test_same_broker_same_answers(self):
-        collections = fleet_collections()
-        broker = local_columnar_broker(collections)
-        threaded = ServingServer(GatewayApp(broker))
-        threaded.start_background()
-        async_server = AsyncServingServer(GatewayApp(broker))
-        async_server.start_background()
-        try:
-            a = GatewayClient(threaded.url)
-            b = GatewayClient(async_server.url)
-            for query in QUERIES:
-                ra, rb = a.search(query, 0.2), b.search(query, 0.2)
-                assert ra.hits == rb.hits
-                assert ra.estimates == rb.estimates
-                assert ra.invoked == rb.invoked
-        finally:
-            threaded.drain(timeout=10)
-            async_server.drain(timeout=10)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import SubrangeEstimator
-from repro.corpus import Query
+from repro.corpus import Document, Query
 from repro.corpus.synth import word_for_term_id
 from repro.engine import SearchEngine
+from repro.fleet import LiveEngineServer
 from repro.metasearch import MetasearchBroker
-from repro.representatives import build_representative
+from repro.representatives import build_representative, quantize_representative
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +28,15 @@ def fleet(small_model):
 
 def single_term_queries(engines, limit=40):
     """Terms that occur in at least two engines, as single-term queries."""
+    return shared_term_queries(
+        [engine.collection.vocabulary for engine in engines], limit
+    )
+
+
+def shared_term_queries(vocabularies, limit):
     counts = {}
-    for engine in engines:
-        for term in engine.collection.vocabulary:
+    for vocabulary in vocabularies:
+        for term in vocabulary:
             counts[term] = counts.get(term, 0) + 1
     shared = sorted(t for t, c in counts.items() if c >= 2)
     rng = np.random.default_rng(0)
@@ -90,31 +97,85 @@ class TestGuarantee:
                     engine.max_similarity(query), abs=1e-6
                 )
 
+    @staticmethod
+    def assert_broker_guarantee(broker, engines, reps, limit=10):
+        """``select == true_selection`` at the midpoint between the two
+        largest per-engine maximum weights ``reps`` publishes for a term,
+        wherever every engine's published maximum sits on the same side
+        of that threshold as its true maximum similarity (always, for an
+        exact representative)."""
+        exercised = 0
+        vocabularies = [
+            [term for term, __ in reps[e.name].items()] for e in engines
+        ]
+        for query in shared_term_queries(vocabularies, limit):
+            term = query.terms[0]
+            published = {
+                e.name: reps[e.name].get(term).max_weight
+                for e in engines
+                if reps[e.name].get(term) is not None
+            }
+            maxima = sorted(published.values(), reverse=True)
+            if len(maxima) < 2 or maxima[0] - maxima[1] < 1e-9:
+                continue
+            threshold = (maxima[0] + maxima[1]) / 2
+            if any(
+                (published.get(e.name, 0.0) > threshold)
+                != (e.max_similarity(query) > threshold)
+                for e in engines
+            ):
+                continue  # quantization moved a maximum across the midpoint
+            assert set(broker.select(query, threshold)) == set(
+                broker.true_selection(query, threshold)
+            ), (term, threshold)
+            exercised += 1
+        return exercised
+
     def test_broker_level_guarantee(self, fleet):
-        """Same property via the metasearch broker's public API."""
+        """Same property via the metasearch broker's public API, from exact
+        representatives and from one-byte quantized ones."""
         engines, reps = fleet
         broker = MetasearchBroker(estimator=SubrangeEstimator())
         for engine in engines:
             broker.register(engine, representative=reps[engine.name])
-        exercised = 0
-        for query in single_term_queries(engines, limit=10):
-            term = query.terms[0]
-            maxima = sorted(
-                (
-                    reps[e.name].get(term).max_weight
-                    for e in engines
-                    if reps[e.name].get(term) is not None
-                ),
-                reverse=True,
+        assert self.assert_broker_guarantee(broker, engines, reps) > 0
+
+        quantized = {
+            name: quantize_representative(rep) for name, rep in reps.items()
+        }
+        for engine in engines:
+            broker.register(engine, representative=quantized[engine.name])
+        assert self.assert_broker_guarantee(
+            broker, engines, quantized, limit=40
+        ) > 5
+
+    def test_broker_level_guarantee_after_delta(self, fleet):
+        """The guarantee survives live mutation: a broker that registered a
+        partial corpus and caught up through a representative delta selects
+        exactly like the truth over the final corpus."""
+        engines, __ = fleet
+        broker = MetasearchBroker(estimator=SubrangeEstimator())
+        lives = []
+        for engine in engines:
+            collection = engine.collection
+            documents = [
+                Document(collection.doc_id(i), terms=collection.terms_of(i))
+                for i in range(len(collection))
+            ]
+            live = LiveEngineServer(engine.name, documents[:-3])
+            base = live.snapshot()
+            broker.register(
+                live, representative=base.representative, version=base.version
             )
-            if len(maxima) < 2 or maxima[0] - maxima[1] < 1e-9:
-                continue
-            threshold = (maxima[0] + maxima[1]) / 2
-            assert set(broker.select(query, threshold)) == set(
-                broker.true_selection(query, threshold)
+            live.remove_documents([documents[0].doc_id])
+            live.add_documents(documents[-3:])
+            report = broker.apply_representative_delta(
+                live.delta_since(base.version)
             )
-            exercised += 1
-        assert exercised > 0
+            assert report.mode == "precise"
+            lives.append(live)
+        final = {live.name: live.snapshot().representative for live in lives}
+        assert self.assert_broker_guarantee(broker, lives, final, limit=40) > 5
 
     def test_guarantee_fails_without_stored_max(self, fleet):
         """Sanity: the triplet mode does NOT enjoy the guarantee — this is

@@ -37,8 +37,8 @@ from repro.core import (
     fallback_count,
     fleet_usefulness_grid,
     reset_fallback_count,
-    supports_fleet,
 )
+from repro.core.vectorized import _BATCHED_TYPES
 from repro.corpus import Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
@@ -120,11 +120,13 @@ def _store_of(reps):
 
 
 def assert_grid_matches_scalar(estimator, reps, queries, thresholds=THRESHOLDS):
-    assert supports_fleet(estimator)
+    # Guard: a type without a batched kernel would be evaluated per row with
+    # the scalar code itself, making the comparison vacuous.
+    assert type(estimator) in _BATCHED_TYPES
     store = _store_of(reps)
     for query in queries:
         grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-        assert grid is not None and len(grid) == len(thresholds)
+        assert len(grid) == len(thresholds)
         for row, threshold in zip(grid, thresholds):
             assert len(row) == len(reps)
             for got, rep in zip(row, reps):

@@ -1,10 +1,12 @@
 """Unit tests for the metasearch broker."""
 
+import numpy as np
 import pytest
 
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker, ThresholdPolicy, TopKPolicy
+from repro.metasearch.broker import broadcast_thresholds
 from repro.representatives import build_representative
 
 
@@ -24,6 +26,34 @@ def broker():
     return broker
 
 
+class TestBroadcastThresholds:
+    QUERIES = [Query.from_terms(["rocket"]), Query.from_terms(["sauce"])]
+
+    @pytest.mark.parametrize(
+        "scalar", [0.3, 1, np.float32(0.5), np.float64(0.3), np.int64(1)]
+    )
+    def test_any_real_scalar_is_repeated(self, scalar):
+        per_query = broadcast_thresholds(self.QUERIES, scalar)
+        assert per_query == [float(scalar)] * 2
+        assert all(type(t) is float for t in per_query)
+
+    def test_parallel_sequence_is_kept(self):
+        assert broadcast_thresholds(self.QUERIES, (0.1, np.float32(0.5))) == [
+            0.1,
+            0.5,
+        ]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="got 3 thresholds for 2 queries"):
+            broadcast_thresholds(self.QUERIES, [0.1, 0.2, 0.3])
+
+    def test_numpy_scalar_threshold_through_the_broker(self, broker):
+        queries = [Query.from_terms(["rocket"]), Query.from_terms(["sauce"])]
+        assert broker.estimate_batch(queries, np.float32(0.5)) == (
+            broker.estimate_batch(queries, [0.5, 0.5])
+        )
+
+
 class TestRegistration:
     def test_registration_builds_representative(self, broker):
         rep = broker.representative_of("space")
@@ -36,10 +66,14 @@ class TestRegistration:
 
     def test_explicit_representative_used(self):
         engine = make_engine("e", [["x"]])
-        rep = build_representative(engine)
+        # Not what the engine itself would build: the explicit one wins,
+        # packed into the fleet store under the engine's name.
+        rep = build_representative(make_engine("e", [["y", "z"], ["y"]]))
         broker = MetasearchBroker()
         broker.register(engine, representative=rep)
-        assert broker.representative_of("e") is rep
+        held = broker.representative_of("e").materialize()
+        assert held.n_documents == rep.n_documents == 2
+        assert dict(held.items()) == dict(rep.items())
 
     def test_engine_names_sorted(self, broker):
         assert broker.engine_names == ["food", "space"]

@@ -124,6 +124,16 @@ class TestBrokerCaching:
             Query(terms=("rocket", "sauce"), weights=(1.0, 1.0)), 0.2
         )
 
+    def test_broker_entries_live_under_key_for_keys(self, broker):
+        """The broker builds each key from the group's ``query_key`` computed
+        once (not ``key_for`` per engine); the entries must be the very ones
+        ``key_for`` names, or precise invalidation would miss them."""
+        query = Query(terms=("rocket", "sauce"), weights=(3.0, 1.0))
+        broker.estimate_all(query, 0.2)
+        assert len(broker.cache) == 2
+        for name in broker.engine_names:
+            assert EstimateCache.key_for(name, query, 0.2) in broker.cache
+
     def test_cache_disabled_with_zero_size(self):
         broker = MetasearchBroker(cache_size=0)
         assert broker.cache is None

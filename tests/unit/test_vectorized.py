@@ -13,7 +13,6 @@ from repro.core import (
     fallback_count,
     fleet_usefulness_grid,
     reset_fallback_count,
-    supports_fleet,
 )
 from repro.corpus import Query
 from repro.metasearch.cache import TermPolynomialCache
@@ -49,7 +48,6 @@ def bits(value):
 
 def assert_grid_matches_scalar(estimator, store, reps, query, thresholds=THRESHOLDS):
     grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-    assert grid is not None
     for row, threshold in zip(grid, thresholds):
         for got, rep in zip(row, reps):
             want = estimator.estimate(query, rep, threshold)
@@ -59,7 +57,25 @@ def assert_grid_matches_scalar(estimator, store, reps, query, thresholds=THRESHO
 
 
 class TestSupportsFleet:
+    """Which estimators the batched kernels cover: the five exact types;
+    anything else is evaluated per engine row by its own scalar code."""
+
+    @staticmethod
+    def per_row_calls(estimator, store, query, thresholds):
+        """Grid for ``estimator`` plus how often the grid fell back to the
+        estimator's own ``estimate_many`` (once per engine row, or never)."""
+        calls = []
+        scalar = estimator.estimate_many
+
+        def spy(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        estimator.estimate_many = spy
+        return fleet_usefulness_grid(estimator, store, query, thresholds), calls
+
     def test_exact_types_only(self):
+        store = make_store(make_rep("d1"), make_rep("d2", n=9))
         for estimator in (
             SubrangeEstimator(),
             BasicEstimator(),
@@ -67,19 +83,29 @@ class TestSupportsFleet:
             GlossHighCorrelationEstimator(),
             GlossDisjointEstimator(),
         ):
-            assert supports_fleet(estimator)
+            __, calls = self.per_row_calls(
+                estimator, store, Query.from_terms(["apple"]), [0.2]
+            )
+            assert calls == []
 
     def test_subclasses_fall_back_to_scalar(self):
         class Tweaked(BasicEstimator):
-            pass
+            def term_polynomial(self, u, stats, context):
+                exponents, coeffs = super().term_polynomial(u, stats, context)
+                return exponents * 0.5, coeffs
 
-        store = make_store(make_rep("d1"))
-        assert not supports_fleet(Tweaked())
-        assert (
-            fleet_usefulness_grid(
-                Tweaked(), store, Query.from_terms(["apple"]), [0.2]
-            )
-            is None
+        reps = [make_rep("d1"), make_rep("d2", n=9)]
+        query = Query.from_terms(["apple", "pear"])
+        grid, calls = self.per_row_calls(
+            Tweaked(), make_store(*reps), query, THRESHOLDS
+        )
+        assert len(calls) == len(reps)
+        for row, threshold in zip(grid, THRESHOLDS):
+            for got, rep in zip(row, reps):
+                assert got == Tweaked().estimate(query, rep, threshold)
+        # The override is honoured, not the batched BasicEstimator kernel.
+        assert grid != fleet_usefulness_grid(
+            BasicEstimator(), make_store(*reps), query, THRESHOLDS
         )
 
 
