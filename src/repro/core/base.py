@@ -310,6 +310,8 @@ class ExpansionEstimator(UsefulnessEstimator):
         query: Query,
         representative: DatabaseRepresentative,
         thresholds: Sequence[float],
+        polycache=None,
+        engine: Optional[str] = None,
     ) -> List[Usefulness]:
         """One expansion answers every threshold.
 
@@ -317,8 +319,9 @@ class ExpansionEstimator(UsefulnessEstimator):
         (:meth:`GenFunc.tail_profile`) instead of re-running a
         ``searchsorted`` + slice sum per threshold; the values are
         bit-identical to per-threshold :meth:`estimate` calls.
+        ``polycache`` / ``engine`` memoize the factors (see :meth:`expand`).
         """
-        expansion = self.expand(query, representative)
+        expansion = self.expand(query, representative, polycache, engine)
         n = representative.n_documents
         mass, moment = expansion.tail_profile(thresholds)
         return [

@@ -52,7 +52,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import UsefulnessEstimator, _frozen_polynomial
+from repro.core.base import (
+    ExpansionEstimator,
+    UsefulnessEstimator,
+    _frozen_polynomial,
+)
 from repro.core.basic_estimator import BasicEstimator
 from repro.core.binary_estimator import BinaryIndependenceEstimator
 from repro.core.genfunc import BatchedGenFunc, GenFunc
@@ -127,9 +131,10 @@ def fleet_usefulness_grid(
         thresholds: Thresholds to read out (the expansion estimators share
             one expansion across all of them, like ``estimate_many``).
         polycache: Optional term-polynomial cache kept warm by the
-            subrange path (factors stored are bit-identical to the scalar
-            estimator's, so the cache stays interchangeable between the
-            scalar and vectorized paths).
+            subrange path and consulted by per-row expansion estimators
+            (factors stored are bit-identical to the scalar estimator's,
+            so the cache stays interchangeable between the scalar and
+            vectorized paths).
 
     Returns:
         ``grid[t][e]`` — the estimate for ``thresholds[t]`` and engine
@@ -139,7 +144,7 @@ def fleet_usefulness_grid(
     if len(store) == 0:
         return [[] for __ in thresholds]
     if type(estimator) not in _BATCHED_TYPES:
-        return _per_row_grid(estimator, store, query, thresholds)
+        return _per_row_grid(estimator, store, query, thresholds, polycache)
     ids = store.vocab.ids_of(query.terms)
     p, w, sigma, mw = store.gather(ids)
     u = np.asarray(query.normalized_weights(), dtype=np.float64)
@@ -184,13 +189,23 @@ def _per_row_grid(
     store: FleetRepresentativeStore,
     query: Query,
     thresholds: List[float],
+    polycache,
 ) -> List[List[Usefulness]]:
     """The grid of an estimator without a batched kernel: its own
     ``estimate_many`` per engine row, reading the packed store through a
-    :class:`FleetRepresentativeRef` (bit-exact term statistics)."""
+    :class:`FleetRepresentativeRef` (bit-exact term statistics).  The
+    inherited :meth:`ExpansionEstimator.estimate_many` also takes the
+    term-polynomial cache; an override keeps its own signature."""
+    inherited = (
+        getattr(estimator.estimate_many, "__func__", None)
+        is ExpansionEstimator.estimate_many
+    )
     columns = [
         estimator.estimate_many(
-            query, FleetRepresentativeRef(name, store), thresholds
+            query,
+            FleetRepresentativeRef(name, store),
+            thresholds,
+            *((polycache, name) if inherited else ()),
         )
         for name in store.engine_names
     ]

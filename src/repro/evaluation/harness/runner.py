@@ -2,7 +2,7 @@
 
 A *backend* is anything with the broker's ``estimate_batch(queries,
 thresholds) -> List[List[EstimatedUsefulness]]`` surface — the in-process
-dict broker, the columnar broker, or the sharded
+broker, or the sharded
 :class:`~repro.serving.coordinator.ShardedFleet` — which is exactly what
 makes the harness a differential quality gate: every configuration is
 scored against the same exact oracle with the same metrics, so two
@@ -235,7 +235,7 @@ def run_evaluation(
         engines: The fleet the oracle is computed on.
         strata: Golden strata keyed by name.
         config: Label for the backend configuration under test
-            (``dict`` / ``columnar`` / ``sharded`` / custom).
+            (``columnar`` / ``sharded`` / custom).
         seed: The golden seed, echoed into the report.
         policy: Selection policy; the paper's threshold criterion by
             default.

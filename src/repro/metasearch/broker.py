@@ -238,7 +238,6 @@ class MetasearchBroker:
         backoff: float = 0.05,
         cache_size: int = 1024,
         polycache_size: int = 4096,
-        columnar: bool = True,
         fleet: Optional[FleetRepresentativeStore] = None,
         registry=None,
     ):

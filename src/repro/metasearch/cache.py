@@ -275,13 +275,9 @@ class TermPolynomialCache:
         )
         self._m_size = registry.gauge("estimator.polycache.size")
 
-    @staticmethod
-    def key_for(config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
+    def _key(self, config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
         """Weights are rounded like :meth:`EstimateCache.key_for` rounds
         them, so float noise between equal profiles shares entries."""
-        return (config, engine, term, round(float(weight), _KEY_DECIMALS))
-
-    def _key(self, config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
         if self._vocab is not None:
             term = self._vocab.intern(term)
         return (config, engine, term, round(float(weight), _KEY_DECIMALS))

@@ -188,3 +188,30 @@ class TestRegistration:
             assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(
                 query, 0.3
             )
+
+    def test_per_row_expansion_uses_polycache(self, fleet_engines, fleet_queries):
+        """A subclass of a batched type runs per row, and its expansions
+        still go through the broker's term-polynomial cache: a second
+        threshold group of the same query re-expands from cached factors."""
+
+        class Tweaked(SubrangeEstimator):
+            def term_polynomial(self, u, stats, context):
+                exponents, coeffs = super().term_polynomial(u, stats, context)
+                return exponents * 0.5, coeffs
+
+        scalar, columnar = make_pair(fleet_engines, Tweaked)
+        query = fleet_queries[0]
+        assert columnar.estimate_all(query, 0.1) == scalar.estimate_all(query, 0.1)
+        cache = columnar.polycache
+        hits, misses = cache.hits, cache.misses
+        assert misses > 0 and len(cache) > 0
+        assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(query, 0.3)
+        assert cache.misses == misses
+        assert cache.hits > hits
+
+    def test_constructor_has_no_backend_switch(self):
+        import inspect
+
+        assert "columnar" not in inspect.signature(MetasearchBroker.__init__).parameters
+        with pytest.raises(TypeError):
+            MetasearchBroker(columnar=False)
