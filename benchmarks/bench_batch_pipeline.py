@@ -6,9 +6,8 @@ synthetic corpus family) over the full threshold grid two ways:
 * **serial** — one ``estimate_all`` call per (query, threshold), the
   pre-batch code path: every pair expands its generating function anew;
 * **batch** — one ``estimate_batch`` call over all pairs: queries sharing
-  a normalized identity share one expansion per engine, every threshold
-  reads off that expansion's single cumulative-sum pass, and the
-  term-polynomial cache memoizes per-term factors across the log.
+  a normalized identity share one expansion per engine, and every
+  threshold reads off that expansion's single cumulative-sum pass.
 
 The bench asserts the batch path is at least 2x faster *and* returns
 answers exactly equal to the serial path — amortization is free, not a
@@ -121,7 +120,6 @@ def test_batch_pipeline_speedup(benchmark):
         )
         phases[label] = (hits, lookups)
 
-    polycache = batch_broker.polycache
     lines = [
         "",
         f"=== batch estimation pipeline on {N_ENGINES} engines, "
@@ -133,8 +131,6 @@ def test_batch_pipeline_speedup(benchmark):
         f"{1000.0 * batch_seconds / len(pairs):>9.2f}",
         f"speedup  : {speedup:.2f}x (batch over serial)",
         f"equality : exact ({len(pairs)} estimate rows compared)",
-        f"polycache: {polycache.hits + polycache.misses} lookups, "
-        f"{polycache.hit_rate:.1%} hit rate, {len(polycache)} resident",
         f"est cache (cold grid): {batch_broker.cache.hit_rate:.1%} "
         f"cumulative hit rate, {len(batch_broker.cache)} resident",
     ]

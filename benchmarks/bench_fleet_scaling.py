@@ -112,9 +112,7 @@ def _build_fleet(width: int):
 
 
 def _make_broker(engines, representatives, estimator):
-    broker = MetasearchBroker(
-        estimator=estimator, cache_size=0, polycache_size=0
-    )
+    broker = MetasearchBroker(estimator=estimator, cache_size=0)
     for engine in engines:
         broker.register(engine, representative=representatives[engine.name])
     return broker

@@ -330,7 +330,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         broker = MetasearchBroker(
             workers=args.workers,
             cache_size=args.cache_size,
-            polycache_size=args.polycache_size,
         )
         for group in range(n_groups):
             broker.register(SearchEngine(model.generate_group(group)))
@@ -364,10 +363,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"cache    : {broker.cache.hits + broker.cache.misses} lookups, "
               f"{broker.cache.hit_rate:.1%} hit rate, "
               f"{len(broker.cache)} resident")
-    if broker.polycache is not None:
-        pc = broker.polycache
-        print(f"polycache: {pc.hits + pc.misses} lookups, "
-              f"{pc.hit_rate:.1%} hit rate, {len(pc)} resident")
 
     if args.compare_serial:
         serial_broker = make_broker()
@@ -1146,8 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent engine calls (1 = serial dispatch)")
     p.add_argument("--cache-size", type=int, default=1024,
                    help="estimate cache capacity (0 disables)")
-    p.add_argument("--polycache-size", type=int, default=4096,
-                   help="term-polynomial cache capacity (0 disables)")
     p.add_argument("--compare-serial", action="store_true",
                    help="also run the serial per-query path and verify the "
                         "batch answers match it exactly")

@@ -52,11 +52,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    ExpansionEstimator,
-    UsefulnessEstimator,
-    _frozen_polynomial,
-)
+from repro.core.base import ExpansionEstimator, UsefulnessEstimator
 from repro.core.basic_estimator import BasicEstimator
 from repro.core.binary_estimator import BinaryIndependenceEstimator
 from repro.core.genfunc import BatchedGenFunc, GenFunc
@@ -130,11 +126,11 @@ def fleet_usefulness_grid(
         query: The query.
         thresholds: Thresholds to read out (the expansion estimators share
             one expansion across all of them, like ``estimate_many``).
-        polycache: Optional term-polynomial cache kept warm by the
-            subrange path and consulted by per-row expansion estimators
-            (factors stored are bit-identical to the scalar estimator's,
-            so the cache stays interchangeable between the scalar and
-            vectorized paths).
+        polycache: Optional term-polynomial cache, handed to per-row
+            expansion estimators only — they build factors one
+            ``term_polynomial`` call at a time, which is what it memoizes.
+            The batched kernels compute every factor in one numpy pass
+            and never touch it.
 
     Returns:
         ``grid[t][e]`` — the estimate for ``thresholds[t]`` and engine
@@ -152,8 +148,7 @@ def fleet_usefulness_grid(
     matched = p > 0.0
     if isinstance(estimator, SubrangeEstimator):
         return _subrange_grid(
-            estimator, store, query, p, w, sigma, mw, u, n, matched,
-            thresholds, polycache,
+            estimator, p, w, sigma, mw, u, n, matched, thresholds
         )
     if isinstance(estimator, BasicEstimator):
         x = u[None, :] * w
@@ -284,38 +279,31 @@ def _grid_readout(
     return grid
 
 
-# -- subrange: batched factor tensor, batched product ------------------------
+def _batched_expansion(
+    est, matched, bound, factor_rows, scalar_polys, n, thresholds
+) -> List[List[Usefulness]]:
+    """The batched twin of :meth:`ExpansionEstimator.expand`: one
+    multiply-and-merge per query term across the engine axis, every
+    estimator configuration (pruning, budgets, any ``decimals``) included.
 
-
-def _subrange_grid(
-    est, store, query, p, w, sigma, mw, u, n, matched, thresholds, polycache
-):
-    """All subrange polynomial factors in one numpy pass, expanded with the
-    batched :class:`BatchedGenFunc` product across the engine axis."""
+    The per-estimator part — the counterpart of ``term_polynomial`` — is
+    two callables: ``factor_rows(rows, j)`` returns term ``j``'s
+    ``(exponents, coeffs[, lengths])`` for the engine ``rows``, and
+    ``scalar_polys(e)`` engine ``e``'s factor list for the demotion path.
+    ``bound`` is each engine's worst-case accumulated exponent magnitude;
+    rows where it is unsafe are demoted to the scalar product.
+    """
     started = time.perf_counter()
-    n_engines, n_terms = p.shape
-    exps, coeffs, has_max_row, remaining = est.factor_grid(p, w, sigma, mw, u, n)
-    n_sub = est._offsets.size
-    if polycache is not None:
-        _maintain_subrange_polycache(
-            est, store, query, matched, has_max_row, remaining,
-            exps, coeffs, n_sub, polycache,
-        )
-    # Worst-case exponent accumulation per engine: the largest |slot| of
-    # each matched term's factor, summed over the query.
-    slot_bound = np.where(matched, np.abs(exps).max(axis=2), 0.0).sum(axis=1)
-    demoted = _unsafe_rows(slot_bound, est.decimals)
+    n_engines, n_terms = matched.shape
+    demoted = _unsafe_rows(bound, est.decimals)
     vectorizable = ~demoted
     batch = BatchedGenFunc.ones(n_engines)
     for j in range(n_terms):
         rows = np.nonzero(matched[:, j] & vectorizable)[0]
         if rows.size == 0:
             continue
-        fexp, fcoef, flen = _subrange_factor_rows(
-            exps, coeffs, has_max_row, remaining, rows, j, n_sub
-        )
         batch.multiply_rows(
-            rows, fexp, fcoef, flen,
+            rows, *factor_rows(rows, j),
             decimals=est.decimals, prune_floor=est.prune_floor,
         )
         if est.max_terms is not None:
@@ -323,14 +311,33 @@ def _subrange_grid(
     scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     if demoted.any():
         scalar_tails = _demote_rows(
-            est,
-            np.nonzero(demoted)[0],
-            lambda e: _subrange_scalar_polys(
-                exps, coeffs, has_max_row, remaining, matched, e, n_sub
-            ),
-            thresholds,
+            est, np.nonzero(demoted)[0], scalar_polys, thresholds
         )
     return _grid_readout(est, batch, n, thresholds, scalar_tails, started)
+
+
+# -- subrange: batched factor tensor -----------------------------------------
+
+
+def _subrange_grid(est, p, w, sigma, mw, u, n, matched, thresholds):
+    """All subrange polynomial factors in one numpy pass
+    (:meth:`SubrangeEstimator.factor_grid`), sliced per term for the
+    batched product."""
+    exps, coeffs, has_max_row, remaining = est.factor_grid(p, w, sigma, mw, u, n)
+    n_sub = est._offsets.size
+    # Worst-case exponent accumulation per engine: the largest |slot| of
+    # each matched term's factor, summed over the query.
+    bound = np.where(matched, np.abs(exps).max(axis=2), 0.0).sum(axis=1)
+    return _batched_expansion(
+        est, matched, bound,
+        lambda rows, j: _subrange_factor_rows(
+            exps, coeffs, has_max_row, remaining, rows, j, n_sub
+        ),
+        lambda e: _subrange_scalar_polys(
+            exps, coeffs, has_max_row, remaining, matched, e, n_sub
+        ),
+        n, thresholds,
+    )
 
 
 def _subrange_factor_rows(exps, coeffs, has_max_row, remaining, rows, j, n_sub):
@@ -392,89 +399,33 @@ def _subrange_scalar_polys(exps, coeffs, has_max_row, remaining, matched, e, n_s
     return polys
 
 
-def _maintain_subrange_polycache(
-    est, store, query, matched, has_max_row, remaining, exps, coeffs, n_sub,
-    polycache,
-):
-    """Keep the term-polynomial cache warm from the vectorized tensors.
-
-    The batched kernel computes every factor in one pass, so the cache is
-    not consulted *for* the computation — but its hit/miss series and its
-    precise per-term invalidation are part of the broker's observable
-    behaviour, so the grid performs the scalar estimator's lookup/store
-    protocol: misses are populated with frozen copies bit-identical to
-    :meth:`term_polynomial`'s output and unmatched terms are negatively
-    cached.
-    """
-    config = est.polynomial_config()
-    names = store.engine_names
-    head_tail = np.array([0, n_sub + 1])
-    u_items = list(query.normalized_items())
-    for e, name in enumerate(names):
-        for j, (term, uj) in enumerate(u_items):
-            hit, __ = polycache.lookup(config, name, term, uj)
-            if hit:
-                continue
-            if not matched[e, j]:
-                polycache.store(config, name, term, uj, None)
-                continue
-            if has_max_row[e]:
-                if remaining[e, j] > 0.0:
-                    factor = (exps[e, j], coeffs[e, j])
-                else:
-                    factor = (exps[e, j, head_tail], coeffs[e, j, head_tail])
-            else:
-                factor = (exps[e, j, 1:], coeffs[e, j, 1:])
-            polycache.store(
-                config, name, term, uj,
-                _frozen_polynomial((factor[0].copy(), factor[1].copy())),
-            )
-
-
-# -- basic / binary: engine-parallel expansion -------------------------------
+# -- basic / binary: two-point factors ---------------------------------------
 
 
 def _expansion_grid(est, x, p, matched, n, thresholds):
-    """Engine-parallel expansion of the two-point factors
-    ``p * X^x + (1-p)`` through the batched kernel — every estimator
-    configuration (pruning, budgets, any ``decimals``) included."""
-    started = time.perf_counter()
-    n_engines, n_terms = x.shape
-    bound = np.where(matched, np.abs(x), 0.0).sum(axis=1)
-    demoted = _unsafe_rows(bound, est.decimals)
-    vectorizable = ~demoted
-    batch = BatchedGenFunc.ones(n_engines)
-    for j in range(n_terms):
-        rows = np.nonzero(matched[:, j] & vectorizable)[0]
-        if rows.size == 0:
-            continue
+    """The two-point factors ``p * X^x + (1-p)`` of the basic and
+    binary-independence estimators, built per term for the batched
+    product."""
+
+    def factor_rows(rows, j):
         fexp = np.zeros((rows.size, 2))
         fexp[:, 0] = x[rows, j]
         fcoef = np.empty((rows.size, 2))
         fcoef[:, 0] = p[rows, j]
         fcoef[:, 1] = 1.0 - p[rows, j]
-        batch.multiply_rows(
-            rows, fexp, fcoef,
-            decimals=est.decimals, prune_floor=est.prune_floor,
-        )
-        if est.max_terms is not None:
-            batch.budget_rows(est.max_terms, floor_start=est.prune_floor)
-    scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if demoted.any():
-        scalar_tails = _demote_rows(
-            est,
-            np.nonzero(demoted)[0],
-            lambda e: [
-                (
-                    np.array([x[e, j2], 0.0]),
-                    np.array([p[e, j2], 1.0 - p[e, j2]]),
-                )
-                for j2 in range(n_terms)
-                if matched[e, j2]
-            ],
-            thresholds,
-        )
-    return _grid_readout(est, batch, n, thresholds, scalar_tails, started)
+        return fexp, fcoef
+
+    def scalar_polys(e):
+        return [
+            (np.array([x[e, j], 0.0]), np.array([p[e, j], 1.0 - p[e, j]]))
+            for j in range(x.shape[1])
+            if matched[e, j]
+        ]
+
+    bound = np.where(matched, np.abs(x), 0.0).sum(axis=1)
+    return _batched_expansion(
+        est, matched, bound, factor_rows, scalar_polys, n, thresholds
+    )
 
 
 # -- gGlOSS ------------------------------------------------------------------

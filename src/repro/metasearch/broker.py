@@ -41,12 +41,14 @@ merge`` — and one of everything on that path:
   ``search_batch`` all turn a dispatch report into a
   :class:`MetasearchResponse` through the same trace → merge → count step.
 
-Two caches sit on the path and invalidate through the same per-engine
-registration hook (or per term, on a representative delta): the estimate
-cache keyed on (engine, query, threshold), and below it a
-:class:`~repro.metasearch.cache.TermPolynomialCache` of the subrange
-estimator's per-term ``(exponents, coeffs)`` factors.  Cached answers are
-bit-identical to fresh computation.
+Two caches invalidate through the same per-engine registration hook (or
+per term, on a representative delta): the estimate cache keyed on (engine,
+query, threshold), which every request reads, and ``broker.polycache`` — a
+:class:`~repro.metasearch.cache.TermPolynomialCache` of per-term
+``(exponents, coeffs)`` factors, used only by estimators the grid evaluates
+per engine row (the batched kernels build every factor in one numpy pass
+and never touch it).  Cached answers are bit-identical to fresh
+computation.
 
 The whole pipeline is observable: every search builds a
 :class:`~repro.obs.QueryTrace` with one span per stage (``estimate``,
@@ -211,9 +213,6 @@ class MetasearchBroker:
         backoff: Base backoff in seconds between retry attempts.
         cache_size: Capacity of the estimate cache; ``0`` disables
             caching entirely.
-        polycache_size: Capacity of the term-polynomial cache holding the
-            subrange estimator's per-term factors across queries; ``0``
-            disables it.
         fleet: A pre-built
             :class:`~repro.representatives.columnar.FleetRepresentativeStore`
             to adopt instead of creating an empty one.  Shard workers use
@@ -237,16 +236,11 @@ class MetasearchBroker:
         retries: int = 0,
         backoff: float = 0.05,
         cache_size: int = 1024,
-        polycache_size: int = 4096,
         fleet: Optional[FleetRepresentativeStore] = None,
         registry=None,
     ):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size!r}")
-        if polycache_size < 0:
-            raise ValueError(
-                f"polycache_size must be >= 0, got {polycache_size!r}"
-            )
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.estimator = (estimator or SubrangeEstimator()).instrument(self.registry)
         self.policy = policy or ThresholdPolicy()
@@ -263,15 +257,7 @@ class MetasearchBroker:
         self.cache: Optional[EstimateCache] = (
             EstimateCache(cache_size, registry=self.registry) if cache_size else None
         )
-        self.polycache: Optional[TermPolynomialCache] = (
-            TermPolynomialCache(
-                polycache_size,
-                registry=self.registry,
-                vocab=self.fleet.vocab,
-            )
-            if polycache_size
-            else None
-        )
+        self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
         self._m_searches = self.registry.counter("broker.searches")
@@ -370,8 +356,7 @@ class MetasearchBroker:
             self._rep_versions.pop(engine.name, None)
         if self.cache is not None:
             self.cache.invalidate_engine(engine.name)
-        if self.polycache is not None:
-            self.polycache.invalidate_engine(engine.name)
+        self.polycache.invalidate_engine(engine.name)
 
     @property
     def engine_names(self) -> List[str]:
@@ -464,16 +449,14 @@ class MetasearchBroker:
                 cache_evicted, cache_retained = self.cache.invalidate_terms(
                     delta.name, affected
                 )
-            if self.polycache is not None:
-                poly_evicted, poly_retained = self.polycache.invalidate_terms(
-                    delta.name, affected
-                )
+            poly_evicted, poly_retained = self.polycache.invalidate_terms(
+                delta.name, affected
+            )
         else:
             mode = "full"
             if self.cache is not None:
                 cache_evicted = self.cache.invalidate_engine(delta.name)
-            if self.polycache is not None:
-                poly_evicted = self.polycache.invalidate_engine(delta.name)
+            poly_evicted = self.polycache.invalidate_engine(delta.name)
             self._m_delta_full.inc()
         self._rep_versions[delta.name] = delta.to_version
         elapsed = time.perf_counter() - started

@@ -12,13 +12,16 @@ Two memoization layers live here:
   ``(1, 1)`` and ``(2, 2)`` describe the same query, and keying on them raw
   fragmented the cache into one entry per proportional variant.
 
-* :class:`TermPolynomialCache` — per-term factors.  An expansion
-  estimator's ``(exponents, coeffs)`` factor is a pure function of
-  (estimator configuration, engine representative, term, normalized query
-  weight), so distinct queries sharing vocabulary share factors even when
-  their estimate keys differ.  Unmatched terms are negatively cached
-  (value ``None``).  Both caches invalidate through the same per-engine
-  hook when a representative changes.
+* :class:`TermPolynomialCache` — per-term factors, for estimators that
+  build them one ``term_polynomial`` call at a time (the scalar reference
+  path, and on the broker the estimators evaluated per engine row).  An
+  expansion estimator's ``(exponents, coeffs)`` factor is a pure function
+  of (estimator configuration, engine representative, term, normalized
+  query weight), so distinct queries sharing terms share factors even
+  when their estimate keys differ.  Unmatched terms are negatively cached
+  (value ``None``).  The batched fleet kernels compute every factor in one
+  numpy pass and never touch it.  Both caches invalidate through the same
+  per-engine hook when a representative changes.
 
 The caches are thread-safe: lookups may happen concurrently with a
 registration refresh on another thread.  Hit/miss/eviction/invalidation
@@ -177,7 +180,7 @@ class EstimateCache:
         The precise path for a representative delta: an estimate is a
         function of its query terms' statistics (plus the document count,
         which the caller accounts for by widening ``terms``), so entries
-        over disjoint vocabulary are provably still valid and survive.
+        over disjoint terms are provably still valid and survive.
 
         Returns:
             ``(evicted, retained)`` — entries dropped vs. entries for
@@ -225,9 +228,7 @@ class EstimateCache:
 
 
 #: Polynomial cache key: (estimator config, engine, term, rounded weight).
-#: The term slot holds the string, or its interned integer id when the
-#: cache is constructed with a shared broker vocabulary.
-PolyKey = Tuple[Tuple, str, object, float]
+PolyKey = Tuple[Tuple, str, str, float]
 
 
 class TermPolynomialCache:
@@ -245,22 +246,15 @@ class TermPolynomialCache:
         maxsize: Maximum resident entries (LRU-evicted beyond this).
         registry: Metrics sink for ``estimator.polycache.*`` counters and
             the resident-size gauge; no-op by default.
-        vocab: Optional :class:`~repro.representatives.columnar.BrokerVocabulary`.
-            When given, keys carry the term's interned integer id instead of
-            the string — one shared id per distinct term fleet-wide, and key
-            tuples that hash/compare on small ints instead of text.
     """
 
-    def __init__(self, maxsize: int = 4096, registry=None, vocab=None):
+    def __init__(self, maxsize: int = 4096, registry=None):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
         self.maxsize = maxsize
-        self._vocab = vocab
         self._data: "OrderedDict[PolyKey, object]" = OrderedDict()
-        # (engine, term slot) -> keys, for precise per-term invalidation.
-        # The term slot matches the key's third element: the interned id
-        # when a vocabulary is attached, the raw string otherwise.
-        self._by_term: Dict[Tuple[str, object], Set[PolyKey]] = {}
+        # (engine, term) -> keys, for precise per-term invalidation.
+        self._by_term: Dict[Tuple[str, str], Set[PolyKey]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -275,11 +269,10 @@ class TermPolynomialCache:
         )
         self._m_size = registry.gauge("estimator.polycache.size")
 
-    def _key(self, config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
+    @staticmethod
+    def _key(config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
         """Weights are rounded like :meth:`EstimateCache.key_for` rounds
         them, so float noise between equal profiles shares entries."""
-        if self._vocab is not None:
-            term = self._vocab.intern(term)
         return (config, engine, term, round(float(weight), _KEY_DECIMALS))
 
     def lookup(
@@ -358,17 +351,9 @@ class TermPolynomialCache:
             ``engine`` left resident.
         """
         with self._lock:
-            slots: Set[object] = set()
-            for term in terms:
-                if self._vocab is not None:
-                    tid = self._vocab.id_of(term)
-                    if tid >= 0:
-                        slots.add(tid)
-                else:
-                    slots.add(term)
             stale: Set[PolyKey] = set()
-            for slot in slots:
-                stale.update(self._by_term.get((engine, slot), ()))
+            for term in terms:
+                stale.update(self._by_term.get((engine, term), ()))
             for key in stale:
                 del self._data[key]
                 self._unindex(key)

@@ -25,7 +25,7 @@ from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
 from repro.representatives import build_representative
-from tests.oracle import ScalarOracle
+from tests.oracle import HalvedSubrange, ScalarOracle
 
 THRESHOLD = 0.25
 N_QUERIES = 40
@@ -91,7 +91,7 @@ class TestEstimateEquivalence:
 
     def test_batch_with_caches_disabled(self, fleet_engines, fleet_queries):
         serial = make_oracle(fleet_engines)
-        batch = make_broker(fleet_engines, cache_size=0, polycache_size=0)
+        batch = make_broker(fleet_engines, cache_size=0)
         expected = [
             serial.estimate_all(query, THRESHOLD) for query in fleet_queries
         ]
@@ -213,6 +213,9 @@ class TestSearchEquivalence:
 
 
 class TestMidBatchInvalidation:
+    """Run with a per-row estimator, so the term-polynomial cache really
+    holds factors to invalidate (the batched kernels never touch it)."""
+
     def test_reregistration_between_batches(self, fleet_model, fleet_queries):
         """Re-registering an engine with a different corpus must drop both
         caches' entries for it: the next batch answers from the new
@@ -221,7 +224,7 @@ class TestMidBatchInvalidation:
         other = SearchEngine(fleet_model.generate_group(1))
         queries = fleet_queries[:20]
 
-        batch = MetasearchBroker()
+        batch = MetasearchBroker(estimator=HalvedSubrange())
         batch.register(original)
         batch.estimate_batch(queries, THRESHOLD)  # warm both caches
         assert len(batch.polycache) > 0
@@ -235,14 +238,14 @@ class TestMidBatchInvalidation:
         )
         batch.register(original, representative=replacement)
 
-        fresh = ScalarOracle()
+        fresh = ScalarOracle(HalvedSubrange())
         fresh.register(original, representative=replacement)
         expected = [fresh.estimate_all(query, THRESHOLD) for query in queries]
         assert batch.estimate_batch(queries, THRESHOLD) == expected
 
     def test_invalidation_drops_both_caches(self, fleet_model, fleet_queries):
         engine = SearchEngine(fleet_model.generate_group(0))
-        broker = MetasearchBroker()
+        broker = MetasearchBroker(estimator=HalvedSubrange())
         broker.register(engine)
         broker.estimate_batch(fleet_queries[:10], THRESHOLD)
         assert len(broker.cache) > 0

@@ -26,6 +26,7 @@ from repro.core import (
     PreviousMethodEstimator,
     SubrangeEstimator,
 )
+from repro.corpus import Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker, ThresholdPolicy, merge_hits
@@ -35,7 +36,7 @@ from repro.representatives import (
     SubrangeScheme,
     build_representative,
 )
-from tests.oracle import ScalarOracle
+from tests.oracle import HalvedSubrange, ScalarOracle
 
 N_QUERIES = 25
 THRESHOLDS = (0.1, 0.3, 0.6)
@@ -137,12 +138,37 @@ class TestCacheInterplay:
 
     def test_disabled_caches_still_exact(self, fleet_engines, fleet_queries):
         scalar, columnar = make_pair(
-            fleet_engines, SubrangeEstimator, cache_size=0, polycache_size=0
+            fleet_engines, SubrangeEstimator, cache_size=0
         )
         for query in fleet_queries[:6]:
             assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(
                 query, 0.3
             )
+
+    @pytest.mark.parametrize(
+        "estimator_factory",
+        [SubrangeEstimator, HalvedSubrange],
+        ids=["batched", "per-row"],
+    )
+    def test_unknown_query_terms_do_not_grow_the_vocabulary(
+        self, fleet_engines, fleet_queries, estimator_factory
+    ):
+        """Estimating is read-only on the fleet: query terms no engine
+        holds are not interned into the shared broker vocabulary — on the
+        batched path, and on the per-row path that keys the
+        term-polynomial cache by those terms."""
+        scalar, columnar = make_pair(fleet_engines, estimator_factory)
+        known = fleet_queries[0].terms[0]
+        queries = [Query.from_terms([f"zzjunk{i}", known]) for i in range(30)]
+        size = len(columnar.fleet.vocab)
+        for query in queries[:10]:
+            assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(
+                query, 0.3
+            )
+        for query in queries[10:20]:
+            columnar.search(query, 0.3)
+        columnar.estimate_batch(queries[20:], 0.3)
+        assert len(columnar.fleet.vocab) == size
 
 
 class TestRegistration:
@@ -193,13 +219,7 @@ class TestRegistration:
         """A subclass of a batched type runs per row, and its expansions
         still go through the broker's term-polynomial cache: a second
         threshold group of the same query re-expands from cached factors."""
-
-        class Tweaked(SubrangeEstimator):
-            def term_polynomial(self, u, stats, context):
-                exponents, coeffs = super().term_polynomial(u, stats, context)
-                return exponents * 0.5, coeffs
-
-        scalar, columnar = make_pair(fleet_engines, Tweaked)
+        scalar, columnar = make_pair(fleet_engines, HalvedSubrange)
         query = fleet_queries[0]
         assert columnar.estimate_all(query, 0.1) == scalar.estimate_all(query, 0.1)
         cache = columnar.polycache

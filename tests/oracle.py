@@ -14,6 +14,17 @@ from repro.metasearch.broker import broadcast_thresholds
 from repro.representatives import build_representative
 
 
+class HalvedSubrange(SubrangeEstimator):
+    """A subclass whose override changes the numbers.  Not an exact batched
+    type, so the grid evaluates it per engine row with its own code — the
+    path that builds factors one ``term_polynomial`` call at a time and
+    hence the one that uses the term-polynomial cache."""
+
+    def term_polynomial(self, u, stats, context):
+        exponents, coeffs = super().term_polynomial(u, stats, context)
+        return exponents * 0.5, coeffs
+
+
 class ScalarOracle:
     def __init__(self, estimator=None):
         self.estimator = estimator or SubrangeEstimator()

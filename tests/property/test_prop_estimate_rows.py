@@ -12,7 +12,9 @@ and it stays so when a ``register`` refresh or an
 from the superseded representative may survive into an answer.  Run for an
 estimator with a batched expansion kernel (subrange), a closed-form one
 (gloss-hc), one with no kernel (the previous method), and a subclass —
-the last two pin the grid's per-engine-row branch.
+the last two pin the grid's per-engine-row branch.  The subclass case also
+pins the term-polynomial cache's one remaining job: a query re-estimated at
+a threshold the estimate cache does not hold re-expands from cached factors.
 """
 
 import pytest
@@ -27,19 +29,10 @@ from repro.core import (
 from repro.corpus import Document, Query
 from repro.fleet import LiveEngineServer
 from repro.metasearch import MetasearchBroker
-from tests.oracle import ScalarOracle
+from tests.oracle import HalvedSubrange, ScalarOracle
 
 VOCAB = ["rocket", "orbit", "engine", "fuel", "sauce", "basil", "kiwi", "plum"]
 THRESHOLDS = (0.0, 0.1, 0.2, 0.5)
-
-
-class HalvedSubrange(SubrangeEstimator):
-    """A subclass whose override changes the numbers: the batched subrange
-    kernel would silently ignore it, the per-row branch must not."""
-
-    def term_polynomial(self, u, stats, context):
-        exponents, coeffs = super().term_polynomial(u, stats, context)
-        return exponents * 0.5, coeffs
 
 
 ESTIMATORS = [
@@ -145,3 +138,12 @@ def test_batch_equals_serial_equals_oracle_across_mutations(
         oracle.register(live, representative=current.representative)
     assert_routine_matches_oracle(broker, oracle, after, batch_first)
     assert_routine_matches_oracle(broker, oracle, before, not batch_first)
+
+    if estimator_factory is HalvedSubrange:
+        # 0.35 is in no batch, so the estimate cache cannot answer; every
+        # per-term factor of the query is resident from the pass above.
+        query = before[0][0]
+        hits, misses = broker.polycache.hits, broker.polycache.misses
+        assert broker.estimate_all(query, 0.35) == oracle.estimate_all(query, 0.35)
+        assert broker.polycache.hits == hits + len(lives) * len(query.terms)
+        assert broker.polycache.misses == misses

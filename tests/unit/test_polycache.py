@@ -76,6 +76,18 @@ class TestEvictionInvalidation:
         assert not cache.lookup(CONFIG, "d1", "a", 1.0)[0]
         assert cache.lookup(CONFIG, "d2", "a", 1.0)[0]
 
+    def test_invalidate_terms_is_scoped(self):
+        cache = TermPolynomialCache()
+        cache.store(CONFIG, "d1", "a", 1.0, poly(0.1, 0.0))
+        cache.store(CONFIG, "d1", "a", 0.5, poly(0.05, 0.0))
+        cache.store(CONFIG, "d1", "b", 1.0, None)
+        cache.store(CONFIG, "d2", "a", 1.0, poly(0.2, 0.0))
+        assert cache.invalidate_terms("d1", ["a", "never-stored"]) == (2, 1)
+        assert not cache.lookup(CONFIG, "d1", "a", 1.0)[0]
+        assert cache.lookup(CONFIG, "d1", "b", 1.0)[0]
+        assert cache.lookup(CONFIG, "d2", "a", 1.0)[0]
+        assert cache.invalidations == 2
+
     def test_clear_keeps_counters(self):
         cache = TermPolynomialCache()
         cache.store(CONFIG, "d1", "a", 1.0, poly(0.1, 0.0))
@@ -90,29 +102,28 @@ class TestEvictionInvalidation:
 
 
 class TestVocabularyKeys:
-    def test_interned_keys_hit_across_string_instances(self):
-        from repro.representatives import BrokerVocabulary
+    """One key form: the term slot carries the string itself."""
 
-        vocab = BrokerVocabulary()
-        cache = TermPolynomialCache(vocab=vocab)
+    def test_interned_keys_hit_across_string_instances(self):
+        cache = TermPolynomialCache()
         cache.store(CONFIG, "d1", "apple", 0.5, poly(0.3, 0.0))
-        # A distinct string object with equal text reaches the same entry
-        # through the shared interned id.
+        # A distinct string object with equal text reaches the same entry.
         hit, __ = cache.lookup(CONFIG, "d1", "".join(["app", "le"]), 0.5)
         assert hit
-        assert vocab.id_of("apple") == 0
         key = next(iter(cache._data))
-        assert key[2] == 0  # term slot carries the interned id, not text
+        assert key[2] == "apple"
 
     def test_invalidate_engine_with_vocab_keys(self):
-        from repro.representatives import BrokerVocabulary
-
-        cache = TermPolynomialCache(vocab=BrokerVocabulary())
+        cache = TermPolynomialCache()
         cache.store(CONFIG, "d1", "apple", 0.5, poly(0.3, 0.0))
         cache.store(CONFIG, "d2", "apple", 0.5, poly(0.4, 0.0))
         assert cache.invalidate_engine("d1") == 1
         assert not cache.lookup(CONFIG, "d1", "apple", 0.5)[0]
         assert cache.lookup(CONFIG, "d2", "apple", 0.5)[0]
+
+    def test_constructor_has_no_vocabulary(self):
+        with pytest.raises(TypeError):
+            TermPolynomialCache(vocab=object())
 
 
 class TestMetrics:

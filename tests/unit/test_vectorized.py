@@ -22,6 +22,7 @@ from repro.representatives import (
     SubrangeScheme,
     TermStats,
 )
+from tests.oracle import HalvedSubrange
 
 THRESHOLDS = [0.0, 0.2, 0.5, 1.0]
 
@@ -191,20 +192,23 @@ class TestExpansionControlConfigs:
 
 
 class TestPolycacheIntegration:
+    """The cache is used by estimators evaluated per engine row
+    (``HalvedSubrange``) and by none of the batched kernels."""
+
     def test_warm_cache_returns_same_bits(self):
         reps = [make_rep("d1"), make_rep("d2", n=11)]
         store = make_store(*reps)
         query = Query.from_terms(["apple", "pear", "ghost"])
-        estimator = SubrangeEstimator()
-        cache = TermPolynomialCache(vocab=store.vocab)
+        estimator = HalvedSubrange()
+        cache = TermPolynomialCache()
         cold = fleet_usefulness_grid(
             estimator, store, query, THRESHOLDS, polycache=cache
         )
-        assert cache.misses > 0 and cache.hits == 0
+        assert cache.misses == len(cache) == 6 and cache.hits == 0
         warm = fleet_usefulness_grid(
             estimator, store, query, THRESHOLDS, polycache=cache
         )
-        assert cache.hits > 0
+        assert cache.hits == 6 and cache.misses == 6
         for cold_row, warm_row in zip(cold, warm):
             for a, b in zip(cold_row, warm_row):
                 assert bits(a.nodoc) == bits(b.nodoc)
@@ -214,18 +218,36 @@ class TestPolycacheIntegration:
     def test_unmatched_terms_negatively_cached(self):
         reps = [make_rep("d1")]
         store = make_store(*reps)
-        cache = TermPolynomialCache(vocab=store.vocab)
+        cache = TermPolynomialCache()
         query = Query.from_terms(["ghost", "apple"])
         fleet_usefulness_grid(
-            SubrangeEstimator(), store, query, [0.2], polycache=cache
+            HalvedSubrange(), store, query, [0.2], polycache=cache
         )
         hit, value = cache.lookup(
-            SubrangeEstimator().polynomial_config(),
+            HalvedSubrange().polynomial_config(),
             "d1",
             "ghost",
-            Query.from_terms(["ghost", "apple"]).normalized_weights()[0],
+            query.normalized_weights()[0],
         )
         assert hit and value is None
+
+    def test_batched_types_leave_the_cache_untouched(self):
+        """The batched kernels build every factor in one numpy pass: a
+        handed-in cache is neither consulted nor populated."""
+        store = make_store(make_rep("d1"), make_rep("d2", n=11))
+        query = Query.from_terms(["apple", "pear", "ghost"])
+        for estimator in (
+            SubrangeEstimator(),
+            BasicEstimator(),
+            BinaryIndependenceEstimator(),
+            GlossHighCorrelationEstimator(),
+            GlossDisjointEstimator(),
+        ):
+            cache = TermPolynomialCache()
+            fleet_usefulness_grid(
+                estimator, store, query, THRESHOLDS, polycache=cache
+            )
+            assert cache.hits == cache.misses == len(cache) == 0
 
 
 class TestGridShape:
