@@ -6,7 +6,10 @@ degree of inaccuracy."  This bench quantifies that: engines start with 40%
 of their documents and grow in ten steps to full size while a query batch
 runs after every step; refresh policies from "always" to "never" are swept
 and selection recall against the live oracle is measured, along with the
-number of (expensive) snapshot refreshes each policy paid for.
+number of syncs each policy paid for.  The engines are
+:class:`~repro.fleet.LiveEngineServer`\ s and a refresh is
+``MetasearchBroker.sync_representative`` — the policy is only the
+``_grown_beyond`` predicate deciding *when* to call it.
 
 The delta-refresh lane removes the tolerance trade-off entirely: instead of
 choosing between expensive freshness and cheap staleness, the broker stays
@@ -35,7 +38,7 @@ from pathlib import Path
 from repro.corpus import Document
 from repro.fleet import LiveEngineServer
 from repro.fleet.delta import RepresentativeDelta
-from repro.metasearch import EngineServer, MetasearchBroker, SubscribingBroker
+from repro.metasearch import MetasearchBroker
 from repro.serving.wire import representative_from_wire, representative_to_wire
 
 N_ENGINES = 6
@@ -91,35 +94,45 @@ def _emit_section(header: str, body: str) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def _grown_beyond(live_docs: int, seen_docs: int, fraction: float) -> bool:
+    """The "propagate infrequently" rule: re-sync an engine once it holds
+    more than ``fraction`` more documents than the broker's copy saw
+    (engines here never start empty)."""
+    return (live_docs - seen_docs) / seen_docs > fraction
+
+
 def test_staleness_tolerance(benchmark, corpus_model, query_log):
     all_docs = {
         g: _engine_documents(corpus_model, g) for g in range(N_ENGINES)
     }
     queries = query_log[: STEPS * QUERIES_PER_STEP]
+    n_initial = {g: max(1, int(0.4 * len(d))) for g, d in all_docs.items()}
 
     def run_policy(refresh_growth):
+        broker = MetasearchBroker()
         servers = {}
-        broker = SubscribingBroker(refresh_growth=refresh_growth)
+        syncs = 0
         for g, documents in all_docs.items():
-            initial = documents[: max(1, int(0.4 * len(documents)))]
-            server = EngineServer(f"group{g:02d}", list(initial))
-            servers[g] = (server, initial)
-            broker.register(server)
+            servers[g] = LiveEngineServer(
+                f"group{g:02d}", documents[: n_initial[g]]
+            )
+            broker.sync_representative(servers[g])
+            syncs += 1
         missed = 0
         useful_total = 0
         for step in range(STEPS):
             # Engines grow by one tranche.
             for g, documents in all_docs.items():
-                server, initial = servers[g]
-                start = len(initial) + step * (
-                    (len(documents) - len(initial)) // STEPS
-                )
-                end = len(initial) + (step + 1) * (
-                    (len(documents) - len(initial)) // STEPS
-                )
-                if end > start:
-                    server.add_documents(documents[start:end])
-            broker.maybe_refresh()
+                tranche = (len(documents) - n_initial[g]) // STEPS
+                start = n_initial[g] + step * tranche
+                added = documents[start: start + tranche]
+                if added:
+                    servers[g].add_documents(added)
+            for live in servers.values():
+                seen = broker.representative_of(live.name).n_documents
+                if _grown_beyond(live.n_documents, seen, refresh_growth):
+                    broker.sync_representative(live)
+                    syncs += 1
             batch = queries[
                 step * QUERIES_PER_STEP: (step + 1) * QUERIES_PER_STEP
             ]
@@ -129,7 +142,7 @@ def test_staleness_tolerance(benchmark, corpus_model, query_log):
                 useful_total += len(truth)
                 missed += len(truth - selected)
         recall = 1.0 - missed / useful_total if useful_total else 1.0
-        return recall, broker.refresh_count
+        return recall, syncs
 
     benchmark.pedantic(run_policy, args=(0.5,), rounds=1, iterations=1)
 

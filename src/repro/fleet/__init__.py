@@ -13,6 +13,7 @@ from repro.fleet.delta import (
     DELTA_KIND,
     DeltaCompactedError,
     RepresentativeDelta,
+    RepresentativeSnapshot,
     TermDeltaRecord,
     apply_delta,
     canonicalize,
@@ -27,6 +28,7 @@ __all__ = [
     "DeltaCompactedError",
     "LiveEngineServer",
     "RepresentativeDelta",
+    "RepresentativeSnapshot",
     "TermDeltaRecord",
     "apply_delta",
     "canonicalize",

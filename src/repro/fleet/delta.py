@@ -57,6 +57,7 @@ __all__ = [
     "DELTA_KIND",
     "DeltaCompactedError",
     "RepresentativeDelta",
+    "RepresentativeSnapshot",
     "TermDeltaRecord",
     "apply_delta",
     "canonicalize",
@@ -284,6 +285,19 @@ class RepresentativeDelta:
             n_documents=later.n_documents,
             records=tuple(merged.values()),
         )
+
+
+@dataclass(frozen=True)
+class RepresentativeSnapshot:
+    """A versioned whole representative as published by an engine — what
+    a sync answers when no delta can (first contact, compacted log, a
+    restarted engine)."""
+
+    name: str
+    #: A live engine's mutation counter at snapshot time (a static
+    #: ``EngineApp``, which never mutates, stamps its document count).
+    version: int
+    representative: DatabaseRepresentative
 
 
 def canonicalize(representative: DatabaseRepresentative) -> DatabaseRepresentative:

@@ -12,11 +12,6 @@ from repro.metasearch.allocation import (
     threshold_for_k,
 )
 from repro.metasearch.hierarchy import BrokerNode, HierarchySearchReport
-from repro.metasearch.protocol import (
-    EngineServer,
-    RepresentativeSnapshot,
-    SubscribingBroker,
-)
 from repro.metasearch.broker import (
     MetasearchBroker,
     MetasearchResponse,
@@ -40,11 +35,8 @@ __all__ = [
     "ConcurrentDispatcher",
     "DispatchReport",
     "EngineFailure",
-    "EngineServer",
     "EstimateCache",
     "HierarchySearchReport",
-    "RepresentativeSnapshot",
-    "SubscribingBroker",
     "EstimatedUsefulness",
     "MetasearchBroker",
     "MetasearchResponse",

@@ -1,6 +1,7 @@
 """LRU caches for per-engine usefulness estimates and term polynomials.
 
-Two memoization layers live here:
+Two memoization layers live here, two key schemas over one LRU body
+(:class:`_TermIndexedLRU`):
 
 * :class:`EstimateCache` — whole answers.  Usefulness estimation is a pure
   function of (representative, query, threshold), and real query logs are
@@ -50,7 +51,135 @@ CacheKey = Tuple[str, Tuple[str, ...], Tuple[float, ...], float]
 _KEY_DECIMALS = 12
 
 
-class EstimateCache:
+class _TermIndexedLRU:
+    """The bounded, thread-safe LRU both caches are: an ``OrderedDict`` in
+    recency order plus an ``(engine, term) -> keys`` index, so a
+    representative delta evicts only the entries its terms can have changed.
+
+    A subclass is a key schema — ``_engine_of(key)`` / ``_terms_of(key)``
+    staticmethods naming the engine and the terms a key's value was computed
+    from — a metric prefix, and its own lookup/insert methods over ``_data``
+    under ``_lock``.
+    """
+
+    _METRIC_PREFIX: str
+
+    def __init__(self, maxsize: int, registry=None):
+        if maxsize < 1:
+            raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
+        self.maxsize = maxsize
+        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._by_term: Dict[Tuple[str, str], Set[Hashable]] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
+        registry = registry if registry is not None else NULL_REGISTRY
+        prefix = self._METRIC_PREFIX
+        self._m_hits = registry.counter(f"{prefix}.hits")
+        self._m_misses = registry.counter(f"{prefix}.misses")
+        self._m_evictions = registry.counter(f"{prefix}.evictions")
+        self._m_invalidations = registry.counter(f"{prefix}.invalidations")
+        self._m_size = registry.gauge(f"{prefix}.size")
+
+    def _unindex(self, key) -> None:
+        engine = self._engine_of(key)
+        for term in self._terms_of(key):
+            bucket = self._by_term.get((engine, term))
+            if bucket is not None:
+                bucket.discard(key)
+                if not bucket:
+                    del self._by_term[(engine, term)]
+
+    def _store(self, key, value) -> None:
+        """Insert or refresh ``key`` as most recent, evicting the least
+        recent entries beyond ``maxsize``.  Caller holds the lock."""
+        if key in self._data:
+            self._data.move_to_end(key)
+        else:
+            engine = self._engine_of(key)
+            for term in self._terms_of(key):
+                self._by_term.setdefault((engine, term), set()).add(key)
+        self._data[key] = value
+        while len(self._data) > self.maxsize:
+            evicted, __ = self._data.popitem(last=False)
+            self._unindex(evicted)
+            self.evictions += 1
+            self._m_evictions.inc()
+        self._m_size.set(len(self._data))
+
+    def _drop(self, stale) -> None:
+        for key in stale:
+            del self._data[key]
+            self._unindex(key)
+        self.invalidations += len(stale)
+        self._m_invalidations.inc(len(stale))
+        self._m_size.set(len(self._data))
+
+    def invalidate_engine(self, engine: str) -> int:
+        """Drop every entry for ``engine`` (its representative changed).
+
+        Returns:
+            Number of entries removed.
+        """
+        with self._lock:
+            stale = [k for k in self._data if self._engine_of(k) == engine]
+            self._drop(stale)
+            return len(stale)
+
+    def invalidate_terms(
+        self, engine: str, terms: Iterable[str]
+    ) -> Tuple[int, int]:
+        """Drop only ``engine`` entries computed from any of ``terms``.
+
+        The precise path for a representative delta, sound for
+        ``term_local`` estimators (the broker falls back to
+        :meth:`invalidate_engine` otherwise): an entry is a function of its
+        own terms' statistics plus the document count, which the caller
+        accounts for by widening ``terms`` to every present term when ``n``
+        moves.  Entries over disjoint terms — negative entries for terms
+        the engine never held included — are provably still valid and
+        survive.
+
+        Returns:
+            ``(evicted, retained)`` — entries dropped vs. entries for
+            ``engine`` left resident.
+        """
+        with self._lock:
+            stale: Set[Hashable] = set()
+            for term in terms:
+                stale.update(self._by_term.get((engine, term), ()))
+            self._drop(stale)
+            engine_of = self._engine_of  # bound once: this scan is per delta
+            retained = sum(1 for k in self._data if engine_of(k) == engine)
+            return len(stale), retained
+
+    def clear(self) -> None:
+        """Drop all entries; the hit/miss/eviction counters survive."""
+        with self._lock:
+            self._data.clear()
+            self._by_term.clear()
+            self._m_size.set(0)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from cache (0.0 before any lookup)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(size={len(self)}/{self.maxsize}, "
+            f"hits={self.hits}, misses={self.misses})"
+        )
+
+
+class EstimateCache(_TermIndexedLRU):
     """Bounded LRU mapping (engine, query, threshold) -> Usefulness.
 
     Args:
@@ -61,26 +190,18 @@ class EstimateCache:
             counters and the resident-size gauge; no-op by default.
     """
 
+    _METRIC_PREFIX = "cache"
+
     def __init__(self, maxsize: int = 1024, registry=None):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[CacheKey, Usefulness]" = OrderedDict()
-        # term -> cache-key index, keyed (engine, term): the precise
-        # invalidation path drops only entries whose queries touch a
-        # delta's terms instead of the whole engine.
-        self._by_term: Dict[Tuple[str, str], Set[CacheKey]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        registry = registry if registry is not None else NULL_REGISTRY
-        self._m_hits = registry.counter("cache.hits")
-        self._m_misses = registry.counter("cache.misses")
-        self._m_evictions = registry.counter("cache.evictions")
-        self._m_invalidations = registry.counter("cache.invalidations")
-        self._m_size = registry.gauge("cache.size")
+        super().__init__(maxsize, registry)
+
+    @staticmethod
+    def _engine_of(key: CacheKey) -> str:
+        return key[0]
+
+    @staticmethod
+    def _terms_of(key: CacheKey) -> Tuple[str, ...]:
+        return key[1]
 
     @staticmethod
     def query_key(query: Query) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
@@ -130,108 +251,18 @@ class EstimateCache:
         with self._lock:
             return key in self._data
 
-    def _index(self, key: CacheKey) -> None:
-        for term in key[1]:
-            self._by_term.setdefault((key[0], term), set()).add(key)
-
-    def _unindex(self, key: CacheKey) -> None:
-        for term in key[1]:
-            bucket = self._by_term.get((key[0], term))
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_term[(key[0], term)]
+    __contains__ = peek
 
     def put(self, key: CacheKey, value: Usefulness) -> None:
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            else:
-                self._index(key)
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                evicted, __ = self._data.popitem(last=False)
-                self._unindex(evicted)
-                self.evictions += 1
-                self._m_evictions.inc()
-            self._m_size.set(len(self._data))
-
-    def invalidate_engine(self, engine: str) -> int:
-        """Drop every entry for ``engine`` (its representative changed).
-
-        Returns:
-            Number of entries removed.
-        """
-        with self._lock:
-            stale = [key for key in self._data if key[0] == engine]
-            for key in stale:
-                del self._data[key]
-                self._unindex(key)
-            self.invalidations += len(stale)
-            self._m_invalidations.inc(len(stale))
-            self._m_size.set(len(self._data))
-            return len(stale)
-
-    def invalidate_terms(
-        self, engine: str, terms: Iterable[str]
-    ) -> Tuple[int, int]:
-        """Drop only ``engine`` entries whose queries touch ``terms``.
-
-        The precise path for a representative delta: an estimate is a
-        function of its query terms' statistics (plus the document count,
-        which the caller accounts for by widening ``terms``), so entries
-        over disjoint terms are provably still valid and survive.
-
-        Returns:
-            ``(evicted, retained)`` — entries dropped vs. entries for
-            ``engine`` left resident.
-        """
-        with self._lock:
-            stale: Set[CacheKey] = set()
-            for term in terms:
-                stale.update(self._by_term.get((engine, term), ()))
-            for key in stale:
-                del self._data[key]
-                self._unindex(key)
-            retained = sum(1 for key in self._data if key[0] == engine)
-            self.invalidations += len(stale)
-            self._m_invalidations.inc(len(stale))
-            self._m_size.set(len(self._data))
-            return len(stale), retained
-
-    def clear(self) -> None:
-        """Drop all entries; the hit/miss/eviction counters survive."""
-        with self._lock:
-            self._data.clear()
-            self._by_term.clear()
-            self._m_size.set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"EstimateCache(size={len(self)}/{self.maxsize}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+            self._store(key, value)
 
 
 #: Polynomial cache key: (estimator config, engine, term, rounded weight).
 PolyKey = Tuple[Tuple, str, str, float]
 
 
-class TermPolynomialCache:
+class TermPolynomialCache(_TermIndexedLRU):
     """Bounded LRU mapping (estimator config, engine, term, query weight)
     to a frozen ``(exponents, coeffs)`` factor — or ``None`` for a term the
     engine's representative does not match (negative caching, so repeated
@@ -248,26 +279,18 @@ class TermPolynomialCache:
             the resident-size gauge; no-op by default.
     """
 
+    _METRIC_PREFIX = "estimator.polycache"
+
     def __init__(self, maxsize: int = 4096, registry=None):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[PolyKey, object]" = OrderedDict()
-        # (engine, term) -> keys, for precise per-term invalidation.
-        self._by_term: Dict[Tuple[str, str], Set[PolyKey]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        registry = registry if registry is not None else NULL_REGISTRY
-        self._m_hits = registry.counter("estimator.polycache.hits")
-        self._m_misses = registry.counter("estimator.polycache.misses")
-        self._m_evictions = registry.counter("estimator.polycache.evictions")
-        self._m_invalidations = registry.counter(
-            "estimator.polycache.invalidations"
-        )
-        self._m_size = registry.gauge("estimator.polycache.size")
+        super().__init__(maxsize, registry)
+
+    @staticmethod
+    def _engine_of(key: PolyKey) -> str:
+        return key[1]
+
+    @staticmethod
+    def _terms_of(key: PolyKey) -> Tuple[str, ...]:
+        return (key[2],)
 
     @staticmethod
     def _key(config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
@@ -290,98 +313,9 @@ class TermPolynomialCache:
             self._m_misses.inc()
             return False, None
 
-    def _index(self, key: PolyKey) -> None:
-        self._by_term.setdefault((key[1], key[2]), set()).add(key)
-
-    def _unindex(self, key: PolyKey) -> None:
-        bucket = self._by_term.get((key[1], key[2]))
-        if bucket is not None:
-            bucket.discard(key)
-            if not bucket:
-                del self._by_term[(key[1], key[2])]
-
     def store(
         self, config: Tuple, engine: str, term: str, weight: float, value
     ) -> None:
         key = self._key(config, engine, term, weight)
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            else:
-                self._index(key)
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                evicted, __ = self._data.popitem(last=False)
-                self._unindex(evicted)
-                self.evictions += 1
-                self._m_evictions.inc()
-            self._m_size.set(len(self._data))
-
-    def invalidate_engine(self, engine: str) -> int:
-        """Drop every factor derived from ``engine``'s representative.
-
-        Returns:
-            Number of entries removed.
-        """
-        with self._lock:
-            stale = [key for key in self._data if key[1] == engine]
-            for key in stale:
-                del self._data[key]
-                self._unindex(key)
-            self.invalidations += len(stale)
-            self._m_invalidations.inc(len(stale))
-            self._m_size.set(len(self._data))
-            return len(stale)
-
-    def invalidate_terms(
-        self, engine: str, terms: Iterable[str]
-    ) -> Tuple[int, int]:
-        """Drop only the factors of ``engine``'s changed ``terms``.
-
-        Sound only for estimators whose per-term factor depends on that
-        term's statistics alone (``term_local`` estimators) — the broker
-        falls back to :meth:`invalidate_engine` otherwise.  Negative
-        entries for terms never present in the representative do not
-        depend on the document count and survive an ``n``-only change
-        (the caller widens ``terms`` with every present term when ``n``
-        moves).
-
-        Returns:
-            ``(evicted, retained)`` — entries dropped vs. entries for
-            ``engine`` left resident.
-        """
-        with self._lock:
-            stale: Set[PolyKey] = set()
-            for term in terms:
-                stale.update(self._by_term.get((engine, term), ()))
-            for key in stale:
-                del self._data[key]
-                self._unindex(key)
-            retained = sum(1 for key in self._data if key[1] == engine)
-            self.invalidations += len(stale)
-            self._m_invalidations.inc(len(stale))
-            self._m_size.set(len(self._data))
-            return len(stale), retained
-
-    def clear(self) -> None:
-        """Drop all entries; the hit/miss/eviction counters survive."""
-        with self._lock:
-            self._data.clear()
-            self._by_term.clear()
-            self._m_size.set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"TermPolynomialCache(size={len(self)}/{self.maxsize}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+            self._store(key, value)

@@ -13,7 +13,9 @@ vocabulary*, in three layers:
 * :class:`ColumnarRepresentative` — one engine's representative as parallel
   sorted arrays (``term_ids``, ``p``, ``w``, ``sigma``, ``mw``), convertible
   losslessly to and from :class:`DatabaseRepresentative` and persistable as
-  a binary ``.npz`` (memory-mappable member arrays, vs. today's JSON).
+  a binary ``.npz`` (memory-mappable member arrays, vs. today's JSON).  It
+  is also the one per-engine form the fleet store holds between packs and
+  hands back from ``columnar_of``.
 * :class:`FleetRepresentativeStore` — the broker-side fleet matrix: all
   engines' statistics packed into one term-major compressed sparse layout,
   so a query gathers an ``(engines, terms)`` block of statistics with a few
@@ -86,6 +88,20 @@ def _decode_terms(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
         raw[bounds[i] : bounds[i + 1]].decode("utf-8")
         for i in range(len(bounds) - 1)
     ]
+
+
+def _stat_columns(
+    stats: Sequence[TermStats],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parallel float64 ``(p, w, sigma, mw)`` columns of ``stats``; a
+    withheld max weight becomes ``NaN``."""
+    p, w, sigma, mw = (np.empty(len(stats)) for __ in range(4))
+    for i, s in enumerate(stats):
+        p[i] = s.probability
+        w[i] = s.mean
+        sigma[i] = s.std
+        mw[i] = s.max_weight if s.max_weight is not None else np.nan
+    return p, w, sigma, mw
 
 
 class BrokerVocabulary:
@@ -161,12 +177,20 @@ class ColumnarRepresentative:
     * ``mw`` — float64 maximum weight, ``NaN`` where the representative
       withholds it (the triplet form).
 
+    ``binary_mean_w`` is a carried statistic like ``n_documents``: the mean
+    of the per-term mean weights (the binary-independence estimator's
+    database weight) taken over the *source's* iteration order.  ``np.mean``
+    over another order can differ in the last ulp, so the value travels with
+    the representative through re-interning, slicing and ``.npz`` instead of
+    being recomputed from whatever order the columns are in.
+
     Conversion to and from :class:`DatabaseRepresentative` is lossless and
     bit-exact; the duck API (``get``/``items``/``n_documents``/...) matches
     the dict representative's, so estimators accept either.
     """
 
-    __slots__ = ("name", "n_documents", "vocab", "term_ids", "p", "w", "sigma", "mw")
+    __slots__ = ("name", "n_documents", "vocab", "term_ids", "p", "w", "sigma",
+                 "mw", "binary_mean_w")
 
     def __init__(
         self,
@@ -178,6 +202,7 @@ class ColumnarRepresentative:
         w: np.ndarray,
         sigma: np.ndarray,
         mw: np.ndarray,
+        binary_mean_w: Optional[float] = None,
     ):
         if n_documents < 0:
             raise ValueError(f"n_documents must be >= 0, got {n_documents!r}")
@@ -188,15 +213,44 @@ class ColumnarRepresentative:
                 raise ValueError("statistic arrays must parallel term_ids")
         if term_ids.size > 1 and not np.all(np.diff(term_ids) > 0):
             raise ValueError("term_ids must be strictly ascending")
+        if binary_mean_w is None:
+            binary_mean_w = float(np.mean(arrays[1])) if term_ids.size else 0.0
+        for arr in (term_ids, *arrays):
+            arr.setflags(write=False)
+        self._fill(name, int(n_documents), vocab, term_ids, *arrays,
+                   float(binary_mean_w))
+
+    def _fill(self, name, n_documents, vocab, term_ids, p, w, sigma, mw,
+              binary_mean_w) -> None:
         self.name = name
-        self.n_documents = int(n_documents)
+        self.n_documents = n_documents
         self.vocab = vocab
         self.term_ids = term_ids
-        self.p, self.w, self.sigma, self.mw = arrays
-        for arr in (self.term_ids, self.p, self.w, self.sigma, self.mw):
-            arr.setflags(write=False)
+        self.p, self.w, self.sigma, self.mw = p, w, sigma, mw
+        self.binary_mean_w = binary_mean_w
 
     # -- construction --------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, *fields) -> "ColumnarRepresentative":
+        """The constructor minus validation and write-protection — for the
+        fleet store, whose columns are fresh float64 arrays, parallel and
+        id-sorted by construction, rebuilt for every engine on every repack
+        (where the checks measured ~10% of a 64-engine repack)."""
+        self = cls.__new__(cls)
+        self._fill(*fields)
+        return self
+
+    @classmethod
+    def _interned(
+        cls, name, n_documents, vocab, terms, p, w, sigma, mw, binary_mean_w
+    ) -> "ColumnarRepresentative":
+        """Columns parallel to ``terms`` (any order), interned into
+        ``vocab`` and sorted by the resulting ids."""
+        ids = vocab.intern_many(terms)
+        order = np.argsort(ids, kind="stable")
+        return cls(name, n_documents, vocab, ids[order], p[order], w[order],
+                   sigma[order], mw[order], binary_mean_w)
 
     @classmethod
     def from_representative(
@@ -205,53 +259,35 @@ class ColumnarRepresentative:
         vocab: Optional[BrokerVocabulary] = None,
     ) -> "ColumnarRepresentative":
         """Intern the dict representative's terms and columnarize it."""
-        vocab = vocab if vocab is not None else BrokerVocabulary()
-        terms = []
-        stats_rows = []
-        for term, stats in representative.items():
-            terms.append(term)
-            stats_rows.append(stats)
-        ids = vocab.intern_many(terms)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        n = len(stats_rows)
-        p = np.empty(n)
-        w = np.empty(n)
-        sigma = np.empty(n)
-        mw = np.empty(n)
-        for out_i, src_i in enumerate(order.tolist()):
-            stats = stats_rows[src_i]
-            p[out_i] = stats.probability
-            w[out_i] = stats.mean
-            sigma[out_i] = stats.std
-            mw[out_i] = (
-                stats.max_weight if stats.max_weight is not None else np.nan
-            )
-        return cls(
-            name=representative.name,
-            n_documents=representative.n_documents,
-            vocab=vocab,
-            term_ids=ids,
-            p=p,
-            w=w,
-            sigma=sigma,
-            mw=mw,
+        items = list(representative.items())
+        p, w, sigma, mw = _stat_columns([stats for __, stats in items])
+        return cls._interned(
+            representative.name,
+            representative.n_documents,
+            vocab if vocab is not None else BrokerVocabulary(),
+            [term for term, __ in items], p, w, sigma, mw,
+            # Taken here, in the dict's iteration order, before sorting
+            # loses it: bit-identical to the scalar binary estimator.
+            float(np.mean(w)) if items else 0.0,
+        )
+
+    def with_vocab(self, vocab: BrokerVocabulary) -> "ColumnarRepresentative":
+        """This representative re-interned into ``vocab`` (itself when it
+        already is)."""
+        if vocab is self.vocab:
+            return self
+        return self._interned(
+            self.name, self.n_documents, vocab,
+            [self.vocab.term_of(t) for t in self.term_ids.tolist()],
+            self.p, self.w, self.sigma, self.mw, self.binary_mean_w,
         )
 
     def to_representative(self) -> DatabaseRepresentative:
         """The equivalent dict representative (canonical term-id order)."""
-        term_stats = {}
-        mw_list = self.mw.tolist()
-        for i, tid in enumerate(self.term_ids.tolist()):
-            raw_mw = mw_list[i]
-            term_stats[self.vocab.term_of(tid)] = TermStats(
-                probability=float(self.p[i]),
-                mean=float(self.w[i]),
-                std=float(self.sigma[i]),
-                max_weight=None if raw_mw != raw_mw else raw_mw,
-            )
         return DatabaseRepresentative(
-            name=self.name, n_documents=self.n_documents, term_stats=term_stats
+            name=self.name,
+            n_documents=self.n_documents,
+            term_stats=dict(self.items()),
         )
 
     # -- duck API (DatabaseRepresentative-compatible) ------------------------
@@ -311,6 +347,7 @@ class ColumnarRepresentative:
             w=self.w,
             sigma=self.sigma,
             mw=np.full(self.mw.shape, np.nan),
+            binary_mean_w=self.binary_mean_w,
         )
 
     @property
@@ -344,6 +381,7 @@ class ColumnarRepresentative:
             w=self.w,
             sigma=self.sigma,
             mw=self.mw,
+            binary_mean_w=np.float64(self.binary_mean_w),
         )
 
     @classmethod
@@ -370,18 +408,17 @@ class ColumnarRepresentative:
             w = data["w"].copy()
             sigma = data["sigma"].copy()
             mw = data["mw"].copy()
-        vocab = vocab if vocab is not None else BrokerVocabulary()
-        ids = vocab.intern_many(terms)
-        order = np.argsort(ids, kind="stable")
-        return cls(
-            name=name,
-            n_documents=n_documents,
-            vocab=vocab,
-            term_ids=ids[order],
-            p=p[order],
-            w=w[order],
-            sigma=sigma[order],
-            mw=mw[order],
+            # Absent from files written before the member existed: those
+            # fall back to the constructor's column-order mean.
+            binary_mean_w = (
+                float(data["binary_mean_w"])
+                if "binary_mean_w" in data.files
+                else None
+            )
+        return cls._interned(
+            name, n_documents,
+            vocab if vocab is not None else BrokerVocabulary(),
+            terms, p, w, sigma, mw, binary_mean_w,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -462,26 +499,6 @@ class _PackedFleet:
         )
 
 
-class _EngineColumns:
-    """Per-engine dense columns held only until the next pack."""
-
-    __slots__ = ("name", "n_documents", "term_ids", "p", "w", "sigma", "mw",
-                 "has_max_weights", "binary_mean_w", "n_terms")
-
-    def __init__(self, name, n_documents, term_ids, p, w, sigma, mw,
-                 has_max_weights, binary_mean_w):
-        self.name = name
-        self.n_documents = n_documents
-        self.term_ids = term_ids
-        self.p = p
-        self.w = w
-        self.sigma = sigma
-        self.mw = mw
-        self.has_max_weights = has_max_weights
-        self.binary_mean_w = binary_mean_w
-        self.n_terms = int(term_ids.size)
-
-
 class FleetRepresentativeStore:
     """Every engine's representative, packed into fleet-wide term-major
     arrays keyed by a shared :class:`BrokerVocabulary`.
@@ -503,7 +520,7 @@ class FleetRepresentativeStore:
         self._has_mw_default: List[bool] = []
         self._binary_mean_w: List[float] = []
         self._n_terms: List[int] = []
-        self._pending: Dict[int, _EngineColumns] = {}
+        self._pending: Dict[int, ColumnarRepresentative] = {}
         self._packed: Optional[_PackedFleet] = None
         # Derived per-engine arrays served on every grid call; rebuilt
         # lazily after a registration change instead of per read.
@@ -511,46 +528,6 @@ class FleetRepresentativeStore:
         self._mean_w_array: Optional[np.ndarray] = None
 
     # -- registration --------------------------------------------------------
-
-    def _columns_from(self, representative) -> _EngineColumns:
-        if isinstance(representative, ColumnarRepresentative):
-            source = representative
-            if source.vocab is not self.vocab:
-                # Re-intern into the fleet vocabulary.
-                terms = [source.vocab.term_of(t) for t in source.term_ids.tolist()]
-                ids = self.vocab.intern_many(terms)
-                order = np.argsort(ids, kind="stable")
-                cols = (ids[order], source.p[order], source.w[order],
-                        source.sigma[order], source.mw[order])
-            else:
-                cols = (source.term_ids, source.p, source.w, source.sigma,
-                        source.mw)
-            w = cols[2]
-            mean_w = float(np.mean(w)) if w.size else 0.0
-            return _EngineColumns(
-                name=source.name,
-                n_documents=source.n_documents,
-                term_ids=cols[0], p=cols[1], w=cols[2],
-                sigma=cols[3], mw=cols[4],
-                has_max_weights=source.has_max_weights,
-                binary_mean_w=mean_w,
-            )
-        # Dict representative: the binary estimator's database weight is
-        # np.mean over *iteration order*, so compute it here, before the
-        # order is lost to sorting, to stay bit-identical to the scalar path.
-        means = [stats.mean for __, stats in representative.items()]
-        binary_mean_w = float(np.mean(means)) if means else 0.0
-        columnar = ColumnarRepresentative.from_representative(
-            representative, self.vocab
-        )
-        return _EngineColumns(
-            name=columnar.name,
-            n_documents=columnar.n_documents,
-            term_ids=columnar.term_ids, p=columnar.p, w=columnar.w,
-            sigma=columnar.sigma, mw=columnar.mw,
-            has_max_weights=columnar.has_max_weights,
-            binary_mean_w=binary_mean_w,
-        )
 
     def add(
         self,
@@ -562,7 +539,12 @@ class FleetRepresentativeStore:
             A lightweight :class:`FleetRepresentativeRef` reading through
             this store — hand it to anything expecting a representative.
         """
-        columns = self._columns_from(representative)
+        if isinstance(representative, ColumnarRepresentative):
+            columns = representative.with_vocab(self.vocab)
+        else:
+            columns = ColumnarRepresentative.from_representative(
+                representative, self.vocab
+            )
         name = columns.name
         index = self._by_name.get(name)
         if index is None:
@@ -606,8 +588,6 @@ class FleetRepresentativeStore:
                 f"documents, engine {delta.name!r} holds "
                 f"{self._n_documents[index]}"
             )
-        if self._packed is None and index not in self._pending:
-            self._ensure_packed()
         cols = self._columns_at(index)
         n_old = delta.from_n_documents
         n_new = delta.n_documents
@@ -641,23 +621,11 @@ class FleetRepresentativeStore:
         kept_sigma = cols.sigma[keep]
         kept_mw = cols.mw[keep]
 
-        n_sets = len(set_records)
-        new_ids = np.empty(n_sets, dtype=np.int64)
-        new_p = np.empty(n_sets)
-        new_w = np.empty(n_sets)
-        new_sigma = np.empty(n_sets)
-        new_mw = np.empty(n_sets)
-        for i, record in enumerate(set_records):
-            stats = record.stats
-            new_ids[i] = set_ids[i]
-            new_p[i] = stats.probability
-            new_w[i] = stats.mean
-            new_sigma[i] = stats.std
-            new_mw[i] = (
-                stats.max_weight if stats.max_weight is not None else np.nan
-            )
+        new_p, new_w, new_sigma, new_mw = _stat_columns(
+            [record.stats for record in set_records]
+        )
 
-        merged_ids = np.concatenate([kept_ids, new_ids])
+        merged_ids = np.concatenate([kept_ids, set_ids])
         order = np.argsort(merged_ids, kind="stable")
         merged_ids = merged_ids[order]
         merged_p = np.concatenate([kept_p, new_p])[order]
@@ -675,24 +643,12 @@ class FleetRepresentativeStore:
         means = [float(merged_w[i]) for i in by_string]
         binary_mean_w = float(np.mean(means)) if means else 0.0
 
-        columns = _EngineColumns(
-            name=delta.name,
-            n_documents=n_new,
-            term_ids=merged_ids,
-            p=merged_p,
-            w=merged_w,
-            sigma=merged_sigma,
-            mw=merged_mw,
-            has_max_weights=not bool(np.isnan(merged_mw).any()),
-            binary_mean_w=binary_mean_w,
+        self.add(
+            ColumnarRepresentative._trusted(
+                delta.name, n_new, self.vocab, merged_ids, merged_p,
+                merged_w, merged_sigma, merged_mw, binary_mean_w,
+            )
         )
-        self._n_documents[index] = n_new
-        self._has_mw_default[index] = columns.has_max_weights
-        self._binary_mean_w[index] = binary_mean_w
-        self._n_terms[index] = columns.n_terms
-        self._pending[index] = columns
-        self._docs_array = None
-        self._mean_w_array = None
 
     def remove(self, name: str) -> None:
         """Forget an engine (its packed entries are dropped on next pack)."""
@@ -701,9 +657,7 @@ class FleetRepresentativeStore:
             raise KeyError(name)
         # Rebuild dense columns for every other engine, then repack lazily.
         survivors = [
-            self._pending.get(i) or self._columns_at(i)
-            for i in range(len(self._names))
-            if i != index
+            self._columns_at(i) for i in range(len(self._names)) if i != index
         ]
         self._names.pop(index)
         self._n_documents.pop(index)
@@ -718,7 +672,7 @@ class FleetRepresentativeStore:
 
     # -- packing -------------------------------------------------------------
 
-    def _columns_at(self, index: int) -> _EngineColumns:
+    def _columns_at(self, index: int) -> ColumnarRepresentative:
         """Dense columns for one engine, reconstructed from the packed
         layout (used for materialize/repack; bit-exact)."""
         pending = self._pending.get(index)
@@ -745,12 +699,9 @@ class FleetRepresentativeStore:
             hit = packed.extra_pos[where] == positions
             sigma[hit] = packed.sigma_extra[where[hit]]
             mw[hit] = packed.mw_extra[where[hit]]
-        return _EngineColumns(
-            name=self._names[index],
-            n_documents=self._n_documents[index],
-            term_ids=term_ids, p=p, w=w, sigma=sigma, mw=mw,
-            has_max_weights=self._has_mw_default[index],
-            binary_mean_w=self._binary_mean_w[index],
+        return ColumnarRepresentative._trusted(
+            self._names[index], self._n_documents[index], self.vocab,
+            term_ids, p, w, sigma, mw, self._binary_mean_w[index],
         )
 
     def _pack(self) -> _PackedFleet:
@@ -917,19 +868,7 @@ class FleetRepresentativeStore:
         index = self._by_name[name]
         pending = self._pending.get(index)
         if pending is not None:
-            tid = self.vocab.id_of(term)
-            if tid == UNKNOWN_TERM:
-                return None
-            i = int(np.searchsorted(pending.term_ids, tid))
-            if i >= pending.term_ids.size or pending.term_ids[i] != tid:
-                return None
-            raw_mw = float(pending.mw[i])
-            return TermStats(
-                probability=float(pending.p[i]),
-                mean=float(pending.w[i]),
-                std=float(pending.sigma[i]),
-                max_weight=None if raw_mw != raw_mw else raw_mw,
-            )
+            return pending.get(term)
         packed = self._ensure_packed()
         tid = self.vocab.id_of(term)
         if tid == UNKNOWN_TERM or tid >= packed.vocab_size:
@@ -962,23 +901,7 @@ class FleetRepresentativeStore:
         """Reconstruct one engine's dict representative (bit-exact, in
         canonical term-id order).  O(total fleet entries) — a diagnostics
         and interop path, not a hot one."""
-        self._ensure_packed()
-        columns = self._columns_at(self._by_name[name])
-        term_stats = {}
-        mw_list = columns.mw.tolist()
-        for i, tid in enumerate(columns.term_ids.tolist()):
-            raw_mw = mw_list[i]
-            term_stats[self.vocab.term_of(tid)] = TermStats(
-                probability=float(columns.p[i]),
-                mean=float(columns.w[i]),
-                std=float(columns.sigma[i]),
-                max_weight=None if raw_mw != raw_mw else raw_mw,
-            )
-        return DatabaseRepresentative(
-            name=name,
-            n_documents=columns.n_documents,
-            term_stats=term_stats,
-        )
+        return self.columnar_of(name).to_representative()
 
     # -- slicing and persistence ---------------------------------------------
 
@@ -986,17 +909,7 @@ class FleetRepresentativeStore:
         """One engine's representative as a :class:`ColumnarRepresentative`
         sharing this store's vocabulary (bit-exact reconstruction)."""
         self._ensure_packed()
-        cols = self._columns_at(self._by_name[name])
-        return ColumnarRepresentative(
-            name=cols.name,
-            n_documents=cols.n_documents,
-            vocab=self.vocab,
-            term_ids=cols.term_ids,
-            p=cols.p,
-            w=cols.w,
-            sigma=cols.sigma,
-            mw=cols.mw,
-        )
+        return self._columns_at(self._by_name[name])
 
     def partition(self, n_shards: int) -> List[List[str]]:
         """Engine names dealt round-robin (registration order) into
@@ -1011,21 +924,13 @@ class FleetRepresentativeStore:
         """A new store holding only ``names`` (a shard's slice).
 
         The slice gets its own (fresh or supplied) vocabulary; statistics
-        reconstruct bit-exactly, including each engine's registration-time
-        binary mean weight, which is copied rather than recomputed —
-        ``np.mean`` over the sorted column order can differ in the last
-        ulp from the mean over the source representative's iteration
-        order, and shard estimates must match the fleet-wide broker
-        bit-for-bit.
+        reconstruct bit-exactly, and each engine's registration-time binary
+        mean weight travels with its columns, so shard estimates match the
+        fleet-wide broker bit-for-bit.
         """
         store = FleetRepresentativeStore(vocab)
         for name in names:
-            source_index = self._by_name[name]
             store.add(self.columnar_of(name))
-            store._binary_mean_w[store._by_name[name]] = self._binary_mean_w[
-                source_index
-            ]
-        store._mean_w_array = None
         return store
 
     def save_npz(self, path: Union[str, Path, io.IOBase]) -> None:
@@ -1034,8 +939,8 @@ class FleetRepresentativeStore:
         Entries are concatenated engine-major with per-engine offsets;
         term strings are stored once (the union of the slice's terms) and
         referenced by local index, so shared vocabulary across engines is
-        not duplicated.  ``binary_mean_w`` rides along for the same
-        bit-exactness reason as in :meth:`slice_engines`.
+        not duplicated.  ``binary_mean_w`` rides along: recomputing it
+        over the loaded column order could differ in the last ulp.
         """
         self._ensure_packed()
         columns = [self._columns_at(i) for i in range(len(self._names))]
@@ -1104,23 +1009,14 @@ class FleetRepresentativeStore:
         store = cls(vocab)
         for i, name in enumerate(names):
             lo, hi = entry_starts[i], entry_starts[i + 1]
-            engine_terms = [terms[k] for k in term_local[lo:hi].tolist()]
-            ids = store.vocab.intern_many(engine_terms)
-            order = np.argsort(ids, kind="stable")
             store.add(
-                ColumnarRepresentative(
-                    name=name,
-                    n_documents=int(n_documents[i]),
-                    vocab=store.vocab,
-                    term_ids=ids[order],
-                    p=p[lo:hi][order],
-                    w=w[lo:hi][order],
-                    sigma=sigma[lo:hi][order],
-                    mw=mw[lo:hi][order],
+                ColumnarRepresentative._interned(
+                    name, int(n_documents[i]), store.vocab,
+                    [terms[k] for k in term_local[lo:hi].tolist()],
+                    p[lo:hi], w[lo:hi], sigma[lo:hi], mw[lo:hi],
+                    float(binary_mean_w[i]),
                 )
             )
-            store._binary_mean_w[i] = float(binary_mean_w[i])
-        store._mean_w_array = None
         return store
 
     # -- sizing --------------------------------------------------------------
@@ -1129,13 +1025,7 @@ class FleetRepresentativeStore:
     def nbytes(self) -> int:
         """Resident bytes of the packed statistics (excluding the shared
         vocabulary — see :attr:`vocab_nbytes`)."""
-        packed = self._ensure_packed()
-        pending = sum(
-            c.term_ids.nbytes + c.p.nbytes + c.w.nbytes
-            + c.sigma.nbytes + c.mw.nbytes
-            for c in self._pending.values()
-        )
-        return packed.nbytes + pending
+        return self._ensure_packed().nbytes
 
     @property
     def vocab_nbytes(self) -> int:

@@ -7,10 +7,10 @@ estimates from.  :class:`EngineApp` exposes exactly those over the wire:
 * ``POST /search`` — ``{"query": <wire query>, "threshold": t}`` →
   the engine's hits, best first.
 * ``POST /max_similarity`` — the oracle call used by ``true_selection``.
-* ``GET /representative`` — the engine's representative, *versioned by
-  document count* so a subscribing broker can tell how stale its copy is
-  without re-downloading (the propagation policy of
-  :class:`~repro.metasearch.protocol.SubscribingBroker`, over HTTP).
+* ``GET /representative`` — the engine's representative as a versioned
+  :class:`~repro.fleet.delta.RepresentativeSnapshot`; a static engine
+  stamps its *document count*, so a broker can tell whether its copy is
+  stale without re-downloading.
   ``?quantize=256`` ships the one-byte form (~4 bytes/term, Section 3.2);
   ``?format=npz`` ships the columnar binary form
   (:meth:`~repro.representatives.columnar.ColumnarRepresentative.save_npz`)
@@ -312,17 +312,15 @@ class LiveEngineApp(EngineApp):
                 since = int(raw_since)
             except ValueError as exc:
                 raise HTTPError(400, f"bad since parameter: {exc}") from exc
-            if since < 0 or since > self.server.version:
-                raise HTTPError(
-                    400,
-                    f"since={since} outside [0, {self.server.version}]",
-                )
+            if since < 0:
+                raise HTTPError(400, f"since={since} must be >= 0")
         with self._rep_lock:
             result = self.server.sync_representative(since=since)
         if hasattr(result, "to_json_dict"):  # a RepresentativeDelta
             self._m_deltas.inc()
             return Response(payload=result.to_json_dict())
-        # Compacted past ``since`` (or no ``since``): full snapshot.
+        # No ``since``, compacted past it, or ``since`` ahead of the server
+        # (this engine restarted and its counter began again): full snapshot.
         if since is not None:
             self._m_delta_fallbacks.inc()
         return Response(

@@ -2,12 +2,13 @@
 
 :class:`RemoteEngine` is the adapter that makes a network engine look
 like a local one: it implements the same calls
-:class:`~repro.metasearch.broker.MetasearchBroker` (``name``, ``search``,
-``max_similarity``) and :class:`~repro.metasearch.protocol.SubscribingBroker`
-(``version``, ``snapshot_representative``) consume, so the entire broker
-stack — selection, concurrent dispatch, retries, degradation, merging —
-runs unchanged over remote engines.  Failure mapping falls out of that:
-a transport or server error raises :class:`RemoteServingError`
+:class:`~repro.metasearch.broker.MetasearchBroker` consumes (``name``,
+``search``, ``max_similarity``, and ``sync_representative`` — the method
+:class:`~repro.fleet.live.LiveEngineServer` answers in-process), so the
+entire broker stack — selection, concurrent dispatch, retries, degradation,
+merging, live sync — runs unchanged over remote engines.  Failure mapping
+falls out of that: a transport or server error raises
+:class:`RemoteServingError`
 (a ``ConnectionError``), which the dispatcher retries and finally records
 as an :class:`~repro.metasearch.dispatch.EngineFailure` of kind
 ``"error"``; a socket timeout or an already-exhausted deadline raises
@@ -46,9 +47,12 @@ from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
-from repro.fleet.delta import DELTA_KIND, RepresentativeDelta
+from repro.fleet.delta import (
+    DELTA_KIND,
+    RepresentativeDelta,
+    RepresentativeSnapshot,
+)
 from repro.metasearch.broker import MetasearchResponse
-from repro.metasearch.protocol import RepresentativeSnapshot
 from repro.metasearch.selection import EstimatedUsefulness
 from repro.serving.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.serving.wire import (

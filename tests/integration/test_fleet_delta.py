@@ -14,6 +14,7 @@ full-snapshot resync.
 """
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -395,5 +396,35 @@ class TestHTTPDeltaLoop:
             assert broker.sync_representative(remote) is None
             assert broker.representative_version(remote.name) == live.version
             assert_rows_match(broker, fresh_oracle_for([(live, None)]))
+        finally:
+            server.drain(timeout=10)
+
+    def test_engine_restart_over_http_falls_back_to_snapshot(self):
+        app = LiveEngineApp(LiveEngineServer("engine0", make_documents(0)))
+        server = ServingServer(app)
+        server.start_background()
+        try:
+            remote = RemoteEngine(server.url)
+            broker = MetasearchBroker(estimator=get_estimator("subrange"))
+            assert broker.sync_representative(remote) is None
+            self.post_mutate(server.url, {"add": [{"doc_id": "n0", "terms": ["comet"]}]})
+            self.post_mutate(server.url, {"add": [{"doc_id": "n1", "terms": ["comet"]}]})
+            assert broker.sync_representative(remote).to_version == 2
+            # The engine process restarts: same name, another corpus, its
+            # mutation counter back at 0 — *behind* the broker's version 2.
+            restarted = LiveEngineServer("engine0", make_documents(1))
+            app.server = app.engine = restarted
+            assert broker.sync_representative(remote) is None
+            assert app.registry.value("serving.engine.delta.fallbacks") == 1
+            assert broker.representative_version(remote.name) == 0
+            assert_rows_match(broker, fresh_oracle_for([(restarted, None)]))
+            # Malformed base versions are still the client's error.
+            for bad in ("-1", "two"):
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(
+                        f"{server.url}/representative/delta?since={bad}",
+                        timeout=10,
+                    )
+                assert caught.value.code == 400
         finally:
             server.drain(timeout=10)

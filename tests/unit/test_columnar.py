@@ -319,6 +319,114 @@ class TestFleetNpz:
         assert sorted(seen) == store.engine_names
 
 
+def npz_round_trip(columnar):
+    buffer = io.BytesIO()
+    columnar.save_npz(buffer)
+    buffer.seek(0)
+    return ColumnarRepresentative.load_npz(buffer)
+
+
+class TestBinaryMeanWTravels:
+    """``binary_mean_w`` is the mean over the *source's* iteration order;
+    every route into and out of a store carries it rather than recomputing
+    it over whatever order the columns are in (one ulp off on real data)."""
+
+    @pytest.fixture(scope="class")
+    def representatives(self):
+        from repro.corpus.synth import NewsgroupModel
+        from repro.engine import SearchEngine
+        from repro.representatives import build_representative
+
+        model = NewsgroupModel(
+            vocab_size=4000, topic_size=120, topic_band=(50, 1500),
+            mean_length=80, seed=1999, group_sizes=[30] * 16,
+        )
+        return [
+            build_representative(SearchEngine(model.generate_group(g)))
+            for g in range(model.n_groups)
+        ]
+
+    def test_npz_route_is_bit_equal_to_dict_route(self, representatives):
+        from repro.core import BinaryIndependenceEstimator
+        from repro.core.vectorized import fleet_usefulness_grid
+        from repro.corpus import Query
+
+        by_dict = FleetRepresentativeStore()
+        by_npz = FleetRepresentativeStore()  # what ?format=npz delivers
+        by_store_npz = FleetRepresentativeStore()  # shared-vocabulary order
+        for rep in representatives:
+            by_dict.add(rep)
+            by_npz.add(
+                npz_round_trip(ColumnarRepresentative.from_representative(rep))
+            )
+        for name in reversed(by_dict.engine_names):
+            by_store_npz.add(npz_round_trip(by_dict.columnar_of(name)))
+        expected = dict(zip(by_dict.engine_names, by_dict.binary_mean_w))
+        for store in (by_npz, by_store_npz):
+            assert dict(zip(store.engine_names, store.binary_mean_w)) == expected
+        terms = [t for t, __ in list(representatives[0].items())[:3]]
+        query = Query(terms=tuple(terms), weights=(1.0, 2.0, 0.5))
+        grids = [
+            dict(zip(store.engine_names, zip(*fleet_usefulness_grid(
+                BinaryIndependenceEstimator(), store, query, [0.1, 0.2, 0.3]
+            ))))
+            for store in (by_dict, by_npz, by_store_npz)
+        ]
+        assert grids[0] == grids[1] == grids[2]
+
+    def test_npz_without_the_member_loads_with_column_order_mean(self):
+        # Files written before the member existed.
+        columnar = ColumnarRepresentative.from_representative(make_rep())
+        buffer = io.BytesIO()
+        columnar.save_npz(buffer)
+        buffer.seek(0)
+        with np.load(buffer) as data:
+            members = {k: data[k] for k in data.files if k != "binary_mean_w"}
+        legacy = io.BytesIO()
+        np.savez(legacy, **members)
+        legacy.seek(0)
+        loaded = ColumnarRepresentative.load_npz(legacy)
+        assert loaded == columnar
+        assert loaded.binary_mean_w == float(np.mean(loaded.w))
+
+    @staticmethod
+    def stamped(value):
+        """``make_rep`` columnarized, carrying a mean no recomputation over
+        its columns could produce."""
+        source = ColumnarRepresentative.from_representative(
+            make_rep("d1", terms=("pear", "apple", "plum", "kiwi"))
+        )
+        return ColumnarRepresentative(
+            source.name, source.n_documents, source.vocab, source.term_ids,
+            source.p, source.w, source.sigma, source.mw, binary_mean_w=value,
+        )
+
+    def test_round_trips_across_vocabularies(self):
+        source = FleetRepresentativeStore()
+        source.add(self.stamped(0.625))
+        vocab = BrokerVocabulary()
+        for term in ("plum", "zebra", "kiwi"):  # another id order entirely
+            vocab.intern(term)
+        target = FleetRepresentativeStore(vocab)
+        target.add(source.columnar_of("d1"))
+        assert target.binary_mean_w.tolist() == [0.625]
+        assert target.columnar_of("d1").binary_mean_w == 0.625
+        assert target.columnar_of("d1") == source.columnar_of("d1")
+        assert npz_round_trip(target.columnar_of("d1")).binary_mean_w == 0.625
+
+    def test_as_triplets_keeps_it(self):
+        assert self.stamped(0.625).as_triplets().binary_mean_w == 0.625
+
+    def test_direct_construction_defaults_to_column_order_mean(self):
+        vocab = BrokerVocabulary()
+        ids = vocab.intern_many(["a", "b", "c"])
+        w = np.array([0.1, 0.2, 0.7])
+        columnar = ColumnarRepresentative(
+            "x", 10, vocab, ids, w, w, np.zeros(3), w
+        )
+        assert columnar.binary_mean_w == float(np.mean(w))
+
+
 class TestPartitionRoundRobin:
     def test_deals_in_index_order(self):
         assert partition_round_robin(["a", "b", "c", "d", "e"], 2) == [

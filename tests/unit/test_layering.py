@@ -1,0 +1,48 @@
+"""Package layering: everything below the broker imports downward only.
+
+``repro.metasearch`` and ``repro.serving`` sit on top of the library
+packages; none of those may import them back — at module level or nested
+in a function — or the package graph grows a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+LOWER = ("core", "corpus", "engine", "fleet", "index", "obs",
+         "representatives", "stats", "text", "vsm")
+UPPER = ("repro.metasearch", "repro.serving")
+
+
+def imported_names(node, module):
+    """Absolute dotted names an import statement in ``module`` binds from."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = module.split(".")[: -node.level] if node.level else []
+        stem = ".".join(base + ([node.module] if node.module else []))
+        return [stem] + [f"{stem}.{alias.name}" for alias in node.names]
+    return []
+
+
+def upward_imports():
+    found = []
+    for package in LOWER:
+        assert (ROOT / package).is_dir(), package
+        for path in sorted((ROOT / package).rglob("*.py")):
+            relative = path.relative_to(ROOT.parent)
+            module = ".".join(relative.with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if any(
+                    name == upper or name.startswith(upper + ".")
+                    for name in imported_names(node, module)
+                    for upper in UPPER
+                ):
+                    found.append(f"{relative}:{node.lineno}")
+    return found
+
+
+def test_lower_packages_never_import_the_broker_or_serving_layers():
+    assert upward_imports() == []

@@ -1,9 +1,12 @@
-"""Unit tests for the engine/broker protocol and staleness handling."""
+"""Unit tests for the live engine/broker protocol and staleness handling:
+:class:`LiveEngineServer` publishes, ``MetasearchBroker.sync_representative``
+subscribes, and a broker that has not synced selects from a stale copy."""
 
 import pytest
 
 from repro.corpus import Document, Query
-from repro.metasearch import EngineServer, SubscribingBroker
+from repro.fleet import LiveEngineServer
+from repro.metasearch import MetasearchBroker
 
 
 def docs(prefix, term_lists):
@@ -14,18 +17,24 @@ def docs(prefix, term_lists):
 
 @pytest.fixture
 def server():
-    return EngineServer("alpha", docs("a", [["rocket", "orbit"], ["rocket"]]))
+    return LiveEngineServer(
+        "alpha", docs("a", [["rocket", "orbit"], ["rocket"]])
+    )
 
 
 class TestEngineServer:
     def test_version_tracks_documents(self, server):
-        assert server.version == 2
-        server.add_documents(docs("b", [["new"]]))
-        assert server.version == 3
+        # One tick per mutation, whatever it does to the document count.
+        assert (server.version, server.n_documents) == (0, 2)
+        server.add_documents(docs("b", [["new"], ["newer"]]))
+        assert (server.version, server.n_documents) == (1, 4)
+        server.remove_documents(["b-0"])
+        assert (server.version, server.n_documents) == (2, 3)
 
     def test_snapshot_carries_version(self, server):
-        snapshot = server.snapshot_representative()
-        assert snapshot.version == 2
+        server.add_documents(docs("b", [["new"]]))
+        snapshot = server.snapshot()
+        assert snapshot.version == 1
         assert snapshot.name == "alpha"
         assert "rocket" in snapshot.representative
 
@@ -36,103 +45,89 @@ class TestEngineServer:
         assert len(server.search(query, 0.1)) == 1
 
     def test_snapshot_is_point_in_time(self, server):
-        snapshot = server.snapshot_representative()
+        snapshot = server.snapshot()
         server.add_documents(docs("b", [["fresh"]]))
         assert "fresh" not in snapshot.representative
-        assert "fresh" in server.snapshot_representative().representative
+        assert "fresh" in server.snapshot().representative
 
     def test_empty_server(self):
-        server = EngineServer("empty")
+        server = LiveEngineServer("empty")
         assert server.version == 0
+        assert server.n_documents == 0
         assert server.search(Query.from_terms(["x"]), 0.1) == []
 
 
 class TestSubscribingBroker:
     def test_register_takes_snapshot(self, server):
-        broker = SubscribingBroker()
-        broker.register(server)
-        assert broker.refresh_count == 1
-        assert broker.staleness()["alpha"] == 0.0
+        # The first sync has no base version: a full snapshot re-registers.
+        broker = MetasearchBroker()
+        assert broker.sync_representative(server) is None
+        assert broker.representative_version("alpha") == 0
+        assert broker.representative_of("alpha").n_documents == 2
 
     def test_duplicate_registration_rejected(self, server):
         # A *different* server under an existing name is refused (the same
         # object re-registering is a refresh — see TestReRegistration).
-        broker = SubscribingBroker()
-        broker.register(server)
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
         with pytest.raises(ValueError):
-            broker.register(EngineServer("alpha", docs("z", [["zest"]])))
-
-    def test_staleness_grows_with_updates(self, server):
-        broker = SubscribingBroker(refresh_growth=10.0)  # never refresh
-        broker.register(server)
-        server.add_documents(docs("b", [["new"], ["new"]]))
-        assert broker.staleness()["alpha"] == pytest.approx(0.5)
-
-    def test_refresh_policy_triggers_on_growth(self, server):
-        broker = SubscribingBroker(refresh_growth=0.4)
-        broker.register(server)
-        server.add_documents(docs("b", [["new"]]))  # +50% > 40%
-        refreshed = broker.maybe_refresh()
-        assert refreshed == ["alpha"]
-        assert broker.staleness()["alpha"] == 0.0
-
-    def test_refresh_policy_holds_below_threshold(self, server):
-        broker = SubscribingBroker(refresh_growth=0.6)
-        broker.register(server)
-        server.add_documents(docs("b", [["new"]]))  # +50% < 60%
-        assert broker.maybe_refresh() == []
-        assert broker.staleness()["alpha"] > 0.0
-
-    def test_negative_refresh_growth_rejected(self):
-        with pytest.raises(ValueError):
-            SubscribingBroker(refresh_growth=-0.1)
+            broker.register(LiveEngineServer("alpha", docs("z", [["zest"]])))
 
     def test_stale_selection_misses_new_content(self, server):
-        broker = SubscribingBroker(refresh_growth=10.0)
-        broker.register(server)
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
         server.add_documents(docs("b", [["fresh"]]))
         query = Query.from_terms(["fresh"])
-        # The stale snapshot knows nothing about "fresh" ...
+        # The stale copy knows nothing about "fresh" ...
         assert broker.select(query, 0.1) == []
         assert broker.true_selection(query, 0.1) == ["alpha"]
-        # ... until a refresh.
-        broker.refresh_growth = 0.0
-        broker.maybe_refresh()
+        # ... until a sync, which this time is a delta.
+        report = broker.sync_representative(server)
+        assert (report.from_version, report.to_version) == (0, 1)
         assert broker.select(query, 0.1) == ["alpha"]
 
     def test_search_uses_live_engines(self, server):
         # Selection is snapshot-based, but invoked engines answer live:
         # a selected engine returns documents the snapshot never saw.
-        broker = SubscribingBroker(refresh_growth=10.0)
-        broker.register(server)
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
         server.add_documents(docs("b", [["rocket", "rocket", "rocket"]]))
-        hits = broker.search(Query.from_terms(["rocket"]), 0.1)
+        hits = broker.search(Query.from_terms(["rocket"]), 0.1).hits
         assert any(h.doc_id == "b-0" for h in hits)
 
     def test_engine_names(self, server):
-        broker = SubscribingBroker()
-        broker.register(server)
-        broker.register(EngineServer("beta", docs("b", [["sauce"]])))
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
+        broker.sync_representative(
+            LiveEngineServer("beta", docs("b", [["sauce"]]))
+        )
         assert broker.engine_names == ["alpha", "beta"]
 
 
 class TestReRegistration:
     def test_same_server_re_register_refreshes_snapshot(self, server):
-        broker = SubscribingBroker(refresh_growth=10.0)
-        broker.register(server)
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
         server.add_documents(docs("b", [["fresh"]]))
-        # The growth policy would not refresh yet, but an explicit
-        # re-registration of the same object does, immediately.
-        broker.register(server)
-        assert broker.refresh_count == 2
-        assert broker.staleness()["alpha"] == 0.0
+        # An explicit re-registration of the same object with its current
+        # snapshot refreshes immediately, no delta needed.
+        snapshot = server.snapshot()
+        broker.register(
+            server,
+            representative=snapshot.representative,
+            version=snapshot.version,
+        )
+        assert broker.representative_version("alpha") == 1
         assert broker.select(Query.from_terms(["fresh"]), 0.1) == ["alpha"]
+        # Already current: the next sync is the empty delta.
+        assert broker.sync_representative(server).terms_touched == 0
 
     def test_different_server_same_name_still_rejected(self, server):
-        broker = SubscribingBroker()
-        broker.register(server)
-        impostor = EngineServer("alpha", docs("x", [["sauce"]]))
+        broker = MetasearchBroker()
+        broker.sync_representative(server)
+        impostor = LiveEngineServer("alpha", docs("x", [["sauce"]]))
         with pytest.raises(ValueError, match="already registered"):
             broker.register(impostor)
         # The original subscription is untouched.
-        assert broker.staleness()["alpha"] == 0.0
+        assert broker.representative_version("alpha") == 0
+        assert broker.select(Query.from_terms(["rocket"]), 0.1) == ["alpha"]
