@@ -42,8 +42,9 @@ merge`` — and one of everything on that path:
   :class:`MetasearchResponse` through the same trace → merge → count step.
 
 Two caches invalidate through the same per-engine registration hook (or
-per term, on a representative delta): the estimate cache keyed on (engine,
-query, threshold), which every request reads, and ``broker.polycache`` — a
+per term, on a representative delta): the estimate cache of fleet rows,
+one per (query, threshold), which every request reads, and
+``broker.polycache`` — a
 :class:`~repro.metasearch.cache.TermPolynomialCache` of per-term
 ``(exponents, coeffs)`` factors, used only by estimators the grid evaluates
 per engine row (the batched kernels build every factor in one numpy pass
@@ -211,8 +212,8 @@ class MetasearchBroker:
             instead of silently never enforcing the deadline).
         retries: Extra attempts after an engine call raises.
         backoff: Base backoff in seconds between retry attempts.
-        cache_size: Capacity of the estimate cache; ``0`` disables
-            caching entirely.
+        cache_size: Capacity of the estimate cache, in estimates (engines
+            × distinct (query, threshold) rows); ``0`` disables caching.
         fleet: A pre-built
             :class:`~repro.representatives.columnar.FleetRepresentativeStore`
             to adopt instead of creating an empty one.  Shard workers use
@@ -520,19 +521,19 @@ class MetasearchBroker:
 
         Queries sharing a normalized ``(terms, weights)`` identity form a
         group.  Per group, each distinct threshold's full engine row is
-        read from the estimate cache (one counted ``get`` per engine, keys
-        built from the group's ``query_key`` computed once); the thresholds with
-        at least one miss are answered by a single
+        read from the estimate cache in one ``get_row`` (one hit or miss
+        counted per engine); the thresholds with at least one miss are
+        answered by a single
         :func:`~repro.core.vectorized.fleet_usefulness_grid` call, whose
-        values fill exactly the missed slots and populate the cache.  So a
-        batch both benefits from and warms what a single
+        values fill exactly the missed slots and go back in one ``put_row``
+        each.  So a batch both benefits from and warms what a single
         :meth:`estimate_all` would, and its rows are bit-identical to
         per-query calls.
 
         With ``cached_only`` nothing is ever computed: the rows are returned
-        only when every needed entry is resident — checked with
-        non-counting ``peek``s first, so a failed probe leaves the hit/miss
-        accounting untouched — and ``None`` otherwise.
+        only when every needed entry is resident — checked with a
+        non-counting ``peek_row`` first, so a failed probe leaves the
+        hit/miss accounting untouched — and ``None`` otherwise.
         """
         names = self.fleet.engine_names
         if cached_only and (self.cache is None or not names):
@@ -542,18 +543,14 @@ class MetasearchBroker:
             groups.setdefault(EstimateCache.query_key(query), []).append(i)
         rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
         for query_key, members in groups.items():
-            keys: Dict[float, list] = {}
             values: Dict[float, list] = {}
             for t in dict.fromkeys(thresholds[i] for i in members):
                 if self.cache is None:
                     values[t] = [None] * len(names)
-                    continue
-                keys[t] = [
-                    EstimateCache.key_from(name, query_key, t) for name in names
-                ]
-                if cached_only and not all(map(self.cache.peek, keys[t])):
+                elif cached_only and not self.cache.peek_row(query_key, t, names):
                     return None
-                values[t] = [self.cache.get(key) for key in keys[t]]
+                else:
+                    values[t] = self.cache.get_row(query_key, t, names)
             missing = [t for t, row in values.items() if None in row]
             if missing:
                 if cached_only:  # raced an eviction between peek and get
@@ -567,11 +564,14 @@ class MetasearchBroker:
                 )
                 for t, fresh in zip(missing, grid):
                     row = values[t]
-                    for e, cached in enumerate(row):
-                        if cached is None:
-                            row[e] = fresh[e]
-                            if self.cache is not None:
-                                self.cache.put(keys[t][e], fresh[e])
+                    holes = [e for e, cached in enumerate(row) if cached is None]
+                    for e in holes:
+                        row[e] = fresh[e]
+                    if self.cache is not None:
+                        self.cache.put_row(
+                            query_key, t, [names[e] for e in holes],
+                            [fresh[e] for e in holes],
+                        )
             ranked = {
                 t: sorted(
                     (

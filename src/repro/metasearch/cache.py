@@ -1,17 +1,20 @@
 """LRU caches for per-engine usefulness estimates and term polynomials.
 
 Two memoization layers live here, two key schemas over one LRU body
-(:class:`_TermIndexedLRU`):
+(:class:`_TermIndexedLRU`).  The body stores *rows* — ``row key -> {engine:
+value}`` — because the fleet row is what the broker computes, ranks and
+reuses: one entry, one lock and one index update per row, while capacity,
+``len()`` and every counter stay in *slots* (one engine's value each).
 
 * :class:`EstimateCache` — whole answers.  Usefulness estimation is a pure
   function of (representative, query, threshold), and real query logs are
-  heavily repetitive — so the broker caches estimates keyed on ``(engine,
-  query terms, *normalized* weights, threshold)`` and invalidates an
-  engine's entries whenever its representative is rebuilt or replaced.
-  Keys use the unit-normalized weight vector because that is all an
-  estimator ever consumes (:meth:`Query.normalized_items`): raw weights
-  ``(1, 1)`` and ``(2, 2)`` describe the same query, and keying on them raw
-  fragmented the cache into one entry per proportional variant.
+  heavily repetitive — so the broker caches each fleet row under ``(query
+  terms, *normalized* weights, threshold)`` and invalidates an engine's
+  slots whenever its representative is rebuilt or replaced.  Keys use the
+  unit-normalized weight vector because that is all an estimator ever
+  consumes (:meth:`Query.normalized_items`): raw weights ``(1, 1)`` and
+  ``(2, 2)`` describe the same query, and keying on them raw fragmented the
+  cache into one entry per proportional variant.
 
 * :class:`TermPolynomialCache` — per-term factors, for estimators that
   build them one ``term_polynomial`` call at a time (the scalar reference
@@ -19,10 +22,11 @@ Two memoization layers live here, two key schemas over one LRU body
   expansion estimator's ``(exponents, coeffs)`` factor is a pure function
   of (estimator configuration, engine representative, term, normalized
   query weight), so distinct queries sharing terms share factors even
-  when their estimate keys differ.  Unmatched terms are negatively cached
-  (value ``None``).  The batched fleet kernels compute every factor in one
-  numpy pass and never touch it.  Both caches invalidate through the same
-  per-engine hook when a representative changes.
+  when their estimate keys differ; a row is one ``(config, term, weight)``.
+  Unmatched terms are negatively cached (value ``None``).  The batched
+  fleet kernels compute every factor in one numpy pass and never touch it.
+  Both caches invalidate through the same per-engine hook when a
+  representative changes: it pops that engine's slot, nothing else.
 
 The caches are thread-safe: lookups may happen concurrently with a
 registration refresh on another thread.  Hit/miss/eviction/invalidation
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
@@ -43,23 +47,29 @@ from repro.obs.registry import NULL_REGISTRY
 
 __all__ = ["EstimateCache", "TermPolynomialCache"]
 
-#: Cache key: (engine name, query terms, normalized query weights, threshold).
+#: Per-estimate key: (engine name, *row key) — a row key being (query terms,
+#: normalized query weights, threshold).
 CacheKey = Tuple[str, Tuple[str, ...], Tuple[float, ...], float]
 
 #: Decimals kept of each normalized weight — enough that distinct weight
 #: profiles stay distinct while float noise from equal profiles merges.
 _KEY_DECIMALS = 12
 
+#: "No such slot", for rows whose values may themselves be ``None``.
+_ABSENT = object()
+
 
 class _TermIndexedLRU:
-    """The bounded, thread-safe LRU both caches are: an ``OrderedDict`` in
-    recency order plus an ``(engine, term) -> keys`` index, so a
-    representative delta evicts only the entries its terms can have changed.
+    """The bounded, thread-safe LRU both caches are: an ``OrderedDict`` of
+    *rows* ``row key -> {engine: value}`` in recency order plus a ``term ->
+    row keys`` index, so a representative delta reaches only the rows its
+    terms can have changed and pops only that engine's slot from them.
+    Capacity and every counter are in *slots* (one engine's value in one
+    row); recency and eviction are per row.
 
-    A subclass is a key schema — ``_engine_of(key)`` / ``_terms_of(key)``
-    staticmethods naming the engine and the terms a key's value was computed
-    from — a metric prefix, and its own lookup/insert methods over ``_data``
-    under ``_lock``.
+    A subclass is a key schema — a ``_terms_of(row_key)`` staticmethod naming
+    the terms a row's values were computed from — a metric prefix, and its
+    own public signatures over :meth:`_read` / :meth:`_has` / :meth:`_write`.
     """
 
     _METRIC_PREFIX: str
@@ -68,8 +78,9 @@ class _TermIndexedLRU:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
         self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._by_term: Dict[Tuple[str, str], Set[Hashable]] = {}
+        self._rows: "OrderedDict[Hashable, Dict[str, object]]" = OrderedDict()
+        self._by_term: Dict[str, Set[Hashable]] = {}
+        self._size = 0  # resident slots, the unit of ``maxsize``
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -83,39 +94,83 @@ class _TermIndexedLRU:
         self._m_invalidations = registry.counter(f"{prefix}.invalidations")
         self._m_size = registry.gauge(f"{prefix}.size")
 
+    def _read(self, key, engines: Sequence[str], absent=None) -> list:
+        """``engines``' values in row ``key`` (``absent`` where none), copied
+        out under the lock — invalidation mutates rows in place; one hit or
+        miss counted per engine, the row refreshed when any slot hits."""
+        with self._lock:
+            row = self._rows.get(key)
+            if row is None:
+                values, hits = [absent] * len(engines), 0
+            else:
+                values = [row.get(engine, absent) for engine in engines]
+                hits = sum(value is not absent for value in values)
+                if hits:
+                    self._rows.move_to_end(key)
+            misses = len(values) - hits
+            self.hits += hits
+            self.misses += misses
+            self._m_hits.inc(hits)
+            self._m_misses.inc(misses)
+            return values
+
+    def _has(self, key, engines: Sequence[str]) -> bool:
+        """Whether row ``key`` holds every one of ``engines`` — no hit/miss
+        accounting and no recency refresh."""
+        with self._lock:
+            row = self._rows.get(key)
+            return row is not None and all(map(row.__contains__, engines))
+
+    def _write(self, key, engines: Sequence[str], values: Sequence) -> None:
+        """Fill ``engines``' slots of row ``key`` and make it most recent,
+        then evict least-recent whole rows while more than ``maxsize`` slots
+        are resident — so a row wider than the cache is not retained."""
+        if not engines:
+            return
+        with self._lock:
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = {}
+                for term in self._terms_of(key):
+                    self._by_term.setdefault(term, set()).add(key)
+            else:
+                self._rows.move_to_end(key)
+            self._size -= len(row)
+            row.update(zip(engines, values))
+            self._size += len(row)
+            while self._size > self.maxsize:
+                evicted, slots = self._rows.popitem(last=False)
+                self._unindex(evicted)
+                self._size -= len(slots)
+                self.evictions += len(slots)
+                self._m_evictions.inc(len(slots))
+            self._m_size.set(self._size)
+
     def _unindex(self, key) -> None:
-        engine = self._engine_of(key)
         for term in self._terms_of(key):
-            bucket = self._by_term.get((engine, term))
+            bucket = self._by_term.get(term)
             if bucket is not None:
                 bucket.discard(key)
                 if not bucket:
-                    del self._by_term[(engine, term)]
+                    del self._by_term[term]
 
-    def _store(self, key, value) -> None:
-        """Insert or refresh ``key`` as most recent, evicting the least
-        recent entries beyond ``maxsize``.  Caller holds the lock."""
-        if key in self._data:
-            self._data.move_to_end(key)
-        else:
-            engine = self._engine_of(key)
-            for term in self._terms_of(key):
-                self._by_term.setdefault((engine, term), set()).add(key)
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            evicted, __ = self._data.popitem(last=False)
-            self._unindex(evicted)
-            self.evictions += 1
-            self._m_evictions.inc()
-        self._m_size.set(len(self._data))
-
-    def _drop(self, stale) -> None:
-        for key in stale:
-            del self._data[key]
-            self._unindex(key)
-        self.invalidations += len(stale)
-        self._m_invalidations.inc(len(stale))
-        self._m_size.set(len(self._data))
+    def _drop(self, engine: str, keys: Iterable) -> int:
+        """Pop ``engine``'s slot from each row in ``keys`` — a hole: every
+        other engine's slot survives, an emptied row is removed and
+        unindexed.  Caller holds the lock; returns the slots dropped."""
+        dropped = 0
+        for key in keys:
+            row = self._rows[key]
+            if row.pop(engine, _ABSENT) is not _ABSENT:
+                dropped += 1
+                if not row:
+                    del self._rows[key]
+                    self._unindex(key)
+        self._size -= dropped
+        self.invalidations += dropped
+        self._m_invalidations.inc(dropped)
+        self._m_size.set(self._size)
+        return dropped
 
     def invalidate_engine(self, engine: str) -> int:
         """Drop every entry for ``engine`` (its representative changed).
@@ -124,9 +179,7 @@ class _TermIndexedLRU:
             Number of entries removed.
         """
         with self._lock:
-            stale = [k for k in self._data if self._engine_of(k) == engine]
-            self._drop(stale)
-            return len(stale)
+            return self._drop(engine, list(self._rows))
 
     def invalidate_terms(
         self, engine: str, terms: Iterable[str]
@@ -135,12 +188,12 @@ class _TermIndexedLRU:
 
         The precise path for a representative delta, sound for
         ``term_local`` estimators (the broker falls back to
-        :meth:`invalidate_engine` otherwise): an entry is a function of its
-        own terms' statistics plus the document count, which the caller
-        accounts for by widening ``terms`` to every present term when ``n``
-        moves.  Entries over disjoint terms — negative entries for terms
-        the engine never held included — are provably still valid and
-        survive.
+        :meth:`invalidate_engine` otherwise): an entry (``engine``'s slot of
+        a row) is a function of its own terms' statistics plus the document
+        count, which the caller accounts for by widening ``terms`` to every
+        present term when ``n`` moves.  Entries over disjoint terms —
+        negative entries for terms the engine never held included — and
+        every other engine's slots are provably still valid and survive.
 
         Returns:
             ``(evicted, retained)`` — entries dropped vs. entries for
@@ -149,22 +202,22 @@ class _TermIndexedLRU:
         with self._lock:
             stale: Set[Hashable] = set()
             for term in terms:
-                stale.update(self._by_term.get((engine, term), ()))
-            self._drop(stale)
-            engine_of = self._engine_of  # bound once: this scan is per delta
-            retained = sum(1 for k in self._data if engine_of(k) == engine)
-            return len(stale), retained
+                stale.update(self._by_term.get(term, ()))
+            evicted = self._drop(engine, stale)
+            retained = sum(engine in row for row in self._rows.values())
+            return evicted, retained
 
     def clear(self) -> None:
         """Drop all entries; the hit/miss/eviction counters survive."""
         with self._lock:
-            self._data.clear()
+            self._rows.clear()
             self._by_term.clear()
+            self._size = 0
             self._m_size.set(0)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._data)
+            return self._size
 
     @property
     def hit_rate(self) -> float:
@@ -180,12 +233,13 @@ class _TermIndexedLRU:
 
 
 class EstimateCache(_TermIndexedLRU):
-    """Bounded LRU mapping (engine, query, threshold) -> Usefulness.
+    """Bounded LRU of fleet rows: (query, threshold) -> {engine: Usefulness}.
 
     Args:
-        maxsize: Maximum resident entries; the least recently used entry
-            is evicted when full.  Must be positive — construct no cache
-            at all to disable caching.
+        maxsize: Maximum resident estimates (engines × distinct (query,
+            threshold) rows); the least recently used rows are evicted
+            whole when full.  Must be positive — construct no cache at all
+            to disable caching.
         registry: Metrics sink mirroring the hit/miss/eviction/invalidation
             counters and the resident-size gauge; no-op by default.
     """
@@ -196,12 +250,8 @@ class EstimateCache(_TermIndexedLRU):
         super().__init__(maxsize, registry)
 
     @staticmethod
-    def _engine_of(key: CacheKey) -> str:
+    def _terms_of(key: Tuple) -> Tuple[str, ...]:
         return key[0]
-
-    @staticmethod
-    def _terms_of(key: CacheKey) -> Tuple[str, ...]:
-        return key[1]
 
     @staticmethod
     def query_key(query: Query) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
@@ -218,13 +268,30 @@ class EstimateCache(_TermIndexedLRU):
         )
         return (query.terms, normalized)
 
+    def get_row(
+        self, query_key: Tuple, threshold: float, engines: Sequence[str]
+    ) -> List[Optional[Usefulness]]:
+        """``engines``' cached estimates in order, ``None`` where absent;
+        one hit or miss counted per engine."""
+        return self._read((*query_key, float(threshold)), engines)
+
+    def peek_row(
+        self, query_key: Tuple, threshold: float, engines: Sequence[str]
+    ) -> bool:
+        """Whole-row presence with no side effects (no hit/miss accounting,
+        no recency refresh) — the coalescing probe must not distort stats."""
+        return self._has((*query_key, float(threshold)), engines)
+
+    def put_row(
+        self, query_key: Tuple, threshold: float, engines: Sequence[str], values: list
+    ) -> None:
+        """Fill only the slots given: ``values[i]`` is ``engines[i]``'s estimate."""
+        self._write((*query_key, float(threshold)), engines, values)
+
     @staticmethod
     def key_from(engine: str, query_key: Tuple, threshold: float) -> CacheKey:
-        """The cache key for one estimate, from an already computed
-        :meth:`query_key` — a fleet-wide row normalizes the query once,
-        not once per engine."""
-        terms, normalized = query_key
-        return (engine, terms, normalized, float(threshold))
+        """The per-estimate key, from an already computed :meth:`query_key`."""
+        return (engine, *query_key, float(threshold))
 
     @classmethod
     def key_for(cls, engine: str, query: Query, threshold: float) -> CacheKey:
@@ -232,34 +299,21 @@ class EstimateCache(_TermIndexedLRU):
         return cls.key_from(engine, cls.query_key(query), threshold)
 
     def get(self, key: CacheKey) -> Optional[Usefulness]:
-        """The cached estimate, refreshed as most recently used; None on miss."""
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                self._m_misses.inc()
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            self._m_hits.inc()
-            return value
+        """The cached estimate, its row refreshed as most recent; None on miss."""
+        return self._read(key[1:], key[:1])[0]
 
     def peek(self, key: CacheKey) -> bool:
-        """Presence test with no side effects: no hit/miss accounting and
-        no recency refresh — for probes that must not distort stats when
-        they bail out partway (e.g. the coalescing cache probe)."""
-        with self._lock:
-            return key in self._data
+        """:meth:`peek_row` for one estimate."""
+        return self._has(key[1:], key[:1])
 
     __contains__ = peek
 
     def put(self, key: CacheKey, value: Usefulness) -> None:
-        with self._lock:
-            self._store(key, value)
+        self._write(key[1:], key[:1], (value,))
 
 
-#: Polynomial cache key: (estimator config, engine, term, rounded weight).
-PolyKey = Tuple[Tuple, str, str, float]
+#: Polynomial row key: (estimator config, term, rounded weight).
+PolyKey = Tuple[Tuple, str, float]
 
 
 class TermPolynomialCache(_TermIndexedLRU):
@@ -285,37 +339,23 @@ class TermPolynomialCache(_TermIndexedLRU):
         super().__init__(maxsize, registry)
 
     @staticmethod
-    def _engine_of(key: PolyKey) -> str:
-        return key[1]
-
-    @staticmethod
     def _terms_of(key: PolyKey) -> Tuple[str, ...]:
-        return (key[2],)
+        return key[1:2]
 
     @staticmethod
-    def _key(config: Tuple, engine: str, term: str, weight: float) -> PolyKey:
-        """Weights are rounded like :meth:`EstimateCache.key_for` rounds
+    def _key(config: Tuple, term: str, weight: float) -> PolyKey:
+        """Weights are rounded like :meth:`EstimateCache.query_key` rounds
         them, so float noise between equal profiles shares entries."""
-        return (config, engine, term, round(float(weight), _KEY_DECIMALS))
+        return (config, term, round(float(weight), _KEY_DECIMALS))
 
     def lookup(
         self, config: Tuple, engine: str, term: str, weight: float
     ) -> Tuple[bool, object]:
         """``(hit, value)`` — value may be a cached ``None`` on a hit."""
-        key = self._key(config, engine, term, weight)
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                self._m_hits.inc()
-                return True, self._data[key]
-            self.misses += 1
-            self._m_misses.inc()
-            return False, None
+        value = self._read(self._key(config, term, weight), (engine,), _ABSENT)[0]
+        return (False, None) if value is _ABSENT else (True, value)
 
     def store(
         self, config: Tuple, engine: str, term: str, weight: float, value
     ) -> None:
-        key = self._key(config, engine, term, weight)
-        with self._lock:
-            self._store(key, value)
+        self._write(self._key(config, term, weight), (engine,), (value,))

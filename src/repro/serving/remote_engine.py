@@ -279,12 +279,10 @@ class RemoteEngine:
         return self._name
 
     @property
-    def version(self) -> int:
+    def n_documents(self) -> int:
         """The engine's live document count (one ``/healthz`` round trip)."""
         info = self._client.request("GET", "/healthz")
         return int(info.get("documents", 0))
-
-    n_documents = version
 
     # -- the engine protocol -------------------------------------------------
 

@@ -36,7 +36,10 @@ def term_polynomials(draw):
         )
     )
     total = sum(raw)
-    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    # An occurrence probability is df / n >= 1 / n, never subnormal: a
+    # 5e-324 tail mass is positive yet its first moment underflows to 0.0
+    # (pinned in test_subnormal_tail_mass_underflows_first_moment).
+    p = draw(st.just(0.0) | st.floats(min_value=1e-9, max_value=1.0))
     coeffs = [p * r / total for r in raw] + [1.0 - p]
     return (np.array(exps + [0.0]), np.array(coeffs))
 
@@ -88,6 +91,16 @@ class TestReadoutInvariants:
             assert avgsim > threshold
         else:
             assert avgsim == 0.0
+
+    def test_subnormal_tail_mass_underflows_first_moment(self):
+        """The falsifying example the strategy above used to draw: a
+        subnormal probability leaves a positive tail mass whose first
+        moment ``5e-324 * 0.5`` underflows, so AvgSim reads 0.0 — no
+        representative can produce it (p >= 1 / n), and nothing raises."""
+        poly = (np.array([0.0, 0.5, 0.0, 0.0]), np.array([0.0, 5e-324, 0.0, 1.0]))
+        g = GenFunc.product([poly])
+        assert g.tail_mass(0.0) == 5e-324
+        assert g.est_avgsim(0.0) == 0.0
 
     @given(polynomial_products())
     @settings(max_examples=100, deadline=None)

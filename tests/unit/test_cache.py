@@ -1,5 +1,11 @@
 """Unit tests for the estimate cache and its broker wiring."""
 
+import contextlib
+import sys
+import threading
+import time
+from unittest import mock
+
 import pytest
 
 from repro.core.types import Usefulness
@@ -94,6 +100,136 @@ class TestEstimateCache:
         assert cache.hit_rate == 0.5
 
 
+QK = (("t", "u"), (0.6, 0.8))  # a query key: (terms, normalized weights)
+
+FLEET = {
+    "space": [["rocket", "orbit"], ["rocket"]],
+    "food": [["recipe", "sauce"], ["sauce"]],
+    "mixed": [["rocket", "sauce"], ["orbit", "recipe"]],
+}
+
+
+def make_broker(names=tuple(FLEET), cache_size=64):
+    broker = MetasearchBroker(cache_size=cache_size)
+    for name in names:
+        broker.register(make_engine(name, FLEET[name]))
+    return broker
+
+
+class TestRowSemantics:
+    """The unit of storage, recency and eviction is the fleet row; the unit
+    of capacity and of every counter is the slot (one engine's estimate)."""
+
+    def test_capacity_is_slots(self):
+        cache = EstimateCache(maxsize=6)
+        for threshold in (0.1, 0.2, 0.3):
+            cache.put_row(QK, threshold, "abc", [U1, U1, U2])
+        assert len(cache) == 6
+        assert cache.evictions == 3
+        assert not cache.peek_row(QK, 0.1, "abc")
+        assert cache.peek_row(QK, 0.2, "abc") and cache.peek_row(QK, 0.3, "abc")
+
+    def test_invalidate_terms_leaves_a_hole(self):
+        cache = EstimateCache(maxsize=16)
+        cache.put_row(QK, 0.2, "abc", [U1, U2, U1])
+        cache.put_row((("v",), (1.0,)), 0.2, "abc", [U2, U2, U2])
+        assert cache.invalidate_terms("b", {"t"}) == (1, 1)
+        assert cache.get_row(QK, 0.2, "abc") == [U1, None, U1]
+        assert (cache.hits, cache.misses) == (2, 1)
+        assert len(cache) == 5 and cache.invalidations == 1
+        # An emptied row is removed and unindexed, not left as a husk.
+        for engine in "ac":
+            cache.invalidate_terms(engine, {"u"})
+        assert len(cache) == 3 and QK + (0.2,) not in cache._rows
+        assert set(cache._by_term) == {"v"}
+
+    def test_broker_refills_a_hole(self):
+        broker, uncached = make_broker(), make_broker(cache_size=0)
+        query = Query.from_terms(["rocket", "sauce"])
+        broker.estimate_all(query, 0.1)
+        evicted, __ = broker.cache.invalidate_terms("food", {"sauce"})
+        assert evicted == 1 and len(broker.cache) == 2
+        assert broker.estimate_all_cached(query, 0.1) is None
+        hits, misses = broker.cache.hits, broker.cache.misses
+        assert broker.estimate_all(query, 0.1) == uncached.estimate_all(query, 0.1)
+        assert (broker.cache.hits, broker.cache.misses) == (hits + 2, misses + 1)
+        assert len(broker.cache) == 3
+        assert broker.estimate_all_cached(query, 0.1) is not None
+
+    def test_row_wider_than_cache_is_not_retained(self):
+        cache = EstimateCache(maxsize=2)
+        cache.put_row(QK, 0.2, "abc", [U1, U1, U1])
+        assert len(cache) == 0 and cache.evictions == 3
+        assert cache.get_row(QK, 0.2, "abc") == [None, None, None]
+        assert not cache._by_term
+
+    def test_late_engine_makes_rows_partial(self):
+        broker = make_broker(("space", "food"))
+        query = Query.from_terms(["rocket"])
+        broker.estimate_all(query, 0.1)
+        broker.register(make_engine("mixed", FLEET["mixed"]))
+        assert broker.estimate_all_cached(query, 0.1) is None
+        row = broker.estimate_all(query, 0.1)
+        assert row == make_broker(cache_size=0).estimate_all(query, 0.1)
+        assert (broker.cache.hits, broker.cache.misses) == (2, 3)
+        assert len(broker.cache) == 3
+
+    def test_peek_row_moves_neither_counters_nor_recency(self):
+        cache = EstimateCache(maxsize=4)
+        cache.put_row(QK, 0.1, "ab", [U1, U1])
+        cache.put_row(QK, 0.2, "ab", [U2, U2])
+        assert cache.peek_row(QK, 0.1, "ab")
+        assert not cache.peek_row(QK, 0.1, "abc")  # partial is not present
+        assert not cache.peek_row(QK, 0.3, "ab")
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put_row(QK, 0.3, "ab", [U1, U1])  # evicts the un-refreshed 0.1 row
+        assert not cache.peek_row(QK, 0.1, "a") and cache.peek_row(QK, 0.2, "ab")
+
+    def test_reads_race_invalidation_and_writes(self):
+        """``get_row`` copies out under the lock while invalidation mutates
+        row dicts in place: a reader racing a writer sees whole, right rows."""
+        broker, uncached = make_broker(), make_broker(cache_size=0)
+        query = Query.from_terms(["rocket", "sauce"])
+        query_key = EstimateCache.query_key(query)
+        expected = uncached.estimate_all(query, 0.1)
+        by_engine = {e.engine: e.usefulness for e in expected}
+        stop, errors = threading.Event(), []
+
+        def guarded(body):
+            def run():
+                try:
+                    while not stop.is_set():
+                        body()
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+                    stop.set()
+            return threading.Thread(target=run)
+
+        def read():
+            assert broker.estimate_all(query, 0.1) == expected
+
+        def write():
+            for name, value in by_engine.items():
+                broker.cache.invalidate_terms(name, {"sauce"})
+                broker.cache.put_row(query_key, 0.1, [name], [value])
+
+        threads = [guarded(read), guarded(write)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert broker.cache.invalidations > 0 and broker.cache.hits > 0
+
+
 class TestBrokerCaching:
     @pytest.fixture
     def broker(self):
@@ -133,6 +269,35 @@ class TestBrokerCaching:
         assert len(broker.cache) == 2
         for name in broker.engine_names:
             assert EstimateCache.key_for(name, query, 0.2) in broker.cache
+
+    @pytest.mark.parametrize("width", [2, 32])
+    def test_one_cache_round_trip_per_row(self, width):
+        """The fleet row is the cache's unit: a cold ``estimate_all`` is one
+        ``get_row`` + one ``put_row`` and a warm one a single ``get_row``,
+        whatever the fleet width — not 2 W + per-engine calls."""
+        broker = MetasearchBroker(cache_size=1024)
+        for e in range(width):
+            broker.register(make_engine(f"e{e:02d}", [["rocket", f"w{e}"]]))
+        query = Query.from_terms(["rocket"])
+
+        def calls(method, *args):
+            """(get_row, put_row, peek_row) call counts of one broker call."""
+            cache = broker.cache
+            with contextlib.ExitStack() as stack:
+                spies = [
+                    stack.enter_context(
+                        mock.patch.object(cache, name, wraps=getattr(cache, name))
+                    )
+                    for name in ("get_row", "put_row", "peek_row")
+                ]
+                method(*args)
+            return tuple(spy.call_count for spy in spies)
+
+        assert calls(broker.estimate_all_cached, query, 0.1) == (0, 0, 1)
+        assert (broker.cache.hits, broker.cache.misses) == (0, 0)
+        assert calls(broker.estimate_all, query, 0.1) == (1, 1, 0)
+        assert calls(broker.estimate_all, query, 0.1) == (1, 0, 0)
+        assert (broker.cache.hits, broker.cache.misses) == (width, width)
 
     def test_cache_disabled_with_zero_size(self):
         broker = MetasearchBroker(cache_size=0)

@@ -110,8 +110,7 @@ class TestVocabularyKeys:
         # A distinct string object with equal text reaches the same entry.
         hit, __ = cache.lookup(CONFIG, "d1", "".join(["app", "le"]), 0.5)
         assert hit
-        key = next(iter(cache._data))
-        assert key[2] == "apple"
+        assert cache._terms_of(cache._key(CONFIG, "apple", 0.5)) == ("apple",)
 
     def test_invalidate_engine_with_vocab_keys(self):
         cache = TermPolynomialCache()
