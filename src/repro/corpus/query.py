@@ -38,8 +38,8 @@ class Query:
             raise ValueError("terms and weights must have equal length")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("query terms must be distinct")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("query weights must be positive")
+        if not all(0 < w < math.inf for w in self.weights):  # NaN fails both
+            raise ValueError("query weights must be positive and finite")
 
     # -- constructors ---------------------------------------------------------
 

@@ -46,6 +46,8 @@ each group sorted by term, so equal deltas encode to equal bytes.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -116,18 +118,26 @@ class TermDeltaRecord:
 
     @classmethod
     def from_wire(cls, record: list) -> "TermDeltaRecord":
-        if record[0] == "del":
-            return cls(op="del", term=record[1])
-        return cls(
-            op="set",
-            term=record[1],
-            stats=TermStats(
-                probability=record[2],
-                mean=record[3],
-                std=record[4],
-                max_weight=record[5],
-            ),
-        )
+        """Decode one record; anything but the two :meth:`to_wire` shapes
+        raises :class:`ValueError` (the op/stats pairing and the statistics'
+        ranges are checked by the dataclasses themselves)."""
+        if not isinstance(record, list) or len(record) not in (2, 6):
+            raise ValueError(f"a delta record has 2 or 6 fields, got {record!r}")
+        op, term, *stats = record
+        if not isinstance(term, str):
+            raise ValueError(f"a delta record's term is a string, got {term!r}")
+        if not stats:
+            return cls(op=op, term=term)
+        for value in stats[:3] if stats[3] is None else stats:  # mw may be null
+            # JSON ``true`` is not a number; NaN fails the comparison; an
+            # int past the float range would overflow the float64 columns.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"a term statistic is a finite number, got {value!r}")
+        return cls(op=op, term=term, stats=TermStats(*stats))
 
 
 def _canonical_records(
@@ -197,19 +207,33 @@ class RepresentativeDelta:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RepresentativeDelta":
-        if payload.get("kind") != DELTA_KIND:
+        """Decode the :meth:`to_json_dict` form.  The payload is outside
+        input (a shard's ``POST /delta`` body, an engine's sync answer):
+        anything but a well-formed delta document raises ValueError."""
+        if not isinstance(payload, dict) or payload.get("kind") != DELTA_KIND:
             raise ValueError("payload is not a representative delta")
         if payload.get("format") != DELTA_FORMAT:
             raise ValueError(f"unsupported delta format {payload.get('format')!r}")
+        name, records = payload.get("name"), payload.get("records")
+        if not isinstance(name, str) or not isinstance(records, list):
+            raise ValueError("delta name must be a string and records a list")
+        fields = ("from_version", "to_version", "from_n_documents", "n_documents")
+        counts = {field: payload.get(field) for field in fields}
+        for field, value in counts.items():
+            # JSON ``true`` is not a count; the upper bound keeps the value
+            # inside the store's int64 arithmetic.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or not 0 <= value < 2**63
+            ):
+                raise ValueError(
+                    f"delta {field} must be a non-negative integer, got {value!r}"
+                )
         return cls(
-            name=payload["name"],
-            from_version=payload["from_version"],
-            to_version=payload["to_version"],
-            from_n_documents=payload["from_n_documents"],
-            n_documents=payload["n_documents"],
-            records=tuple(
-                TermDeltaRecord.from_wire(record) for record in payload["records"]
-            ),
+            name=name,
+            records=tuple(TermDeltaRecord.from_wire(record) for record in records),
+            **counts,
         )
 
     def encode(self) -> bytes:

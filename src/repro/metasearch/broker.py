@@ -10,6 +10,13 @@ broadcasts to every engine, which is what selection is meant to avoid.
 There is one path through it — ``estimate rows → select → dispatch →
 merge`` — and one of everything on that path:
 
+* **One pipeline, for every topology.**  :class:`SearchPipeline` owns the
+  path — the estimate/select/search surface, the traces, the response
+  assembly, its series — over a backend of two steps, *rows* and *reports*.
+  :class:`MetasearchBroker` supplies them from its fleet store and
+  dispatcher, :class:`~repro.serving.coordinator.ShardedFleet` as two
+  scatters over shards that serve their own broker's two steps.  The
+  broker's solo ``search`` is the one remaining fork.
 * **One representative backend.**  Every registered representative is
   packed into the broker's
   :class:`~repro.representatives.columnar.FleetRepresentativeStore`
@@ -34,12 +41,9 @@ merge`` — and one of everything on that path:
 * **One dispatcher.**  A :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
   — parallel fan-out with per-dispatch timeout, bounded retry, and graceful
   degradation; ``workers=1`` (the default) is serial dispatch.
-  :meth:`~MetasearchBroker.search_batch` pools every query's engine calls
-  under a single batch deadline
+  The *reports* step pools every query's engine calls under a single batch
+  deadline
   (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
-* **One response assembly.**  ``search``, ``search_all`` and
-  ``search_batch`` all turn a dispatch report into a
-  :class:`MetasearchResponse` through the same trace → merge → count step.
 
 Two caches invalidate through the same per-engine registration hook (or
 per term, on a representative delta): the estimate cache of fleet rows,
@@ -196,7 +200,204 @@ class MetasearchResponse:
         return [name for name in self.invoked if name not in failed]
 
 
-class MetasearchBroker:
+class SearchPipeline:
+    """The paper's broker loop — estimate every engine, select, forward to
+    the selected engines only, merge — defined once over a backend of two
+    steps, :meth:`rows` and :meth:`reports`, which say *where the estimates
+    and the hits come from* (plus ``__len__`` and ``engine_names``).
+
+    Everything else lives here for every backend: the estimate/select/search
+    surface, the per-query :class:`~repro.obs.QueryTrace`, the response
+    assembly, and the ``<series_prefix>.searches``, ``.searches.degraded``,
+    ``.engines.invoked``, ``.batch.{batches,queries,seconds}`` and
+    ``.stage.seconds{stage}`` series.  ``policy`` and ``registry`` default
+    to the paper's threshold criterion and the shared no-op registry.
+    """
+
+    #: First component of every series name this pipeline emits.
+    series_prefix = "broker"
+
+    def __init__(self, policy: Optional[SelectionPolicy] = None, registry=None):
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.policy = policy or ThresholdPolicy()
+        prefix = self.series_prefix
+        self._m_searches = self.registry.counter(f"{prefix}.searches")
+        self._m_degraded = self.registry.counter(f"{prefix}.searches.degraded")
+        self._m_invoked = self.registry.counter(f"{prefix}.engines.invoked")
+        self._m_batches = self.registry.counter(f"{prefix}.batch.batches")
+        self._m_batch_queries = self.registry.counter(f"{prefix}.batch.queries")
+        self._m_batch_seconds = self.registry.histogram(
+            f"{prefix}.batch.seconds", buckets=LATENCY_BUCKETS
+        )
+
+    def _stage_seconds(self, stage: str):
+        return self.registry.histogram(
+            f"{self.series_prefix}.stage.seconds",
+            buckets=LATENCY_BUCKETS,
+            labels={"stage": stage},
+        )
+
+    # -- the backend's two steps -------------------------------------------------------
+
+    def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
+        """``(rows, failures)``: one best-first estimate row per ``(query,
+        threshold)``, and one :class:`~repro.metasearch.dispatch.EngineFailure`
+        per engine whose estimate could not be had (absent from every row)."""
+        raise NotImplementedError
+
+    def reports(
+        self, queries: List[Query], thresholds: List[float], invoked_lists: list
+    ) -> List[DispatchReport]:
+        """Forward each query to its invoked engines: one report per query,
+        its results, failures and latencies in that query's invoked order."""
+        raise NotImplementedError
+
+    # -- estimation ------------------------------------------------------------------------
+
+    def estimate_all(
+        self, query: Query, threshold: float
+    ) -> List[EstimatedUsefulness]:
+        """Usefulness estimate for every engine that answered, best first."""
+        return self.rows([query], [float(threshold)])[0][0]
+
+    def estimate_all_cached(
+        self, query: Query, threshold: float
+    ) -> Optional[List[EstimatedUsefulness]]:
+        """:meth:`estimate_all`'s answer iff it is already cached — never,
+        for a backend without a full-row estimate cache."""
+        return None
+
+    def estimate_batch(
+        self,
+        queries: Sequence[Query],
+        thresholds: Union[float, Sequence[float]],
+    ) -> List[List[EstimatedUsefulness]]:
+        """Usefulness estimates for many queries in one amortized pass.
+
+        Args:
+            queries: The batch, in answer order.
+            thresholds: One threshold applied to every query, or a
+                sequence parallel to ``queries``.
+
+        Returns:
+            One best-first estimate row per query — each row exactly what
+            :meth:`estimate_all` would return for that (query, threshold).
+        """
+        started = time.perf_counter()
+        queries = list(queries)
+        rows, __ = self.rows(queries, broadcast_thresholds(queries, thresholds))
+        self._m_batches.inc()
+        self._m_batch_queries.inc(len(queries))
+        self._m_batch_seconds.observe(time.perf_counter() - started)
+        return rows
+
+    def select(self, query: Query, threshold: float) -> List[str]:
+        """Names of the engines the policy picks for this query."""
+        return self.policy.select(self.estimate_all(query, threshold))
+
+    # -- search ------------------------------------------------------------------------------
+
+    def _select(
+        self, estimates: List[EstimatedUsefulness], trace: QueryTrace
+    ) -> List[str]:
+        with trace.span("select") as span:
+            invoked = self.policy.select(estimates)
+            span.metadata["selected"] = len(invoked)
+        self._stage_seconds("select").observe(span.duration)
+        return invoked
+
+    def _respond(
+        self,
+        invoked: List[str],
+        estimates: List[EstimatedUsefulness],
+        report: DispatchReport,
+        limit: Optional[int],
+        trace: QueryTrace,
+        estimate_failures: Sequence[EngineFailure] = (),
+    ) -> MetasearchResponse:
+        """Dispatch report -> traced, merged, counted response: the one
+        assembly behind every search entry point of every backend.
+        Estimate failures come first in ``response.failures``."""
+        failed = {failure.engine for failure in report.failures}
+        for name in invoked:
+            trace.add(
+                f"dispatch:{name}",
+                report.latencies.get(name, 0.0),
+                ok=name not in failed,
+            )
+        with trace.span("merge") as span:
+            hits = merge_hits(report.result_lists(), limit=limit)
+            span.metadata["hits"] = len(hits)
+        self._stage_seconds("merge").observe(span.duration)
+        response = MetasearchResponse(
+            hits=hits,
+            invoked=invoked,
+            estimates=estimates,
+            failures=[*estimate_failures, *report.failures],
+            latencies=report.latencies,
+            trace=trace,
+        )
+        self._m_searches.inc()
+        self._m_invoked.inc(len(invoked))
+        if response.degraded:
+            self._m_degraded.inc()
+        return response
+
+    def search(
+        self, query: Query, threshold: float, limit: Optional[int] = None
+    ) -> MetasearchResponse:
+        """Estimate, select, dispatch, merge — a batch of one."""
+        return self.search_batch([query], float(threshold), limit=limit)[0]
+
+    def search_batch(
+        self,
+        queries: Sequence[Query],
+        thresholds: Union[float, Sequence[float]],
+        limit: Optional[int] = None,
+    ) -> List[MetasearchResponse]:
+        """The full pipeline — estimate, select, dispatch, merge — for a
+        whole batch of queries: one :meth:`rows` call, central selection on
+        each row, one :meth:`reports` call.  Each query gets its own
+        :class:`~repro.obs.QueryTrace` and its own
+        :class:`MetasearchResponse`.
+        """
+        started = time.perf_counter()
+        queries = list(queries)
+        per_query = broadcast_thresholds(queries, thresholds)
+        traces = [QueryTrace() for __ in queries]
+
+        est_start = time.perf_counter()
+        all_estimates, estimate_failures = self.rows(queries, per_query)
+        est_elapsed = time.perf_counter() - est_start
+        self._stage_seconds("estimate").observe(est_elapsed)
+        shared = est_elapsed / len(queries) if queries else 0.0
+        for trace in traces:
+            trace.add("estimate", shared, engines=len(self))
+
+        invoked_lists = [
+            self._select(estimates, trace)
+            for estimates, trace in zip(all_estimates, traces)
+        ]
+        dispatch_start = time.perf_counter()
+        reports = self.reports(queries, per_query, invoked_lists)
+        self._stage_seconds("dispatch").observe(
+            time.perf_counter() - dispatch_start
+        )
+        responses = [
+            self._respond(
+                invoked, estimates, report, limit, trace, estimate_failures
+            )
+            for invoked, estimates, report, trace in zip(
+                invoked_lists, all_estimates, reports, traces
+            )
+        ]
+        self._m_batches.inc()
+        self._m_batch_queries.inc(len(queries))
+        self._m_batch_seconds.observe(time.perf_counter() - started)
+        return responses
+
+
+class MetasearchBroker(SearchPipeline):
     """Selects and queries local search engines via usefulness estimates.
 
     Args:
@@ -242,9 +443,8 @@ class MetasearchBroker:
     ):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size!r}")
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        super().__init__(policy, registry)
         self.estimator = (estimator or SubrangeEstimator()).instrument(self.registry)
-        self.policy = policy or ThresholdPolicy()
         self.dispatcher = ConcurrentDispatcher(
             workers=workers,
             timeout=timeout,
@@ -261,16 +461,8 @@ class MetasearchBroker:
         self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
-        self._m_searches = self.registry.counter("broker.searches")
-        self._m_degraded = self.registry.counter("broker.searches.degraded")
-        self._m_invoked = self.registry.counter("broker.engines.invoked")
         self._m_search_seconds = self.registry.histogram(
             "broker.search.seconds", buckets=LATENCY_BUCKETS
-        )
-        self._m_batches = self.registry.counter("broker.batch.batches")
-        self._m_batch_queries = self.registry.counter("broker.batch.queries")
-        self._m_batch_seconds = self.registry.histogram(
-            "broker.batch.seconds", buckets=LATENCY_BUCKETS
         )
         self._m_delta_applies = self.registry.counter("fleet.delta.applies")
         self._m_delta_bytes = self.registry.counter("fleet.delta.bytes")
@@ -290,11 +482,6 @@ class MetasearchBroker:
         )
         self._m_delta_seconds = self.registry.histogram(
             "fleet.delta.apply.seconds", buckets=LATENCY_BUCKETS
-        )
-
-    def _stage_seconds(self, stage: str):
-        return self.registry.histogram(
-            "broker.stage.seconds", buckets=LATENCY_BUCKETS, labels={"stage": stage}
         )
 
     # -- registration -------------------------------------------------------------
@@ -380,8 +567,7 @@ class MetasearchBroker:
         return self._rep_versions.get(name)
 
     def engine_of(self, name: str) -> SearchEngine:
-        """The registered engine object itself (shard workers dispatch to
-        a requested subset of engines directly)."""
+        """The registered engine object itself."""
         return self._engines[name]
 
     # -- live-fleet delta propagation ---------------------------------------------
@@ -395,7 +581,7 @@ class MetasearchBroker:
         }
 
     def apply_representative_delta(
-        self, delta: RepresentativeDelta, *, precise: bool = True
+        self, delta: RepresentativeDelta
     ) -> DeltaApplyReport:
         """Apply one versioned delta to a registered representative in place.
 
@@ -413,8 +599,7 @@ class MetasearchBroker:
         (all per-term probabilities rescale), which still retains entries
         for queries over terms this engine never held.  Estimators whose
         estimates mix in representative-global state (``term_local =
-        False``) — and ``precise=False`` — fall back to whole-engine
-        eviction, which is always sound.
+        False``) fall back to whole-engine eviction, which is always sound.
 
         Raises:
             KeyError: ``delta.name`` is not a registered engine.
@@ -434,7 +619,7 @@ class MetasearchBroker:
         term_local = bool(getattr(self.estimator, "term_local", False))
         n_changed = delta.n_documents != delta.from_n_documents
         affected: Optional[set] = None
-        if precise and term_local:
+        if term_local:
             affected = set(delta.terms)
             if n_changed:
                 # Every present term's probability rescales with n; terms
@@ -586,11 +771,9 @@ class MetasearchBroker:
                 rows[i] = list(ranked[thresholds[i]])
         return rows
 
-    def estimate_all(
-        self, query: Query, threshold: float
-    ) -> List[EstimatedUsefulness]:
-        """Usefulness estimate for every registered engine, best first."""
-        return self._estimate_rows([query], [float(threshold)])[0]
+    def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
+        """The estimate step; a resident representative cannot fail."""
+        return self._estimate_rows(queries, thresholds), []
 
     def estimate_all_cached(
         self, query: Query, threshold: float
@@ -611,46 +794,7 @@ class MetasearchBroker:
         )
         return rows[0] if rows else None
 
-    def estimate_batch(
-        self,
-        queries: Sequence[Query],
-        thresholds: Union[float, Sequence[float]],
-    ) -> List[List[EstimatedUsefulness]]:
-        """Usefulness estimates for many queries in one amortized pass.
-
-        Args:
-            queries: The batch, in answer order.
-            thresholds: One threshold applied to every query, or a
-                sequence parallel to ``queries``.
-
-        Returns:
-            One best-first estimate row per query — each row exactly what
-            :meth:`estimate_all` would return for that (query, threshold).
-        """
-        started = time.perf_counter()
-        queries = list(queries)
-        rows = self._estimate_rows(
-            queries, broadcast_thresholds(queries, thresholds)
-        )
-        self._m_batches.inc()
-        self._m_batch_queries.inc(len(queries))
-        self._m_batch_seconds.observe(time.perf_counter() - started)
-        return rows
-
-    def select(self, query: Query, threshold: float) -> List[str]:
-        """Names of the engines the policy picks for this query."""
-        return self.policy.select(self.estimate_all(query, threshold))
-
     # -- search ------------------------------------------------------------------------------
-
-    def _select(
-        self, estimates: List[EstimatedUsefulness], trace: QueryTrace
-    ) -> List[str]:
-        with trace.span("select") as span:
-            invoked = self.policy.select(estimates)
-            span.metadata["selected"] = len(invoked)
-        self._stage_seconds("select").observe(span.duration)
-        return invoked
 
     def _engine_calls(
         self, names: List[str], query: Query, threshold: float
@@ -664,40 +808,14 @@ class MetasearchBroker:
             for name in names
         }
 
-    def _respond(
-        self,
-        invoked: List[str],
-        estimates: List[EstimatedUsefulness],
-        report: DispatchReport,
-        limit: Optional[int],
-        trace: QueryTrace,
-    ) -> MetasearchResponse:
-        """Dispatch report -> traced, merged, counted response: the one
-        assembly behind ``search``, ``search_all`` and ``search_batch``."""
-        failed = {failure.engine for failure in report.failures}
-        for name in invoked:
-            trace.add(
-                f"dispatch:{name}",
-                report.latencies.get(name, 0.0),
-                ok=name not in failed,
-            )
-        with trace.span("merge") as span:
-            hits = merge_hits(report.result_lists(), limit=limit)
-            span.metadata["hits"] = len(hits)
-        self._stage_seconds("merge").observe(span.duration)
-        response = MetasearchResponse(
-            hits=hits,
-            invoked=invoked,
-            estimates=estimates,
-            failures=report.failures,
-            latencies=report.latencies,
-            trace=trace,
+    def reports(
+        self, queries: List[Query], thresholds: List[float], invoked_lists: list
+    ) -> List[DispatchReport]:
+        """The dispatch step: every query's engine calls pooled on the
+        dispatcher under a *single* batch deadline (``dispatch_many``)."""
+        return self.dispatcher.dispatch_many(
+            list(map(self._engine_calls, invoked_lists, queries, thresholds))
         )
-        self._m_searches.inc()
-        self._m_invoked.inc(len(invoked))
-        if response.degraded:
-            self._m_degraded.inc()
-        return response
 
     def _dispatch_one(
         self,
@@ -725,7 +843,9 @@ class MetasearchBroker:
         threshold: float,
         limit: Optional[int] = None,
     ) -> MetasearchResponse:
-        """Estimate, select, dispatch, merge — with a trace of each stage."""
+        """Estimate, select, dispatch, merge — with a trace of each stage.
+        The solo path (``estimate_all`` + ``dispatcher.dispatch``, with an
+        aggregate ``dispatch`` span) instead of the inherited batch of one."""
         started = time.perf_counter()
         trace = QueryTrace()
         with trace.span("estimate", engines=len(self._engines)) as span:
@@ -747,63 +867,6 @@ class MetasearchBroker:
             self.engine_names, query, threshold, limit, [], QueryTrace(),
             time.perf_counter(),
         )
-
-    def search_batch(
-        self,
-        queries: Sequence[Query],
-        thresholds: Union[float, Sequence[float]],
-        limit: Optional[int] = None,
-    ) -> List[MetasearchResponse]:
-        """The full pipeline — estimate, select, dispatch, merge — for a
-        whole batch of queries.
-
-        Estimation is one :meth:`_estimate_rows` pass; dispatch pools every
-        selected engine call of every query on the dispatcher's thread pool
-        under a *single* batch deadline
-        (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
-        Each query still gets its own :class:`~repro.obs.QueryTrace` and
-        its own :class:`MetasearchResponse`, equal to what a serial
-        :meth:`search` call would produce for healthy engines.
-        """
-        started = time.perf_counter()
-        queries = list(queries)
-        per_query = broadcast_thresholds(queries, thresholds)
-        traces = [QueryTrace() for __ in queries]
-
-        est_start = time.perf_counter()
-        all_estimates = self._estimate_rows(queries, per_query)
-        est_elapsed = time.perf_counter() - est_start
-        self._stage_seconds("estimate").observe(est_elapsed)
-        shared = est_elapsed / len(queries) if queries else 0.0
-        for trace in traces:
-            trace.add("estimate", shared, engines=len(self._engines))
-
-        invoked_lists = [
-            self._select(estimates, trace)
-            for estimates, trace in zip(all_estimates, traces)
-        ]
-        dispatch_start = time.perf_counter()
-        reports = self.dispatcher.dispatch_many(
-            [
-                self._engine_calls(invoked, query, threshold)
-                for invoked, query, threshold in zip(
-                    invoked_lists, queries, per_query
-                )
-            ]
-        )
-        self._stage_seconds("dispatch").observe(
-            time.perf_counter() - dispatch_start
-        )
-        responses = [
-            self._respond(invoked, estimates, report, limit, trace)
-            for invoked, estimates, report, trace in zip(
-                invoked_lists, all_estimates, reports, traces
-            )
-        ]
-        self._m_batches.inc()
-        self._m_batch_queries.inc(len(queries))
-        self._m_batch_seconds.observe(time.perf_counter() - started)
-        return responses
 
     def true_selection(self, query: Query, threshold: float) -> List[str]:
         """Oracle: engines that *actually* hold a document above threshold

@@ -64,6 +64,8 @@ from repro.serving.wire import (
     representative_to_wire,
     response_from_wire,
     response_to_wire,
+    snapshot_from_wire,
+    snapshot_to_wire,
     usefulness_from_wire,
     usefulness_to_wire,
 )
@@ -104,6 +106,8 @@ __all__ = [
     "representative_to_wire",
     "response_from_wire",
     "response_to_wire",
+    "snapshot_from_wire",
+    "snapshot_to_wire",
     "usefulness_from_wire",
     "usefulness_to_wire",
 ]

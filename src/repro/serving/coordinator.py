@@ -1,10 +1,11 @@
 """Scatter-gather over a sharded fleet.
 
-:class:`ShardedFleet` makes N shard workers (:mod:`repro.serving.
-shard_worker`) look like one :class:`~repro.metasearch.broker.
-MetasearchBroker`: it implements the broker surface the gateway consumes
-(``engine_names``, ``estimate_all``, ``estimate_batch``, ``search``,
-``search_batch``), so :class:`CoordinatorApp` is the ordinary
+:class:`ShardedFleet` is a :class:`~repro.metasearch.broker.SearchPipeline`
+backend, not a second pipeline: it supplies the two steps — estimate rows,
+dispatch reports — as scatters over N shard workers (:mod:`repro.serving.
+shard_worker`) and inherits everything else (the estimate/search surface,
+selection, traces, merge, response assembly) from the class the in-process
+broker uses.  So :class:`CoordinatorApp` is the ordinary
 :class:`~repro.serving.gateway.GatewayApp` pointed at it — same wire
 schema, same admission control, same drain story.
 
@@ -17,19 +18,20 @@ The merge is **bit-exact** by construction, not by luck:
   engine)``.  Engine names are unique, so the key is a *total* order and
   sorting the concatenation of per-shard rows yields the identical row
   the in-process broker produces (stability never has to break a tie).
-* Selection runs *centrally* on that merged row, so any policy — the
-  paper's threshold, top-k, anything rank-dependent — sees exactly the
-  input it would see in one process.
+* Selection runs *centrally*, in the pipeline, on that merged row, so any
+  policy — the paper's threshold, top-k, anything rank-dependent — sees
+  exactly the input it would see in one process.
 * ``merge_hits`` is a global sort under a total key, so merging each
   shard's per-engine hit lists equals merging the same lists locally.
 
-Dispatch is two-phase: scatter the query batch to every shard's
-``/estimate``, merge and select, then scatter ``{query, threshold,
-engines}`` entries to only the shards owning selected engines.  Both
-phases fan out on a :class:`~repro.metasearch.dispatch.
-ConcurrentDispatcher`, reusing its deadline/retry/degradation machinery
-with shards in the engine seat.  A dead shard degrades, never sinks the
-query: the coordinator knows which engines the shard owned (from
+The two steps: ``rows`` scatters the query batch to every shard's
+``/estimate`` and merges the rows; after the pipeline has selected,
+``reports`` scatters ``{query, threshold, engines}`` entries to only the
+shards owning selected engines.  Both fan out on a
+:class:`~repro.metasearch.dispatch.ConcurrentDispatcher`, reusing its
+deadline/retry/degradation machinery with shards in the engine seat.  A
+dead shard degrades, never sinks the query: the coordinator knows which
+engines the shard owned (from
 ``/healthz`` at :meth:`ShardedFleet.attach` time) and records one
 :class:`~repro.metasearch.dispatch.EngineFailure` per affected engine,
 while the surviving shards' answers merge exactly as the in-process
@@ -39,24 +41,28 @@ broker restricted to the surviving engines would.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.corpus.query import Query
-from repro.engine.results import SearchHit
-from repro.metasearch.broker import MetasearchResponse, broadcast_thresholds
-from repro.metasearch.dispatch import ConcurrentDispatcher, EngineFailure
-from repro.metasearch.merge import merge_hits
-from repro.metasearch.selection import (
-    EstimatedUsefulness,
-    SelectionPolicy,
-    ThresholdPolicy,
+from repro.metasearch.broker import SearchPipeline
+from repro.metasearch.dispatch import (
+    ConcurrentDispatcher,
+    DispatchReport,
+    EngineFailure,
 )
-from repro.obs.registry import NULL_REGISTRY, OCCUPANCY_BUCKETS
-from repro.obs.trace import QueryTrace
+
+# Not called here any more (the merge runs in SearchPipeline._respond); the
+# name stays importable because bench/adapter.py::Fixture.trace_replica
+# wraps repro.serving.coordinator.merge_hits by module attribute and
+# bench/test_smoke.py asserts probe.errors == 0 (ROADMAP, item 1(a)).
+from repro.metasearch.merge import merge_hits  # noqa: F401
+from repro.metasearch.selection import EstimatedUsefulness, SelectionPolicy
+from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.serving.gateway import GatewayApp
 from repro.serving.remote_engine import RemoteServingError, _HTTPJsonClient
 from repro.serving.wire import (
     WireFormatError,
+    _expect_kind,
     decode_hits,
     estimate_from_wire,
     failure_from_wire,
@@ -82,8 +88,14 @@ class _ShardHandle:
         return f"_ShardHandle({self.name} @ {self.url}, {len(self.engines)} engines)"
 
 
-class ShardedFleet:
-    """A fleet of shard workers behind the broker interface.
+def _in_order(mapping: dict, names: List[str]) -> dict:
+    """``mapping`` restricted to ``names``, in their order."""
+    return {name: mapping[name] for name in names if name in mapping}
+
+
+class ShardedFleet(SearchPipeline):
+    """A fleet of shard workers as a :class:`~repro.metasearch.broker.
+    SearchPipeline` backend: its two steps are the two scatters.
 
     Args:
         shard_urls: One ``http://host:port`` per shard worker.
@@ -99,6 +111,8 @@ class ShardedFleet:
         registry: Metrics sink; the shared no-op registry by default.
     """
 
+    series_prefix = "coordinator"
+
     def __init__(
         self,
         shard_urls: Sequence[str],
@@ -112,8 +126,7 @@ class ShardedFleet:
     ):
         if not shard_urls:
             raise ValueError("shard_urls must name at least one shard")
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self.policy = policy or ThresholdPolicy()
+        super().__init__(policy, registry)
         self._shards = [
             _ShardHandle(
                 f"shard{i}", url, _HTTPJsonClient(url, timeout=shard_timeout)
@@ -131,8 +144,6 @@ class ShardedFleet:
             registry=self.registry,
         )
         self._owner: Dict[str, _ShardHandle] = {}
-        self._m_searches = self.registry.counter("coordinator.searches")
-        self._m_degraded = self.registry.counter("coordinator.searches.degraded")
         self._m_shard_failures = self.registry.counter(
             "coordinator.shard.failures"
         )
@@ -171,7 +182,14 @@ class ShardedFleet:
         for shard in self._shards:
             while True:
                 try:
-                    info = shard.client.request("GET", "/healthz")
+                    shard.engines, shard.index = shard.client.request(
+                        "GET",
+                        "/healthz",
+                        decode=lambda info: (
+                            [str(n) for n in info.get("engines", [])],
+                            int(info.get("shard", -1)),
+                        ),
+                    )
                 except RemoteServingError as exc:
                     if time.monotonic() >= deadline:
                         raise RemoteServingError(
@@ -180,8 +198,6 @@ class ShardedFleet:
                         ) from exc
                     time.sleep(interval)
                     continue
-                shard.engines = [str(n) for n in info.get("engines", [])]
-                shard.index = int(info.get("shard", -1))
                 break
         self._owner = {}
         for shard in self._shards:
@@ -241,75 +257,58 @@ class ShardedFleet:
             raise KeyError(
                 f"engine {delta.name!r} is not owned by any attached shard"
             )
-        answer = shard.client.request("POST", "/delta", delta.to_json_dict())
-        if answer.get("kind") != "shard.delta":
-            raise RemoteServingError(
-                f"{shard.url} answered kind {answer.get('kind')!r} to /delta"
-            )
-        return answer
+        return shard.client.request(
+            "POST",
+            "/delta",
+            delta.to_json_dict(),
+            decode=lambda answer: _expect_kind(answer, "shard.delta"),
+        )
 
     # -- shard RPC -----------------------------------------------------------
 
     def _shard_estimates(
         self, shard: _ShardHandle, payload: dict, n_queries: int
     ) -> List[List[EstimatedUsefulness]]:
-        answer = shard.client.request("POST", "/estimate", payload)
-        try:
-            if answer.get("kind") != "shard.estimates":
-                raise WireFormatError(
-                    f"expected kind 'shard.estimates', got {answer.get('kind')!r}"
-                )
+        def decode(answer):
             rows = [
                 [estimate_from_wire(e) for e in row]
-                for row in answer["rows"]
+                for row in _expect_kind(answer, "shard.estimates")["rows"]
             ]
-        except (KeyError, TypeError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{shard.url} returned malformed estimates: {exc}"
-            ) from exc
-        if len(rows) != n_queries:
-            raise RemoteServingError(
-                f"{shard.url} answered {len(rows)} estimate rows for "
-                f"{n_queries} queries"
-            )
-        return rows
+            if len(rows) != n_queries:
+                raise WireFormatError(
+                    f"{len(rows)} estimate rows for {n_queries} queries"
+                )
+            return rows
+
+        return shard.client.request("POST", "/estimate", payload, decode=decode)
 
     def _shard_dispatch(
         self, shard: _ShardHandle, entries: List[dict]
-    ) -> List[tuple]:
-        answer = shard.client.request(
-            "POST", "/dispatch", {"entries": entries}
-        )
-        try:
-            if answer.get("kind") != "shard.dispatches":
+    ) -> List[DispatchReport]:
+        def decode(answer):
+            reports = [
+                DispatchReport(
+                    results={
+                        str(name): list(decode_hits(hits))
+                        for name, hits in report["results"].items()
+                    },
+                    failures=[failure_from_wire(f) for f in report["failures"]],
+                    latencies={
+                        str(name): float(v)
+                        for name, v in report["latencies"].items()
+                    },
+                )
+                for report in _expect_kind(answer, "shard.dispatches")["reports"]
+            ]
+            if len(reports) != len(entries):
                 raise WireFormatError(
-                    f"expected kind 'shard.dispatches', got {answer.get('kind')!r}"
+                    f"{len(reports)} dispatch reports for {len(entries)} entries"
                 )
-            reports = []
-            for report in answer["reports"]:
-                reports.append(
-                    (
-                        {
-                            str(name): list(decode_hits(rows))
-                            for name, rows in report["results"].items()
-                        },
-                        [failure_from_wire(f) for f in report["failures"]],
-                        {
-                            str(name): float(v)
-                            for name, v in report["latencies"].items()
-                        },
-                    )
-                )
-        except (KeyError, TypeError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{shard.url} returned malformed dispatch reports: {exc}"
-            ) from exc
-        if len(reports) != len(entries):
-            raise RemoteServingError(
-                f"{shard.url} answered {len(reports)} dispatch reports for "
-                f"{len(entries)} entries"
-            )
-        return reports
+            return reports
+
+        return shard.client.request(
+            "POST", "/dispatch", {"entries": entries}, decode=decode
+        )
 
     def _shard_failures(
         self, shard: _ShardHandle, failure: EngineFailure, engines: List[str]
@@ -328,11 +327,9 @@ class ShardedFleet:
             for name in engines
         ]
 
-    # -- phase 1: scatter estimation -----------------------------------------
+    # -- step 1: scatter estimation ------------------------------------------
 
-    def _scatter_estimates(
-        self, queries: List[Query], per_query: List[float]
-    ) -> tuple:
+    def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
         """Fan ``/estimate`` to every shard; returns ``(rows, failures)``.
 
         Each returned row is the merged, sorted estimate row over every
@@ -341,7 +338,7 @@ class ShardedFleet:
         """
         payload = {
             "queries": [query_to_wire(q) for q in queries],
-            "thresholds": per_query,
+            "thresholds": thresholds,
         }
         calls = {
             shard.name: (
@@ -356,10 +353,7 @@ class ShardedFleet:
         self._m_fanout_queries.observe(len(queries))
         report = self.dispatcher.dispatch(calls)
         rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
-        for shard in self._shards:
-            shard_rows = report.results.get(shard.name)
-            if shard_rows is None:
-                continue
+        for shard_rows in report.results.values():  # answering shards only
             for row, shard_row in zip(rows, shard_rows):
                 row.extend(shard_row)
         for row in rows:
@@ -373,193 +367,76 @@ class ShardedFleet:
             failures.extend(self._shard_failures(shard, failure, shard.engines))
         return rows, failures
 
-    def estimate_all(
-        self, query: Query, threshold: float
-    ) -> List[EstimatedUsefulness]:
-        """Usefulness estimate for every engine in the fleet, best first."""
-        rows, __ = self._scatter_estimates([query], [float(threshold)])
-        return rows[0]
+    # -- step 2: scatter dispatch, gather ------------------------------------
 
-    def estimate_batch(
-        self,
-        queries: Sequence[Query],
-        thresholds: Union[float, Sequence[float]],
-    ) -> List[List[EstimatedUsefulness]]:
-        queries = list(queries)
-        per_query = broadcast_thresholds(queries, thresholds)
-        rows, __ = self._scatter_estimates(queries, per_query)
-        return rows
-
-    def select(self, query: Query, threshold: float) -> List[str]:
-        return self.policy.select(self.estimate_all(query, threshold))
-
-    # -- phase 2: scatter dispatch, gather, merge ----------------------------
-
-    def _scatter_dispatch(
+    def reports(
         self,
         queries: List[Query],
-        per_query: List[float],
+        thresholds: List[float],
         invoked_lists: List[List[str]],
-    ) -> tuple:
-        """Fan ``/dispatch`` to the shards owning invoked engines.
-
-        Returns per-query ``(hits, failure_map, latencies)`` triples,
-        where ``failure_map`` maps engine name to its failure record.
-        """
-        entries_by_shard: Dict[str, List[dict]] = {}
-        meta_by_shard: Dict[str, List[tuple]] = {}
+    ) -> List[DispatchReport]:
+        """Fan ``/dispatch`` to the shards owning invoked engines; one
+        report per query, stitched from its owning shards' reports (or, for
+        a shard that did not answer, one failure per engine asked of it)
+        and put back in invoked order."""
+        asked: Dict[_ShardHandle, List[tuple]] = {}  # -> [(query index, entry)]
         for i, (query, threshold, invoked) in enumerate(
-            zip(queries, per_query, invoked_lists)
+            zip(queries, thresholds, invoked_lists)
         ):
-            by_shard: Dict[str, List[str]] = {}
+            by_shard: Dict[_ShardHandle, List[str]] = {}
             for name in invoked:
-                by_shard.setdefault(self._owner[name].name, []).append(name)
+                by_shard.setdefault(self._owner[name], []).append(name)
             wire_query = query_to_wire(query)
-            for shard_name, names in by_shard.items():
-                entries_by_shard.setdefault(shard_name, []).append(
-                    {
-                        "query": wire_query,
-                        "threshold": float(threshold),
-                        "engines": names,
-                    }
-                )
-                meta_by_shard.setdefault(shard_name, []).append((i, names))
-        by_name = {shard.name: shard for shard in self._shards}
+            for shard, names in by_shard.items():
+                entry = {
+                    "query": wire_query,
+                    "threshold": float(threshold),
+                    "engines": names,
+                }
+                asked.setdefault(shard, []).append((i, entry))
         calls = {
-            shard_name: (
-                lambda shard=by_name[shard_name], entries=entries: (
+            shard.name: (
+                lambda shard=shard, entries=[entry for __, entry in pairs]: (
                     self._shard_dispatch(shard, entries)
                 )
             )
-            for shard_name, entries in entries_by_shard.items()
+            for shard, pairs in asked.items()
         }
         if calls:
             self._m_fanouts["dispatch"].inc()
             self._m_rpcs["dispatch"].inc(len(calls))
-        report = self.dispatcher.dispatch(calls)
-        results: List[Dict[str, List[SearchHit]]] = [{} for __ in queries]
-        failure_maps: List[Dict[str, EngineFailure]] = [{} for __ in queries]
-        latencies: List[Dict[str, float]] = [{} for __ in queries]
-        shard_failures = {f.engine: f for f in report.failures}
-        for shard_name, meta in meta_by_shard.items():
-            shard = by_name[shard_name]
-            shard_reports = report.results.get(shard_name)
+        scatter = self.dispatcher.dispatch(calls)
+        shard_failures = {f.engine: f for f in scatter.failures}
+        gathered = [DispatchReport() for __ in queries]
+        for shard, pairs in asked.items():
+            shard_reports = scatter.results.get(shard.name)
             if shard_reports is None:
-                failure = shard_failures[shard_name]
-                elapsed = report.latencies.get(shard_name, failure.elapsed)
-                for i, names in meta:
-                    for record in self._shard_failures(shard, failure, names):
-                        failure_maps[i][record.engine] = record
-                        latencies[i][record.engine] = elapsed
-                continue
-            for (i, names), (hits_by_engine, entry_failures, entry_latencies) in zip(
-                meta, shard_reports
-            ):
-                results[i].update(hits_by_engine)
-                for record in entry_failures:
-                    failure_maps[i][record.engine] = record
-                latencies[i].update(entry_latencies)
-        return results, failure_maps, latencies
-
-    def _assemble(
-        self,
-        invoked: List[str],
-        estimates: List[EstimatedUsefulness],
-        est_failures: List[EngineFailure],
-        results: Dict[str, List[SearchHit]],
-        failure_map: Dict[str, EngineFailure],
-        engine_latencies: Dict[str, float],
-        limit: Optional[int],
-        trace: QueryTrace,
-    ) -> MetasearchResponse:
-        for name in invoked:
-            trace.add(
-                f"dispatch:{name}",
-                engine_latencies.get(name, 0.0),
-                ok=name not in failure_map,
+                failure = shard_failures[shard.name]
+                elapsed = scatter.latencies.get(shard.name, failure.elapsed)
+                shard_reports = [
+                    DispatchReport(
+                        failures=self._shard_failures(
+                            shard, failure, entry["engines"]
+                        ),
+                        latencies=dict.fromkeys(entry["engines"], elapsed),
+                    )
+                    for __, entry in pairs
+                ]
+            for (i, __), part in zip(pairs, shard_reports):
+                gathered[i].results.update(part.results)
+                gathered[i].failures.extend(part.failures)
+                gathered[i].latencies.update(part.latencies)
+        reports = []
+        for invoked, part in zip(invoked_lists, gathered):
+            failed = {failure.engine: failure for failure in part.failures}
+            reports.append(
+                DispatchReport(
+                    results=_in_order(part.results, invoked),
+                    failures=list(_in_order(failed, invoked).values()),
+                    latencies=_in_order(part.latencies, invoked),
+                )
             )
-        with trace.span("merge") as span:
-            hits = merge_hits(
-                [results[name] for name in invoked if name in results],
-                limit=limit,
-            )
-            span.metadata["hits"] = len(hits)
-        failures = list(est_failures)
-        failures.extend(
-            failure_map[name] for name in invoked if name in failure_map
-        )
-        response = MetasearchResponse(
-            hits=hits,
-            invoked=invoked,
-            estimates=estimates,
-            failures=failures,
-            latencies={
-                name: engine_latencies[name]
-                for name in invoked
-                if name in engine_latencies
-            },
-            trace=trace,
-        )
-        self._m_searches.inc()
-        if response.degraded:
-            self._m_degraded.inc()
-        return response
-
-    def search(
-        self,
-        query: Query,
-        threshold: float,
-        limit: Optional[int] = None,
-    ) -> MetasearchResponse:
-        """Estimate, select, dispatch, merge — across the shard fleet."""
-        responses = self.search_batch([query], float(threshold), limit=limit)
-        return responses[0]
-
-    def search_batch(
-        self,
-        queries: Sequence[Query],
-        thresholds: Union[float, Sequence[float]],
-        limit: Optional[int] = None,
-    ) -> List[MetasearchResponse]:
-        """The full pipeline for a batch: one estimate scatter, one
-        dispatch scatter, per-query responses equal to the in-process
-        broker's (restricted to the engines of answering shards)."""
-        queries = list(queries)
-        per_query = broadcast_thresholds(queries, thresholds)
-        traces = [QueryTrace() for __ in queries]
-
-        est_start = time.perf_counter()
-        rows, est_failures = self._scatter_estimates(queries, per_query)
-        est_elapsed = time.perf_counter() - est_start
-        shared = est_elapsed / len(queries) if queries else 0.0
-        for trace in traces:
-            trace.add("estimate", shared, engines=len(self._owner))
-
-        invoked_lists: List[List[str]] = []
-        for estimates, trace in zip(rows, traces):
-            with trace.span("select") as span:
-                invoked = self.policy.select(estimates)
-                span.metadata["selected"] = len(invoked)
-            invoked_lists.append(invoked)
-
-        results, failure_maps, latencies = self._scatter_dispatch(
-            queries, per_query, invoked_lists
-        )
-        return [
-            self._assemble(
-                invoked,
-                estimates,
-                est_failures,
-                results[i],
-                failure_maps[i],
-                latencies[i],
-                limit,
-                trace,
-            )
-            for i, (invoked, estimates, trace) in enumerate(
-                zip(invoked_lists, rows, traces)
-            )
-        ]
+        return reports
 
     def __repr__(self) -> str:
         return (

@@ -47,6 +47,7 @@ from typing import Optional, Tuple
 
 from repro.corpus.document import Document
 from repro.engine.search_engine import SearchEngine
+from repro.fleet.delta import RepresentativeSnapshot
 from repro.fleet.live import LiveEngineServer
 from repro.representatives.builder import build_representative
 from repro.representatives.columnar import ColumnarRepresentative
@@ -56,7 +57,7 @@ from repro.serving.wire import (
     WireFormatError,
     encode_hits,
     query_from_wire,
-    representative_to_wire,
+    snapshot_to_wire,
 )
 
 __all__ = ["EngineApp", "LiveEngineApp"]
@@ -114,7 +115,7 @@ class EngineApp(ServingApp):
             raise HTTPError(
                 400, "payload missing required field 'threshold'"
             ) from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HTTPError(400, f"bad threshold: {exc}") from exc
 
     # -- routes --------------------------------------------------------------
@@ -193,14 +194,10 @@ class EngineApp(ServingApp):
                 )
         version, representative = self._representative()
         return Response(
-            payload={
-                "kind": "representative.snapshot",
-                "name": self.engine.name,
-                "version": version,
-                "representative": representative_to_wire(
-                    representative, quantize=quantize
-                ),
-            }
+            payload=snapshot_to_wire(
+                RepresentativeSnapshot(self.engine.name, version, representative),
+                quantize=quantize,
+            )
         )
 
 
@@ -323,13 +320,4 @@ class LiveEngineApp(EngineApp):
         # (this engine restarted and its counter began again): full snapshot.
         if since is not None:
             self._m_delta_fallbacks.inc()
-        return Response(
-            payload={
-                "kind": "representative.snapshot",
-                "name": self.server.name,
-                "version": result.version,
-                "representative": representative_to_wire(
-                    result.representative
-                ),
-            }
-        )
+        return Response(payload=snapshot_to_wire(result))

@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import List, Optional, Union
 
 from repro.corpus.query import Query
-from repro.metasearch.broker import MetasearchBroker
+from repro.metasearch.broker import SearchPipeline
 from repro.metasearch.cache import EstimateCache
 from repro.obs.registry import MetricsRegistry
 from repro.serving.admission import ADMITTED, CLOSED, EXPIRED, AdmissionQueue
@@ -60,8 +60,9 @@ class GatewayApp(ServingApp):
     """Serve a metasearch broker with bounded admission.
 
     Args:
-        broker: The broker to expose.  Register engines (local or remote)
-            on it before serving.
+        broker: The :class:`~repro.metasearch.broker.SearchPipeline` to
+            expose — a broker (register its engines, local or remote,
+            before serving) or a sharded fleet.
         max_active: Broker requests allowed to execute concurrently.
         max_queued: Further requests allowed to wait for a slot; beyond
             this the gateway sheds.
@@ -90,7 +91,7 @@ class GatewayApp(ServingApp):
 
     def __init__(
         self,
-        broker: MetasearchBroker,
+        broker: SearchPipeline,
         *,
         max_active: int = 8,
         max_queued: int = 32,
@@ -126,18 +127,14 @@ class GatewayApp(ServingApp):
         self._coalesce_search: Optional[CoalescingWindow] = None
         if coalesce_window > 0:
             # Repeat queries answer straight from the estimate cache
-            # without joining a window; backends without a full-row cache
-            # probe (e.g. a ShardedFleet) simply always batch.
-            probe_all = getattr(broker, "estimate_all_cached", None)
-            probe = None
-            if probe_all is not None:
-                probe = lambda item: probe_all(item[0], item[1])  # noqa: E731
+            # without joining a window; a pipeline without a full-row cache
+            # (a ShardedFleet) answers None and so always batches.
             self._coalesce_estimate = CoalescingWindow(
                 self._execute_estimates,
                 max_wait=coalesce_window,
                 max_batch=coalesce_max_batch,
                 key=lambda item: (EstimateCache.query_key(item[0]), item[1]),
-                probe=probe,
+                probe=lambda item: broker.estimate_all_cached(*item),
                 registry=registry,
                 name="estimate",
             )
@@ -262,7 +259,7 @@ class GatewayApp(ServingApp):
             return None
         try:
             limit = int(limit)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # inf overflows
             raise HTTPError(400, f"bad limit: {exc}") from exc
         if limit < 0:
             raise HTTPError(400, f"limit must be >= 0, got {limit}")
@@ -281,7 +278,7 @@ class GatewayApp(ServingApp):
     def _parse_threshold(cls, payload: dict) -> float:
         try:
             return float(cls._require(payload, "threshold"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HTTPError(400, f"bad threshold: {exc}") from exc
 
     # -- routes --------------------------------------------------------------
@@ -334,7 +331,7 @@ class GatewayApp(ServingApp):
                 thresholds = [float(t) for t in raw_thresholds]
             else:
                 thresholds = float(raw_thresholds)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HTTPError(400, f"bad thresholds: {exc}") from exc
         limit = self._parse_limit(payload)
         try:

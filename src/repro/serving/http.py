@@ -230,7 +230,7 @@ class ServingApp:
             raise HTTPError(400, "POST body required")
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # digits / nesting limits too
             raise HTTPError(400, f"body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise HTTPError(400, "body must be a JSON object")

@@ -42,7 +42,7 @@ import json
 import os
 import socket
 import threading
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
@@ -56,12 +56,11 @@ from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.selection import EstimatedUsefulness
 from repro.serving.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.serving.wire import (
-    WireFormatError,
     decode_hits,
     estimate_from_wire,
     query_to_wire,
-    representative_from_wire,
     response_from_wire,
+    snapshot_from_wire,
 )
 
 __all__ = [
@@ -181,20 +180,42 @@ class _HTTPJsonClient:
             )
         return budget
 
-    def request(self, method: str, path: str, payload: Optional[dict] = None):
-        """One JSON round trip; returns the decoded response body."""
+    def request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[dict] = None,
+        decode: Optional[Callable] = None,
+    ):
+        """One JSON round trip; returns the response body, run through
+        ``decode`` when given (see :meth:`_decoded`)."""
         raw, response = self._roundtrip(method, path, payload)
         try:
-            return json.loads(raw.decode("utf-8"))
+            answer = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise RemoteServingError(
                 f"{self.base_url}{path} returned invalid JSON: {exc}"
             ) from exc
+        return answer if decode is None else self._decoded(path, decode, answer)
 
-    def request_raw(self, method: str, path: str):
-        """One round trip for a binary body; returns ``(bytes, headers)``."""
+    def request_raw(self, method: str, path: str, decode: Callable):
+        """One round trip for a binary body; returns ``decode(bytes,
+        headers)``, the headers a case-insensitive mapping."""
         raw, response = self._roundtrip(method, path, None)
-        return raw, dict(response.getheaders())
+        return self._decoded(path, decode, raw, response.headers)
+
+    def _decoded(self, path: str, decode: Callable, *answer):
+        """``decode(*answer)`` — the one place a 2xx answer of the wrong
+        shape (non-object body, missing field, wrong type, wrong ``kind``)
+        becomes a :class:`RemoteServingError`, which callers — the
+        dispatcher above all — handle like any other remote fault."""
+        try:
+            return decode(*answer)
+        except (AttributeError, KeyError, TypeError, ValueError, OSError) as exc:
+            raise RemoteServingError(
+                f"{self.base_url}{path} returned a malformed answer: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def _roundtrip(self, method: str, path: str, payload: Optional[dict]):
         budget = self._budget()
@@ -268,12 +289,15 @@ class RemoteEngine:
     @property
     def name(self) -> str:
         if self._name is None:
-            info = self._client.request("GET", "/healthz")
-            engine = info.get("engine")
+            engine, role = self._client.request(
+                "GET",
+                "/healthz",
+                decode=lambda info: (info.get("engine"), info.get("role")),
+            )
             if not engine:
                 raise RemoteServingError(
                     f"{self.base_url} does not identify an engine "
-                    f"(role={info.get('role')!r})"
+                    f"(role={role!r})"
                 )
             self._name = str(engine)
         return self._name
@@ -281,34 +305,27 @@ class RemoteEngine:
     @property
     def n_documents(self) -> int:
         """The engine's live document count (one ``/healthz`` round trip)."""
-        info = self._client.request("GET", "/healthz")
-        return int(info.get("documents", 0))
+        return self._client.request(
+            "GET", "/healthz", decode=lambda info: int(info.get("documents", 0))
+        )
 
     # -- the engine protocol -------------------------------------------------
 
     def search(self, query: Query, threshold: float) -> List[SearchHit]:
-        payload = self._client.request(
+        return self._client.request(
             "POST",
             "/search",
             {"query": query_to_wire(query), "threshold": float(threshold)},
+            decode=lambda answer: list(decode_hits(answer["hits"])),
         )
-        try:
-            return list(decode_hits(payload["hits"]))
-        except (KeyError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed hit list: {exc}"
-            ) from exc
 
     def max_similarity(self, query: Query) -> float:
-        payload = self._client.request(
-            "POST", "/max_similarity", {"query": query_to_wire(query)}
+        return self._client.request(
+            "POST",
+            "/max_similarity",
+            {"query": query_to_wire(query)},
+            decode=lambda answer: float(answer["value"]),
         )
-        try:
-            return float(payload["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed max_similarity: {exc}"
-            ) from exc
 
     def snapshot_representative(
         self, quantize: Optional[int] = None, columnar: bool = False
@@ -332,19 +349,7 @@ class RemoteEngine:
         path = "/representative"
         if quantize is not None:
             path = f"{path}?quantize={int(quantize)}"
-        payload = self._client.request("GET", path)
-        try:
-            return RepresentativeSnapshot(
-                name=str(payload["name"]),
-                version=int(payload["version"]),
-                representative=representative_from_wire(
-                    payload["representative"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed representative: {exc}"
-            ) from exc
+        return self._client.request("GET", path, decode=snapshot_from_wire)
 
     def sync_representative(
         self, since: Optional[int] = None
@@ -364,62 +369,36 @@ class RemoteEngine:
         path = "/representative/delta"
         if since is not None:
             path = f"{path}?since={int(since)}"
+
+        def decode(answer):
+            if answer.get("kind") == DELTA_KIND:
+                return RepresentativeDelta.from_json_dict(answer)
+            return snapshot_from_wire(answer)  # rejects any other kind
+
         try:
-            payload = self._client.request("GET", path)
+            return self._client.request("GET", path, decode=decode)
         except RemoteServingError as exc:
             if exc.status == 404:
                 # A plain EngineApp without the live protocol: fall back
                 # to the full snapshot it does serve.
                 return self.snapshot_representative()
             raise
-        kind = payload.get("kind") if isinstance(payload, dict) else None
-        try:
-            if kind == DELTA_KIND:
-                return RepresentativeDelta.from_json_dict(payload)
-            if kind == "representative.snapshot":
-                return RepresentativeSnapshot(
-                    name=str(payload["name"]),
-                    version=int(payload["version"]),
-                    representative=representative_from_wire(
-                        payload["representative"]
-                    ),
-                )
-        except (KeyError, TypeError, ValueError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed sync payload: {exc}"
-            ) from exc
-        raise RemoteServingError(
-            f"{self.base_url}{path} answered unknown kind {kind!r}"
-        )
 
     def _snapshot_columnar(self) -> RepresentativeSnapshot:
         import io
 
         from repro.representatives.columnar import ColumnarRepresentative
 
-        raw, headers = self._client.request_raw(
-            "GET", "/representative?format=npz"
-        )
-        version_header = next(
-            (
-                value
-                for key, value in headers.items()
-                if key.lower() == "x-repro-representative-version"
-            ),
-            None,
-        )
-        try:
+        def decode(raw, headers):
             representative = ColumnarRepresentative.load_npz(io.BytesIO(raw))
-            version = int(version_header)
-        except (KeyError, TypeError, ValueError, OSError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed columnar "
-                f"representative: {exc}"
-            ) from exc
-        return RepresentativeSnapshot(
-            name=representative.name,
-            version=version,
-            representative=representative,
+            return RepresentativeSnapshot(
+                name=representative.name,
+                version=int(headers.get("X-Repro-Representative-Version")),
+                representative=representative,
+            )
+
+        return self._client.request_raw(
+            "GET", "/representative?format=npz", decode
         )
 
     def close(self) -> None:
@@ -448,17 +427,14 @@ class GatewayClient:
     def estimate(
         self, query: Query, threshold: float
     ) -> List[EstimatedUsefulness]:
-        payload = self._client.request(
+        return self._client.request(
             "POST",
             "/estimate",
             {"query": query_to_wire(query), "threshold": float(threshold)},
+            decode=lambda answer: [
+                estimate_from_wire(e) for e in answer["estimates"]
+            ],
         )
-        try:
-            return [estimate_from_wire(e) for e in payload["estimates"]]
-        except (KeyError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned malformed estimates: {exc}"
-            ) from exc
 
     def search(
         self, query: Query, threshold: float, limit: Optional[int] = None
@@ -466,13 +442,9 @@ class GatewayClient:
         body = {"query": query_to_wire(query), "threshold": float(threshold)}
         if limit is not None:
             body["limit"] = int(limit)
-        payload = self._client.request("POST", "/search", body)
-        try:
-            return response_from_wire(payload)
-        except WireFormatError as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned a malformed response: {exc}"
-            ) from exc
+        return self._client.request(
+            "POST", "/search", body, decode=response_from_wire
+        )
 
     def search_batch(
         self,
@@ -490,13 +462,14 @@ class GatewayClient:
         }
         if limit is not None:
             body["limit"] = int(limit)
-        payload = self._client.request("POST", "/batch", body)
-        try:
-            return [response_from_wire(r) for r in payload["responses"]]
-        except (KeyError, WireFormatError) as exc:
-            raise RemoteServingError(
-                f"{self.base_url} returned malformed batch responses: {exc}"
-            ) from exc
+        return self._client.request(
+            "POST",
+            "/batch",
+            body,
+            decode=lambda answer: [
+                response_from_wire(r) for r in answer["responses"]
+            ],
+        )
 
     def healthz(self) -> dict:
         return self._client.request("GET", "/healthz")

@@ -12,17 +12,19 @@ sees the rest of the fleet — and never needs to: per-engine usefulness
 estimates depend only on that engine's representative and the query, so
 a slice estimates bit-identically to the full fleet.
 
-:class:`ShardApp` exposes the two scatter phases plus slice shipping:
+:class:`ShardApp` exposes the shard broker's own two pipeline steps (the
+shard protocol *is* :class:`~repro.metasearch.broker.SearchPipeline`'s
+backend protocol, one process removed) plus slice shipping:
 
-* ``POST /estimate`` — a *batch* of queries with per-query thresholds;
-  returns one estimate row per query covering this shard's engines,
-  computed by the broker's batch estimation routine.
-* ``POST /dispatch`` — a batch of ``{query, threshold, engines}``
-  entries; forwards each query to the named engines (which must live on
-  this shard) through the broker's dispatcher and returns per-engine
-  hits, failure records, and latencies.  Selection is *not* applied
-  here — the coordinator selects centrally on the merged estimate rows,
-  so any policy behaves exactly as it would in one process.
+* ``POST /estimate`` — the *rows* step: a batch of queries with per-query
+  thresholds; returns one estimate row per query covering this shard's
+  engines (``broker.estimate_batch``).
+* ``POST /dispatch`` — the *reports* step: a batch of ``{query, threshold,
+  engines}`` entries; ``broker.reports`` forwards each query to the named
+  engines (which must live on this shard) and the answer carries
+  per-engine hits, failure records, and latencies.  Selection is *not*
+  applied here — the coordinator selects centrally on the merged estimate
+  rows, so any policy behaves exactly as it would in one process.
 * ``GET /slice`` — the shard's fleet slice as the columnar ``.npz``
   bundle (``application/octet-stream``), cached after the first build
   and invalidated when a delta mutates the slice; the ``X-Repro-Shard``
@@ -148,7 +150,7 @@ class ShardApp(ServingApp):
                 thresholds: object = [float(t) for t in raw_thresholds]
             else:
                 thresholds = float(raw_thresholds)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HTTPError(400, f"bad thresholds: {exc}") from exc
         try:
             rows = self.broker.estimate_batch(queries, thresholds)
@@ -168,35 +170,27 @@ class ShardApp(ServingApp):
 
     def _route_dispatch(self, params, payload) -> Response:
         entries = self._parse_batch(payload, "entries")
-        batches = []
+        owned = set(self.broker.engine_names)
+        queries, thresholds, engine_lists = [], [], []
         for entry in entries:
             if not isinstance(entry, dict):
                 raise HTTPError(400, "each dispatch entry must be an object")
-            query = self._parse_query(entry.get("query"))
+            queries.append(self._parse_query(entry.get("query")))
             try:
-                threshold = float(entry.get("threshold"))
-            except (TypeError, ValueError) as exc:
+                thresholds.append(float(entry.get("threshold")))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise HTTPError(400, f"bad threshold: {exc}") from exc
             names = entry.get("engines")
             if not isinstance(names, list):
                 raise HTTPError(400, "'engines' must be a list of names")
-            calls = {}
-            for raw_name in names:
-                name = str(raw_name)
-                try:
-                    engine = self.broker.engine_of(name)
-                except KeyError:
+            engine_lists.append([str(name) for name in names])
+            for name in engine_lists[-1]:
+                if name not in owned:
                     raise HTTPError(
                         400,
                         f"engine {name!r} is not on shard {self.shard_index}",
-                    ) from None
-                calls[name] = (
-                    lambda engine=engine, q=query, t=threshold: engine.search(
-                        q, t
                     )
-                )
-            batches.append(calls)
-        reports = self.broker.dispatcher.dispatch_many(batches)
+        reports = self.broker.reports(queries, thresholds, engine_lists)
         self._m_dispatches.inc(len(entries))
         return Response(
             payload={

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
+from repro.fleet.delta import RepresentativeSnapshot
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.dispatch import EngineFailure
 from repro.metasearch.selection import EstimatedUsefulness
@@ -55,6 +56,8 @@ __all__ = [
     "representative_to_wire",
     "response_from_wire",
     "response_to_wire",
+    "snapshot_from_wire",
+    "snapshot_to_wire",
     "usefulness_from_wire",
     "usefulness_to_wire",
 ]
@@ -100,7 +103,7 @@ def query_from_wire(payload: dict) -> Query:
             terms=tuple(str(t) for t in terms),
             weights=tuple(float(w) for w in weights),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"invalid query payload: {exc}") from exc
 
 
@@ -353,3 +356,27 @@ def representative_from_wire(payload: dict) -> DatabaseRepresentative:
     if kind == "representative.quantized":
         return _decode_quantized(payload)
     raise WireFormatError(f"unknown representative kind {kind!r}")
+
+
+def snapshot_to_wire(
+    snapshot: RepresentativeSnapshot, quantize: Optional[int] = None
+) -> dict:
+    """Encode a versioned representative — what ``GET /representative``
+    and the live ``/representative/delta`` fallback both answer."""
+    return {
+        "kind": "representative.snapshot",
+        "name": snapshot.name,
+        "version": snapshot.version,
+        "representative": representative_to_wire(
+            snapshot.representative, quantize=quantize
+        ),
+    }
+
+
+def snapshot_from_wire(payload: dict) -> RepresentativeSnapshot:
+    _expect_kind(payload, "representative.snapshot")
+    return RepresentativeSnapshot(
+        name=str(_field(payload, "name")),
+        version=int(_field(payload, "version")),
+        representative=representative_from_wire(_field(payload, "representative")),
+    )

@@ -1,5 +1,10 @@
 """Property-based tests for the serving wire schema.
 
+The decoders' contract is *4xx, never 500*: any POST route handed a valid
+body with one field replaced by an arbitrary JSON value answers with a
+status below 500, and — on the routes that change no state — answers the
+next valid request exactly as before (decoder fuzzing, first slice).
+
 The wire contract is *exactness*: anything serialized, pushed through a
 real ``json.dumps``/``json.loads`` cycle (what HTTP transports), and
 deserialized must come back ``==`` — and estimates computed from a
@@ -9,17 +14,25 @@ original.  The quantized wire form must decode to exactly what
 locally, so a broker can hold either without changing any answer.
 """
 
+import copy
 import json
+import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import SubrangeEstimator
-from repro.corpus import Query
-from repro.engine import SearchHit
+from repro.corpus import Collection, Document, Query
+from repro.engine import SearchEngine, SearchHit
+from repro.fleet import LiveEngineServer
+from repro.metasearch import MetasearchBroker
 from repro.representatives import DatabaseRepresentative, TermStats
 from repro.representatives.quantized import quantize_representative
 from repro.serving import (
+    EngineApp,
+    GatewayApp,
+    LiveEngineApp,
+    ShardApp,
     decode_hits,
     encode_hits,
     query_from_wire,
@@ -137,3 +150,186 @@ def test_estimates_survive_the_wire_byte_for_byte(representative, threshold):
         query, representative_from_wire(wire), threshold
     )
     assert remote == local
+
+
+# -- decoder fuzzing: one mutated field per request ----------------------------
+
+
+def documents(prefix, term_lists):
+    return [Document(f"{prefix}{i}", terms=t) for i, t in enumerate(term_lists)]
+
+
+CORPUS = [["rocket", "orbit"], ["rocket"], ["plum", "fuel"]]
+WIRE_QUERY = query_to_wire(Query(terms=("rocket", "orbit"), weights=(2.0, 1.0)))
+OTHER_QUERY = query_to_wire(Query(terms=("plum",), weights=(1.0,)))
+
+#: Routes whose valid request changes the app's state (so each example
+#: gets fresh apps and there is no "next request answers as before").
+MUTATING = {("shard", "/delta"), ("live", "/mutate")}
+
+
+def build_apps():
+    """The four apps over tiny corpora, and one valid body per POST route
+    (the construction is deterministic, so so are the bodies)."""
+    static = SearchEngine(Collection.from_documents("e0", documents("a", CORPUS)))
+    broker = MetasearchBroker()
+    broker.register(static)
+    broker.register(
+        SearchEngine(Collection.from_documents("e1", documents("b", CORPUS[:2])))
+    )
+    live = LiveEngineServer("e1", documents("c", CORPUS))
+    shard_broker = MetasearchBroker()
+    shard_broker.register(static)
+    shard_broker.sync_representative(live)
+    synced = live.version
+    live.remove_documents(["c2"])  # "plum", "fuel" vanish: two del records
+    live.add_documents(documents("n", [["rocket", "kiwi"], ["kiwi"]]))
+    apps = {
+        "gateway": GatewayApp(broker),
+        "shard": ShardApp(shard_broker),
+        "engine": EngineApp(static),
+        "live": LiveEngineApp(LiveEngineServer("lv", documents("d", CORPUS))),
+    }
+    search = {"query": WIRE_QUERY, "threshold": 0.2}
+    bodies = {
+        ("gateway", "/estimate"): search,
+        ("gateway", "/search"): {**search, "limit": 3},
+        ("gateway", "/batch"): {
+            "queries": [WIRE_QUERY, OTHER_QUERY],
+            "thresholds": [0.2, 0.1],
+            "limit": 3,
+        },
+        ("shard", "/estimate"): {"queries": [WIRE_QUERY], "thresholds": [0.2]},
+        ("shard", "/dispatch"): {
+            "entries": [{**search, "engines": ["e0", "e1"]}]
+        },
+        ("shard", "/delta"): live.delta_since(synced).to_json_dict(),
+        ("engine", "/search"): search,
+        ("engine", "/max_similarity"): {"query": WIRE_QUERY},
+        ("live", "/search"): search,
+        ("live", "/max_similarity"): {"query": WIRE_QUERY},
+        ("live", "/mutate"): {
+            "add": [{"doc_id": "x1", "terms": ["kiwi"], "text": "kiwi"}],
+            "remove": ["d0"],
+        },
+    }
+    return apps, bodies
+
+
+def paths_of(node, prefix=()):
+    """Every non-root position in a JSON document, as a key/index tuple."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths_of(child, prefix + (key,))
+
+
+def replaced(body, path, value):
+    body = copy.deepcopy(body)
+    node = body
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return body
+
+
+def post(app, route, body):
+    return app.handle("POST", route, {}, json.dumps(body).encode("utf-8"))
+
+
+def comparable(payload):
+    """A response payload without its wall-clock parts."""
+    if isinstance(payload, dict):
+        return {
+            key: comparable(value)
+            for key, value in payload.items()
+            if key != "latencies"
+        }
+    if isinstance(payload, list):
+        return [comparable(value) for value in payload]
+    return payload
+
+
+APPS, BODIES = build_apps()
+CASES = [
+    (route, path) for route, body in BODIES.items() for path in paths_of(body)
+]
+BASELINE = {
+    route: comparable(post(APPS[route[0]], route[1], body).payload)
+    for route, body in BODIES.items()
+    if route not in MUTATING
+}
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 2**63, -1, 0])
+    | st.floats()  # NaN and the infinities included: json.loads takes them
+    | st.text(max_size=8)
+    | st.sampled_from(["set", "del", "rocket", "e0", "query", "0.5", "2"]),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def test_every_post_route_and_decoder_shape_is_fuzzed():
+    assert {route for route, __ in CASES} == set(BODIES)
+    records = BODIES["shard", "/delta"]["records"]
+    assert {len(record) for record in records} == {2, 6}
+
+
+def test_bodies_past_the_json_parser_limits_are_400():
+    # A plain ValueError (integer digit limit) and a RecursionError, not
+    # JSONDecodeErrors; neither can be written with json.dumps.
+    for body in (b'{"threshold": ' + b"1" * 5000 + b"}", b"[" * 100_000):
+        for name, route in BODIES:
+            assert APPS[name].handle("POST", route, {}, body).status == 400
+
+
+@given(st.sampled_from([c for c in CASES if c[0] not in MUTATING]), json_values)
+@example((("gateway", "/search"), ("limit",)), math.inf)
+@example((("gateway", "/batch"), ("limit",)), math.inf)
+@example((("gateway", "/estimate"), ("query", "weights", 0)), math.nan)
+@example((("gateway", "/search"), ("query", "weights", 1)), math.inf)
+@example((("gateway", "/search"), ("threshold",)), 10**400)
+@example((("shard", "/dispatch"), ("entries", 0, "engines", 1)), "e2")
+def test_mutated_request_is_4xx_and_leaves_no_trace(case, value):
+    route, path = case
+    app, body = APPS[route[0]], BODIES[route]
+    assert post(app, route[1], replaced(body, path, value)).status < 500
+    after = post(app, route[1], body)
+    assert after.status == 200
+    assert comparable(after.payload) == BASELINE[route]
+
+
+@given(st.sampled_from([c for c in CASES if c[0] in MUTATING]), json_values)
+@example((("shard", "/delta"), ("records", 2)), ["set", "a"])
+@example((("shard", "/delta"), ("records",)), "x")
+@example((("shard", "/delta"), ("n_documents",)), "2")
+@example((("shard", "/delta"), ("name",)), ["e1"])
+@example((("shard", "/delta"), ("records", 2, 3)), math.nan)
+@example((("shard", "/delta"), ("to_version",)), True)
+def test_mutated_write_is_4xx_and_a_refused_delta_changes_nothing(case, value):
+    route, path = case
+    apps, bodies = build_apps()
+    app = apps[route[0]]
+
+    def shard_state():
+        return (
+            app.broker.representative_version("e1"),
+            app.broker.representative_of("e1").materialize(),
+            post(app, "/estimate", bodies["shard", "/estimate"]).payload,
+        )
+
+    before = shard_state() if route[1] == "/delta" else None
+    response = post(app, route[1], replaced(bodies[route], path, value))
+    assert response.status < 500
+    if route[1] == "/delta" and response.status != 200:
+        assert shard_state() == before
+        assert post(app, "/delta", bodies[route]).status == 200

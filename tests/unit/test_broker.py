@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core import Usefulness
 from repro.corpus import Collection, Document, Query
-from repro.engine import SearchEngine
-from repro.metasearch import MetasearchBroker, ThresholdPolicy, TopKPolicy
-from repro.metasearch.broker import broadcast_thresholds
+from repro.engine import SearchEngine, SearchHit
+from repro.metasearch import (
+    DispatchReport,
+    EngineFailure,
+    EstimatedUsefulness,
+    MetasearchBroker,
+    ThresholdPolicy,
+    TopKPolicy,
+)
+from repro.metasearch.broker import SearchPipeline, broadcast_thresholds
+from repro.obs import MetricsRegistry
 from repro.representatives import build_representative
 
 
@@ -136,3 +145,137 @@ class TestSearch:
         broker.register(make_engine("b", [["x", "z", "w"]]))
         invoked = broker.search(Query.from_terms(["x"]), 0.1).invoked
         assert len(invoked) == 1
+
+
+def failure(engine, message="boom"):
+    return EngineFailure(
+        engine=engine, kind="error", attempts=1, elapsed=0.25, message=message
+    )
+
+
+class CannedPipeline(SearchPipeline):
+    """A backend of two canned steps: every query gets the same estimate
+    row, and each invoked engine answers from ``HITS``, fails if listed in
+    ``down``, or (like a shard that vanished between the steps) says
+    nothing at all."""
+
+    series_prefix = "canned"
+    engine_names = ["a", "b", "c", "d", "lost"]
+    ROW = [  # best first; "d" is estimated useless, "lost" never estimated
+        EstimatedUsefulness("c", Usefulness(nodoc=3.0, avgsim=0.5)),
+        EstimatedUsefulness("a", Usefulness(nodoc=2.0, avgsim=0.5)),
+        EstimatedUsefulness("b", Usefulness(nodoc=1.0, avgsim=0.5)),
+        EstimatedUsefulness("d", Usefulness(nodoc=0.0, avgsim=0.0)),
+    ]
+    HITS = {
+        "a": [SearchHit(0.9, "a-1", "a"), SearchHit(0.2, "a-2", "a")],
+        "c": [SearchHit(0.9, "c-1", "c"), SearchHit(0.5, "c-2", "c")],
+    }
+
+    def __init__(self, down=("b",), **kwargs):
+        super().__init__(**kwargs)
+        self.down = down
+        self.calls = []
+
+    def __len__(self):
+        return len(self.engine_names)
+
+    def rows(self, queries, thresholds):
+        self.calls.append(("rows", list(queries), list(thresholds)))
+        return [list(self.ROW) for __ in queries], [failure("lost", "no shard")]
+
+    def reports(self, queries, thresholds, invoked_lists):
+        self.calls.append(("reports", list(queries), list(thresholds)))
+        return [
+            DispatchReport(
+                results={n: self.HITS[n] for n in invoked if n in self.HITS},
+                failures=[failure(n) for n in invoked if n in self.down],
+                latencies={n: 0.5 for n in invoked},
+            )
+            for invoked in invoked_lists
+        ]
+
+
+class TestSearchPipeline:
+    """The base class over a fake backend: everything but the two steps."""
+
+    QUERY = Query.from_terms(["rocket"])
+
+    def test_estimate_surface_is_views_of_the_rows_step(self):
+        pipeline = CannedPipeline()
+        assert pipeline.estimate_all(self.QUERY, 1) == CannedPipeline.ROW
+        assert pipeline.calls == [("rows", [self.QUERY], [1.0])]
+        assert pipeline.estimate_batch([self.QUERY] * 2, [0.1, 0.2]) == [
+            CannedPipeline.ROW
+        ] * 2
+        assert pipeline.calls[-1] == ("rows", [self.QUERY] * 2, [0.1, 0.2])
+        assert pipeline.select(self.QUERY, 0.2) == ["c", "a", "b"]
+        assert pipeline.estimate_all_cached(self.QUERY, 0.2) is None
+
+    def test_failures_and_latencies_are_ordered(self):
+        response = CannedPipeline(down=("b", "c")).search(self.QUERY, 0.2)
+        assert response.invoked == ["c", "a", "b"]
+        assert response.estimates == CannedPipeline.ROW
+        # Estimate failures first, then dispatch failures in invoked order.
+        assert response.failures == [
+            failure("lost", "no shard"), failure("c"), failure("b")
+        ]
+        assert list(response.latencies) == ["c", "a", "b"]
+        assert response.degraded and response.answered == ["a"]
+
+    def test_limit_truncates_after_the_total_order_merge(self):
+        pipeline = CannedPipeline()
+        merged = pipeline.search(self.QUERY, 0.2).hits
+        assert [h.doc_id for h in merged] == ["a-1", "c-1", "c-2", "a-2"]
+        for limit in (0, 1, 3, 9):
+            assert pipeline.search(self.QUERY, 0.2, limit).hits == merged[:limit]
+
+    def test_trace_has_one_span_per_stage_and_invoked_engine(self):
+        trace = CannedPipeline().search(self.QUERY, 0.2).trace
+        assert trace.stage_names() == [
+            "estimate", "select", "dispatch:c", "dispatch:a", "dispatch:b", "merge",
+        ]
+        spans = {span.name: span for span in trace.spans}
+        assert spans["estimate"].metadata == {"engines": 5}
+        assert spans["select"].metadata == {"selected": 3}
+        assert spans["merge"].metadata == {"hits": 4}
+        assert spans["dispatch:a"].metadata == {"ok": True}
+        assert spans["dispatch:b"].metadata == {"ok": False}
+        assert spans["dispatch:c"].duration == 0.5
+
+    def test_series_land_under_the_subclass_prefix(self):
+        registry = MetricsRegistry()
+        pipeline = CannedPipeline(registry=registry)
+        pipeline.search_batch([self.QUERY] * 2, 0.2)
+        pipeline.estimate_batch([self.QUERY], 0.2)
+        series = {}
+        for metric in registry.snapshot():
+            assert metric["name"].startswith("canned."), metric["name"]
+            value = metric["value"] if metric["kind"] == "counter" else metric["count"]
+            series[(metric["name"], *metric["labels"].values())] = value
+        assert series == {
+            ("canned.searches",): 2,
+            ("canned.searches.degraded",): 2,
+            ("canned.engines.invoked",): 6,
+            ("canned.batch.batches",): 2,
+            ("canned.batch.queries",): 3,
+            ("canned.batch.seconds",): 2,
+            ("canned.stage.seconds", "estimate"): 1,
+            ("canned.stage.seconds", "select"): 2,
+            ("canned.stage.seconds", "dispatch"): 1,
+            ("canned.stage.seconds", "merge"): 2,
+        }
+
+    def test_search_is_a_batch_of_one(self):
+        pipeline = CannedPipeline()
+        solo = pipeline.search(self.QUERY, 0.2, 3)
+        assert solo == pipeline.search_batch([self.QUERY], 0.2, 3)[0]
+        steps = [call[0] for call in pipeline.calls]
+        assert steps == ["rows", "reports"] * 2
+        assert pipeline.calls[0][1:] == pipeline.calls[2][1:]
+
+    def test_custom_policy_sees_each_row(self):
+        pipeline = CannedPipeline(policy=TopKPolicy(1))
+        assert [r.invoked for r in pipeline.search_batch([self.QUERY] * 2, 0.2)] == [
+            ["c"], ["c"]
+        ]

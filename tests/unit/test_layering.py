@@ -2,7 +2,9 @@
 
 ``repro.metasearch`` and ``repro.serving`` sit on top of the library
 packages; none of those may import them back — at module level or nested
-in a function — or the package graph grows a cycle.
+in a function — or the package graph grows a cycle.  And on top there is
+one search pipeline (``SearchPipeline`` in ``metasearch/broker.py``), not
+one per topology.
 """
 
 import ast
@@ -14,6 +16,9 @@ ROOT = Path(repro.__file__).parent
 LOWER = ("core", "corpus", "engine", "fleet", "index", "obs",
          "representatives", "stats", "text", "vsm")
 UPPER = ("repro.metasearch", "repro.serving")
+PIPELINE_ENTRY_POINTS = (
+    "estimate_all", "estimate_batch", "select", "search", "search_batch"
+)
 
 
 def imported_names(node, module):
@@ -46,3 +51,28 @@ def upward_imports():
 
 def test_lower_packages_never_import_the_broker_or_serving_layers():
     assert upward_imports() == []
+
+
+def test_there_is_one_search_pipeline():
+    """A second pipeline cannot grow back: only the pipeline itself and the
+    wire decoder build a ``MetasearchResponse``, and ``ShardedFleet`` — a
+    backend of two steps — defines none of the pipeline's entry points."""
+    builders, redefined = [], []
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "MetasearchResponse"
+            ):
+                builders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "ShardedFleet":
+                redefined += [
+                    f"{path.relative_to(ROOT)}:{item.lineno} {item.name}"
+                    for item in node.body
+                    if getattr(item, "name", None) in PIPELINE_ENTRY_POINTS
+                ]
+    assert [b.rsplit(":", 1)[0] for b in builders] == [
+        "metasearch/broker.py", "serving/wire.py"
+    ], builders
+    assert redefined == []

@@ -320,3 +320,131 @@ class TestRemoteTimeoutFailFast:
         assert report.failures[0].kind == "timeout"
         assert registry.value("dispatch.timeouts") == 1
         assert registry.value("dispatch.retries") in (None, 0)
+
+
+class TestShardDispatchRoute:
+    """``/dispatch`` is the broker's reports step behind validation."""
+
+    @pytest.fixture
+    def shard_app(self):
+        from repro.corpus import Collection, Document
+        from repro.engine import SearchEngine
+        from repro.metasearch import MetasearchBroker
+        from repro.serving import ShardApp
+
+        broker = MetasearchBroker()
+        for name in ("e0", "e1"):
+            broker.register(
+                SearchEngine(
+                    Collection.from_documents(
+                        name, [Document(f"{name}-d", terms=["rocket"])]
+                    )
+                )
+            )
+        return ShardApp(broker, shard_index=1)
+
+    def dispatch(self, app, engines):
+        import json
+
+        entry = {
+            "query": {"kind": "query", "terms": ["rocket"], "weights": [1.0]},
+            "threshold": 0.1,
+            "engines": engines,
+        }
+        body = json.dumps({"entries": [entry]}).encode("utf-8")
+        return app.handle("POST", "/dispatch", {}, body)
+
+    def test_engine_of_another_shard_is_400_before_any_call(self, shard_app):
+        response = self.dispatch(shard_app, ["e0", "e7"])
+        assert response.status == 400
+        assert response.payload["error"] == "engine 'e7' is not on shard 1"
+        assert shard_app.registry.value("dispatch.attempts") in (None, 0)
+
+    def test_duplicate_engine_name_answers_once(self, shard_app):
+        response = self.dispatch(shard_app, ["e1", "e0", "e1"])
+        assert response.status == 200
+        (report,) = response.payload["reports"]
+        assert list(report["results"]) == list(report["latencies"]) == ["e1", "e0"]
+        assert report["results"]["e1"] == [[1.0, "e1-d", "e1"]]
+        assert report["failures"] == []
+
+
+DEAD_URL = "http://127.0.0.1:9"  # never dialed: _roundtrip is patched
+
+
+def client_calls():
+    """One call per client decoder, by name."""
+    from repro.corpus import Query
+    from repro.fleet import RepresentativeDelta
+    from repro.serving import GatewayClient, RemoteEngine, ShardedFleet
+
+    query = Query.from_terms(["rocket"])
+    engine, gateway = RemoteEngine(DEAD_URL), GatewayClient(DEAD_URL)
+    fleet = ShardedFleet([DEAD_URL])
+    shard = fleet._shards[0]
+    fleet._owner = {"e": shard}
+    delta = RepresentativeDelta("e", 1, 2, 3, 3, ())
+    return {
+        "engine.name": lambda: engine.name,
+        "engine.search": lambda: engine.search(query, 0.1),
+        "engine.max_similarity": lambda: engine.max_similarity(query),
+        "engine.snapshot": lambda: engine.snapshot_representative(),
+        "engine.sync": lambda: engine.sync_representative(since=3),
+        "gateway.estimate": lambda: gateway.estimate(query, 0.1),
+        "gateway.search": lambda: gateway.search(query, 0.1),
+        "gateway.search_batch": lambda: gateway.search_batch([query], 0.1),
+        "fleet.estimates": lambda: fleet._shard_estimates(shard, {}, 1),
+        "fleet.dispatch": lambda: fleet._shard_dispatch(shard, [{}]),
+        "fleet.apply_delta": lambda: fleet.apply_delta(delta),
+    }
+
+
+class TestClientsRejectMalformedAnswers:
+    """Every client decoder runs behind ``_HTTPJsonClient._decoded``: a 2xx
+    answer of the wrong shape is a ``RemoteServingError`` — which the
+    dispatcher degrades on — never a bare TypeError/AttributeError/KeyError."""
+
+    @pytest.mark.parametrize("answer", ["[]", "{}", '{"kind": "nope"}', "7"])
+    @pytest.mark.parametrize("call", sorted(client_calls()))
+    def test_wrong_shape_raises_remote_serving_error(
+        self, monkeypatch, call, answer
+    ):
+        from repro.serving import RemoteServingError
+        from repro.serving.remote_engine import _HTTPJsonClient
+
+        monkeypatch.setattr(
+            _HTTPJsonClient,
+            "_roundtrip",
+            lambda self, method, path, payload: (answer.encode(), None),
+        )
+        with pytest.raises(RemoteServingError):
+            client_calls()[call]()
+
+    def test_non_object_healthz_never_attaches(self, monkeypatch):
+        from repro.serving import RemoteEngine, RemoteServingError, ShardedFleet
+        from repro.serving.remote_engine import _HTTPJsonClient
+
+        monkeypatch.setattr(
+            _HTTPJsonClient, "_roundtrip", lambda *args: (b"[]", None)
+        )
+        with pytest.raises(RemoteServingError, match="not ready"):
+            ShardedFleet([DEAD_URL]).attach(timeout=0.05, interval=0.01)
+        with pytest.raises(RemoteServingError):
+            RemoteEngine(DEAD_URL).n_documents
+
+    def test_malformed_shard_answer_degrades_the_row_not_the_query(
+        self, monkeypatch
+    ):
+        from repro.corpus import Query
+        from repro.serving import ShardedFleet
+        from repro.serving.remote_engine import _HTTPJsonClient
+
+        monkeypatch.setattr(
+            _HTTPJsonClient, "_roundtrip", lambda *args: (b"[]", None)
+        )
+        fleet = ShardedFleet([DEAD_URL])
+        fleet._shards[0].engines = ["e"]
+        rows, failures = fleet.rows([Query.from_terms(["rocket"])], [0.1])
+        assert rows == [[]]
+        assert [f.engine for f in failures] == ["e"]
+        assert "malformed answer" in failures[0].message

@@ -27,6 +27,8 @@ from repro.serving import (
     representative_to_wire,
     response_from_wire,
     response_to_wire,
+    snapshot_from_wire,
+    snapshot_to_wire,
     usefulness_from_wire,
     usefulness_to_wire,
 )
@@ -68,6 +70,16 @@ class TestQueryWire:
             query_from_wire(
                 {"kind": "query", "terms": ["a"], "weights": [-1.0]}
             )
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "1" + "0" * 400])
+    def test_weight_json_accepts_but_floats_cannot_hold_rejected(self, weight):
+        # json.loads takes NaN/Infinity and arbitrarily long integers; none
+        # may reach the expansion (NaN made it raise, answering 500).
+        payload = json.loads(
+            '{"kind": "query", "terms": ["a"], "weights": [%s]}' % weight
+        )
+        with pytest.raises(WireFormatError):
+            query_from_wire(payload)
 
 
 class TestHitsWire:
@@ -194,6 +206,32 @@ class TestRepresentativeWire:
         del wire["fields"]["std"]
         with pytest.raises(WireFormatError):
             representative_from_wire(wire)
+
+
+class TestSnapshotWire:
+    def test_roundtrip_and_envelope(self, representative):
+        from repro.fleet import RepresentativeSnapshot
+
+        snapshot = RepresentativeSnapshot("db1", 7, representative)
+        wire = snapshot_to_wire(snapshot)
+        assert list(wire) == ["kind", "name", "version", "representative"]
+        assert wire["kind"] == "representative.snapshot"
+        assert wire["representative"] == representative_to_wire(representative)
+        assert snapshot_from_wire(roundtrip_json(wire)) == snapshot
+        quantized = snapshot_from_wire(
+            roundtrip_json(snapshot_to_wire(snapshot, quantize=256))
+        )
+        assert quantized.representative == quantize_representative(
+            representative, levels=256
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {}, {"kind": "representative"}, {"kind": "representative.snapshot"}],
+    )
+    def test_anything_else_rejected(self, payload):
+        with pytest.raises(WireFormatError):
+            snapshot_from_wire(payload)
 
 
 class TestShardWirePayloads:
