@@ -288,7 +288,7 @@ def _batched_expansion(
 
     The per-estimator part — the counterpart of ``term_polynomial`` — is
     two callables: ``factor_rows(rows, j)`` returns term ``j``'s
-    ``(exponents, coeffs[, lengths])`` for the engine ``rows``, and
+    ``(exponents, coeffs, lengths)`` for the engine ``rows``, and
     ``scalar_polys(e)`` engine ``e``'s factor list for the demotion path.
     ``bound`` is each engine's worst-case accumulated exponent magnitude;
     rows where it is unsafe are demoted to the scalar product.
@@ -297,17 +297,17 @@ def _batched_expansion(
     n_engines, n_terms = matched.shape
     demoted = _unsafe_rows(bound, est.decimals)
     vectorizable = ~demoted
-    batch = BatchedGenFunc.ones(n_engines)
-    for j in range(n_terms):
-        rows = np.nonzero(matched[:, j] & vectorizable)[0]
-        if rows.size == 0:
-            continue
-        batch.multiply_rows(
-            rows, *factor_rows(rows, j),
-            decimals=est.decimals, prune_floor=est.prune_floor,
-        )
-        if est.max_terms is not None:
-            batch.budget_rows(est.max_terms, floor_start=est.prune_floor)
+
+    def term_factors():
+        for j in range(n_terms):
+            rows = np.nonzero(matched[:, j] & vectorizable)[0]
+            if rows.size:
+                yield (rows, *factor_rows(rows, j))
+
+    batch = BatchedGenFunc.product(
+        n_engines, term_factors(), decimals=est.decimals,
+        prune_floor=est.prune_floor, max_terms=est.max_terms,
+    )
     scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     if demoted.any():
         scalar_tails = _demote_rows(
@@ -413,7 +413,7 @@ def _expansion_grid(est, x, p, matched, n, thresholds):
         fcoef = np.empty((rows.size, 2))
         fcoef[:, 0] = p[rows, j]
         fcoef[:, 1] = 1.0 - p[rows, j]
-        return fexp, fcoef
+        return fexp, fcoef, None  # every row uses the full width
 
     def scalar_polys(e):
         return [

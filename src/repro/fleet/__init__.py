@@ -4,7 +4,7 @@ The paper assumes representative propagation "can be done infrequently"
 because the statistics tolerate staleness; this package makes being *right*
 cheap instead.  Engines publish version-stamped
 :class:`~repro.fleet.delta.RepresentativeDelta` objects describing exactly
-which terms changed; brokers apply them bit-exactly to dict and columnar
+which terms changed; brokers apply them bit-exactly to their columnar
 representatives and evict only the affected cache entries.
 """
 
@@ -15,7 +15,6 @@ from repro.fleet.delta import (
     RepresentativeDelta,
     RepresentativeSnapshot,
     TermDeltaRecord,
-    apply_delta,
     canonicalize,
     diff_representatives,
     rescale_probability,
@@ -30,7 +29,6 @@ __all__ = [
     "RepresentativeDelta",
     "RepresentativeSnapshot",
     "TermDeltaRecord",
-    "apply_delta",
     "canonicalize",
     "diff_representatives",
     "rescale_probability",

@@ -33,7 +33,9 @@ order.  Estimators that reduce over the whole representative (the binary
 independence baseline averages the per-term means) are sensitive to
 iteration order in the last ulp, so the live pipeline fixes one canonical
 order at both ends: engines publish canonically ordered snapshots
-(:func:`canonicalize`) and :func:`apply_delta` re-emits sorted terms.
+(:func:`canonicalize`) and delta application
+(:meth:`~repro.representatives.columnar.FleetRepresentativeStore.apply_delta`)
+re-emits sorted terms.
 
 Wire format
 -----------
@@ -61,7 +63,6 @@ __all__ = [
     "RepresentativeDelta",
     "RepresentativeSnapshot",
     "TermDeltaRecord",
-    "apply_delta",
     "canonicalize",
     "diff_representatives",
     "rescale_probability",
@@ -383,52 +384,4 @@ def diff_representatives(
         from_n_documents=old.n_documents,
         n_documents=new.n_documents,
         records=tuple(records),
-    )
-
-
-def apply_delta(
-    representative: DatabaseRepresentative, delta: RepresentativeDelta
-) -> DatabaseRepresentative:
-    """Apply ``delta`` to a dict representative; returns the new snapshot.
-
-    The result is bit-exact against a fresh canonical snapshot at
-    ``delta.to_version``: touched terms take the final stats the delta
-    carries, untouched terms rescale their probability exactly, and the
-    output iterates in canonical sorted-term order.  Deleting an absent
-    term is a no-op (state-based records are idempotent), but a mismatched
-    base document count is an error — it means the caller is applying the
-    delta to the wrong version.
-    """
-    if representative.name != delta.name:
-        raise ValueError(
-            f"delta for {delta.name!r} applied to {representative.name!r}"
-        )
-    if representative.n_documents != delta.from_n_documents:
-        raise ValueError(
-            f"delta expects a base of {delta.from_n_documents} documents, "
-            f"got {representative.n_documents}"
-        )
-    removed = {r.term for r in delta.records if r.op == "del"}
-    replaced = {r.term: r.stats for r in delta.records if r.op == "set"}
-    n_old = delta.from_n_documents
-    n_new = delta.n_documents
-    merged: Dict[str, TermStats] = {}
-    for term, stats in representative.items():
-        if term in removed or term in replaced:
-            continue
-        if n_old != n_new:
-            stats = TermStats(
-                probability=rescale_probability(stats.probability, n_old, n_new),
-                mean=stats.mean,
-                std=stats.std,
-                max_weight=stats.max_weight,
-            )
-        merged[term] = stats
-    merged.update(replaced)
-    if n_new == 0 and merged:
-        raise ValueError("delta empties the database but terms survive")
-    return DatabaseRepresentative(
-        name=delta.name,
-        n_documents=n_new,
-        term_stats={term: merged[term] for term in sorted(merged)},
     )

@@ -14,7 +14,7 @@ merge`` — and one of everything on that path:
   path — the estimate/select/search surface, the traces, the response
   assembly, its series — over a backend of two steps, *rows* and *reports*.
   :class:`MetasearchBroker` supplies them from its fleet store and
-  dispatcher, :class:`~repro.serving.coordinator.ShardedFleet` as two
+  dispatcher, the serving layer's ``ShardedFleet`` as two
   scatters over shards that serve their own broker's two steps.  The
   broker's solo ``search`` is the one remaining fork.
 * **One representative backend.**  Every registered representative is
@@ -587,9 +587,9 @@ class MetasearchBroker(SearchPipeline):
 
         The mutation is bit-exact: the updated representative equals the
         one a full rebuild of the mutated corpus would produce (in
-        canonical sorted-term order);
-        :func:`repro.fleet.delta.apply_delta` is the dict-form reference
-        the fleet store's in-place edit is tested against.
+        canonical sorted-term order); the dict-form reference the fleet
+        store's in-place edit is tested against is
+        ``tests/oracle.py::apply_delta``.
 
         Cache invalidation is *precise* when the estimator declares
         ``term_local``: only estimate-cache entries whose queries touch an

@@ -5,21 +5,30 @@ number of seconds the caller is still willing to wait.  The budget crosses
 process boundaries in the ``X-Repro-Deadline`` header (a float of seconds,
 not a wall-clock timestamp — clocks on two machines need not agree, but a
 duration survives the hop losing only the network transit time), and
-crosses *call* boundaries inside a process through an ambient thread-local
-scope: the gateway opens a :func:`deadline_scope` around request handling,
-and every :class:`~repro.serving.remote_engine.RemoteEngine` call issued
-underneath reads :func:`ambient_deadline` and forwards the *remaining*
-budget downstream.  Enforcement is cooperative and server-side as well:
+crosses *call* boundaries inside a process through an ambient scope held
+in a :class:`contextvars.ContextVar`: the gateway opens a
+:func:`deadline_scope` around request handling, and everything underneath
+— the dispatcher's retry backoff, every ``RemoteEngine`` call — reads
+:func:`ambient_deadline` and works within (and forwards downstream) the
+*remaining* budget.  Enforcement is cooperative and server-side as well:
 each server rejects work whose budget is already exhausted (504) rather
 than burning cycles on an answer nobody is waiting for.
+
+A context variable, not a thread-local, because the request does not stay
+on one thread: the dispatcher runs engine calls on pool threads, each
+inside a copy of the submitting thread's context, so a call sees its
+*request's* deadline wherever it runs (a thread started any other way
+begins with an empty context and sees none).  The module lives below the
+broker and imports nothing from the serving package, which re-exports its
+public names.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
-from typing import Optional
+from contextvars import ContextVar
+from typing import Optional, Tuple
 
 __all__ = [
     "DEADLINE_HEADER",
@@ -71,20 +80,25 @@ class Deadline:
         return f"Deadline(remaining={self.remaining():.3f}s)"
 
 
-_ambient = threading.local()
+#: The enclosing scopes' deadlines, outermost first.  An immutable tuple:
+#: a scope *sets* a longer one and resets it on exit, so a context copied
+#: mid-request (a dispatch worker's) is never mutated behind its back.
+_scopes: ContextVar[Tuple[Deadline, ...]] = ContextVar(
+    "repro_deadline_scopes", default=()
+)
 
 
 def ambient_deadline() -> Optional[Deadline]:
     """The tightest deadline of the enclosing scopes, or None."""
-    stack = getattr(_ambient, "stack", None)
-    if not stack:
+    scopes = _scopes.get()
+    if not scopes:
         return None
-    return min(stack, key=lambda d: d.expires_at)
+    return min(scopes, key=lambda d: d.expires_at)
 
 
 @contextmanager
 def deadline_scope(deadline: Optional[Deadline]):
-    """Make ``deadline`` ambient for the current thread.
+    """Make ``deadline`` ambient for the current context.
 
     ``None`` is a no-op scope so callers need not branch.  Scopes nest;
     the effective ambient deadline is always the tightest one, so an
@@ -93,31 +107,27 @@ def deadline_scope(deadline: Optional[Deadline]):
     if deadline is None:
         yield None
         return
-    stack = getattr(_ambient, "stack", None)
-    if stack is None:
-        stack = _ambient.stack = []
-    stack.append(deadline)
+    token = _scopes.set(_scopes.get() + (deadline,))
     try:
         yield deadline
     finally:
-        stack.pop()
+        _scopes.reset(token)
 
 
 @contextmanager
 def detached_deadline_scope(deadline: Optional[Deadline]):
-    """Replace the ambient scope stack for the duration of the block.
+    """Replace the ambient scopes for the duration of the block.
 
     Nested :func:`deadline_scope`\\ s can only *tighten* the budget, which
     is exactly wrong for a thread executing a coalesced batch on behalf
     of several requests: the leader's own request deadline must not cap
-    its batchmates.  This scope detaches from the caller's stack entirely
+    its batchmates.  This scope detaches from the caller's scopes entirely
     and makes ``deadline`` (typically the batch's loosest member
     deadline) the sole ambient deadline — or clears ambience when
-    ``deadline`` is ``None``.  The caller's stack is restored on exit.
+    ``deadline`` is ``None``.  The caller's scopes are restored on exit.
     """
-    saved = getattr(_ambient, "stack", None)
-    _ambient.stack = [] if deadline is None else [deadline]
+    token = _scopes.set(() if deadline is None else (deadline,))
     try:
         yield deadline
     finally:
-        _ambient.stack = saved if saved is not None else []
+        _scopes.reset(token)

@@ -21,8 +21,8 @@ production dispatch path:
   concurrent retries against one struggling backend do not synchronize).
   Retries count against the same deadline: the backoff sleep is clamped
   to whatever remains of the fan-out deadline and of any ambient
-  request deadline (:func:`repro.serving.deadlines.deadline_scope`), and
-  when the budget is already spent the retry is skipped entirely — the
+  request deadline (:func:`repro.metasearch.deadlines.deadline_scope`),
+  and when the budget is already spent the retry is skipped entirely — the
   last exception is surfaced instead of sleeping into a lost cause.  An
   exception whose ``retryable`` attribute is false is never retried
   (serving-layer clients use this to fail fast on exhausted deadlines),
@@ -34,13 +34,20 @@ production dispatch path:
   list plus a structured failure record; healthy engines' results are
   unaffected.  The query never sinks with one bad backend.
 
-``workers=1`` keeps the historical serial path: calls run in the caller's
-thread, in selection order, with no executor.  A deadline cannot preempt an
-in-thread call, so configuring ``timeout`` together with ``workers=1`` is
-rejected at construction rather than silently ignored.  Retry and failure
-capture still apply on the serial path, so the serial and concurrent paths
-return identical results for healthy engines — which is what the property
-suite asserts.
+There is one execution core: every call runs the same worker body
+(:meth:`ConcurrentDispatcher._outcome` — the retry loop, answering an
+outcome record instead of raising) and one loop in
+:meth:`~ConcurrentDispatcher.dispatch_many` turns outcomes into reports,
+failure records and metrics; :meth:`~ConcurrentDispatcher.dispatch` is a
+batch of one.  ``workers`` selects only *where* the worker body runs.
+``workers=1`` runs it inline — the caller's thread, selection order, no
+executor; a deadline cannot preempt an in-thread call, so ``timeout``
+together with ``workers=1`` is rejected at construction rather than
+silently ignored.  ``workers > 1`` submits it to a pool created for the
+fan-out and abandoned after it (worker threads are never reused), each call
+inside a copy of the caller's :mod:`contextvars` context, so a call
+observes the request's ambient state (its deadline) on either path — which,
+with identical results for healthy engines, the property suite asserts.
 
 Dispatch is instrumented: pass a :class:`~repro.obs.MetricsRegistry` to
 record attempts, retries, timeouts, errors, and a per-engine latency
@@ -50,36 +57,22 @@ no-op.
 
 from __future__ import annotations
 
+import contextvars
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.results import SearchHit
+from repro.metasearch.deadlines import ambient_deadline
 from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY
 
 __all__ = ["ConcurrentDispatcher", "DispatchReport", "EngineFailure"]
 
 #: A zero-argument callable performing one engine search.
 EngineCall = Callable[[], List[SearchHit]]
-
-
-def _ambient_remaining() -> Optional[float]:
-    """Seconds left on the tightest ambient serving deadline, or ``None``.
-
-    The serving layer (which imports this module) publishes per-request
-    deadlines through a thread-local scope; importing it eagerly here
-    would be circular, so the lookup is deferred to call time — by the
-    first retry every module involved is fully initialized.
-    """
-    try:
-        from repro.serving.deadlines import ambient_deadline
-    except ImportError:  # pragma: no cover - serving package always ships
-        return None
-    deadline = ambient_deadline()
-    return None if deadline is None else deadline.remaining()
 
 
 @dataclass(frozen=True)
@@ -137,15 +130,23 @@ class DispatchReport:
         return list(self.results.values())
 
 
+#: The execution core keys every call ``(batch index, engine name)``, so
+#: several batches can share one fan-out and one deadline.
+_Key = Tuple[int, str]
+
+#: What one call came to: ``(hits, elapsed seconds)``, or its failure.
+_Outcome = Union[Tuple[List[SearchHit], float], EngineFailure]
+
+
 class ConcurrentDispatcher:
     """Queries engines in parallel with timeout, retry, and degradation.
 
     Args:
-        workers: Maximum concurrent engine calls; ``1`` selects the
-            serial in-thread path (no executor).
+        workers: Maximum concurrent engine calls; ``1`` runs them inline
+            in the caller's thread (no executor).
         timeout: Deadline in seconds for the whole fan-out, measured from
             dispatch start; ``None`` disables it.  A deadline is only
-            enforceable on the concurrent path, so ``timeout`` with
+            enforceable on pool threads, so ``timeout`` with
             ``workers=1`` raises :class:`ValueError` instead of silently
             never firing.
         retries: Extra attempts after a raised engine call (a timed out
@@ -174,7 +175,7 @@ class ConcurrentDispatcher:
             raise ValueError(f"timeout must be positive, got {timeout!r}")
         if timeout is not None and workers == 1:
             raise ValueError(
-                "timeout requires workers > 1: the serial path runs engine "
+                "timeout requires workers > 1: workers=1 runs engine "
                 "calls in the caller's thread, where a deadline cannot be "
                 "enforced"
             )
@@ -193,13 +194,6 @@ class ConcurrentDispatcher:
         self._m_timeouts = self.registry.counter("dispatch.timeouts")
         self._m_errors = self.registry.counter("dispatch.errors")
 
-    def _observe_engine_latency(self, name: str, seconds: float) -> None:
-        self.registry.histogram(
-            "dispatch.engine.seconds",
-            buckets=LATENCY_BUCKETS,
-            labels={"engine": name},
-        ).observe(seconds)
-
     # -- single-engine attempt loop ------------------------------------------------
 
     def _retry_budget(self, expires_at: Optional[float]) -> Optional[float]:
@@ -210,9 +204,10 @@ class ConcurrentDispatcher:
         budget: Optional[float] = None
         if expires_at is not None:
             budget = expires_at - time.perf_counter()
-        ambient = _ambient_remaining()
+        ambient = ambient_deadline()
         if ambient is not None:
-            budget = ambient if budget is None else min(budget, ambient)
+            remaining = ambient.remaining()
+            budget = remaining if budget is None else min(budget, remaining)
         return budget
 
     def _call_with_retry(
@@ -257,87 +252,60 @@ class ConcurrentDispatcher:
                         time.sleep(sleep)
                 self._m_retries.inc()
 
-    @staticmethod
-    def _error_failure(name: str, exc: Exception) -> EngineFailure:
-        # Exceptions may carry a ``failure_kind`` (e.g. the serving layer
-        # marks an exhausted-deadline fail-fast as a "timeout" rather
-        # than a generic "error").
-        return EngineFailure(
-            engine=name,
-            kind=getattr(exc, "failure_kind", "error"),
-            attempts=getattr(exc, "_dispatch_attempts", 1),
-            elapsed=getattr(exc, "_dispatch_elapsed", 0.0),
-            message=f"{type(exc).__name__}: {exc}",
-        )
+    def _outcome(
+        self, name: str, call: EngineCall, expires_at: Optional[float] = None
+    ) -> _Outcome:
+        """The one worker body, wherever it runs: ``call`` under the retry
+        policy, answered as an outcome record — ``(hits, elapsed)``, or the
+        :class:`EngineFailure` when every attempt raised.  Never raises:
+        a failed engine degrades the fan-out, it does not sink it."""
+        try:
+            hits, __, elapsed = self._call_with_retry(name, call, expires_at)
+            return hits, elapsed
+        except Exception as exc:
+            # Exceptions may carry a ``failure_kind`` (e.g. the serving
+            # layer marks an exhausted-deadline fail-fast as a "timeout"
+            # rather than a generic "error").
+            return EngineFailure(
+                engine=name,
+                kind=getattr(exc, "failure_kind", "error"),
+                attempts=getattr(exc, "_dispatch_attempts", 1),
+                elapsed=getattr(exc, "_dispatch_elapsed", 0.0),
+                message=f"{type(exc).__name__}: {exc}",
+            )
 
-    def _count_failure(self, failure: EngineFailure) -> None:
-        if failure.kind == "timeout":
-            self._m_timeouts.inc()
-        else:
-            self._m_errors.inc()
+    # -- fan-out --------------------------------------------------------------------
 
-    # -- keyed execution core --------------------------------------------------------
-
-    # The execution core works on arbitrary hashable keys plus a ``label``
-    # function mapping a key to its engine name (used for failure records
-    # and latency histogram labels).  ``dispatch`` uses the engine name as
-    # the key directly; ``dispatch_many`` uses ``(batch_index, name)`` so
-    # several batches can share one fan-out and one deadline.
-
-    def _execute(self, calls: Mapping, label: Callable) -> tuple:
-        if self.workers == 1 or not calls:
-            return self._execute_serial(calls, label)
-        return self._execute_concurrent(calls, label)
-
-    def _execute_serial(self, calls: Mapping, label: Callable) -> tuple:
-        results: Dict = {}
-        failures: List[tuple] = []
-        latencies: Dict = {}
-        for key, call in calls.items():
-            name = label(key)
-            try:
-                hits, attempts, elapsed = self._call_with_retry(name, call)
-            except Exception as exc:  # degraded, never fatal
-                failure = self._error_failure(name, exc)
-                self._count_failure(failure)
-                failures.append((key, failure))
-                latencies[key] = getattr(exc, "_dispatch_elapsed", 0.0)
-            else:
-                results[key] = hits
-                latencies[key] = elapsed
-            self._observe_engine_latency(name, latencies[key])
-        return results, failures, latencies
-
-    def _execute_concurrent(self, calls: Mapping, label: Callable) -> tuple:
-        results: Dict = {}
-        failures: List[tuple] = []
-        latencies: Dict = {}
+    def _pooled(self, calls: Dict[_Key, EngineCall]) -> tuple:
+        """Run the worker body for every call on a pool created for this
+        fan-out, under the ``timeout`` deadline; returns ``(outcomes,
+        waited)``.  A call abandoned at the deadline (or cancelled before
+        it started) has no outcome, only the seconds waited for it."""
         start = time.perf_counter()
         expires_at = None if self.timeout is None else start + self.timeout
-        outcomes: Dict = {}
+        outcomes: Dict[_Key, _Outcome] = {}
+        waited: Dict[_Key, float] = {}
         lock = threading.Lock()
 
-        def run(key, call: EngineCall) -> None:
+        def run(key: _Key, call: EngineCall) -> None:
             # Outcomes are recorded inside the worker so a late-finishing
             # engine that already missed the deadline cannot race the
-            # report assembly below.
-            try:
-                hits, attempts, elapsed = self._call_with_retry(
-                    label(key), call, expires_at
-                )
-                with lock:
-                    outcomes[key] = ("ok", hits, attempts, elapsed)
-            except Exception as exc:
-                with lock:
-                    outcomes[key] = ("error", exc)
+            # snapshot below.
+            outcome = self._outcome(key[1], call, expires_at)
+            with lock:
+                outcomes[key] = outcome
 
         executor = ThreadPoolExecutor(
             max_workers=min(self.workers, len(calls)),
             thread_name_prefix="repro-dispatch",
         )
         try:
+            # Each call runs in a copy of *this* thread's context, so it
+            # observes the caller's ambient state (the request deadline)
+            # exactly as an inline call would.  One copy per call: a
+            # Context cannot be entered by two threads at once.
             futures = {
-                key: executor.submit(run, key, call)
+                key: executor.submit(contextvars.copy_context().run, run, key, call)
                 for key, call in calls.items()
             }
             for key, future in futures.items():
@@ -348,43 +316,13 @@ class ConcurrentDispatcher:
                     future.result(timeout=remaining)
                 except FutureTimeout:
                     future.cancel()
-                latencies[key] = time.perf_counter() - start
+                waited[key] = time.perf_counter() - start
             with lock:
-                done = dict(outcomes)
-            for key in calls:
-                outcome = done.get(key)
-                if outcome is None:
-                    self._m_timeouts.inc()
-                    failures.append(
-                        (
-                            key,
-                            EngineFailure(
-                                engine=label(key),
-                                kind="timeout",
-                                attempts=0,
-                                elapsed=latencies[key],
-                                message=f"no answer within {self.timeout}s deadline",
-                            ),
-                        )
-                    )
-                elif outcome[0] == "ok":
-                    _, hits, attempts, elapsed = outcome
-                    results[key] = hits
-                    latencies[key] = elapsed
-                else:
-                    exc = outcome[1]
-                    failure = self._error_failure(label(key), exc)
-                    self._count_failure(failure)
-                    failures.append((key, failure))
-                    latencies[key] = getattr(exc, "_dispatch_elapsed", 0.0)
-                self._observe_engine_latency(label(key), latencies[key])
+                return dict(outcomes), waited
         finally:
             # Abandon hung workers instead of joining them; their threads
             # finish (or leak until process exit) without blocking us.
             executor.shutdown(wait=False)
-        return results, failures, latencies
-
-    # -- fan-out --------------------------------------------------------------------
 
     def dispatch(self, calls: Mapping[str, EngineCall]) -> DispatchReport:
         """Run every engine call; never raises for an engine failure.
@@ -394,15 +332,7 @@ class ConcurrentDispatcher:
                 call.  Result/latency dicts preserve this order for the
                 engines that answered.
         """
-        self._m_dispatches.inc()
-        results, failures, latencies = self._execute(calls, lambda key: key)
-        return DispatchReport(
-            results={name: results[name] for name in calls if name in results},
-            failures=[failure for __, failure in failures],
-            latencies={
-                name: latencies[name] for name in calls if name in latencies
-            },
-        )
+        return self.dispatch_many([calls])[0]
 
     def dispatch_many(
         self, batches: Sequence[Mapping[str, EngineCall]]
@@ -416,36 +346,48 @@ class ConcurrentDispatcher:
         :class:`DispatchReport` per input batch, preserving each batch's
         call order; an engine may appear in any number of batches.
 
-        On the serial path (``workers=1``) batches simply run back to
-        back, preserving the historical semantics.
+        Inline (``workers=1``) batches simply run back to back.
         """
         self._m_dispatches.inc()
-        flat: Dict[tuple, EngineCall] = {}
-        for index, calls in enumerate(batches):
-            for name, call in calls.items():
-                flat[(index, name)] = call
-        results, failures, latencies = self._execute(flat, lambda key: key[1])
-        reports = []
-        for index, calls in enumerate(batches):
-            reports.append(
-                DispatchReport(
-                    results={
-                        name: results[(index, name)]
-                        for name in calls
-                        if (index, name) in results
-                    },
-                    failures=[
-                        failure
-                        for key, failure in failures
-                        if key[0] == index
-                    ],
-                    latencies={
-                        name: latencies[(index, name)]
-                        for name in calls
-                        if (index, name) in latencies
-                    },
+        calls: Dict[_Key, EngineCall] = {
+            (index, name): call
+            for index, batch in enumerate(batches)
+            for name, call in batch.items()
+        }
+        if self.workers == 1 or not calls:
+            waited: Dict[_Key, float] = {}
+            outcomes = {
+                key: self._outcome(key[1], call) for key, call in calls.items()
+            }
+        else:
+            outcomes, waited = self._pooled(calls)
+        reports = [DispatchReport() for __ in batches]
+        for key in calls:
+            index, name = key
+            outcome = outcomes.get(key)
+            if outcome is None:
+                outcome = EngineFailure(
+                    engine=name,
+                    kind="timeout",
+                    attempts=0,
+                    elapsed=waited[key],
+                    message=f"no answer within {self.timeout}s deadline",
                 )
-            )
+            report = reports[index]
+            if isinstance(outcome, EngineFailure):
+                if outcome.kind == "timeout":
+                    self._m_timeouts.inc()
+                else:
+                    self._m_errors.inc()
+                report.failures.append(outcome)
+                report.latencies[name] = outcome.elapsed
+            else:
+                report.results[name], report.latencies[name] = outcome
+            self.registry.histogram(
+                "dispatch.engine.seconds",
+                buckets=LATENCY_BUCKETS,
+                labels={"engine": name},
+            ).observe(report.latencies[name])
         return reports
 
     def __repr__(self) -> str:

@@ -15,7 +15,8 @@ that split on the wire with nothing beyond the standard library:
   batch calls (enable with the gateway's ``coalesce_window`` /
   ``--coalesce-window-ms``).
 * :mod:`repro.serving.http` — the shared server substrate (deadlines,
-  body limits, metrics, drain).
+  body limits, metrics, drain); the deadline scope itself is
+  :mod:`repro.metasearch.deadlines`, re-exported here.
 * :mod:`repro.serving.shard_worker` — one shard of a partitioned fleet:
   batch estimation and targeted dispatch over a columnar slice.
 * :mod:`repro.serving.coordinator` — scatter-gather over shard workers
@@ -27,6 +28,13 @@ with ``repro serve engine|gateway|shard|coordinator ...`` or
 programmatically via :class:`ServingServer`.
 """
 
+from repro.metasearch.deadlines import (
+    DEADLINE_HEADER,
+    Deadline,
+    ambient_deadline,
+    deadline_scope,
+    detached_deadline_scope,
+)
 from repro.serving.admission import AdmissionQueue
 from repro.serving.coalesce import (
     CoalesceClosed,
@@ -34,12 +42,6 @@ from repro.serving.coalesce import (
     CoalescingWindow,
 )
 from repro.serving.coordinator import CoordinatorApp, ShardedFleet
-from repro.serving.deadlines import (
-    DEADLINE_HEADER,
-    Deadline,
-    ambient_deadline,
-    deadline_scope,
-)
 from repro.serving.engine_server import EngineApp, LiveEngineApp
 from repro.serving.gateway import GatewayApp
 from repro.serving.http import HTTPError, Response, ServingApp, ServingServer
@@ -95,6 +97,7 @@ __all__ = [
     "ambient_deadline",
     "deadline_scope",
     "decode_hits",
+    "detached_deadline_scope",
     "encode_hits",
     "estimate_from_wire",
     "estimate_to_wire",

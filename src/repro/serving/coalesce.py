@@ -54,8 +54,8 @@ import time
 from threading import Condition
 from typing import Callable, List, Optional, Sequence
 
+from repro.metasearch.deadlines import Deadline, detached_deadline_scope
 from repro.obs.registry import LATENCY_BUCKETS, OCCUPANCY_BUCKETS, NULL_REGISTRY
-from repro.serving.deadlines import Deadline, detached_deadline_scope
 
 __all__ = [
     "FLUSH_DRAIN",

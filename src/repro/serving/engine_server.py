@@ -28,7 +28,8 @@ protocol on top of the same engine surface:
 
 * ``POST /mutate`` — ``{"add": [<documents>], "remove": [<doc ids>]}``
   mutates the corpus; each non-empty list is one versioned mutation
-  whose delta lands in the server's replay log.
+  whose delta lands in the server's replay log.  The request is validated
+  whole first: a refused one (400) has applied neither list.
 * ``GET /representative/delta?since=v`` — the composed
   :class:`~repro.fleet.delta.RepresentativeDelta` from version ``v`` to
   now, or the full ``representative.snapshot`` payload when ``v`` has
@@ -54,10 +55,10 @@ from repro.representatives.columnar import ColumnarRepresentative
 from repro.representatives.representative import DatabaseRepresentative
 from repro.serving.http import HTTPError, Response, ServingApp
 from repro.serving.wire import (
-    WireFormatError,
     encode_hits,
     query_from_wire,
     snapshot_to_wire,
+    threshold_from_wire,
 )
 
 __all__ = ["EngineApp", "LiveEngineApp"]
@@ -97,32 +98,11 @@ class EngineApp(ServingApp):
             "documents": self.engine.n_documents,
         }
 
-    # -- request parsing -----------------------------------------------------
-
-    def _parse_query(self, payload: dict):
-        try:
-            return query_from_wire(payload["query"])
-        except KeyError:
-            raise HTTPError(400, "payload missing required field 'query'") from None
-        except WireFormatError as exc:
-            raise HTTPError(400, f"bad query: {exc}") from exc
-
-    @staticmethod
-    def _parse_threshold(payload: dict) -> float:
-        try:
-            return float(payload["threshold"])
-        except KeyError:
-            raise HTTPError(
-                400, "payload missing required field 'threshold'"
-            ) from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HTTPError(400, f"bad threshold: {exc}") from exc
-
     # -- routes --------------------------------------------------------------
 
     def _route_search(self, params, payload) -> Response:
-        query = self._parse_query(payload)
-        threshold = self._parse_threshold(payload)
+        query = query_from_wire(payload.get("query"))
+        threshold = threshold_from_wire(payload)
         hits = self.engine.search(query, threshold)
         self._m_searches.inc()
         return Response(
@@ -134,7 +114,7 @@ class EngineApp(ServingApp):
         )
 
     def _route_max_similarity(self, params, payload) -> Response:
-        query = self._parse_query(payload)
+        query = query_from_wire(payload.get("query"))
         return Response(
             payload={
                 "kind": "max_similarity",
@@ -279,15 +259,25 @@ class LiveEngineApp(EngineApp):
             raise HTTPError(400, "'add' must be a list of documents")
         documents = [self._parse_document(raw) for raw in raw_add]
         with self._rep_lock:
-            try:
-                if raw_remove:
-                    self.server.remove_documents(raw_remove)
-                    self._m_mutations.inc()
-                if documents:
-                    self.server.add_documents(documents)
-                    self._m_mutations.inc()
-            except (KeyError, ValueError) as exc:
-                raise HTTPError(400, f"bad mutation: {exc}") from exc
+            # Validate both halves before touching the corpus: each is its
+            # own versioned mutation, and a 400 must mean neither applied.
+            surviving = set(self.server.doc_ids)
+            for doc_id in raw_remove:
+                if doc_id not in surviving:  # absent, or listed twice
+                    raise HTTPError(400, f"bad mutation: unknown doc_id {doc_id!r}")
+                surviving.remove(doc_id)
+            for document in documents:
+                if document.doc_id in surviving:  # kept, or added twice
+                    raise HTTPError(
+                        400, f"bad mutation: duplicate doc_id {document.doc_id!r}"
+                    )
+                surviving.add(document.doc_id)
+            if raw_remove:
+                self.server.remove_documents(raw_remove)
+                self._m_mutations.inc()
+            if documents:
+                self.server.add_documents(documents)
+                self._m_mutations.inc()
             # The dict representative moved; drop the stale columnar blob.
             self._npz_cache = None
         return Response(

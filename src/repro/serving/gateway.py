@@ -26,11 +26,11 @@ graceful-shutdown story under SIGTERM.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Union
+from typing import Optional
 
-from repro.corpus.query import Query
 from repro.metasearch.broker import SearchPipeline
 from repro.metasearch.cache import EstimateCache
+from repro.metasearch.deadlines import Deadline, ambient_deadline
 from repro.obs.registry import MetricsRegistry
 from repro.serving.admission import ADMITTED, CLOSED, EXPIRED, AdmissionQueue
 from repro.serving.coalesce import (
@@ -38,13 +38,14 @@ from repro.serving.coalesce import (
     CoalesceExpired,
     CoalescingWindow,
 )
-from repro.serving.deadlines import Deadline, ambient_deadline
 from repro.serving.http import HTTPError, Response, Route, ServingApp
 from repro.serving.wire import (
-    WireFormatError,
     estimate_to_wire,
+    limit_from_wire,
     query_from_wire,
     response_to_wire,
+    threshold_from_wire,
+    thresholds_from_wire,
 )
 
 __all__ = ["GatewayApp"]
@@ -243,49 +244,11 @@ class GatewayApp(ServingApp):
         except CoalesceClosed as exc:
             raise HTTPError(503, "gateway is draining", close=True) from exc
 
-    # -- request parsing -----------------------------------------------------
-
-    @staticmethod
-    def _parse_query(raw) -> Query:
-        try:
-            return query_from_wire(raw)
-        except WireFormatError as exc:
-            raise HTTPError(400, f"bad query: {exc}") from exc
-
-    @staticmethod
-    def _parse_limit(payload: dict) -> Optional[int]:
-        limit = payload.get("limit")
-        if limit is None:
-            return None
-        try:
-            limit = int(limit)
-        except (TypeError, ValueError, OverflowError) as exc:  # inf overflows
-            raise HTTPError(400, f"bad limit: {exc}") from exc
-        if limit < 0:
-            raise HTTPError(400, f"limit must be >= 0, got {limit}")
-        return limit
-
-    @staticmethod
-    def _require(payload: dict, name: str):
-        try:
-            return payload[name]
-        except KeyError:
-            raise HTTPError(
-                400, f"payload missing required field {name!r}"
-            ) from None
-
-    @classmethod
-    def _parse_threshold(cls, payload: dict) -> float:
-        try:
-            return float(cls._require(payload, "threshold"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HTTPError(400, f"bad threshold: {exc}") from exc
-
     # -- routes --------------------------------------------------------------
 
     def _route_estimate(self, params, payload) -> Response:
-        query = self._parse_query(self._require(payload, "query"))
-        threshold = self._parse_threshold(payload)
+        query = query_from_wire(payload.get("query"))
+        threshold = threshold_from_wire(payload)
         if self._coalesce_estimate is not None:
             estimates = self._coalesced(
                 self._coalesce_estimate, (query, threshold)
@@ -300,9 +263,9 @@ class GatewayApp(ServingApp):
         )
 
     def _route_search(self, params, payload) -> Response:
-        query = self._parse_query(self._require(payload, "query"))
-        threshold = self._parse_threshold(payload)
-        limit = self._parse_limit(payload)
+        query = query_from_wire(payload.get("query"))
+        threshold = threshold_from_wire(payload)
+        limit = limit_from_wire(payload)
         if self._coalesce_search is not None:
             response = self._coalesced(
                 self._coalesce_search, (query, threshold)
@@ -314,7 +277,7 @@ class GatewayApp(ServingApp):
         return Response(payload=response_to_wire(response))
 
     def _route_batch(self, params, payload) -> Response:
-        raw_queries = self._require(payload, "queries")
+        raw_queries = payload.get("queries")
         if not isinstance(raw_queries, list):
             raise HTTPError(400, "'queries' must be a list")
         if len(raw_queries) > self.max_batch:
@@ -323,17 +286,9 @@ class GatewayApp(ServingApp):
                 f"batch of {len(raw_queries)} queries exceeds limit of "
                 f"{self.max_batch}",
             )
-        queries = [self._parse_query(raw) for raw in raw_queries]
-        raw_thresholds = self._require(payload, "thresholds")
-        thresholds: Union[float, List[float]]
-        try:
-            if isinstance(raw_thresholds, list):
-                thresholds = [float(t) for t in raw_thresholds]
-            else:
-                thresholds = float(raw_thresholds)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HTTPError(400, f"bad thresholds: {exc}") from exc
-        limit = self._parse_limit(payload)
+        queries = [query_from_wire(raw) for raw in raw_queries]
+        thresholds = thresholds_from_wire(payload)
+        limit = limit_from_wire(payload)
         try:
             responses = self.broker.search_batch(
                 queries, thresholds, limit=limit

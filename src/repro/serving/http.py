@@ -35,9 +35,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.metasearch.deadlines import DEADLINE_HEADER, Deadline, deadline_scope
 from repro.obs.export import registry_to_prometheus
 from repro.obs.registry import LATENCY_BUCKETS, MetricsRegistry
-from repro.serving.deadlines import DEADLINE_HEADER, Deadline, deadline_scope
+from repro.serving.wire import WireFormatError
 from repro.version import package_version
 
 __all__ = ["HTTPError", "Response", "Route", "ServingApp", "ServingServer"]
@@ -287,7 +288,10 @@ class ServingApp:
         payload = self._decode_body(method, body)
         with self._track_inflight():
             with deadline_scope(deadline):
-                response = self._invoke(route, params, payload, deadline)
+                try:
+                    response = self._invoke(route, params, payload, deadline)
+                except WireFormatError as exc:  # a malformed request field
+                    raise HTTPError(400, f"bad request: {exc}") from exc
         if deadline is not None and deadline.expired:
             raise HTTPError(504, "deadline exceeded while answering")
         return response

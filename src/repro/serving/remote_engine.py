@@ -18,17 +18,24 @@ Remote engines degrade exactly like slow or broken local ones.
 
 Deadline handling: every request's budget is the tightest of the
 client's configured ``timeout`` and the ambient
-:func:`~repro.serving.deadlines.ambient_deadline` (set by the gateway
-around request handling).  The remaining budget travels downstream in
-``X-Repro-Deadline`` and doubles as the socket timeout, so a request
-admitted with 80 ms left can neither wait 10 s on a socket nor ask the
-engine for more time than its caller has.
+:func:`~repro.metasearch.deadlines.ambient_deadline` (set by the gateway
+around request handling; a context variable, so it is the request's on
+the dispatcher's pool threads too).  The remaining budget travels
+downstream in ``X-Repro-Deadline`` and doubles as the socket timeout, so
+a request admitted with 80 ms left can neither wait 10 s on a socket nor
+ask the engine for more time than its caller has.
 
 Connections are pooled per ``(pid, thread)`` (``http.client`` connections
 are not thread-safe; the broker's dispatcher calls from many threads) and
-reused across requests via HTTP/1.1 keep-alive, with one transparent
-retry when a pooled connection turns out to have been closed by the
-server.  The pid half of the key makes the pool fork-safe: a process that
+reused via HTTP/1.1 keep-alive for as long as the calling thread lives,
+with one transparent retry when a pooled connection turns out to have
+been closed by the server.  That is reuse *across requests* only where
+the thread outlives the request — the inline dispatcher (``workers=1``)
+and direct callers such as :class:`GatewayClient`; a pooled fan-out
+(``workers > 1``) creates its worker threads per fan-out, so each of its
+calls dials a fresh connection (left so until responses go out in one
+write: a kept-alive RPC pays the header/body stall, ~44 ms against ~1 ms
+fresh).  The pid half of the key makes the pool fork-safe: a process that
 ``fork()``\\ s after making requests (shard workers, multiprocessing load
 generators) inherits the parent's pooled sockets, and writing on one of
 those would interleave two processes' requests on a single connection —
@@ -53,8 +60,8 @@ from repro.fleet.delta import (
     RepresentativeSnapshot,
 )
 from repro.metasearch.broker import MetasearchResponse
+from repro.metasearch.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.metasearch.selection import EstimatedUsefulness
-from repro.serving.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.serving.wire import (
     decode_hits,
     estimate_from_wire,

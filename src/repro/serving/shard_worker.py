@@ -55,11 +55,12 @@ from repro.metasearch.broker import MetasearchBroker
 from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.serving.http import HTTPError, Response, ServingApp
 from repro.serving.wire import (
-    WireFormatError,
     encode_hits,
     estimate_to_wire,
     failure_to_wire,
     query_from_wire,
+    threshold_from_wire,
+    thresholds_from_wire,
 )
 
 __all__ = ["ShardApp"]
@@ -121,12 +122,6 @@ class ShardApp(ServingApp):
 
     # -- request parsing -----------------------------------------------------
 
-    def _parse_query(self, raw):
-        try:
-            return query_from_wire(raw)
-        except WireFormatError as exc:
-            raise HTTPError(400, f"bad query: {exc}") from exc
-
     def _parse_batch(self, payload: dict, name: str) -> list:
         raw = payload.get(name)
         if not isinstance(raw, list):
@@ -143,15 +138,8 @@ class ShardApp(ServingApp):
 
     def _route_estimate(self, params, payload) -> Response:
         raw_queries = self._parse_batch(payload, "queries")
-        queries = [self._parse_query(raw) for raw in raw_queries]
-        raw_thresholds = payload.get("thresholds")
-        try:
-            if isinstance(raw_thresholds, list):
-                thresholds: object = [float(t) for t in raw_thresholds]
-            else:
-                thresholds = float(raw_thresholds)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HTTPError(400, f"bad thresholds: {exc}") from exc
+        queries = [query_from_wire(raw) for raw in raw_queries]
+        thresholds = thresholds_from_wire(payload)
         try:
             rows = self.broker.estimate_batch(queries, thresholds)
         except ValueError as exc:  # thresholds/queries length mismatch
@@ -175,11 +163,8 @@ class ShardApp(ServingApp):
         for entry in entries:
             if not isinstance(entry, dict):
                 raise HTTPError(400, "each dispatch entry must be an object")
-            queries.append(self._parse_query(entry.get("query")))
-            try:
-                thresholds.append(float(entry.get("threshold")))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise HTTPError(400, f"bad threshold: {exc}") from exc
+            queries.append(query_from_wire(entry.get("query")))
+            thresholds.append(threshold_from_wire(entry))
             names = entry.get("engines")
             if not isinstance(names, list):
                 raise HTTPError(400, "'engines' must be a list of names")

@@ -27,7 +27,7 @@ routed to the wrong decoder fails loudly instead of half-parsing.
 from __future__ import annotations
 
 import base64
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "estimate_to_wire",
     "failure_from_wire",
     "failure_to_wire",
+    "limit_from_wire",
     "query_from_wire",
     "query_to_wire",
     "representative_from_wire",
@@ -58,6 +59,8 @@ __all__ = [
     "response_to_wire",
     "snapshot_from_wire",
     "snapshot_to_wire",
+    "threshold_from_wire",
+    "thresholds_from_wire",
     "usefulness_from_wire",
     "usefulness_to_wire",
 ]
@@ -105,6 +108,46 @@ def query_from_wire(payload: dict) -> Query:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"invalid query payload: {exc}") from exc
+
+
+# -- scalar request fields -----------------------------------------------------
+#
+# Every route that takes a threshold or a limit reads it here; the serving
+# substrate answers a :class:`WireFormatError` raised under a route with 400.
+
+
+def _float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # ints past the float range
+        raise WireFormatError(f"bad {name}: {exc}") from exc
+
+
+def threshold_from_wire(payload: dict) -> float:
+    """The required ``threshold`` of a request body or dispatch entry."""
+    return _float(_field(payload, "threshold"), "threshold")
+
+
+def thresholds_from_wire(payload: dict) -> Union[float, List[float]]:
+    """The required ``thresholds`` of a batch body: one scalar, or a list."""
+    raw = _field(payload, "thresholds")
+    if isinstance(raw, list):
+        return [_float(t, "thresholds") for t in raw]
+    return _float(raw, "thresholds")
+
+
+def limit_from_wire(payload: dict) -> Optional[int]:
+    """The optional ``limit`` of a search body: a count >= 0, or None."""
+    limit = payload.get("limit")
+    if limit is None:
+        return None
+    try:
+        limit = int(limit)
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise WireFormatError(f"bad limit: {exc}") from exc
+    if limit < 0:
+        raise WireFormatError(f"limit must be >= 0, got {limit}")
+    return limit
 
 
 # -- hits ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import settings as hypothesis_settings
 from repro.corpus import Collection, Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
+from repro.metasearch.deadlines import ambient_deadline
 from repro.representatives import DatabaseRepresentative, TermStats, build_representative
 
 # -- Hypothesis profiles -------------------------------------------------------
@@ -96,6 +97,19 @@ class BrokenEngine(EngineDouble):
         raise self.exc(f"{self.inner.name} is down")
 
 
+class DeadlineProbe(EngineDouble):
+    """Answers correctly and records what each call observed of the
+    request context: the ambient :class:`Deadline` (``None`` without one)."""
+
+    def __init__(self, inner: SearchEngine):
+        super().__init__(inner)
+        self.observed = []
+
+    def search(self, query, threshold=0.0):
+        self.observed.append(ambient_deadline())
+        return self.inner.search(query, threshold)
+
+
 @pytest.fixture(scope="session")
 def engine_doubles():
     """The fault-injection wrappers, importable from any test directory."""
@@ -104,6 +118,7 @@ def engine_doubles():
         SlowEngine=SlowEngine,
         FlakyEngine=FlakyEngine,
         BrokenEngine=BrokenEngine,
+        DeadlineProbe=DeadlineProbe,
     )
 
 # -- the paper's worked example (Examples 3.1 / 3.2) ---------------------------

@@ -6,7 +6,7 @@ through :class:`RepresentativeDelta` application answers **exactly**
 (:class:`tests.oracle.ScalarOracle`) handed the engine's fresh canonical
 snapshot — in one process and on the sharded topology, for all five paper
 estimators — and so does the dict-form reference
-:func:`repro.fleet.delta.apply_delta`.  On top of the
+:func:`tests.oracle.apply_delta`.  On top of the
 bit-exactness story sit the safety properties: precise invalidation never
 serves a stale cache entry while retaining entries for untouched terms,
 version mismatches are rejected, and a compacted delta log degrades to a
@@ -22,7 +22,6 @@ import pytest
 from repro.core import get_estimator
 from repro.corpus import Document, Query
 from repro.fleet import DeltaCompactedError, LiveEngineServer
-from repro.fleet.delta import apply_delta
 from repro.metasearch import MetasearchBroker
 from repro.serving import (
     LiveEngineApp,
@@ -32,7 +31,7 @@ from repro.serving import (
     ShardApp,
     ShardedFleet,
 )
-from tests.oracle import ScalarOracle
+from tests.oracle import ScalarOracle, apply_delta
 
 pytestmark = pytest.mark.slow
 

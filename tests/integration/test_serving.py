@@ -26,13 +26,17 @@ from repro.corpus import Collection, Document, Query, save_collection
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
 from repro.obs import MetricsRegistry
+from repro.representatives import build_representative
 from repro.serving import (
+    CoordinatorApp,
     EngineApp,
     GatewayApp,
     GatewayClient,
     RemoteEngine,
     RemoteServingError,
     ServingServer,
+    ShardApp,
+    ShardedFleet,
 )
 from tests.oracle import ScalarOracle
 
@@ -127,6 +131,8 @@ class TestSubprocessFleet:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.communicate()
+            # SIGTERM is a graceful drain: a ``repro serve`` process exits 0.
+            assert [proc.returncode for proc in processes] == [0] * len(processes)
 
     @pytest.fixture(scope="class")
     def gateway(self, fleet):
@@ -205,7 +211,6 @@ class TestSubprocessFleet:
         assert remote.hits == local.hits
 
     def test_quantized_representative_matches_local_quantization(self, fleet):
-        from repro.representatives import build_representative
         from repro.representatives.quantized import quantize_representative
 
         collections, urls = fleet
@@ -242,8 +247,6 @@ class SlowLocalEngine:
 
 
 def slow_gateway(delay, **gateway_kwargs):
-    from repro.representatives import build_representative
-
     collection = Collection.from_documents(
         "slowdb", [Document("d1", terms=["rocket", "orbit"])]
     )
@@ -413,6 +416,190 @@ class TestDeadlines:
         engine_server.drain(timeout=5)
 
 
+class RecordsDeadline:
+    """Mixin for a served app: records ``(path, X-Repro-Deadline)`` of every
+    POST it answers (``None`` when the header is absent), holding the
+    request at ``gate`` first."""
+
+    def __init__(self, *args, **kwargs):
+        self.seen = []
+        self.gate = threading.Event()
+        self.gate.set()
+        super().__init__(*args, **kwargs)
+
+    def handle(self, method, path, headers, body):
+        if method == "POST":
+            self.seen.append((path, headers.get("X-Repro-Deadline")))
+            self.gate.wait(timeout=30)
+        return super().handle(method, path, headers, body)
+
+    def budgets(self, path):
+        return [
+            None if raw is None else float(raw)
+            for seen_path, raw in self.seen
+            if seen_path == path
+        ]
+
+
+class RecordingEngineApp(RecordsDeadline, EngineApp):
+    pass
+
+
+class RecordingShardApp(RecordsDeadline, ShardApp):
+    pass
+
+
+def rocket_engine(name):
+    """A one-document engine that every ``SEARCH_BODY`` request selects."""
+    return SearchEngine(
+        Collection.from_documents(
+            name, [Document(f"{name}-d1", terms=["rocket", "orbit"])]
+        )
+    )
+
+
+def wait_until(predicate, timeout=10.0):
+    expires = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < expires, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class TestDeadlinePropagation:
+    """``X-Repro-Deadline`` reaches every downstream call, whichever thread
+    the dispatcher runs it on (``workers=1`` inline, ``workers=8`` pooled)."""
+
+    @pytest.fixture
+    def engine_apps(self):
+        apps, servers = [], []
+        for name in ("left", "right"):
+            app = RecordingEngineApp(rocket_engine(name))
+            server = ServingServer(app)
+            server.start_background()
+            apps.append(app)
+            servers.append(server)
+        yield apps, [server.url for server in servers]
+        for server in servers:
+            server.drain(timeout=5)
+
+    @staticmethod
+    def gateway_over(urls, workers, **gateway_kwargs):
+        broker = MetasearchBroker(workers=workers)
+        for url in urls:
+            # No client timeout: the only budget is the request's own.
+            remote = RemoteEngine(url, timeout=None)
+            broker.register(
+                remote,
+                representative=remote.snapshot_representative().representative,
+            )
+        return GatewayApp(broker, default_deadline=None, **gateway_kwargs)
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_gateway_forwards_the_header_to_every_engine(
+        self, engine_apps, workers
+    ):
+        apps, urls = engine_apps
+        gateway = self.gateway_over(urls, workers)
+        body = json.dumps(SEARCH_BODY).encode("utf-8")
+        response = gateway.handle(
+            "POST", "/search", {"X-Repro-Deadline": "5.0"}, body
+        )
+        assert response.status == 200
+        assert len(response.payload["invoked"]) == 2
+        for app in apps:
+            [budget] = app.budgets("/search")
+            assert budget is not None and 0.0 < budget <= 5.0
+        response = gateway.handle("POST", "/search", {}, body)
+        assert response.status == 200
+        for app in apps:
+            assert app.budgets("/search")[1:] == [None]
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_coalesced_batch_runs_under_its_loosest_member_deadline(
+        self, engine_apps, workers
+    ):
+        """Two members with different budgets, queued behind a request held
+        in flight and flushed as *one* batch: every engine call of that
+        batch carries the loosest member's budget, not the leader's own."""
+        apps, urls = engine_apps
+        gateway = self.gateway_over(urls, workers, coalesce_window=30.0)
+        body = json.dumps(SEARCH_BODY).encode("utf-8")
+        statuses = []
+
+        def request(budget):
+            response = gateway.handle(
+                "POST", "/search", {"X-Repro-Deadline": budget}, body
+            )
+            statuses.append(response.status)
+
+        for app in apps:
+            app.gate.clear()
+        threads = [threading.Thread(target=request, args=("120.0",))]
+        threads[0].start()
+        wait_until(lambda: any(app.seen for app in apps))  # held in flight
+        for budget in ("20.0", "60.0"):
+            threads.append(threading.Thread(target=request, args=(budget,)))
+            threads[-1].start()
+        wait_until(lambda: gateway._coalesce_search.queued == 2)
+        for app in apps:
+            app.gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert statuses == [200, 200, 200]
+        for app in apps:
+            first, *batch = app.budgets("/search")
+            assert 60.0 < first <= 120.0
+            assert len(batch) == 2
+            assert all(b is not None and 20.0 < b <= 60.0 for b in batch)
+
+    @pytest.mark.parametrize("shard_workers", [1, 4])
+    def test_coordinator_forwards_the_header_through_the_shard(
+        self, engine_doubles, shard_workers
+    ):
+        """Coordinator -> shard -> engine: the shard sees the header on both
+        scatter phases, and its engines' calls see the ambient deadline."""
+        probes, apps, servers = [], [], []
+        for index, name in enumerate(("left", "right")):
+            probe = engine_doubles.DeadlineProbe(rocket_engine(name))
+            broker = MetasearchBroker(workers=shard_workers)
+            broker.register(
+                probe, representative=build_representative(probe.inner)
+            )
+            app = RecordingShardApp(broker, shard_index=index)
+            server = ServingServer(app)
+            server.start_background()
+            probes.append(probe)
+            apps.append(app)
+            servers.append(server)
+        fleet = ShardedFleet(
+            [server.url for server in servers], shard_timeout=None
+        ).attach()
+        coordinator = CoordinatorApp(fleet, default_deadline=None)
+        body = json.dumps(SEARCH_BODY).encode("utf-8")
+        try:
+            response = coordinator.handle(
+                "POST", "/search", {"X-Repro-Deadline": "5.0"}, body
+            )
+            assert response.status == 200
+            assert len(response.payload["invoked"]) == 2
+            for app, probe in zip(apps, probes):
+                for path in ("/estimate", "/dispatch"):
+                    [budget] = app.budgets(path)
+                    assert budget is not None and 0.0 < budget <= 5.0
+                [deadline] = probe.observed
+                assert deadline is not None and 0.0 < deadline.remaining() <= 5.0
+            response = coordinator.handle("POST", "/search", {}, body)
+            assert response.status == 200
+            for app, probe in zip(apps, probes):
+                assert app.budgets("/estimate")[1:] == [None]
+                assert app.budgets("/dispatch")[1:] == [None]
+                assert probe.observed[1:] == [None]
+        finally:
+            fleet.close()
+            for server in servers:
+                server.drain(timeout=5)
+
+
 class TestRemoteEngineErrors:
     def test_unreachable_server_raises_connection_error(self):
         remote = RemoteEngine("http://127.0.0.1:9", timeout=0.5)
@@ -425,8 +612,6 @@ class TestRemoteEngineErrors:
             "live", [Document("d1", terms=["rocket"])]
         )
         engine = SearchEngine(collection)
-        from repro.representatives import build_representative
-
         broker = MetasearchBroker(workers=2)
         broker.register(engine)
         dead = RemoteEngine("http://127.0.0.1:9", timeout=0.3, name="dead")
@@ -459,8 +644,6 @@ class TestColumnarSnapshot:
         server.drain(timeout=5)
 
     def test_columnar_snapshot_is_bit_exact(self, engine_server):
-        from repro.representatives import build_representative
-
         engine, server = engine_server
         remote = RemoteEngine(server.url)
         snapshot = remote.snapshot_representative(columnar=True)

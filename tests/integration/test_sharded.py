@@ -126,15 +126,18 @@ def spawn_shard_workers(paths, n_shards):
 
 
 def stop_processes(processes):
-    for proc in processes:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
+    """SIGTERM every process still running and reap them all; a SIGTERM'd
+    ``repro serve`` process drains gracefully, so it must exit 0."""
+    terminated = [proc for proc in processes if proc.poll() is None]
+    for proc in terminated:
+        proc.send_signal(signal.SIGTERM)
     for proc in processes:
         try:
             proc.communicate(timeout=15)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.communicate()
+    assert [proc.returncode for proc in terminated] == [0] * len(terminated)
 
 
 def local_broker_for(collections, make_backend=MetasearchBroker):

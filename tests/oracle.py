@@ -1,17 +1,23 @@
-"""The reference the differential suites compare the broker against.
+"""The references the differential suites compare the broker against.
 
 The broker computes every estimate through the columnar fleet grid; the
 paper's scalar estimators looped over dict representatives are what that
 grid must equal, bit for bit.  ``ScalarOracle`` is exactly that loop — no
 fleet store, no caches, no grid — behind the broker's estimate surface, so
 a suite (or ``GatewayApp``'s ``/estimate``) can take it wherever it took a
-broker.
+broker.  ``apply_delta`` is the same idea for live deltas: the dict-form
+application that ``FleetRepresentativeStore.apply_delta`` must equal.
 """
 
+from typing import Dict
+
 from repro.core import SubrangeEstimator
+from repro.fleet.delta import RepresentativeDelta, rescale_probability
 from repro.metasearch import EstimatedUsefulness
 from repro.metasearch.broker import broadcast_thresholds
 from repro.representatives import build_representative
+from repro.representatives.representative import DatabaseRepresentative
+from repro.representatives.term_stats import TermStats
 
 
 class HalvedSubrange(SubrangeEstimator):
@@ -53,3 +59,51 @@ class ScalarOracle:
         queries = list(queries)
         per_query = broadcast_thresholds(queries, thresholds)
         return [self.estimate_all(q, t) for q, t in zip(queries, per_query)]
+
+
+def apply_delta(
+    representative: DatabaseRepresentative, delta: RepresentativeDelta
+) -> DatabaseRepresentative:
+    """Apply ``delta`` to a dict representative; returns the new snapshot.
+
+    The result is bit-exact against a fresh canonical snapshot at
+    ``delta.to_version``: touched terms take the final stats the delta
+    carries, untouched terms rescale their probability exactly, and the
+    output iterates in canonical sorted-term order.  Deleting an absent
+    term is a no-op (state-based records are idempotent), but a mismatched
+    base document count is an error — it means the caller is applying the
+    delta to the wrong version.
+    """
+    if representative.name != delta.name:
+        raise ValueError(
+            f"delta for {delta.name!r} applied to {representative.name!r}"
+        )
+    if representative.n_documents != delta.from_n_documents:
+        raise ValueError(
+            f"delta expects a base of {delta.from_n_documents} documents, "
+            f"got {representative.n_documents}"
+        )
+    removed = {r.term for r in delta.records if r.op == "del"}
+    replaced = {r.term: r.stats for r in delta.records if r.op == "set"}
+    n_old = delta.from_n_documents
+    n_new = delta.n_documents
+    merged: Dict[str, TermStats] = {}
+    for term, stats in representative.items():
+        if term in removed or term in replaced:
+            continue
+        if n_old != n_new:
+            stats = TermStats(
+                probability=rescale_probability(stats.probability, n_old, n_new),
+                mean=stats.mean,
+                std=stats.std,
+                max_weight=stats.max_weight,
+            )
+        merged[term] = stats
+    merged.update(replaced)
+    if n_new == 0 and merged:
+        raise ValueError("delta empties the database but terms survive")
+    return DatabaseRepresentative(
+        name=delta.name,
+        n_documents=n_new,
+        term_stats={term: merged[term] for term in sorted(merged)},
+    )

@@ -2,9 +2,11 @@
 semantically invisible.
 
 For random fleets and queries, ``search(workers=N)`` must return exactly
-the hits, invoked set, and estimates of the serial path, and a cached
-``estimate_all`` must equal an uncached one — concurrency and caching are
-performance features, never semantic ones.
+the hits, invoked set, and estimates of the serial path — and every engine
+call must observe the caller's request context (its ambient deadline)
+whichever thread it runs on — and a cached ``estimate_all`` must equal an
+uncached one — concurrency and caching are performance features, never
+semantic ones.
 """
 
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
+from repro.representatives import build_representative
+from repro.serving import Deadline, deadline_scope
 
 TERMS = [f"t{i}" for i in range(8)]
 THRESHOLDS = (0.0, 0.1, 0.3, 0.5)
@@ -44,16 +48,17 @@ def queries(draw):
     return Query(terms=tuple(terms), weights=weights)
 
 
-def build_broker(fleet, **kwargs):
+def build_broker(fleet, wrap=lambda engine: engine, **kwargs):
     broker = MetasearchBroker(**kwargs)
     for name, docs in fleet:
-        broker.register(
-            SearchEngine(
-                Collection.from_documents(
-                    name,
-                    [Document(f"{name}-{i}", terms=t) for i, t in enumerate(docs)],
-                )
+        engine = SearchEngine(
+            Collection.from_documents(
+                name,
+                [Document(f"{name}-{i}", terms=t) for i, t in enumerate(docs)],
             )
+        )
+        broker.register(
+            wrap(engine), representative=build_representative(engine)
         )
     return broker
 
@@ -70,6 +75,37 @@ def test_concurrent_search_equals_serial(fleet, query, threshold):
         assert got.invoked == expected.invoked
         assert got.estimates == expected.estimates
         assert not got.failures
+
+
+@given(
+    fleet=fleets(),
+    query=queries(),
+    threshold=st.sampled_from(THRESHOLDS),
+    workers=st.sampled_from((1, 2, 8)),
+    budget=st.sampled_from((None, 60.0)),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_call_observes_the_callers_deadline(
+    engine_doubles, fleet, query, threshold, workers, budget
+):
+    """Solo (``dispatch``) and batched (``dispatch_many``) alike, for any
+    ``workers``: inside an engine call the ambient deadline *is* the
+    caller's — the same object, or none when the caller has none."""
+    probes = []
+
+    def probed(engine):
+        probes.append(engine_doubles.DeadlineProbe(engine))
+        return probes[-1]
+
+    broker = build_broker(fleet, wrap=probed, workers=workers, cache_size=0)
+    deadline = None if budget is None else Deadline(budget)
+    with deadline_scope(deadline):
+        solo = broker.search(query, threshold)
+        batch = broker.search_batch([query, query], threshold)
+    assert not solo.failures and [r.invoked for r in batch] == [solo.invoked] * 2
+    for probe in probes:
+        calls = 3 if probe.name in solo.invoked else 0
+        assert probe.observed == [deadline] * calls
 
 
 @given(fleet=fleets(), query=queries(), threshold=st.sampled_from(THRESHOLDS))

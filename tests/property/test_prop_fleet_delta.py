@@ -21,7 +21,6 @@ from repro.fleet import LiveEngineServer
 from repro.fleet.delta import (
     RepresentativeDelta,
     TermDeltaRecord,
-    apply_delta,
     canonicalize,
     diff_representatives,
 )
@@ -30,6 +29,7 @@ from repro.representatives import (
     build_representative,
 )
 from repro.representatives.columnar import FleetRepresentativeStore
+from tests.oracle import apply_delta
 
 VOCAB = [f"w{i}" for i in range(10)]
 FRESH = [f"x{i}" for i in range(6)]

@@ -3,7 +3,8 @@
 The decoders' contract is *4xx, never 500*: any POST route handed a valid
 body with one field replaced by an arbitrary JSON value answers with a
 status below 500, and — on the routes that change no state — answers the
-next valid request exactly as before (decoder fuzzing, first slice).
+next valid request exactly as before, while a refused write (``/delta``,
+``/mutate``) changes nothing (decoder fuzzing, first slice).
 
 The wire contract is *exactness*: anything serialized, pushed through a
 real ``json.dumps``/``json.loads`` cycle (what HTTP transports), and
@@ -315,21 +316,36 @@ def test_mutated_request_is_4xx_and_leaves_no_trace(case, value):
 @example((("shard", "/delta"), ("name",)), ["e1"])
 @example((("shard", "/delta"), ("records", 2, 3)), math.nan)
 @example((("shard", "/delta"), ("to_version",)), True)
+@example((("live", "/mutate"), ("add", 0, "doc_id")), "d1")  # add half refused
+@example((("live", "/mutate"), ("remove",)), ["d0", "d0"])
+@example((("live", "/mutate"), ("remove", 0)), "zz")
 def test_mutated_write_is_4xx_and_a_refused_delta_changes_nothing(case, value):
+    """``/delta`` and ``/mutate`` alike: a refused write leaves no trace —
+    not even the half of it that was valid — and the next valid write
+    still applies."""
     route, path = case
     apps, bodies = build_apps()
     app = apps[route[0]]
 
-    def shard_state():
+    def state():
+        if route[1] == "/delta":
+            return (
+                app.broker.representative_version("e1"),
+                app.broker.representative_of("e1").materialize(),
+                post(app, "/estimate", bodies["shard", "/estimate"]).payload,
+            )
         return (
-            app.broker.representative_version("e1"),
-            app.broker.representative_of("e1").materialize(),
-            post(app, "/estimate", bodies["shard", "/estimate"]).payload,
+            app.server.version,
+            app.server.doc_ids,
+            app.handle("GET", "/representative", {}, b"").payload,
         )
 
-    before = shard_state() if route[1] == "/delta" else None
+    before = state()
     response = post(app, route[1], replaced(bodies[route], path, value))
     assert response.status < 500
-    if route[1] == "/delta" and response.status != 200:
-        assert shard_state() == before
-        assert post(app, "/delta", bodies[route]).status == 200
+    if response.status != 200:
+        assert state() == before
+        assert post(app, route[1], bodies[route]).status == 200
+        if route[1] == "/mutate":
+            assert app.server.doc_ids == ["d1", "d2", "x1"]
+            assert app.server.version == 2

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.metasearch.deadlines import ambient_deadline, detached_deadline_scope
 from repro.serving import (
     CoalesceClosed,
     CoalesceExpired,
@@ -19,7 +20,6 @@ from repro.serving import (
     Deadline,
     deadline_scope,
 )
-from repro.serving.deadlines import ambient_deadline, detached_deadline_scope
 
 
 class RecordingExecutor:

@@ -401,6 +401,23 @@ class TestRetryBackoffBudget:
         assert len(sleeps) == 1
         assert sleeps[0] <= 0.05
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_dispatch_clamps_backoff_to_ambient_deadline(self, sleeps, workers):
+        """The request deadline reaches the retry loop wherever the worker
+        body runs — inline or on a pool thread."""
+        from repro.serving import Deadline, deadline_scope
+
+        dispatcher = ConcurrentDispatcher(workers=workers, retries=1, backoff=10.0)
+        with deadline_scope(Deadline(0.05)):
+            report = dispatcher.dispatch(
+                {"a": self.failing_call(), "b": self.failing_call()}
+            )
+        assert [failure.engine for failure in report.failures] == ["a", "b"]
+        # Un-clamped jitter would sleep >= 5s; the budget was 50ms (a retry
+        # that found it already spent is skipped without sleeping at all).
+        assert all(slept <= 0.05 for slept in sleeps)
+        assert len(sleeps) <= 2
+
     def test_retry_skipped_when_budget_already_spent(self, sleeps):
         """An exhausted deadline surfaces the failure immediately instead
         of sleeping into a retry that can never answer in time."""

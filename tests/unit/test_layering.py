@@ -2,8 +2,10 @@
 
 ``repro.metasearch`` and ``repro.serving`` sit on top of the library
 packages; none of those may import them back — at module level or nested
-in a function — or the package graph grows a cycle.  And on top there is
-one search pipeline (``SearchPipeline`` in ``metasearch/broker.py``), not
+in a function — or the package graph grows a cycle.  The same holds one
+level up: the broker layer never imports the serving layer (what both
+need, like the request deadline scope, lives in the lower of the two).
+And on top there is one search pipeline (``SearchPipeline`` in ``metasearch/broker.py``), not
 one per topology.
 """
 
@@ -32,9 +34,9 @@ def imported_names(node, module):
     return []
 
 
-def upward_imports():
+def upward_imports(packages=LOWER, uppers=UPPER):
     found = []
-    for package in LOWER:
+    for package in packages:
         assert (ROOT / package).is_dir(), package
         for path in sorted((ROOT / package).rglob("*.py")):
             relative = path.relative_to(ROOT.parent)
@@ -43,7 +45,7 @@ def upward_imports():
                 if any(
                     name == upper or name.startswith(upper + ".")
                     for name in imported_names(node, module)
-                    for upper in UPPER
+                    for upper in uppers
                 ):
                     found.append(f"{relative}:{node.lineno}")
     return found
@@ -51,6 +53,10 @@ def upward_imports():
 
 def test_lower_packages_never_import_the_broker_or_serving_layers():
     assert upward_imports() == []
+
+
+def test_the_broker_layer_never_imports_the_serving_layer():
+    assert upward_imports(("metasearch",), ("repro.serving",)) == []
 
 
 def test_there_is_one_search_pipeline():
