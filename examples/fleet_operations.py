@@ -1,61 +1,72 @@
-"""Operating a metasearch fleet: incremental representatives, merging,
-and document-count-driven allocation.
+"""Operating a metasearch fleet: live representative deltas and
+document-count-driven allocation.
 
-Three operational scenarios beyond the basic routing demo:
+Two operational scenarios beyond the basic routing demo:
 
-1. An engine streams new documents and keeps its representative current
-   with O(1)-per-posting sufficient statistics — no rebuild.
-2. Two engines are federated; their representatives merge exactly, the
-   operation behind the paper's D2/D3 construction.
-3. A user asks for "the best 10 documents" rather than a threshold; the
+1. An engine's corpus churns.  Every mutation publishes a versioned
+   representative delta; the broker keeps selecting from its stale copy
+   (the paper's "propagation can be done infrequently") until it syncs,
+   then catches up with one composed delta — the negotiation
+   ``GET /representative/delta`` performs over HTTP.
+2. A user asks for "the best 10 documents" rather than a threshold; the
    broker inverts the fleet's expected NoDoc to a threshold and hands each
    engine an integer retrieval quota.
 
 Run:  python examples/fleet_operations.py
 """
 
-from repro import SearchEngine, build_representative
+from repro import MetasearchBroker, Query, SearchEngine, build_representative
+from repro.corpus import Document
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
+from repro.fleet import LiveEngineServer
 from repro.metasearch import allocate_documents, threshold_for_k
-from repro.representatives import RepresentativeAccumulator
 
 
-def weights_of(engine, doc_index):
-    """{term: normalized weight} of one indexed document."""
-    out = {}
-    vocabulary = engine.collection.vocabulary
-    for term_id, plist in engine.index.items():
-        hits = plist.doc_indices == doc_index
-        if hits.any():
-            out[vocabulary.term_of(term_id)] = float(plist.weights[hits][0])
-    return out
+def documents_of(collection):
+    """The documents of a built collection, ready to feed a live engine."""
+    return [
+        Document(doc_id=collection.doc_id(i), terms=collection.terms_of(i))
+        for i in range(len(collection))
+    ]
 
 
 def main() -> None:
     model = NewsgroupModel(seed=77)
-    engine_a = SearchEngine(model.generate_group(2))
-    engine_b = SearchEngine(model.generate_group(3))
 
-    print("-- 1. streaming maintenance --")
-    accumulator = RepresentativeAccumulator.from_index(engine_a)
-    print(f"seeded from index: {accumulator}")
-    # Stream three "new" documents (borrowed from engine B for the demo).
-    for doc_index in range(3):
-        accumulator.add_document(weights_of(engine_b, doc_index))
-    print(f"after 3 streamed documents: {accumulator}")
+    print("-- 1. live representative deltas --")
+    live = LiveEngineServer("group02", documents_of(model.generate_group(2)))
+    broker = MetasearchBroker()
+    broker.sync_representative(live)  # first contact: a full snapshot
+    print(f"registered {live}")
+    known = {term for term, __ in live.snapshot().representative.items()}
+    # Three "new" documents, borrowed from another newsgroup for the demo.
+    newcomers = documents_of(model.generate_group(3))[:3]
+    fresh_term = next(
+        term for doc in newcomers for term in doc.terms if term not in known
+    )
+    live.add_documents(newcomers)
+    live.remove_documents(live.doc_ids[:2])
+    query = Query.from_terms([fresh_term])
+    threshold = live.max_similarity(query) / 2
+    print(f"after two mutations: {live}")
+    print(
+        f"query [{fresh_term}] at T={threshold:.3f}: stale broker selects "
+        f"{broker.select(query, threshold)}"
+    )
+    report = broker.sync_representative(live)
+    print(
+        f"synced v{report.from_version} -> v{report.to_version} with one "
+        f"composed delta: {report.terms_touched} terms touched, "
+        f"{report.nbytes} bytes, {report.mode} cache invalidation"
+    )
+    print(f"synced broker selects {broker.select(query, threshold)}")
+    exact = (
+        broker.representative_of("group02").materialize()
+        == live.snapshot().representative
+    )
+    print(f"broker copy equals the engine's rebuilt representative: {exact}")
 
-    print("\n-- 2. exact representative merging --")
-    acc_a = RepresentativeAccumulator.from_index(engine_a)
-    acc_b = RepresentativeAccumulator.from_index(engine_b)
-    merged = RepresentativeAccumulator.merged("federated", [acc_a, acc_b])
-    print(f"A: {acc_a.n_documents} docs / {acc_a.n_terms} terms")
-    print(f"B: {acc_b.n_documents} docs / {acc_b.n_terms} terms")
-    print(f"merged: {merged.n_documents} docs / {merged.n_terms} terms")
-    rep = merged.to_representative()
-    sample_term = next(iter(rep.items()))
-    print(f"sample merged stats: {sample_term}")
-
-    print("\n-- 3. top-k quota allocation --")
+    print("\n-- 2. top-k quota allocation --")
     engines = {
         f"group{g:02d}": SearchEngine(model.generate_group(g))
         for g in range(6)

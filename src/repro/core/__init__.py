@@ -22,7 +22,6 @@ from repro.core.base import (
 )
 from repro.core.basic_estimator import BasicEstimator
 from repro.core.binary_estimator import BinaryIndependenceEstimator
-from repro.core.empirical_estimator import EmpiricalSubrangeEstimator
 from repro.core.genfunc import GenFunc
 from repro.core.gloss import GlossDisjointEstimator, GlossHighCorrelationEstimator
 from repro.core.prev_estimator import PreviousMethodEstimator
@@ -38,7 +37,6 @@ from repro.core.vectorized import (
 __all__ = [
     "BasicEstimator",
     "BinaryIndependenceEstimator",
-    "EmpiricalSubrangeEstimator",
     "EstimateExplanation",
     "ExpansionEstimator",
     "TermContribution",

@@ -17,11 +17,6 @@ from repro.evaluation.experiment import (
     run_usefulness_experiment,
 )
 from repro.evaluation.metrics import MethodAccumulator, ThresholdMetrics
-from repro.evaluation.report import (
-    markdown_comparison,
-    markdown_error_table,
-    markdown_match_table,
-)
 from repro.evaluation.selection import (
     SelectionQuality,
     evaluate_selection,
@@ -45,9 +40,6 @@ __all__ = [
     "format_error_table",
     "format_match_table",
     "format_sizing_table",
-    "markdown_comparison",
-    "markdown_error_table",
-    "markdown_match_table",
     "run_usefulness_experiment",
     "selection_quality_from_sets",
 ]

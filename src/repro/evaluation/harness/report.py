@@ -1,7 +1,7 @@
 """Timestamped markdown + JSON eval reports, and the floor gate.
 
-Modeled on :mod:`repro.evaluation.report` (markdown tables) and the
-benchmark JSON artifacts: ``write_report`` emits
+The one markdown report renderer, modeled on the benchmark JSON
+artifacts: ``write_report`` emits
 ``results/eval_<config>.json`` (the machine artifact CI uploads and
 gates on) and ``results/eval_<config>.md`` (the human summary), both
 stamped with the same UTC timestamp.

@@ -18,10 +18,8 @@ which a rebuilt index sums a document's squared weights follows the
 collection-wide vocabulary numbering, which shifts when documents are
 removed.  Diffing two rebuilt snapshots makes the delta describe exactly
 the statistics the engine will serve next, so delta application is
-bit-exact by construction.  The streaming accumulators
-(:class:`~repro.representatives.incremental.RepresentativeAccumulator`)
-support removal too and stay within float tolerance — they are the cheap
-path for engines that own their weight pipeline end to end.
+bit-exact by construction.  This diff of rebuilds is the one way a
+representative is maintained under mutation.
 """
 
 from __future__ import annotations
@@ -109,21 +107,29 @@ class LiveEngineServer:
     # -- mutation --------------------------------------------------------------
 
     def add_documents(self, documents: Iterable[Document]) -> RepresentativeDelta:
-        """Ingest new documents; returns the mutation's delta."""
+        """Ingest new documents; returns the mutation's delta.  An id already
+        held, or repeated in ``documents``, rejects the whole batch."""
         documents = list(documents)
+        seen = set()
         for document in documents:
-            if document.doc_id in self._documents:
+            if document.doc_id in self._documents or document.doc_id in seen:
                 raise ValueError(f"duplicate doc_id {document.doc_id!r}")
+            seen.add(document.doc_id)
         return self._mutate(add=documents, remove=())
 
     def remove_documents(
         self, doc_ids: Iterable[str]
     ) -> RepresentativeDelta:
-        """Drop documents by id; returns the mutation's delta."""
+        """Drop documents by id; returns the mutation's delta.  An unknown
+        or repeated id rejects the whole batch."""
         doc_ids = list(doc_ids)
+        seen = set()
         for doc_id in doc_ids:
             if doc_id not in self._documents:
                 raise KeyError(f"unknown doc_id {doc_id!r}")
+            if doc_id in seen:
+                raise ValueError(f"doc_id {doc_id!r} listed twice")
+            seen.add(doc_id)
         return self._mutate(add=(), remove=doc_ids)
 
     def _mutate(

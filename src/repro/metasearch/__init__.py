@@ -11,7 +11,6 @@ from repro.metasearch.allocation import (
     expected_nodoc_at,
     threshold_for_k,
 )
-from repro.metasearch.hierarchy import BrokerNode, HierarchySearchReport
 from repro.metasearch.broker import (
     MetasearchBroker,
     MetasearchResponse,
@@ -31,12 +30,10 @@ from repro.metasearch.selection import (
 )
 
 __all__ = [
-    "BrokerNode",
     "ConcurrentDispatcher",
     "DispatchReport",
     "EngineFailure",
     "EstimateCache",
-    "HierarchySearchReport",
     "EstimatedUsefulness",
     "MetasearchBroker",
     "MetasearchResponse",

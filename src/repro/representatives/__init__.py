@@ -10,7 +10,6 @@ approximation of Section 3.2; :mod:`repro.representatives.sizing` reproduces
 the scalability accounting.
 """
 
-from repro.representatives.algebra import merge_representatives
 from repro.representatives.builder import build_representative
 from repro.representatives.columnar import (
     BrokerVocabulary,
@@ -18,15 +17,6 @@ from repro.representatives.columnar import (
     FleetRepresentativeRef,
     FleetRepresentativeStore,
     partition_round_robin,
-)
-from repro.representatives.empirical import (
-    EmpiricalRepresentative,
-    EmpiricalTermStats,
-    build_empirical_representative,
-)
-from repro.representatives.incremental import (
-    RepresentativeAccumulator,
-    TermAccumulator,
 )
 from repro.representatives.quantized import quantize_representative
 from repro.representatives.representative import DatabaseRepresentative
@@ -46,16 +36,10 @@ __all__ = [
     "DatabaseRepresentative",
     "FleetRepresentativeRef",
     "FleetRepresentativeStore",
-    "EmpiricalRepresentative",
-    "EmpiricalTermStats",
     "PAPER_COLLECTION_STATS",
-    "RepresentativeAccumulator",
     "SubrangeScheme",
-    "TermAccumulator",
     "TermStats",
-    "build_empirical_representative",
     "build_representative",
-    "merge_representatives",
     "partition_round_robin",
     "quantize_representative",
     "representative_size_bytes",

@@ -13,12 +13,13 @@ The encoding rules are chosen so a round trip is *exact*:
   computed from the original — the property suite asserts exactly this.
 * A representative additionally supports the paper's Section 3.2 wire
   sizing: :func:`representative_to_wire` with ``quantize=levels`` ships
-  per-term *one-byte codes* (base64-packed, so four fields cost ~4
+  the per-term *one-byte codes* of :func:`~repro.representatives.quantized.
+  encode_representative` (base64-packed, so four fields cost ~4
   bytes/term before framing) plus one small decode grid per field per
-  database.  Decoding reproduces :func:`~repro.representatives.quantized.
-  quantize_representative` exactly — the same fitted grids, the same
-  codes, the same clamps — so a broker holding a wire-quantized
-  representative estimates identically to one that quantized locally.
+  database.  This module only serializes them and checks what arrives;
+  fitting, coding and the decode clamps are the quantizer's, so a broker
+  holding a wire-quantized representative estimates identically to one
+  that quantized locally.
 
 Every payload carries a ``kind`` tag; decoders validate it so a payload
 routed to the wrong decoder fails loudly instead of half-parsing.
@@ -38,9 +39,13 @@ from repro.fleet.delta import RepresentativeSnapshot
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.dispatch import EngineFailure
 from repro.metasearch.selection import EstimatedUsefulness
+from repro.representatives.quantized import (
+    FIELDS,
+    REQUIRED_FIELDS,
+    decode_representative,
+    encode_representative,
+)
 from repro.representatives.representative import DatabaseRepresentative
-from repro.representatives.term_stats import TermStats
-from repro.stats.quantization import OneByteQuantizer
 
 __all__ = [
     "WireFormatError",
@@ -268,8 +273,6 @@ def response_from_wire(payload: dict) -> MetasearchResponse:
 
 # -- representatives -----------------------------------------------------------
 
-_QUANT_FIELDS = ("probability", "mean", "std", "max_weight")
-
 
 def _pack_codes(codes: np.ndarray, levels: int):
     """Codes as base64 bytes when they fit one byte each, plain ints otherwise."""
@@ -299,88 +302,59 @@ def representative_to_wire(
     Args:
         representative: The representative to ship.
         quantize: When given, the number of quantization levels (256 is the
-            paper's one-byte scheme).  Each numeric field is fitted with the
-            same :class:`~repro.stats.quantization.OneByteQuantizer` the
-            in-process :func:`~repro.representatives.quantized.
-            quantize_representative` uses, and the wire carries one code per
-            term per field plus the per-field decode grids — ~4 bytes/term,
-            the Section 3.2 sizing.
+            paper's one-byte scheme).  The wire carries
+            :func:`~repro.representatives.quantized.encode_representative`'s
+            one code per term per field plus the per-field decode grids —
+            ~4 bytes/term, the Section 3.2 sizing.
     """
     if quantize is None:
         return representative.to_json_dict()
-    if quantize < 1:
-        raise ValueError(f"quantize levels must be >= 1, got {quantize!r}")
-    terms = [term for term, __ in representative.items()]
-    stats = [representative.get(term) for term in terms]
-    has_max = bool(terms) and all(s.max_weight is not None for s in stats)
-    fields: Dict[str, dict] = {}
-    if terms:
-        columns = {
-            "probability": np.array([s.probability for s in stats]),
-            "mean": np.array([s.mean for s in stats]),
-            "std": np.array([s.std for s in stats]),
-        }
-        if has_max:
-            columns["max_weight"] = np.array([s.max_weight for s in stats])
-        for name, values in columns.items():
-            bounds = {"low": 0.0, "high": 1.0} if name == "probability" else {}
-            grid = OneByteQuantizer(levels=quantize, **bounds).fit(values)
-            fields[name] = {
-                "low": float(grid.low),
-                "high": float(grid.high),
-                "decode": [float(v) for v in grid.decode_values],
-                "codes": _pack_codes(grid.encode(values), quantize),
-            }
+    terms, encoded = encode_representative(representative, quantize)
     return {
         "kind": "representative.quantized",
         "name": representative.name,
         "n_documents": representative.n_documents,
         "levels": int(quantize),
         "terms": terms,
-        "fields": fields,
+        "fields": {
+            field: {
+                "low": float(grid.low),
+                "high": float(grid.high),
+                "decode": [float(v) for v in grid.decode_values],
+                "codes": _pack_codes(codes, quantize),
+            }
+            for field, (grid, codes) in encoded.items()
+        },
     }
+
+
+def _decode_columns(fields: dict, n_terms: int) -> Dict[str, np.ndarray]:
+    """Each shipped field's decoded values, one per term."""
+    columns: Dict[str, np.ndarray] = {}
+    for name, spec in fields.items():
+        if name not in FIELDS:
+            raise WireFormatError(f"unknown quantized field {name!r}")
+        decode_values = np.asarray(
+            [float(v) for v in _field(spec, "decode")], dtype=float
+        )
+        codes = _unpack_codes(_field(spec, "codes"), n_terms)
+        if codes.size and (codes.min() < 0 or codes.max() >= decode_values.size):
+            raise WireFormatError("quantization code out of grid range")
+        columns[name] = decode_values[codes]
+    for required in REQUIRED_FIELDS:
+        if required not in columns:
+            raise WireFormatError(f"quantized payload missing field {required!r}")
+    return columns
 
 
 def _decode_quantized(payload: dict) -> DatabaseRepresentative:
     terms = [str(t) for t in _field(payload, "terms")]
     fields = _field(payload, "fields")
-    if not terms:
-        return DatabaseRepresentative(
-            name=str(_field(payload, "name")),
-            n_documents=int(_field(payload, "n_documents")),
-            term_stats={},
-        )
-    columns: Dict[str, np.ndarray] = {}
-    for name, spec in fields.items():
-        if name not in _QUANT_FIELDS:
-            raise WireFormatError(f"unknown quantized field {name!r}")
-        decode_values = np.asarray(
-            [float(v) for v in _field(spec, "decode")], dtype=float
-        )
-        codes = _unpack_codes(_field(spec, "codes"), len(terms))
-        if codes.size and (codes.min() < 0 or codes.max() >= decode_values.size):
-            raise WireFormatError("quantization code out of grid range")
-        columns[name] = decode_values[codes]
-    for required in ("probability", "mean", "std"):
-        if required not in columns:
-            raise WireFormatError(f"quantized payload missing field {required!r}")
-    has_max = "max_weight" in columns
-    # The clamps mirror quantize_representative(): decoding a wire-shipped
-    # representative must equal quantizing the original locally.
-    term_stats = {}
-    for i, term in enumerate(terms):
-        term_stats[term] = TermStats(
-            probability=float(np.clip(columns["probability"][i], 0.0, 1.0)),
-            mean=float(max(columns["mean"][i], 0.0)),
-            std=float(max(columns["std"][i], 0.0)),
-            max_weight=(
-                float(max(columns["max_weight"][i], 0.0)) if has_max else None
-            ),
-        )
-    return DatabaseRepresentative(
-        name=str(_field(payload, "name")),
-        n_documents=int(_field(payload, "n_documents")),
-        term_stats=term_stats,
+    return decode_representative(
+        str(_field(payload, "name")),
+        int(_field(payload, "n_documents")),
+        terms,
+        _decode_columns(fields, len(terms)) if terms else {},
     )
 
 

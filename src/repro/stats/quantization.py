@@ -125,7 +125,3 @@ class OneByteQuantizer:
             # Degenerate range: every value is identical.
             decode[:] = low
         return QuantizationGrid(low=low, high=high, decode_values=decode)
-
-    def fit_roundtrip(self, values: Sequence[float]) -> np.ndarray:
-        """Convenience: fit on ``values`` and return their approximation."""
-        return self.fit(values).roundtrip(values)

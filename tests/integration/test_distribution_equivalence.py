@@ -61,27 +61,3 @@ class TestEquivalence:
             selected = broker.search(query, 0.3).hits
             central_ids = {h.doc_id for h in monolithic.search(query, 0.3)}
             assert {h.doc_id for h in selected} <= central_ids
-
-    def test_merged_representative_matches_monolithic_engine(
-        self, setup, small_model
-    ):
-        from repro.representatives import (
-            build_representative,
-            merge_representatives,
-        )
-
-        broker, monolithic = setup
-        merged_rep = merge_representatives(
-            "all",
-            [broker.representative_of(n) for n in broker.engine_names],
-        )
-        central_rep = build_representative(monolithic)
-        assert merged_rep.n_documents == central_rep.n_documents
-        assert merged_rep.n_terms == central_rep.n_terms
-        sample = [t for t, __ in list(central_rep.items())[::200]]
-        for term in sample:
-            a, b = merged_rep.get(term), central_rep.get(term)
-            assert a.probability == pytest.approx(b.probability)
-            assert a.mean == pytest.approx(b.mean)
-            assert a.std == pytest.approx(b.std, abs=1e-9)
-            assert a.max_weight == pytest.approx(b.max_weight)

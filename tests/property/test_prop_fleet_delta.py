@@ -4,13 +4,10 @@ The wire path's contract is *bit-exactness*: applying a
 :class:`~repro.fleet.delta.RepresentativeDelta` to the representative it
 was diffed from must reproduce the freshly rebuilt representative of the
 mutated corpus exactly — same values, same canonical iteration order — on
-both the dict and the columnar fleet backend.  The accumulator removal
-path is streaming (signed sufficient-statistics subtraction), so it gets
-the same `isclose` tolerances the incremental suite uses.
+both the dict and the columnar fleet backend.
 """
 
 import itertools
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +21,7 @@ from repro.fleet.delta import (
     canonicalize,
     diff_representatives,
 )
-from repro.representatives import (
-    RepresentativeAccumulator,
-    build_representative,
-)
+from repro.representatives import build_representative
 from repro.representatives.columnar import FleetRepresentativeStore
 from tests.oracle import apply_delta
 
@@ -251,89 +245,3 @@ class TestTripletModeDeltas:
         decoded = RepresentativeDelta.decode(delta.encode())
         _assert_identical(apply_delta(old, decoded), new)
 
-
-class TestAccumulatorRemoval:
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.sampled_from(VOCAB),
-                st.floats(min_value=0.01, max_value=1.0),
-                min_size=1,
-                max_size=5,
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_remove_matches_rebuild(self, docs, data):
-        mask = [
-            data.draw(st.booleans(), label=f"remove[{i}]")
-            for i in range(len(docs))
-        ]
-        acc = RepresentativeAccumulator("db")
-        for doc in docs:
-            acc.add_document(doc)
-        removed = [doc for doc, flag in zip(docs, mask) if flag]
-        kept = [doc for doc, flag in zip(docs, mask) if not flag]
-        for doc in removed:
-            acc.remove_document(doc)
-
-        rebuilt = RepresentativeAccumulator("db")
-        for doc in kept:
-            rebuilt.add_document(doc)
-        assert acc.n_documents == rebuilt.n_documents
-        assert acc.n_terms == rebuilt.n_terms
-        for term in acc.stale_max_terms:
-            acc.refresh_term_max(
-                term, [doc[term] for doc in kept if term in doc]
-            )
-        if not kept:
-            return
-        got = acc.to_representative()
-        want = rebuilt.to_representative()
-        for term, stats in want.items():
-            other = got.get(term)
-            assert other is not None
-            assert math.isclose(
-                other.probability, stats.probability, rel_tol=1e-12
-            )
-            assert math.isclose(
-                other.mean, stats.mean, rel_tol=1e-9, abs_tol=1e-12
-            )
-            assert math.isclose(
-                other.std**2, stats.std**2, rel_tol=1e-6, abs_tol=1e-9
-            )
-            assert other.max_weight == stats.max_weight
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=30
-        )
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_remove_then_readd_max_weight_document(self, weights):
-        """Retracting the document holding a term's max weight and adding
-        it back restores the original statistics — the case a lazy max
-        (no top-k) would get wrong."""
-        term = "w0"
-        acc = RepresentativeAccumulator("db")
-        for weight in weights:
-            acc.add_document({term: weight})
-        top = max(weights)
-        baseline = acc.to_representative().get(term)
-
-        acc.remove_document({term: top})
-        acc.add_document({term: top})
-        if term in acc.stale_max_terms:
-            acc.refresh_term_max(term, weights)
-        after = acc.to_representative().get(term)
-        assert after.max_weight == baseline.max_weight == top
-        assert acc.n_documents == len(weights)
-        assert math.isclose(
-            after.mean, baseline.mean, rel_tol=1e-9, abs_tol=1e-12
-        )
-        assert math.isclose(
-            after.std**2, baseline.std**2, rel_tol=1e-6, abs_tol=1e-9
-        )

@@ -10,7 +10,6 @@ from repro.stats import (
     OneByteQuantizer,
     normal_cdf,
     normal_quantile,
-    percentile_sorted,
     truncated_normal_mean_above,
     truncated_normal_tail_mass,
 )
@@ -88,24 +87,3 @@ class TestQuantizerProperties:
         twice = grid.roundtrip(once)
         assert np.allclose(once, twice)
 
-
-class TestPercentileProperties:
-    @given(
-        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1,
-                 max_size=100),
-        st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_percentile_within_data_range(self, values, pct):
-        values = sorted(values)
-        result = percentile_sorted(values, pct)
-        assert values[0] - 1e-9 <= result <= values[-1] + 1e-9
-
-    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2,
-                    max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_percentile_monotone(self, values):
-        values = sorted(values)
-        results = [percentile_sorted(values, p) for p in (0, 25, 50, 75, 100)]
-        for a, b in zip(results, results[1:]):
-            assert a <= b + 1e-9

@@ -6,7 +6,8 @@ in a function — or the package graph grows a cycle.  The same holds one
 level up: the broker layer never imports the serving layer (what both
 need, like the request deadline scope, lives in the lower of the two).
 And on top there is one search pipeline (``SearchPipeline`` in ``metasearch/broker.py``), not
-one per topology.
+one per topology.  Every module is reached from an entry point: code no
+command, server or registered estimator imports is deleted, not kept.
 """
 
 import ast
@@ -20,6 +21,14 @@ LOWER = ("core", "corpus", "engine", "fleet", "index", "obs",
 UPPER = ("repro.metasearch", "repro.serving")
 PIPELINE_ENTRY_POINTS = (
     "estimate_all", "estimate_batch", "select", "search", "search_batch"
+)
+# Modules no entry point imports, kept because the tests read them.
+REFERENCES = (
+    # The Cosine oracle tests/unit/test_search_engine.py compares engine
+    # scores against.
+    "repro.vsm.similarity",
+    # The paper's published Tables 1-12.
+    "repro.evaluation.paper_reference",
 )
 
 
@@ -49,6 +58,83 @@ def upward_imports(packages=LOWER, uppers=UPPER):
                 ):
                     found.append(f"{relative}:{node.lineno}")
     return found
+
+
+def _modules():
+    """``{dotted name: (syntax tree, name relative imports resolve
+    against)}`` for every module under ``repro``; a package is keyed by its
+    own name and resolves against ``<package>.__init__``."""
+    modules = {}
+    for path in ROOT.rglob("*.py"):
+        parts = path.relative_to(ROOT.parent).with_suffix("").parts
+        key = parts[:-1] if parts[-1] == "__init__" else parts
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules[".".join(key)] = (tree, ".".join(parts))
+    return modules
+
+
+def _is_package(modules, name):
+    return modules[name][1].endswith("__init__")
+
+
+def _reached_by(name, modules):
+    """The module an imported dotted ``name`` reaches, or None.  A name a
+    package ``__init__`` re-exports reaches only the module defining it."""
+    if name in modules and not _is_package(modules, name):
+        return name
+    package, __, attr = name.rpartition(".")
+    if package not in modules:
+        return None
+    if not _is_package(modules, package):
+        return package
+    tree, module = modules[package]
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias, full in zip(node.names, imported_names(node, module)[1:]):
+                if (alias.asname or alias.name) == attr:
+                    return _reached_by(full, modules)
+    return None
+
+
+def unreached_modules():
+    """Modules no import chain from ``repro.__main__`` or an estimator
+    plug-in (a module calling ``register_estimator``) reaches, following
+    imports at any depth of the module."""
+    modules = _modules()
+    pending = ["repro.__main__"] + [
+        name
+        for name, (tree, __) in modules.items()
+        if any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "register_estimator"
+            for node in ast.walk(tree)
+        )
+    ]
+    seen = set()
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree, module = modules[name]
+        for node in ast.walk(tree):
+            for imported in imported_names(node, module):
+                target = _reached_by(imported, modules)
+                if target is not None:
+                    pending.append(target)
+    return sorted(
+        name
+        for name in modules
+        if name not in seen and not _is_package(modules, name)
+    )
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    unreached = unreached_modules()
+    islands = [name for name in unreached if name not in REFERENCES]
+    assert islands == [], f"no entry point reaches {islands}"
+    # An exemption nothing needs any more goes too.
+    assert sorted(REFERENCES) == [name for name in unreached if name in REFERENCES]
 
 
 def test_lower_packages_never_import_the_broker_or_serving_layers():

@@ -50,6 +50,23 @@ class TestEngineServer:
         assert "fresh" not in snapshot.representative
         assert "fresh" in server.snapshot().representative
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda server: server.remove_documents(["a-0", "a-0"]),
+            lambda server: server.add_documents(
+                docs("b", [["new"]]) + docs("b", [["newer"]])
+            ),
+        ],
+        ids=["remove", "add"],
+    )
+    def test_repeated_id_rejects_the_batch_untouched(self, server, mutate):
+        before = (server.version, server.doc_ids, server.snapshot())
+        with pytest.raises(ValueError):
+            mutate(server)
+        assert (server.version, server.doc_ids, server.snapshot()) == before
+        assert server.snapshot().representative.n_documents == 2
+
     def test_empty_server(self):
         server = LiveEngineServer("empty")
         assert server.version == 0

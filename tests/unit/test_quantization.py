@@ -86,14 +86,14 @@ class TestEncodeDecode:
 
     def test_fit_roundtrip_convenience(self):
         values = [0.25, 0.75]
-        out = OneByteQuantizer(low=0.0, high=1.0).fit_roundtrip(values)
+        out = OneByteQuantizer(low=0.0, high=1.0).fit(values).roundtrip(values)
         assert out.shape == (2,)
 
     def test_mass_preservation_on_uniform_data(self):
         # Interval-mean decoding keeps the overall mean nearly unchanged.
         rng = np.random.default_rng(2)
         values = rng.random(5000)
-        approx = OneByteQuantizer(low=0.0, high=1.0).fit_roundtrip(values)
+        approx = OneByteQuantizer(low=0.0, high=1.0).fit(values).roundtrip(values)
         assert approx.mean() == pytest.approx(values.mean(), abs=1e-6)
 
     def test_grid_is_frozen_dataclass(self):
