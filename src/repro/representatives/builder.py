@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Union
 
+import numpy as np
+
 from repro.engine.search_engine import SearchEngine
 from repro.index.inverted import InvertedIndex
 from repro.representatives.representative import DatabaseRepresentative
@@ -25,6 +27,14 @@ def build_representative(
 ) -> DatabaseRepresentative:
     """Summarize an engine (or raw index) into a database representative.
 
+    Posting lists of equal document frequency are stacked into one
+    ``(terms, df)`` block and reduced along ``axis=1`` — one ``mean`` /
+    ``std`` / ``max`` call per distinct df instead of one per term.  numpy
+    reduces each row of a C-contiguous block with the pairwise summation it
+    applies to a lone 1-D array, so every statistic is bit-identical to
+    reducing the posting lists one at a time, and terms keep the index's
+    iteration order.
+
     Args:
         source: The engine/index to summarize; its weighting and
             normalization settings determine the weight space.
@@ -37,16 +47,29 @@ def build_representative(
     index = source.index if isinstance(source, SearchEngine) else source
     n = index.n_documents
     vocabulary = index.collection.vocabulary
-    term_stats = {}
-    for term_id, plist in index.items():
-        weights = plist.weights
-        stats = TermStats(
-            probability=plist.document_frequency / n if n else 0.0,
-            mean=float(weights.mean()),
-            std=float(weights.std(ddof=0)),
-            max_weight=float(weights.max()) if include_max_weight else None,
+    items = list(index.items())
+    df = np.array(
+        [plist.document_frequency for __, plist in items], dtype=np.int64
+    )
+    mean, std, max_weight = (np.empty(df.size) for __ in range(3))
+    by_df = np.argsort(df, kind="stable")
+    for group in np.split(by_df, np.flatnonzero(np.diff(df[by_df])) + 1):
+        if group.size:
+            block = np.stack([items[i][1].weights for i in group.tolist()])
+            mean[group] = block.mean(axis=1)
+            std[group] = block.std(axis=1, ddof=0)
+            max_weight[group] = block.max(axis=1)
+    term_stats = {
+        vocabulary.term_of(term_id): TermStats(
+            probability=d / n if n else 0.0,
+            mean=m,
+            std=s,
+            max_weight=x if include_max_weight else None,
         )
-        term_stats[vocabulary.term_of(term_id)] = stats
+        for (term_id, __), d, m, s, x in zip(
+            items, df.tolist(), mean.tolist(), std.tolist(), max_weight.tolist()
+        )
+    }
     return DatabaseRepresentative(
         name=index.collection.name, n_documents=n, term_stats=term_stats
     )

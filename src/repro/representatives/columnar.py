@@ -235,8 +235,8 @@ class ColumnarRepresentative:
     def _trusted(cls, *fields) -> "ColumnarRepresentative":
         """The constructor minus validation and write-protection — for the
         fleet store, whose columns are fresh float64 arrays, parallel and
-        id-sorted by construction, rebuilt for every engine on every repack
-        (where the checks measured ~10% of a 64-engine repack)."""
+        id-sorted by construction (reconstructed on every single-engine
+        read and every delta apply)."""
         self = cls.__new__(cls)
         self._fill(*fields)
         return self
@@ -470,11 +470,10 @@ class _PackedFleet:
         "extra_pos",
         "sigma_extra",
         "mw_extra",
-        "engine_rows",
     )
 
     def __init__(self, vocab_size, starts, engine_idx, p, w,
-                 extra_pos, sigma_extra, mw_extra, engine_rows):
+                 extra_pos, sigma_extra, mw_extra):
         self.vocab_size = vocab_size
         self.starts = starts
         self.engine_idx = engine_idx
@@ -483,8 +482,16 @@ class _PackedFleet:
         self.extra_pos = extra_pos
         self.sigma_extra = sigma_extra
         self.mw_extra = mw_extra
-        #: per-engine row ranges are not stored; engine_rows counts entries.
-        self.engine_rows = engine_rows
+
+    @classmethod
+    def empty(cls) -> "_PackedFleet":
+        """The layout of a fleet with no entries (what the first pack
+        merges into)."""
+        return cls(
+            0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8),
+            np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int32),
+            np.zeros(0), np.zeros(0),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -503,13 +510,15 @@ class FleetRepresentativeStore:
     """Every engine's representative, packed into fleet-wide term-major
     arrays keyed by a shared :class:`BrokerVocabulary`.
 
-    ``add`` accepts dict or columnar representatives; the dense per-engine
-    columns are folded into the packed layout lazily (on first read after a
-    change) and then dropped, so resident memory is the compressed layout
-    plus small per-engine metadata.  :meth:`gather` returns the
-    ``(engines, query terms)`` statistics block the vectorized estimators
-    consume; :meth:`materialize` reconstructs a single engine's
-    representative bit-exactly on demand.
+    ``add`` accepts dict or columnar representatives and parks the changed
+    engine's dense columns as *pending*; the first fleet-wide read after a
+    change merges the pending engines into the packed layout (the other
+    engines' entries keep their place, so a write costs the engine it
+    changes plus one linear pass) and drops their columns, so resident
+    memory is the compressed layout plus small per-engine metadata.
+    :meth:`gather` returns the ``(engines, query terms)`` statistics block
+    the vectorized estimators consume; :meth:`materialize` reconstructs a
+    single engine's representative bit-exactly on demand.
     """
 
     def __init__(self, vocab: Optional[BrokerVocabulary] = None):
@@ -520,8 +529,9 @@ class FleetRepresentativeStore:
         self._has_mw_default: List[bool] = []
         self._binary_mean_w: List[float] = []
         self._n_terms: List[int] = []
+        # Every engine is either pending or fully in the packed layout.
         self._pending: Dict[int, ColumnarRepresentative] = {}
-        self._packed: Optional[_PackedFleet] = None
+        self._packed = _PackedFleet.empty()
         # Derived per-engine arrays served on every grid call; rebuilt
         # lazily after a registration change instead of per read.
         self._docs_array: Optional[np.ndarray] = None
@@ -572,12 +582,12 @@ class FleetRepresentativeStore:
         pending or packed layout), edited term-by-term — deletions drop
         rows, ``set`` records overwrite or insert rows in sorted term-id
         order, untouched rows rescale their probability exactly via the
-        integer-df recovery — and parked as the engine's pending columns;
-        the term-major CSR layout re-packs lazily on the next read, which
-        is the store's amortized re-packing path.  The engine's binary
-        mean weight is recomputed over canonical sorted-term-string order,
-        matching what registering the engine's fresh canonical snapshot
-        would have produced.
+        integer-df recovery — and parked as the engine's pending columns,
+        which the next fleet-wide read merges into the packed layout in
+        place of the engine's old entries; no other engine is unpacked.
+        The engine's binary mean weight is recomputed over canonical
+        sorted-term-string order, matching what registering the engine's
+        fresh canonical snapshot would have produced.
         """
         index = self._by_name.get(delta.name)
         if index is None:
@@ -650,37 +660,32 @@ class FleetRepresentativeStore:
             )
         )
 
-    def remove(self, name: str) -> None:
-        """Forget an engine (its packed entries are dropped on next pack)."""
-        index = self._by_name.pop(name, None)
-        if index is None:
-            raise KeyError(name)
-        # Rebuild dense columns for every other engine, then repack lazily.
-        survivors = [
-            self._columns_at(i) for i in range(len(self._names)) if i != index
-        ]
-        self._names.pop(index)
-        self._n_documents.pop(index)
-        self._has_mw_default.pop(index)
-        self._binary_mean_w.pop(index)
-        self._n_terms.pop(index)
-        self._by_name = {n: i for i, n in enumerate(self._names)}
-        self._pending = {self._by_name[c.name]: c for c in survivors}
-        self._packed = None
-        self._docs_array = None
-        self._mean_w_array = None
-
     # -- packing -------------------------------------------------------------
 
+    def _unpacked(self) -> Tuple[np.ndarray, ...]:
+        """Every packed entry as parallel ``(term_ids, engine rows, p, w,
+        sigma, mw)`` columns in term-major order, reconstructed bit-exactly
+        in one linear pass: ``sigma = +0.0`` and the engine's default
+        ``mw`` unless the side channel holds the entry."""
+        packed = self._packed
+        term_ids = np.repeat(
+            np.arange(packed.vocab_size, dtype=np.int64), np.diff(packed.starts)
+        )
+        sigma = np.zeros(packed.p.size)
+        sigma[packed.extra_pos] = packed.sigma_extra
+        has_default = np.asarray(self._has_mw_default, dtype=bool)
+        mw = np.where(has_default[packed.engine_idx], packed.w, np.nan)
+        mw[packed.extra_pos] = packed.mw_extra
+        return term_ids, packed.engine_idx, packed.p, packed.w, sigma, mw
+
     def _columns_at(self, index: int) -> ColumnarRepresentative:
-        """Dense columns for one engine, reconstructed from the packed
-        layout (used for materialize/repack; bit-exact)."""
+        """Dense columns for one engine: its pending columns, else its
+        entries of the packed layout (single-engine reads and delta
+        applies; bit-exact)."""
         pending = self._pending.get(index)
         if pending is not None:
             return pending
         packed = self._packed
-        if packed is None:
-            raise KeyError(index)
         entry_mask = packed.engine_idx == index
         positions = np.flatnonzero(entry_mask)
         term_ids = (
@@ -705,36 +710,46 @@ class FleetRepresentativeStore:
         )
 
     def _pack(self) -> _PackedFleet:
-        """Fold every engine's columns into the term-major layout."""
-        n_engines = len(self._names)
-        all_columns = [self._columns_at(i) for i in range(n_engines)]
-        vocab_size = len(self.vocab)
-        total = sum(c.n_terms for c in all_columns)
-        term_of_entry = np.empty(total, dtype=np.int64)
-        engine_of_entry = np.empty(total, dtype=np.int64)
-        p = np.empty(total)
-        w = np.empty(total)
-        sigma = np.empty(total)
-        mw = np.empty(total)
-        cursor = 0
-        for i, cols in enumerate(all_columns):
-            n = cols.n_terms
-            sl = slice(cursor, cursor + n)
-            term_of_entry[sl] = cols.term_ids
-            engine_of_entry[sl] = i
-            p[sl] = cols.p
-            w[sl] = cols.w
-            sigma[sl] = cols.sigma
-            mw[sl] = cols.mw
-            cursor += n
-        order = np.lexsort((engine_of_entry, term_of_entry))
-        term_of_entry = term_of_entry[order]
-        engine_of_entry = engine_of_entry[order]
-        p = p[order]
-        w = w[order]
-        sigma = sigma[order]
-        mw = mw[order]
+        """Merge the pending engines' columns into the term-major layout.
 
+        Entries of engines that are not pending keep their (term, engine)
+        order; the pending engines' entries are sorted among themselves and
+        spliced in at the ``searchsorted`` positions of a ``term * width +
+        engine`` key.  The result is exactly the layout packing every
+        engine from scratch would give — the first pack is this merge with
+        nothing surviving — and the side channel is recomputed over it.
+        """
+        n_engines = len(self._names)
+        is_pending = np.zeros(n_engines, dtype=bool)
+        is_pending[list(self._pending)] = True
+        survives = ~is_pending[self._packed.engine_idx]
+        kept = [column[survives] for column in self._unpacked()]
+        pending = list(self._pending.items())
+        fresh = [
+            np.concatenate([c.term_ids for __, c in pending]),
+            np.concatenate([np.full(c.n_terms, i) for i, c in pending]),
+            *(
+                np.concatenate([getattr(c, stat) for __, c in pending])
+                for stat in ("p", "w", "sigma", "mw")
+            ),
+        ]
+        fresh_key = fresh[0] * n_engines + fresh[1]
+        order = np.argsort(fresh_key, kind="stable")
+        fresh_key = fresh_key[order]
+        kept_key = kept[0] * n_engines + kept[1]
+        total = kept_key.size + fresh_key.size
+        slots = np.searchsorted(kept_key, fresh_key) + np.arange(fresh_key.size)
+        at_kept = np.ones(total, dtype=bool)
+        at_kept[slots] = False
+        merged = []
+        for old, new in zip(kept, fresh):
+            column = np.empty(total, dtype=np.result_type(old, new))
+            column[at_kept] = old
+            column[slots] = new[order]
+            merged.append(column)
+        term_of_entry, engine_of_entry, p, w, sigma, mw = merged
+
+        vocab_size = len(self.vocab)
         starts = np.zeros(vocab_size + 1, dtype=np.int64)
         counts = np.bincount(term_of_entry, minlength=vocab_size)
         np.cumsum(counts, out=starts[1:])
@@ -744,10 +759,7 @@ class FleetRepresentativeStore:
         # engines, absent/NaN for triplet engines).
         sigma_nonzero = sigma.view(np.int64) != 0
         has_default = np.asarray(self._has_mw_default, dtype=bool)
-        entry_default_is_w = (
-            has_default[engine_of_entry] if n_engines else
-            np.zeros(0, dtype=bool)
-        )
+        entry_default_is_w = has_default[engine_of_entry]
         mw_is_nan = np.isnan(mw)
         mw_nondefault = np.where(
             entry_default_is_w,
@@ -758,23 +770,19 @@ class FleetRepresentativeStore:
         extra_pos = np.flatnonzero(extra).astype(
             np.int32 if total <= np.iinfo(np.int32).max else np.int64
         )
-        packed = _PackedFleet(
+        return _PackedFleet(
             vocab_size=vocab_size,
             starts=starts,
-            engine_idx=engine_of_entry.astype(
-                _smallest_uint(max(n_engines - 1, 0))
-            ),
+            engine_idx=engine_of_entry.astype(_smallest_uint(n_engines - 1)),
             p=p,
             w=w,
             extra_pos=extra_pos,
             sigma_extra=sigma[extra],
             mw_extra=mw[extra],
-            engine_rows=np.bincount(engine_of_entry, minlength=n_engines),
         )
-        return packed
 
     def _ensure_packed(self) -> _PackedFleet:
-        if self._packed is None or self._pending:
+        if self._pending:
             self._packed = self._pack()
             self._pending.clear()
         return self._packed
@@ -869,7 +877,7 @@ class FleetRepresentativeStore:
         pending = self._pending.get(index)
         if pending is not None:
             return pending.get(term)
-        packed = self._ensure_packed()
+        packed = self._packed
         tid = self.vocab.id_of(term)
         if tid == UNKNOWN_TERM or tid >= packed.vocab_size:
             return None
@@ -899,8 +907,8 @@ class FleetRepresentativeStore:
 
     def materialize(self, name: str) -> DatabaseRepresentative:
         """Reconstruct one engine's dict representative (bit-exact, in
-        canonical term-id order).  O(total fleet entries) — a diagnostics
-        and interop path, not a hot one."""
+        canonical term-id order).  One mask over the packed entries, never
+        a repack — a diagnostics and interop path, not a hot one."""
         return self.columnar_of(name).to_representative()
 
     # -- slicing and persistence ---------------------------------------------
@@ -908,7 +916,6 @@ class FleetRepresentativeStore:
     def columnar_of(self, name: str) -> ColumnarRepresentative:
         """One engine's representative as a :class:`ColumnarRepresentative`
         sharing this store's vocabulary (bit-exact reconstruction)."""
-        self._ensure_packed()
         return self._columns_at(self._by_name[name])
 
     def partition(self, n_shards: int) -> List[List[str]]:
@@ -943,19 +950,17 @@ class FleetRepresentativeStore:
         over the loaded column order could differ in the last ulp.
         """
         self._ensure_packed()
-        columns = [self._columns_at(i) for i in range(len(self._names))]
-        counts = np.array([c.n_terms for c in columns], dtype=np.int64)
-        entry_starts = np.zeros(len(columns) + 1, dtype=np.int64)
-        np.cumsum(counts, out=entry_starts[1:])
-        if columns:
-            term_ids = np.concatenate([c.term_ids for c in columns])
-            p = np.concatenate([c.p for c in columns])
-            w = np.concatenate([c.w for c in columns])
-            sigma = np.concatenate([c.sigma for c in columns])
-            mw = np.concatenate([c.mw for c in columns])
-        else:
-            term_ids = np.zeros(0, dtype=np.int64)
-            p = w = sigma = mw = np.zeros(0)
+        term_ids, engines, *stats = self._unpacked()
+        # A stable sort of the term-major entries by engine: engine-major,
+        # term ids still ascending within each engine.
+        order = np.argsort(engines, kind="stable")
+        term_ids = term_ids[order]
+        p, w, sigma, mw = (column[order] for column in stats)
+        entry_starts = np.zeros(len(self._names) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(engines, minlength=len(self._names)),
+            out=entry_starts[1:],
+        )
         used = np.unique(term_ids)
         term_local = np.searchsorted(used, term_ids).astype(np.int64)
         term_blob, term_offsets = _encode_terms(
@@ -1033,7 +1038,6 @@ class FleetRepresentativeStore:
 
     @property
     def total_entries(self) -> int:
-        self._ensure_packed()
         return sum(self._n_terms)
 
     def __repr__(self) -> str:

@@ -49,6 +49,7 @@ import json
 import os
 import socket
 import threading
+import zipfile
 from typing import Callable, List, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
@@ -213,12 +214,16 @@ class _HTTPJsonClient:
 
     def _decoded(self, path: str, decode: Callable, *answer):
         """``decode(*answer)`` — the one place a 2xx answer of the wrong
-        shape (non-object body, missing field, wrong type, wrong ``kind``)
-        becomes a :class:`RemoteServingError`, which callers — the
-        dispatcher above all — handle like any other remote fault."""
+        shape (non-object body, missing field, wrong type, wrong ``kind``,
+        an empty or truncated ``.npz``) becomes a
+        :class:`RemoteServingError`, which callers — the dispatcher above
+        all — handle like any other remote fault."""
         try:
             return decode(*answer)
-        except (AttributeError, KeyError, TypeError, ValueError, OSError) as exc:
+        except (
+            AttributeError, KeyError, TypeError, ValueError, OSError,
+            EOFError, zipfile.BadZipFile,
+        ) as exc:
             raise RemoteServingError(
                 f"{self.base_url}{path} returned a malformed answer: "
                 f"{type(exc).__name__}: {exc}"

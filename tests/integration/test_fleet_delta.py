@@ -14,13 +14,17 @@ full-snapshot resync.
 """
 
 import json
+import re
+import signal
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.core import get_estimator
-from repro.corpus import Document, Query
+from repro.corpus import Collection, Document, Query, save_collection
 from repro.fleet import DeltaCompactedError, LiveEngineServer
 from repro.metasearch import MetasearchBroker
 from repro.serving import (
@@ -379,6 +383,65 @@ class TestHTTPDeltaLoop:
         assert report is not None
         assert report.from_version == 0 and report.to_version == 2
         assert_rows_match(broker, fresh_oracle_for([(live, None)]))
+
+    def test_live_engine_process_catches_up_like_a_fresh_snapshot(
+        self, tmp_path
+    ):
+        """A real ``repro serve engine --live`` process: ``/healthz``
+        reports it live, ``POST /mutate`` churns it, the broker's delta
+        catch-up estimates like one registered with a fresh snapshot, and
+        SIGTERM drains it to exit 0."""
+        path = tmp_path / "live.jsonl.gz"
+        save_collection(Collection.from_texts("live", [
+            ("d1", "the rocket engine ignited toward orbit"),
+            ("d2", "a telescope mirror focuses distant galaxies"),
+            ("d3", "rocket fuel and tomato sauce"),
+            ("d4", "plum and kiwi in basil sauce"),
+        ]), path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "engine", "--live",
+             "--collection", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            for line in proc.stdout:  # a banner line comes first
+                announced = re.search(r"serving engine at (http://\S+)", line)
+                if announced:
+                    break
+            else:
+                pytest.fail("the live engine exited without serving")
+            url = announced.group(1)
+            with urllib.request.urlopen(f"{url}/healthz", timeout=10) as reply:
+                assert json.loads(reply.read())["live"] is True
+
+            remote = RemoteEngine(url)
+            broker = MetasearchBroker()
+            assert broker.sync_representative(remote) is None  # v0 snapshot
+            mutated = self.post_mutate(url, {
+                "remove": ["d2"],
+                "add": [{"doc_id": "d5", "terms": ["comet", "rocket"]}],
+            })
+            assert mutated["version"] == 2
+            report = broker.sync_representative(remote)
+            assert report is not None and report.to_version == 2
+
+            fresh = MetasearchBroker()
+            fresh.register(
+                remote, representative=remote.sync_representative().representative
+            )
+            for text in ("rocket orbit", "comet", "plum sauce"):
+                query = Query.from_text(text)
+                for threshold in THRESHOLDS:
+                    assert broker.estimate_all(query, threshold) == \
+                        fresh.estimate_all(query, threshold)
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.communicate(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
 
     def test_compaction_over_http_falls_back_to_snapshot(self):
         live = LiveEngineServer("engine0", make_documents(0), log_limit=1)

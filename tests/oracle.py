@@ -6,12 +6,15 @@ grid must equal, bit for bit.  ``ScalarOracle`` is exactly that loop — no
 fleet store, no caches, no grid — behind the broker's estimate surface, so
 a suite (or ``GatewayApp``'s ``/estimate``) can take it wherever it took a
 broker.  ``apply_delta`` is the same idea for live deltas: the dict-form
-application that ``FleetRepresentativeStore.apply_delta`` must equal.
+application that ``FleetRepresentativeStore.apply_delta`` must equal; and
+``per_term_representative`` is the builder's one-reduction-per-term loop,
+which the grouped ``build_representative`` must equal bit for bit.
 """
 
 from typing import Dict
 
 from repro.core import SubrangeEstimator
+from repro.engine import SearchEngine
 from repro.fleet.delta import RepresentativeDelta, rescale_probability
 from repro.metasearch import EstimatedUsefulness
 from repro.metasearch.broker import broadcast_thresholds
@@ -59,6 +62,29 @@ class ScalarOracle:
         queries = list(queries)
         per_query = broadcast_thresholds(queries, thresholds)
         return [self.estimate_all(q, t) for q, t in zip(queries, per_query)]
+
+
+def per_term_representative(
+    source, include_max_weight: bool = True
+) -> DatabaseRepresentative:
+    """The representative of ``source`` (an engine or an inverted index),
+    one ``mean`` / ``std`` / ``max`` reduction per posting list, in the
+    index's iteration order."""
+    index = source.index if isinstance(source, SearchEngine) else source
+    n = index.n_documents
+    vocabulary = index.collection.vocabulary
+    term_stats = {}
+    for term_id, plist in index.items():
+        weights = plist.weights
+        term_stats[vocabulary.term_of(term_id)] = TermStats(
+            probability=plist.document_frequency / n if n else 0.0,
+            mean=float(weights.mean()),
+            std=float(weights.std(ddof=0)),
+            max_weight=float(weights.max()) if include_max_weight else None,
+        )
+    return DatabaseRepresentative(
+        name=index.collection.name, n_documents=n, term_stats=term_stats
+    )
 
 
 def apply_delta(

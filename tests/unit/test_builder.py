@@ -1,6 +1,7 @@
 """Unit tests for building representatives from engines."""
 
 import math
+import struct
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.corpus import Collection, Document
 from repro.engine import SearchEngine
 from repro.index import InvertedIndex
 from repro.representatives import build_representative
+from tests.oracle import per_term_representative
 
 
 @pytest.fixture
@@ -79,3 +81,54 @@ class TestBuildRepresentative:
         rep = build_representative(engine)
         for __, stats in rep.items():
             assert stats.max_weight >= stats.mean - 1e-12
+
+
+class TestGroupedReductionsMatchPerTermOracle:
+    """``build_representative`` reduces posting lists of equal document
+    frequency as rows of one block; every statistic must equal the
+    per-term loop's bit for bit, in the index's iteration order.  The
+    document frequencies straddle numpy's summation edges: the 8-wide
+    unrolled block (7, 8, 9), the 128-element pairwise block (127, 128,
+    129) and several pairwise levels (1024, 1100)."""
+
+    DFS = (1, 7, 8, 9, 127, 128, 129, 1024, 1100)
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        n = max(self.DFS)
+        documents = []
+        for i in range(n):
+            terms = [f"filler{i % 13}"] * (1 + i % 3)
+            for df in self.DFS:
+                if i < df:  # the first df documents
+                    terms += [f"a{df}"] * (1 + (i + df) % 4)
+                if n - 1 - i < df:  # the last df documents
+                    terms += [f"b{df}"] * (1 + (3 * i + df) % 5)
+            documents.append(Document(f"d{i}", terms=terms))
+        return SearchEngine(Collection.from_documents("db", documents))
+
+    @staticmethod
+    def bits(representative):
+        return [
+            (term, [
+                None if v is None else struct.pack("<d", v)
+                for v in (s.probability, s.mean, s.std, s.max_weight)
+            ])
+            for term, s in representative.items()
+        ]
+
+    def test_document_frequencies_cover_the_edges(self, engine):
+        index = engine.index
+        dfs = {index.document_frequency(t) for t in index.iter_term_ids()}
+        assert set(self.DFS) <= dfs
+
+    @pytest.mark.parametrize("include_max_weight", [True, False])
+    def test_bit_identical_in_dict_order(self, engine, include_max_weight):
+        built = build_representative(engine, include_max_weight)
+        oracle = per_term_representative(engine, include_max_weight)
+        assert built.n_documents == oracle.n_documents
+        assert self.bits(built) == self.bits(oracle)
+
+    def test_empty_index(self):
+        empty = SearchEngine(Collection.from_documents("db", []))
+        assert build_representative(empty).n_terms == 0

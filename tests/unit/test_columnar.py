@@ -179,18 +179,6 @@ class TestFleetStore:
         assert store.term_stats("d1", "apple") is None
         assert store.term_stats("d1", "kiwi") is not None
 
-    def test_remove(self):
-        store = FleetRepresentativeStore()
-        store.add(make_rep("d1"))
-        store.add(make_rep("d2", terms=("kiwi", "apple")))
-        store.gather(store.vocab.ids_of(["apple"]))  # force a pack
-        store.remove("d1")
-        assert store.engine_names == ["d2"]
-        assert store.index_of("d2") == 0
-        assert store.term_stats("d2", "kiwi") is not None
-        with pytest.raises(KeyError):
-            store.remove("d1")
-
     def test_term_stats_reads_pending_before_pack(self):
         store = FleetRepresentativeStore()
         store.add(make_rep("d1"))
@@ -238,6 +226,41 @@ class TestFleetStore:
         store.add(rep)
         expected = float(np.mean([s.mean for __, s in rep.items()]))
         assert store.binary_mean_w.tolist() == [expected]
+
+    def test_total_entries_does_not_pack(self):
+        store = FleetRepresentativeStore()
+        store.add(make_rep("d1"))
+        assert store.total_entries == 3
+        assert store._pending  # still waiting for the first read
+
+    def test_a_sync_merges_only_the_engine_it_changed(self, monkeypatch):
+        from repro.corpus import Document
+        from repro.fleet import LiveEngineServer
+        from repro.metasearch import MetasearchBroker
+
+        broker = MetasearchBroker()
+        lives = [
+            LiveEngineServer(f"e{k}", [
+                Document(f"e{k}-d0", ["apple", f"t{k}"]),
+                Document(f"e{k}-d1", ["pear", "apple"]),
+            ])
+            for k in range(64)
+        ]
+        for live in lives:
+            broker.sync_representative(live)
+        store = broker.fleet
+        ids = store.vocab.ids_of(["apple", "pear"])
+        store.gather(ids)
+        lives[5].add_documents([Document("e5-d2", ["apple", "kiwi"])])
+        broker.sync_representative(lives[5])
+        calls = []
+        columns_at = FleetRepresentativeStore._columns_at
+        monkeypatch.setattr(
+            FleetRepresentativeStore, "_columns_at",
+            lambda self, index: calls.append(index) or columns_at(self, index),
+        )
+        store.gather(ids)
+        assert len(calls) <= 1
 
 
 class TestFleetNpz:

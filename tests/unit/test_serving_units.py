@@ -420,6 +420,26 @@ class TestClientsRejectMalformedAnswers:
         with pytest.raises(RemoteServingError):
             client_calls()[call]()
 
+    @pytest.mark.parametrize(
+        "body", [b"", b"PK\x03\x04garbage"], ids=["empty", "truncated-zip"]
+    )
+    def test_bad_npz_body_raises_remote_serving_error(self, monkeypatch, body):
+        from types import SimpleNamespace
+
+        from repro.serving import RemoteEngine, RemoteServingError
+        from repro.serving.remote_engine import _HTTPJsonClient
+
+        response = SimpleNamespace(
+            headers={"X-Repro-Representative-Version": "0"}
+        )
+        monkeypatch.setattr(
+            _HTTPJsonClient,
+            "_roundtrip",
+            lambda self, method, path, payload: (body, response),
+        )
+        with pytest.raises(RemoteServingError, match="malformed answer"):
+            RemoteEngine(DEAD_URL).snapshot_representative(columnar=True)
+
     def test_non_object_healthz_never_attaches(self, monkeypatch):
         from repro.serving import RemoteEngine, RemoteServingError, ShardedFleet
         from repro.serving.remote_engine import _HTTPJsonClient
