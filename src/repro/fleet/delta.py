@@ -21,8 +21,9 @@ carries both document counts and the receiver rescales in place::
 ``rint(p_old * n_old)`` recovers the integer ``df`` exactly, and ``df /
 n_new`` is the very same division a full rebuild performs — the rescaled
 probability is bit-identical, not merely close.  Mean, std and max weight
-are per-document quantities (normalization is document-local under the
-paper's Cosine model), so they are untouched by membership changes
+reduce the term's own posting weights, and each weight is document-local
+(a raw-tf Cosine weight depends on its own document only — see
+:mod:`repro.fleet.live`), so they are untouched by membership changes
 elsewhere.  A term thus needs a record only when its *own* posting list
 changed.
 

@@ -11,40 +11,68 @@ been compacted out of the log, in which case it falls back to a full
 snapshot.  Until it syncs, the broker selects from its stale copy (the
 paper's "propagation can be done infrequently") while searches run live.
 
-Why the deltas are generated by *diffing* full rebuilds rather than by
-streaming sufficient-statistics updates: a search engine's normalized
-weights are document-local under the paper's Cosine model, but the order in
-which a rebuilt index sums a document's squared weights follows the
-collection-wide vocabulary numbering, which shifts when documents are
-removed.  Diffing two rebuilt snapshots makes the delta describe exactly
-the statistics the engine will serve next, so delta application is
-bit-exact by construction.  This diff of rebuilds is the one way a
-representative is maintained under mutation.
+Why the index can be edited in place instead of rebuilt: a live engine
+runs the paper's configuration — raw tf weights, Cosine normalization, no
+idf — so a document's normalized weight for a term is ``tf / sqrt(sum of
+tf**2)`` over that document alone.  The sum is of squared integer counts:
+every partial sum is an integer below ``2**53`` for any document under
+about 9·10⁷ tokens, so it is exact in float64 in *any* order, and the
+rebuilt index's sum in vocabulary-id order (which a removal renumbers)
+gives the very same bits.  Each weight therefore depends on its own
+document only.  The server keeps one ``{doc_id: weight}`` posting per
+term; dict insertion order is document order — a removal deletes its
+entries in place, an addition (a re-added id included) appends at the
+end — which is exactly the order a rebuilt posting list holds.  A
+mutation edits the postings of the documents it adds or removes,
+re-reduces only the terms they touch (:func:`reduce_weight_rows`, the
+reduction ``build_representative`` runs) and emits a ``set`` record for a
+touched term whose ``(df, mean, std, max)`` changed and a ``del`` for one
+whose posting emptied: the records ``diff_representatives`` would find
+between two rebuilt snapshots, bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Union
+import math
+import threading
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.corpus.collection import Collection
 from repro.corpus.document import Document
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
-from repro.engine.search_engine import SearchEngine
 from repro.fleet.delta import (
     DeltaCompactedError,
     RepresentativeDelta,
     RepresentativeSnapshot,
-    canonicalize,
-    diff_representatives,
+    TermDeltaRecord,
 )
-from repro.representatives.builder import build_representative
+from repro.representatives.builder import reduce_weight_rows
 from repro.representatives.representative import DatabaseRepresentative
+from repro.representatives.term_stats import TermStats
 
 __all__ = ["LiveEngineServer"]
 
 DEFAULT_LOG_LIMIT = 64
+
+#: A term's reduced posting: ``(df, mean, std, max_weight)``.
+_Stats = Tuple[int, float, float, float]
+
+
+def _normalized_weights(document: Document) -> Dict[str, float]:
+    """Raw tf over the Cosine norm, per distinct term of ``document``."""
+    counts: Dict[str, int] = {}
+    for term in document.terms:
+        counts[term] = counts.get(term, 0) + 1
+    norm = math.sqrt(sum(tf * tf for tf in counts.values()))
+    return {term: tf / norm for term, tf in counts.items()}
+
+
+def _batch(items, what: str) -> list:
+    """``items`` as a list; a bare string is refused rather than iterated."""
+    if isinstance(items, str):
+        raise TypeError(f"{what} must be an iterable, not a str")
+    return list(items)
 
 
 class LiveEngineServer:
@@ -69,16 +97,23 @@ class LiveEngineServer:
         if log_limit < 1:
             raise ValueError(f"log_limit must be >= 1, got {log_limit!r}")
         self._name = name
-        self._documents: "OrderedDict[str, Document]" = OrderedDict()
+        #: doc_id -> {term: normalized weight}, in document order.
+        self._weights: Dict[str, Dict[str, float]] = {}
+        #: term -> {doc_id: normalized weight}, in document order.
+        self._postings: Dict[str, Dict[str, float]] = {}
+        self._stats: Dict[str, _Stats] = {}
+        # A search walks the postings a mutation edits in place; the two
+        # (and the snapshot build) never interleave.
+        self._lock = threading.Lock()
         for document in documents or []:
-            if document.doc_id in self._documents:
+            if document.doc_id in self._weights:
                 raise ValueError(f"duplicate doc_id {document.doc_id!r}")
-            self._documents[document.doc_id] = document
-        self._engine: Optional[SearchEngine] = None
+            self._insert(document)
+        self._restat(self._postings)
         self._version = 0
         self._log_limit = log_limit
         self._log: Deque[RepresentativeDelta] = deque()
-        self._representative = self._build_canonical()
+        self._snapshot: Optional[RepresentativeSnapshot] = None
 
     # -- identity and versioning ----------------------------------------------
 
@@ -88,16 +123,16 @@ class LiveEngineServer:
 
     @property
     def version(self) -> int:
-        """Mutation counter: one tick per add/remove batch."""
+        """Mutation counter: one tick per non-empty add/remove batch."""
         return self._version
 
     @property
     def n_documents(self) -> int:
-        return len(self._documents)
+        return len(self._weights)
 
     @property
     def doc_ids(self) -> List[str]:
-        return list(self._documents)
+        return list(self._weights)
 
     @property
     def compacted_below(self) -> int:
@@ -108,11 +143,12 @@ class LiveEngineServer:
 
     def add_documents(self, documents: Iterable[Document]) -> RepresentativeDelta:
         """Ingest new documents; returns the mutation's delta.  An id already
-        held, or repeated in ``documents``, rejects the whole batch."""
-        documents = list(documents)
+        held, or repeated in ``documents``, rejects the whole batch; an
+        empty batch is no mutation (the live version's empty delta)."""
+        documents = _batch(documents, "documents")
         seen = set()
         for document in documents:
-            if document.doc_id in self._documents or document.doc_id in seen:
+            if document.doc_id in self._weights or document.doc_id in seen:
                 raise ValueError(f"duplicate doc_id {document.doc_id!r}")
             seen.add(document.doc_id)
         return self._mutate(add=documents, remove=())
@@ -121,59 +157,93 @@ class LiveEngineServer:
         self, doc_ids: Iterable[str]
     ) -> RepresentativeDelta:
         """Drop documents by id; returns the mutation's delta.  An unknown
-        or repeated id rejects the whole batch."""
-        doc_ids = list(doc_ids)
+        or repeated id rejects the whole batch; an empty batch is no
+        mutation (the live version's empty delta)."""
+        doc_ids = _batch(doc_ids, "doc_ids")
         seen = set()
         for doc_id in doc_ids:
-            if doc_id not in self._documents:
+            if doc_id not in self._weights:
                 raise KeyError(f"unknown doc_id {doc_id!r}")
             if doc_id in seen:
                 raise ValueError(f"doc_id {doc_id!r} listed twice")
             seen.add(doc_id)
         return self._mutate(add=(), remove=doc_ids)
 
+    def _insert(self, document: Document) -> Dict[str, float]:
+        weights = _normalized_weights(document)
+        self._weights[document.doc_id] = weights
+        for term, weight in weights.items():
+            self._postings.setdefault(term, {})[document.doc_id] = weight
+        return weights
+
+    def _restat(self, terms: Iterable[str]) -> Dict[str, _Stats]:
+        """Re-reduce ``terms``' postings; returns the terms whose stats
+        changed, with their new stats (all of them stored)."""
+        terms = list(terms)
+        reduced = reduce_weight_rows(
+            [list(self._postings[term].values()) for term in terms]
+        )
+        changed = {}
+        for term, stats in zip(terms, zip(*(column.tolist() for column in reduced))):
+            if self._stats.get(term) != stats:
+                self._stats[term] = changed[term] = stats
+        return changed
+
     def _mutate(
         self, add: Sequence[Document], remove: Sequence[str]
     ) -> RepresentativeDelta:
-        old = self._representative
-        for doc_id in remove:
-            del self._documents[doc_id]
-        for document in add:
-            self._documents[document.doc_id] = document
-        self._engine = None
-        new = self._build_canonical()
-        delta = diff_representatives(
-            old, new, from_version=self._version, to_version=self._version + 1
-        )
-        self._version += 1
-        self._representative = new
-        self._log.append(delta)
-        while len(self._log) > self._log_limit:
-            self._log.popleft()
+        if not add and not remove:
+            return self.delta_since(self._version)
+        with self._lock:
+            n_before = self.n_documents
+            touched = set()
+            for doc_id in remove:
+                for term in self._weights.pop(doc_id):
+                    del self._postings[term][doc_id]
+                    touched.add(term)
+            for document in add:
+                touched.update(self._insert(document))
+            emptied = {term for term in touched if not self._postings[term]}
+            records = []
+            for term in emptied:  # held before: only a removal empties
+                del self._postings[term], self._stats[term]
+                records.append(TermDeltaRecord(op="del", term=term))
+            n = self.n_documents
+            for term, (df, mean, std, mw) in self._restat(touched - emptied).items():
+                records.append(TermDeltaRecord(
+                    op="set", term=term, stats=TermStats(df / n, mean, std, mw)
+                ))
+            delta = RepresentativeDelta(
+                name=self._name,
+                from_version=self._version,
+                to_version=self._version + 1,
+                from_n_documents=n_before,
+                n_documents=n,
+                records=tuple(records),
+            )
+            self._version += 1
+            self._log.append(delta)
+            while len(self._log) > self._log_limit:
+                self._log.popleft()
         return delta
 
     # -- representative publication --------------------------------------------
 
-    def _built(self) -> SearchEngine:
-        if self._engine is None:
-            collection = Collection.from_documents(
-                self._name, self._documents.values()
-            )
-            self._engine = SearchEngine(collection)
-        return self._engine
-
-    def _build_canonical(self) -> DatabaseRepresentative:
-        if not self._documents:
-            return DatabaseRepresentative(self._name, 0, {})
-        return canonicalize(build_representative(self._built()))
-
     def snapshot(self) -> RepresentativeSnapshot:
-        """The current canonical representative, version-stamped."""
-        return RepresentativeSnapshot(
-            name=self._name,
-            version=self._version,
-            representative=self._representative,
-        )
+        """The current canonical representative, version-stamped; built on
+        first request per version and then reused."""
+        with self._lock:
+            if self._snapshot is None or self._snapshot.version != self._version:
+                n = self.n_documents
+                self._snapshot = RepresentativeSnapshot(
+                    name=self._name,
+                    version=self._version,
+                    representative=DatabaseRepresentative(self._name, n, {
+                        term: TermStats(df / n, mean, std, mw)
+                        for term, (df, mean, std, mw) in sorted(self._stats.items())
+                    }),
+                )
+            return self._snapshot
 
     def delta_since(self, since: int) -> RepresentativeDelta:
         """The composed delta from version ``since`` to the live version.
@@ -223,12 +293,29 @@ class LiveEngineServer:
 
     # -- serving ---------------------------------------------------------------
 
+    def _similarities(self, query: Query) -> Dict[str, float]:
+        """Similarity of every document sharing a term with ``query``: each
+        sum starts at 0.0 and adds ``weight * w`` in query-term order, the
+        additions a rebuilt index's accumulator makes."""
+        sims: Dict[str, float] = {}
+        with self._lock:
+            for term, weight in query.normalized_items():
+                for doc_id, w in self._postings.get(term, {}).items():
+                    sims[doc_id] = sims.get(doc_id, 0.0) + weight * w
+        return sims
+
     def search(self, query: Query, threshold: float) -> List[SearchHit]:
         """Serve a query against the *current* documents."""
-        return self._built().search(query, threshold)
+        hits = [
+            SearchHit(similarity=sim, doc_id=doc_id, engine=self._name)
+            for doc_id, sim in self._similarities(query).items()
+            if sim > threshold
+        ]
+        hits.sort(reverse=True)
+        return hits
 
     def max_similarity(self, query: Query) -> float:
-        return self._built().max_similarity(query)
+        return max(self._similarities(query).values(), default=0.0)
 
     def __repr__(self) -> str:
         return (

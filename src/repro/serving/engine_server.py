@@ -188,8 +188,9 @@ class LiveEngineApp(EngineApp):
     duck-compatible with a search engine), plus the mutation and delta
     endpoints of the live-fleet protocol.  ``/representative`` versions
     are the server's mutation counter rather than the document count, and
-    the representative itself comes from the server's incrementally
-    maintained canonical snapshot — no rebuild per ``GET``.
+    the representative itself is the server's canonical snapshot, built
+    once per version from the statistics it edits in place — no rebuild
+    per ``GET``.
     """
 
     role = "engine"

@@ -8,9 +8,10 @@ engines — at 2 shards and at 4, with the estimate rows pinned to the
 scalar oracle (:class:`tests.oracle.ScalarOracle`).  Plus the degradation story: a shard
 killed mid-flight becomes per-engine ``EngineFailure`` records naming
 the shard, while the surviving shards' answers merge exactly as the
-in-process broker restricted to the surviving engines would.  The
-HTTP frontend's framing policy (keep-alive reuse, 411/413/400) is
-covered here too.
+in-process broker restricted to the surviving engines would.  A
+coalescing coordinator process answers concurrent requests exactly like a
+per-request one over the same shard processes.  The HTTP frontend's
+framing policy (keep-alive reuse, 411/413/400) is covered here too.
 """
 
 import http.client
@@ -20,6 +21,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -82,30 +84,19 @@ def save_fleet(tmp, collections):
     return paths
 
 
-def spawn_shard_workers(paths, n_shards):
-    """Launch one ``repro serve shard`` process per round-robin slice;
-    returns ``(processes, urls)`` with urls in shard-index order."""
-    slices = [s for s in partition_round_robin(paths, n_shards) if s]
+def spawn_servers(role, argvs):
+    """Launch one ``repro serve <role> <argv>`` process per argv; returns
+    ``(processes, urls)`` in argv order, each url read off the process's
+    "serving <role> at <url>" announcement."""
     processes, urls = [], []
     try:
-        for index, slice_paths in enumerate(slices):
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.cli",
-                    "serve",
-                    "shard",
-                    "--shard-index",
-                    str(index),
-                    "--collections",
-                    *slice_paths,
-                ],
+        for argv in argvs:
+            processes.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", role, *argv],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 text=True,
-            )
-            processes.append(proc)
+            ))
         for proc in processes:
             url = None
             deadline = time.time() + 60
@@ -113,16 +104,26 @@ def spawn_shard_workers(paths, n_shards):
                 line = proc.stdout.readline()
                 if not line:
                     break
-                match = re.search(r"serving shard at (http://\S+)", line)
+                match = re.search(rf"serving {role} at (http://\S+)", line)
                 if match:
                     url = match.group(1)
                     break
-            assert url, "shard worker did not announce its URL"
+            assert url, f"{role} process did not announce its URL"
             urls.append(url)
     except BaseException:
         stop_processes(processes)
         raise
     return processes, urls
+
+
+def spawn_shard_workers(paths, n_shards):
+    """Launch one ``repro serve shard`` process per round-robin slice;
+    returns ``(processes, urls)`` with urls in shard-index order."""
+    slices = [s for s in partition_round_robin(paths, n_shards) if s]
+    return spawn_servers("shard", [
+        ["--shard-index", str(index), "--collections", *slice_paths]
+        for index, slice_paths in enumerate(slices)
+    ])
 
 
 def stop_processes(processes):
@@ -308,6 +309,87 @@ class TestPartialShardFailure:
         local = local_broker_for(survivors)
         query = QUERIES[0]
         assert fleet.estimate_all(query, 0.2) == local.estimate_all(query, 0.2)
+
+
+class TestCoalescingCoordinatorProcesses:
+    """Continuous micro-batching end to end as real processes: two
+    ``repro serve shard`` workers behind two ``repro serve coordinator``
+    processes, one with ``--coalesce-window-ms``, one without."""
+
+    TEXTS = {
+        "c0a": [("a1", "the rocket engine ignited toward orbit"),
+                ("a2", "rocket fuel and tomato sauce")],
+        "c0b": [("b1", "a telescope mirror focuses distant galaxies"),
+                ("b2", "galaxies of basil in tomato orbit")],
+        "c1a": [("c1", "fuel pumps and engine turbines"),
+                ("c2", "a sauce of plum and kiwi")],
+        "c1b": [("d1", "orbit insertion requires engine restarts"),
+                ("d2", "kiwi telescope rocket basil")],
+    }
+
+    def test_concurrent_coalesced_requests_equal_the_per_request_coordinator(
+        self, tmp_path
+    ):
+        paths = save_fleet(tmp_path, [
+            Collection.from_texts(name, docs) for name, docs in self.TEXTS.items()
+        ])
+        shards, shard_urls = spawn_shard_workers(paths, 2)
+        coordinators = []
+        try:
+            coordinators, (on_url, off_url) = spawn_servers("coordinator", [
+                ["--shard-urls", *shard_urls, "--coalesce-window-ms", "20",
+                 "--coalesce-max-batch", "32"],
+                ["--shard-urls", *shard_urls],
+            ])
+            on, off = GatewayClient(on_url), GatewayClient(off_url)
+            assert on.healthz()["coalesce"] == {
+                "window_seconds": 0.02, "max_batch": 32,
+            }
+            assert "coalesce" not in off.healthz()
+
+            requests = [
+                (Query.from_text(text), threshold)
+                for text in ("rocket orbit", "tomato sauce",
+                             "telescope galaxies engine", "kiwi plum basil")
+                for threshold in (0.0, 0.2, 0.5)
+            ]
+            results = [None] * len(requests)
+
+            def fire(i):
+                client = GatewayClient(on_url)
+                query, threshold = requests[i]
+                results[i] = (
+                    client.estimate(query, threshold),
+                    client.search(query, threshold),
+                )
+                client.close()
+
+            threads = [
+                threading.Thread(target=fire, args=(i,))
+                for i in range(len(requests))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "coalesced request hung"
+            for (query, threshold), (estimates, response) in zip(
+                requests, results
+            ):
+                assert estimates == off.estimate(query, threshold)
+                reference = off.search(query, threshold)
+                assert response.hits == reference.hits
+                assert response.estimates == reference.estimates
+                assert response.invoked == reference.invoked
+                assert response.failures == reference.failures
+            metrics = on.metrics_text()
+            assert "repro_serving_coalesce_requests_total" in metrics
+            assert "repro_serving_coalesce_flush_total" in metrics
+            on.close()
+            off.close()
+        finally:
+            stop_processes(coordinators)
+            stop_processes(shards)
 
 
 class TestShardAppValidation:

@@ -9,13 +9,24 @@ broker.  ``apply_delta`` is the same idea for live deltas: the dict-form
 application that ``FleetRepresentativeStore.apply_delta`` must equal; and
 ``per_term_representative`` is the builder's one-reduction-per-term loop,
 which the grouped ``build_representative`` must equal bit for bit.
+``RebuiltLiveEngine`` is the live engine done the slow way — rebuild the
+collection, index and canonical representative after every mutation and
+diff two rebuilds — which ``LiveEngineServer``'s in-place edits must equal.
 """
 
-from typing import Dict
+from collections import OrderedDict
+from typing import Dict, List
 
 from repro.core import SubrangeEstimator
+from repro.corpus import Collection
 from repro.engine import SearchEngine
-from repro.fleet.delta import RepresentativeDelta, rescale_probability
+from repro.fleet.delta import (
+    RepresentativeDelta,
+    RepresentativeSnapshot,
+    canonicalize,
+    diff_representatives,
+    rescale_probability,
+)
 from repro.metasearch import EstimatedUsefulness
 from repro.metasearch.broker import broadcast_thresholds
 from repro.representatives import build_representative
@@ -133,3 +144,85 @@ def apply_delta(
         n_documents=n_new,
         term_stats={term: merged[term] for term in sorted(merged)},
     )
+
+
+class RebuiltLiveEngine:
+    """A live engine that rebuilds ``Collection`` + ``SearchEngine`` and the
+    canonical representative after every mutation and publishes the diff of
+    two rebuilds.  Keeps every delta (no compaction), so it can answer
+    ``delta_since`` for any version."""
+
+    def __init__(self, name, documents=()):
+        self.name = name
+        self._documents = OrderedDict()
+        for document in documents:
+            if document.doc_id in self._documents:
+                raise ValueError(f"duplicate doc_id {document.doc_id!r}")
+            self._documents[document.doc_id] = document
+        self.version = 0
+        self._log: List[RepresentativeDelta] = []
+        self._rebuild()
+
+    @property
+    def n_documents(self):
+        return len(self._documents)
+
+    @property
+    def doc_ids(self):
+        return list(self._documents)
+
+    def document(self, doc_id):
+        return self._documents[doc_id]
+
+    def _rebuild(self):
+        self._engine = SearchEngine(
+            Collection.from_documents(self.name, self._documents.values())
+        )
+        if self._documents:
+            self._representative = canonicalize(build_representative(self._engine))
+        else:
+            self._representative = DatabaseRepresentative(self.name, 0, {})
+
+    def add_documents(self, documents):
+        for document in documents:
+            if document.doc_id in self._documents:
+                raise ValueError(f"duplicate doc_id {document.doc_id!r}")
+            self._documents[document.doc_id] = document
+        return self._published()
+
+    def remove_documents(self, doc_ids):
+        for doc_id in doc_ids:
+            del self._documents[doc_id]
+        return self._published()
+
+    def _published(self):
+        old = self._representative
+        self._rebuild()
+        delta = diff_representatives(
+            old, self._representative,
+            from_version=self.version, to_version=self.version + 1,
+        )
+        self.version += 1
+        self._log.append(delta)
+        return delta
+
+    def snapshot(self):
+        return RepresentativeSnapshot(self.name, self.version, self._representative)
+
+    def delta_since(self, since):
+        if since == self.version:
+            return RepresentativeDelta(
+                name=self.name, from_version=since, to_version=since,
+                from_n_documents=self.n_documents,
+                n_documents=self.n_documents, records=(),
+            )
+        composed = self._log[since]
+        for later in self._log[since + 1:]:
+            composed = composed.compose(later)
+        return composed
+
+    def search(self, query, threshold):
+        return self._engine.search(query, threshold)
+
+    def max_similarity(self, query):
+        return self._engine.max_similarity(query)

@@ -2,6 +2,9 @@
 :class:`LiveEngineServer` publishes, ``MetasearchBroker.sync_representative``
 subscribes, and a broker that has not synced selects from a stale copy."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.corpus import Document, Query
@@ -66,6 +69,78 @@ class TestEngineServer:
             mutate(server)
         assert (server.version, server.doc_ids, server.snapshot()) == before
         assert server.snapshot().representative.n_documents == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda server: server.add_documents([]),
+            lambda server: server.remove_documents(iter(())),
+        ],
+        ids=["add", "remove"],
+    )
+    def test_empty_batch_is_no_mutation(self, server, mutate):
+        # An empty batch neither bumps the version nor takes a log slot:
+        # 64 of them must not compact a real delta away.
+        real = server.add_documents(docs("b", [["fresh"]]))
+        for __ in range(70):
+            delta = mutate(server)
+            assert delta == server.delta_since(server.version)
+            assert delta.is_empty
+        assert server.version == 1
+        assert server.delta_since(0) == real
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda server: server.remove_documents("a-0"),
+            lambda server: server.add_documents("a-9"),
+        ],
+        ids=["remove", "add"],
+    )
+    def test_bare_string_batch_is_a_type_error(self, server, mutate):
+        before = (server.version, server.doc_ids, server.snapshot())
+        with pytest.raises(TypeError, match="not a str"):
+            mutate(server)
+        assert (server.version, server.doc_ids, server.snapshot()) == before
+
+    def test_searches_beside_mutations_see_whole_states(self):
+        # Searches walk the postings a mutation edits in place.  Every
+        # document holds both query terms once, so a search that saw a
+        # half-applied mutation would score some document lower than the
+        # rest (or die iterating a dict that changed size).
+        server = LiveEngineServer(
+            "alpha", docs("a", [["rocket", "orbit", f"x{i}"] for i in range(40)])
+        )
+        query = Query.from_terms(["rocket", "orbit"])
+        stop, errors, seen = threading.Event(), [], set()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    hits = server.search(query, 0.0)
+                    seen.add(len(hits))
+                    assert len({hit.similarity for hit in hits}) == 1
+            except Exception as exc:  # reported below, with its traceback
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader) for __ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(500):
+                server.add_documents(docs(f"n{i}", [["orbit", "rocket", "y"]]))
+                server.remove_documents([server.doc_ids[0]])
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        assert seen <= {40, 41}
 
     def test_empty_server(self):
         server = LiveEngineServer("empty")
