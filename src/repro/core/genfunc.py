@@ -29,6 +29,16 @@ prune floor is tightened geometrically until the expansion fits, with the
 dropped probability recorded in :attr:`GenFunc.pruned_mass` — long queries
 stay bounded instead of growing multiplicatively, and the accuracy cost
 stays observable.
+
+:class:`BatchedGenFunc` can also expand *threshold-aware*: a per-row
+``cut`` drops, after each multiply, every merged term that can no longer
+exceed the smallest threshold the caller will read, because even the
+largest exponent of every remaining factor would not lift it past.  Terms
+at or below a threshold are never read (Eq. 6 sums the exponents ``> T``),
+so the cut is exact, not an approximation: every tail read at or above
+that threshold is bit-identical to the full expansion's.  The dropped
+probability goes to :attr:`BatchedGenFunc.cut_mass`, never to
+``pruned_mass`` — it is not an accuracy loss.
 """
 
 from __future__ import annotations
@@ -330,8 +340,11 @@ class BatchedGenFunc:
       (exactly ``np.unique``'s equivalence — no integer-key detour, so
       exponents past ``2**53 / 10**decimals`` and negative ``decimals``
       stay exact), and each group's coefficients are accumulated by
-      ``np.bincount`` in the original product order after a stable
-      per-row sort — the precise addition sequence the scalar merge runs.
+      ``np.bincount`` in the original (state-major) product order — the
+      precise addition sequence the scalar merge runs.  The per-row sort
+      that finds the groups is an unstable quicksort: group membership
+      depends only on the rounded values, and bincount reads the
+      coefficients in product order whatever the sort did with ties.
       Pruning drops the same ``coeff <= prune_floor`` groups, and the
       per-row pruned mass is accumulated with ``np.sum`` over the same
       compressed drop array the scalar code sums, so even the pairwise
@@ -340,8 +353,47 @@ class BatchedGenFunc:
       geometric floor-tightening loop per over-budget row, including the
       keep-heaviest stable-argsort rescue when the floor overshoots.
     * :meth:`tail_profile` reads every row's tails off one pair of suffix
-      cumulative sums, with row padding as bit-inert trailing ``+0.0``
-      terms — the values :meth:`GenFunc.tail_profile` returns per row.
+      cumulative sums over padded rows whose pads are additive
+      identities (``+0.0`` for the mass, ``-0.0`` for the moment) — the
+      values :meth:`GenFunc.tail_profile` returns per row.
+
+    **The threshold cut.**  :meth:`multiply_rows` optionally takes a
+    per-row ``cut``: after the merge and after ``prune_floor``, entries
+    with exponent ``<= cut`` are dropped and their coefficients added to
+    :attr:`cut_mass`, so ``mass + pruned_mass + cut_mass ~= 1`` still
+    holds.  The caller (:mod:`repro.core.vectorized`) sets ``cut`` to
+    ``floor - headroom - margin``, where ``floor`` is the smallest
+    threshold it will read, ``headroom`` the sum of every *later* factor's
+    largest exponent for the row, and ``margin`` a bound on the rounding
+    drift of the remaining multiplies.  Then every tail read at a
+    threshold ``T >= floor`` is bit-identical to the uncut expansion's:
+
+    * Each later multiply adds at most that factor's largest exponent
+      (``>= 0``: every factor carries its miss term at exponent 0), and
+      ``fl(+)`` and ``np.round`` are monotone.  So a term's final
+      exponent is at most its value now, plus the headroom, plus the
+      drift — a dropped term (value ``<= cut``) has only descendants
+      ``<= floor``, which no read at ``T >= floor`` includes.
+    * Hence a final term above ``T`` has only ancestors that were above
+      their cut: all of them were kept, with the same bits (induction
+      over the multiplies).  Its merge group has the same members in the
+      same state-major order — dropping a state term removes all of its
+      product entries and reorders none of the others — so
+      ``np.bincount`` runs the same additions in the same order, and the
+      prune decides the same.
+    * A kept term with a *dropped* ancestor (its coefficient lost that
+      ancestor's share) is itself a descendant of a dropped term: it can
+      never pass ``T``, so it is never read.
+    * The tail above ``T`` is therefore the same set of entries, and the
+      suffix sums run from the row's end, so they add the same terms in
+      the same order; only how many entries sit below the tail changed.
+
+    The cut only has to be *conservative*: keeping an extra term is exact,
+    dropping a term whose descendants can pass ``floor`` is not.  It
+    changes which terms are kept, not the tails above ``floor``:
+    ``row_len`` counts the kept terms, and ``pruned_mass`` counts only
+    what the prune dropped among them.  Never combine it with
+    :meth:`budget_rows`, whose floor-tightening reads row length.
 
     Factor exponents must be finite: the padded sort uses ``inf`` as the
     out-of-row sentinel, so rows whose factors carry non-finite exponents
@@ -351,7 +403,8 @@ class BatchedGenFunc:
     """
 
     __slots__ = (
-        "exponents", "coeffs", "starts", "row_len", "tail", "pruned_mass"
+        "exponents", "coeffs", "starts", "row_len", "tail", "pruned_mass",
+        "cut_mass",
     )
 
     def __init__(
@@ -369,6 +422,7 @@ class BatchedGenFunc:
         self.row_len = row_len
         self.tail = int(exponents.size) if tail is None else tail
         self.pruned_mass = pruned_mass
+        self.cut_mass = np.zeros(row_len.size)
 
     @classmethod
     def ones(cls, n_rows: int) -> "BatchedGenFunc":
@@ -514,20 +568,26 @@ class BatchedGenFunc:
         factor_len: Optional[np.ndarray] = None,
         decimals: int = _DEFAULT_DECIMALS,
         prune_floor: float = 0.0,
+        cut: Optional[np.ndarray] = None,
     ) -> None:
         """Multiply the state of ``rows`` by per-row factor polynomials.
 
         Args:
-            rows: Row indices whose state this factor multiplies (the
-                scalar path's "matched" rows; other rows are untouched,
-                exactly as :meth:`ExpansionEstimator.polynomials` skips
-                unmatched terms).
+            rows: Distinct row indices whose state this factor multiplies
+                (the scalar path's "matched" rows; other rows are
+                untouched, exactly as :meth:`ExpansionEstimator.polynomials`
+                skips unmatched terms).
             factor_exponents / factor_coeffs: ``(len(rows), F)`` arrays;
                 row ``i`` holds the factor for ``rows[i]``.
-            factor_len: Effective width of each row's factor (entries at
-                or past it are padding and ignored); ``None`` means every
-                row uses the full width ``F``.
+            factor_len: Effective width of each row's factor, at most
+                ``F`` (entries at or past it are padding and ignored);
+                ``None`` means every row uses the full width ``F``.
             decimals / prune_floor: As in :meth:`GenFunc.multiplied`.
+            cut: Optional per-row threshold cut, parallel to ``rows``:
+                after the merge and the prune, entries with exponent
+                ``<= cut[i]`` are dropped into :attr:`cut_mass` (``-inf``
+                drops nothing).  See the class docstring for when this
+                is exact.
         """
         rows = np.asarray(rows, dtype=np.intp)
         fexp = np.asarray(factor_exponents, dtype=float)
@@ -539,6 +599,13 @@ class BatchedGenFunc:
         n_sub, width_f = fexp.shape
         if n_sub == 0:
             return
+        # Callers pass np.nonzero output, so the ascending check decides
+        # almost every call without the sort inside np.unique.
+        ascending = n_sub == 1 or bool((rows[1:] > rows[:-1]).all())
+        if not ascending and np.unique(rows).size != n_sub:
+            # Each row's new state is written once per call: a repeated
+            # row would be multiplied once and one of its writes would win.
+            raise ValueError("rows must be distinct")
         if factor_len is None:
             flen = np.full(n_sub, width_f, dtype=np.int64)
         else:
@@ -548,6 +615,14 @@ class BatchedGenFunc:
                 "factor polynomial must be non-empty (a per-term polynomial "
                 "always carries its (0, 1-p) term)"
             )
+        if (flen > width_f).any():
+            raise ValueError(
+                f"factor_len must not exceed the factor width {width_f}"
+            )
+        if cut is not None:
+            cut = np.asarray(cut, dtype=float)
+            if np.isnan(cut).any():  # `exp > nan` would drop every entry
+                raise ValueError("cut must not be NaN")
         f_valid = np.arange(width_f)[None, :] < flen[:, None]
         if not np.isfinite(np.where(f_valid, fexp, 0.0)).all():
             raise ValueError("batched product requires finite factor exponents")
@@ -573,13 +648,13 @@ class BatchedGenFunc:
                 sel = np.nonzero(bucket == b)[0]
                 block = self._multiply_block(
                     rows[sel], fexp[sel], fcoef[sel], flen[sel],
-                    decimals, prune_floor,
+                    decimals, prune_floor, None if cut is None else cut[sel],
                 )
                 if block is not None:
                     blocks.append(block)
         else:
             block = self._multiply_block(
-                rows, fexp, fcoef, flen, decimals, prune_floor
+                rows, fexp, fcoef, flen, decimals, prune_floor, cut
             )
             if block is not None:
                 blocks.append(block)
@@ -593,6 +668,7 @@ class BatchedGenFunc:
         flen: np.ndarray,
         decimals: int,
         prune_floor: float,
+        cut: Optional[np.ndarray],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The :meth:`multiply_rows` kernel for one similar-width block;
         returns the block's ``(rows, exp, coef, len)`` result for
@@ -609,7 +685,7 @@ class BatchedGenFunc:
             # passes than the padded batch machinery — and is trivially
             # bit-identical, being the very ops GenFunc.multiplied runs.
             return self._multiply_rowwise(
-                rows, fexp, fcoef, flen, decimals, prune_floor
+                rows, fexp, fcoef, flen, decimals, prune_floor, cut
             )
         # Padding is pre-normalized (exponent +inf, coefficient 0.0) by
         # multiply_rows and _gather, so the product entries need no
@@ -681,6 +757,7 @@ class BatchedGenFunc:
         sel = start.ravel()
         merged_exp = exp_s.ravel()[sel]
         merged_coef = group_coef[gid[sel]]
+        row_of = None
         if prune_floor > 0.0 and merged_exp.size:
             keep = merged_coef > prune_floor
             if not keep.all():
@@ -698,6 +775,23 @@ class BatchedGenFunc:
                     )
                 merged_exp = merged_exp[keep]
                 merged_coef = merged_coef[keep]
+                row_of = row_of[keep]
+                merged_len = np.bincount(row_of, minlength=n_sub).astype(
+                    np.int64
+                )
+        if cut is not None and merged_exp.size:
+            if row_of is None:
+                row_of = np.repeat(np.arange(n_sub), merged_len)
+            keep = merged_exp > cut[row_of]
+            if not keep.all():
+                # Rows are distinct (multiply_rows checks), so one fancy
+                # += adds each row's dropped mass exactly once.
+                self.cut_mass[rows] += np.bincount(
+                    row_of, weights=np.where(keep, 0.0, merged_coef),
+                    minlength=n_sub,
+                )
+                merged_exp = merged_exp[keep]
+                merged_coef = merged_coef[keep]
                 merged_len = np.bincount(
                     row_of[keep], minlength=n_sub
                 ).astype(np.int64)
@@ -711,10 +805,12 @@ class BatchedGenFunc:
         flen: np.ndarray,
         decimals: int,
         prune_floor: float,
+        cut: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`GenFunc.multiplied`'s own pipeline, one row at a time —
         bit-identical by construction (it runs the identical operations on
-        the identical arrays)."""
+        the identical arrays) — then the same threshold cut as the padded
+        kernel."""
         merged = []
         for i in range(rows.size):
             r = int(rows[i])
@@ -744,6 +840,11 @@ class BatchedGenFunc:
             if prune_floor > 0.0 and merged_exp.size:
                 keep = merged_coef > prune_floor
                 self.pruned_mass[r] += float(merged_coef[~keep].sum())
+                merged_exp = merged_exp[keep]
+                merged_coef = merged_coef[keep]
+            if cut is not None:
+                keep = merged_exp > cut[i]
+                self.cut_mass[r] += float(merged_coef[~keep].sum())
                 merged_exp = merged_exp[keep]
                 merged_coef = merged_coef[keep]
             merged.append((merged_exp, merged_coef))
@@ -809,9 +910,7 @@ class BatchedGenFunc:
     def product(
         cls,
         n_rows: int,
-        term_factors: Iterable[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
-        ],
+        term_factors: Iterable[Tuple[np.ndarray, ...]],
         decimals: int = _DEFAULT_DECIMALS,
         prune_floor: float = 0.0,
         max_terms: "int | None" = None,
@@ -820,21 +919,30 @@ class BatchedGenFunc:
 
         Args:
             term_factors: One ``(rows, factor_exponents, factor_coeffs,
-                factor_len)`` tuple per query term, in query-term order —
-                the rows the term's factor multiplies and the per-row
-                factors (see :meth:`multiply_rows`).
+                factor_len[, cut])`` tuple per query term, in query-term
+                order — the rows the term's factor multiplies, the per-row
+                factors and, optionally, the per-row threshold cut (see
+                :meth:`multiply_rows`).
             decimals / prune_floor / max_terms: As in
                 :meth:`GenFunc.product`.
 
         Returns:
-            The batch after all factors; row ``r`` is bit-identical to
-            ``GenFunc.product`` over the factors whose ``rows`` contain
-            ``r``, in order.
+            The batch after all factors.  Without cuts, row ``r`` is
+            bit-identical to ``GenFunc.product`` over the factors whose
+            ``rows`` contain ``r``, in order; with them, its tails above
+            the cut's floor are (see the class docstring).
         """
         batch = cls.ones(n_rows)
-        for rows, fexp, fcoef, flen in term_factors:
+        for rows, fexp, fcoef, flen, *rest in term_factors:
+            cut = rest[0] if rest else None
+            if cut is not None and max_terms is not None:
+                raise ValueError(
+                    "a threshold cut cannot be combined with max_terms "
+                    "(the budget reads row length)"
+                )
             batch.multiply_rows(
-                rows, fexp, fcoef, flen, decimals=decimals, prune_floor=prune_floor
+                rows, fexp, fcoef, flen, decimals=decimals,
+                prune_floor=prune_floor, cut=cut,
             )
             if max_terms is not None:
                 # Only rows touched this step can exceed the budget — every

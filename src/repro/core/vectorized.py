@@ -21,6 +21,16 @@ The contract throughout is *bit-identity with the scalar estimators*:
   max-weight singleton, probabilities — is built in one vectorized pass by
   :meth:`SubrangeEstimator.factor_grid`, and all tails come off one
   batched suffix-cumsum read (:meth:`BatchedGenFunc.tail_profile`).
+* The expansion is *threshold-aware*: Eq. 6 reads only exponents above
+  T, so after each query term every engine drops the terms that could not
+  exceed the smallest threshold of the call even if each later term added
+  its largest factor exponent (:func:`_threshold_cuts`; the exactness
+  argument is in :class:`~repro.core.genfunc.BatchedGenFunc`).  Every
+  read-out stays bit-identical to the full expansion; only the kept term
+  count changes, so ``estimator.genfunc.terms`` counts the terms *kept*
+  (the scalar path, which expands in full, still counts them all).  No
+  cut is made under an expansion budget (``max_terms``), whose
+  floor-tightening reads row length.
 * The gGlOSS estimators are closed-form over sorted bands; both variants
   vectorize to a lexsort plus suffix cumulative sums that accumulate in the
   scalar code's exact addition order.
@@ -47,6 +57,7 @@ the broker needs no second estimation path.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -279,8 +290,51 @@ def _grid_readout(
     return grid
 
 
+def _threshold_cuts(est, matched, headroom, bound, thresholds):
+    """Per ``(engine, term)`` cut for the threshold-aware expansion (see
+    :class:`BatchedGenFunc`), or ``None`` when nothing may be cut.
+
+    After term ``j`` an engine's cut is ``floor - H_j - margin``:
+
+    * ``floor`` is the smallest threshold read.  NaN and ``+inf`` read an
+      empty tail and constrain nothing; a ``-inf`` threshold (or none
+      finite) reads everything, so nothing is cut.
+    * ``H_j`` sums ``headroom`` — at least each matched factor's largest
+      exponent — over the terms after ``j``.
+    * ``margin = (Q + 2) * (4 * 10**-d + 1e-12 * (1 + bound + |floor|))``
+      for a ``Q``-term query.  One multiply moves a value by its factor
+      exponent plus at most ``10**-d / 2`` of rounding plus a few float
+      ulps (``<= 5 * 2**-53`` relative to magnitudes ``<= bound +
+      Q * 10**-d``); summing ``H_j`` and computing the cut itself err by
+      a few more relative ulps.  Per remaining step ``4 * 10**-d`` covers
+      the rounding and ``1e-12`` relative covers every ulp term with
+      room to spare, so a term at or below its cut ends at or below
+      ``floor``.
+
+    No cut when ``est.max_terms`` is set: the budget's floor-tightening
+    reads row length, which the cut changes.
+    """
+    if est.max_terms is not None:
+        return None
+    floor = min((t for t in thresholds if t == t), default=float("inf"))
+    if not math.isfinite(floor):
+        return None
+    n_terms = matched.shape[1]
+    with np.errstate(over="ignore"):
+        unit = np.float64(10.0) ** -est.decimals
+    if not np.isfinite(unit):
+        return None
+    margin = (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + abs(floor)))
+    head = np.where(matched, headroom, 0.0)
+    after = np.zeros_like(head)
+    after[:, :-1] = np.cumsum(head[:, :0:-1], axis=1)[:, ::-1]
+    # Finite on every vectorizable row; demoted rows (non-finite bound or
+    # headroom) never reach the kernel.
+    return floor - after - margin[:, None]
+
+
 def _batched_expansion(
-    est, matched, bound, factor_rows, scalar_polys, n, thresholds
+    est, matched, bound, headroom, factor_rows, scalar_polys, n, thresholds
 ) -> List[List[Usefulness]]:
     """The batched twin of :meth:`ExpansionEstimator.expand`: one
     multiply-and-merge per query term across the engine axis, every
@@ -292,17 +346,24 @@ def _batched_expansion(
     ``scalar_polys(e)`` engine ``e``'s factor list for the demotion path.
     ``bound`` is each engine's worst-case accumulated exponent magnitude;
     rows where it is unsafe are demoted to the scalar product.
+    ``headroom[e, j]`` is at least the largest exponent of engine ``e``'s
+    factor for term ``j``: with it, each multiply drops the terms that
+    can no longer exceed any threshold read (:func:`_threshold_cuts`).
     """
     started = time.perf_counter()
     n_engines, n_terms = matched.shape
     demoted = _unsafe_rows(bound, est.decimals)
     vectorizable = ~demoted
+    cuts = _threshold_cuts(est, matched, headroom, bound, thresholds)
 
     def term_factors():
         for j in range(n_terms):
             rows = np.nonzero(matched[:, j] & vectorizable)[0]
             if rows.size:
-                yield (rows, *factor_rows(rows, j))
+                yield (
+                    rows, *factor_rows(rows, j),
+                    None if cuts is None else cuts[rows, j],
+                )
 
     batch = BatchedGenFunc.product(
         n_engines, term_factors(), decimals=est.decimals,
@@ -328,8 +389,11 @@ def _subrange_grid(est, p, w, sigma, mw, u, n, matched, thresholds):
     # Worst-case exponent accumulation per engine: the largest |slot| of
     # each matched term's factor, summed over the query.
     bound = np.where(matched, np.abs(exps).max(axis=2), 0.0).sum(axis=1)
+    # Headroom over every slot, used or not: an over-approximation only
+    # cuts less.  The miss slot sits at 0, so it is never negative.
+    headroom = exps.max(axis=2)
     return _batched_expansion(
-        est, matched, bound,
+        est, matched, bound, headroom,
         lambda rows, j: _subrange_factor_rows(
             exps, coeffs, has_max_row, remaining, rows, j, n_sub
         ),
@@ -424,7 +488,8 @@ def _expansion_grid(est, x, p, matched, n, thresholds):
 
     bound = np.where(matched, np.abs(x), 0.0).sum(axis=1)
     return _batched_expansion(
-        est, matched, bound, factor_rows, scalar_polys, n, thresholds
+        est, matched, bound, np.maximum(x, 0.0), factor_rows, scalar_polys,
+        n, thresholds,
     )
 
 

@@ -7,16 +7,34 @@ single-term query and every threshold that separates the databases' maximum
 weights.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import SubrangeEstimator
-from repro.corpus import Document, Query
+from repro.corpus import Collection, Document, Query
 from repro.corpus.synth import word_for_term_id
 from repro.engine import SearchEngine
 from repro.fleet import LiveEngineServer
 from repro.metasearch import MetasearchBroker
 from repro.representatives import build_representative, quantize_representative
+
+#: Engines whose normalized weights of term ``t`` are exact decimals:
+#: tf (3, 4) -> 0.6 / 0.8, tf (7, 24) -> 0.28 / 0.96, tf 2 beside twelve
+#: singletons -> 0.5, tf 1 beside a tf 3 and six singletons -> 0.25, a
+#: lone ``t`` -> 1.0.  One engine never holds ``t``.
+_TWELVE = [f"x{i}" for i in range(12)]
+EXACT_WEIGHT_FLEET = {
+    "e96": [["t"] * 24 + ["a"] * 7, ["t"] * 3 + ["a"] * 4, ["a", "b"]],
+    "e80": [["t"] * 4 + ["b"] * 3, ["t"] * 7 + ["b"] * 24],
+    "e60": [["t"] * 3 + ["c"] * 4, ["t"] * 3 + ["c"] * 4, ["c"]],
+    "e50": [["t"] * 2 + _TWELVE, ["t"] + ["d"] * 3 + _TWELVE[:6]],
+    "e28": [["t"] * 7 + ["g"] * 24],
+    "e25": [["t"] + ["h"] * 3 + _TWELVE[6:]],
+    "e100": [["t"], ["t"] * 3 + ["a"] * 4, ["a"]],
+    "none": [["a", "b", "c"]],
+}
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +194,43 @@ class TestGuarantee:
             lives.append(live)
         final = {live.name: live.snapshot().representative for live in lives}
         assert self.assert_broker_guarantee(broker, lives, final, limit=40) > 5
+
+    def test_broker_guarantee_at_the_exact_boundary(self):
+        """The guarantee through the columnar broker with T *at* an
+        engine's true maximum similarity (a similarity equal to T does not
+        count, so the engine is out) and at the float just below it (the
+        engine is in), for every engine holding the term.
+
+        A single-term query has no later factor, so the expansion's
+        threshold cut sits one rounding margin below T — the tightest it
+        gets.  Raw-tf cosine weights from 3-4-5 and 7-24-25 triangles and
+        over a norm of 4 are exact at the estimator's 8 decimals, so the
+        estimator sees each true maximum with the same bits.  (Thresholds
+        stay >= 0: below 0 every document of every engine exceeds T.)"""
+        engines = [
+            SearchEngine(Collection.from_documents(name, [
+                Document(f"{name}-d{i}", terms) for i, terms in enumerate(docs)
+            ]))
+            for name, docs in EXACT_WEIGHT_FLEET.items()
+        ]
+        broker = MetasearchBroker(estimator=SubrangeEstimator())
+        for engine in engines:
+            broker.register(engine)
+        query = Query.from_terms(["t"])
+        maxima = {engine.name: engine.max_similarity(query) for engine in engines}
+        assert sorted(maxima.values()) == [
+            0.0, 0.25, 0.28, 0.5, 0.6, 0.8, 0.96, 1.0
+        ]
+        for name, top in maxima.items():
+            if top == 0.0:
+                continue  # the engine without the term
+            for threshold, selected in (
+                (top, False), (math.nextafter(top, -math.inf), True)
+            ):
+                truth = {e.name for e in engines if e.search(query, threshold)}
+                chosen = set(broker.select(query, threshold))
+                assert chosen == truth, (name, threshold)
+                assert (name in chosen) is selected, (name, threshold)
 
     def test_guarantee_fails_without_stored_max(self, fleet):
         """Sanity: the triplet mode does NOT enjoy the guarantee — this is

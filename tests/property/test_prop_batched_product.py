@@ -16,10 +16,15 @@ through randomly shaped products and checks every row against the scalar
   zero, default, high), ``prune_floor`` on/off, ``max_terms`` caps that
   trigger the budget loop and its stable keep-heaviest rescue;
 * the tail read-out — ``tail_profile`` over thresholds including
-  ``-inf``, ``+inf``, ``NaN``, and exact exponent hits.
+  ``-inf``, ``+inf``, ``NaN``, and exact exponent hits;
+* the threshold cut — a product that drops, after each factor, the
+  terms that can no longer exceed the smallest threshold read has the
+  same tails at every threshold read as the product that keeps them.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.genfunc import BatchedGenFunc, GenFunc
+from repro.core.vectorized import _threshold_cuts
 
 # Exponents stay modest so no (exponent * 10**decimals) rounding overflow
 # occurs — overflow demotion is covered by the explicit tests below.
@@ -182,6 +188,76 @@ class TestBatchedProductBitIdentity:
         batch.budget_rows(budget, floor_start=prune_floor)
         shrunk = [g.budgeted(budget, floor_start=prune_floor) for g in scalars]
         assert_rows_bit_identical(batch, shrunk)
+
+
+class TestThresholdCut:
+    """The cut :mod:`repro.core.vectorized` computes, on drawn products:
+    factors of any sign and width, every ``decimals`` from -2 to 15 —
+    tails at the read thresholds stay bit-identical to the uncut batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        product_cases(),
+        st.lists(
+            st.sampled_from(_THRESHOLDS + [-60.0, -1.0, 12.0, 30.0, 100.0]),
+            max_size=3,
+        ),
+    )
+    def test_cut_tails_match_the_uncut_product(self, case, thresholds):
+        n_rows, terms, decimals, prune_floor, __ = case
+        matched = np.zeros((n_rows, len(terms)), dtype=bool)
+        headroom = np.zeros((n_rows, len(terms)))
+        bound = np.zeros(n_rows)
+        for j, (rows, fexp, __, flen) in enumerate(terms):
+            valid = np.arange(fexp.shape[1])[None, :] < flen[:, None]
+            matched[rows, j] = True
+            headroom[rows, j] = np.where(valid, fexp, -np.inf).max(axis=1)
+            bound[rows] += np.where(valid, np.abs(fexp), 0.0).max(axis=1)
+        est = SimpleNamespace(decimals=decimals, max_terms=None)
+        cuts = _threshold_cuts(est, matched, headroom, bound, thresholds)
+        cut_terms = [
+            (*term, None if cuts is None else cuts[term[0], j])
+            for j, term in enumerate(terms)
+        ]
+        full = BatchedGenFunc.product(
+            n_rows, terms, decimals=decimals, prune_floor=prune_floor
+        )
+        cut = BatchedGenFunc.product(
+            n_rows, cut_terms, decimals=decimals, prune_floor=prune_floor
+        )
+        assert (cut.row_len <= full.row_len).all()
+        assert (cut.cut_mass >= 0.0).all()
+        want_mass, want_moment = full.tail_profile(thresholds)
+        got_mass, got_moment = cut.tail_profile(thresholds)
+        assert got_mass.tobytes() == want_mass.tobytes()
+        assert got_moment.tobytes() == want_moment.tobytes()
+
+    def test_cut_drops_into_cut_mass_in_both_kernels(self):
+        # Two rows run the per-row merge, eight the padded kernel; the
+        # same cut must drop the same entries into cut_mass in both.
+        for n_rows in (2, 8):
+            rows = np.arange(n_rows, dtype=np.intp)
+            fexp = np.tile([0.5, 0.25, 0.0], (n_rows, 1))
+            fcoef = np.tile([0.25, 0.25, 0.5], (n_rows, 1))
+            batch = BatchedGenFunc.ones(n_rows)
+            batch.multiply_rows(rows, fexp, fcoef, cut=np.full(n_rows, 0.25))
+            for r in range(n_rows):
+                assert batch.row(r).exponents.tolist() == [0.5]
+                assert batch.cut_mass[r] == 0.75
+                assert batch.pruned_mass[r] == 0.0
+
+    def test_cut_and_budget_do_not_combine(self):
+        term = (np.array([0]), np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]),
+                None, np.array([0.5]))
+        with pytest.raises(ValueError, match="max_terms"):
+            BatchedGenFunc.product(1, [term], max_terms=2)
+
+    def test_nan_cut_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            BatchedGenFunc.ones(1).multiply_rows(
+                np.array([0]), np.array([[1.0]]), np.array([[1.0]]),
+                cut=np.array([np.nan]),
+            )
 
 
 class TestBatchedProductEdgeCases:

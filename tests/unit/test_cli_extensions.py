@@ -1,9 +1,14 @@
 """Unit tests for the analyze / allocate / import-trec / stats CLI commands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.corpus import Collection, Document, save_collection
 from repro.engine import SearchEngine
@@ -171,6 +176,31 @@ class TestStats:
             }
 
         assert counters(first) == counters(second)
+
+    def test_package_entry_point_round_trip(self):
+        """``python -m repro stats`` as a real process, in both formats:
+        the package entry point, which the in-process tests never run."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+        }
+
+        def run(fmt):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *STATS_FAST, "--format", fmt],
+                capture_output=True, text=True, env=env, timeout=120,
+                check=True,
+            ).stdout
+
+        by_name = {
+            m["name"]: m
+            for m in json.loads(run("json"))["metrics"]
+            if not m.get("labels")
+        }
+        assert by_name["broker.searches"]["value"] == 4.0
+        assert "repro_broker_searches_total 4.0" in run("prometheus")
 
 
 class TestVersionFlag:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GenFunc
+from repro.core.genfunc import BatchedGenFunc
 
 
 class TestConstruction:
@@ -106,6 +107,46 @@ class TestMultiply:
         factors = [([i + 0.5, 0.0], [0.5, 0.5]) for i in range(6)]
         g = GenFunc.product(factors)
         assert g.n_terms <= 2**6
+
+
+class TestBatchedMultiplyRowsValidation:
+    """``multiply_rows`` rejects what its kernels would mishandle, before
+    either runs: two rows take the per-row merge, eight the padded one."""
+
+    @staticmethod
+    def factor(n_rows):
+        return (
+            np.tile([1.0, 0.0], (n_rows, 1)),
+            np.tile([0.5, 0.5], (n_rows, 1)),
+        )
+
+    @pytest.mark.parametrize("n_rows", [2, 8])
+    def test_factor_len_past_the_factor_width_rejected(self, n_rows):
+        fexp, fcoef = self.factor(n_rows)
+        batch = BatchedGenFunc.ones(n_rows)
+        with pytest.raises(ValueError, match="factor_len must not exceed"):
+            batch.multiply_rows(
+                np.arange(n_rows), fexp, fcoef, np.full(n_rows, 3)
+            )
+
+    @pytest.mark.parametrize("n_rows", [2, 8])
+    def test_repeated_rows_rejected(self, n_rows):
+        fexp, fcoef = self.factor(n_rows)
+        batch = BatchedGenFunc.ones(n_rows)
+        rows = np.array([0] + list(range(n_rows - 1)))  # [0, 0, 1, ...]
+        with pytest.raises(ValueError, match="distinct"):
+            batch.multiply_rows(rows, fexp, fcoef)
+        # Nothing was written: every row is still the identity.
+        for r in range(n_rows):
+            assert batch.row(r).exponents.tolist() == [0.0]
+
+    @pytest.mark.parametrize("n_rows", [2, 8])
+    def test_distinct_unsorted_rows_accepted(self, n_rows):
+        fexp, fcoef = self.factor(n_rows)
+        batch = BatchedGenFunc.ones(n_rows)
+        batch.multiply_rows(np.arange(n_rows)[::-1], fexp, fcoef)
+        for r in range(n_rows):
+            assert batch.row(r).exponents.tolist() == [0.0, 1.0]
 
 
 class TestReadout:
