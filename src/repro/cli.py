@@ -84,6 +84,11 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    try:
+        estimator = get_estimator(args.method)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     collection = load_collection(args.collection)
     engine = SearchEngine(collection)
     if args.representative:
@@ -91,7 +96,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         representative = build_representative(engine)
     query = Query.from_terms(args.query.split())
-    estimator = get_estimator(args.method)
     estimate = estimator.estimate(query, representative, args.threshold)
     truth = true_usefulness(engine, query, args.threshold)
     print(f"database : {collection.name} ({collection.n_documents} docs)")
@@ -103,6 +107,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    try:
+        estimators = [get_estimator(name) for name in args.methods]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     model = NewsgroupModel(seed=args.seed)
     d1, d2, d3 = build_paper_databases(model)
     by_name = {"D1": d1, "D2": d2, "D3": d3}
@@ -111,8 +120,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     representative = build_representative(engine)
     queries = QueryLogModel(model, seed=args.query_seed).generate(args.queries)
     methods = [
-        MethodSpec(name, get_estimator(name), representative)
-        for name in args.methods
+        MethodSpec(name, estimator, representative)
+        for name, estimator in zip(args.methods, estimators)
     ]
     result = run_usefulness_experiment(engine, queries, methods)
     print(format_match_table(result))

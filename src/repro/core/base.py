@@ -157,10 +157,8 @@ class ExpansionEstimator(UsefulnessEstimator):
             :class:`~repro.core.genfunc.GenFunc`).
         prune_floor: Probability floor below which expansion terms are
             dropped (their mass stays accounted in ``pruned_mass``).
-        max_terms: Adaptive expansion budget — an intermediate product
-            larger than this is shrunk by geometrically tightening the
-            prune floor (see :meth:`GenFunc.budgeted`).  ``None`` disables
-            the budget.
+
+    The expansion is exact up to this rounding and pruning.
     """
 
     #: The default expansion context is the document count alone, so each
@@ -169,17 +167,9 @@ class ExpansionEstimator(UsefulnessEstimator):
     #: the whole representative must reset this to False.
     term_local: bool = True
 
-    def __init__(
-        self,
-        decimals: int = 8,
-        prune_floor: float = 0.0,
-        max_terms: Optional[int] = None,
-    ):
-        if max_terms is not None and max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
+    def __init__(self, decimals: int = 8, prune_floor: float = 0.0):
         self.decimals = decimals
         self.prune_floor = prune_floor
-        self.max_terms = max_terms
 
     @abstractmethod
     def term_polynomial(
@@ -278,7 +268,6 @@ class ExpansionEstimator(UsefulnessEstimator):
             self.polynomials(query, representative, polycache, engine),
             decimals=self.decimals,
             prune_floor=self.prune_floor,
-            max_terms=self.max_terms,
         )
         registry = self.registry
         registry.counter("estimator.expansions").inc()
@@ -372,10 +361,7 @@ class ExpansionEstimator(UsefulnessEstimator):
                     )
                 )
         expansion = GenFunc.product(
-            polys,
-            decimals=self.decimals,
-            prune_floor=self.prune_floor,
-            max_terms=self.max_terms,
+            polys, decimals=self.decimals, prune_floor=self.prune_floor
         )
         estimate = Usefulness(
             nodoc=expansion.est_nodoc(threshold, representative.n_documents),

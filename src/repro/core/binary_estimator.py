@@ -19,12 +19,11 @@ binary representation cannot distinguish per term.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.base import ExpansionEstimator, register_estimator
-from repro.corpus.query import Query
 from repro.representatives.representative import DatabaseRepresentative
 
 __all__ = ["BinaryIndependenceEstimator"]
@@ -33,11 +32,13 @@ __all__ = ["BinaryIndependenceEstimator"]
 class BinaryIndependenceEstimator(ExpansionEstimator):
     """Occurrence-probability-only estimator over binary document vectors.
 
+    Every present term contributes one per-database constant: the mean of
+    the representative's per-term mean weights — the best single constant
+    available to a binary model.
+
     Args:
-        global_weight: The single per-term contribution assumed for every
-            present term.  When None (default) it is derived per database
-            as the mean of the representative's per-term mean weights —
-            the best single constant available to a binary model.
+        decimals / prune_floor: Expansion controls, see
+            :class:`~repro.core.base.ExpansionEstimator`.
     """
 
     name = "binary-independence"
@@ -47,39 +48,16 @@ class BinaryIndependenceEstimator(ExpansionEstimator):
     #: invalidation is unsound and the broker evicts the whole engine.
     term_local = False
 
-    def __init__(
-        self,
-        global_weight: Optional[float] = None,
-        decimals: int = 8,
-        prune_floor: float = 0.0,
-        max_terms: Optional[int] = None,
-    ):
-        super().__init__(
-            decimals=decimals, prune_floor=prune_floor, max_terms=max_terms
-        )
-        if global_weight is not None and global_weight < 0.0:
-            raise ValueError(
-                f"global_weight must be >= 0, got {global_weight!r}"
-            )
-        self.global_weight = global_weight
-
-    def _database_weight(self, representative: DatabaseRepresentative) -> float:
-        if self.global_weight is not None:
-            return self.global_weight
-        means = [stats.mean for __, stats in representative.items()]
-        return float(np.mean(means)) if means else 0.0
-
     def _polynomial_context(self, representative: DatabaseRepresentative):
         """The database-global constant weight, derived once per query."""
-        return self._database_weight(representative)
-
-    def polynomial_config(self) -> Tuple:
-        return (type(self).__name__, self.global_weight)
+        means = [stats.mean for __, stats in representative.items()]
+        return float(np.mean(means)) if means else 0.0
 
     def term_polynomial(
         self, u: float, stats, context
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``p * X^(u * global_weight) + (1-p)`` — occurrence only."""
+        """``p * X^(u * context) + (1-p)`` — occurrence only, ``context``
+        being the database-global constant weight."""
         p = stats.probability
         return np.array([u * context, 0.0]), np.array([p, 1.0 - p])
 

@@ -23,13 +23,6 @@ cumulative-sum arrays, so answering every threshold of a grid costs one
 ``searchsorted`` plus array indexing — and the single-threshold and
 many-threshold paths return bit-identical values by construction.
 
-:meth:`GenFunc.product` optionally takes an *adaptive expansion budget*
-(``max_terms``): whenever an intermediate product grows past the cap, the
-prune floor is tightened geometrically until the expansion fits, with the
-dropped probability recorded in :attr:`GenFunc.pruned_mass` — long queries
-stay bounded instead of growing multiplicatively, and the accuracy cost
-stays observable.
-
 :class:`BatchedGenFunc` can also expand *threshold-aware*: a per-row
 ``cut`` drops, after each multiply, every merged term that can no longer
 exceed the smallest threshold the caller will read, because even the
@@ -50,13 +43,6 @@ import numpy as np
 __all__ = ["BatchedGenFunc", "GenFunc"]
 
 _DEFAULT_DECIMALS = 8
-
-#: Where the adaptive budget starts tightening when the configured prune
-#: floor is zero; small enough that the first rounds only shed float dust.
-_BUDGET_FLOOR_START = 1e-15
-
-#: Geometric growth factor of the adaptive budget's prune floor.
-_BUDGET_FLOOR_GROWTH = 8.0
 
 #: Batched kernels partition rows into power-of-two width buckets (see
 #: BatchedGenFunc); rows at or below 2**_BUCKET_MIN_EXP wide share one
@@ -188,68 +174,24 @@ class GenFunc:
             merged_coef = merged_coef[keep]
         return GenFunc(merged_exp, merged_coef, pruned)
 
-    def budgeted(self, max_terms: int, floor_start: float = 0.0) -> "GenFunc":
-        """Shrink to at most ``max_terms`` terms by tightening the prune floor.
-
-        The floor starts at ``max(floor_start, 1e-15)`` and grows
-        geometrically until the expansion fits; every dropped coefficient is
-        added to :attr:`pruned_mass`, so no probability is ever lost
-        unaccounted.  If the floor ever overshoots the whole coefficient
-        profile (all coefficients equal, say), the ``max_terms`` heaviest
-        terms are kept directly instead of annihilating the product.
-
-        Returns:
-            ``self`` when already within budget; otherwise a new
-            :class:`GenFunc`.
-        """
-        if max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
-        if self.n_terms <= max_terms:
-            return self
-        floor = max(floor_start, _BUDGET_FLOOR_START)
-        exponents, coeffs = self.exponents, self.coeffs
-        pruned = self.pruned_mass
-        while exponents.size > max_terms:
-            keep = coeffs > floor
-            floor *= _BUDGET_FLOOR_GROWTH
-            if keep.all():
-                continue
-            if not keep.any():
-                # The floor skipped past every coefficient at once: fall
-                # back to keeping the heaviest max_terms directly.
-                order = np.argsort(coeffs, kind="stable")
-                keep = np.zeros(coeffs.size, dtype=bool)
-                keep[order[-max_terms:]] = True
-            pruned += float(coeffs[~keep].sum())
-            exponents = exponents[keep]
-            coeffs = coeffs[keep]
-        return GenFunc(exponents, coeffs, pruned)
-
     @classmethod
     def product(
         cls,
         polynomials: Sequence[Tuple[Sequence[float], Sequence[float]]],
         decimals: int = _DEFAULT_DECIMALS,
         prune_floor: float = 0.0,
-        max_terms: "int | None" = None,
     ) -> "GenFunc":
         """Expand a full product of per-term polynomials (Expression (3)).
 
         Args:
             polynomials: The per-term ``(exponents, coeffs)`` factors.
             decimals / prune_floor: See :meth:`multiplied`.
-            max_terms: Adaptive expansion budget — after each factor, an
-                intermediate product larger than this is shrunk via
-                :meth:`budgeted`.  ``None`` (the default) disables the
-                budget, keeping the expansion exact up to ``prune_floor``.
         """
         result = cls.one()
         for exponents, coeffs in polynomials:
             result = result.multiplied(
                 exponents, coeffs, decimals=decimals, prune_floor=prune_floor
             )
-            if max_terms is not None and result.n_terms > max_terms:
-                result = result.budgeted(max_terms, floor_start=prune_floor)
         return result
 
     # -- usefulness read-out -------------------------------------------------------------
@@ -330,7 +272,9 @@ class BatchedGenFunc:
 
     Each row is one :class:`GenFunc` state, stored as padded 2-D arrays so
     a whole fleet of expansions moves through one numpy call per query
-    term instead of one Python loop per engine.  The contract is
+    term instead of one Python loop per engine.  There is one expansion
+    mode: exact, binned by ``decimals``, pruned by ``prune_floor``, and
+    optionally cut at the smallest threshold read.  The contract is
     *bit-identity per row*: every operation replicates the scalar methods'
     float arithmetic operation-for-operation —
 
@@ -349,9 +293,6 @@ class BatchedGenFunc:
       per-row pruned mass is accumulated with ``np.sum`` over the same
       compressed drop array the scalar code sums, so even the pairwise
       summation order matches.
-    * :meth:`budget_rows` reproduces :meth:`GenFunc.budgeted`'s
-      geometric floor-tightening loop per over-budget row, including the
-      keep-heaviest stable-argsort rescue when the floor overshoots.
     * :meth:`tail_profile` reads every row's tails off one pair of suffix
       cumulative sums over padded rows whose pads are additive
       identities (``+0.0`` for the mass, ``-0.0`` for the moment) — the
@@ -392,8 +333,7 @@ class BatchedGenFunc:
     dropping a term whose descendants can pass ``floor`` is not.  It
     changes which terms are kept, not the tails above ``floor``:
     ``row_len`` counts the kept terms, and ``pruned_mass`` counts only
-    what the prune dropped among them.  Never combine it with
-    :meth:`budget_rows`, whose floor-tightening reads row length.
+    what the prune dropped among them.
 
     Factor exponents must be finite: the padded sort uses ``inf`` as the
     out-of-row sentinel, so rows whose factors carry non-finite exponents
@@ -548,17 +488,6 @@ class BatchedGenFunc:
         self.coeffs = new_coef
         self.starts = new_starts
         self.tail = live
-
-    @staticmethod
-    def _compact(
-        values_exp: np.ndarray,
-        values_coef: np.ndarray,
-        keep: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kept entries of each padded row, CSR-packed row-major
-        (2-D boolean extraction preserves within-row order)."""
-        new_len = keep.sum(axis=1).astype(np.int64)
-        return values_exp[keep], values_coef[keep], new_len
 
     def multiply_rows(
         self,
@@ -857,55 +786,6 @@ class BatchedGenFunc:
         )
         return (rows, exp_flat, coef_flat, lens)
 
-    def budget_rows(self, max_terms: int, floor_start: float = 0.0) -> None:
-        """Apply :meth:`GenFunc.budgeted` to every over-budget row.
-
-        All over-budget rows advance through the floor-tightening rounds
-        together; each row's floor, keep masks, pruned mass, and the
-        stable keep-heaviest rescue match its scalar loop exactly.
-        """
-        if max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
-        over = np.nonzero(self.row_len > max_terms)[0]
-        if over.size == 0:
-            return
-        floors = np.full(over.size, max(floor_start, _BUDGET_FLOOR_START))
-        while True:
-            active = np.nonzero(self.row_len[over] > max_terms)[0]
-            if active.size == 0:
-                return
-            rows = over[active]
-            lens = self.row_len[rows]
-            width = int(lens.max())
-            exp, coef = self._gather(rows, width, lens)
-            v_mask = np.arange(width)[None, :] < lens[:, None]
-            keep = (coef > floors[active][:, None]) & v_mask
-            floors[active] *= _BUDGET_FLOOR_GROWTH
-            kept = keep.sum(axis=1)
-            rescue = np.nonzero(kept == 0)[0]
-            for i in rescue.tolist():
-                # The floor skipped past every coefficient at once: keep
-                # the heaviest max_terms via the scalar's stable argsort.
-                length = int(lens[i])
-                row_coef = coef[i, :length].copy()
-                argorder = np.argsort(row_coef, kind="stable")
-                mask = np.zeros(length, dtype=bool)
-                mask[argorder[-max_terms:]] = True
-                keep[i, :length] = mask
-            if rescue.size:
-                kept = keep.sum(axis=1)
-            changed = np.nonzero(kept < lens)[0]
-            if changed.size == 0:
-                continue
-            for i in changed.tolist():
-                length = int(lens[i])
-                mask = keep[i, :length]
-                self.pruned_mass[rows[i]] += float(coef[i, :length][~mask].sum())
-            sub_exp, sub_coef, sub_len = self._compact(
-                exp[changed], coef[changed], keep[changed]
-            )
-            self._write_blocks([(rows[changed], sub_exp, sub_coef, sub_len)])
-
     @classmethod
     def product(
         cls,
@@ -913,7 +793,6 @@ class BatchedGenFunc:
         term_factors: Iterable[Tuple[np.ndarray, ...]],
         decimals: int = _DEFAULT_DECIMALS,
         prune_floor: float = 0.0,
-        max_terms: "int | None" = None,
     ) -> "BatchedGenFunc":
         """Batched :meth:`GenFunc.product` across ``n_rows`` rows.
 
@@ -923,8 +802,7 @@ class BatchedGenFunc:
                 order — the rows the term's factor multiplies, the per-row
                 factors and, optionally, the per-row threshold cut (see
                 :meth:`multiply_rows`).
-            decimals / prune_floor / max_terms: As in
-                :meth:`GenFunc.product`.
+            decimals / prune_floor: As in :meth:`GenFunc.product`.
 
         Returns:
             The batch after all factors.  Without cuts, row ``r`` is
@@ -934,20 +812,10 @@ class BatchedGenFunc:
         """
         batch = cls.ones(n_rows)
         for rows, fexp, fcoef, flen, *rest in term_factors:
-            cut = rest[0] if rest else None
-            if cut is not None and max_terms is not None:
-                raise ValueError(
-                    "a threshold cut cannot be combined with max_terms "
-                    "(the budget reads row length)"
-                )
             batch.multiply_rows(
                 rows, fexp, fcoef, flen, decimals=decimals,
-                prune_floor=prune_floor, cut=cut,
+                prune_floor=prune_floor, cut=rest[0] if rest else None,
             )
-            if max_terms is not None:
-                # Only rows touched this step can exceed the budget — every
-                # other row was shrunk when it was last multiplied.
-                batch.budget_rows(max_terms, floor_start=prune_floor)
         return batch
 
     # -- batched usefulness read-out -----------------------------------------
@@ -1018,5 +886,5 @@ class BatchedGenFunc:
     def __repr__(self) -> str:
         return (
             f"BatchedGenFunc(rows={self.n_rows}, "
-            f"max_terms={int(self.row_len.max()) if self.row_len.size else 0})"
+            f"widest={int(self.row_len.max()) if self.row_len.size else 0})"
         )

@@ -42,33 +42,17 @@ __all__ = ["PreviousMethodEstimator"]
 class PreviousMethodEstimator(UsefulnessEstimator):
     """Threshold-adjusted basic method (VLDB'98 reconstruction).
 
+    The whole apportioned cutoff is applied (the full reconstruction).
+
     Args:
         decimals: Exponent rounding during expansion.
-        adjustment_strength: Fraction of the apportioned cutoff actually
-            applied (1.0 = full reconstruction; 0.0 degenerates to the basic
-            method).  Exposed for ablation studies.
-        max_terms: Adaptive expansion budget passed through to
-            :meth:`GenFunc.product` (None disables it).
     """
 
     name = "prev"
     label = "our prev method"
 
-    def __init__(
-        self,
-        decimals: int = 8,
-        adjustment_strength: float = 1.0,
-        max_terms: "int | None" = None,
-    ):
-        if not 0.0 <= adjustment_strength <= 1.0:
-            raise ValueError(
-                f"adjustment_strength must be in [0, 1], got {adjustment_strength!r}"
-            )
-        if max_terms is not None and max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
+    def __init__(self, decimals: int = 8):
         self.decimals = decimals
-        self.adjustment_strength = adjustment_strength
-        self.max_terms = max_terms
 
     def adjusted_pairs(
         self,
@@ -90,7 +74,7 @@ class PreviousMethodEstimator(UsefulnessEstimator):
         for (u, stats), contribution in zip(matched, contributions):
             if total > 0.0 and threshold > 0.0:
                 share = contribution / total
-                cutoff = self.adjustment_strength * threshold * share / u
+                cutoff = threshold * share / u
             else:
                 cutoff = 0.0
             if cutoff <= 0.0:
@@ -123,9 +107,7 @@ class PreviousMethodEstimator(UsefulnessEstimator):
             polynomials.append(
                 (np.array([u * w, 0.0]), np.array([p, 1.0 - p]))
             )
-        expansion = GenFunc.product(
-            polynomials, decimals=self.decimals, max_terms=self.max_terms
-        )
+        expansion = GenFunc.product(polynomials, decimals=self.decimals)
         return Usefulness(
             nodoc=expansion.est_nodoc(threshold, representative.n_documents),
             avgsim=expansion.est_avgsim(threshold),

@@ -13,8 +13,7 @@ Two operating modes mirror the paper's experiments:
 * ``use_stored_max=True`` (default) — quadruplet representative; the stored
   ``mw`` is used (Tables 1-9).
 * ``use_stored_max=False`` — triplet representative; ``mw`` is *estimated*
-  as the ``max_percentile`` (default 99.9) point of ``N(w, sigma^2)``
-  (Tables 10-12).
+  as the 99.9 percentile point of ``N(w, sigma^2)`` (Tables 10-12).
 """
 
 from __future__ import annotations
@@ -30,6 +29,11 @@ from repro.stats.normal import normal_quantile
 
 __all__ = ["SubrangeEstimator"]
 
+#: Percentile of ``N(w, sigma^2)`` taken as a term's maximum weight when
+#: the representative stores none (the paper uses 99.9).
+_MAX_PERCENTILE = 99.9
+_MAX_Z = normal_quantile(_MAX_PERCENTILE / 100.0)
+
 
 class SubrangeEstimator(ExpansionEstimator):
     """Generating-function estimator with subrange-resolved term weights.
@@ -39,9 +43,8 @@ class SubrangeEstimator(ExpansionEstimator):
             evaluation configuration.
         use_stored_max: Whether the representative's stored maximum
             normalized weight may be used; when False (or absent from the
-            representative) it is estimated from ``(w, sigma)``.
-        max_percentile: Percentile of the normal approximation used to
-            estimate a missing maximum weight (the paper uses 99.9).
+            representative) it is estimated as the 99.9 percentile of
+            ``N(w, sigma^2)``.
         decimals / prune_floor: Expansion controls, see
             :class:`~repro.core.base.ExpansionEstimator`.
     """
@@ -53,21 +56,12 @@ class SubrangeEstimator(ExpansionEstimator):
         self,
         scheme: Optional[SubrangeScheme] = None,
         use_stored_max: bool = True,
-        max_percentile: float = 99.9,
         decimals: int = 8,
         prune_floor: float = 0.0,
-        max_terms: Optional[int] = None,
     ):
-        super().__init__(
-            decimals=decimals, prune_floor=prune_floor, max_terms=max_terms
-        )
+        super().__init__(decimals=decimals, prune_floor=prune_floor)
         self.scheme = scheme or SubrangeScheme.paper_six()
         self.use_stored_max = use_stored_max
-        if not 0.0 < max_percentile < 100.0:
-            raise ValueError(
-                f"max_percentile must be in (0, 100), got {max_percentile!r}"
-            )
-        self.max_percentile = max_percentile
         self._offsets = np.asarray(self.scheme.normal_offsets())
         self._masses = np.asarray(self.scheme.masses)
 
@@ -84,14 +78,7 @@ class SubrangeEstimator(ExpansionEstimator):
         """
         if self.use_stored_max and stats.max_weight is not None:
             return stats.max_weight
-        return min(
-            1.0,
-            max(
-                stats.mean
-                + normal_quantile(self.max_percentile / 100.0) * stats.std,
-                0.0,
-            ),
-        )
+        return min(1.0, max(stats.mean + _MAX_Z * stats.std, 0.0))
 
     def term_polynomial(
         self, u: float, stats: TermStats, n_documents: int
@@ -156,12 +143,11 @@ class SubrangeEstimator(ExpansionEstimator):
             of the tensor is engine ``e``'s actual factor.
         """
         n_engines = p.shape[0]
-        z = normal_quantile(self.max_percentile / 100.0)
         # Effective max weight: stored when allowed and present, else the
         # clamped normal estimate — elementwise identical to
         # _effective_max (Python min/max and np.minimum/np.maximum agree
         # on the non-negative, NaN-free values here).
-        estimated_mw = np.minimum(1.0, np.maximum(w + z * sigma, 0.0))
+        estimated_mw = np.minimum(1.0, np.maximum(w + _MAX_Z * sigma, 0.0))
         if self.use_stored_max:
             mw_eff = np.where(np.isnan(mw), estimated_mw, mw)
         else:
@@ -193,12 +179,7 @@ class SubrangeEstimator(ExpansionEstimator):
         return exponents, coefficients, has_max_row, remaining
 
     def polynomial_config(self) -> Tuple:
-        return (
-            type(self).__name__,
-            self.scheme,
-            self.use_stored_max,
-            self.max_percentile,
-        )
+        return (type(self).__name__, self.scheme, self.use_stored_max)
 
 
 register_estimator("subrange", SubrangeEstimator)

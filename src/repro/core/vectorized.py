@@ -16,7 +16,7 @@ The contract throughout is *bit-identity with the scalar estimators*:
   state of every engine advances together, one multiply-and-merge per
   query term, replicating the scalar ``round → unique → bincount``
   pipeline per row (see the kernel's docstring for the exactness argument
-  covering rounding, merge order, pruning, and expansion budgets).  The
+  covering rounding, merge order, and pruning).  The
   subrange factor tensor — median weights ``w + c_j * sigma``, the
   max-weight singleton, probabilities — is built in one vectorized pass by
   :meth:`SubrangeEstimator.factor_grid`, and all tails come off one
@@ -28,15 +28,13 @@ The contract throughout is *bit-identity with the scalar estimators*:
   argument is in :class:`~repro.core.genfunc.BatchedGenFunc`).  Every
   read-out stays bit-identical to the full expansion; only the kept term
   count changes, so ``estimator.genfunc.terms`` counts the terms *kept*
-  (the scalar path, which expands in full, still counts them all).  No
-  cut is made under an expansion budget (``max_terms``), whose
-  floor-tightening reads row length.
+  (the scalar path, which expands in full, still counts them all).
 * The gGlOSS estimators are closed-form over sorted bands; both variants
   vectorize to a lexsort plus suffix cumulative sums that accumulate in the
   scalar code's exact addition order.
 
-There is no configuration-triggered fallback: pruning floors, expansion
-budgets, off-grid ``decimals``, and exponents past ``2**53`` all run
+There is no configuration-triggered fallback: pruning floors, off-grid
+``decimals``, and exponents past ``2**53`` all run
 through the batched kernel with scalar-identical semantics.  Two things
 are evaluated per engine row instead, both with the scalar code itself:
 
@@ -165,11 +163,7 @@ def fleet_usefulness_grid(
         x = u[None, :] * w
         return _expansion_grid(estimator, x, p, matched, n, thresholds)
     if isinstance(estimator, BinaryIndependenceEstimator):
-        if estimator.global_weight is not None:
-            gw = np.full(len(store), float(estimator.global_weight))
-        else:
-            gw = store.binary_mean_w
-        x = u[None, :] * gw[:, None]
+        x = u[None, :] * store.binary_mean_w[:, None]
         return _expansion_grid(estimator, x, p, matched, n, thresholds)
     if isinstance(estimator, GlossHighCorrelationEstimator):
         return _gloss_hc_grid(p, w, u, n, matched, thresholds)
@@ -245,10 +239,7 @@ def _demote_rows(
     tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for e in rows.tolist():
         expansion = GenFunc.product(
-            polys_of(e),
-            decimals=est.decimals,
-            prune_floor=est.prune_floor,
-            max_terms=est.max_terms,
+            polys_of(e), decimals=est.decimals, prune_floor=est.prune_floor
         )
         tails[e] = expansion.tail_profile(thresholds)
     _SCALAR_DEMOTIONS += len(tails)
@@ -310,12 +301,7 @@ def _threshold_cuts(est, matched, headroom, bound, thresholds):
       the rounding and ``1e-12`` relative covers every ulp term with
       room to spare, so a term at or below its cut ends at or below
       ``floor``.
-
-    No cut when ``est.max_terms`` is set: the budget's floor-tightening
-    reads row length, which the cut changes.
     """
-    if est.max_terms is not None:
-        return None
     floor = min((t for t in thresholds if t == t), default=float("inf"))
     if not math.isfinite(floor):
         return None
@@ -338,7 +324,7 @@ def _batched_expansion(
 ) -> List[List[Usefulness]]:
     """The batched twin of :meth:`ExpansionEstimator.expand`: one
     multiply-and-merge per query term across the engine axis, every
-    estimator configuration (pruning, budgets, any ``decimals``) included.
+    estimator configuration (pruning, any ``decimals``) included.
 
     The per-estimator part — the counterpart of ``term_polynomial`` — is
     two callables: ``factor_rows(rows, j)`` returns term ``j``'s
@@ -367,7 +353,7 @@ def _batched_expansion(
 
     batch = BatchedGenFunc.product(
         n_engines, term_factors(), decimals=est.decimals,
-        prune_floor=est.prune_floor, max_terms=est.max_terms,
+        prune_floor=est.prune_floor,
     )
     scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     if demoted.any():

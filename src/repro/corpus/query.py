@@ -10,6 +10,7 @@ normalizes the weight vector to unit length before matching, which
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -18,6 +19,8 @@ import numpy as np
 from repro.text.pipeline import TextPipeline
 
 __all__ = ["Query"]
+
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -75,14 +78,44 @@ class Query:
         return len(self.terms) == 1
 
     def norm(self) -> float:
-        """Euclidean norm of the raw weight vector."""
-        return math.sqrt(sum(w * w for w in self.weights))
+        """Euclidean norm of the raw weight vector (``inf`` past the
+        double range)."""
+        root, exponent = self._norm_parts()
+        try:
+            return math.ldexp(root, exponent)
+        except OverflowError:
+            return math.inf
+
+    def _norm_parts(self) -> Tuple[float, int]:
+        """``(root, exponent)`` with the norm equal to ``root * 2**exponent``.
+
+        The plain sum of squares overflows for weights above ~1.3e154 and
+        loses precision to underflow below ~1.5e-154.  Only when a square
+        is not a normal float, or the sum overflows, are the weights first
+        scaled by an exact power of two (``exponent``), so every norm the
+        plain sum gets right is returned unchanged.
+        """
+        squares = [w * w for w in self.weights]
+        total = sum(squares)
+        if not squares or (_MIN_NORMAL <= min(squares) and total < math.inf):
+            return math.sqrt(total), 0
+        exponent = max(math.frexp(w)[1] for w in self.weights)
+        scaled = [math.ldexp(w, -exponent) for w in self.weights]
+        return math.sqrt(sum(w * w for w in scaled)), exponent
 
     def normalized_weights(self) -> np.ndarray:
-        """Unit-norm weights — the ``u_i`` of the Cosine similarity."""
+        """Unit-norm weights — the ``u_i`` of the Cosine similarity.
+
+        Scale-invariant: multiplying every weight by a power of two that
+        keeps them normal floats leaves the result bit-identical.
+        """
         arr = np.asarray(self.weights, dtype=float)
-        n = self.norm()
-        return arr / n if n > 0 else arr
+        root, exponent = self._norm_parts()
+        if root == 0.0:  # the empty query
+            return arr
+        if exponent:
+            arr = np.ldexp(arr, -exponent)
+        return arr / root
 
     def items(self) -> Iterable[Tuple[str, float]]:
         """Iterate ``(term, raw_weight)`` pairs."""

@@ -255,13 +255,13 @@ class TestMidBatchInvalidation:
         assert len(broker.polycache) == 0
 
 
-class TestBudgetedPipeline:
-    def test_budget_applies_on_both_paths(self, fleet_engines, fleet_queries):
-        """With the adaptive budget *enabled*, the scalar oracle and the
-        batch still agree exactly — both run the identical budgeted
-        expansion."""
-        estimator_a = SubrangeEstimator(max_terms=64)
-        estimator_b = SubrangeEstimator(max_terms=64)
+class TestCoarseExpansion:
+    def test_both_paths_agree(self, fleet_engines, fleet_queries):
+        """With coarse rounding and a prune floor, the scalar oracle and
+        the batch still agree exactly — both run the identical rounded,
+        pruned expansion."""
+        estimator_a = SubrangeEstimator(decimals=4, prune_floor=1e-9)
+        estimator_b = SubrangeEstimator(decimals=4, prune_floor=1e-9)
         serial = make_oracle(fleet_engines, estimator_a)
         batch = make_broker(fleet_engines, estimator=estimator_b)
         queries = fleet_queries[:15]

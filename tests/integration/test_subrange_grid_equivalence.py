@@ -4,8 +4,8 @@ every configuration that used to demote to the scalar path.
 Before the batched :class:`~repro.core.genfunc.BatchedGenFunc` product,
 :func:`repro.core.fleet_usefulness_grid` routed several expansion
 configurations through per-engine scalar ``GenFunc`` work: pruning
-floors, ``max_terms`` caps, decimals off the default grid, and triplet
-mode all skipped the parallel merge.  Those guards are gone — the batched
+floors, decimals off the default grid, and triplet mode all skipped the
+parallel merge.  Those guards are gone — the batched
 kernel implements the exact scalar semantics — so this suite sweeps each
 formerly-guarded configuration (and their combinations) across all five
 vectorized estimator families and asserts:
@@ -62,11 +62,8 @@ CONFIGS = [
         lambda: SubrangeEstimator(prune_floor=1e-6), id="subrange-pruned"
     ),
     pytest.param(
-        lambda: SubrangeEstimator(max_terms=6), id="subrange-capped"
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(prune_floor=1e-4, max_terms=4),
-        id="subrange-pruned-capped",
+        lambda: SubrangeEstimator(prune_floor=1e-4),
+        id="subrange-pruned-coarse",
     ),
     pytest.param(
         lambda: SubrangeEstimator(decimals=0), id="subrange-decimals-0"
@@ -82,10 +79,8 @@ CONFIGS = [
         lambda: SubrangeEstimator(use_stored_max=False), id="subrange-triplet"
     ),
     pytest.param(
-        lambda: SubrangeEstimator(
-            use_stored_max=False, prune_floor=1e-5, max_terms=5
-        ),
-        id="subrange-triplet-pruned-capped",
+        lambda: SubrangeEstimator(use_stored_max=False, prune_floor=1e-5),
+        id="subrange-triplet-pruned",
     ),
     pytest.param(
         lambda: SubrangeEstimator(
@@ -95,14 +90,9 @@ CONFIGS = [
     ),
     pytest.param(lambda: BasicEstimator(), id="basic"),
     pytest.param(
-        lambda: BasicEstimator(prune_floor=1e-6, max_terms=4),
-        id="basic-pruned-capped",
+        lambda: BasicEstimator(prune_floor=1e-6), id="basic-pruned"
     ),
     pytest.param(lambda: BinaryIndependenceEstimator(), id="binary"),
-    pytest.param(
-        lambda: BinaryIndependenceEstimator(global_weight=0.42),
-        id="binary-global-weight",
-    ),
     pytest.param(lambda: GlossHighCorrelationEstimator(), id="gloss-hc"),
     pytest.param(lambda: GlossDisjointEstimator(), id="gloss-dj"),
 ]

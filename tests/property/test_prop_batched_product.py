@@ -13,8 +13,7 @@ through randomly shaped products and checks every row against the scalar
 * extreme coefficients near ``2**53``, where one misplaced addition in
   the merge order loses a unit in the last place;
 * every expansion-control combination — ``decimals`` (negative,
-  zero, default, high), ``prune_floor`` on/off, ``max_terms`` caps that
-  trigger the budget loop and its stable keep-heaviest rescue;
+  zero, default, high) and ``prune_floor`` on/off;
 * the tail read-out — ``tail_profile`` over thresholds including
   ``-inf``, ``+inf``, ``NaN``, and exact exponent hits;
 * the threshold cut — a product that drops, after each factor, the
@@ -73,7 +72,6 @@ def product_cases(draw):
     n_terms = draw(st.integers(min_value=0, max_value=4))
     decimals = draw(st.sampled_from([-2, 0, 3, 8, 15]))
     prune_floor = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.2]))
-    max_terms = draw(st.sampled_from([None, 1, 2, 4]))
     terms = []
     for __ in range(n_terms):
         rows = [r for r in range(n_rows) if draw(st.booleans())]
@@ -98,10 +96,10 @@ def product_cases(draw):
                 np.asarray(flen, dtype=np.int64),
             )
         )
-    return n_rows, terms, decimals, prune_floor, max_terms
+    return n_rows, terms, decimals, prune_floor
 
 
-def scalar_reference(n_rows, terms, decimals, prune_floor, max_terms):
+def scalar_reference(n_rows, terms, decimals, prune_floor):
     """Row-by-row scalar ``GenFunc.product`` over the same factors."""
     out = []
     for r in range(n_rows):
@@ -112,12 +110,7 @@ def scalar_reference(n_rows, terms, decimals, prune_floor, max_terms):
                 k = int(flen[i])
                 polys.append((fexp[i, :k].copy(), fcoef[i, :k].copy()))
         out.append(
-            GenFunc.product(
-                polys,
-                decimals=decimals,
-                prune_floor=prune_floor,
-                max_terms=max_terms,
-            )
+            GenFunc.product(polys, decimals=decimals, prune_floor=prune_floor)
         )
     return out
 
@@ -143,51 +136,28 @@ class TestBatchedProductBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(product_cases())
     def test_product_matches_scalar_bit_for_bit(self, case):
-        n_rows, terms, decimals, prune_floor, max_terms = case
+        n_rows, terms, decimals, prune_floor = case
         batch = BatchedGenFunc.product(
-            n_rows,
-            terms,
-            decimals=decimals,
-            prune_floor=prune_floor,
-            max_terms=max_terms,
+            n_rows, terms, decimals=decimals, prune_floor=prune_floor
         )
         assert_rows_bit_identical(
-            batch,
-            scalar_reference(n_rows, terms, decimals, prune_floor, max_terms),
+            batch, scalar_reference(n_rows, terms, decimals, prune_floor)
         )
 
     @settings(max_examples=100, deadline=None)
     @given(product_cases())
     def test_tail_profile_matches_scalar_bit_for_bit(self, case):
-        n_rows, terms, decimals, prune_floor, max_terms = case
+        n_rows, terms, decimals, prune_floor = case
         batch = BatchedGenFunc.product(
-            n_rows,
-            terms,
-            decimals=decimals,
-            prune_floor=prune_floor,
-            max_terms=max_terms,
+            n_rows, terms, decimals=decimals, prune_floor=prune_floor
         )
         mass, moment = batch.tail_profile(_THRESHOLDS)
         assert mass.shape == moment.shape == (len(_THRESHOLDS), n_rows)
-        scalars = scalar_reference(
-            n_rows, terms, decimals, prune_floor, max_terms
-        )
+        scalars = scalar_reference(n_rows, terms, decimals, prune_floor)
         for r, want in enumerate(scalars):
             want_mass, want_moment = want.tail_profile(_THRESHOLDS)
             assert mass[:, r].tobytes() == want_mass.tobytes()
             assert moment[:, r].tobytes() == want_moment.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(product_cases(), st.integers(min_value=1, max_value=3))
-    def test_budget_rows_matches_scalar_budgeted(self, case, budget):
-        n_rows, terms, decimals, prune_floor, __ = case
-        batch = BatchedGenFunc.product(
-            n_rows, terms, decimals=decimals, prune_floor=prune_floor
-        )
-        scalars = scalar_reference(n_rows, terms, decimals, prune_floor, None)
-        batch.budget_rows(budget, floor_start=prune_floor)
-        shrunk = [g.budgeted(budget, floor_start=prune_floor) for g in scalars]
-        assert_rows_bit_identical(batch, shrunk)
 
 
 class TestThresholdCut:
@@ -204,7 +174,7 @@ class TestThresholdCut:
         ),
     )
     def test_cut_tails_match_the_uncut_product(self, case, thresholds):
-        n_rows, terms, decimals, prune_floor, __ = case
+        n_rows, terms, decimals, prune_floor = case
         matched = np.zeros((n_rows, len(terms)), dtype=bool)
         headroom = np.zeros((n_rows, len(terms)))
         bound = np.zeros(n_rows)
@@ -213,7 +183,7 @@ class TestThresholdCut:
             matched[rows, j] = True
             headroom[rows, j] = np.where(valid, fexp, -np.inf).max(axis=1)
             bound[rows] += np.where(valid, np.abs(fexp), 0.0).max(axis=1)
-        est = SimpleNamespace(decimals=decimals, max_terms=None)
+        est = SimpleNamespace(decimals=decimals)
         cuts = _threshold_cuts(est, matched, headroom, bound, thresholds)
         cut_terms = [
             (*term, None if cuts is None else cuts[term[0], j])
@@ -245,12 +215,6 @@ class TestThresholdCut:
                 assert batch.row(r).exponents.tolist() == [0.5]
                 assert batch.cut_mass[r] == 0.75
                 assert batch.pruned_mass[r] == 0.0
-
-    def test_cut_and_budget_do_not_combine(self):
-        term = (np.array([0]), np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]),
-                None, np.array([0.5]))
-        with pytest.raises(ValueError, match="max_terms"):
-            BatchedGenFunc.product(1, [term], max_terms=2)
 
     def test_nan_cut_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -284,7 +248,7 @@ class TestBatchedProductEdgeCases:
             (rows, np.array([[2.0, 0.0]]), np.array([[0.5, 0.5]]), np.array([2])),
         ]
         batch = BatchedGenFunc.product(1, terms, prune_floor=1e-3)
-        [want] = scalar_reference(1, terms, 8, 1e-3, None)
+        [want] = scalar_reference(1, terms, 8, 1e-3)
         assert_rows_bit_identical(batch, [want])
         assert batch.row(0).n_terms == 0
 
@@ -304,7 +268,7 @@ class TestBatchedProductEdgeCases:
         thresholds = [float("-inf"), 0.0, float("inf"), float("nan")]
         batch = BatchedGenFunc.product(2, terms, decimals=3)
         mass, moment = batch.tail_profile(thresholds)
-        for r, want in enumerate(scalar_reference(2, terms, 3, 0.0, None)):
+        for r, want in enumerate(scalar_reference(2, terms, 3, 0.0)):
             want_mass, want_moment = want.tail_profile(thresholds)
             assert mass[:, r].tobytes() == want_mass.tobytes()
             assert moment[:, r].tobytes() == want_moment.tobytes()
@@ -319,7 +283,7 @@ class TestBatchedProductEdgeCases:
         terms = [(rows, fexp, fcoef, np.array([3, 3]))]
         batch = BatchedGenFunc.product(2, terms, decimals=8)
         assert_rows_bit_identical(
-            batch, scalar_reference(2, terms, 8, 0.0, None)
+            batch, scalar_reference(2, terms, 8, 0.0)
         )
 
     def test_rounding_overflow_raises_in_both_pipelines(self):

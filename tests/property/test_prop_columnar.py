@@ -92,9 +92,7 @@ def estimators(draw):
     if family == "basic":
         return BasicEstimator()
     if family == "binary":
-        return BinaryIndependenceEstimator(
-            global_weight=draw(st.one_of(st.none(), _WEIGHTS))
-        )
+        return BinaryIndependenceEstimator()
     if family == "gloss-hc":
         return GlossHighCorrelationEstimator()
     return GlossDisjointEstimator()

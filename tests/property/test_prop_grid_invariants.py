@@ -3,11 +3,11 @@
 ``test_prop_genfunc.py`` checks them on one scalar ``GenFunc``; the broker
 estimates through ``fleet_usefulness_grid``, whose expansion estimators
 advance every engine's polynomial together in one ``BatchedGenFunc``.  Over
-drawn fleets (quadruplet and triplet engines, pruning floors and term
-budgets on and off), every row of that batch and every grid cell keep them:
+drawn fleets (quadruplet and triplet engines, pruning floors on and off),
+every row of that batch and every grid cell keep them:
 
 * a row's coefficient mass plus its ``pruned_mass`` is within 1e-9 of 1 —
-  pruning and budgets move probability, never lose it;
+  pruning moves probability, never loses it;
 * NoDoc / n lies in [0, 1] — up to the same 1e-9: the full tail is a
   float sum of probabilities and may round past 1 by a few ulps (pinned);
 * NoDoc is non-increasing in the threshold, *exactly*: the tail is a
@@ -45,12 +45,9 @@ VOCAB = [f"w{i}" for i in range(8)]
 THRESHOLDS = [-0.5, 0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.5]
 
 estimators = st.builds(
-    lambda kind, prune_floor, max_terms: kind(
-        prune_floor=prune_floor, max_terms=max_terms
-    ),
+    lambda kind, prune_floor: kind(prune_floor=prune_floor),
     st.sampled_from([SubrangeEstimator, BasicEstimator, BinaryIndependenceEstimator]),
     st.sampled_from([0.0, 1e-4, 0.02]),
-    st.sampled_from([None, 2, 6]),
 )
 
 
@@ -133,9 +130,7 @@ def test_grid_rows_conserve_mass_and_nodoc_is_a_fraction_monotone_in_t(
 
 
 cut_estimators = st.builds(
-    lambda make, prune_floor, max_terms: make(
-        prune_floor=prune_floor, max_terms=max_terms
-    ),
+    lambda make, prune_floor: make(prune_floor=prune_floor),
     st.sampled_from([
         SubrangeEstimator,
         lambda **kw: SubrangeEstimator(use_stored_max=False, **kw),
@@ -143,8 +138,6 @@ cut_estimators = st.builds(
         BinaryIndependenceEstimator,
     ]),
     st.sampled_from([0.0, 1e-4, 0.02]),
-    # the cut only runs without a budget, so draw that case more often
-    st.sampled_from([None, None, 2, 6]),
 )
 
 #: Fixed thresholds a cut set draws from: the grid's usual range plus the
@@ -198,7 +191,7 @@ expansion_picks = st.lists(
     max_size=3,
 )
 
-#: The kind of fleet the two mutation examples below run on: one engine
+#: The kind of fleet the mutation example below runs on: one engine
 #: whose max-weight singleton sits far above every subrange median.
 SINGLETON_ABOVE_MEDIANS = [
     DatabaseRepresentative("r0", n_documents=20, term_stats={
@@ -225,13 +218,6 @@ SINGLETON_ABOVE_MEDIANS = [
     query=Query(("w0", "w1"), (1.0, 1.0)),
     fixed=[],
     picks=[(0, 1, True, 0)],
-)
-@example(  # a cut under a term budget keeps what the budget drops
-    estimator=SubrangeEstimator(max_terms=2),
-    representatives=SINGLETON_ABOVE_MEDIANS,
-    query=Query(("w0", "w1"), (1.0, 1.0)),
-    fixed=[0.5],
-    picks=[],
 )
 @settings(max_examples=150, deadline=None)
 def test_threshold_cut_keeps_mass_and_matches_the_scalar_estimator(

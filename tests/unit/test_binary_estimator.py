@@ -26,15 +26,7 @@ def rep():
 class TestBinaryIndependence:
     def test_global_weight_is_mean_of_means(self, rep):
         estimator = BinaryIndependenceEstimator()
-        assert estimator._database_weight(rep) == pytest.approx(0.35)
-
-    def test_explicit_global_weight(self, rep):
-        estimator = BinaryIndependenceEstimator(global_weight=0.5)
-        assert estimator._database_weight(rep) == 0.5
-
-    def test_negative_global_weight_rejected(self):
-        with pytest.raises(ValueError):
-            BinaryIndependenceEstimator(global_weight=-0.1)
+        assert estimator._polynomial_context(rep) == pytest.approx(0.35)
 
     def test_cannot_distinguish_heavy_from_light(self, rep):
         """The defining information loss: both terms get identical

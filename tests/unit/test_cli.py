@@ -78,16 +78,29 @@ class TestEstimate:
         assert code == 0
         assert "basic" in capsys.readouterr().out
 
-    def test_unknown_method_raises(self, collection_file):
-        with pytest.raises(ValueError, match="unknown estimator"):
-            main(
-                [
-                    "estimate",
-                    "--collection", str(collection_file),
-                    "--query", "rocket",
-                    "--method", "bogus",
-                ]
-            )
+
+class TestUnknownEstimatorName:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--collection", "missing.jsonl", "--query", "rocket",
+             "--method", "bogus"],
+            ["evaluate", "--queries", "1", "--methods", "subrange", "bogus"],
+        ],
+        ids=["estimate", "evaluate"],
+    )
+    def test_answers_error_before_any_work(self, argv, monkeypatch, capsys):
+        """An unknown name is a usage error (exit 2, ``error: ...``) found
+        before the collection is read or D1-D3 are built."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the name was checked")
+
+        monkeypatch.setattr("repro.cli.load_collection", no_work)
+        monkeypatch.setattr("repro.cli.build_paper_databases", no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown estimator 'bogus'")
 
 
 class TestScalability:

@@ -6,12 +6,10 @@ summing to 1) and checks the invariants every estimator's correctness
 rests on:
 
 * mass conservation — ``total_mass + pruned_mass ~= 1`` through any
-  combination of rounding, pruning, and the adaptive budget;
+  combination of rounding and pruning;
 * factor-order invariance — the expansion is the same (up to exponent
   rounding) no matter the multiplication order;
-* tail monotonicity — ``tail_mass`` never increases with the threshold;
-* budget accounting — ``max_terms`` caps the term count without ever
-  losing probability mass unaccounted.
+* tail monotonicity — ``tail_mass`` never increases with the threshold.
 
 The suite is marked ``slow``: CI runs it with the reduced deterministic
 "ci" profile on pull requests and the full "ci-main" budget on main
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import GenFunc
@@ -75,16 +73,6 @@ class TestMassConservation:
     )
     def test_pruned_expansion_conserves_mass(self, polynomials, prune_floor):
         expansion = GenFunc.product(polynomials, prune_floor=prune_floor)
-        assert expansion.total_mass() + expansion.pruned_mass == pytest.approx(
-            1.0, abs=1e-9
-        )
-
-    @given(
-        polynomials=polynomial_lists,
-        max_terms=st.integers(min_value=1, max_value=32),
-    )
-    def test_budgeted_expansion_conserves_mass(self, polynomials, max_terms):
-        expansion = GenFunc.product(polynomials, max_terms=max_terms)
         assert expansion.total_mass() + expansion.pruned_mass == pytest.approx(
             1.0, abs=1e-9
         )
@@ -146,53 +134,3 @@ class TestTailMonotonicity:
             assert mass[i] == expansion.tail_mass(threshold)
             assert moment[i] == expansion.tail_first_moment(threshold)
 
-
-# -- adaptive budget -----------------------------------------------------------
-
-
-class TestAdaptiveBudget:
-    @given(
-        polynomials=polynomial_lists,
-        max_terms=st.integers(min_value=1, max_value=16),
-    )
-    def test_budget_caps_terms(self, polynomials, max_terms):
-        expansion = GenFunc.product(polynomials, max_terms=max_terms)
-        assert expansion.n_terms <= max_terms
-
-    @given(
-        polynomials=polynomial_lists,
-        max_terms=st.integers(min_value=1, max_value=16),
-    )
-    def test_budget_only_moves_mass_to_pruned(self, polynomials, max_terms):
-        """Whatever the budget drops shows up in pruned_mass, exactly."""
-        exact = GenFunc.product(polynomials)
-        budgeted = GenFunc.product(polynomials, max_terms=max_terms)
-        dropped = exact.total_mass() - budgeted.total_mass()
-        assert budgeted.pruned_mass == pytest.approx(
-            exact.pruned_mass + dropped, abs=1e-9
-        )
-
-    @given(polynomials=polynomial_lists)
-    def test_generous_budget_changes_nothing(self, polynomials):
-        exact = GenFunc.product(polynomials)
-        budgeted = GenFunc.product(polynomials, max_terms=exact.n_terms)
-        np.testing.assert_array_equal(exact.exponents, budgeted.exponents)
-        np.testing.assert_array_equal(exact.coeffs, budgeted.coeffs)
-        assert exact.pruned_mass == budgeted.pruned_mass
-
-    @settings(max_examples=20)
-    @given(
-        n_terms=st.integers(min_value=2, max_value=64),
-        max_terms=st.integers(min_value=1, max_value=8),
-    )
-    def test_equal_coefficients_terminate(self, n_terms, max_terms):
-        """The geometric floor overshoots a flat coefficient profile in one
-        step; the heaviest-terms fallback must still terminate and cap."""
-        flat = GenFunc(
-            np.arange(n_terms, dtype=float), np.full(n_terms, 1.0 / n_terms)
-        )
-        budgeted = flat.budgeted(max_terms)
-        assert budgeted.n_terms <= max_terms
-        assert budgeted.total_mass() + budgeted.pruned_mass == pytest.approx(
-            1.0, abs=1e-12
-        )

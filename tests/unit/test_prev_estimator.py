@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BasicEstimator, PreviousMethodEstimator
+from repro.core import PreviousMethodEstimator
 from repro.corpus import Query
 from repro.representatives import DatabaseRepresentative, TermStats
 
@@ -53,21 +53,6 @@ class TestAdjustedPairs:
         (ua, pa, wa), (ub, pb, wb) = pairs
         assert pa < 0.4  # a was truncated
         assert pb < 0.2  # b was truncated too
-
-    def test_zero_strength_degenerates_to_basic(self, rep):
-        query = Query.from_terms(["a", "b"])
-        relaxed = PreviousMethodEstimator(adjustment_strength=0.0)
-        basic = BasicEstimator()
-        for threshold in (0.1, 0.3):
-            a = relaxed.estimate(query, rep, threshold)
-            b = basic.estimate(query, rep, threshold)
-            # With no truncation the conditional mean still nudges weights
-            # up slightly (E[X|X>0] >= E[X]); NoDoc therefore dominates.
-            assert a.nodoc >= b.nodoc - 1e-9
-
-    def test_strength_validated(self):
-        with pytest.raises(ValueError):
-            PreviousMethodEstimator(adjustment_strength=1.5)
 
 
 class TestEstimates:

@@ -1,8 +1,11 @@
 """Unit tests for repro.corpus.Query."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.corpus import Query
 from repro.text import TextPipeline
@@ -71,6 +74,38 @@ class TestWeights:
         pairs = dict(query.normalized_items())
         assert pairs["a"] == pytest.approx(0.6)
         assert pairs["b"] == pytest.approx(0.8)
+
+
+@st.composite
+def scaled_weight_pairs(draw):
+    """Weights and a power-of-two exponent ``k`` that keeps every
+    ``weight * 2**k`` a normal float — up to the edges of the range."""
+    weights = draw(st.lists(
+        st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=6
+    ))
+    exponents = [math.frexp(w)[1] for w in weights]
+    low = sys.float_info.min_exp - min(exponents)
+    high = sys.float_info.max_exp - max(exponents)
+    return weights, draw(st.integers(low, high))
+
+
+class TestScaleInvariance:
+    @given(scaled_weight_pairs())
+    @example(  # normal sum of squares, one subnormal square
+        ([193677.61616074492, 472256.9085455569, 0.00012256669934306017], -529)
+    )
+    def test_power_of_two_scaling_keeps_normalized_weights(self, case):
+        weights, k = case
+        terms = tuple(f"t{i}" for i in range(len(weights)))
+        base = Query(terms, tuple(weights)).normalized_weights()
+        scaled = Query(
+            terms, tuple(math.ldexp(w, k) for w in weights)
+        ).normalized_weights()
+        assert scaled.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("weight", [1e200, 1e-170, sys.float_info.max])
+    def test_extreme_single_weight_normalizes_to_one(self, weight):
+        assert Query(("a",), (weight,)).normalized_weights().tolist() == [1.0]
 
 
 class TestPredicates:

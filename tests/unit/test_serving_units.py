@@ -231,6 +231,43 @@ class TestRetryAfterHeader:
         assert response.headers["Retry-After"] == "3"
 
 
+class TestExtremeQueryWeights:
+    @pytest.mark.parametrize("weight", [1e200, 1e-170])
+    def test_search_answer_is_scale_invariant(self, weight):
+        """Cosine ignores the query's scale: a weight whose square leaves
+        the double range selects and returns exactly what weight 1.0 does."""
+        import json
+
+        from repro.corpus import Collection, Document
+        from repro.engine import SearchEngine
+        from repro.metasearch import MetasearchBroker
+        from repro.serving import GatewayApp
+
+        broker = MetasearchBroker()
+        broker.register(SearchEngine(Collection.from_documents("db", [
+            Document("d1", terms=["rocket", "engine"]),
+            Document("d2", terms=["rocket"]),
+        ])))
+        broker.register(SearchEngine(Collection.from_documents(
+            "other", [Document("e1", terms=["orbit"])]
+        )))
+        app = GatewayApp(broker)
+
+        def search(w):
+            body = json.dumps({
+                "query": {"kind": "query", "terms": ["rocket"], "weights": [w]},
+                "threshold": 0.1,
+            }).encode("utf-8")
+            response = app.handle("POST", "/search", {}, body)
+            assert response.status == 200
+            return {key: response.payload[key]
+                    for key in ("hits", "invoked", "estimates")}
+
+        want = search(1.0)
+        assert want["invoked"] == ["db"] and want["hits"]
+        assert search(weight) == want
+
+
 class TestConnectionPoolForkSafety:
     """The per-thread pool is keyed on pid too: an entry inherited across
     fork() is closed and redialed, never written to."""

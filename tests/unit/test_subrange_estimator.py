@@ -140,10 +140,6 @@ class TestTripletMode:
         mw = estimator._effective_max(rep.get("common"))
         assert mw != pytest.approx(0.70)
 
-    def test_max_percentile_validated(self):
-        with pytest.raises(ValueError):
-            SubrangeEstimator(max_percentile=100.0)
-
     def test_estimated_max_clamped_to_one(self):
         """Regression: a high-sigma term's estimated 99.9th percentile used
         to exceed 1.0 — an impossible normalized weight that placed

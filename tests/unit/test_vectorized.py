@@ -172,17 +172,17 @@ class TestEdgeCases:
 
 
 class TestExpansionControlConfigs:
-    def test_pruned_and_capped_expansions_stay_batched(self):
-        """prune_floor/max_terms used to skip the parallel merge; the
-        batched kernel now implements their exact semantics, so these
-        configurations run fully vectorized and must still be
+    def test_pruned_and_rounded_stay_batched(self):
+        """prune_floor and off-grid decimals used to skip the parallel
+        merge; the batched kernel now implements their exact semantics, so
+        these configurations run fully vectorized and must still be
         bit-identical to the scalar estimator."""
         reps = [make_rep("d1"), make_rep("d2", n=200)]
         query = Query.from_terms(["apple", "pear"])
         reset_fallback_count()
         for estimator in (
             BasicEstimator(prune_floor=1e-6),
-            BasicEstimator(max_terms=3),
+            BasicEstimator(decimals=3, prune_floor=1e-6),
             BinaryIndependenceEstimator(prune_floor=1e-6),
         ):
             assert_grid_matches_scalar(
