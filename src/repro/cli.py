@@ -29,6 +29,7 @@ from repro.core import get_estimator, true_usefulness
 from repro.corpus import (
     Query,
     analyze_collection,
+    check_query_length,
     load_collection,
     load_trec_collection,
     save_collection,
@@ -86,6 +87,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         estimator = get_estimator(args.method)
+        query = check_query_length(Query.from_terms(args.query.split()))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -95,7 +97,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         representative = DatabaseRepresentative.load(args.representative)
     else:
         representative = build_representative(engine)
-    query = Query.from_terms(args.query.split())
     estimate = estimator.estimate(query, representative, args.threshold)
     truth = true_usefulness(engine, query, args.threshold)
     print(f"database : {collection.name} ({collection.n_documents} docs)")
@@ -151,11 +152,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
+    try:
+        query = check_query_length(Query.from_terms(args.query.split()))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     representatives = {}
     for path in args.representatives:
         representative = DatabaseRepresentative.load(path)
         representatives[representative.name] = representative
-    query = Query.from_terms(args.query.split())
     threshold = threshold_for_k(query, representatives, args.k)
     quotas = allocate_documents(query, representatives, args.k)
     print(f"query    : {' '.join(query.terms)}")

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.genfunc import GenFunc
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
-from repro.obs.registry import LATENCY_BUCKETS, MASS_BUCKETS, NULL_REGISTRY, SIZE_BUCKETS
+from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY, SIZE_BUCKETS
 from repro.representatives.representative import DatabaseRepresentative
 
 __all__ = [
@@ -68,7 +68,6 @@ class EstimateExplanation:
         terms: Per-query-term contributions, in query order.
         expansion_terms: Size of the expanded generating function.
         tail_mass: Probability mass above the threshold.
-        pruned_mass: Probability mass dropped by the prune floor.
     """
 
     estimate: Usefulness
@@ -76,7 +75,6 @@ class EstimateExplanation:
     terms: List[TermContribution]
     expansion_terms: int
     tail_mass: float
-    pruned_mass: float
 
 
 class UsefulnessEstimator(ABC):
@@ -100,8 +98,7 @@ class UsefulnessEstimator(ABC):
         """Route this estimator's metrics to ``registry``; returns self.
 
         The base estimators record nothing; :class:`ExpansionEstimator`
-        reports expansion time, generating-function term counts, and
-        pruned probability mass.
+        reports expansion time and generating-function term counts.
         """
         self.registry = registry if registry is not None else NULL_REGISTRY
         return self
@@ -152,13 +149,8 @@ class ExpansionEstimator(UsefulnessEstimator):
     the normalized query weight, so a term-skewed workload recomputes
     almost nothing).
 
-    Args:
-        decimals: Exponent rounding applied while expanding (see
-            :class:`~repro.core.genfunc.GenFunc`).
-        prune_floor: Probability floor below which expansion terms are
-            dropped (their mass stays accounted in ``pruned_mass``).
-
-    The expansion is exact up to this rounding and pruning.
+    The expansion is exact up to the rounding of
+    :data:`~repro.core.genfunc.DECIMALS`.
     """
 
     #: The default expansion context is the document count alone, so each
@@ -166,10 +158,6 @@ class ExpansionEstimator(UsefulnessEstimator):
     #: cache invalidation is sound.  Subclasses whose context reduces over
     #: the whole representative must reset this to False.
     term_local: bool = True
-
-    def __init__(self, decimals: int = 8, prune_floor: float = 0.0):
-        self.decimals = decimals
-        self.prune_floor = prune_floor
 
     @abstractmethod
     def term_polynomial(
@@ -258,16 +246,14 @@ class ExpansionEstimator(UsefulnessEstimator):
     ) -> GenFunc:
         """Expand the full generating function for (query, database).
 
-        Each expansion reports its duration, final term count, and pruned
-        probability mass to the estimator's metrics registry (no-op unless
+        Each expansion reports its duration and final term count to the
+        estimator's metrics registry (no-op unless
         :meth:`~UsefulnessEstimator.instrument`-ed).  ``polycache`` /
         ``engine`` memoize the per-term factors (see :meth:`polynomials`).
         """
         start = time.perf_counter()
         expansion = GenFunc.product(
-            self.polynomials(query, representative, polycache, engine),
-            decimals=self.decimals,
-            prune_floor=self.prune_floor,
+            self.polynomials(query, representative, polycache, engine)
         )
         registry = self.registry
         registry.counter("estimator.expansions").inc()
@@ -277,9 +263,6 @@ class ExpansionEstimator(UsefulnessEstimator):
         registry.histogram(
             "estimator.genfunc.terms", buckets=SIZE_BUCKETS
         ).observe(expansion.n_terms)
-        registry.histogram(
-            "estimator.pruned.mass", buckets=MASS_BUCKETS
-        ).observe(expansion.pruned_mass)
         return expansion
 
     def estimate(
@@ -360,9 +343,7 @@ class ExpansionEstimator(UsefulnessEstimator):
                         occurrence_probability=0.0,
                     )
                 )
-        expansion = GenFunc.product(
-            polys, decimals=self.decimals, prune_floor=self.prune_floor
-        )
+        expansion = GenFunc.product(polys)
         estimate = Usefulness(
             nodoc=expansion.est_nodoc(threshold, representative.n_documents),
             avgsim=expansion.est_avgsim(threshold),
@@ -373,7 +354,6 @@ class ExpansionEstimator(UsefulnessEstimator):
             terms=contributions,
             expansion_terms=expansion.n_terms,
             tail_mass=expansion.tail_mass(threshold),
-            pruned_mass=expansion.pruned_mass,
         )
 
 

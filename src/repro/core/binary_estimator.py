@@ -35,10 +35,6 @@ class BinaryIndependenceEstimator(ExpansionEstimator):
     Every present term contributes one per-database constant: the mean of
     the representative's per-term mean weights — the best single constant
     available to a binary model.
-
-    Args:
-        decimals / prune_floor: Expansion controls, see
-            :class:`~repro.core.base.ExpansionEstimator`.
     """
 
     name = "binary-independence"

@@ -11,11 +11,10 @@ coefficients are probabilities.  After full expansion (Expression (5)),
 
 Exponents are arbitrary reals (products of query and document weights), so a
 :class:`GenFunc` stores parallel sorted numpy arrays.  Each multiplication
-rounds exponents to a configurable number of decimals before merging —
-otherwise floating-point noise would keep equal similarities apart and the
-term count would grow multiplicatively — and can prune coefficients below a
-floor.  Pruned probability mass is accumulated in :attr:`GenFunc.pruned_mass`
-so accuracy loss is observable, never silent.
+rounds exponents to :data:`DECIMALS` places before merging — otherwise
+floating-point noise would keep equal similarities apart and the term count
+would grow multiplicatively.  Nothing else is dropped: the coefficients of a
+full product sum to 1.
 
 Tail read-outs (``tail_mass``, ``tail_first_moment`` and the vectorized
 :meth:`GenFunc.tail_profile`) all read from one lazily built pair of suffix
@@ -30,8 +29,7 @@ largest exponent of every remaining factor would not lift it past.  Terms
 at or below a threshold are never read (Eq. 6 sums the exponents ``> T``),
 so the cut is exact, not an approximation: every tail read at or above
 that threshold is bit-identical to the full expansion's.  The dropped
-probability goes to :attr:`BatchedGenFunc.cut_mass`, never to
-``pruned_mass`` — it is not an accuracy loss.
+probability goes to :attr:`BatchedGenFunc.cut_mass`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,11 @@ import numpy as np
 
 __all__ = ["BatchedGenFunc", "GenFunc"]
 
-_DEFAULT_DECIMALS = 8
+#: Decimal places every product exponent is rounded to before merging.
+#: One precision for every expansion: similarities are Cosine scores in
+#: [0, 1], so 8 places keep distinct similarities apart while merging the
+#: float noise of equal ones.
+DECIMALS = 8
 
 #: Batched kernels partition rows into power-of-two width buckets (see
 #: BatchedGenFunc); rows at or below 2**_BUCKET_MIN_EXP wide share one
@@ -59,14 +61,14 @@ _ROWWISE_BLOCK_ROWS = 4
 class GenFunc:
     """An expanded generating function: sum of ``coeff * X^exponent`` terms.
 
-    Invariants: ``exponents`` is strictly ascending, ``coeffs`` is positive,
-    and ``coeffs.sum() + pruned_mass ~= 1`` once built from a full product of
-    per-term probability polynomials.
+    Invariants: ``exponents`` is strictly ascending, ``coeffs`` is
+    non-negative, and ``coeffs.sum() ~= 1`` once built from a full product
+    of per-term probability polynomials.
     """
 
-    __slots__ = ("exponents", "coeffs", "pruned_mass", "_tails")
+    __slots__ = ("exponents", "coeffs", "_tails")
 
-    def __init__(self, exponents, coeffs, pruned_mass: float = 0.0):
+    def __init__(self, exponents, coeffs):
         exponents = np.asarray(exponents, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
         if exponents.ndim != 1 or coeffs.ndim != 1:
@@ -79,7 +81,6 @@ class GenFunc:
             raise ValueError("coefficients must be non-negative")
         self.exponents = exponents
         self.coeffs = coeffs
-        self.pruned_mass = pruned_mass
         self._tails = None
 
     # -- constructors ----------------------------------------------------------
@@ -108,7 +109,7 @@ class GenFunc:
         return int(self.exponents.size)
 
     def total_mass(self) -> float:
-        """Sum of all coefficients (excluding pruned mass)."""
+        """Sum of all coefficients."""
         return float(self.coeffs.sum())
 
     def max_exponent(self) -> float:
@@ -121,19 +122,14 @@ class GenFunc:
         self,
         factor_exponents: Sequence[float],
         factor_coeffs: Sequence[float],
-        decimals: int = _DEFAULT_DECIMALS,
-        prune_floor: float = 0.0,
     ) -> "GenFunc":
-        """Multiply by a per-term polynomial and re-merge.
+        """Multiply by a per-term polynomial and re-merge (exponents of the
+        product rounded to :data:`DECIMALS` places).
 
         Args:
             factor_exponents: Exponents of the factor polynomial (need not be
                 sorted or distinct, but must be non-empty).
             factor_coeffs: Coefficients, parallel to ``factor_exponents``.
-            decimals: Exponents of the product are rounded to this many
-                decimals before merging.
-            prune_floor: Coefficients at or below this value are dropped and
-                their mass added to :attr:`pruned_mass`.
 
         Returns:
             A new :class:`GenFunc`; the receiver is unchanged.
@@ -143,11 +139,10 @@ class GenFunc:
         if fexp.shape != fcoef.shape or fexp.ndim != 1:
             raise ValueError("factor arrays must be parallel 1-D arrays")
         if fexp.size == 0:
-            # The zero polynomial would annihilate the product while the
-            # carried-forward pruned_mass kept claiming probability — the
-            # ``mass + pruned_mass ~= 1`` invariant would silently break.
-            # A per-term probability polynomial is never empty: it always
-            # carries at least the (0, 1-p) miss term.
+            # The zero polynomial would annihilate the product and break
+            # the ``mass ~= 1`` invariant.  A per-term probability
+            # polynomial is never empty: it always carries at least the
+            # (0, 1-p) miss term.
             raise ValueError(
                 "factor polynomial must be non-empty (a per-term polynomial "
                 "always carries its (0, 1-p) term)"
@@ -158,7 +153,7 @@ class GenFunc:
         # unstable sort left first — the lone case where "group by value"
         # admits more than one representative bit pattern.
         product_exp = (
-            np.round((self.exponents[:, None] + fexp[None, :]).ravel(), decimals)
+            np.round((self.exponents[:, None] + fexp[None, :]).ravel(), DECIMALS)
             + 0.0
         )
         product_coef = (self.coeffs[:, None] * fcoef[None, :]).ravel()
@@ -166,32 +161,17 @@ class GenFunc:
         merged_coef = np.bincount(
             inverse, weights=product_coef, minlength=merged_exp.size
         )
-        pruned = self.pruned_mass
-        if prune_floor > 0.0 and merged_exp.size:
-            keep = merged_coef > prune_floor
-            pruned += float(merged_coef[~keep].sum())
-            merged_exp = merged_exp[keep]
-            merged_coef = merged_coef[keep]
-        return GenFunc(merged_exp, merged_coef, pruned)
+        return GenFunc(merged_exp, merged_coef)
 
     @classmethod
     def product(
-        cls,
-        polynomials: Sequence[Tuple[Sequence[float], Sequence[float]]],
-        decimals: int = _DEFAULT_DECIMALS,
-        prune_floor: float = 0.0,
+        cls, polynomials: Sequence[Tuple[Sequence[float], Sequence[float]]]
     ) -> "GenFunc":
-        """Expand a full product of per-term polynomials (Expression (3)).
-
-        Args:
-            polynomials: The per-term ``(exponents, coeffs)`` factors.
-            decimals / prune_floor: See :meth:`multiplied`.
-        """
+        """Expand a full product of per-term ``(exponents, coeffs)``
+        polynomials (Expression (3))."""
         result = cls.one()
         for exponents, coeffs in polynomials:
-            result = result.multiplied(
-                exponents, coeffs, decimals=decimals, prune_floor=prune_floor
-            )
+            result = result.multiplied(exponents, coeffs)
         return result
 
     # -- usefulness read-out -------------------------------------------------------------
@@ -261,10 +241,7 @@ class GenFunc:
         return self.tail_first_moment(threshold) / mass
 
     def __repr__(self) -> str:
-        return (
-            f"GenFunc(terms={self.n_terms}, mass={self.total_mass():.6f}, "
-            f"pruned={self.pruned_mass:.2e})"
-        )
+        return f"GenFunc(terms={self.n_terms}, mass={self.total_mass():.6f})"
 
 
 class BatchedGenFunc:
@@ -273,36 +250,32 @@ class BatchedGenFunc:
     Each row is one :class:`GenFunc` state, stored as padded 2-D arrays so
     a whole fleet of expansions moves through one numpy call per query
     term instead of one Python loop per engine.  There is one expansion
-    mode: exact, binned by ``decimals``, pruned by ``prune_floor``, and
-    optionally cut at the smallest threshold read.  The contract is
-    *bit-identity per row*: every operation replicates the scalar methods'
-    float arithmetic operation-for-operation —
+    mode: exact up to the :data:`DECIMALS` rounding, and optionally cut at
+    the smallest threshold read.  The contract is *bit-identity per row*:
+    every operation replicates the scalar methods' float arithmetic
+    operation-for-operation —
 
     * :meth:`multiply_rows` reproduces :meth:`GenFunc.multiplied`'s
       ``round → unique → bincount`` merge.  Product entries are rounded
       with the same elementwise ``np.round``, grouped by exponent *value*
       (exactly ``np.unique``'s equivalence — no integer-key detour, so
-      exponents past ``2**53 / 10**decimals`` and negative ``decimals``
-      stay exact), and each group's coefficients are accumulated by
-      ``np.bincount`` in the original (state-major) product order — the
+      exponents past ``2**53 / 10**DECIMALS`` stay exact), and each
+      group's coefficients are accumulated by ``np.bincount`` in the
+      original (state-major) product order — the
       precise addition sequence the scalar merge runs.  The per-row sort
       that finds the groups is an unstable quicksort: group membership
       depends only on the rounded values, and bincount reads the
       coefficients in product order whatever the sort did with ties.
-      Pruning drops the same ``coeff <= prune_floor`` groups, and the
-      per-row pruned mass is accumulated with ``np.sum`` over the same
-      compressed drop array the scalar code sums, so even the pairwise
-      summation order matches.
     * :meth:`tail_profile` reads every row's tails off one pair of suffix
       cumulative sums over padded rows whose pads are additive
       identities (``+0.0`` for the mass, ``-0.0`` for the moment) — the
       values :meth:`GenFunc.tail_profile` returns per row.
 
     **The threshold cut.**  :meth:`multiply_rows` optionally takes a
-    per-row ``cut``: after the merge and after ``prune_floor``, entries
-    with exponent ``<= cut`` are dropped and their coefficients added to
-    :attr:`cut_mass`, so ``mass + pruned_mass + cut_mass ~= 1`` still
-    holds.  The caller (:mod:`repro.core.vectorized`) sets ``cut`` to
+    per-row ``cut``: after the merge, entries with exponent ``<= cut``
+    are dropped and their coefficients added to :attr:`cut_mass`, so
+    ``mass + cut_mass ~= 1`` still holds.  The caller
+    (:mod:`repro.core.vectorized`) sets ``cut`` to
     ``floor - headroom - margin``, where ``floor`` is the smallest
     threshold it will read, ``headroom`` the sum of every *later* factor's
     largest exponent for the row, and ``margin`` a bound on the rounding
@@ -320,8 +293,7 @@ class BatchedGenFunc:
       over the multiplies).  Its merge group has the same members in the
       same state-major order — dropping a state term removes all of its
       product entries and reorders none of the others — so
-      ``np.bincount`` runs the same additions in the same order, and the
-      prune decides the same.
+      ``np.bincount`` runs the same additions in the same order.
     * A kept term with a *dropped* ancestor (its coefficient lost that
       ancestor's share) is itself a descendant of a dropped term: it can
       never pass ``T``, so it is never read.
@@ -332,8 +304,7 @@ class BatchedGenFunc:
     The cut only has to be *conservative*: keeping an extra term is exact,
     dropping a term whose descendants can pass ``floor`` is not.  It
     changes which terms are kept, not the tails above ``floor``:
-    ``row_len`` counts the kept terms, and ``pruned_mass`` counts only
-    what the prune dropped among them.
+    ``row_len`` counts the kept terms.
 
     Factor exponents must be finite: the padded sort uses ``inf`` as the
     out-of-row sentinel, so rows whose factors carry non-finite exponents
@@ -343,8 +314,7 @@ class BatchedGenFunc:
     """
 
     __slots__ = (
-        "exponents", "coeffs", "starts", "row_len", "tail", "pruned_mass",
-        "cut_mass",
+        "exponents", "coeffs", "starts", "row_len", "tail", "cut_mass",
     )
 
     def __init__(
@@ -353,7 +323,6 @@ class BatchedGenFunc:
         coeffs: np.ndarray,
         starts: np.ndarray,
         row_len: np.ndarray,
-        pruned_mass: np.ndarray,
         tail: Optional[int] = None,
     ):
         self.exponents = exponents
@@ -361,7 +330,6 @@ class BatchedGenFunc:
         self.starts = starts
         self.row_len = row_len
         self.tail = int(exponents.size) if tail is None else tail
-        self.pruned_mass = pruned_mass
         self.cut_mass = np.zeros(row_len.size)
 
     @classmethod
@@ -380,7 +348,6 @@ class BatchedGenFunc:
             coeffs=coeffs,
             starts=np.arange(n_rows, dtype=np.int64),
             row_len=np.ones(n_rows, dtype=np.int64),
-            pruned_mass=np.zeros(n_rows),
             tail=n_rows,
         )
 
@@ -395,7 +362,6 @@ class BatchedGenFunc:
         return GenFunc(
             self.exponents[start : start + length].copy(),
             self.coeffs[start : start + length].copy(),
-            float(self.pruned_mass[r]),
         )
 
     # -- ragged storage ------------------------------------------------------
@@ -495,8 +461,6 @@ class BatchedGenFunc:
         factor_exponents: np.ndarray,
         factor_coeffs: np.ndarray,
         factor_len: Optional[np.ndarray] = None,
-        decimals: int = _DEFAULT_DECIMALS,
-        prune_floor: float = 0.0,
         cut: Optional[np.ndarray] = None,
     ) -> None:
         """Multiply the state of ``rows`` by per-row factor polynomials.
@@ -511,9 +475,8 @@ class BatchedGenFunc:
             factor_len: Effective width of each row's factor, at most
                 ``F`` (entries at or past it are padding and ignored);
                 ``None`` means every row uses the full width ``F``.
-            decimals / prune_floor: As in :meth:`GenFunc.multiplied`.
             cut: Optional per-row threshold cut, parallel to ``rows``:
-                after the merge and the prune, entries with exponent
+                after the merge, entries with exponent
                 ``<= cut[i]`` are dropped into :attr:`cut_mass` (``-inf``
                 drops nothing).  See the class docstring for when this
                 is exact.
@@ -577,14 +540,12 @@ class BatchedGenFunc:
                 sel = np.nonzero(bucket == b)[0]
                 block = self._multiply_block(
                     rows[sel], fexp[sel], fcoef[sel], flen[sel],
-                    decimals, prune_floor, None if cut is None else cut[sel],
+                    None if cut is None else cut[sel],
                 )
                 if block is not None:
                     blocks.append(block)
         else:
-            block = self._multiply_block(
-                rows, fexp, fcoef, flen, decimals, prune_floor, cut
-            )
+            block = self._multiply_block(rows, fexp, fcoef, flen, cut)
             if block is not None:
                 blocks.append(block)
         self._write_blocks(blocks)
@@ -595,8 +556,6 @@ class BatchedGenFunc:
         fexp: np.ndarray,
         fcoef: np.ndarray,
         flen: np.ndarray,
-        decimals: int,
-        prune_floor: float,
         cut: Optional[np.ndarray],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The :meth:`multiply_rows` kernel for one similar-width block;
@@ -613,9 +572,7 @@ class BatchedGenFunc:
             # engine): the scalar merge pipeline per row is fewer array
             # passes than the padded batch machinery — and is trivially
             # bit-identical, being the very ops GenFunc.multiplied runs.
-            return self._multiply_rowwise(
-                rows, fexp, fcoef, flen, decimals, prune_floor, cut
-            )
+            return self._multiply_rowwise(rows, fexp, fcoef, flen, cut)
         # Padding is pre-normalized (exponent +inf, coefficient 0.0) by
         # multiply_rows and _gather, so the product entries need no
         # validity mask: padded exponents are +inf (inf + finite), padded
@@ -632,7 +589,7 @@ class BatchedGenFunc:
         prod_exp = (
             np.round(
                 (state_exp[:, :, None] + fexp[:, None, :]).reshape(n_sub, flat),
-                decimals,
+                DECIMALS,
             )
             + 0.0
         )
@@ -686,31 +643,8 @@ class BatchedGenFunc:
         sel = start.ravel()
         merged_exp = exp_s.ravel()[sel]
         merged_coef = group_coef[gid[sel]]
-        row_of = None
-        if prune_floor > 0.0 and merged_exp.size:
-            keep = merged_coef > prune_floor
-            if not keep.all():
-                bounds = np.zeros(n_sub + 1, dtype=np.int64)
-                np.cumsum(merged_len, out=bounds[1:])
-                row_of = np.repeat(np.arange(n_sub), merged_len)
-                for r in np.unique(row_of[~keep]).tolist():
-                    seg = slice(int(bounds[r]), int(bounds[r + 1]))
-                    # The segment is exactly the scalar merge's merged_coef
-                    # and the drop extraction the scalar's merged_coef[~keep];
-                    # np.sum over the same 1-D array reproduces its pairwise
-                    # summation bit-for-bit.
-                    self.pruned_mass[rows[r]] += float(
-                        merged_coef[seg][~keep[seg]].sum()
-                    )
-                merged_exp = merged_exp[keep]
-                merged_coef = merged_coef[keep]
-                row_of = row_of[keep]
-                merged_len = np.bincount(row_of, minlength=n_sub).astype(
-                    np.int64
-                )
         if cut is not None and merged_exp.size:
-            if row_of is None:
-                row_of = np.repeat(np.arange(n_sub), merged_len)
+            row_of = np.repeat(np.arange(n_sub), merged_len)
             keep = merged_exp > cut[row_of]
             if not keep.all():
                 # Rows are distinct (multiply_rows checks), so one fancy
@@ -732,8 +666,6 @@ class BatchedGenFunc:
         fexp: np.ndarray,
         fcoef: np.ndarray,
         flen: np.ndarray,
-        decimals: int,
-        prune_floor: float,
         cut: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`GenFunc.multiplied`'s own pipeline, one row at a time —
@@ -753,7 +685,7 @@ class BatchedGenFunc:
             fe = fexp[i, : flen[i]]
             fc = fcoef[i, : flen[i]]
             prod_exp = (
-                np.round((state_exp[:, None] + fe[None, :]).ravel(), decimals)
+                np.round((state_exp[:, None] + fe[None, :]).ravel(), DECIMALS)
                 + 0.0
             )
             prod_coef = (state_coef[:, None] * fc[None, :]).ravel()
@@ -766,11 +698,6 @@ class BatchedGenFunc:
             merged_coef = np.bincount(
                 inverse, weights=prod_coef, minlength=merged_exp.size
             )
-            if prune_floor > 0.0 and merged_exp.size:
-                keep = merged_coef > prune_floor
-                self.pruned_mass[r] += float(merged_coef[~keep].sum())
-                merged_exp = merged_exp[keep]
-                merged_coef = merged_coef[keep]
             if cut is not None:
                 keep = merged_exp > cut[i]
                 self.cut_mass[r] += float(merged_coef[~keep].sum())
@@ -791,8 +718,6 @@ class BatchedGenFunc:
         cls,
         n_rows: int,
         term_factors: Iterable[Tuple[np.ndarray, ...]],
-        decimals: int = _DEFAULT_DECIMALS,
-        prune_floor: float = 0.0,
     ) -> "BatchedGenFunc":
         """Batched :meth:`GenFunc.product` across ``n_rows`` rows.
 
@@ -802,7 +727,6 @@ class BatchedGenFunc:
                 order — the rows the term's factor multiplies, the per-row
                 factors and, optionally, the per-row threshold cut (see
                 :meth:`multiply_rows`).
-            decimals / prune_floor: As in :meth:`GenFunc.product`.
 
         Returns:
             The batch after all factors.  Without cuts, row ``r`` is
@@ -813,8 +737,7 @@ class BatchedGenFunc:
         batch = cls.ones(n_rows)
         for rows, fexp, fcoef, flen, *rest in term_factors:
             batch.multiply_rows(
-                rows, fexp, fcoef, flen, decimals=decimals,
-                prune_floor=prune_floor, cut=rest[0] if rest else None,
+                rows, fexp, fcoef, flen, cut=rest[0] if rest else None
             )
         return batch
 

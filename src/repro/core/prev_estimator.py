@@ -43,16 +43,10 @@ class PreviousMethodEstimator(UsefulnessEstimator):
     """Threshold-adjusted basic method (VLDB'98 reconstruction).
 
     The whole apportioned cutoff is applied (the full reconstruction).
-
-    Args:
-        decimals: Exponent rounding during expansion.
     """
 
     name = "prev"
     label = "our prev method"
-
-    def __init__(self, decimals: int = 8):
-        self.decimals = decimals
 
     def adjusted_pairs(
         self,
@@ -107,7 +101,7 @@ class PreviousMethodEstimator(UsefulnessEstimator):
             polynomials.append(
                 (np.array([u * w, 0.0]), np.array([p, 1.0 - p]))
             )
-        expansion = GenFunc.product(polynomials, decimals=self.decimals)
+        expansion = GenFunc.product(polynomials)
         return Usefulness(
             nodoc=expansion.est_nodoc(threshold, representative.n_documents),
             avgsim=expansion.est_avgsim(threshold),

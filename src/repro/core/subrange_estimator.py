@@ -45,8 +45,6 @@ class SubrangeEstimator(ExpansionEstimator):
             normalized weight may be used; when False (or absent from the
             representative) it is estimated as the 99.9 percentile of
             ``N(w, sigma^2)``.
-        decimals / prune_floor: Expansion controls, see
-            :class:`~repro.core.base.ExpansionEstimator`.
     """
 
     name = "subrange"
@@ -56,10 +54,7 @@ class SubrangeEstimator(ExpansionEstimator):
         self,
         scheme: Optional[SubrangeScheme] = None,
         use_stored_max: bool = True,
-        decimals: int = 8,
-        prune_floor: float = 0.0,
     ):
-        super().__init__(decimals=decimals, prune_floor=prune_floor)
         self.scheme = scheme or SubrangeScheme.paper_six()
         self.use_stored_max = use_stored_max
         self._offsets = np.asarray(self.scheme.normal_offsets())

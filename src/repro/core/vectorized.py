@@ -16,7 +16,7 @@ The contract throughout is *bit-identity with the scalar estimators*:
   state of every engine advances together, one multiply-and-merge per
   query term, replicating the scalar ``round → unique → bincount``
   pipeline per row (see the kernel's docstring for the exactness argument
-  covering rounding, merge order, and pruning).  The
+  covering rounding and merge order).  The
   subrange factor tensor — median weights ``w + c_j * sigma``, the
   max-weight singleton, probabilities — is built in one vectorized pass by
   :meth:`SubrangeEstimator.factor_grid`, and all tails come off one
@@ -33,10 +33,10 @@ The contract throughout is *bit-identity with the scalar estimators*:
   vectorize to a lexsort plus suffix cumulative sums that accumulate in the
   scalar code's exact addition order.
 
-There is no configuration-triggered fallback: pruning floors, off-grid
-``decimals``, and exponents past ``2**53`` all run
-through the batched kernel with scalar-identical semantics.  Two things
-are evaluated per engine row instead, both with the scalar code itself:
+There is no configuration-triggered fallback: every expansion estimator,
+exponents past ``2**53`` included, runs through the batched kernel with
+scalar-identical semantics.  Two things are evaluated per engine row
+instead, both with the scalar code itself:
 
 * *Demotion* — rows whose factor exponents are non-finite (or whose
   rounding would overflow float64) are expanded with the scalar
@@ -64,12 +64,12 @@ import numpy as np
 from repro.core.base import ExpansionEstimator, UsefulnessEstimator
 from repro.core.basic_estimator import BasicEstimator
 from repro.core.binary_estimator import BinaryIndependenceEstimator
-from repro.core.genfunc import BatchedGenFunc, GenFunc
+from repro.core.genfunc import DECIMALS, BatchedGenFunc, GenFunc
 from repro.core.gloss import GlossDisjointEstimator, GlossHighCorrelationEstimator
 from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
-from repro.obs.registry import LATENCY_BUCKETS, MASS_BUCKETS, SIZE_BUCKETS
+from repro.obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS
 from repro.representatives.columnar import (
     FleetRepresentativeRef,
     FleetRepresentativeStore,
@@ -93,12 +93,13 @@ _BATCHED_TYPES = (
     GlossDisjointEstimator,
 )
 
-#: Exponent-magnitude ceiling after ``10**decimals`` scaling: beyond this
-#: ``np.round``'s intermediate product can overflow to ``inf`` and the
-#: batched kernel's padded sort loses its finite/in-row distinction.  The
-#: affected rows are demoted to the scalar path (still exact); float64
-#: itself tops out near 1.8e308.
-_ROUND_OVERFLOW = 1e306
+#: Accumulated-exponent ceiling: ``np.round`` scales by ``10**DECIMALS``,
+#: and past ``1e306`` after that scaling its intermediate product can
+#: overflow to ``inf``, where the batched kernel's padded sort loses its
+#: finite/in-row distinction.  Rows at or above it (or non-finite) are
+#: demoted to the scalar path (still exact); float64 itself tops out near
+#: 1.8e308.
+_EXPONENT_CEILING = 1e306 / 10.0 ** DECIMALS
 
 #: How many engine rows were demoted to the scalar per-engine product
 #: because their factor exponents were non-finite or overflow-adjacent.
@@ -173,15 +174,11 @@ def fleet_usefulness_grid(
 # -- shared expansion machinery ----------------------------------------------
 
 
-def _unsafe_rows(exponent_bound: np.ndarray, decimals: int) -> np.ndarray:
+def _unsafe_rows(exponent_bound: np.ndarray) -> np.ndarray:
     """Rows the batched kernel must not touch: worst-case accumulated
-    exponent magnitude non-finite, or large enough that ``np.round``'s
-    ``x * 10**decimals`` scaling could overflow float64 mid-product."""
-    bad = ~np.isfinite(exponent_bound)
-    if decimals > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad |= exponent_bound * (10.0 ** decimals) >= _ROUND_OVERFLOW
-    return bad
+    exponent magnitude NaN, infinite, or at the rounding-overflow
+    ceiling."""
+    return ~(exponent_bound < _EXPONENT_CEILING)
 
 
 def _per_row_grid(
@@ -214,18 +211,16 @@ def _per_row_grid(
 
 def _report_expansions(registry, batch: BatchedGenFunc, seconds: float) -> None:
     """The ``estimator.*`` series :meth:`ExpansionEstimator.expand` reports
-    on the scalar path: one size/pruned-mass observation per engine row,
-    and the batched product's duration as one sample (a demoted row shows
-    as the one-term identity its batch slot still holds)."""
+    on the scalar path: one size observation per engine row, and the
+    batched product's duration as one sample (a demoted row shows as the
+    one-term identity its batch slot still holds)."""
     registry.counter("estimator.expansions").inc(batch.n_rows)
     registry.histogram(
         "estimator.expansion.seconds", buckets=LATENCY_BUCKETS
     ).observe(seconds)
     sizes = registry.histogram("estimator.genfunc.terms", buckets=SIZE_BUCKETS)
-    masses = registry.histogram("estimator.pruned.mass", buckets=MASS_BUCKETS)
-    for n_terms, mass in zip(batch.row_len.tolist(), batch.pruned_mass.tolist()):
+    for n_terms in batch.row_len.tolist():
         sizes.observe(n_terms)
-        masses.observe(mass)
 
 
 def _demote_rows(
@@ -238,10 +233,7 @@ def _demote_rows(
     global _SCALAR_DEMOTIONS
     tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for e in rows.tolist():
-        expansion = GenFunc.product(
-            polys_of(e), decimals=est.decimals, prune_floor=est.prune_floor
-        )
-        tails[e] = expansion.tail_profile(thresholds)
+        tails[e] = GenFunc.product(polys_of(e)).tail_profile(thresholds)
     _SCALAR_DEMOTIONS += len(tails)
     est.registry.counter("vectorized.scalar_demotions").inc(len(tails))
     return tails
@@ -281,7 +273,7 @@ def _grid_readout(
     return grid
 
 
-def _threshold_cuts(est, matched, headroom, bound, thresholds):
+def _threshold_cuts(matched, headroom, bound, thresholds):
     """Per ``(engine, term)`` cut for the threshold-aware expansion (see
     :class:`BatchedGenFunc`), or ``None`` when nothing may be cut.
 
@@ -293,23 +285,20 @@ def _threshold_cuts(est, matched, headroom, bound, thresholds):
     * ``H_j`` sums ``headroom`` — at least each matched factor's largest
       exponent — over the terms after ``j``.
     * ``margin = (Q + 2) * (4 * 10**-d + 1e-12 * (1 + bound + |floor|))``
-      for a ``Q``-term query.  One multiply moves a value by its factor
-      exponent plus at most ``10**-d / 2`` of rounding plus a few float
-      ulps (``<= 5 * 2**-53`` relative to magnitudes ``<= bound +
-      Q * 10**-d``); summing ``H_j`` and computing the cut itself err by
-      a few more relative ulps.  Per remaining step ``4 * 10**-d`` covers
-      the rounding and ``1e-12`` relative covers every ulp term with
-      room to spare, so a term at or below its cut ends at or below
-      ``floor``.
+      for a ``Q``-term query and ``d = DECIMALS``.  One multiply moves a
+      value by its factor exponent plus at most ``10**-d / 2`` of rounding
+      plus a few float ulps (``<= 5 * 2**-53`` relative to magnitudes
+      ``<= bound + Q * 10**-d``); summing ``H_j`` and computing the cut
+      itself err by a few more relative ulps.  Per remaining step
+      ``4 * 10**-d`` covers the rounding and ``1e-12`` relative covers
+      every ulp term with room to spare, so a term at or below its cut
+      ends at or below ``floor``.
     """
     floor = min((t for t in thresholds if t == t), default=float("inf"))
     if not math.isfinite(floor):
         return None
     n_terms = matched.shape[1]
-    with np.errstate(over="ignore"):
-        unit = np.float64(10.0) ** -est.decimals
-    if not np.isfinite(unit):
-        return None
+    unit = 10.0 ** -DECIMALS
     margin = (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + abs(floor)))
     head = np.where(matched, headroom, 0.0)
     after = np.zeros_like(head)
@@ -323,8 +312,7 @@ def _batched_expansion(
     est, matched, bound, headroom, factor_rows, scalar_polys, n, thresholds
 ) -> List[List[Usefulness]]:
     """The batched twin of :meth:`ExpansionEstimator.expand`: one
-    multiply-and-merge per query term across the engine axis, every
-    estimator configuration (pruning, any ``decimals``) included.
+    multiply-and-merge per query term across the engine axis.
 
     The per-estimator part — the counterpart of ``term_polynomial`` — is
     two callables: ``factor_rows(rows, j)`` returns term ``j``'s
@@ -338,9 +326,9 @@ def _batched_expansion(
     """
     started = time.perf_counter()
     n_engines, n_terms = matched.shape
-    demoted = _unsafe_rows(bound, est.decimals)
+    demoted = _unsafe_rows(bound)
     vectorizable = ~demoted
-    cuts = _threshold_cuts(est, matched, headroom, bound, thresholds)
+    cuts = _threshold_cuts(matched, headroom, bound, thresholds)
 
     def term_factors():
         for j in range(n_terms):
@@ -351,10 +339,7 @@ def _batched_expansion(
                     None if cuts is None else cuts[rows, j],
                 )
 
-    batch = BatchedGenFunc.product(
-        n_engines, term_factors(), decimals=est.decimals,
-        prune_floor=est.prune_floor,
-    )
+    batch = BatchedGenFunc.product(n_engines, term_factors())
     scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     if demoted.any():
         scalar_tails = _demote_rows(

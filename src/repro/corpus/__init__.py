@@ -11,15 +11,17 @@ from repro.corpus.analysis import CorpusStatistics, analyze_collection, heaps_cu
 from repro.corpus.collection import Collection
 from repro.corpus.document import Document
 from repro.corpus.io import load_collection, load_queries, save_collection, save_queries
-from repro.corpus.query import Query
+from repro.corpus.query import MAX_QUERY_TERMS, Query, check_query_length
 from repro.corpus.trec import iter_trec_documents, load_trec_collection
 
 __all__ = [
+    "MAX_QUERY_TERMS",
     "Collection",
     "CorpusStatistics",
     "Document",
     "Query",
     "analyze_collection",
+    "check_query_length",
     "heaps_curve",
     "iter_trec_documents",
     "load_collection",

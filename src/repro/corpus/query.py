@@ -18,9 +18,17 @@ import numpy as np
 
 from repro.text.pipeline import TextPipeline
 
-__all__ = ["Query"]
+__all__ = ["MAX_QUERY_TERMS", "Query", "check_query_length"]
 
 _MIN_NORMAL = sys.float_info.min
+
+#: The most terms a query may have where it enters the service: the wire
+#: decoder (every HTTP route that takes a query) and the ``estimate`` /
+#: ``allocate`` commands.  A subrange expansion grows about ``7**Q`` terms,
+#: so one long query can exhaust a process (EXPERIMENTS.md, "Scaling —
+#: query length, and the cap").  Six is the paper's query regime (its
+#: profiles have at most 6 terms) and the query model's longest length.
+MAX_QUERY_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -128,3 +136,13 @@ class Query:
     def __repr__(self) -> str:
         shown = " ".join(self.terms[:6])
         return f"Query({shown!r}, n_terms={self.n_terms})"
+
+
+def check_query_length(query: Query) -> Query:
+    """``query`` itself; ``ValueError`` past :data:`MAX_QUERY_TERMS` terms."""
+    if query.n_terms > MAX_QUERY_TERMS:
+        raise ValueError(
+            f"query has {query.n_terms} terms; at most {MAX_QUERY_TERMS} "
+            f"are accepted"
+        )
+    return query

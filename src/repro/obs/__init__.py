@@ -15,7 +15,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     LATENCY_BUCKETS,
-    MASS_BUCKETS,
     OCCUPANCY_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -29,7 +28,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "MASS_BUCKETS",
     "OCCUPANCY_BUCKETS",
     "MetricsRegistry",
     "NULL_REGISTRY",

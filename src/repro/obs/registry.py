@@ -6,8 +6,7 @@ Three instrument kinds cover the query path:
   dispatch retries).
 * :class:`Gauge` — a value that can go up and down (resident cache entries).
 * :class:`Histogram` — observations bucketed under fixed upper bounds, with
-  running count and sum (per-stage latency, expansion term counts, pruned
-  probability mass).
+  running count and sum (per-stage latency, expansion term counts).
 
 A :class:`MetricsRegistry` hands out instruments by ``(name, labels)`` —
 asking twice returns the same instrument — and can snapshot every series
@@ -28,7 +27,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "MASS_BUCKETS",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -51,11 +49,6 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 #: (coalescing windows, shard estimate batches, scatter fan-outs).
 OCCUPANCY_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256,
-)
-
-#: Probability-mass buckets for pruned-mass observations.
-MASS_BUCKETS: Tuple[float, ...] = (
-    1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0,
 )
 
 LabelPairs = Tuple[Tuple[str, str], ...]

@@ -213,6 +213,21 @@ class ColumnarRepresentative:
                 raise ValueError("statistic arrays must parallel term_ids")
         if term_ids.size > 1 and not np.all(np.diff(term_ids) > 0):
             raise ValueError("term_ids must be strictly ascending")
+        p, w, sigma, mw = arrays
+        # TermStats' domain in one pass (every comparison is False on NaN):
+        # p in [0, 1]; w, sigma and mw finite and >= 0, NaN in mw meaning
+        # "no stored max".
+        in_domain = (
+            (p >= 0.0) & (p <= 1.0)
+            & (w >= 0.0) & (w < np.inf)
+            & (sigma >= 0.0) & (sigma < np.inf)
+            & (((mw >= 0.0) & (mw < np.inf)) | np.isnan(mw))
+        )
+        if not in_domain.all():
+            raise ValueError(
+                "term statistics out of domain: p must lie in [0, 1]; w, "
+                "sigma and mw must be finite and >= 0 (mw may be NaN)"
+            )
         if binary_mean_w is None:
             binary_mean_w = float(np.mean(arrays[1])) if term_ids.size else 0.0
         for arr in (term_ids, *arrays):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,12 +33,19 @@ class TermStats:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability!r}")
-        if self.mean < 0.0:
-            raise ValueError(f"mean weight must be >= 0, got {self.mean!r}")
-        if self.std < 0.0:
-            raise ValueError(f"std must be >= 0, got {self.std!r}")
-        if self.max_weight is not None and self.max_weight < 0.0:
-            raise ValueError(f"max_weight must be >= 0, got {self.max_weight!r}")
+        # ``0 <= x < inf`` fails for NaN as well as for negatives and inf:
+        # JSON parses ``NaN`` and ``Infinity``, so representative files,
+        # remote representatives and delta records can all carry them.
+        if not 0.0 <= self.mean < math.inf:
+            raise ValueError(
+                f"mean weight must be finite and >= 0, got {self.mean!r}"
+            )
+        if not 0.0 <= self.std < math.inf:
+            raise ValueError(f"std must be finite and >= 0, got {self.std!r}")
+        if self.max_weight is not None and not 0.0 <= self.max_weight < math.inf:
+            raise ValueError(
+                f"max_weight must be finite and >= 0, got {self.max_weight!r}"
+            )
 
     def without_max_weight(self) -> "TermStats":
         """The triplet view of this term (drops ``mw``)."""

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.core.types import Usefulness
-from repro.corpus.query import Query
+from repro.corpus.query import Query, check_query_length
 from repro.engine.results import SearchHit
 from repro.fleet.delta import RepresentativeSnapshot
 from repro.metasearch.broker import MetasearchResponse
@@ -103,14 +103,18 @@ def query_to_wire(query: Query) -> dict:
 
 
 def query_from_wire(payload: dict) -> Query:
+    """The query of a request; a query longer than
+    :data:`~repro.corpus.query.MAX_QUERY_TERMS` is a malformed payload, so
+    every route that decodes one — engine, gateway, shard and coordinator
+    alike — answers it with 400 before any work."""
     _expect_kind(payload, "query")
     terms = _field(payload, "terms")
     weights = _field(payload, "weights")
     try:
-        return Query(
+        return check_query_length(Query(
             terms=tuple(str(t) for t in terms),
             weights=tuple(float(w) for w in weights),
-        )
+        ))
     except (TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"invalid query payload: {exc}") from exc
 

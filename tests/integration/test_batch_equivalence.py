@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PreviousMethodEstimator, SubrangeEstimator
+from repro.core import PreviousMethodEstimator
 from repro.corpus import Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
@@ -253,17 +253,3 @@ class TestMidBatchInvalidation:
         broker.register(engine)  # refresh rebuilds the representative
         assert len(broker.cache) == 0
         assert len(broker.polycache) == 0
-
-
-class TestCoarseExpansion:
-    def test_both_paths_agree(self, fleet_engines, fleet_queries):
-        """With coarse rounding and a prune floor, the scalar oracle and
-        the batch still agree exactly — both run the identical rounded,
-        pruned expansion."""
-        estimator_a = SubrangeEstimator(decimals=4, prune_floor=1e-9)
-        estimator_b = SubrangeEstimator(decimals=4, prune_floor=1e-9)
-        serial = make_oracle(fleet_engines, estimator_a)
-        batch = make_broker(fleet_engines, estimator=estimator_b)
-        queries = fleet_queries[:15]
-        expected = [serial.estimate_all(query, THRESHOLD) for query in queries]
-        assert batch.estimate_batch(queries, THRESHOLD) == expected

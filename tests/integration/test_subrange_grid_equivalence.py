@@ -3,12 +3,10 @@ every configuration that used to demote to the scalar path.
 
 Before the batched :class:`~repro.core.genfunc.BatchedGenFunc` product,
 :func:`repro.core.fleet_usefulness_grid` routed several expansion
-configurations through per-engine scalar ``GenFunc`` work: pruning
-floors, decimals off the default grid, and triplet mode all skipped the
-parallel merge.  Those guards are gone — the batched
-kernel implements the exact scalar semantics — so this suite sweeps each
-formerly-guarded configuration (and their combinations) across all five
-vectorized estimator families and asserts:
+configurations through per-engine scalar ``GenFunc`` work: triplet mode,
+for one, skipped the parallel merge.  Those guards are gone — the batched kernel implements the exact scalar
+semantics — so this suite sweeps each formerly-guarded configuration
+across all five vectorized estimator families and asserts:
 
 * the grid equals the scalar estimator **bit-for-bit** (``float.hex``
   equality, never ``approx``) on every engine x threshold cell,
@@ -53,34 +51,13 @@ from repro.representatives import (
 THRESHOLDS = (0.0, 0.1, 0.3, 0.6, 1.5)
 N_QUERIES = 12
 
-# Every expansion-control combination that used to trip a scalar
-# fallback, plus the non-expansion families for completeness.  IDs name
-# the formerly-guarded knob.
+# Every estimator configuration that used to trip a scalar fallback, plus
+# the non-expansion families for completeness.  IDs name the
+# formerly-guarded configuration.
 CONFIGS = [
     pytest.param(lambda: SubrangeEstimator(), id="subrange-default"),
     pytest.param(
-        lambda: SubrangeEstimator(prune_floor=1e-6), id="subrange-pruned"
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(prune_floor=1e-4),
-        id="subrange-pruned-coarse",
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(decimals=0), id="subrange-decimals-0"
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(decimals=3), id="subrange-decimals-3"
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(decimals=12, prune_floor=1e-9),
-        id="subrange-decimals-12-pruned",
-    ),
-    pytest.param(
         lambda: SubrangeEstimator(use_stored_max=False), id="subrange-triplet"
-    ),
-    pytest.param(
-        lambda: SubrangeEstimator(use_stored_max=False, prune_floor=1e-5),
-        id="subrange-triplet-pruned",
     ),
     pytest.param(
         lambda: SubrangeEstimator(
@@ -89,9 +66,6 @@ CONFIGS = [
         id="subrange-no-max-singleton",
     ),
     pytest.param(lambda: BasicEstimator(), id="basic"),
-    pytest.param(
-        lambda: BasicEstimator(prune_floor=1e-6), id="basic-pruned"
-    ),
     pytest.param(lambda: BinaryIndependenceEstimator(), id="binary"),
     pytest.param(lambda: GlossHighCorrelationEstimator(), id="gloss-hc"),
     pytest.param(lambda: GlossDisjointEstimator(), id="gloss-dj"),

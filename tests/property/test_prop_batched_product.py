@@ -8,12 +8,15 @@ through randomly shaped products and checks every row against the scalar
 
 * ragged factor counts — each term multiplies an arbitrary subset of
   rows, with per-row factor widths from singleton points up;
-* degenerate shapes — zero rows, zero terms, rows a prune annihilated to
+* exponents that collide after the one rounding every multiply applies
+  (``0.25``, ``5.5``, ``-7.125``, both signed zeros, values below
+  ``10**-DECIMALS``), so merge groups hold several product entries;
+* degenerate shapes — zero rows, zero terms, rows a cut annihilated to
   the empty polynomial, factors of width 1;
 * extreme coefficients near ``2**53``, where one misplaced addition in
   the merge order loses a unit in the last place;
-* every expansion-control combination — ``decimals`` (negative,
-  zero, default, high) and ``prune_floor`` on/off;
+* per-row cuts — the merge followed by dropping every entry at or below
+  the row's cut, against the scalar merge filtered the same way;
 * the tail read-out — ``tail_profile`` over thresholds including
   ``-inf``, ``+inf``, ``NaN``, and exact exponent hits;
 * the threshold cut — a product that drops, after each factor, the
@@ -23,17 +26,15 @@ through randomly shaped products and checks every row against the scalar
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.genfunc import BatchedGenFunc, GenFunc
 from repro.core.vectorized import _threshold_cuts
 
-# Exponents stay modest so no (exponent * 10**decimals) rounding overflow
+# Exponents stay modest so no (exponent * 10**DECIMALS) rounding overflow
 # occurs — overflow demotion is covered by the explicit tests below.
 _EXPONENTS = st.one_of(
     st.sampled_from(
@@ -65,13 +66,17 @@ _COEFFS = st.one_of(
 
 _THRESHOLDS = [float("-inf"), 0.0, 0.1, 0.30000000000000004, 5.5, float("inf"), float("nan")]
 
+# Per-row cuts: none, through the middle of the drawn exponents, and above
+# every product (1e3 > 4 terms x 50), which leaves the empty polynomial.
+_CUTS = [float("-inf"), -1.0, 0.0, 0.25, 5.5, 1e3]
+
 
 @st.composite
-def product_cases(draw):
+def product_cases(draw, cuts=False):
+    """``(n_rows, terms)``: each term is ``(rows, fexp, fcoef, flen)``,
+    plus a per-row cut array when ``cuts`` and the draw says so."""
     n_rows = draw(st.integers(min_value=0, max_value=5))
     n_terms = draw(st.integers(min_value=0, max_value=4))
-    decimals = draw(st.sampled_from([-2, 0, 3, 8, 15]))
-    prune_floor = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.2]))
     terms = []
     for __ in range(n_terms):
         rows = [r for r in range(n_rows) if draw(st.booleans())]
@@ -88,31 +93,57 @@ def product_cases(draw):
             # Poison the padding: the kernel must never read past flen.
             fexp[i, k:] = draw(st.sampled_from([0.0, 99.0, -3.5]))
             fcoef[i, k:] = draw(st.sampled_from([0.0, 7.0]))
-        terms.append(
-            (
-                np.asarray(rows, dtype=np.intp),
-                fexp,
-                fcoef,
-                np.asarray(flen, dtype=np.int64),
-            )
+        term = (
+            np.asarray(rows, dtype=np.intp),
+            fexp,
+            fcoef,
+            np.asarray(flen, dtype=np.int64),
         )
-    return n_rows, terms, decimals, prune_floor
+        if cuts and draw(st.booleans()):
+            term += (np.array([draw(st.sampled_from(_CUTS)) for __ in rows]),)
+        terms.append(term)
+    return n_rows, terms
 
 
-def scalar_reference(n_rows, terms, decimals, prune_floor):
-    """Row-by-row scalar ``GenFunc.product`` over the same factors."""
+def scalar_reference(n_rows, terms):
+    """Row-by-row scalar ``GenFunc.multiplied`` over the same factors (the
+    steps of ``GenFunc.product``); a term's cut keeps only the merged
+    entries above it."""
     out = []
     for r in range(n_rows):
-        polys = []
-        for rows, fexp, fcoef, flen in terms:
-            hits = np.nonzero(rows == r)[0]
-            for i in hits.tolist():
+        g = GenFunc.one()
+        for rows, fexp, fcoef, flen, *cut in terms:
+            for i in np.nonzero(rows == r)[0].tolist():
                 k = int(flen[i])
-                polys.append((fexp[i, :k].copy(), fcoef[i, :k].copy()))
-        out.append(
-            GenFunc.product(polys, decimals=decimals, prune_floor=prune_floor)
-        )
+                g = g.multiplied(fexp[i, :k].copy(), fcoef[i, :k].copy())
+                if cut:
+                    keep = g.exponents > cut[0][i]
+                    g = GenFunc(g.exponents[keep], g.coeffs[keep])
+        out.append(g)
     return out
+
+
+#: Five rows, so the padded kernel runs; each row's eight entries fall in
+#: four rounded-exponent groups (``0.0`` and ``-0.0`` are one) and
+#: alternate ``2**53`` and ``1.0`` coefficients, so a group's sum depends
+#: on its addition order and the per-row sort reorders its ties.  A kernel
+#: that fed ``np.bincount`` in sorted rather than product order diverges
+#: here.
+_ORDER_SENSITIVE = (
+    5,
+    [(
+        np.arange(5, dtype=np.intp),
+        np.array([
+            [[0.25, 5.5, -7.125, 0.0, -0.0][(3 * i + r) % 5] for i in range(8)]
+            for r in range(5)
+        ]),
+        np.array([
+            [[float(2**53), 1.0][(i + r) % 2] for i in range(8)]
+            for r in range(5)
+        ]),
+        np.full(5, 8, dtype=np.int64),
+    )],
+)
 
 
 def assert_rows_bit_identical(batch, scalars):
@@ -126,34 +157,25 @@ def assert_rows_bit_identical(batch, scalars):
             f"row {r} coefficients diverged: {got.coeffs!r} vs "
             f"{want.coeffs!r}"
         )
-        assert float(got.pruned_mass).hex() == float(want.pruned_mass).hex(), (
-            f"row {r} pruned mass diverged: {got.pruned_mass!r} vs "
-            f"{want.pruned_mass!r}"
-        )
 
 
 class TestBatchedProductBitIdentity:
     @settings(max_examples=150, deadline=None)
-    @given(product_cases())
+    @given(product_cases(cuts=True))
+    @example(_ORDER_SENSITIVE)
     def test_product_matches_scalar_bit_for_bit(self, case):
-        n_rows, terms, decimals, prune_floor = case
-        batch = BatchedGenFunc.product(
-            n_rows, terms, decimals=decimals, prune_floor=prune_floor
-        )
-        assert_rows_bit_identical(
-            batch, scalar_reference(n_rows, terms, decimals, prune_floor)
-        )
+        n_rows, terms = case
+        batch = BatchedGenFunc.product(n_rows, terms)
+        assert_rows_bit_identical(batch, scalar_reference(n_rows, terms))
 
     @settings(max_examples=100, deadline=None)
-    @given(product_cases())
+    @given(product_cases(cuts=True))
     def test_tail_profile_matches_scalar_bit_for_bit(self, case):
-        n_rows, terms, decimals, prune_floor = case
-        batch = BatchedGenFunc.product(
-            n_rows, terms, decimals=decimals, prune_floor=prune_floor
-        )
+        n_rows, terms = case
+        batch = BatchedGenFunc.product(n_rows, terms)
         mass, moment = batch.tail_profile(_THRESHOLDS)
         assert mass.shape == moment.shape == (len(_THRESHOLDS), n_rows)
-        scalars = scalar_reference(n_rows, terms, decimals, prune_floor)
+        scalars = scalar_reference(n_rows, terms)
         for r, want in enumerate(scalars):
             want_mass, want_moment = want.tail_profile(_THRESHOLDS)
             assert mass[:, r].tobytes() == want_mass.tobytes()
@@ -162,8 +184,8 @@ class TestBatchedProductBitIdentity:
 
 class TestThresholdCut:
     """The cut :mod:`repro.core.vectorized` computes, on drawn products:
-    factors of any sign and width, every ``decimals`` from -2 to 15 —
-    tails at the read thresholds stay bit-identical to the uncut batch."""
+    factors of any sign and width — tails at the read thresholds stay
+    bit-identical to the uncut batch."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -174,7 +196,7 @@ class TestThresholdCut:
         ),
     )
     def test_cut_tails_match_the_uncut_product(self, case, thresholds):
-        n_rows, terms, decimals, prune_floor = case
+        n_rows, terms = case
         matched = np.zeros((n_rows, len(terms)), dtype=bool)
         headroom = np.zeros((n_rows, len(terms)))
         bound = np.zeros(n_rows)
@@ -183,18 +205,13 @@ class TestThresholdCut:
             matched[rows, j] = True
             headroom[rows, j] = np.where(valid, fexp, -np.inf).max(axis=1)
             bound[rows] += np.where(valid, np.abs(fexp), 0.0).max(axis=1)
-        est = SimpleNamespace(decimals=decimals)
-        cuts = _threshold_cuts(est, matched, headroom, bound, thresholds)
+        cuts = _threshold_cuts(matched, headroom, bound, thresholds)
         cut_terms = [
             (*term, None if cuts is None else cuts[term[0], j])
             for j, term in enumerate(terms)
         ]
-        full = BatchedGenFunc.product(
-            n_rows, terms, decimals=decimals, prune_floor=prune_floor
-        )
-        cut = BatchedGenFunc.product(
-            n_rows, cut_terms, decimals=decimals, prune_floor=prune_floor
-        )
+        full = BatchedGenFunc.product(n_rows, terms)
+        cut = BatchedGenFunc.product(n_rows, cut_terms)
         assert (cut.row_len <= full.row_len).all()
         assert (cut.cut_mass >= 0.0).all()
         want_mass, want_moment = full.tail_profile(thresholds)
@@ -214,7 +231,6 @@ class TestThresholdCut:
             for r in range(n_rows):
                 assert batch.row(r).exponents.tolist() == [0.5]
                 assert batch.cut_mass[r] == 0.75
-                assert batch.pruned_mass[r] == 0.0
 
     def test_nan_cut_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -239,18 +255,28 @@ class TestBatchedProductEdgeCases:
             assert row.coeffs.tolist() == [1.0]
 
     def test_annihilated_row_survives_later_multiplies(self):
-        # A prune that drops every term leaves the empty polynomial; the
-        # scalar path keeps multiplying it (products of nothing stay
-        # nothing) and so must the batch.
-        rows = np.array([0])
-        terms = [
-            (rows, np.array([[1.0]]), np.array([[1e-6]]), np.array([1])),
-            (rows, np.array([[2.0, 0.0]]), np.array([[0.5, 0.5]]), np.array([2])),
-        ]
-        batch = BatchedGenFunc.product(1, terms, prune_floor=1e-3)
-        [want] = scalar_reference(1, terms, 8, 1e-3)
-        assert_rows_bit_identical(batch, [want])
-        assert batch.row(0).n_terms == 0
+        # A cut above every term leaves the empty polynomial; the scalar
+        # path keeps multiplying it (products of nothing stay nothing) and
+        # so must the batch — alone in the per-row merge, and beside live
+        # rows in the padded kernel.
+        for n_rows in (1, 8):
+            rows = np.arange(n_rows, dtype=np.intp)
+            cut = np.full(n_rows, -np.inf)
+            cut[0] = 10.0
+            terms = [
+                (
+                    rows, np.ones((n_rows, 1)), np.full((n_rows, 1), 1e-6),
+                    np.ones(n_rows, dtype=np.int64), cut,
+                ),
+                (
+                    rows, np.tile([2.0, 0.0], (n_rows, 1)),
+                    np.full((n_rows, 2), 0.5), np.full(n_rows, 2),
+                ),
+            ]
+            batch = BatchedGenFunc.product(n_rows, terms)
+            assert_rows_bit_identical(batch, scalar_reference(n_rows, terms))
+            assert batch.row(0).n_terms == 0
+            assert batch.cut_mass[0] == 1e-6
 
     def test_tail_moment_preserves_negative_zero(self):
         # A zero-coefficient term with a negative exponent contributes
@@ -266,9 +292,9 @@ class TestBatchedProductEdgeCases:
             np.array([2, 1]),
         )]
         thresholds = [float("-inf"), 0.0, float("inf"), float("nan")]
-        batch = BatchedGenFunc.product(2, terms, decimals=3)
+        batch = BatchedGenFunc.product(2, terms)
         mass, moment = batch.tail_profile(thresholds)
-        for r, want in enumerate(scalar_reference(2, terms, 3, 0.0)):
+        for r, want in enumerate(scalar_reference(2, terms)):
             want_mass, want_moment = want.tail_profile(thresholds)
             assert mass[:, r].tobytes() == want_mass.tobytes()
             assert moment[:, r].tobytes() == want_moment.tobytes()
@@ -281,13 +307,11 @@ class TestBatchedProductEdgeCases:
         fexp = np.tile(np.array([0.1, 0.1 + 1e-12, 0.1 - 1e-13]), (2, 1))
         fcoef = np.tile(np.array([float(2**53 - 1), 1.0, 1.0]), (2, 1))
         terms = [(rows, fexp, fcoef, np.array([3, 3]))]
-        batch = BatchedGenFunc.product(2, terms, decimals=8)
-        assert_rows_bit_identical(
-            batch, scalar_reference(2, terms, 8, 0.0)
-        )
+        batch = BatchedGenFunc.product(2, terms)
+        assert_rows_bit_identical(batch, scalar_reference(2, terms))
 
     def test_rounding_overflow_raises_in_both_pipelines(self):
-        # decimals=8 scales by 1e8; 1e303 * 1e8 overflows to inf, which
+        # DECIMALS = 8 scales by 1e8; 1e303 * 1e8 overflows to inf, which
         # the scalar np.round tolerates but the batched kernel must
         # reject (the caller demotes those rows to scalar GenFunc).
         wide = BatchedGenFunc.product(
@@ -305,14 +329,10 @@ class TestBatchedProductEdgeCases:
         bad_coef = np.full((8, 2), 0.5)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="overflowed"):
-                wide.multiply_rows(
-                    np.arange(8, dtype=np.intp), bad_exp, bad_coef, decimals=8
-                )
+                wide.multiply_rows(np.arange(8, dtype=np.intp), bad_exp, bad_coef)
             narrow = BatchedGenFunc.ones(1)
             with pytest.raises(ValueError, match="overflowed"):
-                narrow.multiply_rows(
-                    np.array([0]), bad_exp[:1], bad_coef[:1], decimals=8
-                )
+                narrow.multiply_rows(np.array([0]), bad_exp[:1], bad_coef[:1])
 
     def test_nonfinite_factor_exponent_rejected(self):
         batch = BatchedGenFunc.ones(2)

@@ -3,11 +3,10 @@
 ``test_prop_genfunc.py`` checks them on one scalar ``GenFunc``; the broker
 estimates through ``fleet_usefulness_grid``, whose expansion estimators
 advance every engine's polynomial together in one ``BatchedGenFunc``.  Over
-drawn fleets (quadruplet and triplet engines, pruning floors on and off),
-every row of that batch and every grid cell keep them:
+drawn fleets (quadruplet and triplet engines), every row of that batch and
+every grid cell keep them:
 
-* a row's coefficient mass plus its ``pruned_mass`` is within 1e-9 of 1 —
-  pruning moves probability, never loses it;
+* a row's coefficient mass is within 1e-9 of 1;
 * NoDoc / n lies in [0, 1] — up to the same 1e-9: the full tail is a
   float sum of probabilities and may round past 1 by a few ulps (pinned);
 * NoDoc is non-increasing in the threshold, *exactly*: the tail is a
@@ -18,7 +17,7 @@ The grid expands *threshold-aware*: each multiply drops the terms that can
 no longer exceed the smallest threshold read.  Over drawn threshold sets
 (NaN, +-inf, empty, duplicates, and exponents of the expansion itself, so
 that cuts happen right at the boundary) every row keeps
-``mass + pruned_mass + cut_mass`` within 1e-9 of 1 and every grid cell is
+``mass + cut_mass`` within 1e-9 of 1 and every grid cell is
 bit-identical to the scalar ``estimate_many`` on the same representative.
 """
 
@@ -44,11 +43,9 @@ from repro.representatives import (
 VOCAB = [f"w{i}" for i in range(8)]
 THRESHOLDS = [-0.5, 0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.5]
 
-estimators = st.builds(
-    lambda kind, prune_floor: kind(prune_floor=prune_floor),
-    st.sampled_from([SubrangeEstimator, BasicEstimator, BinaryIndependenceEstimator]),
-    st.sampled_from([0.0, 1e-4, 0.02]),
-)
+estimators = st.sampled_from(
+    [SubrangeEstimator, BasicEstimator, BinaryIndependenceEstimator]
+).map(lambda kind: kind())
 
 
 def representatives_of(corpora, include_max_weight=True):
@@ -121,7 +118,7 @@ def test_grid_rows_conserve_mass_and_nodoc_is_a_fraction_monotone_in_t(
     assert batch.n_rows == len(store)
     for r in range(batch.n_rows):
         row = batch.row(r)
-        assert abs(row.total_mass() + row.pruned_mass - 1.0) < 1e-9
+        assert abs(row.total_mass() - 1.0) < 1e-9
 
     for e, n in enumerate(store.n_documents.tolist()):
         nodoc = [grid[t][e].nodoc for t in range(len(THRESHOLDS))]
@@ -129,16 +126,12 @@ def test_grid_rows_conserve_mass_and_nodoc_is_a_fraction_monotone_in_t(
         assert all(a >= b for a, b in zip(nodoc, nodoc[1:]))
 
 
-cut_estimators = st.builds(
-    lambda make, prune_floor: make(prune_floor=prune_floor),
-    st.sampled_from([
-        SubrangeEstimator,
-        lambda **kw: SubrangeEstimator(use_stored_max=False, **kw),
-        BasicEstimator,
-        BinaryIndependenceEstimator,
-    ]),
-    st.sampled_from([0.0, 1e-4, 0.02]),
-)
+cut_estimators = st.sampled_from([
+    SubrangeEstimator,
+    lambda: SubrangeEstimator(use_stored_max=False),
+    BasicEstimator,
+    BinaryIndependenceEstimator,
+]).map(lambda make: make())
 
 #: Fixed thresholds a cut set draws from: the grid's usual range plus the
 #: values that read an empty tail (NaN, +inf) or everything (-inf).
@@ -240,10 +233,7 @@ def test_threshold_cut_keeps_mass_and_matches_the_scalar_estimator(
         grid = fleet_usefulness_grid(estimator, store, query, thresholds)
     [batch] = batches
     for r in range(batch.n_rows):
-        total = (
-            batch.row(r).total_mass() + batch.pruned_mass[r] + batch.cut_mass[r]
-        )
-        assert abs(total - 1.0) < 1e-9
+        assert abs(batch.row(r).total_mass() + batch.cut_mass[r] - 1.0) < 1e-9
     for e, representative in enumerate(representatives):
         want = estimator.estimate_many(query, representative, thresholds)
         for t, threshold in enumerate(thresholds):

@@ -103,6 +103,42 @@ class TestUnknownEstimatorName:
         assert err.startswith("error: unknown estimator 'bogus'")
 
 
+class TestQueryLengthBound:
+    """A query longer than ``MAX_QUERY_TERMS`` is a usage error (exit 2)
+    before any expansion: a subrange expansion grows about ``7**Q``
+    terms, so one long query could exhaust the process."""
+
+    TERMS = [f"t{i}" for i in range(8)]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        collection = Collection.from_documents(
+            "long-db",
+            [Document("d1", terms=self.TERMS), Document("d2", terms=self.TERMS[:3])],
+        )
+        collection_path = tmp_path / "db.jsonl"
+        save_collection(collection, collection_path)
+        rep_path = tmp_path / "rep.json"
+        assert main(["represent", "--collection", str(collection_path),
+                     "--out", str(rep_path)]) == 0
+        return collection_path, rep_path
+
+    @pytest.mark.parametrize("command", ["estimate", "allocate"])
+    def test_eight_terms_exit_2_and_six_run(self, command, files, capsys):
+        collection_path, rep_path = files
+
+        def argv(terms):
+            query = ["--query", " ".join(terms)]
+            if command == "estimate":
+                return ["estimate", "--collection", str(collection_path), *query]
+            return ["allocate", "--representatives", str(rep_path), *query]
+
+        assert main(argv(self.TERMS)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: query has 8 terms; at most 6 are accepted")
+        assert main(argv(self.TERMS[:6])) == 0
+
+
 class TestScalability:
     def test_prints_paper_rows(self, capsys):
         assert main(["scalability"]) == 0

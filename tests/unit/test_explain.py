@@ -78,12 +78,6 @@ class TestExplain:
         )
         assert explanation.expansion_terms > 1
 
-    def test_pruned_mass_zero_by_default(self, rep):
-        explanation = SubrangeEstimator().explain(
-            Query.from_terms(["known"]), rep, 0.3
-        )
-        assert explanation.pruned_mass == 0.0
-
     def test_all_unmatched_query(self, rep):
         explanation = SubrangeEstimator().explain(
             Query.from_terms(["aa", "bb"]), rep, 0.2

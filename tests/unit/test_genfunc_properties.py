@@ -5,8 +5,8 @@ Hypothesis generates random sets of per-term probability polynomials
 summing to 1) and checks the invariants every estimator's correctness
 rests on:
 
-* mass conservation — ``total_mass + pruned_mass ~= 1`` through any
-  combination of rounding and pruning;
+* mass conservation — ``total_mass ~= 1`` through the rounding of every
+  multiply;
 * factor-order invariance — the expansion is the same (up to exponent
   rounding) no matter the multiplication order;
 * tail monotonicity — ``tail_mass`` never increases with the threshold.
@@ -63,19 +63,7 @@ class TestMassConservation:
     @given(polynomials=polynomial_lists)
     def test_exact_expansion_conserves_mass(self, polynomials):
         expansion = GenFunc.product(polynomials)
-        assert expansion.total_mass() + expansion.pruned_mass == pytest.approx(
-            1.0, abs=1e-9
-        )
-
-    @given(
-        polynomials=polynomial_lists,
-        prune_floor=st.floats(min_value=0.0, max_value=0.01),
-    )
-    def test_pruned_expansion_conserves_mass(self, polynomials, prune_floor):
-        expansion = GenFunc.product(polynomials, prune_floor=prune_floor)
-        assert expansion.total_mass() + expansion.pruned_mass == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert expansion.total_mass() == pytest.approx(1.0, abs=1e-9)
 
 
 # -- factor-order invariance ---------------------------------------------------

@@ -279,7 +279,6 @@ class TestBrokerMetricsIntegration:
         broker.search(Query.from_terms(["rocket", "sauce"]), 0.1)
         assert registry.value("estimator.expansions") == 2.0
         assert registry.histogram("estimator.genfunc.terms").count == 2
-        assert registry.histogram("estimator.pruned.mass").count == 2
 
     def test_degraded_search_counted(self, engine_doubles):
         from repro.representatives import build_representative

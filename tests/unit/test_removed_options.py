@@ -1,7 +1,8 @@
 """Options the estimators and the expansion kernels no longer take.
 
-The expansion has one mode — exact up to ``decimals`` rounding and the
-``prune_floor`` — so there is no term budget, and the three estimator
+The expansion has one mode and one precision — exact up to the rounding
+of ``repro.core.genfunc.DECIMALS`` — so there is no term budget, no
+per-estimator ``decimals`` and no ``prune_floor``, and the three estimator
 knobs no entry point set are constants.  Passing any of them is a
 ``TypeError``, not a silently ignored keyword.
 """
@@ -15,8 +16,26 @@ from repro.core import (
     PreviousMethodEstimator,
     SubrangeEstimator,
 )
-from repro.core.base import ExpansionEstimator
+from repro.core.base import EstimateExplanation, ExpansionEstimator
 from repro.core.genfunc import BatchedGenFunc, GenFunc
+
+#: Every signature that took ``decimals`` and ``prune_floor``, as a call
+#: forwarding the keyword.
+_TOOK_PRECISION = {
+    "expansion": lambda **kw: _Expansion(**kw),
+    "subrange": lambda **kw: SubrangeEstimator(**kw),
+    "basic": lambda **kw: BasicEstimator(**kw),
+    "binary": lambda **kw: BinaryIndependenceEstimator(**kw),
+    "prev": lambda **kw: PreviousMethodEstimator(**kw),
+    "genfunc-multiplied": lambda **kw: GenFunc.one().multiplied(
+        [0.5, 0.0], [0.5, 0.5], **kw
+    ),
+    "genfunc-product": lambda **kw: GenFunc.product([], **kw),
+    "batched-multiply_rows": lambda **kw: BatchedGenFunc.ones(1).multiply_rows(
+        np.array([0]), np.array([[0.5, 0.0]]), np.array([[0.5, 0.5]]), **kw
+    ),
+    "batched-product": lambda **kw: BatchedGenFunc.product(1, [], **kw),
+}
 
 
 class _Expansion(ExpansionEstimator):
@@ -63,6 +82,20 @@ def test_removed_option_is_a_type_error(call):
         call()
 
 
+@pytest.mark.parametrize("option", ["decimals", "prune_floor"])
+@pytest.mark.parametrize("signature", sorted(_TOOK_PRECISION))
+def test_precision_options_are_type_errors(signature, option):
+    with pytest.raises(TypeError):
+        _TOOK_PRECISION[signature](**{option: 1})
+
+
 def test_budget_methods_are_gone():
     assert not hasattr(GenFunc, "budgeted")
     assert not hasattr(BatchedGenFunc, "budget_rows")
+
+
+def test_pruned_mass_is_gone():
+    # Nothing is pruned, so no class carries the mass a prune dropped.
+    assert not hasattr(GenFunc.one(), "pruned_mass")
+    assert not hasattr(BatchedGenFunc.ones(1), "pruned_mass")
+    assert "pruned_mass" not in EstimateExplanation.__dataclass_fields__

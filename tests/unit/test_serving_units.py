@@ -406,6 +406,87 @@ class TestShardDispatchRoute:
         assert report["failures"] == []
 
 
+class TestQueryLengthBound:
+    """Every route that decodes a query answers one longer than
+    ``MAX_QUERY_TERMS`` with 400, before any expansion or engine call."""
+
+    TERMS = [f"t{i}" for i in range(8)]
+
+    @pytest.fixture(scope="class")
+    def apps(self):
+        from repro.corpus import Collection, Document
+        from repro.engine import SearchEngine
+        from repro.metasearch import MetasearchBroker
+        from repro.serving import (
+            CoordinatorApp,
+            EngineApp,
+            GatewayApp,
+            ServingServer,
+            ShardApp,
+            ShardedFleet,
+        )
+
+        engine = SearchEngine(Collection.from_documents(
+            "db", [Document("d1", terms=self.TERMS)]
+        ))
+        broker = MetasearchBroker()
+        broker.register(engine)
+        shard = ShardApp(broker, shard_index=0)
+        server = ServingServer(shard)
+        server.start_background()
+        fleet = ShardedFleet([server.url], shard_timeout=None).attach()
+        try:
+            yield {
+                "engine": EngineApp(engine),
+                "gateway": GatewayApp(broker),
+                "shard": shard,
+                "coordinator": CoordinatorApp(fleet),
+            }
+        finally:
+            fleet.close()
+            server.drain(timeout=5)
+
+    @staticmethod
+    def body(path, n_terms):
+        import json
+
+        query = {
+            "kind": "query",
+            "terms": TestQueryLengthBound.TERMS[:n_terms],
+            "weights": [1.0] * n_terms,
+        }
+        if path == "/dispatch":
+            payload = {"entries": [
+                {"query": query, "threshold": 0.1, "engines": ["db"]}
+            ]}
+        elif path in ("/batch", "/shard-estimate"):
+            payload = {"queries": [query], "thresholds": 0.1}
+        else:
+            payload = {"query": query, "threshold": 0.1}
+        return json.dumps(payload).encode("utf-8")
+
+    @pytest.mark.parametrize("role, path", [
+        ("engine", "/search"),
+        ("engine", "/max_similarity"),
+        ("gateway", "/estimate"),
+        ("gateway", "/search"),
+        ("gateway", "/batch"),
+        ("coordinator", "/estimate"),
+        ("coordinator", "/search"),
+        ("coordinator", "/batch"),
+        ("shard", "/shard-estimate"),
+        ("shard", "/dispatch"),
+    ])
+    def test_eight_terms_are_400_and_six_are_served(self, apps, role, path):
+        route = "/estimate" if path == "/shard-estimate" else path
+        app = apps[role]
+        response = app.handle("POST", route, {}, self.body(path, 8))
+        assert response.status == 400
+        assert "query has 8 terms; at most 6" in response.payload["error"]
+        response = app.handle("POST", route, {}, self.body(path, 6))
+        assert response.status == 200
+
+
 DEAD_URL = "http://127.0.0.1:9"  # never dialed: _roundtrip is patched
 
 

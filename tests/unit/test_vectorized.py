@@ -10,9 +10,7 @@ from repro.core import (
     GlossDisjointEstimator,
     GlossHighCorrelationEstimator,
     SubrangeEstimator,
-    fallback_count,
     fleet_usefulness_grid,
-    reset_fallback_count,
 )
 from repro.corpus import Query
 from repro.metasearch.cache import TermPolynomialCache
@@ -169,26 +167,6 @@ class TestEdgeCases:
                     ),
                     make_store(*reps), reps, query,
                 )
-
-
-class TestExpansionControlConfigs:
-    def test_pruned_and_rounded_stay_batched(self):
-        """prune_floor and off-grid decimals used to skip the parallel
-        merge; the batched kernel now implements their exact semantics, so
-        these configurations run fully vectorized and must still be
-        bit-identical to the scalar estimator."""
-        reps = [make_rep("d1"), make_rep("d2", n=200)]
-        query = Query.from_terms(["apple", "pear"])
-        reset_fallback_count()
-        for estimator in (
-            BasicEstimator(prune_floor=1e-6),
-            BasicEstimator(decimals=3, prune_floor=1e-6),
-            BinaryIndependenceEstimator(prune_floor=1e-6),
-        ):
-            assert_grid_matches_scalar(
-                estimator, make_store(*reps), reps, query
-            )
-        assert fallback_count() == 0
 
 
 class TestPolycacheIntegration:
