@@ -104,6 +104,25 @@ class SubrangeEstimator(ExpansionEstimator):
         coeffs.append(1.0 - p)
         return np.asarray(exponents), np.asarray(coeffs)
 
+    def effective_max(
+        self, w: np.ndarray, sigma: np.ndarray, mw: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_effective_max` over ``(E, Q)`` statistics arrays.
+
+        The stored max where allowed and present (``NaN`` in ``mw``
+        encodes "no stored max"), else the clamped normal estimate —
+        elementwise identical to :meth:`_effective_max` (Python min/max
+        and np.minimum/np.maximum agree on the non-negative, NaN-free
+        values here).  It caps every slot of a term's factor: the medians
+        clip to it and the singleton sits on it, so for a positive query
+        weight ``u``, ``u * effective_max`` is the factor's largest
+        exponent.
+        """
+        estimated = np.minimum(1.0, np.maximum(w + _MAX_Z * sigma, 0.0))
+        if self.use_stored_max:
+            return np.where(np.isnan(mw), estimated, mw)
+        return estimated
+
     def factor_grid(
         self,
         p: np.ndarray,
@@ -138,15 +157,7 @@ class SubrangeEstimator(ExpansionEstimator):
             of the tensor is engine ``e``'s actual factor.
         """
         n_engines = p.shape[0]
-        # Effective max weight: stored when allowed and present, else the
-        # clamped normal estimate — elementwise identical to
-        # _effective_max (Python min/max and np.minimum/np.maximum agree
-        # on the non-negative, NaN-free values here).
-        estimated_mw = np.minimum(1.0, np.maximum(w + _MAX_Z * sigma, 0.0))
-        if self.use_stored_max:
-            mw_eff = np.where(np.isnan(mw), estimated_mw, mw)
-        else:
-            mw_eff = estimated_mw
+        mw_eff = self.effective_max(w, sigma, mw)
         n_f = n.astype(np.float64)
         has_max_row = (
             (n > 0)

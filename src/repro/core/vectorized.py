@@ -29,6 +29,15 @@ The contract throughout is *bit-identity with the scalar estimators*:
   read-out stays bit-identical to the full expansion; only the kept term
   count changes, so ``estimator.genfunc.terms`` counts the terms *kept*
   (the scalar path, which expands in full, still counts them all).
+* Before any factor is built, each engine's *whole-row bound* — its
+  matched factors' largest exponents summed (subrange ``u * mw_eff``, the
+  max-weight singleton; basic / binary ``max(x, 0)``) — is compared with
+  the same cut applied to the initial ``1 * X^0`` term
+  (:func:`_live_rows`).  An engine at or below it cannot read a non-empty
+  tail at any threshold of the call: it is answered ``(0.0, 0.0)`` and
+  never enters the kernel, so factor build, product, tails and boxing run
+  on the live rows only.  ``estimator.expansions`` counts those kernel
+  rows and ``estimator.rows.skipped`` the rest.
 * The gGlOSS estimators are closed-form over sorted bands; both variants
   vectorize to a lexsort plus suffix cumulative sums that accumulate in the
   scalar code's exact addition order.
@@ -107,6 +116,10 @@ _EXPONENT_CEILING = 1e306 / 10.0 ** DECIMALS
 #: stays zero through the whole sweep.
 _SCALAR_DEMOTIONS = 0
 
+#: The estimate of every row the whole-row bound rules out (immutable,
+#: so one instance serves every such cell).
+_NO_USEFULNESS = Usefulness(nodoc=0.0, avgsim=0.0)
+
 
 def fallback_count() -> int:
     """Engine rows demoted to the scalar product since the last reset."""
@@ -142,6 +155,15 @@ def fleet_usefulness_grid(
             The batched kernels compute every factor in one numpy pass
             and never touch it.
 
+    The three expansion estimators first bound each engine's whole row:
+    if the sum of its matched factors' largest exponents cannot pass the
+    smallest threshold (after the threshold cut's rounding margin), every
+    tail it could read is empty, so it gets the shared ``(0.0, 0.0)``
+    estimate and no kernel row; a call where every engine is ruled out
+    expands nothing.  That is the threshold cut's own exactness argument
+    one step early, so the grid stays bit-identical to the scalar
+    estimator, which expands every engine in full.
+
     Returns:
         ``grid[t][e]`` — the estimate for ``thresholds[t]`` and engine
         ``store.engine_names[e]``, bit-identical to the scalar estimator.
@@ -156,19 +178,59 @@ def fleet_usefulness_grid(
     u = np.asarray(query.normalized_weights(), dtype=np.float64)
     n = store.n_documents
     matched = p > 0.0
-    if isinstance(estimator, SubrangeEstimator):
-        return _subrange_grid(
-            estimator, p, w, sigma, mw, u, n, matched, thresholds
-        )
-    if isinstance(estimator, BasicEstimator):
-        x = u[None, :] * w
-        return _expansion_grid(estimator, x, p, matched, n, thresholds)
-    if isinstance(estimator, BinaryIndependenceEstimator):
-        x = u[None, :] * store.binary_mean_w[:, None]
-        return _expansion_grid(estimator, x, p, matched, n, thresholds)
     if isinstance(estimator, GlossHighCorrelationEstimator):
         return _gloss_hc_grid(p, w, u, n, matched, thresholds)
-    return _gloss_disjoint_grid(p, w, u, n, matched, thresholds)
+    if isinstance(estimator, GlossDisjointEstimator):
+        return _gloss_disjoint_grid(p, w, u, n, matched, thresholds)
+    # Per (engine, term): the factor's largest exponent (the threshold
+    # cut's headroom) and largest |exponent|.  Query weights are positive,
+    # so for subrange both are u * mw_eff: the singleton sits on it, every
+    # median clips to it and the miss slot is 0.
+    if isinstance(estimator, SubrangeEstimator):
+        top = u[None, :] * estimator.effective_max(w, sigma, mw)
+        headroom = magnitude = top
+        stats = (p, w, sigma, mw)
+    else:
+        mean_w = (
+            w if isinstance(estimator, BasicEstimator)
+            else store.binary_mean_w[:, None]
+        )
+        x = u[None, :] * mean_w
+        headroom, magnitude = np.maximum(x, 0.0), np.abs(x)
+        stats = (x, p)
+    # Worst-case exponent accumulation per engine.
+    bound = np.where(matched, magnitude, 0.0).sum(axis=1)
+    n_engines = len(store)
+    live = _live_rows(matched, headroom, bound, thresholds)
+    if not estimator.registry.null:
+        estimator.registry.counter("estimator.rows.skipped").inc(
+            n_engines - live.size
+        )
+    if live.size == 0:
+        return [[_NO_USEFULNESS] * n_engines for __ in thresholds]
+    if live.size < n_engines:
+        stats = tuple(a[live] for a in stats)
+        matched, headroom, bound, n = (
+            matched[live], headroom[live], bound[live], n[live]
+        )
+    if isinstance(estimator, SubrangeEstimator):
+        grid = _subrange_grid(
+            estimator, *stats, u, n, matched, headroom, bound, thresholds
+        )
+    else:
+        grid = _expansion_grid(
+            estimator, *stats, matched, headroom, bound, n, thresholds
+        )
+    if live.size == n_engines:
+        return grid
+    rows = live.tolist()
+    spread = []
+    for values in grid:
+        row = [_NO_USEFULNESS] * n_engines
+        for e, value in zip(rows, values):
+            row[e] = value
+        spread.append(row)
+    return spread
 
 
 # -- shared expansion machinery ----------------------------------------------
@@ -211,9 +273,10 @@ def _per_row_grid(
 
 def _report_expansions(registry, batch: BatchedGenFunc, seconds: float) -> None:
     """The ``estimator.*`` series :meth:`ExpansionEstimator.expand` reports
-    on the scalar path: one size observation per engine row, and the
-    batched product's duration as one sample (a demoted row shows as the
-    one-term identity its batch slot still holds)."""
+    on the scalar path: one size observation per kernel row — each engine
+    the whole-row bound left live — and the batched product's duration as
+    one sample (a demoted row shows as the one-term identity its batch
+    slot still holds)."""
     registry.counter("estimator.expansions").inc(batch.n_rows)
     registry.histogram(
         "estimator.expansion.seconds", buckets=LATENCY_BUCKETS
@@ -273,6 +336,39 @@ def _grid_readout(
     return grid
 
 
+def _cut_floor(thresholds: List[float]) -> float:
+    """The smallest threshold read: NaN reads an empty tail and is
+    ignored; ``+inf`` when no threshold is a number."""
+    return min((t for t in thresholds if t == t), default=float("inf"))
+
+
+def _cut_margin(n_terms: int, bound: np.ndarray, floor: float) -> np.ndarray:
+    """Per-row rounding-drift margin of the threshold cut (derived in
+    :func:`_threshold_cuts`)."""
+    unit = 10.0 ** -DECIMALS
+    return (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + abs(floor)))
+
+
+def _live_rows(matched, headroom, bound, thresholds) -> np.ndarray:
+    """Indices of the engine rows that may read a non-empty tail.
+
+    A row is dead when even its initial ``1 * X^0`` term falls at or
+    below the cut before the first multiply: ``sum(headroom) <= floor -
+    margin``, the cut of :func:`_threshold_cuts` with every term still to
+    come.  Then no term of its expansion can exceed ``floor``, so every
+    read at ``T >= floor`` (or NaN) is the empty tail ``(0.0, 0.0)`` —
+    the argument of :class:`~repro.core.genfunc.BatchedGenFunc`'s cut,
+    applied one step earlier.  A NaN sum compares false and stays live
+    (the demotion path sees it); a non-finite floor keeps every row.
+    """
+    floor = _cut_floor(thresholds)
+    if not math.isfinite(floor):
+        return np.arange(matched.shape[0])
+    total = np.where(matched, headroom, 0.0).sum(axis=1)
+    dead = total <= floor - _cut_margin(matched.shape[1], bound, floor)
+    return np.nonzero(~dead)[0]
+
+
 def _threshold_cuts(matched, headroom, bound, thresholds):
     """Per ``(engine, term)`` cut for the threshold-aware expansion (see
     :class:`BatchedGenFunc`), or ``None`` when nothing may be cut.
@@ -294,12 +390,10 @@ def _threshold_cuts(matched, headroom, bound, thresholds):
       every ulp term with room to spare, so a term at or below its cut
       ends at or below ``floor``.
     """
-    floor = min((t for t in thresholds if t == t), default=float("inf"))
+    floor = _cut_floor(thresholds)
     if not math.isfinite(floor):
         return None
-    n_terms = matched.shape[1]
-    unit = 10.0 ** -DECIMALS
-    margin = (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + abs(floor)))
+    margin = _cut_margin(matched.shape[1], bound, floor)
     head = np.where(matched, headroom, 0.0)
     after = np.zeros_like(head)
     after[:, :-1] = np.cumsum(head[:, :0:-1], axis=1)[:, ::-1]
@@ -351,18 +445,14 @@ def _batched_expansion(
 # -- subrange: batched factor tensor -----------------------------------------
 
 
-def _subrange_grid(est, p, w, sigma, mw, u, n, matched, thresholds):
+def _subrange_grid(
+    est, p, w, sigma, mw, u, n, matched, headroom, bound, thresholds
+):
     """All subrange polynomial factors in one numpy pass
     (:meth:`SubrangeEstimator.factor_grid`), sliced per term for the
     batched product."""
     exps, coeffs, has_max_row, remaining = est.factor_grid(p, w, sigma, mw, u, n)
     n_sub = est._offsets.size
-    # Worst-case exponent accumulation per engine: the largest |slot| of
-    # each matched term's factor, summed over the query.
-    bound = np.where(matched, np.abs(exps).max(axis=2), 0.0).sum(axis=1)
-    # Headroom over every slot, used or not: an over-approximation only
-    # cuts less.  The miss slot sits at 0, so it is never negative.
-    headroom = exps.max(axis=2)
     return _batched_expansion(
         est, matched, bound, headroom,
         lambda rows, j: _subrange_factor_rows(
@@ -437,7 +527,7 @@ def _subrange_scalar_polys(exps, coeffs, has_max_row, remaining, matched, e, n_s
 # -- basic / binary: two-point factors ---------------------------------------
 
 
-def _expansion_grid(est, x, p, matched, n, thresholds):
+def _expansion_grid(est, x, p, matched, headroom, bound, n, thresholds):
     """The two-point factors ``p * X^x + (1-p)`` of the basic and
     binary-independence estimators, built per term for the batched
     product."""
@@ -457,9 +547,8 @@ def _expansion_grid(est, x, p, matched, n, thresholds):
             if matched[e, j]
         ]
 
-    bound = np.where(matched, np.abs(x), 0.0).sum(axis=1)
     return _batched_expansion(
-        est, matched, bound, np.maximum(x, 0.0), factor_rows, scalar_polys,
+        est, matched, bound, headroom, factor_rows, scalar_polys,
         n, thresholds,
     )
 

@@ -27,6 +27,7 @@ from repro.core import get_estimator
 from repro.corpus import Collection, Document, Query, save_collection
 from repro.fleet import DeltaCompactedError, LiveEngineServer
 from repro.metasearch import MetasearchBroker
+from repro.obs import MetricsRegistry
 from repro.serving import (
     LiveEngineApp,
     RemoteEngine,
@@ -310,6 +311,62 @@ class TestPreciseInvalidation:
         broker.apply_representative_delta(delta)
         with pytest.raises(ValueError):
             broker.apply_representative_delta(delta)
+
+
+class TestLivenessFollowsTheStore:
+    """The whole-row bound that keeps an engine out of the kernel is
+    computed from the store on every call: a delta that raises a term's
+    max weight makes the engine selectable at once, and one that lowers
+    it again rules the engine back out — liveness is never stale low."""
+
+    def test_delta_moves_an_engine_across_the_bound_both_ways(self):
+        registry = MetricsRegistry()
+        broker = MetasearchBroker(
+            estimator=get_estimator("subrange"), registry=registry
+        )
+        low = LiveEngineServer("low", [
+            Document("low-d0", ["rocket", "orbit", "fuel", "gear", "lens"]),
+            Document("low-d1", ["orbit", "fuel"]),
+            Document("low-d2", ["dune", "kiwi"]),
+        ])
+        high = LiveEngineServer("high", [Document("high-d0", ["rocket"])])
+        fleet = [(live, live.snapshot()) for live in (low, high)]
+        for live, base in fleet:
+            broker.register(
+                live, representative=base.representative, version=base.version
+            )
+        query, threshold = Query(terms=("rocket",), weights=(1.0,)), 0.5
+        skipped = registry.counter("estimator.rows.skipped")
+
+        def step():
+            """Selection and the skipped-row count of one estimate, after
+            checking the row against a fresh scalar oracle."""
+            before = skipped.value
+            assert broker.estimate_all(query, threshold) == fresh_oracle_for(
+                fleet
+            ).estimate_all(query, threshold)
+            return broker.select(query, threshold), skipped.value - before
+
+        # "rocket" weighs 1/sqrt(5) < T in "low": its singleton bound rules
+        # it out before any expansion.
+        assert step() == (["high"], 1.0)
+
+        # Same document count, so the delta is precise: only the swapped
+        # documents' terms are touched, and "rocket" now weighs 1.0.
+        version = low.snapshot().version
+        low.remove_documents(["low-d2"])
+        low.add_documents([Document("low-hot", ["rocket"])])
+        report = broker.apply_representative_delta(low.delta_since(version))
+        assert report.mode == "precise"
+        selected, newly_skipped = step()
+        assert sorted(selected) == ["high", "low"]
+        assert newly_skipped == 0.0
+
+        version = low.snapshot().version
+        low.remove_documents(["low-hot"])
+        low.add_documents([Document("low-d2", ["dune", "kiwi"])])
+        broker.apply_representative_delta(low.delta_since(version))
+        assert step() == (["high"], 1.0)
 
 
 class TestCompactionFallback:

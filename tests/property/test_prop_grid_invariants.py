@@ -19,18 +19,28 @@ no longer exceed the smallest threshold read.  Over drawn threshold sets
 that cuts happen right at the boundary) every row keeps
 ``mass + cut_mass`` within 1e-9 of 1 and every grid cell is
 bit-identical to the scalar ``estimate_many`` on the same representative.
+
+Before any of that, the grid skips every engine whose whole-row bound —
+the sum of its matched factors' largest exponents — sits at or below the
+smallest threshold read minus the cut margin: no term of its expansion
+can pass, so its estimate is ``(0.0, 0.0)`` and it never enters the
+kernel.  The kernel's rows are exactly the engines that bound leaves live,
+which is checked here against a prediction built from the scalar term
+polynomials, with thresholds drawn on both sides of the bound.
 """
 
 import math
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BasicEstimator, BinaryIndependenceEstimator, SubrangeEstimator
 from repro.core.genfunc import BatchedGenFunc
-from repro.core.vectorized import fleet_usefulness_grid
+from repro.core.vectorized import _cut_floor, _cut_margin, fleet_usefulness_grid
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.representatives import (
@@ -98,6 +108,77 @@ def recorded_batches():
         yield batches
 
 
+def row_bounds(estimator, representatives, query):
+    """Per engine, the sum of its matched factors' largest exponents and of
+    their largest magnitudes, from the scalar ``term_polynomial`` — summed
+    over an ``(engines, terms)`` block like the grid's, so the two sums
+    add in the same order."""
+    head = np.zeros((len(representatives), len(query.terms)))
+    magnitude = np.zeros_like(head)
+    for e, representative in enumerate(representatives):
+        context = estimator._polynomial_context(representative)
+        for j, (term, u) in enumerate(query.normalized_items()):
+            stats = representative.get(term)
+            if stats is None or stats.probability <= 0.0:
+                continue
+            exponents = estimator.term_polynomial(u, stats, context)[0]
+            head[e, j] = exponents.max()
+            magnitude[e, j] = np.abs(exponents).max()
+    return head.sum(axis=1), magnitude.sum(axis=1)
+
+
+def predicted_live(estimator, representatives, query, thresholds):
+    """The engines the whole-row bound cannot rule out: every one when no
+    finite threshold is read, else those whose bound lies above
+    ``floor - margin`` (a NaN bound compares false and stays live)."""
+    floor = _cut_floor(thresholds)
+    if not math.isfinite(floor):
+        return list(range(len(representatives)))
+    total, bound = row_bounds(estimator, representatives, query)
+    margin = _cut_margin(len(query.terms), bound, floor)
+    return [
+        e for e in range(len(representatives))
+        if not total[e] <= floor - margin[e]
+    ]
+
+
+def assert_kernel_rows_are_live(
+    batches, estimator, representatives, query, thresholds
+):
+    """At most one product, and its rows are exactly the predicted live
+    engines, in fleet order: each row reads the tails of that engine's
+    scalar expansion at every threshold (the cut keeps those bits)."""
+    live = predicted_live(estimator, representatives, query, thresholds)
+    assert len(batches) == (1 if live else 0)
+    if not live:
+        return
+    [batch] = batches
+    assert batch.n_rows == len(live)
+    for r, e in enumerate(live):
+        got = batch.row(r).tail_profile(thresholds)
+        want = estimator.expand(query, representatives[e]).tail_profile(
+            thresholds
+        )
+        for got_side, want_side in zip(got, want):
+            assert [v.hex() for v in got_side.tolist()] == [
+                v.hex() for v in want_side.tolist()
+            ], (e, thresholds)
+
+
+def assert_grid_is_scalar(grid, estimator, representatives, query, thresholds):
+    """Every cell bit-identical to the scalar ``estimate_many``."""
+    for e, representative in enumerate(representatives):
+        want = estimator.estimate_many(query, representative, thresholds)
+        for t, threshold in enumerate(thresholds):
+            got = grid[t][e]
+            assert float(got.nodoc).hex() == float(want[t].nodoc).hex(), (
+                e, threshold
+            )
+            assert float(got.avgsim).hex() == float(want[t].avgsim).hex(), (
+                e, threshold
+            )
+
+
 @given(estimator=estimators, store=fleets, query=queries)
 @example(  # the full tail sums to 1 + 2 ulps
     estimator=SubrangeEstimator(),
@@ -114,6 +195,8 @@ def test_grid_rows_conserve_mass_and_nodoc_is_a_fraction_monotone_in_t(
 ):
     with recorded_batches() as batches:
         grid = fleet_usefulness_grid(estimator, store, query, THRESHOLDS)
+    # One row per engine: THRESHOLDS reads -0.5, below every whole-row
+    # bound (>= 0), so the bound rules no engine out.
     [batch] = batches
     assert batch.n_rows == len(store)
     for r in range(batch.n_rows):
@@ -231,16 +314,114 @@ def test_threshold_cut_keeps_mass_and_matches_the_scalar_estimator(
         store.add(representative)
     with recorded_batches() as batches:
         grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-    [batch] = batches
-    for r in range(batch.n_rows):
-        assert abs(batch.row(r).total_mass() + batch.cut_mass[r] - 1.0) < 1e-9
+    assert_kernel_rows_are_live(
+        batches, estimator, representatives, query, thresholds
+    )
+    for batch in batches:
+        for r in range(batch.n_rows):
+            assert abs(
+                batch.row(r).total_mass() + batch.cut_mass[r] - 1.0
+            ) < 1e-9
+    assert_grid_is_scalar(grid, estimator, representatives, query, thresholds)
+
+
+def dead_edge(total, bound, n_terms):
+    """The smallest floor at which a row with whole-row bound ``total``
+    is dead: ``total <= floor - margin(floor)`` there and not one float
+    below."""
+    def dead_at(floor):
+        return total <= floor - _cut_margin(n_terms, bound, floor)
+
+    floor = total + _cut_margin(n_terms, bound, total)
+    while not dead_at(floor):
+        floor = math.nextafter(floor, math.inf)
+    while dead_at(math.nextafter(floor, -math.inf)):
+        floor = math.nextafter(floor, -math.inf)
+    return floor
+
+
+#: ``(engine, where)``: a threshold at engine ``engine``'s whole-row bound
+#: (``at``), one float either side of it, exactly at the floor where the
+#: row turns dead (``edge``), or one float below that.
+boundary_picks = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.sampled_from(["at", "above", "below", "edge", "below-edge"]),
+    ),
+    max_size=3,
+)
+
+
+def boundary_thresholds(estimator, representatives, query, picks, specials):
+    total, bound = row_bounds(estimator, representatives, query)
+    thresholds = []
+    for engine, where in picks:
+        e = engine % len(representatives)
+        at = float(total[e])
+        if where in ("edge", "below-edge"):
+            at = dead_edge(float(total[e]), float(bound[e]), len(query.terms))
+        if where in ("below", "below-edge"):
+            at = math.nextafter(at, -math.inf)
+        elif where == "above":
+            at = math.nextafter(at, math.inf)
+        thresholds.append(at)
+    return thresholds + list(specials)
+
+
+@given(
+    estimator=cut_estimators,
+    representatives=fleet_representatives,
+    query=queries,
+    picks=boundary_picks,
+    specials=st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2
+    ),
+)
+@example(  # every engine dead: the query's only term is one none holds
+    estimator=SubrangeEstimator(),
+    representatives=[
+        DatabaseRepresentative("r0", n_documents=5, term_stats={
+            "w0": TermStats(0.4, 0.3, 0.1, 0.6),
+        })
+    ],
+    query=Query(("w1",), (1.0,)),
+    picks=[(0, "edge")],
+    specials=[],
+)
+@example(  # the floor where the row just turns dead, and one float below
+    estimator=SubrangeEstimator(),
+    representatives=SINGLETON_ABOVE_MEDIANS,
+    query=Query(("w0", "w1"), (1.0, 1.0)),
+    picks=[(0, "edge")],
+    specials=[],
+)
+@example(
+    estimator=SubrangeEstimator(),
+    representatives=SINGLETON_ABOVE_MEDIANS,
+    query=Query(("w0", "w1"), (1.0, 1.0)),
+    picks=[(0, "below-edge")],
+    specials=[],
+)
+@settings(max_examples=150, deadline=None)
+def test_whole_row_bound_skips_exactly_the_engines_that_cannot_pass(
+    estimator, representatives, query, picks, specials
+):
+    thresholds = boundary_thresholds(
+        estimator, representatives, query, picks, specials
+    )
+    store = FleetRepresentativeStore()
+    for representative in representatives:
+        store.add(representative)
+    with recorded_batches() as batches:
+        grid = fleet_usefulness_grid(estimator, store, query, thresholds)
+    assert_kernel_rows_are_live(
+        batches, estimator, representatives, query, thresholds
+    )
+    live = set(predicted_live(estimator, representatives, query, thresholds))
+    zero = (0.0).hex()
     for e, representative in enumerate(representatives):
-        want = estimator.estimate_many(query, representative, thresholds)
-        for t, threshold in enumerate(thresholds):
-            got = grid[t][e]
-            assert float(got.nodoc).hex() == float(want[t].nodoc).hex(), (
-                e, threshold
-            )
-            assert float(got.avgsim).hex() == float(want[t].avgsim).hex(), (
-                e, threshold
-            )
+        if e in live:
+            continue
+        for value in estimator.estimate_many(query, representative, thresholds):
+            assert (value.nodoc.hex(), value.avgsim.hex()) == (zero, zero)
+    assert_grid_is_scalar(grid, estimator, representatives, query, thresholds)

@@ -279,6 +279,18 @@ class TestBrokerMetricsIntegration:
         broker.search(Query.from_terms(["rocket", "sauce"]), 0.1)
         assert registry.value("estimator.expansions") == 2.0
         assert registry.histogram("estimator.genfunc.terms").count == 2
+        assert registry.value("estimator.rows.skipped") == 0.0
+        # Only "space" holds "orbit"; "food" cannot pass T, so it is
+        # skipped before the kernel and its row is not an expansion.
+        broker.search(Query.from_terms(["orbit"]), 0.1)
+        assert registry.value("estimator.expansions") == 3.0
+        assert registry.histogram("estimator.genfunc.terms").count == 3
+        assert registry.value("estimator.rows.skipped") == 1.0
+        engines = len(broker.fleet.engine_names)
+        assert (
+            registry.value("estimator.expansions")
+            + registry.value("estimator.rows.skipped")
+        ) == 2 * engines
 
     def test_degraded_search_counted(self, engine_doubles):
         from repro.representatives import build_representative

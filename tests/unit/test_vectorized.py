@@ -12,7 +12,10 @@ from repro.core import (
     SubrangeEstimator,
     fleet_usefulness_grid,
 )
-from repro.corpus import Query
+from repro.core.genfunc import BatchedGenFunc
+from repro.corpus import Collection, Query
+from repro.engine import SearchEngine
+from repro.metasearch import MetasearchBroker
 from repro.metasearch.cache import TermPolynomialCache
 from repro.representatives import (
     DatabaseRepresentative,
@@ -167,6 +170,40 @@ class TestEdgeCases:
                     ),
                     make_store(*reps), reps, query,
                 )
+
+
+class TestWholeRowBound:
+    """Engines whose summed largest factor exponents cannot pass the
+    smallest threshold are answered ``(0.0, 0.0)`` without a kernel row."""
+
+    def test_query_no_engine_holds_makes_no_kernel_call(self, monkeypatch):
+        calls = []
+        product = BatchedGenFunc.product.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return product(cls, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedGenFunc, "product", classmethod(counting))
+        reps = [make_rep("d1"), make_rep("d2", n=9)]
+        query = Query.from_terms(["ghost", "phantom"])
+        for estimator in (
+            SubrangeEstimator(),
+            BasicEstimator(),
+            BinaryIndependenceEstimator(),
+        ):
+            assert_grid_matches_scalar(
+                estimator, make_store(*reps), reps, query, [0.1, 0.5]
+            )
+        broker = MetasearchBroker()
+        broker.register(SearchEngine(Collection.from_texts(
+            "space", [("s0", "rocket orbit"), ("s1", "rocket")]
+        )))
+        broker.register(SearchEngine(Collection.from_texts(
+            "food", [("f0", "recipe sauce")]
+        )))
+        assert broker.select(query, 0.1) == []
+        assert calls == []
 
 
 class TestPolycacheIntegration:
