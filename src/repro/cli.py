@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import get_estimator, true_usefulness
+from repro.core import fleet_usefulness_grid, get_estimator, true_usefulness
 from repro.corpus import (
     Query,
     analyze_collection,
@@ -44,9 +44,10 @@ from repro.evaluation import (
     format_sizing_table,
     run_usefulness_experiment,
 )
-from repro.metasearch import MetasearchBroker, allocate_documents, threshold_for_k
+from repro.metasearch import MetasearchBroker, plan_allocation
 from repro.representatives import (
     DatabaseRepresentative,
+    FleetRepresentativeStore,
     PAPER_COLLECTION_STATS,
     build_representative,
     sizing_for_collection,
@@ -97,7 +98,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         representative = DatabaseRepresentative.load(args.representative)
     else:
         representative = build_representative(engine)
-    estimate = estimator.estimate(query, representative, args.threshold)
+    store = FleetRepresentativeStore()
+    store.add(representative)
+    grid = fleet_usefulness_grid(estimator, store, query, [args.threshold])
+    estimate = grid[0][0]
     truth = true_usefulness(engine, query, args.threshold)
     print(f"database : {collection.name} ({collection.n_documents} docs)")
     print(f"query    : {' '.join(query.terms)}  (threshold {args.threshold})")
@@ -114,9 +118,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     model = NewsgroupModel(seed=args.seed)
-    d1, d2, d3 = build_paper_databases(model)
-    by_name = {"D1": d1, "D2": d2, "D3": d3}
-    collection = by_name[args.database]
+    # Only the evaluated database stays resident through the sweep.
+    collection = build_paper_databases(model)[int(args.database[1]) - 1]
     engine = SearchEngine(collection)
     representative = build_representative(engine)
     queries = QueryLogModel(model, seed=args.query_seed).generate(args.queries)
@@ -161,8 +164,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     for path in args.representatives:
         representative = DatabaseRepresentative.load(path)
         representatives[representative.name] = representative
-    threshold = threshold_for_k(query, representatives, args.k)
-    quotas = allocate_documents(query, representatives, args.k)
+    threshold, quotas = plan_allocation(query, representatives, args.k)
     print(f"query    : {' '.join(query.terms)}")
     print(f"desired  : {args.k} documents")
     print(f"threshold: {threshold:.4f}")
@@ -273,10 +275,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{count} {kind}" for kind, count in sorted(failures.items())
     )
     print(f"failures : {failure_text or 'none'}")
-    if broker.cache is not None:
-        print(f"cache    : {broker.cache.hits + broker.cache.misses} lookups, "
-              f"{broker.cache.hit_rate:.1%} hit rate, "
-              f"{len(broker.cache)} resident")
+    print(f"cache    : {broker.cache.hits + broker.cache.misses} lookups, "
+          f"{broker.cache.hit_rate:.1%} hit rate, "
+          f"{len(broker.cache)} resident")
     return 0
 
 
@@ -373,10 +374,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           f"{1000.0 * batch_elapsed / len(queries):.1f}ms/query")
     if invoked is not None:
         print(f"invoked  : {invoked} engine calls, {hits} merged hits")
-    if broker.cache is not None:
-        print(f"cache    : {broker.cache.hits + broker.cache.misses} lookups, "
-              f"{broker.cache.hit_rate:.1%} hit rate, "
-              f"{len(broker.cache)} resident")
+    print(f"cache    : {broker.cache.hits + broker.cache.misses} lookups, "
+          f"{broker.cache.hit_rate:.1%} hit rate, "
+          f"{len(broker.cache)} resident")
 
     if args.compare_serial:
         serial_broker = make_broker()

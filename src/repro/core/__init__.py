@@ -10,6 +10,7 @@
   previous method (VLDB'98), the second baseline of the evaluation.
 * :mod:`repro.core.gloss` — the gGlOSS high-correlation and disjoint
   estimators, the third baseline.
+* :mod:`repro.core.vectorized` — the batched kernel production runs on.
 * :mod:`repro.core.truth` — exact usefulness, the evaluation ground truth.
 """
 
@@ -31,6 +32,7 @@ from repro.core.types import Usefulness
 from repro.core.vectorized import (
     fallback_count,
     fleet_usefulness_grid,
+    fleet_usefulness_rows,
     reset_fallback_count,
 )
 
@@ -49,6 +51,7 @@ __all__ = [
     "UsefulnessEstimator",
     "fallback_count",
     "fleet_usefulness_grid",
+    "fleet_usefulness_rows",
     "get_estimator",
     "reset_fallback_count",
     "true_usefulness",

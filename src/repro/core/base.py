@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,28 +126,15 @@ class UsefulnessEstimator(ABC):
         return f"{type(self).__name__}()"
 
 
-def _frozen_polynomial(
-    polynomial: Tuple[np.ndarray, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A read-only copy of a ``(exponents, coeffs)`` factor, safe to share
-    from a cache across queries and threads."""
-    exponents = np.asarray(polynomial[0], dtype=float)
-    coeffs = np.asarray(polynomial[1], dtype=float)
-    exponents.setflags(write=False)
-    coeffs.setflags(write=False)
-    return (exponents, coeffs)
-
-
 class ExpansionEstimator(UsefulnessEstimator):
     """Estimator whose answers come from one generating-function expansion.
 
     Subclasses implement :meth:`term_polynomial` — a pure function of one
     query term's ``(weight, stats, context)`` — and the base class builds
-    the per-query factor list, optionally memoizing each factor in a
-    :class:`~repro.metasearch.cache.TermPolynomialCache` shared across
-    queries (the factors depend only on the representative, the term, and
-    the normalized query weight, so a term-skewed workload recomputes
-    almost nothing).
+    the per-query factor list and expands it with the scalar
+    :class:`~repro.core.genfunc.GenFunc`.  That scalar path is the paper's
+    reference algorithm: production answers come off the batched kernel
+    (:mod:`repro.core.vectorized`), which equals it bit for bit.
 
     The expansion is exact up to the rounding of
     :data:`~repro.core.genfunc.DECIMALS`.
@@ -179,57 +166,17 @@ class ExpansionEstimator(UsefulnessEstimator):
         call of a query; computed once per factor-list build."""
         return representative.n_documents
 
-    def polynomial_config(self) -> Tuple:
-        """Hashable description of everything (besides the representative,
-        term, and query weight) that determines :meth:`term_polynomial`'s
-        output — the estimator component of a term-polynomial cache key.
-
-        Subclasses with extra knobs that change the factor (subrange
-        scheme, stored-max mode, ...) must extend this tuple.
-        """
-        return (type(self).__name__,)
-
     def polynomials(
-        self,
-        query: Query,
-        representative: DatabaseRepresentative,
-        polycache=None,
-        engine: Optional[str] = None,
+        self, query: Query, representative: DatabaseRepresentative
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-query-term ``(exponents, coeffs)`` polynomials (Expr. (3)).
 
         Terms unknown to the representative contribute nothing and are
         omitted; the returned list follows query-term order (the contract
         :meth:`explain` relies on to attribute polynomials back to terms).
-
-        Args:
-            polycache: Optional
-                :class:`~repro.metasearch.cache.TermPolynomialCache`; with
-                ``engine`` set, each factor is looked up before being
-                computed and stored after (unmatched terms are negatively
-                cached).  Cached factors are the exact arrays a fresh
-                computation would produce, so results are bit-identical.
-            engine: Cache namespace — the engine whose representative this
-                is; per-engine invalidation rides on it.
         """
         context = self._polynomial_context(representative)
         polys: List[Tuple[np.ndarray, np.ndarray]] = []
-        if polycache is not None and engine is not None:
-            config = self.polynomial_config()
-            for term, u in query.normalized_items():
-                hit, poly = polycache.lookup(config, engine, term, u)
-                if not hit:
-                    stats = representative.get(term)
-                    if stats is None or stats.probability <= 0.0:
-                        poly = None
-                    else:
-                        poly = _frozen_polynomial(
-                            self.term_polynomial(u, stats, context)
-                        )
-                    polycache.store(config, engine, term, u, poly)
-                if poly is not None:
-                    polys.append(poly)
-            return polys
         for term, u in query.normalized_items():
             stats = representative.get(term)
             if stats is None or stats.probability <= 0.0:
@@ -238,23 +185,16 @@ class ExpansionEstimator(UsefulnessEstimator):
         return polys
 
     def expand(
-        self,
-        query: Query,
-        representative: DatabaseRepresentative,
-        polycache=None,
-        engine: Optional[str] = None,
+        self, query: Query, representative: DatabaseRepresentative
     ) -> GenFunc:
         """Expand the full generating function for (query, database).
 
         Each expansion reports its duration and final term count to the
         estimator's metrics registry (no-op unless
-        :meth:`~UsefulnessEstimator.instrument`-ed).  ``polycache`` /
-        ``engine`` memoize the per-term factors (see :meth:`polynomials`).
+        :meth:`~UsefulnessEstimator.instrument`-ed).
         """
         start = time.perf_counter()
-        expansion = GenFunc.product(
-            self.polynomials(query, representative, polycache, engine)
-        )
+        expansion = GenFunc.product(self.polynomials(query, representative))
         registry = self.registry
         registry.counter("estimator.expansions").inc()
         registry.histogram(
@@ -282,8 +222,6 @@ class ExpansionEstimator(UsefulnessEstimator):
         query: Query,
         representative: DatabaseRepresentative,
         thresholds: Sequence[float],
-        polycache=None,
-        engine: Optional[str] = None,
     ) -> List[Usefulness]:
         """One expansion answers every threshold.
 
@@ -291,9 +229,8 @@ class ExpansionEstimator(UsefulnessEstimator):
         (:meth:`GenFunc.tail_profile`) instead of re-running a
         ``searchsorted`` + slice sum per threshold; the values are
         bit-identical to per-threshold :meth:`estimate` calls.
-        ``polycache`` / ``engine`` memoize the factors (see :meth:`expand`).
         """
-        expansion = self.expand(query, representative, polycache, engine)
+        expansion = self.expand(query, representative)
         n = representative.n_documents
         mass, moment = expansion.tail_profile(thresholds)
         return [

@@ -51,6 +51,10 @@ DECIMALS = 8
 #: bucket — at that size numpy per-call overhead outweighs padding waste.
 _BUCKET_MIN_EXP = 4
 
+#: Most spare terms an arena repack leaves for later products: more would
+#: only raise a wide expansion's peak memory.
+_ARENA_SLACK = 1 << 16
+
 #: Width buckets holding at most this many rows run the scalar merge
 #: pipeline row by row instead of the padded batch kernel: for a
 #: near-empty bucket (typically one very wide outlier engine) the plain
@@ -438,10 +442,11 @@ class BatchedGenFunc:
         self.tail = base
 
     def _compact_arena(self, incoming: int) -> None:
-        """Repack the live rows into a fresh arena sized with headroom for
-        ``incoming`` new terms plus a few more products' growth."""
+        """Repack the live rows into a fresh arena with room for the
+        ``incoming`` terms and a few more products (:data:`_ARENA_SLACK`)."""
         live = int(self.row_len.sum())
-        cap = max(4 * (live + incoming), 1024)
+        need = live + incoming
+        cap = max(need + min(3 * need, _ARENA_SLACK), 1024)
         new_exp = np.empty(cap)
         new_coef = np.empty(cap)
         bounds = np.zeros(self.row_len.size + 1, dtype=np.int64)
@@ -777,22 +782,26 @@ class BatchedGenFunc:
             rows = np.nonzero(bucket == b)[0]
             lens = self.row_len[rows]
             width = int(lens.max())
-            exps, coef = self._gather(rows, width, lens)
+            # Padding exponents are +inf, so no threshold counts them.
+            exp_cmp, coef = self._gather(rows, width, lens, pad_exp=np.inf)
             v_mask = np.arange(width)[None, :] < lens[:, None]
-            exp_cmp = np.where(v_mask, exps, np.inf)
             # Pad slots must be the additive identity under IEEE addition:
             # -0.0, not +0.0.  A zero-coefficient term with a negative
             # exponent contributes -0.0 to the moment, and the scalar
             # cumsum *copies* that as its first reversed element, while
             # a +0.0 pad would turn it into +0.0 (-0.0 + 0.0 == +0.0).
-            moment_terms = np.where(v_mask, coef * exps, -0.0)
-            zero_col = np.zeros((rows.size, 1))
-            mass_sfx = np.hstack(
-                [np.cumsum(coef[:, ::-1], axis=1)[:, ::-1], zero_col]
+            with np.errstate(invalid="ignore"):  # 0.0 * inf on the pads
+                moment_terms = np.where(v_mask, coef * exp_cmp, -0.0)
+            # Suffix sums land in (rows, width + 1) arrays whose last column
+            # is the empty tail; each input is freed once summed.
+            mass_sfx = np.zeros((rows.size, width + 1))
+            np.cumsum(coef[:, ::-1], axis=1, out=mass_sfx[:, :width][:, ::-1])
+            del coef
+            mom_sfx = np.zeros((rows.size, width + 1))
+            np.cumsum(
+                moment_terms[:, ::-1], axis=1, out=mom_sfx[:, :width][:, ::-1]
             )
-            mom_sfx = np.hstack(
-                [np.cumsum(moment_terms[:, ::-1], axis=1)[:, ::-1], zero_col]
-            )
+            del moment_terms
             r_idx = np.arange(rows.size)
             # The empty tail reads the scalar sentinel +0.0, but a suffix
             # of -0.0 pads sums to -0.0 — pin each row's sentinel column.

@@ -36,13 +36,50 @@ from repro.stats.normal import (
     truncated_normal_tail_mass,
 )
 
-__all__ = ["PreviousMethodEstimator"]
+__all__ = ["PreviousMethodEstimator", "adjust_terms"]
+
+
+def adjust_terms(
+    terms: Sequence[Tuple[float, float, float, float]],
+    thresholds: Sequence[float],
+) -> List[List[Tuple[float, float]]]:
+    """Steps 1-2 for one (query, database): per threshold, per term,
+    ``(adjusted_p, adjusted_w)`` from the ``(u, p, mean, std)`` of every
+    matching query term (``p > 0``, query order).  The same scalar
+    arithmetic serves the scalar estimator and the batched kernel."""
+    if not terms:
+        return [[] for __ in thresholds]
+    contributions = np.array([u * mean for u, __, mean, __ in terms])
+    total = contributions.sum()
+    adjusted = []
+    for threshold in thresholds:
+        pairs = []
+        for (u, p, mean, std), contribution in zip(terms, contributions):
+            if total > 0.0 and threshold > 0.0:
+                share = contribution / total
+                cutoff = threshold * share / u
+            else:
+                cutoff = 0.0
+            if cutoff <= 0.0:
+                # No part of the threshold falls on this term: the method
+                # degenerates to the basic (p, w) pair, by design.
+                pairs.append((p, mean))
+                continue
+            tail = truncated_normal_tail_mass(cutoff, mean, std)
+            if tail > 0.0:
+                adjusted_w = truncated_normal_mean_above(cutoff, mean, std)
+            else:
+                adjusted_w = 0.0
+            pairs.append((p * tail, adjusted_w))
+        adjusted.append(pairs)
+    return adjusted
 
 
 class PreviousMethodEstimator(UsefulnessEstimator):
     """Threshold-adjusted basic method (VLDB'98 reconstruction).
 
     The whole apportioned cutoff is applied (the full reconstruction).
+    :meth:`estimate` is the scalar reference the batched kernel equals.
     """
 
     name = "prev"
@@ -55,38 +92,13 @@ class PreviousMethodEstimator(UsefulnessEstimator):
         threshold: float,
     ) -> List[Tuple[float, float, float]]:
         """Per matching term: ``(u, adjusted_p, adjusted_w)``."""
-        matched = []
+        terms = []
         for term, u in query.normalized_items():
             stats = representative.get(term)
             if stats is not None and stats.probability > 0.0:
-                matched.append((u, stats))
-        if not matched:
-            return []
-        contributions = np.array([u * s.mean for u, s in matched])
-        total = contributions.sum()
-        pairs = []
-        for (u, stats), contribution in zip(matched, contributions):
-            if total > 0.0 and threshold > 0.0:
-                share = contribution / total
-                cutoff = threshold * share / u
-            else:
-                cutoff = 0.0
-            if cutoff <= 0.0:
-                # No part of the threshold falls on this term: the method
-                # degenerates to the basic (p, w) pair, by design.
-                adjusted_p = stats.probability
-                adjusted_w = stats.mean
-            else:
-                tail = truncated_normal_tail_mass(cutoff, stats.mean, stats.std)
-                adjusted_p = stats.probability * tail
-                if tail > 0.0:
-                    adjusted_w = truncated_normal_mean_above(
-                        cutoff, stats.mean, stats.std
-                    )
-                else:
-                    adjusted_w = 0.0
-            pairs.append((u, adjusted_p, adjusted_w))
-        return pairs
+                terms.append((u, stats.probability, stats.mean, stats.std))
+        (pairs,) = adjust_terms(terms, [threshold])
+        return [(u, p, w) for (u, *__), (p, w) in zip(terms, pairs)]
 
     def estimate(
         self,
@@ -106,16 +118,6 @@ class PreviousMethodEstimator(UsefulnessEstimator):
             nodoc=expansion.est_nodoc(threshold, representative.n_documents),
             avgsim=expansion.est_avgsim(threshold),
         )
-
-    def estimate_many(
-        self,
-        query: Query,
-        representative: DatabaseRepresentative,
-        thresholds: Sequence[float],
-    ) -> List[Usefulness]:
-        """Per-threshold expansion — this method is threshold-dependent by
-        construction, unlike the expansion estimators."""
-        return [self.estimate(query, representative, t) for t in thresholds]
 
 
 register_estimator("prev", PreviousMethodEstimator)

@@ -142,8 +142,9 @@ class SubrangeEstimator(ExpansionEstimator):
         Args:
             p / w / sigma / mw: ``(E, Q)`` statistics arrays; ``NaN`` in
                 ``mw`` encodes a triplet-mode "no stored max".
-            u: ``(Q,)`` normalized query weights.
-            n: ``(E,)`` per-engine document counts.
+            u: ``(E, Q)`` normalized query weights (a ``(Q,)`` vector
+                broadcasts: one query for every row).
+            n: ``(E,)`` per-row document counts.
 
         Returns:
             ``(exponents, coefficients, has_max_row, remaining)``.  The
@@ -157,6 +158,7 @@ class SubrangeEstimator(ExpansionEstimator):
             of the tensor is engine ``e``'s actual factor.
         """
         n_engines = p.shape[0]
+        u = np.atleast_2d(u)
         mw_eff = self.effective_max(w, sigma, mw)
         n_f = n.astype(np.float64)
         has_max_row = (
@@ -176,16 +178,13 @@ class SubrangeEstimator(ExpansionEstimator):
         )
         exponents = np.empty(p.shape + (n_sub + 2,))
         coefficients = np.empty_like(exponents)
-        exponents[:, :, 0] = u[None, :] * mw_eff
-        exponents[:, :, 1 : n_sub + 1] = u[None, :, None] * medians
+        exponents[:, :, 0] = u * mw_eff
+        exponents[:, :, 1 : n_sub + 1] = u[:, :, None] * medians
         exponents[:, :, n_sub + 1] = 0.0
         coefficients[:, :, 0] = p_max
         coefficients[:, :, 1 : n_sub + 1] = remaining[:, :, None] * self._masses
         coefficients[:, :, n_sub + 1] = 1.0 - p
         return exponents, coefficients, has_max_row, remaining
-
-    def polynomial_config(self) -> Tuple:
-        return (type(self).__name__, self.scheme, self.use_stored_max)
 
 
 register_estimator("subrange", SubrangeEstimator)

@@ -1,106 +1,78 @@
-"""Engine-axis vectorized usefulness estimation over a fleet store.
+"""Batched usefulness estimation over a fleet store.
 
-The scalar path answers one (engine, query, threshold) at a time: walk the
-representative dict, build per-term polynomials, expand, read the tail.
-This module answers a whole fleet at once from a
-:class:`~repro.representatives.columnar.FleetRepresentativeStore`: one
-gather yields the ``(engines, query terms)`` statistics block, one numpy
-pass computes every engine's polynomial factors, and the read-outs run
-across the engine axis.
+The paper's method is one generating-function expansion per (query,
+database); this module computes many at once from a
+:class:`~repro.representatives.columnar.FleetRepresentativeStore`.  The
+kernel's rows are *(query, engine) pairs*: each query's gathered
+``(engines, query terms)`` block is stacked (padded with unmatched columns
+to the longest query), one numpy pass builds every row's polynomial
+factors, and the read-outs run across the row axis.
+:func:`fleet_usefulness_rows` answers a list of queries,
+:func:`fleet_usefulness_grid` one query (the broker's call), and
+:func:`fleet_tails` one query's full expansions, for read-outs at
+thresholds not known up front (the allocation bisection).
 
-The contract throughout is *bit-identity with the scalar estimators*:
+The contract is *bit-identity with the scalar estimators*, which stay
+public as the paper's reference algorithms and the test oracle:
 
-* The three expansion estimators (subrange, basic, binary-independence)
-  share one batched polynomial kernel,
-  :class:`~repro.core.genfunc.BatchedGenFunc`: the generating-function
-  state of every engine advances together, one multiply-and-merge per
-  query term, replicating the scalar ``round → unique → bincount``
-  pipeline per row (see the kernel's docstring for the exactness argument
-  covering rounding and merge order).  The
-  subrange factor tensor — median weights ``w + c_j * sigma``, the
-  max-weight singleton, probabilities — is built in one vectorized pass by
-  :meth:`SubrangeEstimator.factor_grid`, and all tails come off one
-  batched suffix-cumsum read (:meth:`BatchedGenFunc.tail_profile`).
-* The expansion is *threshold-aware*: Eq. 6 reads only exponents above
-  T, so after each query term every engine drops the terms that could not
-  exceed the smallest threshold of the call even if each later term added
-  its largest factor exponent (:func:`_threshold_cuts`; the exactness
-  argument is in :class:`~repro.core.genfunc.BatchedGenFunc`).  Every
-  read-out stays bit-identical to the full expansion; only the kept term
-  count changes, so ``estimator.genfunc.terms`` counts the terms *kept*
-  (the scalar path, which expands in full, still counts them all).
-* Before any factor is built, each engine's *whole-row bound* — its
-  matched factors' largest exponents summed (subrange ``u * mw_eff``, the
-  max-weight singleton; basic / binary ``max(x, 0)``) — is compared with
-  the same cut applied to the initial ``1 * X^0`` term
-  (:func:`_live_rows`).  An engine at or below it cannot read a non-empty
-  tail at any threshold of the call: it is answered ``(0.0, 0.0)`` and
-  never enters the kernel, so factor build, product, tails and boxing run
-  on the live rows only.  ``estimator.expansions`` counts those kernel
-  rows and ``estimator.rows.skipped`` the rest.
-* The gGlOSS estimators are closed-form over sorted bands; both variants
-  vectorize to a lexsort plus suffix cumulative sums that accumulate in the
-  scalar code's exact addition order.
+* The expansion estimators share one batched polynomial kernel,
+  :class:`~repro.core.genfunc.BatchedGenFunc` (see its docstring for the
+  exactness argument): subrange factors come from one
+  :meth:`SubrangeEstimator.factor_grid` pass, basic and
+  binary-independence factors are two-point ``p * X^x + (1 - p)``.
+* The previous method is the basic expansion over threshold-adjusted
+  ``(p, w)`` pairs, so its kernel row is one (threshold, query, engine):
+  the truncated-normal adjustment stays scalar per cell
+  (:func:`~repro.core.prev_estimator.adjust_terms`), and each row reads
+  its own threshold.
+* The expansion is *threshold-aware*: after each query term a row drops
+  the terms that could not exceed the smallest threshold it reads even if
+  every later term added its largest factor exponent
+  (:func:`_threshold_cuts`).  Read-outs stay bit-identical; only the kept
+  term count (``estimator.genfunc.terms``) changes.
+* A row whose matched factors' largest exponents, summed, cannot pass
+  that threshold (:func:`_live_rows`) is answered ``(0.0, 0.0)`` and never
+  enters the kernel; ``estimator.expansions`` counts kernel rows and
+  ``estimator.rows.skipped`` the rest.
+* The gGlOSS estimators are closed-form over sorted bands: a lexsort plus
+  suffix cumulative sums in the scalar code's exact addition order.
 
-There is no configuration-triggered fallback: every expansion estimator,
-exponents past ``2**53`` included, runs through the batched kernel with
-scalar-identical semantics.  Two things are evaluated per engine row
-instead, both with the scalar code itself:
-
-* *Demotion* — rows whose factor exponents are non-finite (or whose
-  rounding would overflow float64) are expanded with the scalar
-  :meth:`GenFunc.product`; everything else stays batched, and every
-  demotion is counted (:func:`fallback_count`) and reported to the
-  estimator's metrics registry as ``vectorized.scalar_demotions``.
-* *Estimators without a batched kernel* — the previous-method baseline and
-  any subclass of the five (which may override ``term_polynomial`` or
-  ``estimate``, so a re-implementation would silently diverge) run their
-  own ``estimate_many`` per row over a
-  :class:`~repro.representatives.columnar.FleetRepresentativeRef`.
-
-So :func:`fleet_usefulness_grid` is total: every estimator gets a grid, and
-the broker needs no second estimation path.
+Each of the six estimator types has a kernel, matched on the exact type: a
+subclass may override ``term_polynomial`` or ``estimate``, which a kernel
+would silently ignore, so any other type is a ``TypeError``
+(:func:`require_kernel`).  The one scalar step is *demotion*: a row whose
+factor exponents are non-finite (or whose rounding would overflow float64)
+is expanded with the scalar :meth:`GenFunc.product`, counted by
+:func:`fallback_count` and the ``vectorized.scalar_demotions`` series.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import ExpansionEstimator, UsefulnessEstimator
+from repro.core.base import UsefulnessEstimator
 from repro.core.basic_estimator import BasicEstimator
 from repro.core.binary_estimator import BinaryIndependenceEstimator
 from repro.core.genfunc import DECIMALS, BatchedGenFunc, GenFunc
 from repro.core.gloss import GlossDisjointEstimator, GlossHighCorrelationEstimator
+from repro.core.prev_estimator import PreviousMethodEstimator, adjust_terms
 from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.types import Usefulness
 from repro.corpus.query import Query
 from repro.obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS
-from repro.representatives.columnar import (
-    FleetRepresentativeRef,
-    FleetRepresentativeStore,
-)
+from repro.representatives.columnar import FleetRepresentativeStore
 
 __all__ = [
     "fallback_count",
+    "fleet_tails",
     "fleet_usefulness_grid",
+    "fleet_usefulness_rows",
+    "require_kernel",
     "reset_fallback_count",
 ]
-
-#: Estimator types with a batched kernel.  Exact types, not subclasses: a
-#: subclass may override term_polynomial/estimate and the vectorized
-#: re-implementation would silently diverge from it, so it is evaluated
-#: per row with its own code instead.
-_BATCHED_TYPES = (
-    SubrangeEstimator,
-    BasicEstimator,
-    BinaryIndependenceEstimator,
-    GlossHighCorrelationEstimator,
-    GlossDisjointEstimator,
-)
 
 #: Accumulated-exponent ceiling: ``np.round`` scales by ``10**DECIMALS``,
 #: and past ``1e306`` after that scaling its intermediate product can
@@ -110,10 +82,10 @@ _BATCHED_TYPES = (
 #: 1.8e308.
 _EXPONENT_CEILING = 1e306 / 10.0 ** DECIMALS
 
-#: How many engine rows were demoted to the scalar per-engine product
-#: because their factor exponents were non-finite or overflow-adjacent.
-#: Zero on every sane representative; the fleet-scaling bench asserts it
-#: stays zero through the whole sweep.
+#: How many kernel rows were demoted to the scalar product because their
+#: factor exponents were non-finite or overflow-adjacent.  Zero on every
+#: sane representative; the fleet-scaling bench asserts it stays zero
+#: through the whole sweep.
 _SCALAR_DEMOTIONS = 0
 
 #: The estimate of every row the whole-row bound rules out (immutable,
@@ -122,7 +94,7 @@ _NO_USEFULNESS = Usefulness(nodoc=0.0, avgsim=0.0)
 
 
 def fallback_count() -> int:
-    """Engine rows demoted to the scalar product since the last reset."""
+    """Kernel rows demoted to the scalar product since the last reset."""
     return _SCALAR_DEMOTIONS
 
 
@@ -132,108 +104,119 @@ def reset_fallback_count() -> None:
     _SCALAR_DEMOTIONS = 0
 
 
+class _Rows(NamedTuple):
+    """Stacked (query, engine) rows, row ``i * E + e`` being query ``i`` on
+    engine ``e``: ``(R, W)`` statistics and query weights (a short query
+    padded with unmatched columns), ``(R,)`` per-row constants."""
+
+    p: np.ndarray
+    w: np.ndarray
+    sigma: np.ndarray
+    mw: np.ndarray
+    u: np.ndarray
+    matched: np.ndarray
+    n: np.ndarray
+    binary_mean_w: np.ndarray
+    n_terms: np.ndarray
+
+
+def _gather_rows(store: FleetRepresentativeStore, queries: List[Query]) -> _Rows:
+    """Each query's gathered ``(E, Q)`` block, stacked into (query, engine)
+    rows and padded with unmatched columns to the longest query."""
+    n_queries, n_engines = len(queries), len(store)
+    widths = [len(q.terms) for q in queries]
+    shape = (n_queries * n_engines, max(widths))
+    p, w, sigma, u = np.zeros((4, *shape))
+    mw = np.full(shape, np.nan)
+    for i, (query, k) in enumerate(zip(queries, widths)):
+        block = slice(i * n_engines, (i + 1) * n_engines)
+        ids = store.vocab.ids_of(query.terms)
+        p[block, :k], w[block, :k], sigma[block, :k], mw[block, :k] = store.gather(ids)
+        u[block, :k] = query.normalized_weights()
+    return _Rows(
+        p=p, w=w, sigma=sigma, mw=mw, u=u, matched=p > 0.0,
+        n=np.concatenate([store.n_documents] * n_queries),
+        binary_mean_w=np.concatenate([store.binary_mean_w] * n_queries),
+        n_terms=np.repeat(np.array(widths), n_engines),
+    )
+
+
+def require_kernel(estimator: UsefulnessEstimator) -> None:
+    """``TypeError`` unless ``estimator``'s exact type has a batched kernel."""
+    if type(estimator) not in _KERNELS:
+        raise TypeError(f"{type(estimator).__name__} has no batched kernel")
+
+
+def fleet_usefulness_rows(
+    estimator: UsefulnessEstimator,
+    store: FleetRepresentativeStore,
+    queries: Sequence[Query],
+    thresholds: Sequence[float],
+) -> List[List[List[Usefulness]]]:
+    """Usefulness of every engine in ``store`` for every query at every
+    threshold, as one kernel call over (query, engine) rows.
+
+    Returns:
+        ``rows[q][t][e]`` — the estimate for ``queries[q]``,
+        ``thresholds[t]`` and engine ``store.engine_names[e]``,
+        bit-identical to the scalar estimator (and to per-query
+        :func:`fleet_usefulness_grid` calls).  ``estimator`` must be one
+        of the six kernel types (:func:`require_kernel`).
+    """
+    require_kernel(estimator)
+    thresholds = [float(t) for t in thresholds]
+    queries = list(queries)
+    n_engines = len(store)
+    if n_engines == 0 or not queries:
+        return [[[] for __ in thresholds] for __ in queries]
+    flat = _KERNELS[type(estimator)](
+        estimator, _gather_rows(store, queries), thresholds
+    )
+    if len(queries) == 1:
+        return [flat]
+    return [
+        [row[i * n_engines : (i + 1) * n_engines] for row in flat]
+        for i in range(len(queries))
+    ]
+
+
 def fleet_usefulness_grid(
     estimator: UsefulnessEstimator,
     store: FleetRepresentativeStore,
     query: Query,
     thresholds: Sequence[float],
-    polycache=None,
 ) -> List[List[Usefulness]]:
-    """Usefulness of every engine in ``store`` at every threshold.
+    """:func:`fleet_usefulness_rows` for one query: ``grid[t][e]``."""
+    return fleet_usefulness_rows(estimator, store, [query], thresholds)[0]
 
-    Args:
-        estimator: Any estimator.  The five exact types in
-            ``_BATCHED_TYPES`` run their batched kernel; anything else is
-            evaluated per engine row with its own ``estimate_many``.
-        store: The packed fleet; rows follow its ``engine_names`` order.
-        query: The query.
-        thresholds: Thresholds to read out (the expansion estimators share
-            one expansion across all of them, like ``estimate_many``).
-        polycache: Optional term-polynomial cache, handed to per-row
-            expansion estimators only — they build factors one
-            ``term_polynomial`` call at a time, which is what it memoizes.
-            The batched kernels compute every factor in one numpy pass
-            and never touch it.
 
-    The three expansion estimators first bound each engine's whole row:
-    if the sum of its matched factors' largest exponents cannot pass the
-    smallest threshold (after the threshold cut's rounding margin), every
-    tail it could read is empty, so it gets the shared ``(0.0, 0.0)``
-    estimate and no kernel row; a call where every engine is ruled out
-    expands nothing.  That is the threshold cut's own exactness argument
-    one step early, so the grid stays bit-identical to the scalar
-    estimator, which expands every engine in full.
-
-    Returns:
-        ``grid[t][e]`` — the estimate for ``thresholds[t]`` and engine
-        ``store.engine_names[e]``, bit-identical to the scalar estimator.
-    """
-    thresholds = [float(t) for t in thresholds]
-    if len(store) == 0:
-        return [[] for __ in thresholds]
-    if type(estimator) not in _BATCHED_TYPES:
-        return _per_row_grid(estimator, store, query, thresholds, polycache)
-    ids = store.vocab.ids_of(query.terms)
-    p, w, sigma, mw = store.gather(ids)
-    u = np.asarray(query.normalized_weights(), dtype=np.float64)
-    n = store.n_documents
-    matched = p > 0.0
-    if isinstance(estimator, GlossHighCorrelationEstimator):
-        return _gloss_hc_grid(p, w, u, n, matched, thresholds)
-    if isinstance(estimator, GlossDisjointEstimator):
-        return _gloss_disjoint_grid(p, w, u, n, matched, thresholds)
-    # Per (engine, term): the factor's largest exponent (the threshold
-    # cut's headroom) and largest |exponent|.  Query weights are positive,
-    # so for subrange both are u * mw_eff: the singleton sits on it, every
-    # median clips to it and the miss slot is 0.
-    if isinstance(estimator, SubrangeEstimator):
-        top = u[None, :] * estimator.effective_max(w, sigma, mw)
-        headroom = magnitude = top
-        stats = (p, w, sigma, mw)
-    else:
-        mean_w = (
-            w if isinstance(estimator, BasicEstimator)
-            else store.binary_mean_w[:, None]
-        )
-        x = u[None, :] * mean_w
-        headroom, magnitude = np.maximum(x, 0.0), np.abs(x)
-        stats = (x, p)
-    # Worst-case exponent accumulation per engine.
-    bound = np.where(matched, magnitude, 0.0).sum(axis=1)
-    n_engines = len(store)
-    live = _live_rows(matched, headroom, bound, thresholds)
-    if not estimator.registry.null:
-        estimator.registry.counter("estimator.rows.skipped").inc(
-            n_engines - live.size
-        )
-    if live.size == 0:
-        return [[_NO_USEFULNESS] * n_engines for __ in thresholds]
-    if live.size < n_engines:
-        stats = tuple(a[live] for a in stats)
-        matched, headroom, bound, n = (
-            matched[live], headroom[live], bound[live], n[live]
-        )
-    if isinstance(estimator, SubrangeEstimator):
-        grid = _subrange_grid(
-            estimator, *stats, u, n, matched, headroom, bound, thresholds
-        )
-    else:
-        grid = _expansion_grid(
-            estimator, *stats, matched, headroom, bound, n, thresholds
-        )
-    if live.size == n_engines:
-        return grid
-    rows = live.tolist()
-    spread = []
-    for values in grid:
-        row = [_NO_USEFULNESS] * n_engines
-        for e, value in zip(rows, values):
-            row[e] = value
-        spread.append(row)
-    return spread
+def fleet_tails(
+    estimator: UsefulnessEstimator,
+    store: FleetRepresentativeStore,
+    query: Query,
+) -> Callable[[Sequence[float]], Tuple[np.ndarray, np.ndarray]]:
+    """Every engine's full (uncut) expansion for ``query`` in one kernel
+    call, as ``tails(thresholds) -> (mass, moment)`` of shape
+    ``(len(thresholds), engines)``: the batch's
+    :meth:`~repro.core.genfunc.BatchedGenFunc.tail_profile`, each column
+    bit-identical to the scalar ``GenFunc.tail_profile``.  Expansion
+    estimators only."""
+    if type(estimator) not in _EXPANSIONS:
+        raise TypeError(f"{type(estimator).__name__} has no full expansion")
+    rows = _gather_rows(store, [query])
+    floor = np.full(len(store), -np.inf)
+    inputs = _EXPANSIONS[type(estimator)](estimator, rows)
+    return _expand_live(estimator, *inputs, rows.n_terms, floor)[1]
 
 
 # -- shared expansion machinery ----------------------------------------------
+
+
+def _take(live: np.ndarray, n_rows: int, *arrays: np.ndarray) -> tuple:
+    """``arrays`` restricted to the ``live`` rows (as is when all are)."""
+    if live.size == n_rows:
+        return arrays
+    return tuple(a[live] for a in arrays)
 
 
 def _unsafe_rows(exponent_bound: np.ndarray) -> np.ndarray:
@@ -243,40 +226,10 @@ def _unsafe_rows(exponent_bound: np.ndarray) -> np.ndarray:
     return ~(exponent_bound < _EXPONENT_CEILING)
 
 
-def _per_row_grid(
-    estimator: UsefulnessEstimator,
-    store: FleetRepresentativeStore,
-    query: Query,
-    thresholds: List[float],
-    polycache,
-) -> List[List[Usefulness]]:
-    """The grid of an estimator without a batched kernel: its own
-    ``estimate_many`` per engine row, reading the packed store through a
-    :class:`FleetRepresentativeRef` (bit-exact term statistics).  The
-    inherited :meth:`ExpansionEstimator.estimate_many` also takes the
-    term-polynomial cache; an override keeps its own signature."""
-    inherited = (
-        getattr(estimator.estimate_many, "__func__", None)
-        is ExpansionEstimator.estimate_many
-    )
-    columns = [
-        estimator.estimate_many(
-            query,
-            FleetRepresentativeRef(name, store),
-            thresholds,
-            *((polycache, name) if inherited else ()),
-        )
-        for name in store.engine_names
-    ]
-    return [[column[i] for column in columns] for i in range(len(thresholds))]
-
-
 def _report_expansions(registry, batch: BatchedGenFunc, seconds: float) -> None:
-    """The ``estimator.*`` series :meth:`ExpansionEstimator.expand` reports
-    on the scalar path: one size observation per kernel row — each engine
-    the whole-row bound left live — and the batched product's duration as
-    one sample (a demoted row shows as the one-term identity its batch
-    slot still holds)."""
+    """The ``estimator.*`` series of :meth:`ExpansionEstimator.expand`: one
+    size observation per kernel row (a demoted row shows as the one-term
+    identity its batch slot holds), the product's duration as one sample."""
     registry.counter("estimator.expansions").inc(batch.n_rows)
     registry.histogram(
         "estimator.expansion.seconds", buckets=LATENCY_BUCKETS
@@ -286,54 +239,47 @@ def _report_expansions(registry, batch: BatchedGenFunc, seconds: float) -> None:
         sizes.observe(n_terms)
 
 
-def _demote_rows(
-    est,
-    rows: np.ndarray,
-    polys_of,
-    thresholds: List[float],
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Scalar ``GenFunc.product`` tails for the demoted rows, counted."""
+def _demote_rows(est, rows, matched, factor_rows) -> Dict[int, GenFunc]:
+    """Scalar ``GenFunc.product`` expansions of the demoted rows, over the
+    very factors the batch would have multiplied, counted."""
     global _SCALAR_DEMOTIONS
-    tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for e in rows.tolist():
-        tails[e] = GenFunc.product(polys_of(e)).tail_profile(thresholds)
-    _SCALAR_DEMOTIONS += len(tails)
-    est.registry.counter("vectorized.scalar_demotions").inc(len(tails))
-    return tails
+    demoted = {}
+    for r in rows.tolist():
+        polys = []
+        for j in np.nonzero(matched[r])[0].tolist():
+            fexp, fcoef, flen = factor_rows(np.array([r]), j)
+            width = fexp.shape[1] if flen is None else int(flen[0])
+            polys.append((fexp[0, :width], fcoef[0, :width]))
+        demoted[r] = GenFunc.product(polys)
+    _SCALAR_DEMOTIONS += len(demoted)
+    est.registry.counter("vectorized.scalar_demotions").inc(len(demoted))
+    return demoted
 
 
-def _grid_readout(
-    est,
-    batch: BatchedGenFunc,
-    n: np.ndarray,
-    thresholds: List[float],
-    scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    started: float,
-) -> List[List[Usefulness]]:
-    """Batched tails -> per-threshold Usefulness rows (scalar-identical
-    ``nodoc = n * mass`` / ``avgsim = moment / mass`` arithmetic); an
-    instrumented estimator gets its expansion series for the product that
-    began at ``started``."""
-    if not est.registry.null:
-        _report_expansions(est.registry, batch, time.perf_counter() - started)
-    mass, moment = batch.tail_profile(thresholds)
-    for e, (row_mass, row_moment) in scalar_tails.items():
-        mass[:, e] = row_mass
-        moment[:, e] = row_moment
-    n_f = n.astype(np.float64)
-    grid = []
-    for i in range(len(thresholds)):
-        m = mass[i]
-        nodoc = n_f * m
-        positive = m > 0.0
-        avgsim = np.where(positive, moment[i] / np.where(positive, m, 1.0), 0.0)
-        grid.append(
-            [
-                Usefulness(nodoc=nd, avgsim=av)
-                for nd, av in zip(nodoc.tolist(), avgsim.tolist())
-            ]
-        )
-    return grid
+def _no_tails(thresholds):
+    """The ``(mass, moment)`` tails of no rows at all."""
+    return (np.empty((len(thresholds), 0)),) * 2
+
+
+def _boxed(n, mass, moment, live, n_rows) -> List[Usefulness]:
+    """One Usefulness per row: the ``live`` rows from their tails
+    (scalar-identical ``nodoc = n * mass`` / ``avgsim = moment / mass``
+    arithmetic), every other row the shared ``(0.0, 0.0)``."""
+    if live.size == 0:
+        return [_NO_USEFULNESS] * n_rows
+    nodoc = n.astype(np.float64) * mass
+    positive = mass > 0.0
+    avgsim = np.where(positive, moment / np.where(positive, mass, 1.0), 0.0)
+    values = [
+        Usefulness(nodoc=nd, avgsim=av)
+        for nd, av in zip(nodoc.tolist(), avgsim.tolist())
+    ]
+    if live.size == n_rows:
+        return values
+    row = [_NO_USEFULNESS] * n_rows
+    for r, value in zip(live.tolist(), values):
+        row[r] = value
+    return row
 
 
 def _cut_floor(thresholds: List[float]) -> float:
@@ -342,15 +288,15 @@ def _cut_floor(thresholds: List[float]) -> float:
     return min((t for t in thresholds if t == t), default=float("inf"))
 
 
-def _cut_margin(n_terms: int, bound: np.ndarray, floor: float) -> np.ndarray:
+def _cut_margin(n_terms, bound: np.ndarray, floor) -> np.ndarray:
     """Per-row rounding-drift margin of the threshold cut (derived in
     :func:`_threshold_cuts`)."""
     unit = 10.0 ** -DECIMALS
-    return (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + abs(floor)))
+    return (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + np.abs(floor)))
 
 
-def _live_rows(matched, headroom, bound, thresholds) -> np.ndarray:
-    """Indices of the engine rows that may read a non-empty tail.
+def _live_rows(matched, headroom, bound, n_terms, floor) -> np.ndarray:
+    """Indices of the rows that may read a non-empty tail.
 
     A row is dead when even its initial ``1 * X^0`` term falls at or
     below the cut before the first multiply: ``sum(headroom) <= floor -
@@ -359,73 +305,78 @@ def _live_rows(matched, headroom, bound, thresholds) -> np.ndarray:
     read at ``T >= floor`` (or NaN) is the empty tail ``(0.0, 0.0)`` —
     the argument of :class:`~repro.core.genfunc.BatchedGenFunc`'s cut,
     applied one step earlier.  A NaN sum compares false and stays live
-    (the demotion path sees it); a non-finite floor keeps every row.
+    (the demotion path sees it); a row with a non-finite floor is kept.
     """
-    floor = _cut_floor(thresholds)
-    if not math.isfinite(floor):
+    finite = np.isfinite(floor)
+    if not finite.any():
         return np.arange(matched.shape[0])
+    at = np.where(finite, floor, 0.0)
     total = np.where(matched, headroom, 0.0).sum(axis=1)
-    dead = total <= floor - _cut_margin(matched.shape[1], bound, floor)
+    dead = finite & (total <= at - _cut_margin(n_terms, bound, at))
     return np.nonzero(~dead)[0]
 
 
-def _threshold_cuts(matched, headroom, bound, thresholds):
-    """Per ``(engine, term)`` cut for the threshold-aware expansion (see
+def _threshold_cuts(matched, headroom, bound, n_terms, floor):
+    """Per ``(row, term)`` cut for the threshold-aware expansion (see
     :class:`BatchedGenFunc`), or ``None`` when nothing may be cut.
 
-    After term ``j`` an engine's cut is ``floor - H_j - margin``:
+    After term ``j`` a row's cut is ``floor - H_j - margin``:
 
-    * ``floor`` is the smallest threshold read.  NaN and ``+inf`` read an
-      empty tail and constrain nothing; a ``-inf`` threshold (or none
-      finite) reads everything, so nothing is cut.
+    * ``floor`` is the smallest threshold the row reads.  NaN and ``+inf``
+      read an empty tail and constrain nothing; a ``-inf`` threshold (or
+      none finite) reads everything, so the row is not cut (``-inf``).
     * ``H_j`` sums ``headroom`` — at least each matched factor's largest
       exponent — over the terms after ``j``.
     * ``margin = (Q + 2) * (4 * 10**-d + 1e-12 * (1 + bound + |floor|))``
-      for a ``Q``-term query and ``d = DECIMALS``.  One multiply moves a
-      value by its factor exponent plus at most ``10**-d / 2`` of rounding
-      plus a few float ulps (``<= 5 * 2**-53`` relative to magnitudes
-      ``<= bound + Q * 10**-d``); summing ``H_j`` and computing the cut
-      itself err by a few more relative ulps.  Per remaining step
+      for the row's ``Q``-term query and ``d = DECIMALS``.  One multiply
+      moves a value by its factor exponent plus at most ``10**-d / 2`` of
+      rounding plus a few float ulps (``<= 5 * 2**-53`` relative to
+      magnitudes ``<= bound + Q * 10**-d``); summing ``H_j`` and computing
+      the cut itself err by a few more relative ulps.  Per remaining step
       ``4 * 10**-d`` covers the rounding and ``1e-12`` relative covers
       every ulp term with room to spare, so a term at or below its cut
       ends at or below ``floor``.
     """
-    floor = _cut_floor(thresholds)
-    if not math.isfinite(floor):
+    finite = np.isfinite(floor)
+    if not finite.any():
         return None
-    margin = _cut_margin(matched.shape[1], bound, floor)
+    at = np.where(finite, floor, 0.0)
+    margin = _cut_margin(n_terms, bound, at)
     head = np.where(matched, headroom, 0.0)
     after = np.zeros_like(head)
     after[:, :-1] = np.cumsum(head[:, :0:-1], axis=1)[:, ::-1]
     # Finite on every vectorizable row; demoted rows (non-finite bound or
     # headroom) never reach the kernel.
-    return floor - after - margin[:, None]
+    cuts = at[:, None] - after - margin[:, None]
+    cuts[~finite] = -np.inf
+    return cuts
 
 
-def _batched_expansion(
-    est, matched, bound, headroom, factor_rows, scalar_polys, n, thresholds
-) -> List[List[Usefulness]]:
-    """The batched twin of :meth:`ExpansionEstimator.expand`: one
-    multiply-and-merge per query term across the engine axis.
-
-    The per-estimator part — the counterpart of ``term_polynomial`` — is
-    two callables: ``factor_rows(rows, j)`` returns term ``j``'s
-    ``(exponents, coeffs, lengths)`` for the engine ``rows``, and
-    ``scalar_polys(e)`` engine ``e``'s factor list for the demotion path.
-    ``bound`` is each engine's worst-case accumulated exponent magnitude;
-    rows where it is unsafe are demoted to the scalar product.
-    ``headroom[e, j]`` is at least the largest exponent of engine ``e``'s
-    factor for term ``j``: with it, each multiply drops the terms that
-    can no longer exceed any threshold read (:func:`_threshold_cuts`).
-    """
+def _expand_live(est, matched, headroom, magnitude, factors, n_terms, floor):
+    """``(live, tails)``: the rows the whole-row bound leaves live and
+    ``tails(thresholds) -> (mass, moment)`` over their expansion.
+    ``headroom`` / ``magnitude`` bound each factor's largest exponent /
+    ``|exponent|``; ``floor`` is each row's smallest threshold read;
+    ``factors(live)`` returns ``factor_rows(rows, j)``, term ``j``'s
+    ``(exponents, coeffs, lengths)`` for the live-row indices ``rows``."""
+    n_rows = matched.shape[0]
+    bound = np.where(matched, magnitude, 0.0).sum(axis=1)
+    live = _live_rows(matched, headroom, bound, n_terms, floor)
+    if not est.registry.null:
+        est.registry.counter("estimator.rows.skipped").inc(n_rows - live.size)
+    if live.size == 0:
+        return live, _no_tails
+    matched, headroom, bound, n_terms, floor = _take(
+        live, n_rows, matched, headroom, bound, n_terms, floor
+    )
+    factor_rows = factors(live)
     started = time.perf_counter()
-    n_engines, n_terms = matched.shape
     demoted = _unsafe_rows(bound)
     vectorizable = ~demoted
-    cuts = _threshold_cuts(matched, headroom, bound, thresholds)
+    cuts = _threshold_cuts(matched, headroom, bound, n_terms, floor)
 
     def term_factors():
-        for j in range(n_terms):
+        for j in range(matched.shape[1]):
             rows = np.nonzero(matched[:, j] & vectorizable)[0]
             if rows.size:
                 yield (
@@ -433,36 +384,58 @@ def _batched_expansion(
                     None if cuts is None else cuts[rows, j],
                 )
 
-    batch = BatchedGenFunc.product(n_engines, term_factors())
-    scalar_tails: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    batch = BatchedGenFunc.product(live.size, term_factors())
+    scalar = {}
     if demoted.any():
-        scalar_tails = _demote_rows(
-            est, np.nonzero(demoted)[0], scalar_polys, thresholds
+        scalar = _demote_rows(
+            est, np.nonzero(demoted)[0], matched, factor_rows
         )
-    return _grid_readout(est, batch, n, thresholds, scalar_tails, started)
+    if not est.registry.null:
+        _report_expansions(est.registry, batch, time.perf_counter() - started)
+
+    def tails(thresholds):
+        mass, moment = batch.tail_profile(thresholds)
+        for r, expansion in scalar.items():
+            mass[:, r], moment[:, r] = expansion.tail_profile(thresholds)
+        return mass, moment
+
+    return live, tails
+
+
+def _expansion_grid(est, rows: _Rows, thresholds: List[float]):
+    """An expansion estimator: every row reads every threshold."""
+    n_rows = rows.p.shape[0]
+    floor = np.full(n_rows, _cut_floor(thresholds))
+    live, tails = _expand_live(
+        est, *_EXPANSIONS[type(est)](est, rows), rows.n_terms, floor
+    )
+    mass, moment = tails(thresholds)
+    n = rows.n[live]
+    return [_boxed(n, m, mo, live, n_rows) for m, mo in zip(mass, moment)]
 
 
 # -- subrange: batched factor tensor -----------------------------------------
 
 
-def _subrange_grid(
-    est, p, w, sigma, mw, u, n, matched, headroom, bound, thresholds
-):
-    """All subrange polynomial factors in one numpy pass
-    (:meth:`SubrangeEstimator.factor_grid`), sliced per term for the
-    batched product."""
-    exps, coeffs, has_max_row, remaining = est.factor_grid(p, w, sigma, mw, u, n)
-    n_sub = est._offsets.size
-    return _batched_expansion(
-        est, matched, bound, headroom,
-        lambda rows, j: _subrange_factor_rows(
-            exps, coeffs, has_max_row, remaining, rows, j, n_sub
-        ),
-        lambda e: _subrange_scalar_polys(
-            exps, coeffs, has_max_row, remaining, matched, e, n_sub
-        ),
-        n, thresholds,
-    )
+def _subrange_inputs(est, rows: _Rows):
+    """All subrange factors from one :meth:`SubrangeEstimator.factor_grid`
+    pass.  Query weights are positive, so a factor's largest exponent and
+    largest ``|exponent|`` are both ``u * mw_eff`` (singleton, clipped
+    medians and a miss slot at 0)."""
+    top = rows.u * est.effective_max(rows.w, rows.sigma, rows.mw)
+
+    def factors(live):
+        p, w, sigma, mw, u, n = _take(
+            live, rows.p.shape[0], rows.p, rows.w, rows.sigma, rows.mw,
+            rows.u, rows.n,
+        )
+        tensors = est.factor_grid(p, w, sigma, mw, u, n)
+        n_sub = est._offsets.size
+        return lambda kernel_rows, j: _subrange_factor_rows(
+            *tensors, kernel_rows, j, n_sub
+        )
+
+    return rows.matched, top, top, factors
 
 
 def _subrange_factor_rows(exps, coeffs, has_max_row, remaining, rows, j, n_sub):
@@ -506,90 +479,97 @@ def _subrange_factor_rows(exps, coeffs, has_max_row, remaining, rows, j, n_sub):
     return fexp, fcoef, flen
 
 
-def _subrange_scalar_polys(exps, coeffs, has_max_row, remaining, matched, e, n_sub):
-    """Engine ``e``'s factor list, sliced from the same tensors the batch
-    uses — the demotion path's input to the scalar ``GenFunc.product``."""
-    head_tail = np.array([0, n_sub + 1])
-    polys = []
-    for j in range(matched.shape[1]):
-        if not matched[e, j]:
+# -- basic / binary / prev: two-point factors --------------------------------
+
+
+def _two_point_inputs(x, p, matched):
+    """The two-point factors ``p * X^x + (1-p)`` (basic, binary, prev)."""
+
+    def factors(live):
+        xs, ps = _take(live, x.shape[0], x, p)
+
+        def factor_rows(rows, j):
+            fexp = np.zeros((rows.size, 2))
+            fexp[:, 0] = xs[rows, j]
+            fcoef = np.empty((rows.size, 2))
+            fcoef[:, 0] = ps[rows, j]
+            fcoef[:, 1] = 1.0 - ps[rows, j]
+            return fexp, fcoef, None  # every row uses the full width
+
+        return factor_rows
+
+    return matched, np.maximum(x, 0.0), np.abs(x), factors
+
+
+def _prev_grid(est, rows: _Rows, thresholds: List[float]):
+    """The previous method: kernel row ``t * R + r`` is row ``r`` at
+    ``thresholds[t]``, expanded over the :func:`adjust_terms` pairs with
+    ``adjusted_p > 0`` (as the scalar estimator), read at its own T."""
+    n_rows, width = rows.p.shape
+    n_thresholds = len(thresholds)
+    adjusted_p = np.zeros((n_thresholds * n_rows, width))
+    adjusted_w = np.zeros((n_thresholds * n_rows, width))
+    u, p, w, sigma = (a.tolist() for a in (rows.u, rows.p, rows.w, rows.sigma))
+    for r, matched in enumerate(rows.matched.tolist()):
+        cols = [j for j, hit in enumerate(matched) if hit]
+        if not cols:
             continue
-        if has_max_row[e]:
-            if remaining[e, j] > 0.0:
-                polys.append((exps[e, j], coeffs[e, j]))
-            else:
-                polys.append((exps[e, j, head_tail], coeffs[e, j, head_tail]))
-        else:
-            polys.append((exps[e, j, 1:], coeffs[e, j, 1:]))
-    return polys
-
-
-# -- basic / binary: two-point factors ---------------------------------------
-
-
-def _expansion_grid(est, x, p, matched, headroom, bound, n, thresholds):
-    """The two-point factors ``p * X^x + (1-p)`` of the basic and
-    binary-independence estimators, built per term for the batched
-    product."""
-
-    def factor_rows(rows, j):
-        fexp = np.zeros((rows.size, 2))
-        fexp[:, 0] = x[rows, j]
-        fcoef = np.empty((rows.size, 2))
-        fcoef[:, 0] = p[rows, j]
-        fcoef[:, 1] = 1.0 - p[rows, j]
-        return fexp, fcoef, None  # every row uses the full width
-
-    def scalar_polys(e):
-        return [
-            (np.array([x[e, j], 0.0]), np.array([p[e, j], 1.0 - p[e, j]]))
-            for j in range(x.shape[1])
-            if matched[e, j]
-        ]
-
-    return _batched_expansion(
-        est, matched, bound, headroom, factor_rows, scalar_polys,
-        n, thresholds,
+        terms = [(u[r][j], p[r][j], w[r][j], sigma[r][j]) for j in cols]
+        for t, pairs in enumerate(adjust_terms(terms, thresholds)):
+            kernel_row = t * n_rows + r
+            for j, (ap, aw) in zip(cols, pairs):
+                adjusted_p[kernel_row, j] = ap
+                adjusted_w[kernel_row, j] = aw
+    x = np.tile(rows.u, (n_thresholds, 1)) * adjusted_w
+    floor = np.repeat(thresholds, n_rows)  # NaN, like inf: nothing is cut
+    live, tails = _expand_live(
+        est, *_two_point_inputs(x, adjusted_p, ~(adjusted_p <= 0.0)),
+        np.tile(rows.n_terms, n_thresholds), floor,
     )
+    mass, moment = tails(thresholds)
+    own, cols = live // n_rows, np.arange(live.size)
+    flat = _boxed(
+        np.tile(rows.n, n_thresholds)[live], mass[own, cols],
+        moment[own, cols], live, n_thresholds * n_rows,
+    )
+    return [flat[t * n_rows : (t + 1) * n_rows] for t in range(n_thresholds)]
 
 
 # -- gGlOSS ------------------------------------------------------------------
 
 
-def _gloss_hc_grid(p, w, u, n, matched, thresholds):
-    """High-correlation bands across the engine axis.
+def _gloss_hc_grid(est, rows: _Rows, thresholds: List[float]):
+    """High-correlation bands across the row axis.
 
-    Matched terms sort per engine by ``(df, u, w)`` ascending with original
+    Matched terms sort per row by ``(df, u, w)`` ascending with original
     position as the final tiebreak — the exact order Python's stable tuple
-    sort produces in the scalar estimator.  Unmatched terms sort last
-    (``df = inf``) with zero contributions, so the suffix-similarity chain
-    accumulates in the scalar order with bit-inert +0.0 prefixes.
+    sort produces in the scalar estimator.  Unmatched terms (padding
+    included) sort last (``df = inf``) with zero contributions, so the
+    suffix-similarity chain accumulates in the scalar order with bit-inert
+    +0.0 prefixes.
     """
-    n_engines, n_terms = p.shape
-    n_f = n.astype(np.float64)
-    dfs = p * n_f[:, None]
-    contrib = u[None, :] * w
+    p, w, u, matched = rows.p, rows.w, rows.u, rows.matched
+    n_rows, n_terms = p.shape
+    dfs = p * rows.n.astype(np.float64)[:, None]
     df_key = np.where(matched, dfs, np.inf)
-    u_key = np.where(matched, np.broadcast_to(u, p.shape), 0.0)
+    u_key = np.where(matched, u, 0.0)
     w_key = np.where(matched, w, 0.0)
-    row = np.repeat(np.arange(n_engines), n_terms)
-    col = np.tile(np.arange(n_terms), n_engines)
+    row = np.repeat(np.arange(n_rows), n_terms)
+    col = np.tile(np.arange(n_terms), n_rows)
     order = np.lexsort(
         (col, w_key.ravel(), u_key.ravel(), df_key.ravel(), row)
     )
-    df_s = df_key.ravel()[order].reshape(n_engines, n_terms)
-    c_s = (
-        np.where(matched, contrib, 0.0).ravel()[order].reshape(n_engines, n_terms)
-    )
-    m_s = matched.ravel()[order].reshape(n_engines, n_terms)
+    df_s = df_key.ravel()[order].reshape(n_rows, n_terms)
+    c_s = np.where(matched, u * w, 0.0).ravel()[order].reshape(n_rows, n_terms)
+    m_s = matched.ravel()[order].reshape(n_rows, n_terms)
     suffix = np.cumsum(c_s[:, ::-1], axis=1)[:, ::-1]
-    prev = np.hstack([np.zeros((n_engines, 1)), df_s[:, :-1]])
+    prev = np.hstack([np.zeros((n_rows, 1)), df_s[:, :-1]])
     with np.errstate(invalid="ignore"):
         pop = df_s - prev
         grid = []
         for t in thresholds:
-            nodoc = np.zeros(n_engines)
-            sim_sum = np.zeros(n_engines)
+            nodoc = np.zeros(n_rows)
+            sim_sum = np.zeros(n_rows)
             for i in range(n_terms):
                 cond = m_s[:, i] & (pop[:, i] > 0.0) & (suffix[:, i] > t)
                 nodoc = nodoc + np.where(cond, pop[:, i], 0.0)
@@ -600,18 +580,17 @@ def _gloss_hc_grid(p, w, u, n, matched, thresholds):
     return grid
 
 
-def _gloss_disjoint_grid(p, w, u, n, matched, thresholds):
+def _gloss_disjoint_grid(est, rows: _Rows, thresholds: List[float]):
     """Disjoint-assumption groups, accumulated in query-term order."""
-    n_engines, n_terms = p.shape
-    n_f = n.astype(np.float64)
-    dfs = p * n_f[:, None]
-    contrib = u[None, :] * w
+    n_rows, n_terms = rows.p.shape
+    dfs = rows.p * rows.n.astype(np.float64)[:, None]
+    contrib = rows.u * rows.w
     grid = []
     for t in thresholds:
-        nodoc = np.zeros(n_engines)
-        sim_sum = np.zeros(n_engines)
+        nodoc = np.zeros(n_rows)
+        sim_sum = np.zeros(n_rows)
         for j in range(n_terms):
-            cond = matched[:, j] & (contrib[:, j] > t) & (dfs[:, j] > 0.0)
+            cond = rows.matched[:, j] & (contrib[:, j] > t) & (dfs[:, j] > 0.0)
             nodoc = nodoc + np.where(cond, dfs[:, j], 0.0)
             sim_sum = sim_sum + np.where(cond, dfs[:, j] * contrib[:, j], 0.0)
         grid.append(_usefulness_row(nodoc, sim_sum))
@@ -625,3 +604,24 @@ def _usefulness_row(nodoc: np.ndarray, sim_sum: np.ndarray) -> List[Usefulness]:
         Usefulness(nodoc=(nd if ok else 0.0), avgsim=av)
         for nd, av, ok in zip(nodoc.tolist(), avgsim.tolist(), positive.tolist())
     ]
+
+
+#: The expansion estimators' per-row factor inputs, by exact type.
+_EXPANSIONS = {
+    SubrangeEstimator: _subrange_inputs,
+    BasicEstimator: lambda est, rows: _two_point_inputs(
+        rows.u * rows.w, rows.p, rows.matched
+    ),
+    BinaryIndependenceEstimator: lambda est, rows: _two_point_inputs(
+        rows.u * rows.binary_mean_w[:, None], rows.p, rows.matched
+    ),
+}
+
+#: Every estimator type's kernel: ``kernel(estimator, rows, thresholds)``
+#: returns ``flat[t][r]`` over the stacked (query, engine) rows.
+_KERNELS = {
+    **dict.fromkeys(_EXPANSIONS, _expansion_grid),
+    PreviousMethodEstimator: _prev_grid,
+    GlossHighCorrelationEstimator: _gloss_hc_grid,
+    GlossDisjointEstimator: _gloss_disjoint_grid,
+}

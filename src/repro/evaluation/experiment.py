@@ -5,6 +5,10 @@ threshold grid x several estimation methods.  Each method pairs an estimator
 with the representative it is allowed to see — that is how the paper's
 quantized (Tables 7-9) and triplet (Tables 10-12) conditions are expressed:
 same estimator, degraded representative.
+
+Estimates come off the broker's batched kernel: one
+:func:`~repro.core.vectorized.fleet_usefulness_rows` call per chunk of
+queries, on a one-engine store holding the method's representative.
 """
 
 from __future__ import annotations
@@ -14,15 +18,21 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.base import UsefulnessEstimator
 from repro.core.truth import true_usefulness_many
+from repro.core.vectorized import fleet_usefulness_rows
 from repro.corpus.query import Query
 from repro.engine.search_engine import SearchEngine
 from repro.evaluation.metrics import MethodAccumulator, ThresholdMetrics
+from repro.representatives.columnar import FleetRepresentativeStore
 
 __all__ = ["MethodSpec", "ExperimentResult", "run_usefulness_experiment"]
 
 #: The paper's threshold grid (Section 4: Cosine keeps similarities in
 #: [0, 1], so no threshold above 1 — and nothing interesting below 0.1).
 PAPER_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+
+#: A kernel call takes consecutive queries while their worst-case widths
+#: (``8 ** terms``) fit: one 6-term query or eight 5-term ones at most.
+_CHUNK_WIDTH = 8 ** 6
 
 
 @dataclass
@@ -67,6 +77,18 @@ class ExperimentResult:
         return self.metrics[key]
 
 
+def _chunks(queries: Sequence[Query]):
+    """Consecutive runs of queries within the :data:`_CHUNK_WIDTH` budget."""
+    chunk, width = [], 0
+    for query in queries:
+        width += 8 ** len(query.terms)
+        if chunk and width > _CHUNK_WIDTH:
+            yield chunk
+            chunk, width = [], 8 ** len(query.terms)
+        chunk.append(query)
+    yield chunk
+
+
 def run_usefulness_experiment(
     engine: SearchEngine,
     queries: Sequence[Query],
@@ -94,16 +116,26 @@ def run_usefulness_experiment(
     if len(set(keys)) != len(keys):
         raise ValueError("method keys must be unique")
     accumulators = {m.key: MethodAccumulator(thresholds) for m in methods}
+    stores = {}  # one one-engine store per distinct representative
+    for rep in {id(m.representative): m.representative for m in methods}.values():
+        stores[id(rep)] = FleetRepresentativeStore()
+        stores[id(rep)].add(rep)
     total = len(queries)
-    for i, query in enumerate(queries):
-        truths = true_usefulness_many(engine, query, thresholds)
-        for method in methods:
-            estimates = method.estimator.estimate_many(
-                query, method.representative, thresholds
+    done = 0
+    for chunk in _chunks(queries):
+        estimates = {
+            m.key: fleet_usefulness_rows(
+                m.estimator, stores[id(m.representative)], chunk, thresholds
             )
-            accumulators[method.key].add(truths, estimates)
-        if progress is not None and (i + 1) % 500 == 0:
-            progress(i + 1, total)
+            for m in methods
+        }
+        for offset, query in enumerate(chunk):
+            truths = true_usefulness_many(engine, query, thresholds)
+            for key, rows in estimates.items():
+                accumulators[key].add(truths, [row[0] for row in rows[offset]])
+            done += 1
+            if progress is not None and done % 500 == 0:
+                progress(done, total)
     return ExperimentResult(
         database=engine.name,
         n_documents=engine.n_documents,

@@ -9,6 +9,7 @@ merges their results under the global similarity function.
 from repro.metasearch.allocation import (
     allocate_documents,
     expected_nodoc_at,
+    plan_allocation,
     threshold_for_k,
 )
 from repro.metasearch.broker import (
@@ -42,6 +43,7 @@ __all__ = [
     "ThresholdPolicy",
     "TopKPolicy",
     "allocate_documents",
+    "plan_allocation",
     "expected_nodoc_at",
     "merge_hits",
     "threshold_for_k",

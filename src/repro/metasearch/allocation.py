@@ -12,34 +12,67 @@ share straight off its expansion.
 :func:`threshold_for_k` performs the inversion (NoDoc estimates are
 monotone non-increasing in the threshold, so bisection applies) and
 :func:`allocate_documents` turns the per-engine expectations into integer
-retrieval quotas via largest-remainder rounding.
+retrieval quotas via largest-remainder rounding; :func:`plan_allocation`
+returns both.  Each expands the fleet once, on the batched kernel
+(:func:`~repro.core.vectorized.fleet_tails`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import ExpansionEstimator
-from repro.core.genfunc import GenFunc
 from repro.core.subrange_estimator import SubrangeEstimator
+from repro.core.vectorized import fleet_tails
 from repro.corpus.query import Query
+from repro.representatives.columnar import FleetRepresentativeStore
+from repro.representatives.representative import DatabaseRepresentative
 
-__all__ = ["threshold_for_k", "allocate_documents", "expected_nodoc_at"]
+__all__ = [
+    "allocate_documents",
+    "expected_nodoc_at",
+    "plan_allocation",
+    "threshold_for_k",
+]
 
 
-def _expansions(
+def _nodoc_reader(
     query: Query,
     representatives: Dict[str, object],
     estimator: Optional[ExpansionEstimator],
-) -> Dict[str, Tuple[GenFunc, int]]:
-    estimator = estimator or SubrangeEstimator()
-    out = {}
-    for name, representative in representatives.items():
-        out[name] = (
-            estimator.expand(query, representative),
-            representative.n_documents,
-        )
-    return out
+) -> Callable[[float], List[float]]:
+    """Expand every engine once; read each one's NoDoc at a threshold."""
+    store = FleetRepresentativeStore()
+    for name, rep in representatives.items():
+        if rep.name != name:
+            rep = DatabaseRepresentative(name, rep.n_documents, dict(rep.items()))
+        store.add(rep)
+    tails = fleet_tails(estimator or SubrangeEstimator(), store, query)
+    n = store.n_documents
+    return lambda threshold: (n * tails([threshold])[0][0]).tolist()
+
+
+def _bisect(
+    nodoc_at: Callable[[float], List[float]], k: int, tolerance: float
+) -> float:
+    """The largest threshold whose fleet total NoDoc is at least ``k``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    lo, hi = 0.0, 1.0
+    # Extend the upper bracket if similarities can exceed 1 (e.g. pivoted
+    # normalization or unnormalized weights).
+    while sum(nodoc_at(hi)) >= k and hi < 1e6:
+        lo = hi
+        hi *= 2.0
+    if sum(nodoc_at(0.0)) < k:
+        return 0.0
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2.0
+        if sum(nodoc_at(mid)) >= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def expected_nodoc_at(
@@ -49,12 +82,8 @@ def expected_nodoc_at(
     estimator: Optional[ExpansionEstimator] = None,
 ) -> Dict[str, float]:
     """Per-engine expected NoDoc at one threshold."""
-    return {
-        name: expansion.est_nodoc(threshold, n)
-        for name, (expansion, n) in _expansions(
-            query, representatives, estimator
-        ).items()
-    }
+    nodoc = _nodoc_reader(query, representatives, estimator)(threshold)
+    return dict(zip(representatives, nodoc))
 
 
 def threshold_for_k(
@@ -71,51 +100,29 @@ def threshold_for_k(
     ``k``).  Bisection is exact here because every engine's NoDoc estimate
     is a non-increasing step function of the threshold.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    expansions = _expansions(query, representatives, estimator)
-
-    def total(threshold: float) -> float:
-        return sum(
-            expansion.est_nodoc(threshold, n)
-            for expansion, n in expansions.values()
-        )
-
-    lo, hi = 0.0, 1.0
-    # Extend the upper bracket if similarities can exceed 1 (e.g. pivoted
-    # normalization or unnormalized weights).
-    while total(hi) >= k and hi < 1e6:
-        lo = hi
-        hi *= 2.0
-    if total(0.0) < k:
-        return 0.0
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if total(mid) >= k:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    nodoc_at = _nodoc_reader(query, representatives, estimator)
+    return _bisect(nodoc_at, k, tolerance)
 
 
-def allocate_documents(
+def plan_allocation(
     query: Query,
     representatives: Dict[str, object],
     k: int,
     estimator: Optional[ExpansionEstimator] = None,
-) -> Dict[str, int]:
-    """Integer per-engine retrieval quotas summing to ``k``.
+) -> Tuple[float, Dict[str, int]]:
+    """``(threshold_for_k, allocate_documents)`` from one expansion.
 
     Engines receive quotas proportional to their expected NoDoc at the
     ``k``-threshold, rounded by largest remainder so the total is exactly
     ``k`` whenever the fleet is expected to supply it (when it is not, the
     expectation-weighted allocation of everything available is returned).
     """
-    threshold = threshold_for_k(query, representatives, k, estimator)
-    expected = expected_nodoc_at(query, representatives, threshold, estimator)
+    nodoc_at = _nodoc_reader(query, representatives, estimator)
+    threshold = _bisect(nodoc_at, k, 1e-6)
+    expected = dict(zip(representatives, nodoc_at(threshold)))
     total = sum(expected.values())
     if total <= 0.0:
-        return {name: 0 for name in representatives}
+        return threshold, {name: 0 for name in representatives}
     scale = min(k / total, 1.0)
     shares: List[Tuple[str, float]] = [
         (name, value * scale) for name, value in expected.items()
@@ -131,4 +138,14 @@ def allocate_documents(
             break
         quotas[name] += 1
         assigned += 1
-    return quotas
+    return threshold, quotas
+
+
+def allocate_documents(
+    query: Query,
+    representatives: Dict[str, object],
+    k: int,
+    estimator: Optional[ExpansionEstimator] = None,
+) -> Dict[str, int]:
+    """Integer per-engine quotas summing to ``k`` (:func:`plan_allocation`)."""
+    return plan_allocation(query, representatives, k, estimator)[1]

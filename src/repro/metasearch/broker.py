@@ -33,11 +33,11 @@ merge`` — and one of everything on that path:
   the thresholds the cache could not answer, populate the cache, sort.
   :meth:`~MetasearchBroker.estimate_all` is the batch of one,
   :meth:`~MetasearchBroker.estimate_batch` the general case and
-  :meth:`~MetasearchBroker.estimate_all_cached` the probe-only step.  The
-  grid is total — estimators without a batched kernel are evaluated per
-  engine row inside it — and bit-identical to the scalar estimators, which
-  stay public as the paper's reference algorithms and the oracle the test
-  suites compare against.
+  :meth:`~MetasearchBroker.estimate_all_cached` the probe-only step.  Every
+  estimator type has a batched kernel (any other type is refused at
+  construction with ``TypeError``), bit-identical to the scalar estimators,
+  which stay public as the paper's reference algorithms and the oracle the
+  test suites compare against.
 * **One dispatcher.**  A :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
   — parallel fan-out with per-dispatch timeout, bounded retry, and graceful
   degradation; ``workers=1`` (the default) is serial dispatch.
@@ -47,13 +47,12 @@ merge`` — and one of everything on that path:
 
 Two caches invalidate through the same per-engine registration hook (or
 per term, on a representative delta): the estimate cache of fleet rows,
-one per (query, threshold), which every request reads, and
-``broker.polycache`` — a
-:class:`~repro.metasearch.cache.TermPolynomialCache` of per-term
-``(exponents, coeffs)`` factors, used only by estimators the grid evaluates
-per engine row (the batched kernels build every factor in one numpy pass
-and never touch it).  Cached answers are bit-identical to fresh
-computation.
+one per (query, threshold), which every request reads (``cache_size=0``
+makes it the zero-capacity cache that holds nothing and counts every
+read as a miss), and ``broker.polycache`` — a
+:class:`~repro.metasearch.cache.TermPolynomialCache` nothing fills any more
+(the batched kernels build every factor in one numpy pass).  Cached answers
+are bit-identical to fresh computation.
 
 The whole pipeline is observable: every search builds a
 :class:`~repro.obs.QueryTrace` with one span per stage (``estimate``,
@@ -73,7 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.base import UsefulnessEstimator
 from repro.core.subrange_estimator import SubrangeEstimator
-from repro.core.vectorized import fleet_usefulness_grid
+from repro.core.vectorized import fleet_usefulness_grid, require_kernel
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
 from repro.engine.search_engine import SearchEngine
@@ -402,7 +401,8 @@ class MetasearchBroker(SearchPipeline):
 
     Args:
         estimator: Usefulness estimator applied to each representative; the
-            paper's subrange method by default.
+            paper's subrange method by default; a type without a batched
+            kernel (a subclass included) is a ``TypeError``.
         policy: Engine selection policy; the paper's threshold criterion
             (estimated NoDoc >= 1) by default.
         workers: Concurrent engine calls per search; ``1`` keeps the
@@ -414,7 +414,8 @@ class MetasearchBroker(SearchPipeline):
         retries: Extra attempts after an engine call raises.
         backoff: Base backoff in seconds between retry attempts.
         cache_size: Capacity of the estimate cache, in estimates (engines
-            × distinct (query, threshold) rows); ``0`` disables caching.
+            × distinct (query, threshold) rows); ``0`` disables caching
+            (a zero-capacity cache that still counts its misses).
         fleet: A pre-built
             :class:`~repro.representatives.columnar.FleetRepresentativeStore`
             to adopt instead of creating an empty one.  Shard workers use
@@ -443,8 +444,10 @@ class MetasearchBroker(SearchPipeline):
     ):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size!r}")
+        estimator = estimator or SubrangeEstimator()
+        require_kernel(estimator)
         super().__init__(policy, registry)
-        self.estimator = (estimator or SubrangeEstimator()).instrument(self.registry)
+        self.estimator = estimator.instrument(self.registry)
         self.dispatcher = ConcurrentDispatcher(
             workers=workers,
             timeout=timeout,
@@ -455,9 +458,7 @@ class MetasearchBroker(SearchPipeline):
         self.fleet: FleetRepresentativeStore = (
             fleet if fleet is not None else FleetRepresentativeStore()
         )
-        self.cache: Optional[EstimateCache] = (
-            EstimateCache(cache_size, registry=self.registry) if cache_size else None
-        )
+        self.cache = EstimateCache(cache_size, registry=self.registry)
         self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
@@ -542,8 +543,7 @@ class MetasearchBroker(SearchPipeline):
             self._rep_versions[engine.name] = version
         else:
             self._rep_versions.pop(engine.name, None)
-        if self.cache is not None:
-            self.cache.invalidate_engine(engine.name)
+        self.cache.invalidate_engine(engine.name)
         self.polycache.invalidate_engine(engine.name)
 
     @property
@@ -631,17 +631,15 @@ class MetasearchBroker(SearchPipeline):
         poly_evicted = poly_retained = 0
         if affected is not None:
             mode = "precise"
-            if self.cache is not None:
-                cache_evicted, cache_retained = self.cache.invalidate_terms(
-                    delta.name, affected
-                )
+            cache_evicted, cache_retained = self.cache.invalidate_terms(
+                delta.name, affected
+            )
             poly_evicted, poly_retained = self.polycache.invalidate_terms(
                 delta.name, affected
             )
         else:
             mode = "full"
-            if self.cache is not None:
-                cache_evicted = self.cache.invalidate_engine(delta.name)
+            cache_evicted = self.cache.invalidate_engine(delta.name)
             poly_evicted = self.polycache.invalidate_engine(delta.name)
             self._m_delta_full.inc()
         self._rep_versions[delta.name] = delta.to_version
@@ -721,7 +719,7 @@ class MetasearchBroker(SearchPipeline):
         hit/miss accounting untouched — and ``None`` otherwise.
         """
         names = self.fleet.engine_names
-        if cached_only and (self.cache is None or not names):
+        if cached_only and not names:
             return None
         groups: Dict[tuple, List[int]] = {}
         for i, query in enumerate(queries):
@@ -730,33 +728,25 @@ class MetasearchBroker(SearchPipeline):
         for query_key, members in groups.items():
             values: Dict[float, list] = {}
             for t in dict.fromkeys(thresholds[i] for i in members):
-                if self.cache is None:
-                    values[t] = [None] * len(names)
-                elif cached_only and not self.cache.peek_row(query_key, t, names):
+                if cached_only and not self.cache.peek_row(query_key, t, names):
                     return None
-                else:
-                    values[t] = self.cache.get_row(query_key, t, names)
+                values[t] = self.cache.get_row(query_key, t, names)
             missing = [t for t, row in values.items() if None in row]
             if missing:
                 if cached_only:  # raced an eviction between peek and get
                     return None
                 grid = fleet_usefulness_grid(
-                    self.estimator,
-                    self.fleet,
-                    queries[members[0]],
-                    missing,
-                    self.polycache,
+                    self.estimator, self.fleet, queries[members[0]], missing
                 )
                 for t, fresh in zip(missing, grid):
                     row = values[t]
                     holes = [e for e, cached in enumerate(row) if cached is None]
                     for e in holes:
                         row[e] = fresh[e]
-                    if self.cache is not None:
-                        self.cache.put_row(
-                            query_key, t, [names[e] for e in holes],
-                            [fresh[e] for e in holes],
-                        )
+                    self.cache.put_row(
+                        query_key, t, [names[e] for e in holes],
+                        [fresh[e] for e in holes],
+                    )
             ranked = {
                 t: sorted(
                     (

@@ -16,15 +16,14 @@ reuses: one entry, one lock and one index update per row, while capacity,
   ``(2, 2)`` describe the same query, and keying on them raw fragmented the
   cache into one entry per proportional variant.
 
-* :class:`TermPolynomialCache` — per-term factors, for estimators that
-  build them one ``term_polynomial`` call at a time (the scalar reference
-  path, and on the broker the estimators evaluated per engine row).  An
-  expansion estimator's ``(exponents, coeffs)`` factor is a pure function
-  of (estimator configuration, engine representative, term, normalized
-  query weight), so distinct queries sharing terms share factors even
-  when their estimate keys differ; a row is one ``(config, term, weight)``.
-  Unmatched terms are negatively cached (value ``None``).  The batched
-  fleet kernels compute every factor in one numpy pass and never touch it.
+* :class:`TermPolynomialCache` — per-term factors: an expansion
+  estimator's ``(exponents, coeffs)`` factor is a pure function of
+  (estimator configuration, engine representative, term, normalized query
+  weight), so distinct queries sharing terms could share factors even when
+  their estimate keys differ; a row is one ``(config, term, weight)``.
+  Unmatched terms are negatively cached (value ``None``).  Nothing fills
+  it any more — the batched kernels compute every factor in one numpy
+  pass — but the broker still carries and invalidates one.
   Both caches invalidate through the same per-engine hook when a
   representative changes: it pops that engine's slot, nothing else.
 
@@ -75,8 +74,8 @@ class _TermIndexedLRU:
     _METRIC_PREFIX: str
 
     def __init__(self, maxsize: int, registry=None):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
+        if maxsize < 0:
+            raise ValueError(f"maxsize must be >= 0, got {maxsize!r}")
         self.maxsize = maxsize
         self._rows: "OrderedDict[Hashable, Dict[str, object]]" = OrderedDict()
         self._by_term: Dict[str, Set[Hashable]] = {}
@@ -124,8 +123,9 @@ class _TermIndexedLRU:
     def _write(self, key, engines: Sequence[str], values: Sequence) -> None:
         """Fill ``engines``' slots of row ``key`` and make it most recent,
         then evict least-recent whole rows while more than ``maxsize`` slots
-        are resident — so a row wider than the cache is not retained."""
-        if not engines:
+        are resident — so a row wider than the cache is not retained.  A
+        zero-capacity cache holds nothing and writes nothing."""
+        if not engines or not self.maxsize:
             return
         with self._lock:
             row = self._rows.get(key)
@@ -238,8 +238,8 @@ class EstimateCache(_TermIndexedLRU):
     Args:
         maxsize: Maximum resident estimates (engines × distinct (query,
             threshold) rows); the least recently used rows are evicted
-            whole when full.  Must be positive — construct no cache at all
-            to disable caching.
+            whole when full.  ``0`` is the disabled cache: it never holds
+            an entry, and every read is a counted miss.
         registry: Metrics sink mirroring the hit/miss/eviction/invalidation
             counters and the resident-size gauge; no-op by default.
     """

@@ -12,7 +12,7 @@ themselves pinned to the oracle.  Every comparison is ``==``, never
 Covered: plain equivalence over a realistic query log, per-query
 thresholds, injected engine failures (a broker whose backend is down),
 mid-batch cache invalidation via re-registration, disabled caches, and
-estimators without a batched kernel (evaluated per engine row).
+the threshold-dependent previous method (one kernel row per threshold).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
 from repro.representatives import build_representative
-from tests.oracle import HalvedSubrange, ScalarOracle
+from tests.oracle import ScalarOracle
 
 THRESHOLD = 0.25
 N_QUERIES = 40
@@ -137,8 +137,8 @@ class TestEstimateEquivalence:
             batch.estimate_batch(fleet_queries, [0.1, 0.2])
 
     def test_non_expansion_estimator(self, fleet_engines, fleet_queries):
-        """Direct (threshold-dependent) estimators have no batched kernel
-        and are evaluated per engine row; equality must still be exact."""
+        """The threshold-dependent previous method: its kernel rows are
+        (threshold, query, engine) cells; equality must still be exact."""
         serial = make_oracle(fleet_engines, PreviousMethodEstimator())
         batch = make_broker(fleet_engines, estimator=PreviousMethodEstimator())
         expected = [
@@ -213,21 +213,20 @@ class TestSearchEquivalence:
 
 
 class TestMidBatchInvalidation:
-    """Run with a per-row estimator, so the term-polynomial cache really
-    holds factors to invalidate (the batched kernels never touch it)."""
+    """A re-registration between batches drops the engine's cached rows."""
 
     def test_reregistration_between_batches(self, fleet_model, fleet_queries):
-        """Re-registering an engine with a different corpus must drop both
-        caches' entries for it: the next batch answers from the new
-        representative, identically to a fresh serial broker."""
+        """Re-registering an engine with a different corpus must drop its
+        cached estimates: the next batch answers from the new
+        representative, identically to a fresh serial oracle."""
         original = SearchEngine(fleet_model.generate_group(0))
         other = SearchEngine(fleet_model.generate_group(1))
         queries = fleet_queries[:20]
 
-        batch = MetasearchBroker(estimator=HalvedSubrange())
+        batch = MetasearchBroker()
         batch.register(original)
-        batch.estimate_batch(queries, THRESHOLD)  # warm both caches
-        assert len(batch.polycache) > 0
+        batch.estimate_batch(queries, THRESHOLD)  # warm the estimate cache
+        assert len(batch.cache) > 0
 
         # Same engine object, replacement representative — the refresh path.
         replacement = build_representative(other)
@@ -238,18 +237,18 @@ class TestMidBatchInvalidation:
         )
         batch.register(original, representative=replacement)
 
-        fresh = ScalarOracle(HalvedSubrange())
+        fresh = ScalarOracle()
         fresh.register(original, representative=replacement)
         expected = [fresh.estimate_all(query, THRESHOLD) for query in queries]
         assert batch.estimate_batch(queries, THRESHOLD) == expected
 
     def test_invalidation_drops_both_caches(self, fleet_model, fleet_queries):
         engine = SearchEngine(fleet_model.generate_group(0))
-        broker = MetasearchBroker(estimator=HalvedSubrange())
+        broker = MetasearchBroker()
         broker.register(engine)
         broker.estimate_batch(fleet_queries[:10], THRESHOLD)
         assert len(broker.cache) > 0
-        assert len(broker.polycache) > 0
         broker.register(engine)  # refresh rebuilds the representative
         assert len(broker.cache) == 0
+        # Nothing fills the term-polynomial cache any more; it stays empty.
         assert len(broker.polycache) == 0

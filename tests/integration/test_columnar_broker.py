@@ -7,11 +7,12 @@ paper's scalar estimators looped over dict representatives
 (:class:`tests.oracle.ScalarOracle`) — same bits, same row order — so
 every comparison here is ``==``, never ``approx``.
 
-Covered: estimate_all/estimate_batch/search equality across estimator
-families, the estimate cache in front of the grid, representative refresh
-via re-registration, per-row evaluation of estimators the grid has no
-batched kernel for, and the lightweight read-through ref the registration
-keeps in place of the dict representative.
+Covered: estimate_all/estimate_batch/search equality across all six
+estimator families, the estimate cache in front of the grid (and the
+zero-capacity cache that stands in for none), representative refresh via
+re-registration, the ``TypeError`` for an estimator type without a
+kernel, and the lightweight read-through ref the registration keeps in
+place of the dict representative.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ ESTIMATOR_FACTORIES = [
     ),
     pytest.param(BasicEstimator, id="basic"),
     pytest.param(BinaryIndependenceEstimator, id="binary"),
+    pytest.param(PreviousMethodEstimator, id="prev"),
     pytest.param(GlossHighCorrelationEstimator, id="gloss-hc"),
     pytest.param(GlossDisjointEstimator, id="gloss-dj"),
 ]
@@ -147,16 +149,16 @@ class TestCacheInterplay:
 
     @pytest.mark.parametrize(
         "estimator_factory",
-        [SubrangeEstimator, HalvedSubrange],
-        ids=["batched", "per-row"],
+        [SubrangeEstimator, PreviousMethodEstimator],
+        ids=["batched", "per-cell"],
     )
     def test_unknown_query_terms_do_not_grow_the_vocabulary(
         self, fleet_engines, fleet_queries, estimator_factory
     ):
         """Estimating is read-only on the fleet: query terms no engine
-        holds are not interned into the shared broker vocabulary — on the
-        batched path, and on the per-row path that keys the
-        term-polynomial cache by those terms."""
+        holds are not interned into the shared broker vocabulary — for a
+        threshold-free expansion, and for the previous method, whose
+        kernel rows are (threshold, query, engine) cells."""
         scalar, columnar = make_pair(fleet_engines, estimator_factory)
         known = fleet_queries[0].terms[0]
         queries = [Query.from_terms([f"zzjunk{i}", known]) for i in range(30)]
@@ -169,6 +171,27 @@ class TestCacheInterplay:
             columnar.search(query, 0.3)
         columnar.estimate_batch(queries[20:], 0.3)
         assert len(columnar.fleet.vocab) == size
+
+
+class TestZeroCapacityCache:
+    """``cache_size=0`` is an ``EstimateCache(0)`` that never holds an
+    entry — the same rows as a caching broker, every read a counted miss."""
+
+    def test_rows_equal_a_default_broker(self, fleet_engines, fleet_queries):
+        __, default = make_pair(fleet_engines, SubrangeEstimator)
+        __, disabled = make_pair(fleet_engines, SubrangeEstimator, cache_size=0)
+        for query in fleet_queries:
+            for threshold in THRESHOLDS:
+                assert disabled.estimate_all(query, threshold) == (
+                    default.estimate_all(query, threshold)
+                )
+                assert disabled.estimate_all_cached(query, threshold) is None
+        assert disabled.estimate_batch(fleet_queries, 0.3) == (
+            default.estimate_batch(fleet_queries, 0.3)
+        )
+        assert len(disabled.cache) == 0
+        assert disabled.cache.hits == 0
+        assert disabled.cache.misses > 0
 
 
 class TestRegistration:
@@ -207,27 +230,11 @@ class TestRegistration:
         assert materialized.n_documents == donor.n_documents
         assert dict(materialized.items()) == dict(donor.items())
 
-    def test_unsupported_estimator_falls_back(self, fleet_engines, fleet_queries):
-        """No batched kernel: the grid evaluates the estimator per row."""
-        scalar, columnar = make_pair(fleet_engines, PreviousMethodEstimator)
-        for query in fleet_queries[:6]:
-            assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(
-                query, 0.3
-            )
-
-    def test_per_row_expansion_uses_polycache(self, fleet_engines, fleet_queries):
-        """A subclass of a batched type runs per row, and its expansions
-        still go through the broker's term-polynomial cache: a second
-        threshold group of the same query re-expands from cached factors."""
-        scalar, columnar = make_pair(fleet_engines, HalvedSubrange)
-        query = fleet_queries[0]
-        assert columnar.estimate_all(query, 0.1) == scalar.estimate_all(query, 0.1)
-        cache = columnar.polycache
-        hits, misses = cache.hits, cache.misses
-        assert misses > 0 and len(cache) > 0
-        assert columnar.estimate_all(query, 0.3) == scalar.estimate_all(query, 0.3)
-        assert cache.misses == misses
-        assert cache.hits > hits
+    def test_unsupported_estimator_is_a_type_error(self, fleet_engines):
+        """No batched kernel, no broker: a subclass's override would be
+        silently ignored by the kernel, so construction refuses it."""
+        with pytest.raises(TypeError, match="no batched kernel"):
+            MetasearchBroker(estimator=HalvedSubrange())
 
     def test_constructor_has_no_backend_switch(self):
         import inspect

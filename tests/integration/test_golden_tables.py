@@ -8,6 +8,11 @@ tables character-for-character against checked-in golden files.  Any
 estimator change that silently shifts the paper-table numbers fails here
 first.
 
+Three paths are pinned to the same files: the batched kernel through
+``run_usefulness_experiment`` (what the paper tables run on), the scalar
+reference estimators looped per query (:func:`scalar_experiment`), and the
+broker's batch pipeline.
+
 To regenerate after an *intentional* estimator change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/integration/test_golden_tables.py
@@ -24,8 +29,10 @@ from repro.core import (
     get_estimator,
     reset_fallback_count,
 )
+from repro.core.truth import true_usefulness_many
 from repro.engine import SearchEngine
 from repro.evaluation import (
+    ExperimentResult,
     MethodSpec,
     evaluate_selection,
     format_combined_table,
@@ -33,6 +40,7 @@ from repro.evaluation import (
     format_match_table,
     run_usefulness_experiment,
 )
+from repro.evaluation.metrics import MethodAccumulator
 from repro.metasearch import MetasearchBroker
 from repro.representatives import quantize_representative
 from tests.oracle import ScalarOracle
@@ -55,10 +63,32 @@ def check_golden(name: str, rendered: str) -> None:
     )
 
 
-@pytest.fixture(scope="module")
-def experiment(small_engine, small_representative, small_queries):
-    """One sweep mirroring the conditions of Tables 1-12 at small scale."""
-    methods = [
+def scalar_experiment(engine, queries, methods, thresholds):
+    """``run_usefulness_experiment`` answered per query by each method's
+    own ``estimate_many`` — the scalar reference, or an adapter such as
+    :class:`_BatchPipelineEstimator` — instead of the batched kernel."""
+    accumulators = {m.key: MethodAccumulator(thresholds) for m in methods}
+    for query in queries:
+        truths = true_usefulness_many(engine, query, thresholds)
+        for method in methods:
+            estimates = method.estimator.estimate_many(
+                query, method.representative, thresholds
+            )
+            accumulators[method.key].add(truths, estimates)
+    return ExperimentResult(
+        database=engine.name,
+        n_documents=engine.n_documents,
+        n_queries=len(queries),
+        thresholds=tuple(thresholds),
+        methods=[m.key for m in methods],
+        labels={m.key: m.label for m in methods},
+        metrics={m.key: accumulators[m.key].metrics() for m in methods},
+    )
+
+
+def paper_methods(small_representative):
+    """The Tables 1-12 method sweep at small scale."""
+    return [
         MethodSpec("gloss-hc", get_estimator("gloss-hc"), small_representative),
         MethodSpec("prev", get_estimator("prev"), small_representative),
         MethodSpec("subrange", get_estimator("subrange"), small_representative),
@@ -75,9 +105,19 @@ def experiment(small_engine, small_representative, small_queries):
             label="Sub triplet",
         ),
     ]
-    return run_usefulness_experiment(
-        small_engine, small_queries, methods, thresholds=THRESHOLDS
+
+
+@pytest.fixture(scope="module")
+def experiment(small_engine, small_representative, small_queries):
+    """One sweep mirroring the conditions of Tables 1-12 at small scale,
+    on the batched kernel, with zero scalar demotions along the way."""
+    reset_fallback_count()
+    result = run_usefulness_experiment(
+        small_engine, small_queries, paper_methods(small_representative),
+        thresholds=THRESHOLDS,
     )
+    assert fallback_count() == 0
+    return result
 
 
 class TestEstimatorTables:
@@ -128,36 +168,49 @@ class _BatchPipelineEstimator:
 def _batch_pipeline_methods(make_backend, small_engine, small_representative):
     """The Tables 1-12 method sweep, each method answered by
     ``make_backend(estimator)``'s ``estimate_batch``."""
-    specs = [
-        ("gloss-hc", get_estimator("gloss-hc"), small_representative, ""),
-        ("prev", get_estimator("prev"), small_representative, ""),
-        ("subrange", get_estimator("subrange"), small_representative, ""),
-        (
-            "subrange-1byte",
-            get_estimator("subrange"),
-            quantize_representative(small_representative),
-            "Sub 1-byte",
-        ),
-        (
-            "subrange-triplet",
-            SubrangeEstimator(use_stored_max=False),
-            small_representative,
-            "Sub triplet",
-        ),
-    ]
     methods = []
-    for key, estimator, representative, label in specs:
-        backend = make_backend(estimator)
-        backend.register(small_engine, representative=representative)
+    for method in paper_methods(small_representative):
+        backend = make_backend(method.estimator)
+        backend.register(small_engine, representative=method.representative)
         methods.append(
             MethodSpec(
-                key,
+                method.key,
                 _BatchPipelineEstimator(backend),
-                representative,
-                label=label,
+                method.representative,
+                label=method.label,
             )
         )
     return methods
+
+
+class TestScalarReferenceTables:
+    """Tables 1-12 from the scalar reference estimators' own
+    ``estimate_many``, pinned to the *same* golden files as the kernel."""
+
+    @pytest.fixture(scope="class")
+    def scalar(self, small_engine, small_representative, small_queries):
+        return scalar_experiment(
+            small_engine, small_queries, paper_methods(small_representative),
+            THRESHOLDS,
+        )
+
+    def test_match_table_via_scalar(self, scalar):
+        rendered = format_match_table(
+            scalar, methods=["gloss-hc", "prev", "subrange"]
+        )
+        check_golden("match_table", rendered)
+
+    def test_error_table_via_scalar(self, scalar):
+        rendered = format_error_table(
+            scalar, methods=["gloss-hc", "prev", "subrange"]
+        )
+        check_golden("error_table", rendered)
+
+    def test_quantized_table_via_scalar(self, scalar):
+        check_golden("quantized_table", format_combined_table(scalar, "subrange-1byte"))
+
+    def test_triplet_table_via_scalar(self, scalar):
+        check_golden("triplet_table", format_combined_table(scalar, "subrange-triplet"))
 
 
 class TestBatchPipelineTables:
@@ -171,8 +224,8 @@ class TestBatchPipelineTables:
         methods = _batch_pipeline_methods(
             ScalarOracle, small_engine, small_representative
         )
-        return run_usefulness_experiment(
-            small_engine, small_queries, methods, thresholds=THRESHOLDS
+        return scalar_experiment(
+            small_engine, small_queries, methods, THRESHOLDS
         )
 
     def test_match_table_via_batch(self, batch_experiment):
@@ -218,8 +271,8 @@ class TestColumnarGridTables:
             small_representative,
         )
         reset_fallback_count()
-        experiment = run_usefulness_experiment(
-            small_engine, small_queries, methods, thresholds=THRESHOLDS
+        experiment = scalar_experiment(
+            small_engine, small_queries, methods, THRESHOLDS
         )
         assert fallback_count() == 0, (
             "the golden-table sweep demoted rows to the scalar path; "

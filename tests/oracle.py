@@ -1,11 +1,12 @@
 """The references the differential suites compare the broker against.
 
-The broker computes every estimate through the columnar fleet grid; the
-paper's scalar estimators looped over dict representatives are what that
-grid must equal, bit for bit.  ``ScalarOracle`` is exactly that loop — no
-fleet store, no caches, no grid — behind the broker's estimate surface, so
-a suite (or ``GatewayApp``'s ``/estimate``) can take it wherever it took a
-broker.  ``apply_delta`` is the same idea for live deltas: the dict-form
+Every production estimate — the broker's, the paper tables', ``repro
+estimate``'s and ``repro allocate``'s — comes off the batched kernel
+(``repro.core.vectorized``); the paper's scalar estimators looped over dict
+representatives are what that kernel must equal, bit for bit.
+``ScalarOracle`` is exactly that loop — no fleet store, no caches, no
+kernel — behind the broker's estimate surface, so a suite (or
+``GatewayApp``'s ``/estimate``) can take it wherever it took a broker.  ``apply_delta`` is the same idea for live deltas: the dict-form
 application that ``FleetRepresentativeStore.apply_delta`` must equal; and
 ``per_term_representative`` is the builder's one-reduction-per-term loop,
 which the grouped ``build_representative`` must equal bit for bit.
@@ -35,10 +36,10 @@ from repro.representatives.term_stats import TermStats
 
 
 class HalvedSubrange(SubrangeEstimator):
-    """A subclass whose override changes the numbers.  Not an exact batched
-    type, so the grid evaluates it per engine row with its own code — the
-    path that builds factors one ``term_polynomial`` call at a time and
-    hence the one that uses the term-polynomial cache."""
+    """A subclass whose override changes the numbers.  The batched kernel
+    would silently ignore the override, so it has none: the grid and the
+    broker refuse it with ``TypeError``, while the scalar oracle honours
+    it."""
 
     def term_polynomial(self, u, stats, context):
         exponents, coeffs = super().term_polynomial(u, stats, context)

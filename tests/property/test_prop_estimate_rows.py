@@ -10,11 +10,9 @@ weight vectors included — and any estimate-cache size::
 and it stays so when a ``register`` refresh or an
 ``apply_representative_delta`` lands between calls: no cache entry computed
 from the superseded representative may survive into an answer.  Run for an
-estimator with a batched expansion kernel (subrange), a closed-form one
-(gloss-hc), one with no kernel (the previous method), and a subclass —
-the last two pin the grid's per-engine-row branch.  The subclass case also
-pins the term-polynomial cache's one remaining job: a query re-estimated at
-a threshold the estimate cache does not hold re-expands from cached factors.
+estimator with a threshold-free expansion (subrange), a closed-form one
+(gloss-hc), and the threshold-dependent previous method, whose kernel rows
+are (threshold, query, engine) cells.
 """
 
 import pytest
@@ -29,7 +27,7 @@ from repro.core import (
 from repro.corpus import Document, Query
 from repro.fleet import LiveEngineServer
 from repro.metasearch import MetasearchBroker
-from tests.oracle import HalvedSubrange, ScalarOracle
+from tests.oracle import ScalarOracle
 
 VOCAB = ["rocket", "orbit", "engine", "fuel", "sauce", "basil", "kiwi", "plum"]
 THRESHOLDS = (0.0, 0.1, 0.2, 0.5)
@@ -39,7 +37,6 @@ ESTIMATORS = [
     pytest.param(SubrangeEstimator, id="subrange"),
     pytest.param(GlossHighCorrelationEstimator, id="gloss-hc"),
     pytest.param(PreviousMethodEstimator, id="prev"),
-    pytest.param(HalvedSubrange, id="subrange-subclass"),
 ]
 
 
@@ -139,11 +136,3 @@ def test_batch_equals_serial_equals_oracle_across_mutations(
     assert_routine_matches_oracle(broker, oracle, after, batch_first)
     assert_routine_matches_oracle(broker, oracle, before, not batch_first)
 
-    if estimator_factory is HalvedSubrange:
-        # 0.35 is in no batch, so the estimate cache cannot answer; every
-        # per-term factor of the query is resident from the pass above.
-        query = before[0][0]
-        hits, misses = broker.polycache.hits, broker.polycache.misses
-        assert broker.estimate_all(query, 0.35) == oracle.estimate_all(query, 0.35)
-        assert broker.polycache.hits == hits + len(lives) * len(query.terms)
-        assert broker.polycache.misses == misses

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.genfunc import BatchedGenFunc
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import (
     allocate_documents,
     expected_nodoc_at,
+    plan_allocation,
     threshold_for_k,
 )
 from repro.representatives import build_representative
@@ -98,3 +100,53 @@ class TestAllocateDocuments:
     def test_k_one(self, representatives):
         quotas = allocate_documents(Query.from_terms(["x"]), representatives, 1)
         assert sum(quotas.values()) == 1
+
+
+class TestOneExpansionPerAllocation:
+    #: ``(query terms, k) -> (threshold bits, quotas)`` as the scalar
+    #: per-engine expansion computed them before allocation moved onto the
+    #: batched kernel.
+    PINNED = [
+        (["x"], 2, "0x1.c942e00000000p-1", {"rich": 2, "poor": 0, "empty": 0}),
+        (["x"], 5, "0x1.ffffc00000000p-2", {"rich": 4, "poor": 1, "empty": 0}),
+        (["x", "y"], 5, "0x1.6a09c00000000p-2", {"rich": 4, "poor": 1, "empty": 0}),
+        (["x", "z", "q"], 2, "0x1.279a600000000p-1", {"rich": 2, "poor": 0, "empty": 0}),
+        (["d", "x", "c"], 2, "0x1.279a600000000p-1", {"rich": 1, "poor": 1, "empty": 0}),
+        (["d", "x", "c"], 5, "0x1.9385000000000p-2", {"rich": 4, "poor": 1, "empty": 0}),
+        (["zzzz"], 5, "0x0.0p+0", {"rich": 0, "poor": 0, "empty": 0}),
+    ]
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        product = BatchedGenFunc.product.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return product(cls, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedGenFunc, "product", classmethod(counting))
+        return calls
+
+    def test_allocate_documents_expands_once(self, representatives, products):
+        allocate_documents(Query.from_terms(["x", "y"]), representatives, 3)
+        assert len(products) == 1
+
+    def test_plan_allocation_expands_once(self, representatives, products):
+        threshold, quotas = plan_allocation(
+            Query.from_terms(["x", "y"]), representatives, 3
+        )
+        assert len(products) == 1
+        assert threshold == threshold_for_k(
+            Query.from_terms(["x", "y"]), representatives, 3
+        )
+        assert len(products) == 2
+
+    def test_thresholds_and_quotas_pinned(self, representatives):
+        for terms, k, threshold_bits, quotas in self.PINNED:
+            query = Query.from_terms(terms)
+            threshold, planned = plan_allocation(query, representatives, k)
+            assert threshold.hex() == threshold_bits
+            assert planned == quotas
+            assert threshold_for_k(query, representatives, k) == threshold
+            assert allocate_documents(query, representatives, k) == quotas

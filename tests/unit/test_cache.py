@@ -88,7 +88,15 @@ class TestEstimateCache:
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError, match="maxsize"):
-            EstimateCache(maxsize=0)
+            EstimateCache(maxsize=-1)
+
+    def test_zero_capacity_holds_nothing_and_counts_misses(self):
+        cache = EstimateCache(maxsize=0)
+        key = EstimateCache.key_for("d1", Query.from_terms(["a"]), 0.1)
+        cache.put(key, Usefulness(nodoc=1.0, avgsim=0.5))
+        assert len(cache) == 0 and key not in cache
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 0)
 
     def test_hit_rate(self):
         cache = EstimateCache(maxsize=4)
@@ -301,7 +309,7 @@ class TestBrokerCaching:
 
     def test_cache_disabled_with_zero_size(self):
         broker = MetasearchBroker(cache_size=0)
-        assert broker.cache is None
+        assert broker.cache.maxsize == 0
         broker.register(make_engine("space", [["rocket"]]))
         estimates = broker.estimate_all(Query.from_terms(["rocket"]), 0.2)
         assert estimates[0].engine == "space"

@@ -112,7 +112,8 @@ class TestFleet:
         ) == 0
         out = capsys.readouterr().out
         assert "workers=1" in out
-        assert "cache    :" not in out
+        # The zero-capacity cache holds nothing; every lookup missed.
+        assert "0.0% hit rate, 0 resident" in out
 
     def test_hung_engine_degrades_gracefully(self, capsys):
         assert main(

@@ -8,6 +8,9 @@ need, like the request deadline scope, lives in the lower of the two).
 And on top there is one search pipeline (``SearchPipeline`` in ``metasearch/broker.py``), not
 one per topology.  Every module is reached from an entry point: code no
 command, server or registered estimator imports is deleted, not kept.
+Every production estimate comes off the batched kernel: the scalar
+expansion is the paper's reference, called only by the estimators
+themselves and the kernel's overflow demotion.
 """
 
 import ast
@@ -21,6 +24,15 @@ LOWER = ("core", "corpus", "engine", "fleet", "index", "obs",
 UPPER = ("repro.metasearch", "repro.serving")
 PIPELINE_ENTRY_POINTS = (
     "estimate_all", "estimate_batch", "select", "search", "search_batch"
+)
+#: The scalar estimation entry points (``GenFunc.product`` aside).
+SCALAR_ESTIMATION = ("estimate", "estimate_many", "expand")
+#: Where the scalar expansion may be called: the estimators themselves
+#: (the reference algorithms) and the kernel's overflow demotion.
+SCALAR_CALLERS = (
+    "core/base.py", "core/basic_estimator.py", "core/binary_estimator.py",
+    "core/gloss.py", "core/prev_estimator.py", "core/subrange_estimator.py",
+    "core/vectorized.py:_demote_rows",
 )
 # Modules no entry point imports, kept because the tests read them.
 REFERENCES = (
@@ -168,3 +180,41 @@ def test_there_is_one_search_pipeline():
         "metasearch/broker.py", "serving/wire.py"
     ], builders
     assert redefined == []
+
+
+def scalar_expansion_calls():
+    """``path[:function]:line`` of every call to a scalar estimation entry
+    point or ``GenFunc.product`` under ``src/repro``."""
+    found = []
+    for path in sorted(ROOT.rglob("*.py")):
+        relative = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            ):
+                continue
+            func = node.func
+            if func.attr in SCALAR_ESTIMATION or (
+                func.attr == "product"
+                and getattr(func.value, "id", None) == "GenFunc"
+            ):
+                found.append((relative, owner.get(node), node.lineno))
+    return found
+
+
+def test_scalar_expansion_has_no_production_caller():
+    calls = scalar_expansion_calls()
+    assert any(path == "core/vectorized.py" for path, __, __ in calls)
+    stray = [
+        f"{path}:{function}:{line}"
+        for path, function, line in calls
+        if path not in SCALAR_CALLERS
+        and f"{path}:{function}" not in SCALAR_CALLERS
+    ]
+    assert stray == [], f"scalar expansion called from production: {stray}"

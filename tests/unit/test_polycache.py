@@ -98,7 +98,7 @@ class TestEvictionInvalidation:
 
     def test_maxsize_validated(self):
         with pytest.raises(ValueError, match="maxsize"):
-            TermPolynomialCache(maxsize=0)
+            TermPolynomialCache(maxsize=-1)
 
 
 class TestVocabularyKeys:

@@ -3,8 +3,11 @@
 The expansion has one mode and one precision — exact up to the rounding
 of ``repro.core.genfunc.DECIMALS`` — so there is no term budget, no
 per-estimator ``decimals`` and no ``prune_floor``, and the three estimator
-knobs no entry point set are constants.  Passing any of them is a
-``TypeError``, not a silently ignored keyword.
+knobs no entry point set are constants.  Every production estimate comes
+off the batched kernel, which builds every factor in one numpy pass, so
+nothing takes a term-polynomial cache (``polycache=``) or its namespace
+(``engine=``) either.  Passing any of them is a ``TypeError``, not a
+silently ignored keyword.
 """
 
 import numpy as np
@@ -18,6 +21,14 @@ from repro.core import (
 )
 from repro.core.base import EstimateExplanation, ExpansionEstimator
 from repro.core.genfunc import BatchedGenFunc, GenFunc
+from repro.core.vectorized import fleet_usefulness_grid
+from repro.corpus import Query
+from repro.metasearch import TermPolynomialCache
+from repro.representatives import (
+    DatabaseRepresentative,
+    FleetRepresentativeStore,
+    TermStats,
+)
 
 #: Every signature that took ``decimals`` and ``prune_floor``, as a call
 #: forwarding the keyword.
@@ -99,3 +110,35 @@ def test_pruned_mass_is_gone():
     assert not hasattr(GenFunc.one(), "pruned_mass")
     assert not hasattr(BatchedGenFunc.ones(1), "pruned_mass")
     assert "pruned_mass" not in EstimateExplanation.__dataclass_fields__
+
+
+def _polycache_call(signature, **kw):
+    query = Query.from_terms(["apple"])
+    rep = DatabaseRepresentative(
+        "d1", n_documents=5, term_stats={"apple": TermStats(0.4, 0.3, 0.1, 0.7)}
+    )
+    estimator = SubrangeEstimator()
+    if signature == "fleet_usefulness_grid":
+        store = FleetRepresentativeStore()
+        store.add(rep)
+        return fleet_usefulness_grid(estimator, store, query, [0.1], **kw)
+    if signature == "estimate_many":
+        return estimator.estimate_many(query, rep, [0.1], **kw)
+    return getattr(estimator, signature)(query, rep, **kw)
+
+
+@pytest.mark.parametrize("option", ["polycache", "engine"])
+@pytest.mark.parametrize(
+    "signature",
+    ["fleet_usefulness_grid", "polynomials", "expand", "estimate_many"],
+)
+def test_polycache_options_are_type_errors(signature, option):
+    value = TermPolynomialCache() if option == "polycache" else "d1"
+    with pytest.raises(TypeError):
+        _polycache_call(signature, **{option: value})
+    _polycache_call(signature)  # the call itself still works
+
+
+def test_polynomial_config_is_gone():
+    assert not hasattr(ExpansionEstimator, "polynomial_config")
+    assert not hasattr(SubrangeEstimator(), "polynomial_config")

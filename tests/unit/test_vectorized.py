@@ -1,28 +1,32 @@
-"""Unit tests for the engine-axis vectorized estimation path."""
+"""Unit tests for the batched estimation kernel over (query, engine) rows."""
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 
 from repro.core import (
     BasicEstimator,
     BinaryIndependenceEstimator,
     GlossDisjointEstimator,
     GlossHighCorrelationEstimator,
+    PreviousMethodEstimator,
     SubrangeEstimator,
+    fallback_count,
     fleet_usefulness_grid,
+    fleet_usefulness_rows,
 )
 from repro.core.genfunc import BatchedGenFunc
 from repro.corpus import Collection, Query
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
-from repro.metasearch.cache import TermPolynomialCache
 from repro.representatives import (
     DatabaseRepresentative,
     FleetRepresentativeStore,
     SubrangeScheme,
     TermStats,
+    build_representative,
 )
+from repro.vsm.normalization import NullNormalizer, PivotedNormalizer
 from tests.oracle import HalvedSubrange
 
 THRESHOLDS = [0.0, 0.2, 0.5, 1.0]
@@ -59,56 +63,110 @@ def assert_grid_matches_scalar(estimator, store, reps, query, thresholds=THRESHO
 
 
 class TestSupportsFleet:
-    """Which estimators the batched kernels cover: the five exact types;
-    anything else is evaluated per engine row by its own scalar code."""
-
-    @staticmethod
-    def per_row_calls(estimator, store, query, thresholds):
-        """Grid for ``estimator`` plus how often the grid fell back to the
-        estimator's own ``estimate_many`` (once per engine row, or never)."""
-        calls = []
-        scalar = estimator.estimate_many
-
-        def spy(*args):
-            calls.append(args)
-            return scalar(*args)
-
-        estimator.estimate_many = spy
-        return fleet_usefulness_grid(estimator, store, query, thresholds), calls
+    """Which estimators have a kernel: the six exact types; anything else —
+    a subclass included — is a ``TypeError``, never a silent per-row
+    fallback."""
 
     def test_exact_types_only(self):
         store = make_store(make_rep("d1"), make_rep("d2", n=9))
+        query = Query.from_terms(["apple"])
         for estimator in (
             SubrangeEstimator(),
             BasicEstimator(),
             BinaryIndependenceEstimator(),
+            PreviousMethodEstimator(),
             GlossHighCorrelationEstimator(),
             GlossDisjointEstimator(),
         ):
-            __, calls = self.per_row_calls(
-                estimator, store, Query.from_terms(["apple"]), [0.2]
+            calls = []
+            estimator.estimate = estimator.estimate_many = (
+                lambda *args: calls.append(args)
             )
+            fleet_usefulness_grid(estimator, store, query, [0.2])
             assert calls == []
 
-    def test_subclasses_fall_back_to_scalar(self):
+    def test_subclasses_are_type_errors(self):
         class Tweaked(BasicEstimator):
             def term_polynomial(self, u, stats, context):
                 exponents, coeffs = super().term_polynomial(u, stats, context)
                 return exponents * 0.5, coeffs
 
-        reps = [make_rep("d1"), make_rep("d2", n=9)]
+        store = make_store(make_rep("d1"), make_rep("d2", n=9))
         query = Query.from_terms(["apple", "pear"])
-        grid, calls = self.per_row_calls(
-            Tweaked(), make_store(*reps), query, THRESHOLDS
-        )
-        assert len(calls) == len(reps)
-        for row, threshold in zip(grid, THRESHOLDS):
-            for got, rep in zip(row, reps):
-                assert got == Tweaked().estimate(query, rep, threshold)
-        # The override is honoured, not the batched BasicEstimator kernel.
-        assert grid != fleet_usefulness_grid(
-            BasicEstimator(), make_store(*reps), query, THRESHOLDS
-        )
+        for estimator in (Tweaked(), HalvedSubrange()):
+            with pytest.raises(TypeError, match="no batched kernel"):
+                fleet_usefulness_grid(estimator, store, query, THRESHOLDS)
+            with pytest.raises(TypeError, match="no batched kernel"):
+                fleet_usefulness_rows(estimator, store, [query], THRESHOLDS)
+            with pytest.raises(TypeError, match="no batched kernel"):
+                MetasearchBroker(estimator=estimator)
+        # Even an empty fleet refuses it: the type, not the data, decides.
+        with pytest.raises(TypeError):
+            fleet_usefulness_grid(
+                HalvedSubrange(), FleetRepresentativeStore(), query, [0.2]
+            )
+
+
+class TestQueryEngineRows:
+    """``fleet_usefulness_rows``: one kernel call over (query, engine) rows,
+    each query's block padded to the longest query."""
+
+    ESTIMATORS = (
+        SubrangeEstimator(),
+        SubrangeEstimator(use_stored_max=False),
+        BasicEstimator(),
+        BinaryIndependenceEstimator(),
+        PreviousMethodEstimator(),
+        GlossHighCorrelationEstimator(),
+        GlossDisjointEstimator(),
+    )
+
+    def test_rows_equal_per_query_grids_and_the_scalar_estimator(self):
+        reps = [make_rep("d1"), make_rep("d2", n=9), make_rep("d3", n=0)]
+        store = make_store(*reps)
+        queries = [
+            Query.from_terms(["apple"]),
+            Query(terms=("pear", "ghost", "apple"), weights=(1.0, 3.0, 2.0)),
+            Query.from_terms(["ghost"]),
+            Query.from_terms(["pear", "apple"]),
+        ]
+        for estimator in self.ESTIMATORS:
+            rows = fleet_usefulness_rows(estimator, store, queries, THRESHOLDS)
+            assert len(rows) == len(queries)
+            for query, grid in zip(queries, rows):
+                assert grid == fleet_usefulness_grid(
+                    estimator, store, query, THRESHOLDS
+                )
+                for row, threshold in zip(grid, THRESHOLDS):
+                    for got, rep in zip(row, reps):
+                        want = estimator.estimate(query, rep, threshold)
+                        assert bits(got.nodoc) == bits(want.nodoc)
+                        assert bits(got.avgsim) == bits(want.avgsim)
+
+    def test_one_kernel_call_for_many_queries(self, monkeypatch):
+        calls = []
+        product = BatchedGenFunc.product.__func__
+
+        def counting(cls, n_rows, term_factors):
+            calls.append(n_rows)
+            return product(cls, n_rows, term_factors)
+
+        monkeypatch.setattr(BatchedGenFunc, "product", classmethod(counting))
+        store = make_store(make_rep("d1"), make_rep("d2", n=9))
+        queries = [Query.from_terms(["apple"]), Query.from_terms(["pear"])]
+        fleet_usefulness_rows(SubrangeEstimator(), store, queries, [0.0])
+        assert calls == [4]  # 2 queries x 2 engines, one product
+        calls.clear()
+        fleet_usefulness_rows(PreviousMethodEstimator(), store, queries, [0.0, 0.1])
+        assert calls == [8]  # x 2 thresholds: a prev row is one cell
+
+    def test_no_queries_and_empty_store(self):
+        store = make_store(make_rep("d1"))
+        assert fleet_usefulness_rows(BasicEstimator(), store, [], [0.1]) == []
+        assert fleet_usefulness_rows(
+            BasicEstimator(), FleetRepresentativeStore(),
+            [Query.from_terms(["apple"])] * 2, [0.1, 0.2],
+        ) == [[[], []], [[], []]]
 
 
 class TestEdgeCases:
@@ -206,63 +264,42 @@ class TestWholeRowBound:
         assert calls == []
 
 
-class TestPolycacheIntegration:
-    """The cache is used by estimators evaluated per engine row
-    (``HalvedSubrange``) and by none of the batched kernels."""
+class TestWeightsAboveOne:
+    """Normalized weights above 1 are legitimate input, not corruption: an
+    engine without Cosine normalization (or with a pivoted one) builds
+    them.  They stay far below the demotion ceiling, so the kernel answers
+    them bit-identically without a single scalar demotion."""
 
-    def test_warm_cache_returns_same_bits(self):
-        reps = [make_rep("d1"), make_rep("d2", n=11)]
+    DOCS = [
+        ("d0", "rocket rocket rocket rocket orbit"),
+        ("d1", "rocket fuel"),
+        ("d2", "orbit orbit fuel"),
+    ]
+
+    def test_grid_hex_equals_scalar_without_demotion(self):
+        reps = []
+        for i, normalizer in enumerate((NullNormalizer(), PivotedNormalizer(0.25))):
+            engine = SearchEngine(
+                Collection.from_texts(f"toy{i}", self.DOCS), normalizer=normalizer
+            )
+            reps.append(build_representative(engine))
+        assert max(s.max_weight for __, s in reps[0].items()) == 4.0
+        assert max(s.max_weight for __, s in reps[1].items()) > 1.0
         store = make_store(*reps)
-        query = Query.from_terms(["apple", "pear", "ghost"])
-        estimator = HalvedSubrange()
-        cache = TermPolynomialCache()
-        cold = fleet_usefulness_grid(
-            estimator, store, query, THRESHOLDS, polycache=cache
-        )
-        assert cache.misses == len(cache) == 6 and cache.hits == 0
-        warm = fleet_usefulness_grid(
-            estimator, store, query, THRESHOLDS, polycache=cache
-        )
-        assert cache.hits == 6 and cache.misses == 6
-        for cold_row, warm_row in zip(cold, warm):
-            for a, b in zip(cold_row, warm_row):
-                assert bits(a.nodoc) == bits(b.nodoc)
-                assert bits(a.avgsim) == bits(b.avgsim)
-        assert_grid_matches_scalar(estimator, store, reps, query)
-
-    def test_unmatched_terms_negatively_cached(self):
-        reps = [make_rep("d1")]
-        store = make_store(*reps)
-        cache = TermPolynomialCache()
-        query = Query.from_terms(["ghost", "apple"])
-        fleet_usefulness_grid(
-            HalvedSubrange(), store, query, [0.2], polycache=cache
-        )
-        hit, value = cache.lookup(
-            HalvedSubrange().polynomial_config(),
-            "d1",
-            "ghost",
-            query.normalized_weights()[0],
-        )
-        assert hit and value is None
-
-    def test_batched_types_leave_the_cache_untouched(self):
-        """The batched kernels build every factor in one numpy pass: a
-        handed-in cache is neither consulted nor populated."""
-        store = make_store(make_rep("d1"), make_rep("d2", n=11))
-        query = Query.from_terms(["apple", "pear", "ghost"])
+        thresholds = [0.1, 0.5, 1.0, 2.0, 3.5]
+        before = fallback_count()
         for estimator in (
             SubrangeEstimator(),
+            SubrangeEstimator(use_stored_max=False),
             BasicEstimator(),
             BinaryIndependenceEstimator(),
-            GlossHighCorrelationEstimator(),
-            GlossDisjointEstimator(),
+            PreviousMethodEstimator(),
         ):
-            cache = TermPolynomialCache()
-            fleet_usefulness_grid(
-                estimator, store, query, THRESHOLDS, polycache=cache
-            )
-            assert cache.hits == cache.misses == len(cache) == 0
+            for terms in (["rocket"], ["rocket", "orbit"], ["fuel", "orbit", "rocket"]):
+                assert_grid_matches_scalar(
+                    estimator, store, reps, Query.from_terms(terms), thresholds
+                )
+        assert fallback_count() == before
 
 
 class TestGridShape:
