@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.evaluation.paper_reference import PAPER_METHODS, paper_table
-
 BENCH_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "6234"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "1999"))
 
@@ -27,46 +25,3 @@ def emit(name: str, text: str) -> None:
     )
     results_dir.mkdir(parents=True, exist_ok=True)
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def print_with_reference(table_id: str, rendered: str) -> None:
-    """Emit a regenerated table next to the paper's published values."""
-    lines = [
-        "",
-        f"=== {table_id}: reproduction ({BENCH_QUERIES} queries) ===",
-        rendered,
-    ]
-    reference = paper_table(table_id)
-    if not reference:
-        lines.append(
-            f"--- {table_id}: published values unavailable "
-            f"(table damaged in the source scan) ---"
-        )
-        emit(table_id, "\n".join(lines))
-        return
-    lines.append(f"--- {table_id}: published values (paper, 6234 queries) ---")
-    multi = len(reference[0].cells) > 1
-    if multi:
-        header = ["T", "U"] + [f"{m}: m/mis d-N d-S" for m in PAPER_METHODS]
-    else:
-        header = ["T", "m/mis", "d-N", "d-S"]
-    lines.append("  ".join(header))
-    for row in reference:
-        if multi:
-            cells = [f"{row.threshold:.1f}", str(row.useful)]
-            for method in PAPER_METHODS:
-                cell = row.cells[method]
-                cells.append(
-                    f"{cell.match}/{cell.mismatch} {cell.d_nodoc:.2f} "
-                    f"{cell.d_avgsim:.3f}"
-                )
-        else:
-            cell = next(iter(row.cells.values()))
-            cells = [
-                f"{row.threshold:.1f}",
-                f"{cell.match}/{cell.mismatch}",
-                f"{cell.d_nodoc:.2f}",
-                f"{cell.d_avgsim:.3f}",
-            ]
-        lines.append("  ".join(cells))
-    emit(table_id, "\n".join(lines))

@@ -16,7 +16,7 @@ DB = "D1"
 SAMPLE = 1200
 
 
-def test_ablation_subrange_count(benchmark, results, databases, query_log):
+def test_ablation_subrange_count(benchmark, databases, query_log):
     engine, rep = databases[DB]
     queries = query_log[:SAMPLE]
     methods = [

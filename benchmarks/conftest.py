@@ -1,34 +1,27 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_table*.py`` module regenerates one table of the paper.  The
-expensive artifacts — the full-size synthetic D1/D2/D3, the 6,234-query log,
-and the per-database experiment sweeps — are built once per session and
-shared.  Environment knobs:
+The expensive artifacts — the full-size synthetic D1/D2/D3 and the
+6,234-query log — are built once per session and shared.  The paper's
+Tables 1-12 are not benches: ``repro evaluate --database D1 D2 D3``
+reproduces them (``results/paper_tables.txt``).  Environment knobs:
 
 * ``REPRO_BENCH_QUERIES`` — query-log size (default 6234, the paper's).
 * ``REPRO_BENCH_SEED`` — corpus seed (default 1999).
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Each benchmark times the
-estimation kernel the table exercises; the regenerated table itself is
-printed to stdout (pass ``-s`` to stream it; captured output is shown for
-failures and with ``-rA``).
+Run with ``pytest benchmarks/ --benchmark-only``.  Each bench prints its
+table to stdout (pass ``-s`` to stream it) and writes it under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    GlossHighCorrelationEstimator,
-    PreviousMethodEstimator,
-    SubrangeEstimator,
-)
 from repro.corpus.synth import NewsgroupModel, QueryLogModel, build_paper_databases
 from repro.engine import SearchEngine
-from repro.evaluation import MethodSpec, run_usefulness_experiment
-from repro.representatives import build_representative, quantize_representative
+from repro.representatives import build_representative
 
-from _bench_utils import BENCH_QUERIES, BENCH_SEED, THRESHOLDS
+from _bench_utils import BENCH_QUERIES, BENCH_SEED
 
 
 @pytest.fixture(scope="session")
@@ -50,67 +43,3 @@ def databases(corpus_model):
 @pytest.fixture(scope="session")
 def query_log(corpus_model):
     return QueryLogModel(corpus_model).generate(BENCH_QUERIES)
-
-
-class _ResultCache:
-    """Session-wide cache so table pairs (1&2, 3&4, ...) share one sweep."""
-
-    def __init__(self, databases, query_log):
-        self._databases = databases
-        self._query_log = query_log
-        self._cache = {}
-
-    def _run(self, key, engine, methods):
-        if key not in self._cache:
-            self._cache[key] = run_usefulness_experiment(
-                engine, self._query_log, methods, thresholds=THRESHOLDS
-            )
-        return self._cache[key]
-
-    def exact(self, db: str):
-        """Three-method comparison on the exact quadruplet representative
-        (Tables 1-6)."""
-        engine, rep = self._databases[db]
-        methods = [
-            MethodSpec("gloss-hc", GlossHighCorrelationEstimator(), rep),
-            MethodSpec("prev", PreviousMethodEstimator(), rep),
-            MethodSpec("subrange", SubrangeEstimator(), rep),
-        ]
-        return self._run(("exact", db), engine, methods)
-
-    def quantized(self, db: str):
-        """Subrange method on the one-byte representative (Tables 7-9)."""
-        engine, rep = self._databases[db]
-        methods = [
-            MethodSpec(
-                "subrange",
-                SubrangeEstimator(),
-                quantize_representative(rep),
-                label="subrange, 1-byte representative",
-            )
-        ]
-        return self._run(("quantized", db), engine, methods)
-
-    def triplet(self, db: str):
-        """Subrange method with estimated max weight (Tables 10-12)."""
-        engine, rep = self._databases[db]
-        methods = [
-            MethodSpec(
-                "subrange",
-                SubrangeEstimator(use_stored_max=False),
-                rep.as_triplets(),
-                label="subrange, estimated max weight",
-            )
-        ]
-        return self._run(("triplet", db), engine, methods)
-
-
-@pytest.fixture(scope="session")
-def results(databases, query_log):
-    return _ResultCache(databases, query_log)
-
-
-@pytest.fixture(scope="session")
-def sample_queries(query_log):
-    """A small fixed slice used to time estimation kernels."""
-    return query_log[:50]

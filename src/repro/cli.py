@@ -5,7 +5,7 @@ Subcommands::
     repro-usefulness synth --out-dir data/          # corpora + query log
     repro-usefulness represent --collection data/D1.jsonl.gz --out D1.rep.json
     repro-usefulness estimate --collection ... --query "terms ..." --threshold 0.2
-    repro-usefulness evaluate --database D1 --queries 2000
+    repro-usefulness evaluate --database D1 D2 D3    # Tables 1-12
     repro-usefulness eval --config columnar --out-dir results
     repro-usefulness fleet --groups 16 --workers 8 --timeout 2.0
     repro-usefulness stats --format prometheus
@@ -39,8 +39,9 @@ from repro.corpus.synth import NewsgroupModel, QueryLogModel, build_paper_databa
 from repro.engine import SearchEngine
 from repro.evaluation import (
     MethodSpec,
-    format_error_table,
-    format_match_table,
+    degraded_methods,
+    format_conclusions,
+    format_paper_tables,
     format_sizing_table,
     run_usefulness_experiment,
 )
@@ -112,25 +113,41 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.queries < 1:
+        print(f"error: --queries must be >= 1, got {args.queries}", file=sys.stderr)
+        return 2
+    for flag, names in (("--database", args.database), ("--methods", args.methods)):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            print(f"error: {flag} names {', '.join(repeated)} more than once",
+                  file=sys.stderr)
+            return 2
     try:
         estimators = [get_estimator(name) for name in args.methods]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     model = NewsgroupModel(seed=args.seed)
-    # Only the evaluated database stays resident through the sweep.
-    collection = build_paper_databases(model)[int(args.database[1]) - 1]
-    engine = SearchEngine(collection)
-    representative = build_representative(engine)
+    collections = build_paper_databases(model)
+    # One database at a time is indexed and swept; the rest wait as
+    # collections.
+    pending = [collections[int(name[1]) - 1] for name in args.database]
+    del collections
     queries = QueryLogModel(model, seed=args.query_seed).generate(args.queries)
-    methods = [
-        MethodSpec(name, estimator, representative)
-        for name, estimator in zip(args.methods, estimators)
-    ]
-    result = run_usefulness_experiment(engine, queries, methods)
-    print(format_match_table(result))
+    results = {}
+    while pending:
+        engine = SearchEngine(pending.pop(0))
+        representative = build_representative(engine)
+        methods = [
+            MethodSpec(name, estimator, representative)
+            for name, estimator in zip(args.methods, estimators)
+        ]
+        if "subrange" in args.methods:
+            methods += degraded_methods(representative)
+        results[engine.name] = run_usefulness_experiment(engine, queries, methods)
+    print(format_paper_tables(results))
     print()
-    print(format_error_table(result))
+    print(format_conclusions(results))
     return 0
 
 
@@ -1033,8 +1050,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="subrange")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("evaluate", help="run the Section 4 comparison tables")
-    p.add_argument("--database", choices=("D1", "D2", "D3"), default="D1")
+    p = sub.add_parser(
+        "evaluate",
+        help="reproduce the paper's Tables 1-12 beside the published values",
+    )
+    p.add_argument("--database", choices=("D1", "D2", "D3"), nargs="+",
+                   default=["D1"])
     p.add_argument("--queries", type=int, default=6234)
     p.add_argument(
         "--methods",

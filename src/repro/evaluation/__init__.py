@@ -4,7 +4,8 @@
 estimated usefulness against exact usefulness; :mod:`repro.evaluation.metrics`
 defines the paper's three criteria (match/mismatch, d-N, d-S);
 :mod:`repro.evaluation.tables` renders results in the layout of the paper's
-tables; :mod:`repro.evaluation.selection` scores metasearch engine-selection
+tables, beside the published values and conclusions of
+:mod:`repro.evaluation.paper_reference`; :mod:`repro.evaluation.selection` scores metasearch engine-selection
 quality against the exhaustive oracle; :mod:`repro.evaluation.harness` is
 the golden-query evaluation harness — stratified committed query sets,
 rank-aware scoring (MRR/NDCG/Kendall tau) of any broker backend against
@@ -14,6 +15,7 @@ the exact oracle, structural tripwires, and floor-gated reports.
 from repro.evaluation.experiment import (
     ExperimentResult,
     MethodSpec,
+    degraded_methods,
     run_usefulness_experiment,
 )
 from repro.evaluation.metrics import MethodAccumulator, ThresholdMetrics
@@ -24,8 +26,10 @@ from repro.evaluation.selection import (
 )
 from repro.evaluation.tables import (
     format_combined_table,
+    format_conclusions,
     format_error_table,
     format_match_table,
+    format_paper_tables,
     format_sizing_table,
 )
 
@@ -35,10 +39,13 @@ __all__ = [
     "MethodSpec",
     "SelectionQuality",
     "ThresholdMetrics",
+    "degraded_methods",
     "evaluate_selection",
     "format_combined_table",
+    "format_conclusions",
     "format_error_table",
     "format_match_table",
+    "format_paper_tables",
     "format_sizing_table",
     "run_usefulness_experiment",
     "selection_quality_from_sets",

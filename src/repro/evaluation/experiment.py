@@ -17,14 +17,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.base import UsefulnessEstimator
+from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.truth import true_usefulness_many
 from repro.core.vectorized import fleet_usefulness_rows
 from repro.corpus.query import Query
 from repro.engine.search_engine import SearchEngine
 from repro.evaluation.metrics import MethodAccumulator, ThresholdMetrics
 from repro.representatives.columnar import FleetRepresentativeStore
+from repro.representatives.quantized import quantize_representative
 
-__all__ = ["MethodSpec", "ExperimentResult", "run_usefulness_experiment"]
+__all__ = [
+    "DEGRADED_METHODS",
+    "MethodSpec",
+    "ExperimentResult",
+    "degraded_methods",
+    "run_usefulness_experiment",
+]
 
 #: The paper's threshold grid (Section 4: Cosine keeps similarities in
 #: [0, 1], so no threshold above 1 — and nothing interesting below 0.1).
@@ -75,6 +83,31 @@ class ExperimentResult:
 
     def method_metrics(self, key: str) -> List[ThresholdMetrics]:
         return self.metrics[key]
+
+
+#: Method keys of the subrange method on the paper's two degraded
+#: representatives: one byte per stored number (Tables 7-9) and the maximum
+#: weight estimated instead of stored (Tables 10-12).
+DEGRADED_METHODS = ("quantized", "triplet")
+
+
+def degraded_methods(representative) -> List[MethodSpec]:
+    """The subrange method on ``representative``'s two degraded forms,
+    keyed as :data:`DEGRADED_METHODS`."""
+    return [
+        MethodSpec(
+            "quantized",
+            SubrangeEstimator(),
+            quantize_representative(representative),
+            label="subrange, 1-byte representative",
+        ),
+        MethodSpec(
+            "triplet",
+            SubrangeEstimator(use_stored_max=False),
+            representative.as_triplets(),
+            label="subrange, estimated max weight",
+        ),
+    ]
 
 
 def _chunks(queries: Sequence[Query]):

@@ -1,10 +1,12 @@
-"""The paper's published experimental numbers (Tables 1-12).
+"""The paper's published experimental numbers (Tables 1-12) and the
+conclusions it draws from them.
 
-Stored so the benchmark harness can print the original results next to the
-reproduction's and EXPERIMENTS.md can be regenerated.  Absolute values are
-not expected to match — the paper ran on the (unavailable) Stanford
-newsgroup snapshots, we run on the synthetic stand-in — but the *shape*
-comparisons (method ordering, error ratios, robustness deltas) are.
+Stored so ``repro evaluate`` can print the original results next to the
+reproduction's.  Absolute values are not expected to match — the paper ran
+on the (unavailable) Stanford newsgroup snapshots, we run on the synthetic
+stand-in — but the *shape* comparisons (method ordering, error totals,
+robustness deltas) are: :data:`PAPER_CONCLUSIONS` states each one as data,
+and :meth:`Conclusion.check` reads it off a reproduction.
 
 Data layout: per database, per threshold row:
 ``(T, U, (match, mismatch, d_n, d_s) per method ...)``.
@@ -12,14 +14,24 @@ Data layout: per database, per threshold row:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, Mapping, Optional, Tuple
+
+from repro.evaluation.experiment import (
+    DEGRADED_METHODS,
+    PAPER_THRESHOLDS,
+    ExperimentResult,
+)
+from repro.evaluation.metrics import ThresholdMetrics
 
 __all__ = [
+    "PAPER_CONCLUSIONS",
     "PAPER_METHODS",
+    "Conclusion",
     "PaperCell",
     "PaperRow",
     "paper_table",
+    "published_result",
     "PAPER_TABLES_1_TO_6",
     "PAPER_TABLES_7_TO_9",
     "PAPER_TABLES_10_TO_12",
@@ -198,3 +210,162 @@ def paper_table(table_id: str) -> Optional[Tuple[PaperRow, ...]]:
         "table12": PAPER_TABLES_10_TO_12["D3"],
     }
     return mapping.get(table_id)
+
+
+#: Column labels of the published tables, by method key.
+_PAPER_LABELS = {
+    "gloss-hc": "high-correlation",
+    "prev": "previous method",
+    "subrange": "subrange method",
+    "quantized": "subrange, 1-byte representative",
+    "triplet": "subrange, estimated max weight",
+}
+
+
+def _column(rows: Tuple[PaperRow, ...], method: str):
+    return [
+        ThresholdMetrics(row.threshold, row.useful, *astuple(row.cells[method]))
+        for row in rows
+    ]
+
+
+def published_result(database: str) -> ExperimentResult:
+    """The paper's numbers for ``database`` in the shape of a reproduction.
+
+    Methods are keyed as ``repro evaluate`` keys them: the three exact
+    methods of Tables 1-6 and the
+    :data:`~repro.evaluation.experiment.DEGRADED_METHODS`, ``quantized``
+    (Tables 7-9) and ``triplet`` (Tables 10-12; absent for D1, whose table
+    is damaged).  The paper does not restate document counts, so
+    ``n_documents`` is 0.
+    """
+    metrics = {
+        method: _column(PAPER_TABLES_1_TO_6[database], method)
+        for method in PAPER_METHODS
+    }
+    for key, tables in zip(
+        DEGRADED_METHODS, (PAPER_TABLES_7_TO_9, PAPER_TABLES_10_TO_12)
+    ):
+        if tables[database]:
+            metrics[key] = _column(tables[database], "subrange")
+    return ExperimentResult(
+        database=database,
+        n_documents=0,
+        n_queries=6234,
+        thresholds=PAPER_THRESHOLDS,
+        methods=list(metrics),
+        labels={key: _PAPER_LABELS[key] for key in metrics},
+        metrics=metrics,
+    )
+
+
+_FIELD_NAMES = {"d_nodoc": "d-N", "d_avgsim": "d-S"}
+
+
+@dataclass(frozen=True)
+class Conclusion:
+    """One claim the paper draws from a table, restated on a reproduction.
+
+    ``sides`` are ``(database, method)`` columns of ``field``; each adjacent
+    pair must satisfy ``relation`` — at every threshold when
+    ``per_threshold``, else on the column totals.  The ``"within"``
+    relation holds when ``|left - right| <= max(tolerance[0],
+    tolerance[1] * right)``.
+    """
+
+    table: str
+    field: str
+    sides: Tuple[Tuple[str, str], ...]
+    relation: str
+    per_threshold: bool
+    tolerance: Tuple[float, float] = (0.0, 0.0)
+
+    def check(self, results: Mapping[str, ExperimentResult]) -> str:
+        """``holds``, ``FAILS``, or ``not run`` when ``results`` (keyed by
+        database) lack a side's database or method."""
+        columns = []
+        for database, method in self.sides:
+            result = results.get(database)
+            if result is None or method not in result.metrics:
+                return "not run"
+            column = [getattr(row, self.field) for row in result.metrics[method]]
+            columns.append(column if self.per_threshold else [sum(column)])
+        absolute, relative = self.tolerance
+        relation = {
+            ">=": lambda a, b: a >= b,
+            "<=": lambda a, b: a <= b,
+            ">": lambda a, b: a > b,
+            "within": lambda a, b: abs(a - b) <= max(absolute, relative * b),
+        }[self.relation]
+        holds = all(
+            relation(a, b)
+            for left, right in zip(columns, columns[1:])
+            for a, b in zip(left, right)
+        )
+        return "holds" if holds else "FAILS"
+
+    def __str__(self) -> str:
+        databases = {database for database, __ in self.sides}
+        field = _FIELD_NAMES.get(self.field, self.field)
+        subject = f"{field} at every T" if self.per_threshold else f"total {field}"
+        if len(databases) == 1:
+            subject = f"{databases.pop()} {subject}"
+            names = [method for __, method in self.sides]
+        else:
+            names = [f"{database} {method}" for database, method in self.sides]
+        if self.relation == "within":
+            absolute, relative = self.tolerance
+            bound = f"max({absolute:g}, {relative:.0%})" if relative else f"{absolute:g}"
+            joiner = f" within {bound} of "
+        else:
+            joiner = f" {self.relation} "
+        return f"{subject}: {joiner.join(names)}"
+
+
+def _sides(database: str, *methods: str) -> Tuple[Tuple[str, str], ...]:
+    return tuple((database, method) for method in methods)
+
+
+_RANKED = ("subrange", "prev", "gloss-hc")
+
+#: Each conclusion the paper draws from Tables 1-12, in table order.  Our
+#: reconstruction of the previous method estimates AvgSim more sharply
+#: than the original, so against it Tables 4 and 6 are checked on totals
+#: (EXPERIMENTS.md); on near-normal synthetic weights the missing max
+#: weight of Tables 10-12 shows up as spurious matches and a larger AvgSim
+#: error rather than lost matches.
+PAPER_CONCLUSIONS: Tuple[Conclusion, ...] = (
+    Conclusion("table1", "match", _sides("D1", *_RANKED), ">=", True),
+    Conclusion("table2", "d_avgsim", _sides("D1", "subrange", "gloss-hc"), "<=", True),
+    Conclusion("table2", "d_nodoc", _sides("D1", *_RANKED), "<=", False),
+    Conclusion("table3", "match", _sides("D2", *_RANKED), ">=", True),
+    Conclusion(
+        "table3", "mismatch", (("D2", "subrange"), ("D1", "subrange")), ">=", False
+    ),
+    Conclusion("table4", "d_avgsim", _sides("D2", "subrange", "gloss-hc"), "<=", True),
+    Conclusion("table4", "d_nodoc", _sides("D2", "subrange", "prev"), "<=", False),
+    Conclusion("table4", "d_avgsim", _sides("D2", "subrange", "gloss-hc"), "<=", False),
+    Conclusion("table5", "match", _sides("D3", *_RANKED), ">=", True),
+    Conclusion("table6", "d_avgsim", _sides("D3", *_RANKED), "<=", False),
+    Conclusion("table6", "d_nodoc", _sides("D3", "subrange", "gloss-hc"), "<=", False),
+    Conclusion(
+        "table7", "match", _sides("D1", "quantized", "subrange"), "within", True,
+        (3, 0.02),
+    ),
+    Conclusion(
+        "table8", "match", _sides("D2", "quantized", "subrange"), "within", True,
+        (5, 0.03),
+    ),
+    Conclusion(
+        "table9", "match", _sides("D3", "quantized", "subrange"), "within", True,
+        (5, 0.03),
+    ),
+    Conclusion(
+        "table9", "d_avgsim", _sides("D3", "quantized", "subrange"), "within", True,
+        (0.02, 0.0),
+    ),
+) + tuple(
+    Conclusion(table, field, _sides(database, "triplet", "subrange"), ">", False)
+    for table, database in (("table10", "D1"), ("table11", "D2"), ("table12", "D3"))
+    for field in ("mismatch", "d_avgsim")
+)

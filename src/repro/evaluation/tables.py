@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
-from repro.evaluation.experiment import ExperimentResult
+from repro.evaluation.experiment import DEGRADED_METHODS, ExperimentResult
+from repro.evaluation.paper_reference import PAPER_CONCLUSIONS, published_result
 from repro.representatives.sizing import CollectionSizing
 
 __all__ = [
     "format_match_table",
     "format_error_table",
     "format_combined_table",
+    "format_conclusions",
+    "format_paper_tables",
     "format_sizing_table",
 ]
 
@@ -86,6 +89,64 @@ def format_combined_table(result: ExperimentResult, method: str) -> str:
         f"({result.n_queries} queries)"
     )
     return title + "\n" + _render_grid(headers, rows)
+
+
+def _with_reference(number: int, reproduction: str, published: str) -> str:
+    """One paper table: the reproduction, then the published rows."""
+    table = f"table{number}"
+    lines = [f"=== {table}: reproduction ===", reproduction]
+    if published:
+        lines += [f"--- {table}: published values (paper) ---", published]
+    else:
+        lines.append(f"--- {table}: published values unavailable ---")
+    return "\n".join(lines)
+
+
+def format_paper_tables(results: Mapping[str, ExperimentResult]) -> str:
+    """Every paper table ``results`` fill, in table order, each beside the
+    published rows.
+
+    ``results`` holds one run per database (D1, D2, D3), keyed by its name:
+    the exact-representative methods fill its match (Tables 1/3/5) and
+    error (2/4/6) tables, the
+    :data:`~repro.evaluation.experiment.DEGRADED_METHODS`, when run, its
+    one-byte (7-9) and estimated-max-weight (10-12) tables.  Published
+    columns are printed for the methods the paper has.
+    """
+    sections = {}
+    for database, result in results.items():
+        k = int(database[1:])
+        published = published_result(database)
+        exact = [m for m in result.methods if m not in DEGRADED_METHODS]
+        shared = [m for m in exact if m in published.metrics]
+        for number, render in ((2 * k - 1, format_match_table),
+                               (2 * k, format_error_table)):
+            sections[number] = _with_reference(
+                number,
+                render(result, exact),
+                render(published, shared) if shared else "",
+            )
+        for number, key in zip((6 + k, 9 + k), DEGRADED_METHODS):
+            if key in result.metrics:
+                sections[number] = _with_reference(
+                    number,
+                    format_combined_table(result, key),
+                    format_combined_table(published, key)
+                    if key in published.metrics
+                    else "",
+                )
+    return "\n\n".join(sections[number] for number in sorted(sections))
+
+
+def format_conclusions(results: Mapping[str, ExperimentResult]) -> str:
+    """One ``holds`` / ``FAILS`` / ``not run`` line per paper conclusion,
+    checked on ``results`` keyed by database."""
+    lines = ["=== the paper's conclusions ==="]
+    for conclusion in PAPER_CONCLUSIONS:
+        lines.append(
+            f"{conclusion.check(results):<7}  {conclusion.table:<7}  {conclusion}"
+        )
+    return "\n".join(lines)
 
 
 def format_sizing_table(rows: Iterable[CollectionSizing]) -> str:

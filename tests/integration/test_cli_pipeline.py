@@ -59,3 +59,5 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         assert "match/mismatch on D1" in out
         assert "subrange method" in out
+        assert "=== table10: reproduction ===" in out
+        assert "the paper's conclusions" in out

@@ -1,8 +1,8 @@
 """Smoke tests: every example script runs to completion.
 
 Examples are the public face of the library — a broken example is a broken
-deliverable, so each one is executed in-process (fast paths only; the
-table-reproduction example runs with a reduced query count).
+deliverable, so each one is executed in-process.  The paper's tables are
+not an example: ``repro evaluate`` reproduces them.
 """
 
 import runpy
@@ -35,14 +35,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "WSJ" in out
         assert "mean abs error" in out
-
-    @pytest.mark.slow
-    def test_reproduce_tables_reduced(self, capsys):
-        run_example("reproduce_tables.py", argv=["120"])
-        out = capsys.readouterr().out
-        assert "Tables 1-2 analogue" in out
-        assert "Table 7 analogue" in out
-        assert "Table 10 analogue" in out
 
     @pytest.mark.slow
     def test_metasearch_selection(self, capsys):

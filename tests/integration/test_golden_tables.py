@@ -1,7 +1,7 @@
 """Golden regression tests for the paper-table outputs.
 
-The benchmark suite regenerates Tables 1-12 at full scale
-(``benchmarks/results/*.txt``); that is far too slow for tier-1.  These
+``repro evaluate --database D1 D2 D3`` regenerates Tables 1-12 at full
+scale (``results/paper_tables.txt``); that is too slow for tier-1.  These
 tests run the identical experiment pipeline — same estimators, same
 renderers — on the small session-scoped corpus and compare the rendered
 tables character-for-character against checked-in golden files.  Any

@@ -81,26 +81,36 @@ class TestEstimate:
 
 class TestUnknownEstimatorName:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["estimate", "--collection", "missing.jsonl", "--query", "rocket",
-             "--method", "bogus"],
-            ["evaluate", "--queries", "1", "--methods", "subrange", "bogus"],
+            (["estimate", "--collection", "missing.jsonl", "--query", "rocket",
+              "--method", "bogus"], "error: unknown estimator 'bogus'"),
+            (["evaluate", "--queries", "1", "--methods", "subrange", "bogus"],
+             "error: unknown estimator 'bogus'"),
+            (["evaluate", "--queries", "-3"], "error: --queries must be >= 1"),
+            (["evaluate", "--queries", "0"], "error: --queries must be >= 1"),
+            (["evaluate", "--methods", "subrange", "subrange"],
+             "error: --methods names subrange more than once"),
+            (["evaluate", "--database", "D2", "D1", "D2"],
+             "error: --database names D2 more than once"),
         ],
-        ids=["estimate", "evaluate"],
+        ids=["estimate", "evaluate", "evaluate-negative-queries",
+             "evaluate-zero-queries", "evaluate-repeated-method",
+             "evaluate-repeated-database"],
     )
-    def test_answers_error_before_any_work(self, argv, monkeypatch, capsys):
-        """An unknown name is a usage error (exit 2, ``error: ...``) found
-        before the collection is read or D1-D3 are built."""
+    def test_answers_error_before_any_work(self, argv, message, monkeypatch,
+                                           capsys):
+        """An unknown estimator name or a bad ``evaluate`` option is a
+        usage error (exit 2, ``error: ...``) found before the collection is
+        read or D1-D3 are built."""
 
         def no_work(*args, **kwargs):
-            raise AssertionError("work started before the name was checked")
+            raise AssertionError("work started before the options were checked")
 
         monkeypatch.setattr("repro.cli.load_collection", no_work)
         monkeypatch.setattr("repro.cli.build_paper_databases", no_work)
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown estimator 'bogus'")
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestQueryLengthBound:

@@ -39,8 +39,6 @@ REFERENCES = (
     # The Cosine oracle tests/unit/test_search_engine.py compares engine
     # scores against.
     "repro.vsm.similarity",
-    # The paper's published Tables 1-12.
-    "repro.evaluation.paper_reference",
 )
 
 

@@ -71,3 +71,5 @@ class TestSizingForCollection:
         row = sizing_for_collection(small_group0)
         assert row.quantized_pages < row.representative_pages
         assert row.quantized_percent < row.percent
+        # 8 of the 20 bytes per term (Section 3.2).
+        assert row.quantized_pages / row.representative_pages == pytest.approx(0.4)

@@ -1,16 +1,21 @@
 """Unit tests for paper-style table rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import BasicEstimator, SubrangeEstimator
 from repro.evaluation import (
     MethodSpec,
     format_combined_table,
+    format_conclusions,
     format_error_table,
     format_match_table,
+    format_paper_tables,
     format_sizing_table,
     run_usefulness_experiment,
 )
+from repro.evaluation.paper_reference import PAPER_CONCLUSIONS, published_result
 from repro.representatives import PAPER_COLLECTION_STATS
 
 
@@ -68,6 +73,36 @@ class TestCombinedTable:
     def test_unknown_method_raises(self, result):
         with pytest.raises(KeyError):
             format_combined_table(result, "nope")
+
+
+class TestPaperTables:
+    def test_table_order_beside_published(self):
+        text = format_paper_tables(
+            {"D3": published_result("D3"), "D1": published_result("D1")}
+        )
+        headers = [line for line in text.splitlines() if line.startswith("===")]
+        assert headers == [
+            f"=== table{n}: reproduction ===" for n in (1, 2, 5, 6, 7, 9, 12)
+        ]
+        assert "--- table12: published values (paper) ---" in text
+
+    def test_published_columns_for_the_papers_methods_only(self, result):
+        text = format_paper_tables({"D1": replace(result, database="D1")})
+        published = text.split("--- table1: published values (paper) ---")[1]
+        header = published.splitlines()[2]
+        assert "subrange method" in header and "basic" not in header
+        basic_only = replace(result, database="D1", methods=["basic"])
+        assert "--- table1: published values unavailable ---" in (
+            format_paper_tables({"D1": basic_only})
+        )
+
+    def test_one_line_per_conclusion(self):
+        lines = format_conclusions({"D1": published_result("D1")}).splitlines()
+        assert len(lines) == 1 + len(PAPER_CONCLUSIONS)
+        assert lines[1] == (
+            "holds    table1   D1 match at every T: subrange >= prev >= gloss-hc"
+        )
+        assert lines[4].startswith("not run  table3 ")
 
 
 class TestSizingTable:
