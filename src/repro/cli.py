@@ -101,13 +101,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         representative = build_representative(engine)
     store = FleetRepresentativeStore()
     store.add(representative)
-    grid = fleet_usefulness_grid(estimator, store, query, [args.threshold])
-    estimate = grid[0][0]
+    nodoc, avgsim = fleet_usefulness_grid(estimator, store, query, [args.threshold])
     truth = true_usefulness(engine, query, args.threshold)
     print(f"database : {collection.name} ({collection.n_documents} docs)")
     print(f"query    : {' '.join(query.terms)}  (threshold {args.threshold})")
     print(f"method   : {estimator.label}")
-    print(f"estimated: NoDoc={estimate.nodoc:.2f}  AvgSim={estimate.avgsim:.4f}")
+    print(f"estimated: NoDoc={nodoc[0, 0]:.2f}  AvgSim={avgsim[0, 0]:.4f}")
     print(f"true     : NoDoc={truth.nodoc:.0f}  AvgSim={truth.avgsim:.4f}")
     return 0
 

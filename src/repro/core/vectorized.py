@@ -31,11 +31,17 @@ public as the paper's reference algorithms and the test oracle:
   (:func:`_threshold_cuts`).  Read-outs stay bit-identical; only the kept
   term count (``estimator.genfunc.terms``) changes.
 * A row whose matched factors' largest exponents, summed, cannot pass
-  that threshold (:func:`_live_rows`) is answered ``(0.0, 0.0)`` and never
-  enters the kernel; ``estimator.expansions`` counts kernel rows and
-  ``estimator.rows.skipped`` the rest.
+  that threshold (:func:`_live_rows`) never enters the kernel: its cells
+  of the output arrays stay exact zeros.  ``estimator.expansions`` counts
+  kernel rows and ``estimator.rows.skipped`` the rest.
 * The gGlOSS estimators are closed-form over sorted bands: a lexsort plus
   suffix cumulative sums in the scalar code's exact addition order.
+
+Every kernel answers in arrays, never per-engine objects: a
+``(nodoc, avgsim)`` pair of float64 arrays, ``(T, E)`` from
+:func:`fleet_usefulness_grid` and ``(Q, T, E)`` from
+:func:`fleet_usefulness_rows`, engines in ``store.engine_names`` order —
+the values the scalar estimator's ``Usefulness`` would hold, bit for bit.
 
 Each of the six estimator types has a kernel, matched on the exact type: a
 subclass may override ``term_polynomial`` or ``estimate``, which a kernel
@@ -60,7 +66,6 @@ from repro.core.genfunc import DECIMALS, BatchedGenFunc, GenFunc
 from repro.core.gloss import GlossDisjointEstimator, GlossHighCorrelationEstimator
 from repro.core.prev_estimator import PreviousMethodEstimator, adjust_terms
 from repro.core.subrange_estimator import SubrangeEstimator
-from repro.core.types import Usefulness
 from repro.corpus.query import Query
 from repro.obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS
 from repro.representatives.columnar import FleetRepresentativeStore
@@ -88,9 +93,8 @@ _EXPONENT_CEILING = 1e306 / 10.0 ** DECIMALS
 #: through the whole sweep.
 _SCALAR_DEMOTIONS = 0
 
-#: The estimate of every row the whole-row bound rules out (immutable,
-#: so one instance serves every such cell).
-_NO_USEFULNESS = Usefulness(nodoc=0.0, avgsim=0.0)
+#: A kernel's answer: ``(nodoc, avgsim)`` float64 arrays of one shape.
+Estimates = Tuple[np.ndarray, np.ndarray]
 
 
 def fallback_count() -> int:
@@ -152,32 +156,32 @@ def fleet_usefulness_rows(
     store: FleetRepresentativeStore,
     queries: Sequence[Query],
     thresholds: Sequence[float],
-) -> List[List[List[Usefulness]]]:
+) -> Estimates:
     """Usefulness of every engine in ``store`` for every query at every
     threshold, as one kernel call over (query, engine) rows.
 
     Returns:
-        ``rows[q][t][e]`` — the estimate for ``queries[q]``,
-        ``thresholds[t]`` and engine ``store.engine_names[e]``,
-        bit-identical to the scalar estimator (and to per-query
-        :func:`fleet_usefulness_grid` calls).  ``estimator`` must be one
-        of the six kernel types (:func:`require_kernel`).
+        ``(nodoc, avgsim)``, each of shape ``(Q, T, E)``: cell ``[q, t,
+        e]`` is the estimate for ``queries[q]``, ``thresholds[t]`` and
+        engine ``store.engine_names[e]``, bit-identical to the scalar
+        estimator (and to per-query :func:`fleet_usefulness_grid` calls);
+        a row the whole-row bound rules out is exactly ``(0.0, 0.0)``.
+        ``estimator`` must be one of the six kernel types
+        (:func:`require_kernel`).
     """
     require_kernel(estimator)
     thresholds = [float(t) for t in thresholds]
     queries = list(queries)
-    n_engines = len(store)
+    n_queries, n_engines = len(queries), len(store)
     if n_engines == 0 or not queries:
-        return [[[] for __ in thresholds] for __ in queries]
+        empty = np.zeros((n_queries, len(thresholds), n_engines))
+        return empty, empty.copy()
     flat = _KERNELS[type(estimator)](
         estimator, _gather_rows(store, queries), thresholds
     )
-    if len(queries) == 1:
-        return [flat]
-    return [
-        [row[i * n_engines : (i + 1) * n_engines] for row in flat]
-        for i in range(len(queries))
-    ]
+    shape = (len(thresholds), n_queries, n_engines)
+    nodoc, avgsim = (a.reshape(shape).swapaxes(0, 1) for a in flat)
+    return nodoc, avgsim
 
 
 def fleet_usefulness_grid(
@@ -185,9 +189,11 @@ def fleet_usefulness_grid(
     store: FleetRepresentativeStore,
     query: Query,
     thresholds: Sequence[float],
-) -> List[List[Usefulness]]:
-    """:func:`fleet_usefulness_rows` for one query: ``grid[t][e]``."""
-    return fleet_usefulness_rows(estimator, store, [query], thresholds)[0]
+) -> Estimates:
+    """:func:`fleet_usefulness_rows` for one query: ``(nodoc, avgsim)`` of
+    shape ``(T, E)``."""
+    nodoc, avgsim = fleet_usefulness_rows(estimator, store, [query], thresholds)
+    return nodoc[0], avgsim[0]
 
 
 def fleet_tails(
@@ -261,25 +267,18 @@ def _no_tails(thresholds):
     return (np.empty((len(thresholds), 0)),) * 2
 
 
-def _boxed(n, mass, moment, live, n_rows) -> List[Usefulness]:
-    """One Usefulness per row: the ``live`` rows from their tails
-    (scalar-identical ``nodoc = n * mass`` / ``avgsim = moment / mass``
-    arithmetic), every other row the shared ``(0.0, 0.0)``."""
-    if live.size == 0:
-        return [_NO_USEFULNESS] * n_rows
-    nodoc = n.astype(np.float64) * mass
+def _readout(n, mass, moment, live, n_rows) -> Estimates:
+    """``(nodoc, avgsim)`` over ``n_rows`` rows (last axis): the ``live``
+    rows from their tails (scalar-identical ``nodoc = n * mass`` /
+    ``avgsim = moment / mass`` arithmetic), every other row exactly zero."""
+    nodoc = np.zeros(mass.shape[:-1] + (n_rows,))
+    avgsim = np.zeros_like(nodoc)
     positive = mass > 0.0
-    avgsim = np.where(positive, moment / np.where(positive, mass, 1.0), 0.0)
-    values = [
-        Usefulness(nodoc=nd, avgsim=av)
-        for nd, av in zip(nodoc.tolist(), avgsim.tolist())
-    ]
-    if live.size == n_rows:
-        return values
-    row = [_NO_USEFULNESS] * n_rows
-    for r, value in zip(live.tolist(), values):
-        row[r] = value
-    return row
+    nodoc[..., live] = n.astype(np.float64) * mass
+    avgsim[..., live] = np.where(
+        positive, moment / np.where(positive, mass, 1.0), 0.0
+    )
+    return nodoc, avgsim
 
 
 def _cut_floor(thresholds: List[float]) -> float:
@@ -410,8 +409,7 @@ def _expansion_grid(est, rows: _Rows, thresholds: List[float]):
         est, *_EXPANSIONS[type(est)](est, rows), rows.n_terms, floor
     )
     mass, moment = tails(thresholds)
-    n = rows.n[live]
-    return [_boxed(n, m, mo, live, n_rows) for m, mo in zip(mass, moment)]
+    return _readout(rows.n[live], mass, moment, live, n_rows)
 
 
 # -- subrange: batched factor tensor -----------------------------------------
@@ -528,11 +526,13 @@ def _prev_grid(est, rows: _Rows, thresholds: List[float]):
     )
     mass, moment = tails(thresholds)
     own, cols = live // n_rows, np.arange(live.size)
-    flat = _boxed(
+    nodoc, avgsim = _readout(
         np.tile(rows.n, n_thresholds)[live], mass[own, cols],
         moment[own, cols], live, n_thresholds * n_rows,
     )
-    return [flat[t * n_rows : (t + 1) * n_rows] for t in range(n_thresholds)]
+    return (
+        nodoc.reshape(n_thresholds, n_rows), avgsim.reshape(n_thresholds, n_rows)
+    )
 
 
 # -- gGlOSS ------------------------------------------------------------------
@@ -564,20 +564,16 @@ def _gloss_hc_grid(est, rows: _Rows, thresholds: List[float]):
     m_s = matched.ravel()[order].reshape(n_rows, n_terms)
     suffix = np.cumsum(c_s[:, ::-1], axis=1)[:, ::-1]
     prev = np.hstack([np.zeros((n_rows, 1)), df_s[:, :-1]])
+    nodoc = np.zeros((len(thresholds), n_rows))
+    sim_sum = np.zeros((len(thresholds), n_rows))
     with np.errstate(invalid="ignore"):
         pop = df_s - prev
-        grid = []
-        for t in thresholds:
-            nodoc = np.zeros(n_rows)
-            sim_sum = np.zeros(n_rows)
+        for k, t in enumerate(thresholds):
             for i in range(n_terms):
                 cond = m_s[:, i] & (pop[:, i] > 0.0) & (suffix[:, i] > t)
-                nodoc = nodoc + np.where(cond, pop[:, i], 0.0)
-                sim_sum = sim_sum + np.where(
-                    cond, pop[:, i] * suffix[:, i], 0.0
-                )
-            grid.append(_usefulness_row(nodoc, sim_sum))
-    return grid
+                nodoc[k] += np.where(cond, pop[:, i], 0.0)
+                sim_sum[k] += np.where(cond, pop[:, i] * suffix[:, i], 0.0)
+    return _gloss_readout(nodoc, sim_sum)
 
 
 def _gloss_disjoint_grid(est, rows: _Rows, thresholds: List[float]):
@@ -585,25 +581,22 @@ def _gloss_disjoint_grid(est, rows: _Rows, thresholds: List[float]):
     n_rows, n_terms = rows.p.shape
     dfs = rows.p * rows.n.astype(np.float64)[:, None]
     contrib = rows.u * rows.w
-    grid = []
-    for t in thresholds:
-        nodoc = np.zeros(n_rows)
-        sim_sum = np.zeros(n_rows)
+    nodoc = np.zeros((len(thresholds), n_rows))
+    sim_sum = np.zeros((len(thresholds), n_rows))
+    for k, t in enumerate(thresholds):
         for j in range(n_terms):
             cond = rows.matched[:, j] & (contrib[:, j] > t) & (dfs[:, j] > 0.0)
-            nodoc = nodoc + np.where(cond, dfs[:, j], 0.0)
-            sim_sum = sim_sum + np.where(cond, dfs[:, j] * contrib[:, j], 0.0)
-        grid.append(_usefulness_row(nodoc, sim_sum))
-    return grid
+            nodoc[k] += np.where(cond, dfs[:, j], 0.0)
+            sim_sum[k] += np.where(cond, dfs[:, j] * contrib[:, j], 0.0)
+    return _gloss_readout(nodoc, sim_sum)
 
 
-def _usefulness_row(nodoc: np.ndarray, sim_sum: np.ndarray) -> List[Usefulness]:
+def _gloss_readout(nodoc: np.ndarray, sim_sum: np.ndarray) -> Estimates:
+    """The arithmetic of the scalar ``_usefulness_from_groups``: ``avgsim =
+    sim_sum / nodoc`` where ``nodoc > 0``, both exactly zero elsewhere."""
     positive = nodoc > 0.0
     avgsim = np.where(positive, sim_sum / np.where(positive, nodoc, 1.0), 0.0)
-    return [
-        Usefulness(nodoc=(nd if ok else 0.0), avgsim=av)
-        for nd, av, ok in zip(nodoc.tolist(), avgsim.tolist(), positive.tolist())
-    ]
+    return np.where(positive, nodoc, 0.0), avgsim
 
 
 #: The expansion estimators' per-row factor inputs, by exact type.
@@ -618,7 +611,8 @@ _EXPANSIONS = {
 }
 
 #: Every estimator type's kernel: ``kernel(estimator, rows, thresholds)``
-#: returns ``flat[t][r]`` over the stacked (query, engine) rows.
+#: returns ``(nodoc, avgsim)`` of shape ``(T, R)`` over the stacked
+#: (query, engine) rows.
 _KERNELS = {
     **dict.fromkeys(_EXPANSIONS, _expansion_grid),
     PreviousMethodEstimator: _prev_grid,

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.base import UsefulnessEstimator
 from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.truth import true_usefulness_many
+from repro.core.types import Usefulness
 from repro.core.vectorized import fleet_usefulness_rows
 from repro.corpus.query import Query
 from repro.engine.search_engine import SearchEngine
@@ -164,8 +165,11 @@ def run_usefulness_experiment(
         }
         for offset, query in enumerate(chunk):
             truths = true_usefulness_many(engine, query, thresholds)
-            for key, rows in estimates.items():
-                accumulators[key].add(truths, [row[0] for row in rows[offset]])
+            for key, (nodoc, avgsim) in estimates.items():
+                cells = zip(nodoc[offset, :, 0].tolist(), avgsim[offset, :, 0].tolist())
+                accumulators[key].add(
+                    truths, [Usefulness(nodoc=nd, avgsim=av) for nd, av in cells]
+                )
             done += 1
             if progress is not None and done % 500 == 0:
                 progress(done, total)

@@ -1,8 +1,8 @@
 """The harness core: score any broker backend over golden strata.
 
 A *backend* is anything with the broker's ``estimate_batch(queries,
-thresholds) -> List[List[EstimatedUsefulness]]`` surface — the in-process
-broker, or the sharded
+thresholds) -> List[EstimateRow]`` surface (lists of best-first
+``EstimatedUsefulness`` will do) — the in-process broker, or the sharded
 :class:`~repro.serving.coordinator.ShardedFleet` — which is exactly what
 makes the harness a differential quality gate: every configuration is
 scored against the same exact oracle with the same metrics, so two
@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.core.truth import true_usefulness
 from repro.engine.search_engine import SearchEngine
 from repro.evaluation.harness.diagnostics import (
@@ -49,7 +51,11 @@ from repro.evaluation.selection import (
     SelectionQuality,
     selection_quality_from_sets,
 )
-from repro.metasearch.selection import SelectionPolicy, ThresholdPolicy
+from repro.metasearch.selection import (
+    EstimateRow,
+    SelectionPolicy,
+    ThresholdPolicy,
+)
 
 __all__ = [
     "EVAL_FORMAT",
@@ -157,14 +163,17 @@ def _score_estimator(
     rounded_rows: List[Dict[str, int]] = []
     high_nodoc_rows: List[Dict[str, float]] = []
     for row, high_row in zip(low_rows, high_rows):
-        rankings.append([e.engine for e in row])
+        row, high_row = EstimateRow.of(row), EstimateRow.of(high_row)
+        ranking = row.engines
+        nodoc = row.nodoc[row.order]
+        rankings.append(ranking)
         selected_sets.append(frozenset(policy.select(row)))
-        nodoc_rows.append({e.engine: e.usefulness.nodoc for e in row})
+        nodoc_rows.append(dict(zip(ranking, nodoc.tolist())))
         rounded_rows.append(
-            {e.engine: e.usefulness.nodoc_rounded for e in row}
+            dict(zip(ranking, np.floor(nodoc + 0.5).astype(np.int64).tolist()))
         )
         high_nodoc_rows.append(
-            {e.engine: e.usefulness.nodoc for e in high_row}
+            dict(zip(high_row.engines, high_row.nodoc[high_row.order].tolist()))
         )
 
     precisions = [

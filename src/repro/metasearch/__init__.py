@@ -25,6 +25,7 @@ from repro.metasearch.dispatch import (
 from repro.metasearch.merge import merge_hits
 from repro.metasearch.selection import (
     EstimatedUsefulness,
+    EstimateRow,
     SelectionPolicy,
     ThresholdPolicy,
     TopKPolicy,
@@ -36,6 +37,7 @@ __all__ = [
     "EngineFailure",
     "EstimateCache",
     "EstimatedUsefulness",
+    "EstimateRow",
     "MetasearchBroker",
     "MetasearchResponse",
     "SelectionPolicy",

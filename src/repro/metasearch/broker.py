@@ -30,7 +30,12 @@ merge`` — and one of everything on that path:
   normalized ``(terms, weights)`` identity, probe the
   :class:`~repro.metasearch.cache.EstimateCache`, make one
   :func:`~repro.core.vectorized.fleet_usefulness_grid` call per group over
-  the thresholds the cache could not answer, populate the cache, sort.
+  the thresholds the cache could not answer, populate the cache, rank
+  each row with one ``np.lexsort``.  A row is an
+  :class:`~repro.metasearch.selection.EstimateRow` — names plus
+  ``nodoc`` / ``avgsim`` arrays and a best-first permutation — from the
+  kernel to the selection policy; no per-engine object is built unless a
+  caller reads one.
   :meth:`~MetasearchBroker.estimate_all` is the batch of one,
   :meth:`~MetasearchBroker.estimate_batch` the general case and
   :meth:`~MetasearchBroker.estimate_all_cached` the probe-only step.  Every
@@ -70,6 +75,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.base import UsefulnessEstimator
 from repro.core.subrange_estimator import SubrangeEstimator
 from repro.core.vectorized import fleet_usefulness_grid, require_kernel
@@ -86,8 +93,10 @@ from repro.metasearch.dispatch import (
 from repro.metasearch.merge import merge_hits
 from repro.metasearch.selection import (
     EstimatedUsefulness,
+    EstimateRow,
     SelectionPolicy,
     ThresholdPolicy,
+    rank_names,
 )
 from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY
 from repro.obs.trace import QueryTrace
@@ -167,8 +176,10 @@ class MetasearchResponse:
         hits: Globally ranked merged hits from the engines that answered.
         invoked: Names of the engines the query was forwarded to.
         estimates: All per-engine usefulness estimates (invoked or not),
-            most promising first — useful for diagnostics and the paper's
-            evaluation harness.
+            most promising first — an
+            :class:`~repro.metasearch.selection.EstimateRow` from the
+            pipeline, a list once decoded from the wire — useful for
+            diagnostics and the paper's evaluation harness.
         failures: One :class:`~repro.metasearch.dispatch.EngineFailure`
             per invoked engine that timed out or errored; such an engine
             contributes no hits but does not sink the query.
@@ -182,7 +193,7 @@ class MetasearchResponse:
 
     hits: List[SearchHit]
     invoked: List[str]
-    estimates: List[EstimatedUsefulness]
+    estimates: Sequence[EstimatedUsefulness]
     failures: List[EngineFailure] = field(default_factory=list)
     latencies: Dict[str, float] = field(default_factory=dict)
     trace: Optional[QueryTrace] = field(default=None, compare=False, repr=False)
@@ -239,7 +250,8 @@ class SearchPipeline:
     # -- the backend's two steps -------------------------------------------------------
 
     def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
-        """``(rows, failures)``: one best-first estimate row per ``(query,
+        """``(rows, failures)``: one best-first
+        :class:`~repro.metasearch.selection.EstimateRow` per ``(query,
         threshold)``, and one :class:`~repro.metasearch.dispatch.EngineFailure`
         per engine whose estimate could not be had (absent from every row)."""
         raise NotImplementedError
@@ -253,15 +265,13 @@ class SearchPipeline:
 
     # -- estimation ------------------------------------------------------------------------
 
-    def estimate_all(
-        self, query: Query, threshold: float
-    ) -> List[EstimatedUsefulness]:
+    def estimate_all(self, query: Query, threshold: float) -> EstimateRow:
         """Usefulness estimate for every engine that answered, best first."""
         return self.rows([query], [float(threshold)])[0][0]
 
     def estimate_all_cached(
         self, query: Query, threshold: float
-    ) -> Optional[List[EstimatedUsefulness]]:
+    ) -> Optional[EstimateRow]:
         """:meth:`estimate_all`'s answer iff it is already cached — never,
         for a backend without a full-row estimate cache."""
         return None
@@ -270,7 +280,7 @@ class SearchPipeline:
         self,
         queries: Sequence[Query],
         thresholds: Union[float, Sequence[float]],
-    ) -> List[List[EstimatedUsefulness]]:
+    ) -> List[EstimateRow]:
         """Usefulness estimates for many queries in one amortized pass.
 
         Args:
@@ -297,7 +307,7 @@ class SearchPipeline:
     # -- search ------------------------------------------------------------------------------
 
     def _select(
-        self, estimates: List[EstimatedUsefulness], trace: QueryTrace
+        self, estimates: EstimateRow, trace: QueryTrace
     ) -> List[str]:
         with trace.span("select") as span:
             invoked = self.policy.select(estimates)
@@ -308,7 +318,7 @@ class SearchPipeline:
     def _respond(
         self,
         invoked: List[str],
-        estimates: List[EstimatedUsefulness],
+        estimates: Sequence[EstimatedUsefulness],
         report: DispatchReport,
         limit: Optional[int],
         trace: QueryTrace,
@@ -459,6 +469,7 @@ class MetasearchBroker(SearchPipeline):
             fleet if fleet is not None else FleetRepresentativeStore()
         )
         self.cache = EstimateCache(cache_size, registry=self.registry)
+        self._rank_of = rank_names([])
         self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
@@ -691,16 +702,25 @@ class MetasearchBroker(SearchPipeline):
 
     # -- estimation ------------------------------------------------------------------------
 
+    def _name_rank(self, names: List[str]) -> np.ndarray:
+        """:func:`~repro.metasearch.selection.rank_names` of ``names`` (a
+        snapshot of the fleet's), recomputed only when the fleet has grown:
+        its names are append-only, so their count identifies them."""
+        rank = self._rank_of
+        if rank.size != len(names):
+            rank = self._rank_of = rank_names(names)
+        return rank
+
     def _estimate_rows(
         self,
         queries: Sequence[Query],
         thresholds: Sequence[float],
         *,
         cached_only: bool = False,
-    ) -> Optional[List[List[EstimatedUsefulness]]]:
-        """One best-first estimate row per ``(query, threshold)`` — the only
-        estimation routine; every public estimate/search entry point is a
-        view of it.
+    ) -> Optional[List[EstimateRow]]:
+        """One best-first :class:`~repro.metasearch.selection.EstimateRow`
+        per ``(query, threshold)`` — the only estimation routine; every
+        public estimate/search entry point is a view of it.
 
         Queries sharing a normalized ``(terms, weights)`` identity form a
         group.  Per group, each distinct threshold's full engine row is
@@ -708,10 +728,13 @@ class MetasearchBroker(SearchPipeline):
         counted per engine); the thresholds with at least one miss are
         answered by a single
         :func:`~repro.core.vectorized.fleet_usefulness_grid` call, whose
-        values fill exactly the missed slots and go back in one ``put_row``
-        each.  So a batch both benefits from and warms what a single
-        :meth:`estimate_all` would, and its rows are bit-identical to
-        per-query calls.
+        ``(nodoc, avgsim)`` arrays fill exactly the missed slots (a row that
+        missed completely takes them as they are) and go back in one
+        ``put_row`` each.  Each row is then ranked by one ``np.lexsort``
+        over ``(name rank, -avgsim, -nodoc)`` — ``sort_key``'s order — and
+        no per-engine object is built.  So a batch both benefits from and
+        warms what a single :meth:`estimate_all` would, and its rows are
+        bit-identical to per-query calls.
 
         With ``cached_only`` nothing is ever computed: the rows are returned
         only when every needed entry is resident — checked with a
@@ -724,41 +747,49 @@ class MetasearchBroker(SearchPipeline):
         groups: Dict[tuple, List[int]] = {}
         for i, query in enumerate(queries):
             groups.setdefault(EstimateCache.query_key(query), []).append(i)
-        rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
+        rows: List[EstimateRow] = [None] * len(queries)
         for query_key, members in groups.items():
-            values: Dict[float, list] = {}
+            slots: Dict[float, list] = {}
             for t in dict.fromkeys(thresholds[i] for i in members):
                 if cached_only and not self.cache.peek_row(query_key, t, names):
                     return None
-                values[t] = self.cache.get_row(query_key, t, names)
-            missing = [t for t, row in values.items() if None in row]
+                slots[t] = self.cache.get_row(query_key, t, names)
+            missing = [t for t, row in slots.items() if None in row]
+            if missing and cached_only:  # raced an eviction between peek and get
+                return None
+            values = {
+                t: np.array(row, dtype=np.float64).reshape(-1, 2).T
+                for t, row in slots.items()
+                if t not in missing
+            }
             if missing:
-                if cached_only:  # raced an eviction between peek and get
-                    return None
-                grid = fleet_usefulness_grid(
-                    self.estimator, self.fleet, queries[members[0]], missing
-                )
-                for t, fresh in zip(missing, grid):
-                    row = values[t]
-                    holes = [e for e, cached in enumerate(row) if cached is None]
-                    for e in holes:
-                        row[e] = fresh[e]
-                    self.cache.put_row(
-                        query_key, t, [names[e] for e in holes],
-                        [fresh[e] for e in holes],
+                # An engine registered since ``names`` was read is past
+                # its end: the grid's columns are cut to the snapshot.
+                grid = [
+                    a[:, : len(names)] for a in fleet_usefulness_grid(
+                        self.estimator, self.fleet, queries[members[0]], missing
                     )
+                ]
+                for t, nodoc, avgsim in zip(missing, *grid):
+                    cached = slots[t]
+                    filled = names
+                    fresh = list(zip(nodoc.tolist(), avgsim.tolist()))
+                    if cached.count(None) < len(cached):  # hits keep theirs
+                        holes = [e for e, value in enumerate(cached) if value is None]
+                        for e, value in enumerate(cached):
+                            if value is not None:
+                                nodoc[e], avgsim[e] = value
+                        filled = [names[e] for e in holes]
+                        fresh = [fresh[e] for e in holes]
+                    self.cache.put_row(query_key, t, filled, fresh)
+                    values[t] = nodoc, avgsim
+            rank = self._name_rank(names)
             ranked = {
-                t: sorted(
-                    (
-                        EstimatedUsefulness(engine=name, usefulness=usefulness)
-                        for name, usefulness in zip(names, row)
-                    ),
-                    key=lambda e: e.sort_key,
-                )
-                for t, row in values.items()
+                t: EstimateRow.ranked(names, nodoc, avgsim, rank)
+                for t, (nodoc, avgsim) in values.items()
             }
             for i in members:
-                rows[i] = list(ranked[thresholds[i]])
+                rows[i] = ranked[thresholds[i]]
         return rows
 
     def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
@@ -767,7 +798,7 @@ class MetasearchBroker(SearchPipeline):
 
     def estimate_all_cached(
         self, query: Query, threshold: float
-    ) -> Optional[List[EstimatedUsefulness]]:
+    ) -> Optional[EstimateRow]:
         """:meth:`estimate_all`'s answer iff it is fully cached, else None.
 
         Never computes anything: the row is returned only when *every*
@@ -813,7 +844,7 @@ class MetasearchBroker(SearchPipeline):
         query: Query,
         threshold: float,
         limit: Optional[int],
-        estimates: List[EstimatedUsefulness],
+        estimates: Sequence[EstimatedUsefulness],
         trace: QueryTrace,
         started: float,
     ) -> MetasearchResponse:

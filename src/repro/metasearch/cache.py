@@ -40,7 +40,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.types import Usefulness
 from repro.corpus.query import Query
 from repro.obs.registry import NULL_REGISTRY
 
@@ -49,6 +48,9 @@ __all__ = ["EstimateCache", "TermPolynomialCache"]
 #: Per-estimate key: (engine name, *row key) — a row key being (query terms,
 #: normalized query weights, threshold).
 CacheKey = Tuple[str, Tuple[str, ...], Tuple[float, ...], float]
+
+#: One estimate-cache slot: an engine's ``(nodoc, avgsim)`` floats.
+Estimate = Tuple[float, float]
 
 #: Decimals kept of each normalized weight — enough that distinct weight
 #: profiles stay distinct while float noise from equal profiles merges.
@@ -233,7 +235,9 @@ class _TermIndexedLRU:
 
 
 class EstimateCache(_TermIndexedLRU):
-    """Bounded LRU of fleet rows: (query, threshold) -> {engine: Usefulness}.
+    """Bounded LRU of fleet rows: (query, threshold) -> {engine: (nodoc,
+    avgsim)}.  A slot's value is the engine's estimate as a plain float
+    pair — the kernel's array cells, never a per-engine object.
 
     Args:
         maxsize: Maximum resident estimates (engines × distinct (query,
@@ -270,9 +274,9 @@ class EstimateCache(_TermIndexedLRU):
 
     def get_row(
         self, query_key: Tuple, threshold: float, engines: Sequence[str]
-    ) -> List[Optional[Usefulness]]:
-        """``engines``' cached estimates in order, ``None`` where absent;
-        one hit or miss counted per engine."""
+    ) -> List[Optional[Estimate]]:
+        """``engines``' cached ``(nodoc, avgsim)`` pairs in order, ``None``
+        where absent; one hit or miss counted per engine."""
         return self._read((*query_key, float(threshold)), engines)
 
     def peek_row(
@@ -283,9 +287,14 @@ class EstimateCache(_TermIndexedLRU):
         return self._has((*query_key, float(threshold)), engines)
 
     def put_row(
-        self, query_key: Tuple, threshold: float, engines: Sequence[str], values: list
+        self,
+        query_key: Tuple,
+        threshold: float,
+        engines: Sequence[str],
+        values: Sequence[Estimate],
     ) -> None:
-        """Fill only the slots given: ``values[i]`` is ``engines[i]``'s estimate."""
+        """Fill only the slots given: ``values[i]`` is ``engines[i]``'s
+        ``(nodoc, avgsim)`` pair."""
         self._write((*query_key, float(threshold)), engines, values)
 
     @staticmethod
@@ -298,7 +307,7 @@ class EstimateCache(_TermIndexedLRU):
         """The cache key for one estimate."""
         return cls.key_from(engine, cls.query_key(query), threshold)
 
-    def get(self, key: CacheKey) -> Optional[Usefulness]:
+    def get(self, key: CacheKey) -> Optional[Estimate]:
         """The cached estimate, its row refreshed as most recent; None on miss."""
         return self._read(key[1:], key[:1])[0]
 
@@ -308,7 +317,7 @@ class EstimateCache(_TermIndexedLRU):
 
     __contains__ = peek
 
-    def put(self, key: CacheKey, value: Usefulness) -> None:
+    def put(self, key: CacheKey, value: Estimate) -> None:
         self._write(key[1:], key[:1], (value,))
 
 

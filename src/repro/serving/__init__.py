@@ -57,6 +57,8 @@ from repro.serving.wire import (
     decode_hits,
     encode_hits,
     estimate_from_wire,
+    estimate_row_from_wire,
+    estimate_row_to_wire,
     estimate_to_wire,
     failure_from_wire,
     failure_to_wire,
@@ -100,6 +102,8 @@ __all__ = [
     "detached_deadline_scope",
     "encode_hits",
     "estimate_from_wire",
+    "estimate_row_from_wire",
+    "estimate_row_to_wire",
     "estimate_to_wire",
     "failure_from_wire",
     "failure_to_wire",

@@ -14,10 +14,13 @@ The merge is **bit-exact** by construction, not by luck:
 * Per-engine usefulness estimates depend only on that engine's
   representative and the query — never on the rest of the fleet — so a
   shard computes exactly the numbers the in-process broker would.
-* An estimate row is engines sorted by ``sort_key = (-nodoc, -avgsim,
-  engine)``.  Engine names are unique, so the key is a *total* order and
-  sorting the concatenation of per-shard rows yields the identical row
-  the in-process broker produces (stability never has to break a tie).
+* An estimate row is engines ranked by ``sort_key = (-nodoc, -avgsim,
+  engine)``: one ``np.lexsort`` over the row's arrays, names entering as
+  their rank under Python ``sorted``.  Engine names are unique, so the key
+  is a *total* order, and ranking the concatenation of the answering
+  shards' names and ``nodoc`` / ``avgsim`` arrays yields the identical
+  :class:`~repro.metasearch.selection.EstimateRow` the in-process broker
+  produces (stability never has to break a tie).
 * Selection runs *centrally*, in the pipeline, on that merged row, so any
   policy — the paper's threshold, top-k, anything rank-dependent — sees
   exactly the input it would see in one process.
@@ -43,6 +46,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.corpus.query import Query
 from repro.metasearch.broker import SearchPipeline
 from repro.metasearch.dispatch import (
@@ -56,7 +61,7 @@ from repro.metasearch.dispatch import (
 # wraps repro.serving.coordinator.merge_hits by module attribute and
 # bench/test_smoke.py asserts probe.errors == 0 (ROADMAP, item 1(a)).
 from repro.metasearch.merge import merge_hits  # noqa: F401
-from repro.metasearch.selection import EstimatedUsefulness, SelectionPolicy
+from repro.metasearch.selection import EstimateRow, SelectionPolicy
 from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.serving.gateway import GatewayApp
 from repro.serving.remote_engine import RemoteServingError, _HTTPJsonClient
@@ -64,12 +69,21 @@ from repro.serving.wire import (
     WireFormatError,
     _expect_kind,
     decode_hits,
-    estimate_from_wire,
+    estimate_row_from_wire,
     failure_from_wire,
     query_to_wire,
 )
 
 __all__ = ["CoordinatorApp", "ShardedFleet"]
+
+
+def _concatenated(parts: Sequence[EstimateRow]) -> EstimateRow:
+    """One ranked row over every part's engines."""
+    return EstimateRow.ranked(
+        [name for part in parts for name in part.names],
+        np.concatenate([part.nodoc for part in parts] or [np.empty(0)]),
+        np.concatenate([part.avgsim for part in parts] or [np.empty(0)]),
+    )
 
 
 class _ShardHandle:
@@ -268,10 +282,10 @@ class ShardedFleet(SearchPipeline):
 
     def _shard_estimates(
         self, shard: _ShardHandle, payload: dict, n_queries: int
-    ) -> List[List[EstimatedUsefulness]]:
+    ) -> List[EstimateRow]:
         def decode(answer):
             rows = [
-                [estimate_from_wire(e) for e in row]
+                estimate_row_from_wire(row)
                 for row in _expect_kind(answer, "shard.estimates")["rows"]
             ]
             if len(rows) != n_queries:
@@ -352,14 +366,13 @@ class ShardedFleet(SearchPipeline):
         self._m_rpcs["estimate"].inc(len(calls))
         self._m_fanout_queries.observe(len(queries))
         report = self.dispatcher.dispatch(calls)
-        rows: List[List[EstimatedUsefulness]] = [[] for __ in queries]
-        for shard_rows in report.results.values():  # answering shards only
-            for row, shard_row in zip(rows, shard_rows):
-                row.extend(shard_row)
-        for row in rows:
-            # sort_key is a total order (unique engine names), so sorting
-            # the concatenation reproduces the in-process row exactly.
-            row.sort(key=lambda e: e.sort_key)
+        answered = list(report.results.values())  # answering shards only
+        # sort_key is a total order (unique engine names), so ranking the
+        # concatenation reproduces the in-process row exactly.
+        rows = [
+            _concatenated([shard_rows[i] for shard_rows in answered])
+            for i in range(len(queries))
+        ]
         by_name = {shard.name: shard for shard in self._shards}
         failures: List[EngineFailure] = []
         for failure in report.failures:

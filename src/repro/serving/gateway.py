@@ -40,7 +40,7 @@ from repro.serving.coalesce import (
 )
 from repro.serving.http import HTTPError, Response, Route, ServingApp
 from repro.serving.wire import (
-    estimate_to_wire,
+    estimate_row_to_wire,
     limit_from_wire,
     query_from_wire,
     response_to_wire,
@@ -258,7 +258,7 @@ class GatewayApp(ServingApp):
         return Response(
             payload={
                 "kind": "estimates",
-                "estimates": [estimate_to_wire(e) for e in estimates],
+                "estimates": estimate_row_to_wire(estimates),
             }
         )
 

@@ -62,10 +62,10 @@ from repro.fleet.delta import (
 )
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.deadlines import DEADLINE_HEADER, ambient_deadline
-from repro.metasearch.selection import EstimatedUsefulness
+from repro.metasearch.selection import EstimateRow
 from repro.serving.wire import (
     decode_hits,
-    estimate_from_wire,
+    estimate_row_from_wire,
     query_to_wire,
     response_from_wire,
     snapshot_from_wire,
@@ -436,16 +436,12 @@ class GatewayClient:
     def base_url(self) -> str:
         return self._client.base_url
 
-    def estimate(
-        self, query: Query, threshold: float
-    ) -> List[EstimatedUsefulness]:
+    def estimate(self, query: Query, threshold: float) -> EstimateRow:
         return self._client.request(
             "POST",
             "/estimate",
             {"query": query_to_wire(query), "threshold": float(threshold)},
-            decode=lambda answer: [
-                estimate_from_wire(e) for e in answer["estimates"]
-            ],
+            decode=lambda answer: estimate_row_from_wire(answer["estimates"]),
         )
 
     def search(

@@ -56,7 +56,7 @@ from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.serving.http import HTTPError, Response, ServingApp
 from repro.serving.wire import (
     encode_hits,
-    estimate_to_wire,
+    estimate_row_to_wire,
     failure_to_wire,
     query_from_wire,
     threshold_from_wire,
@@ -150,9 +150,7 @@ class ShardApp(ServingApp):
             payload={
                 "kind": "shard.estimates",
                 "shard": self.shard_index,
-                "rows": [
-                    [estimate_to_wire(e) for e in row] for row in rows
-                ],
+                "rows": [estimate_row_to_wire(row) for row in rows],
             }
         )
 

@@ -38,7 +38,7 @@ from repro.engine.results import SearchHit
 from repro.fleet.delta import RepresentativeSnapshot
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.dispatch import EngineFailure
-from repro.metasearch.selection import EstimatedUsefulness
+from repro.metasearch.selection import EstimatedUsefulness, EstimateRow
 from repro.representatives.quantized import (
     FIELDS,
     REQUIRED_FIELDS,
@@ -52,6 +52,8 @@ __all__ = [
     "decode_hits",
     "encode_hits",
     "estimate_from_wire",
+    "estimate_row_from_wire",
+    "estimate_row_to_wire",
     "estimate_to_wire",
     "failure_from_wire",
     "failure_to_wire",
@@ -223,6 +225,38 @@ def estimate_from_wire(payload: dict) -> EstimatedUsefulness:
     )
 
 
+def estimate_row_to_wire(estimates: Iterable[EstimatedUsefulness]) -> List[dict]:
+    """A best-first row as :func:`estimate_to_wire` objects, read straight
+    off an :class:`~repro.metasearch.selection.EstimateRow`'s arrays (any
+    other sequence is adapted by :meth:`EstimateRow.of`, so it goes out
+    ranked): the same bytes, no per-engine object."""
+    row = EstimateRow.of(estimates)
+    order = row.order
+    return [
+        {"kind": "estimate", "engine": name, "nodoc": nodoc, "avgsim": avgsim}
+        for name, nodoc, avgsim in zip(
+            row.engines, row.nodoc[order].tolist(), row.avgsim[order].tolist()
+        )
+    ]
+
+
+def estimate_row_from_wire(payload: Iterable[dict]) -> EstimateRow:
+    """A list of ``estimate`` objects decoded straight into a ranked
+    :class:`~repro.metasearch.selection.EstimateRow`, checked as
+    :func:`estimate_from_wire` checks one (kind, fields, no negative
+    value)."""
+    names, nodoc, avgsim = [], [], []
+    for entry in payload:
+        _expect_kind(entry, "estimate")
+        names.append(str(_field(entry, "engine")))
+        nodoc.append(float(_field(entry, "nodoc")))
+        avgsim.append(float(_field(entry, "avgsim")))
+    nodoc, avgsim = np.array(nodoc), np.array(avgsim)
+    if (nodoc < 0.0).any() or (avgsim < 0.0).any():
+        raise WireFormatError("an estimate's nodoc and avgsim must be >= 0")
+    return EstimateRow.ranked(names, nodoc, avgsim)
+
+
 def failure_to_wire(failure: EngineFailure) -> dict:
     return {
         "kind": "failure",
@@ -255,7 +289,7 @@ def response_to_wire(response: MetasearchResponse) -> dict:
         "kind": "response",
         "hits": encode_hits(response.hits),
         "invoked": list(response.invoked),
-        "estimates": [estimate_to_wire(e) for e in response.estimates],
+        "estimates": estimate_row_to_wire(response.estimates),
         "failures": [failure_to_wire(f) for f in response.failures],
         "latencies": {name: float(v) for name, v in response.latencies.items()},
     }
@@ -266,7 +300,7 @@ def response_from_wire(payload: dict) -> MetasearchResponse:
     return MetasearchResponse(
         hits=list(decode_hits(_field(payload, "hits"))),
         invoked=[str(name) for name in _field(payload, "invoked")],
-        estimates=[estimate_from_wire(e) for e in _field(payload, "estimates")],
+        estimates=estimate_row_from_wire(_field(payload, "estimates")),
         failures=[failure_from_wire(f) for f in payload.get("failures", [])],
         latencies={
             str(name): float(v)

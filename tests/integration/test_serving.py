@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.corpus import Collection, Document, Query, save_collection
+from repro.corpus.synth import NewsgroupModel, QueryLogModel
 from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker
 from repro.obs import MetricsRegistry
@@ -37,6 +38,8 @@ from repro.serving import (
     ServingServer,
     ShardApp,
     ShardedFleet,
+    estimate_to_wire,
+    query_to_wire,
 )
 from tests.oracle import ScalarOracle
 
@@ -684,3 +687,62 @@ class TestColumnarSnapshot:
                 f"{server.url}/representative{suffix}", timeout=5
             )
         assert excinfo.value.code == 400
+
+
+class TestEstimateRowBytes:
+    """The gateway, the shard and ``response_to_wire`` encode an estimate
+    row straight from its arrays, and the coordinator merges shard rows as
+    arrays; the bytes must be those of encoding estimate *objects* one by
+    one — ``[estimate_to_wire(e) for e in row]`` over the scalar oracle's
+    row — on a bench-style fleet (newsgroup groups, a 1-6 term query log,
+    thresholds 0.0-0.6)."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        model = NewsgroupModel(
+            vocab_size=1500, topic_size=60, topic_band=(30, 600),
+            mean_length=50, seed=1999, group_sizes=[12] * 8,
+        )
+        engines = [SearchEngine(model.generate_group(g)) for g in range(8)]
+        queries = QueryLogModel(model, seed=2000).generate(28)
+        pool = [(q, 0.1 * (i % 7)) for i, q in enumerate(queries)]
+        return engines, pool
+
+    @staticmethod
+    def object_bytes(estimates):
+        return json.dumps([estimate_to_wire(e) for e in estimates])
+
+    @staticmethod
+    def post(app, route, query, threshold):
+        body = {"query": query_to_wire(query), "threshold": threshold}
+        response = app.handle(
+            "POST", route, {}, json.dumps(body).encode("utf-8")
+        )
+        assert response.status == 200
+        return json.dumps(response.payload["estimates"])
+
+    def test_estimate_and_search_bodies_equal_the_object_encoding(self, fleet):
+        engines, pool = fleet
+        broker, oracle = MetasearchBroker(), ScalarOracle()
+        for engine in engines:
+            broker.register(engine)
+            oracle.register(engine)
+        servers, shards = [], []
+        for index, names in enumerate((engines[0::2], engines[1::2])):
+            shard = MetasearchBroker()
+            for engine in names:
+                shard.register(engine)
+            servers.append(ServingServer(ShardApp(shard, shard_index=index)))
+            servers[-1].start_background()
+        sharded = ShardedFleet([s.url for s in servers]).attach()
+        apps = (GatewayApp(broker), CoordinatorApp(sharded))
+        try:
+            for query, threshold in pool:
+                want = self.object_bytes(oracle.estimate_all(query, threshold))
+                for app in apps:
+                    assert self.post(app, "/estimate", query, threshold) == want
+                    assert self.post(app, "/search", query, threshold) == want
+        finally:
+            sharded.close()
+            for server in servers:
+                server.drain(timeout=5)

@@ -85,19 +85,18 @@ def _store_of(reps):
 def assert_grid_matches_scalar(estimator, reps, queries, thresholds=THRESHOLDS):
     store = _store_of(reps)
     for query in queries:
-        grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-        assert len(grid) == len(thresholds)
-        for row, threshold in zip(grid, thresholds):
-            assert len(row) == len(reps)
-            for got, rep in zip(row, reps):
+        nodoc, avgsim = fleet_usefulness_grid(estimator, store, query, thresholds)
+        assert nodoc.shape == avgsim.shape == (len(thresholds), len(reps))
+        for t, threshold in enumerate(thresholds):
+            for e, rep in enumerate(reps):
                 want = estimator.estimate(query, rep, threshold)
-                assert _exact(got.nodoc, want.nodoc), (
+                assert _exact(nodoc[t, e], want.nodoc), (
                     f"nodoc diverged: {rep.name} q={query.terms} "
-                    f"t={threshold}: {got.nodoc!r} != {want.nodoc!r}"
+                    f"t={threshold}: {nodoc[t, e]!r} != {want.nodoc!r}"
                 )
-                assert _exact(got.avgsim, want.avgsim), (
+                assert _exact(avgsim[t, e], want.avgsim), (
                     f"avgsim diverged: {rep.name} q={query.terms} "
-                    f"t={threshold}: {got.avgsim!r} != {want.avgsim!r}"
+                    f"t={threshold}: {avgsim[t, e]!r} != {want.avgsim!r}"
                 )
 
 

@@ -13,6 +13,9 @@ which the grouped ``build_representative`` must equal bit for bit.
 ``RebuiltLiveEngine`` is the live engine done the slow way — rebuild the
 collection, index and canonical representative after every mutation and
 diff two rebuilds — which ``LiveEngineServer``'s in-place edits must equal.
+``threshold_select`` and ``top_k_select`` are the selection policies done
+on objects — filter on ``nodoc_rounded``, sort by ``sort_key`` — which the
+policies' array reads of an ``EstimateRow`` must equal.
 """
 
 from collections import OrderedDict
@@ -33,6 +36,19 @@ from repro.metasearch.broker import broadcast_thresholds
 from repro.representatives import build_representative
 from repro.representatives.representative import DatabaseRepresentative
 from repro.representatives.term_stats import TermStats
+
+
+def threshold_select(estimates, min_nodoc=1):
+    """``ThresholdPolicy(min_nodoc).select`` over estimate objects."""
+    chosen = [e for e in estimates if e.usefulness.nodoc_rounded >= min_nodoc]
+    chosen.sort(key=lambda e: e.sort_key)
+    return [e.engine for e in chosen]
+
+
+def top_k_select(estimates, k):
+    """``TopKPolicy(k).select`` over estimate objects."""
+    ranked = sorted(estimates, key=lambda e: e.sort_key)
+    return [e.engine for e in ranked[:k] if e.usefulness.nodoc > 0.0]
 
 
 class HalvedSubrange(SubrangeEstimator):

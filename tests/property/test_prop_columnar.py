@@ -176,19 +176,18 @@ class TestBitIdentity:
             )
             named.append(rep)
             store.add(rep)
-        grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-        assert len(grid) == len(thresholds)
-        for row, threshold in zip(grid, thresholds):
-            assert len(row) == len(named)
-            for got, rep in zip(row, named):
+        nodoc, avgsim = fleet_usefulness_grid(estimator, store, query, thresholds)
+        assert nodoc.shape == avgsim.shape == (len(thresholds), len(named))
+        for t, threshold in enumerate(thresholds):
+            for e, rep in enumerate(named):
                 want = estimator.estimate(query, rep, threshold)
-                assert _exact(got.nodoc, want.nodoc), (
+                assert _exact(nodoc[t, e], want.nodoc), (
                     f"nodoc bits diverged for {rep.name} at {threshold}: "
-                    f"{got.nodoc!r} != {want.nodoc!r}"
+                    f"{nodoc[t, e]!r} != {want.nodoc!r}"
                 )
-                assert _exact(got.avgsim, want.avgsim), (
+                assert _exact(avgsim[t, e], want.avgsim), (
                     f"avgsim bits diverged for {rep.name} at {threshold}: "
-                    f"{got.avgsim!r} != {want.avgsim!r}"
+                    f"{avgsim[t, e]!r} != {want.avgsim!r}"
                 )
 
     @given(
@@ -207,11 +206,8 @@ class TestBitIdentity:
                 DatabaseRepresentative(f"e{i}", rep.n_documents, dict(rep.items()))
             )
         rows = fleet_usefulness_rows(estimator, store, batch, thresholds)
-        assert len(rows) == len(batch)
-        for query, grid in zip(batch, rows):
+        assert rows[0].shape == (len(batch), len(thresholds), len(reps))
+        for q, query in enumerate(batch):
             want = fleet_usefulness_grid(estimator, store, query, thresholds)
-            assert [
-                [(u.nodoc.hex(), u.avgsim.hex()) for u in row] for row in grid
-            ] == [
-                [(u.nodoc.hex(), u.avgsim.hex()) for u in row] for row in want
-            ]
+            for got, expected in zip(rows, want):
+                assert got[q].tobytes() == expected.tobytes()

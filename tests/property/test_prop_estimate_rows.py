@@ -13,8 +13,17 @@ from the superseded representative may survive into an answer.  Run for an
 estimator with a threshold-free expansion (subrange), a closed-form one
 (gloss-hc), and the threshold-dependent previous method, whose kernel rows
 are (threshold, query, engine) cells.
+
+A row is an ``EstimateRow`` — names, ``nodoc`` / ``avgsim`` arrays and a
+best-first ``order`` from one ``np.lexsort`` — so the row itself is held to
+the object definition on drawn rows: iterating it equals ``sorted(objects,
+key=sort_key)`` (ties on either value, all-zero rows, ``-0.0``, names whose
+registration order is not their code-point order), both policies' array
+reads equal their object bodies (``tests/oracle.py``), and it behaves as
+the list it replaces under ``len``, indexing, slicing and ``==``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +32,19 @@ from repro.core import (
     GlossHighCorrelationEstimator,
     PreviousMethodEstimator,
     SubrangeEstimator,
+    Usefulness,
 )
-from repro.corpus import Document, Query
+from repro.corpus import Collection, Document, Query
+from repro.engine import SearchEngine
 from repro.fleet import LiveEngineServer
-from repro.metasearch import MetasearchBroker
-from tests.oracle import ScalarOracle
+from repro.metasearch import (
+    EstimatedUsefulness,
+    EstimateRow,
+    MetasearchBroker,
+    ThresholdPolicy,
+    TopKPolicy,
+)
+from tests.oracle import ScalarOracle, threshold_select, top_k_select
 
 VOCAB = ["rocket", "orbit", "engine", "fuel", "sauce", "basil", "kiwi", "plum"]
 THRESHOLDS = (0.0, 0.1, 0.2, 0.5)
@@ -136,3 +153,119 @@ def test_batch_equals_serial_equals_oracle_across_mutations(
     assert_routine_matches_oracle(broker, oracle, after, batch_first)
     assert_routine_matches_oracle(broker, oracle, before, not batch_first)
 
+
+
+# -- the row type itself -------------------------------------------------------
+
+#: Names whose code-point order differs from any "natural" order: case,
+#: digits, accents, non-Latin scripts.
+NAMES = ["b", "a", "B", "A", "a2", "a10", "\u00e9cole", "ecole", "zeta",
+         "\u03c9mega", "\u65e5\u672c", "_x", "engine0"]
+
+#: Ties are the common case: a few values, both zeros, rounding edges.
+VALUES = st.sampled_from(
+    [0.0, -0.0, 0.49999999999999994, 0.5, 1.0, 1.5, 2.5, 3.0]
+) | st.floats(min_value=0.0, max_value=50.0)
+
+
+@st.composite
+def drawn_rows(draw):
+    """``(objects, row)``: estimates in registration order (a drawn
+    permutation of distinct names) and the ``EstimateRow`` ranked from the
+    same values."""
+    names = draw(st.permutations(NAMES))[: draw(st.integers(0, len(NAMES)))]
+    if draw(st.booleans()):
+        nodoc = [0.0] * len(names)  # an all-zero row
+    else:
+        nodoc = [draw(VALUES) for __ in names]
+    avgsim = [draw(VALUES) for __ in names]
+    objects = [
+        EstimatedUsefulness(engine=n, usefulness=Usefulness(nodoc=d, avgsim=a))
+        for n, d, a in zip(names, nodoc, avgsim)
+    ]
+    row = EstimateRow.ranked(names, np.array(nodoc), np.array(avgsim))
+    return objects, row
+
+
+def hexed(estimates):
+    return [
+        (e.engine, e.usefulness.nodoc.hex(), e.usefulness.avgsim.hex())
+        for e in estimates
+    ]
+
+
+@given(drawn_rows())
+@settings(max_examples=300, deadline=None)
+def test_row_iterates_as_the_sort_key_order(drawn):
+    objects, row = drawn
+    want = sorted(objects, key=lambda e: e.sort_key)
+    assert hexed(row) == hexed(want)
+    assert row.engines == [e.engine for e in want]
+    assert row == want and not row != want
+    assert EstimateRow.of(objects) == want
+
+
+@given(drawn_rows(), st.integers(1, 4), st.integers(0, len(NAMES) + 1))
+@settings(max_examples=300, deadline=None)
+def test_policies_on_a_row_equal_their_object_bodies(drawn, min_nodoc, k):
+    objects, row = drawn
+    assert ThresholdPolicy(min_nodoc).select(row) == threshold_select(
+        objects, min_nodoc
+    )
+    assert TopKPolicy(k).select(row) == top_k_select(objects, k)
+    # A plain list is adapted (ranked) first, so it answers the same.
+    assert ThresholdPolicy(min_nodoc).select(objects) == threshold_select(
+        objects, min_nodoc
+    )
+    assert TopKPolicy(k).select(objects) == top_k_select(objects, k)
+
+
+@given(
+    drawn_rows(),
+    st.integers(-len(NAMES) - 1, len(NAMES)),
+    st.slices(len(NAMES) + 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_behaves_as_the_list_it_replaces(drawn, index, window):
+    objects, row = drawn
+    want = sorted(objects, key=lambda e: e.sort_key)
+    assert len(row) == len(want)
+    if -len(want) <= index < len(want):
+        assert row[index] == want[index]
+    else:
+        with pytest.raises(IndexError):
+            row[index]
+    assert row[window] == want[window]
+    assert list(row[window]) == want[window]
+    assert list(reversed(row)) == want[::-1]
+    # ``==`` / ``!=`` against lists, either side, and against rows.
+    assert want == row and row == list(row) and row == EstimateRow.of(want)
+    if want:
+        assert row != want[:-1] and want[1:] != row
+        assert all(e in row for e in want)
+    assert row != tuple(want)  # like a list: never equal to a tuple
+    # ``of`` round-trips: a row is itself, a best-first list is unchanged.
+    assert EstimateRow.of(row) is row
+    assert list(EstimateRow.of(want)) == want
+    assert hexed(EstimateRow.of(list(row))) == hexed(row)
+
+
+@given(st.permutations(NAMES[:6]), st.sampled_from(THRESHOLDS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_broker_rows_rank_names_in_code_point_order(order, threshold, data):
+    """Registration order is not name order: the broker's cached name rank
+    must still break ties exactly as ``sort_key`` does (every engine here
+    holds the same documents, so every estimate ties)."""
+    broker, oracle = MetasearchBroker(), ScalarOracle()
+    for name in order:
+        engine = SearchEngine(Collection.from_documents(
+            name, [Document(f"{name}-d", terms=["rocket", "orbit"])]
+        ))
+        broker.register(engine)
+        oracle.register(engine)
+    query = data.draw(queries())
+    row = broker.estimate_all(query, threshold)
+    want = oracle.estimate_all(query, threshold)
+    assert isinstance(row, EstimateRow)
+    assert hexed(row) == hexed(want)
+    assert broker.select(query, threshold) == threshold_select(want)

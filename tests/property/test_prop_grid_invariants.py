@@ -166,15 +166,16 @@ def assert_kernel_rows_are_live(
 
 
 def assert_grid_is_scalar(grid, estimator, representatives, query, thresholds):
-    """Every cell bit-identical to the scalar ``estimate_many``."""
+    """Every cell of ``grid = (nodoc, avgsim)`` bit-identical to the
+    scalar ``estimate_many``."""
+    nodoc, avgsim = grid
     for e, representative in enumerate(representatives):
         want = estimator.estimate_many(query, representative, thresholds)
         for t, threshold in enumerate(thresholds):
-            got = grid[t][e]
-            assert float(got.nodoc).hex() == float(want[t].nodoc).hex(), (
+            assert float(nodoc[t, e]).hex() == float(want[t].nodoc).hex(), (
                 e, threshold
             )
-            assert float(got.avgsim).hex() == float(want[t].avgsim).hex(), (
+            assert float(avgsim[t, e]).hex() == float(want[t].avgsim).hex(), (
                 e, threshold
             )
 
@@ -204,7 +205,7 @@ def test_grid_rows_conserve_mass_and_nodoc_is_a_fraction_monotone_in_t(
         assert abs(row.total_mass() - 1.0) < 1e-9
 
     for e, n in enumerate(store.n_documents.tolist()):
-        nodoc = [grid[t][e].nodoc for t in range(len(THRESHOLDS))]
+        nodoc = grid[0][:, e].tolist()
         assert all(0.0 <= value / n <= 1.0 + 1e-9 for value in nodoc)
         assert all(a >= b for a, b in zip(nodoc, nodoc[1:]))
 

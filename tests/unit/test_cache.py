@@ -8,7 +8,6 @@ from unittest import mock
 
 import pytest
 
-from repro.core.types import Usefulness
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import EstimateCache, MetasearchBroker
@@ -23,8 +22,9 @@ def make_engine(name, docs):
     )
 
 
-U1 = Usefulness(nodoc=1.0, avgsim=0.5)
-U2 = Usefulness(nodoc=2.0, avgsim=0.25)
+#: Estimate-cache slots: an engine's (nodoc, avgsim) pair.
+U1 = (1.0, 0.5)
+U2 = (2.0, 0.25)
 
 
 class TestEstimateCache:
@@ -93,7 +93,7 @@ class TestEstimateCache:
     def test_zero_capacity_holds_nothing_and_counts_misses(self):
         cache = EstimateCache(maxsize=0)
         key = EstimateCache.key_for("d1", Query.from_terms(["a"]), 0.1)
-        cache.put(key, Usefulness(nodoc=1.0, avgsim=0.5))
+        cache.put(key, (1.0, 0.5))
         assert len(cache) == 0 and key not in cache
         assert cache.get(key) is None
         assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 0)
@@ -200,7 +200,9 @@ class TestRowSemantics:
         query = Query.from_terms(["rocket", "sauce"])
         query_key = EstimateCache.query_key(query)
         expected = uncached.estimate_all(query, 0.1)
-        by_engine = {e.engine: e.usefulness for e in expected}
+        by_engine = {
+            e.engine: (e.usefulness.nodoc, e.usefulness.avgsim) for e in expected
+        }
         stop, errors = threading.Event(), []
 
         def guarded(body):

@@ -389,12 +389,14 @@ class TestBinaryMeanWTravels:
             assert dict(zip(store.engine_names, store.binary_mean_w)) == expected
         terms = [t for t, __ in list(representatives[0].items())[:3]]
         query = Query(terms=tuple(terms), weights=(1.0, 2.0, 0.5))
-        grids = [
-            dict(zip(store.engine_names, zip(*fleet_usefulness_grid(
+        grids = []
+        for store in (by_dict, by_npz, by_store_npz):
+            nodoc, avgsim = fleet_usefulness_grid(
                 BinaryIndependenceEstimator(), store, query, [0.1, 0.2, 0.3]
-            ))))
-            for store in (by_dict, by_npz, by_store_npz)
-        ]
+            )
+            grids.append(dict(zip(
+                store.engine_names, zip(nodoc.T.tolist(), avgsim.T.tolist())
+            )))
         assert grids[0] == grids[1] == grids[2]
 
     def test_npz_without_the_member_loads_with_column_order_mean(self):

@@ -10,7 +10,9 @@ one per topology.  Every module is reached from an entry point: code no
 command, server or registered estimator imports is deleted, not kept.
 Every production estimate comes off the batched kernel: the scalar
 expansion is the paper's reference, called only by the estimators
-themselves and the kernel's overflow demotion.
+themselves and the kernel's overflow demotion.  And an estimate row stays
+arrays from the kernel to the selection policy: no per-engine object is
+built on the way.
 """
 
 import ast
@@ -216,3 +218,30 @@ def test_scalar_expansion_has_no_production_caller():
         and f"{path}:{function}" not in SCALAR_CALLERS
     ]
     assert stray == [], f"scalar expansion called from production: {stray}"
+
+
+def constructor_calls(name):
+    """``{path: [line, ...]}`` of every call to a class called ``name``
+    (bare or as an attribute) under ``src/repro``."""
+    found = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.setdefault(path.relative_to(ROOT).as_posix(), []).append(
+                    node.lineno
+                )
+    return found
+
+
+def test_estimate_path_builds_no_per_engine_objects():
+    """The kernel answers in ``(nodoc, avgsim)`` arrays, the broker and the
+    coordinator rank them into an ``EstimateRow``, and the policies read
+    its arrays: an ``EstimatedUsefulness`` is built only by the row's lazy
+    materialisation and the wire decoder."""
+    assert "core/vectorized.py" not in constructor_calls("Usefulness")
+    builders = constructor_calls("EstimatedUsefulness")
+    assert "metasearch/broker.py" not in builders
+    assert "serving/coordinator.py" not in builders
+    assert sorted(builders) == ["metasearch/selection.py", "serving/wire.py"]

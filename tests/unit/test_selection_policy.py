@@ -1,9 +1,15 @@
 """Unit tests for engine-selection policies."""
 
+import numpy as np
 import pytest
 
 from repro.core import Usefulness
-from repro.metasearch import EstimatedUsefulness, ThresholdPolicy, TopKPolicy
+from repro.metasearch import (
+    EstimatedUsefulness,
+    EstimateRow,
+    ThresholdPolicy,
+    TopKPolicy,
+)
 
 
 def estimates(*pairs):
@@ -71,3 +77,48 @@ class TestTopKPolicy:
     def test_fewer_than_k_available(self):
         chosen = TopKPolicy(5).select(estimates(("a", 1.0, 0.1)))
         assert chosen == ["a"]
+
+
+class TestArguments:
+    """A policy's count is a non-bool integer: the wrong type is a
+    ``TypeError`` and an out-of-range value a ``ValueError``, both at
+    construction — never a silent empty selection or a ``select``-time
+    crash."""
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), 1.5, 2.0, True, False, "1", None, np.float64(1)]
+    )
+    def test_non_integers_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            ThresholdPolicy(value)
+        with pytest.raises(TypeError):
+            TopKPolicy(value)
+
+    def test_out_of_range_counts_are_value_errors(self):
+        for value in (0, -1):
+            with pytest.raises(ValueError):
+                ThresholdPolicy(value)
+        with pytest.raises(ValueError):
+            TopKPolicy(-1)
+
+    def test_numpy_integers_are_counts(self):
+        assert ThresholdPolicy(np.int64(2)).min_nodoc == 2
+        assert TopKPolicy(np.int32(3)).k == 3
+        assert type(TopKPolicy(np.int32(3)).k) is int
+
+
+class TestOnRows:
+    """The policies read an ``EstimateRow``'s arrays in its best-first
+    order (``test_prop_estimate_rows`` holds them to their object bodies
+    on drawn rows)."""
+
+    def test_rounding_is_the_arithmetic_of_nodoc_rounded(self):
+        """``floor(nodoc + 0.5)`` in IEEE doubles: the largest double below
+        0.5 plus 0.5 rounds to 1.0, so it is selected — as
+        ``Usefulness.nodoc_rounded`` has it."""
+        values = [0.5, 0.49999999999999994, 0.4999]
+        row = EstimateRow.ranked(
+            ["half", "below", "well-below"], np.array(values), np.zeros(3)
+        )
+        assert [Usefulness(v, 0.0).nodoc_rounded for v in values] == [1, 1, 0]
+        assert ThresholdPolicy().select(row) == ["half", "below"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -52,13 +53,22 @@ def bits(value):
     return float(value).hex()
 
 
+def assert_cells_match_scalar(estimator, grid, reps, query, thresholds):
+    """``grid`` — ``(nodoc, avgsim)`` of shape ``(T, E)`` — hex-equals the
+    scalar estimator cell by cell."""
+    nodoc, avgsim = grid
+    assert nodoc.dtype == avgsim.dtype == np.float64
+    assert nodoc.shape == avgsim.shape == (len(thresholds), len(reps))
+    for t, threshold in enumerate(thresholds):
+        for e, rep in enumerate(reps):
+            want = estimator.estimate(query, rep, threshold)
+            assert bits(nodoc[t, e]) == bits(want.nodoc)
+            assert bits(avgsim[t, e]) == bits(want.avgsim)
+
+
 def assert_grid_matches_scalar(estimator, store, reps, query, thresholds=THRESHOLDS):
     grid = fleet_usefulness_grid(estimator, store, query, thresholds)
-    for row, threshold in zip(grid, thresholds):
-        for got, rep in zip(row, reps):
-            want = estimator.estimate(query, rep, threshold)
-            assert bits(got.nodoc) == bits(want.nodoc)
-            assert bits(got.avgsim) == bits(want.avgsim)
+    assert_cells_match_scalar(estimator, grid, reps, query, thresholds)
     return grid
 
 
@@ -131,17 +141,17 @@ class TestQueryEngineRows:
             Query.from_terms(["pear", "apple"]),
         ]
         for estimator in self.ESTIMATORS:
-            rows = fleet_usefulness_rows(estimator, store, queries, THRESHOLDS)
-            assert len(rows) == len(queries)
-            for query, grid in zip(queries, rows):
-                assert grid == fleet_usefulness_grid(
-                    estimator, store, query, THRESHOLDS
+            nodoc, avgsim = fleet_usefulness_rows(
+                estimator, store, queries, THRESHOLDS
+            )
+            assert nodoc.shape == (len(queries), len(THRESHOLDS), len(reps))
+            for q, query in enumerate(queries):
+                grid = fleet_usefulness_grid(estimator, store, query, THRESHOLDS)
+                assert nodoc[q].tobytes() == grid[0].tobytes()
+                assert avgsim[q].tobytes() == grid[1].tobytes()
+                assert_cells_match_scalar(
+                    estimator, (nodoc[q], avgsim[q]), reps, query, THRESHOLDS
                 )
-                for row, threshold in zip(grid, THRESHOLDS):
-                    for got, rep in zip(row, reps):
-                        want = estimator.estimate(query, rep, threshold)
-                        assert bits(got.nodoc) == bits(want.nodoc)
-                        assert bits(got.avgsim) == bits(want.avgsim)
 
     def test_one_kernel_call_for_many_queries(self, monkeypatch):
         calls = []
@@ -162,11 +172,13 @@ class TestQueryEngineRows:
 
     def test_no_queries_and_empty_store(self):
         store = make_store(make_rep("d1"))
-        assert fleet_usefulness_rows(BasicEstimator(), store, [], [0.1]) == []
-        assert fleet_usefulness_rows(
+        for got in fleet_usefulness_rows(BasicEstimator(), store, [], [0.1]):
+            assert got.shape == (0, 1, 1)
+        for got in fleet_usefulness_rows(
             BasicEstimator(), FleetRepresentativeStore(),
             [Query.from_terms(["apple"])] * 2, [0.1, 0.2],
-        ) == [[[], []], [[], []]]
+        ):
+            assert got.shape == (2, 2, 0)
 
 
 class TestEdgeCases:
@@ -177,7 +189,7 @@ class TestEdgeCases:
             Query.from_terms(["apple"]),
             THRESHOLDS,
         )
-        assert grid == [[] for __ in THRESHOLDS]
+        assert [a.shape for a in grid] == [(len(THRESHOLDS), 0)] * 2
 
     def test_zero_document_engine(self):
         reps = [make_rep("d0", n=0), make_rep("d1", n=50)]
@@ -204,7 +216,7 @@ class TestEdgeCases:
             grid = assert_grid_matches_scalar(
                 estimator, make_store(*reps), reps, query
             )
-            assert all(u.nodoc == 0 for row in grid for u in row)
+            assert not grid[0].any() and not grid[1].any()
 
     def test_certain_term_probability_one(self):
         stats = {"apple": TermStats(1.0, 0.6, 0.0, 0.6)}
@@ -310,7 +322,7 @@ class TestGridShape:
             BasicEstimator(), store, Query.from_terms(["apple"]), [0.1]
         )
         assert store.engine_names == ["b", "a"]
-        assert [u.nodoc for u in grid[0]] == [
+        assert grid[0][0].tolist() == [
             BasicEstimator().estimate(
                 Query.from_terms(["apple"]), rep, 0.1
             ).nodoc
