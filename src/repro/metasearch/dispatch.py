@@ -5,8 +5,8 @@ engines; in a real deployment those engines answer over a network and can
 be slow, flaky, or down entirely.  This module gives the broker a
 production dispatch path:
 
-* **Fan-out** — selected engines are queried in parallel on a
-  :class:`~concurrent.futures.ThreadPoolExecutor` (``workers`` threads).
+* **Fan-out** — selected engines are queried in parallel on up to
+  ``workers`` reused daemon threads.
   Engine calls are dominated by I/O wait in a networked deployment (and
   by NumPy kernels, which release the GIL, in-process), so threads give
   real overlap.
@@ -41,13 +41,20 @@ outcome record instead of raising) and one loop in
 failure records and metrics; :meth:`~ConcurrentDispatcher.dispatch` is a
 batch of one.  ``workers`` selects only *where* the worker body runs.
 ``workers=1`` runs it inline — the caller's thread, selection order, no
-executor; a deadline cannot preempt an in-thread call, so ``timeout``
+other thread; a deadline cannot preempt an in-thread call, so ``timeout``
 together with ``workers=1`` is rejected at construction rather than
-silently ignored.  ``workers > 1`` submits it to a pool created for the
-fan-out and abandoned after it (worker threads are never reused), each call
-inside a copy of the caller's :mod:`contextvars` context, so a call
-observes the request's ambient state (its deadline) on either path — which,
-with identical results for healthy engines, the property suite asserts.
+silently ignored.  ``workers > 1`` runs it on up to ``min(workers, calls)``
+threads taken from the dispatcher's cache of idle daemon threads (new ones
+are started when too few are idle), each call inside a copy of the caller's
+:mod:`contextvars` context, so a call observes the request's ambient state
+(its deadline) on either path — which, with identical results for healthy
+engines, the property suite asserts.  A thread goes back to the cache when
+its fan-out has nothing left for it, so thread-local state — above all the
+kept-alive connections of :mod:`repro.serving.remote_engine` — outlives the
+fan-out; a thread still running a call abandoned at the deadline is simply
+not idle, so it never delays a later fan-out.  Idle threads retire after
+:data:`IDLE_SECONDS`, on :meth:`ConcurrentDispatcher.close`, or when the
+dispatcher is garbage collected; a forked child starts with an empty cache.
 
 Dispatch is instrumented: pass a :class:`~repro.obs.MetricsRegistry` to
 record attempts, retries, timeouts, errors, and a per-engine latency
@@ -57,11 +64,15 @@ no-op.
 
 from __future__ import annotations
 
+import collections
 import contextvars
+import functools
+import os
+import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -73,6 +84,10 @@ __all__ = ["ConcurrentDispatcher", "DispatchReport", "EngineFailure"]
 
 #: A zero-argument callable performing one engine search.
 EngineCall = Callable[[], List[SearchHit]]
+
+#: Seconds a cached fan-out thread waits idle for its next task before it
+#: retires (the idle expiry of a cached thread pool).
+IDLE_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -138,12 +153,83 @@ _Key = Tuple[int, str]
 _Outcome = Union[Tuple[List[SearchHit], float], EngineFailure]
 
 
+class _ThreadCache:
+    """Idle daemon threads kept for the next fan-out.
+
+    :meth:`run` hands a task to the most recently idled thread (so the
+    threads a steady load keeps busy are the ones whose connections stay
+    warm), or to a new thread when none is idle.  A task receives
+    ``park``, which puts its thread back in the cache; the task calls it
+    before it signals its last result, so a back-to-back fan-out finds the
+    thread idle.  The cache is keyed on the pid: a forked child inherits
+    the list but not the threads, so it starts again from an empty one.
+    """
+
+    def __init__(self):
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        self._idle: List[queue.SimpleQueue] = []
+        self._closed = False
+
+    def run(self, task: Callable[[Callable[[], None]], None]) -> None:
+        """Run ``task(park)`` on an idle thread or a new one."""
+        if self._pid != os.getpid():
+            self._pid = os.getpid()
+            self._lock = threading.Lock()
+            self._idle = []
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(
+                target=self._serve, args=(inbox,), name="repro-dispatch",
+                daemon=True,
+            ).start()
+        inbox.put(task)
+
+    def _serve(self, inbox: queue.SimpleQueue) -> None:
+        park = functools.partial(self._park, inbox)
+        while True:
+            try:
+                task = inbox.get(timeout=IDLE_SECONDS)
+            except queue.Empty:
+                with self._lock:
+                    if inbox not in self._idle:
+                        continue  # handed a task while the wait timed out
+                    self._idle.remove(inbox)
+                return
+            if task is None:
+                return
+            task(park)
+            del task  # an idle thread keeps no fan-out (or dispatcher) alive
+
+    def _park(self, inbox: queue.SimpleQueue) -> None:
+        with self._lock:
+            if self._closed:
+                inbox.put(None)  # retire once the running task returns
+            else:
+                self._idle.append(inbox)
+
+    def close(self) -> None:
+        """Retire every idle thread now and every busy one when its task
+        ends; :meth:`run` still works, on threads that are not kept."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+
+
 class ConcurrentDispatcher:
     """Queries engines in parallel with timeout, retry, and degradation.
 
+    Fan-out threads come from a cache of idle daemon threads that
+    outlives each fan-out (see the module docstring); :meth:`close`
+    retires them.
+
     Args:
-        workers: Maximum concurrent engine calls; ``1`` runs them inline
-            in the caller's thread (no executor).
+        workers: Maximum concurrent engine calls per fan-out; ``1`` runs
+            them inline in the caller's thread (no threads).
         timeout: Deadline in seconds for the whole fan-out, measured from
             dispatch start; ``None`` disables it.  A deadline is only
             enforceable on pool threads, so ``timeout`` with
@@ -193,6 +279,8 @@ class ConcurrentDispatcher:
         self._m_retries = self.registry.counter("dispatch.retries")
         self._m_timeouts = self.registry.counter("dispatch.timeouts")
         self._m_errors = self.registry.counter("dispatch.errors")
+        self._threads = _ThreadCache()
+        weakref.finalize(self, self._threads.close)
 
     # -- single-engine attempt loop ------------------------------------------------
 
@@ -277,52 +365,62 @@ class ConcurrentDispatcher:
     # -- fan-out --------------------------------------------------------------------
 
     def _pooled(self, calls: Dict[_Key, EngineCall]) -> tuple:
-        """Run the worker body for every call on a pool created for this
-        fan-out, under the ``timeout`` deadline; returns ``(outcomes,
-        waited)``.  A call abandoned at the deadline (or cancelled before
-        it started) has no outcome, only the seconds waited for it."""
+        """Run the worker body for every call on up to ``min(workers,
+        len(calls))`` cached threads, under the ``timeout`` deadline;
+        returns ``(outcomes, waited)``.  A call abandoned at the deadline
+        (or never started before it) has no outcome; ``waited`` is the
+        seconds the fan-out waited for it."""
         start = time.perf_counter()
         expires_at = None if self.timeout is None else start + self.timeout
-        outcomes: Dict[_Key, _Outcome] = {}
-        waited: Dict[_Key, float] = {}
-        lock = threading.Lock()
-
-        def run(key: _Key, call: EngineCall) -> None:
-            # Outcomes are recorded inside the worker so a late-finishing
-            # engine that already missed the deadline cannot race the
-            # snapshot below.
-            outcome = self._outcome(key[1], call, expires_at)
-            with lock:
-                outcomes[key] = outcome
-
-        executor = ThreadPoolExecutor(
-            max_workers=min(self.workers, len(calls)),
-            thread_name_prefix="repro-dispatch",
+        # Each call runs in a copy of *this* thread's context, so it
+        # observes the caller's ambient state (the request deadline)
+        # exactly as an inline call would.  One copy per call: a Context
+        # cannot be entered by two threads at once.
+        pending = collections.deque(
+            (key, contextvars.copy_context(), call) for key, call in calls.items()
         )
-        try:
-            # Each call runs in a copy of *this* thread's context, so it
-            # observes the caller's ambient state (the request deadline)
-            # exactly as an inline call would.  One copy per call: a
-            # Context cannot be entered by two threads at once.
-            futures = {
-                key: executor.submit(contextvars.copy_context().run, run, key, call)
-                for key, call in calls.items()
-            }
-            for key, future in futures.items():
-                remaining: Optional[float] = None
-                if self.timeout is not None:
-                    remaining = max(0.0, self.timeout - (time.perf_counter() - start))
-                try:
-                    future.result(timeout=remaining)
-                except FutureTimeout:
-                    future.cancel()
-                waited[key] = time.perf_counter() - start
-            with lock:
-                return dict(outcomes), waited
-        finally:
-            # Abandon hung workers instead of joining them; their threads
-            # finish (or leak until process exit) without blocking us.
-            executor.shutdown(wait=False)
+        outcomes: Dict[_Key, _Outcome] = {}
+        settled = threading.Condition()
+        abandoned = False
+
+        def drain(park: Callable[[], None]) -> None:
+            # Take calls until none is left or the fan-out stopped waiting
+            # (a call not yet started by then never starts).  Outcomes are
+            # recorded under the lock, so a late finisher that already
+            # missed the deadline cannot race the snapshot below.
+            finished = None
+            while True:
+                with settled:
+                    item = pending.popleft() if pending and not abandoned else None
+                    if item is None:
+                        park()  # idle again before the fan-out can return
+                    if finished is not None:
+                        outcomes[finished[0]] = finished[1]
+                        if len(outcomes) == len(calls):
+                            settled.notify()
+                    if item is None:
+                        return
+                key, context, call = item
+                finished = key, context.run(self._outcome, key[1], call, expires_at)
+
+        for __ in range(min(self.workers, len(calls))):
+            self._threads.run(drain)
+        with settled:
+            while len(outcomes) < len(calls):
+                remaining = None
+                if expires_at is not None:
+                    remaining = expires_at - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                settled.wait(remaining)
+            abandoned = True
+            return dict(outcomes), time.perf_counter() - start
+
+    def close(self) -> None:
+        """Retire the cached fan-out threads: idle ones now, busy ones when
+        their call ends.  Their thread-local state (pooled connections)
+        goes with them.  Later fan-outs still run, on threads not kept."""
+        self._threads.close()
 
     def dispatch(self, calls: Mapping[str, EngineCall]) -> DispatchReport:
         """Run every engine call; never raises for an engine failure.
@@ -339,7 +437,7 @@ class ConcurrentDispatcher:
     ) -> List[DispatchReport]:
         """Fan out several queries' engine calls as one pooled dispatch.
 
-        All calls across all batches share the executor and — unlike
+        All calls across all batches share the threads and — unlike
         per-batch :meth:`dispatch` loops, where every batch gets a fresh
         ``timeout`` — a *single* deadline measured from the start of the
         whole fan-out.  Per-batch results are split back into one
@@ -355,7 +453,7 @@ class ConcurrentDispatcher:
             for name, call in batch.items()
         }
         if self.workers == 1 or not calls:
-            waited: Dict[_Key, float] = {}
+            waited = 0.0
             outcomes = {
                 key: self._outcome(key[1], call) for key, call in calls.items()
             }
@@ -370,7 +468,7 @@ class ConcurrentDispatcher:
                     engine=name,
                     kind="timeout",
                     attempts=0,
-                    elapsed=waited[key],
+                    elapsed=waited,
                     message=f"no answer within {self.timeout}s deadline",
                 )
             report = reports[index]

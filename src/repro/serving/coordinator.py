@@ -246,8 +246,11 @@ class ShardedFleet(SearchPipeline):
         ]
 
     def close(self) -> None:
+        """Close every pooled shard connection, then retire the scatter
+        threads that held them."""
         for shard in self._shards:
             shard.client.close()
+        self.dispatcher.close()
 
     # -- live-fleet delta propagation ----------------------------------------
 

@@ -19,15 +19,22 @@ service needs besides them lives here:
 Responses are JSON (except ``/metrics``, Prometheus text) and always
 carry ``Content-Length``, so HTTP/1.1 keep-alive works and clients can
 reuse connections.  Every response identifies the build via the
-``Server`` and ``X-Repro-Version`` headers.
+``Server`` and ``X-Repro-Version`` headers.  Every response — the
+stdlib's own error answers (400, 414, 431, 501, 505) included — leaves in
+one write: a head sent apart from its body is a small segment the kernel
+holds back (Nagle) until the peer's delayed ACK, ~40 ms, on a kept-alive
+connection.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import math
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -347,6 +354,11 @@ class ServingApp:
 class _AppHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # The listen() backlog, socketserver's 5 by default.  Clients keep
+    # their connections alive and dial a burst of them when a caller's
+    # fan-out threads start together; a SYN that finds the accept queue
+    # full is dropped and retried after the 1 s initial retransmit timeout.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, app: ServingApp):
         super().__init__(address, _AppRequestHandler)
@@ -364,19 +376,38 @@ class _AppRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # stdlib default prints to stderr
         log.debug("%s %s", self.address_string(), fmt % args)
 
+    @contextlib.contextmanager
+    def _one_write(self):
+        """Collect what the block writes — status line, headers, body, as
+        the stdlib frames them (only the body for an HTTP/0.9 request
+        line) — and send it in one ``wfile.write``."""
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            yield
+            framed = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        wfile.write(framed)
+
     def _write_response(self, response: Response) -> None:
         body = response.body_bytes()
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Version", package_version())
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        if response.close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        with self._one_write():
+            self.send_response(response.status)
+            self.send_header("Content-Type", response.content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("X-Repro-Version", package_version())
+            for name, value in response.headers.items():
+                self.send_header(name, value)
+            if response.close:
+                self.send_header("Connection", "close")
+                self.close_connection = True
+            self.end_headers()
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # The stdlib writes the head, then the body: make it one write.
+        with self._one_write():
+            super().send_error(code, message, explain)
 
     # -- dispatch ------------------------------------------------------------
 

@@ -29,17 +29,17 @@ Connections are pooled per ``(pid, thread)`` (``http.client`` connections
 are not thread-safe; the broker's dispatcher calls from many threads) and
 reused via HTTP/1.1 keep-alive for as long as the calling thread lives,
 with one transparent retry when a pooled connection turns out to have
-been closed by the server.  That is reuse *across requests* only where
-the thread outlives the request — the inline dispatcher (``workers=1``)
-and direct callers such as :class:`GatewayClient`; a pooled fan-out
-(``workers > 1``) creates its worker threads per fan-out, so each of its
-calls dials a fresh connection (left so until responses go out in one
-write: a kept-alive RPC pays the header/body stall, ~44 ms against ~1 ms
-fresh).  The pid half of the key makes the pool fork-safe: a process that
-``fork()``\\ s after making requests (shard workers, multiprocessing load
-generators) inherits the parent's pooled sockets, and writing on one of
-those would interleave two processes' requests on a single connection —
-so a pooled entry whose pid no longer matches is closed and redialed.
+been closed by the server.  The dispatcher's fan-out threads are cached
+across fan-outs (:mod:`repro.metasearch.dispatch`), so a coordinator or
+gateway holds about one kept-alive connection per (fan-out thread,
+server) and a steady load dials none; a connection leaves the pool when
+its thread retires or when the client's :meth:`_HTTPJsonClient.close`
+closes every connection it pooled, on every thread.  The pid half of the
+key makes the pool fork-safe: a process that ``fork()``\\ s after making
+requests (shard workers, multiprocessing load generators) inherits the
+parent's pooled sockets, and writing on one of those would interleave two
+processes' requests on a single connection — so a pooled entry whose pid
+no longer matches is closed and redialed.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import json
 import os
 import socket
 import threading
+import weakref
 import zipfile
 from typing import Callable, List, Optional, Sequence, Union
 from urllib.parse import urlsplit
@@ -126,6 +127,12 @@ class _HTTPJsonClient:
         self.port = split.port or 80
         self.timeout = timeout
         self._local = threading.local()
+        # Every thread's pooled connection, for close(); weak, so one goes
+        # (and its socket closes) with the thread that held it.
+        self._pooled: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+        self._pooled_lock = threading.Lock()
 
     # -- connection pool -----------------------------------------------------
 
@@ -150,6 +157,8 @@ class _HTTPJsonClient:
                 self.host, self.port, timeout=budget
             )
             self._local.conn = conn
+            with self._pooled_lock:
+                self._pooled.add(conn)
         else:
             conn.timeout = budget
             if conn.sock is not None:
@@ -163,9 +172,12 @@ class _HTTPJsonClient:
             self._local.conn = None
 
     def close(self) -> None:
-        """Close this thread's pooled connection (others expire with their
-        threads; connections are daemonic resources, not leaks)."""
-        self._drop_connection()
+        """Close every thread's pooled connection.  The client stays
+        usable: a thread's next request redials (and is pooled again)."""
+        with self._pooled_lock:
+            pooled = list(self._pooled)
+        for conn in pooled:
+            conn.close()
 
     # -- request execution ---------------------------------------------------
 

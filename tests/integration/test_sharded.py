@@ -11,10 +11,12 @@ the shard, while the surviving shards' answers merge exactly as the
 in-process broker restricted to the surviving engines would.  A
 coalescing coordinator process answers concurrent requests exactly like a
 per-request one over the same shard processes.  The HTTP frontend's
-framing policy (keep-alive reuse, 411/413/400) is covered here too.
+framing policy (keep-alive reuse, one write per response, 411/413/400) and
+the coordinator's kept-alive shard connections are covered here too.
 """
 
 import http.client
+import io
 import json
 import re
 import signal
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import urllib.request
 from pathlib import Path
 
@@ -41,6 +44,8 @@ from repro.serving import (
     ShardApp,
     ShardedFleet,
 )
+from repro.serving.http import ServingApp, _AppRequestHandler
+from repro.serving.remote_engine import _HTTPJsonClient
 from tests.oracle import ScalarOracle
 
 pytestmark = pytest.mark.slow
@@ -549,6 +554,78 @@ class TestFrontendFraming:
         assert response.getheader("Connection") == "close"
         assert "exceeds" in json.loads(body)["error"]
 
+    class RecordingConnection:
+        """A socket stand-in: the handler reads ``incoming`` and every
+        ``sendall`` is one recorded write."""
+
+        def __init__(self, incoming: bytes):
+            self.incoming = io.BytesIO(incoming)
+            self.writes = []
+
+        def makefile(self, mode, buffering=None):
+            return self.incoming
+
+        def sendall(self, data):
+            self.writes.append(bytes(data))
+
+        def settimeout(self, timeout):
+            pass
+
+    def writes_for(self, app, incoming: bytes):
+        connection = self.RecordingConnection(incoming)
+        _AppRequestHandler(
+            connection, ("127.0.0.1", 0), types.SimpleNamespace(app=app)
+        )
+        return connection.writes
+
+    @staticmethod
+    def split_response(framed: bytes):
+        head, __, body = framed.partition(b"\r\n\r\n")
+        lines = head.decode("iso-8859-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert int(headers["Content-Length"]) == len(body)
+        return lines[0], headers, body
+
+    def test_each_response_is_one_write(self, gateway_server):
+        """Head and body leave in one write — no segment waits out the
+        peer's delayed ACK — for app answers and stdlib errors alike."""
+        app = gateway_server.app
+        [ok] = self.writes_for(app, (
+            b"POST /search HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(self.SEARCH)
+        ) + self.SEARCH)
+        status, __, body = self.split_response(ok)
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["kind"] == "response"
+
+        [refused] = self.writes_for(
+            app, b"POST /search HTTP/1.1\r\nContent-Length: 8192\r\n\r\n"
+        )
+        status, headers, body = self.split_response(refused)
+        assert status.startswith("HTTP/1.1 413")
+        assert headers["Connection"] == "close"
+        assert "exceeds" in json.loads(body)["error"]
+
+        [metrics] = self.writes_for(app, b"GET /metrics HTTP/1.1\r\n\r\n")
+        status, headers, body = self.split_response(metrics)
+        assert status == "HTTP/1.1 200 OK"
+        assert headers["Content-Type"].startswith("text/plain")
+        assert b"repro_serving_requests_total" in body
+
+        [malformed] = self.writes_for(
+            app, b"GET /healthz extra HTTP/1.1\r\n\r\n"
+        )
+        status, headers, body = self.split_response(malformed)
+        assert status.startswith("HTTP/1.1 400")
+        assert b"Bad request syntax" in body
+
+        [unsupported] = self.writes_for(app, b"PUT /search HTTP/1.1\r\n\r\n")
+        assert self.split_response(unsupported)[0].startswith("HTTP/1.1 501")
+
+        # An HTTP/0.9 request line is answered with the body alone.
+        [simple] = self.writes_for(app, b"GET /healthz\r\n\r\n")
+        assert json.loads(simple)["status"] == "ok"
+
     def test_bad_content_length_is_400(self, gateway_server):
         with socket.create_connection(
             (gateway_server.host, gateway_server.port), timeout=10
@@ -575,3 +652,144 @@ class TestFrontendFraming:
             assert conn.getresponse().status == 404
         finally:
             conn.close()
+
+
+class CountsConnections:
+    """Wraps a :class:`ServingServer`'s accept and close hooks, so a test
+    can read how many connections it accepted and how many are open."""
+
+    def __init__(self, server: ServingServer):
+        httpd = server._httpd
+        self.accepted = 0
+        self.closed = 0
+        self._lock = threading.Lock()
+        get_request, shutdown_request = httpd.get_request, httpd.shutdown_request
+
+        def counted_get_request():
+            request = get_request()
+            with self._lock:
+                self.accepted += 1
+            return request
+
+        def counted_shutdown_request(request):
+            shutdown_request(request)
+            with self._lock:
+                self.closed += 1
+
+        httpd.get_request = counted_get_request
+        httpd.shutdown_request = counted_shutdown_request
+
+    @property
+    def open(self) -> int:
+        with self._lock:
+            return self.accepted - self.closed
+
+
+class TestKeptAliveShardConnections:
+    """Scatter threads outlive the scatter, so their kept-alive shard
+    connections do too: sequential requests dial no new connection, and
+    :meth:`ShardedFleet.close` leaves none open."""
+
+    N_REQUESTS = 24
+
+    @pytest.fixture
+    def counted_fleet(self):
+        collections = fleet_collections()
+        servers, counters, urls = [], [], []
+        for index, part in enumerate(partition_round_robin(collections, 2)):
+            server = ServingServer(
+                ShardApp(local_broker_for(part), shard_index=index)
+            )
+            counters.append(CountsConnections(server))
+            server.start_background()
+            servers.append(server)
+            urls.append(server.url)
+        fleet = ShardedFleet(urls).attach(timeout=30.0)
+        try:
+            yield fleet, counters
+        finally:
+            fleet.close()
+            for server in servers:
+                server.drain(timeout=10)
+
+    def test_sequential_scatters_reuse_one_connection_per_thread(
+        self, counted_fleet
+    ):
+        fleet, counters = counted_fleet
+        callers = [set() for __ in counters]  # threads that called each shard
+        for shard, seen in zip(fleet._shards, callers):
+            def recorded(*args, _request=shard.client.request, _seen=seen, **kw):
+                _seen.add(threading.get_ident())
+                return _request(*args, **kw)
+
+            shard.client.request = recorded
+        for i in range(self.N_REQUESTS):
+            response = fleet.search(QUERIES[i % len(QUERIES)], 0.0)
+            assert not response.failures
+        # One connection per (calling thread, shard), plus the one the
+        # attach call's thread (this one) opened; 2 RPCs per request would
+        # have dialed 2 * N_REQUESTS connections per shard.
+        for counter, seen in zip(counters, callers):
+            assert counter.accepted <= len(seen) + 1
+        assert sum(counter.accepted for counter in counters) < self.N_REQUESTS
+
+    def test_close_leaves_no_open_connection(self, counted_fleet):
+        fleet, counters = counted_fleet
+        for query in QUERIES:
+            fleet.search(query, 0.0)
+        assert all(counter.open > 0 for counter in counters)
+        fleet.close()
+        deadline = time.monotonic() + 10
+        while any(counter.open for counter in counters):
+            assert time.monotonic() < deadline, [c.open for c in counters]
+            time.sleep(0.01)
+
+    def test_client_close_reaches_connections_of_live_threads(self):
+        """``close()`` closes every thread's pooled connection, including
+        those of threads that are still alive and would keep theirs."""
+        server = ServingServer(ServingApp())
+        counter = CountsConnections(server)
+        server.start_background()
+        client = _HTTPJsonClient(server.url)
+        release = threading.Event()
+        holding = threading.Barrier(4)
+
+        def hold():
+            client.request("GET", "/healthz")
+            holding.wait(timeout=10)
+            release.wait(timeout=10)
+
+        threads = [threading.Thread(target=hold) for __ in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            holding.wait(timeout=10)
+            assert counter.open == 3
+            client.close()
+            deadline = time.monotonic() + 10
+            while counter.open:
+                assert time.monotonic() < deadline, counter.open
+                time.sleep(0.01)
+            assert all(thread.is_alive() for thread in threads)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            server.drain(timeout=10)
+
+    def test_listen_backlog_absorbs_a_burst_of_dials(self):
+        """Fan-out threads starting together dial together.  Nothing is
+        accepted here, so every connection waits in the listen backlog; a
+        dial that finds it full would stall for the 1 s SYN retransmit."""
+        server = ServingServer(ServingApp())  # bound and listening, not serving
+        dials = []
+        try:
+            for __ in range(64):
+                dials.append(socket.create_connection(
+                    (server.host, server.port), timeout=0.5
+                ))
+        finally:
+            for sock in dials:
+                sock.close()
+            server.drain(timeout=1)
+        assert len(dials) == 64

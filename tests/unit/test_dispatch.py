@@ -1,5 +1,10 @@
 """Unit tests for the concurrent dispatch layer (fault injection)."""
 
+import os
+import random
+import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -7,6 +12,7 @@ import pytest
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import ConcurrentDispatcher, MetasearchBroker
+from repro.metasearch.deadlines import Deadline, ambient_deadline, deadline_scope
 from repro.representatives import build_representative
 
 
@@ -260,6 +266,193 @@ class TestDeadlineRaceWindow:
         kinds = {f.engine: f.kind for f in report.failures}
         assert kinds == {"err": "error", "slow": "timeout"}
         assert set(report.results) == {"ok", "ok2"}
+
+
+class TestThreadReuse:
+    """Fan-out threads come from a cache that outlives the fan-out; the
+    per-fan-out semantics stay those of a pool made for each fan-out."""
+
+    @staticmethod
+    def rendezvous_calls(n):
+        """``n`` calls that each answer their thread's ident once all ``n``
+        are running at the same time (so each runs on its own thread)."""
+        barrier = threading.Barrier(n)
+
+        def call():
+            barrier.wait(timeout=5)
+            return [threading.get_ident()]
+
+        return {f"e{i}": call for i in range(n)}
+
+    @staticmethod
+    def idents(report):
+        assert report.ok, report.failures
+        return {hits[0] for hits in report.results.values()}
+
+    @staticmethod
+    def wait_gone(idents, timeout=5.0):
+        """Wait until no live thread has one of ``idents``."""
+        deadline = time.monotonic() + timeout
+        while idents & {thread.ident for thread in threading.enumerate()}:
+            assert time.monotonic() < deadline, "threads did not retire"
+            time.sleep(0.01)
+
+    def test_back_to_back_fanouts_run_on_the_same_threads(self):
+        dispatcher = ConcurrentDispatcher(workers=3)
+        first = self.idents(dispatcher.dispatch(self.rendezvous_calls(3)))
+        assert len(first) == 3
+        for __ in range(5):
+            assert self.idents(dispatcher.dispatch(self.rendezvous_calls(3))) == first
+        dispatcher.close()
+
+    def test_hung_call_does_not_delay_the_next_fanout(self):
+        release = threading.Event()
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=0.2)
+        try:
+            hung = dispatcher.dispatch(
+                {"hung": lambda: release.wait(10) and [], "ok": lambda: ["hit"]}
+            )
+            assert [f.engine for f in hung.failures] == ["hung"]
+            started = time.perf_counter()
+            report = dispatcher.dispatch(self.rendezvous_calls(2))
+            assert time.perf_counter() - started < 1.0
+            assert len(self.idents(report)) == 2
+            assert not release.is_set()  # the hung call is still running
+        finally:
+            release.set()
+            dispatcher.close()
+
+    def test_concurrent_fanouts_each_run_workers_calls_at_once(self):
+        """Two fan-outs in flight: each runs ``min(workers, calls)`` = 2
+        calls at a time, and both pairs run together (no shared cap)."""
+        dispatcher = ConcurrentDispatcher(workers=2)
+        barrier = threading.Barrier(4)  # both fan-outs' pairs at once
+        peaks = {}
+
+        def fanout(tag):
+            active = [0]
+            peak = [0]
+            lock = threading.Lock()
+
+            def call():
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                barrier.wait(timeout=5)
+                with lock:
+                    active[0] -= 1
+                return [tag]
+
+            report = dispatcher.dispatch({f"{tag}{i}": call for i in range(4)})
+            peaks[tag] = (report.ok, peak[0])
+
+        threads = [threading.Thread(target=fanout, args=(t,)) for t in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert peaks == {"a": (True, 2), "b": (True, 2)}
+        dispatcher.close()
+
+    def test_calls_see_the_callers_ambient_deadline(self):
+        dispatcher = ConcurrentDispatcher(workers=2)
+        calls = {name: lambda: [ambient_deadline()] for name in ("a", "b")}
+        for deadline in (Deadline(5.0), Deadline(7.0), None):
+            with deadline_scope(deadline):
+                report = dispatcher.dispatch(calls)
+            assert [hits[0] for hits in report.results.values()] == [deadline] * 2
+        dispatcher.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_its_first_fanout(self):
+        """The parent's cached threads do not exist in a forked child; the
+        child's first fan-out must start its own instead of waiting on
+        them."""
+        dispatcher = ConcurrentDispatcher(workers=2)
+        # Both parent threads ran a call, so both are cached idle.
+        assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 iff the fan-out answered
+            code = 1
+            try:
+                report = dispatcher.dispatch(self.rendezvous_calls(2))
+                code = 0 if report.ok else 1
+            finally:
+                os._exit(code)
+        guard = time.monotonic() + 10
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > guard:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's fan-out hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        dispatcher.close()
+
+    def test_stress_concurrent_fanouts_answer_every_call_once(self):
+        """Many callers, more threads than cores, a tiny switch interval:
+        every call is answered exactly once, on its own fan-out, and no
+        thread is ever parked twice."""
+        dispatcher = ConcurrentDispatcher(workers=3, timeout=5.0)
+        counts = {}
+        counts_lock = threading.Lock()
+        errors = []
+
+        def caller(tag):
+            rng = random.Random(tag)
+            for round_ in range(25):
+                calls = {}
+                for i in range(rng.randint(1, 6)):
+                    key = (tag, round_, i)
+
+                    def call(key=key):
+                        with counts_lock:
+                            counts[key] = counts.get(key, 0) + 1
+                        return [key]
+
+                    calls[f"e{i}"] = call
+                report = dispatcher.dispatch(calls)
+                if not report.ok or {
+                    name: hits for name, hits in report.results.items()
+                } != {name: [(tag, round_, int(name[1:]))] for name in calls}:
+                    errors.append((tag, round_, report))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert set(counts.values()) == {1}
+        idle = list(dispatcher._threads._idle)
+        assert len(idle) == len({id(inbox) for inbox in idle})
+        dispatcher.close()
+
+    def test_idle_threads_expire_and_later_fanouts_start_new_ones(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.metasearch.dispatch.IDLE_SECONDS", 0.05)
+        dispatcher = ConcurrentDispatcher(workers=2)
+        self.wait_gone(self.idents(dispatcher.dispatch(self.rendezvous_calls(2))))
+        assert dispatcher._threads._idle == []
+        assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
+        dispatcher.close()
+
+    def test_close_retires_idle_threads_and_dispatch_still_works(self):
+        dispatcher = ConcurrentDispatcher(workers=2)
+        first = self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))
+        dispatcher.close()
+        self.wait_gone(first)
+        assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
 
 
 class TestBrokerFaultInjection:
