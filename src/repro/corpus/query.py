@@ -114,16 +114,22 @@ class Query:
     def normalized_weights(self) -> np.ndarray:
         """Unit-norm weights — the ``u_i`` of the Cosine similarity.
 
-        Scale-invariant: multiplying every weight by a power of two that
-        keeps them normal floats leaves the result bit-identical.
+        Scale-invariant: exactly proportional weight vectors — ``(1, 1)``,
+        ``(3, 3)`` and ``(0.5, 0.5)`` alike — give bit-identical results.
+        The weights are first divided by the largest one; each ratio is a
+        correctly rounded quotient of the same real number, so the common
+        factor cancels exactly, and the ratios (at most 1, the largest
+        exactly 1) are then scaled to unit norm without overflow.  Dividing
+        by the norm directly rounds differently per factor (``1/sqrt(2)``
+        and ``3/sqrt(18)`` differ in the last bit), and the estimate cache,
+        which keys proportional queries together, would then answer one
+        with the other's estimate.
         """
         arr = np.asarray(self.weights, dtype=float)
-        root, exponent = self._norm_parts()
-        if root == 0.0:  # the empty query
+        if not arr.size:  # the empty query
             return arr
-        if exponent:
-            arr = np.ldexp(arr, -exponent)
-        return arr / root
+        ratios = arr / arr.max()
+        return ratios / math.sqrt(sum(r * r for r in ratios.tolist()))
 
     def items(self) -> Iterable[Tuple[str, float]]:
         """Iterate ``(term, raw_weight)`` pairs."""

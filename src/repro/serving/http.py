@@ -15,6 +15,14 @@ service needs besides them lives here:
   accepting, finish in-flight requests, snapshot the metrics one last
   time (``final_metrics``), close.  ``install_signal_handlers`` maps
   SIGTERM/SIGINT onto that sequence for CLI deployments.
+* :func:`read_headers` — the one header-block reader, used by the request
+  handler here and by the client in :mod:`repro.serving.remote_engine`
+  for responses.  It keeps the stdlib's limits (a line of at most 64 KiB,
+  at most 100 lines) and its lookup rule (case-insensitive, the first of
+  a repeated name wins) without going through ``email.parser``, and it
+  refuses what the stdlib would let through: obs-fold continuation
+  lines, bare-LF line ends, malformed field lines and two different
+  ``Content-Length`` values are a 400.
 
 Responses are JSON (except ``/metrics``, Prometheus text) and always
 carry ``Content-Length``, so HTTP/1.1 keep-alive works and clients can
@@ -33,6 +41,7 @@ import io
 import json
 import logging
 import math
+import re
 import signal
 import socket
 import threading
@@ -48,7 +57,16 @@ from repro.obs.registry import LATENCY_BUCKETS, MetricsRegistry
 from repro.serving.wire import WireFormatError
 from repro.version import package_version
 
-__all__ = ["HTTPError", "Response", "Route", "ServingApp", "ServingServer"]
+__all__ = [
+    "HTTPError",
+    "HeaderBlockError",
+    "Headers",
+    "Response",
+    "Route",
+    "ServingApp",
+    "ServingServer",
+    "read_headers",
+]
 
 log = logging.getLogger("repro.serving")
 
@@ -56,6 +74,82 @@ log = logging.getLogger("repro.serving")
 DEFAULT_MAX_BODY = 1 << 20
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: The stdlib's header-block limits (``http.client._MAXLINE`` /
+#: ``_MAXHEADERS``): a line of at most 64 KiB, and at most 100 lines
+#: counting the blank one that ends the block.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+# One field line: a name of visible ASCII other than ":" (what
+# ``email.parser`` takes for a name), the colon, optional blanks, then a
+# value free of CR, LF and NUL, ended by CRLF.  An obs-fold continuation
+# (a leading blank), a bare LF and whitespace before the colon all fail it.
+_FIELD_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n\x00]*)\r\n")
+
+
+class HeaderBlockError(ValueError):
+    """A header block the reader refuses; ``status`` is how a server
+    answers it (431 for the size limits, 400 otherwise)."""
+
+    def __init__(self, status: int, message: str, explain: Optional[str] = None):
+        super().__init__(message if explain is None else f"{message}: {explain}")
+        self.status = status
+        self.message = message
+        self.explain = explain
+
+
+class Headers(dict):
+    """A header block: names lower-cased, each mapped to the value of its
+    first occurrence (as ``email.message.Message.get`` answers), looked up
+    case-insensitively."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+    def __contains__(self, name) -> bool:
+        return dict.__contains__(self, name.lower())
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def read_headers(rfile, eof_ends_block: bool = True) -> Headers:
+    """Read one header block — the field lines up to and including the
+    blank line — from the buffered binary stream ``rfile``.
+
+    A stream that ends before the blank line ends the block when
+    ``eof_ends_block`` (the stdlib server's rule, which an HTTP/0.9
+    request line relies on) and is a truncated block otherwise.  Raises
+    :class:`HeaderBlockError` for anything else the reader refuses.
+    """
+    headers = Headers()
+    for __ in range(MAX_HEADERS):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise HeaderBlockError(
+                431, "Line too long",
+                f"got more than {MAX_LINE} bytes when reading header line",
+            )
+        if line == b"\r\n":
+            return headers
+        if not line:
+            if eof_ends_block:
+                return headers
+            raise HeaderBlockError(400, "Truncated header block")
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
+            raise HeaderBlockError(400, "Bad header line (%r)" % line[:64])
+        name = field[1].decode("ascii").lower()
+        value = field[2].decode("iso-8859-1")
+        first = dict.setdefault(headers, name, value)
+        if first != value and name == "content-length":
+            raise HeaderBlockError(400, "Conflicting Content-Length values")
+    raise HeaderBlockError(
+        431, "Too many headers", f"got more than {MAX_HEADERS} headers"
+    )
 
 
 class HTTPError(Exception):
@@ -157,6 +251,7 @@ class ServingApp:
         self.draining = False
         self._inflight = 0
         self._idle = threading.Condition()
+        self._in_flight = _InFlight(self)
         self._routes: Dict[Tuple[str, str], Route] = {}
         self.route("GET", "/healthz", self._route_healthz, drain_ok=True)
         self.route("GET", "/metrics", self._route_metrics, drain_ok=True)
@@ -293,7 +388,7 @@ class ServingApp:
             raise HTTPError(504, "deadline exhausted before handling began")
         params = {k: values[-1] for k, values in parse_qs(query).items()}
         payload = self._decode_body(method, body)
-        with self._track_inflight():
+        with self._in_flight:
             with deadline_scope(deadline):
                 try:
                     response = self._invoke(route, params, payload, deadline)
@@ -316,23 +411,6 @@ class ServingApp:
 
     # -- drain support -------------------------------------------------------
 
-    def _track_inflight(self):
-        app = self
-
-        class _Tracker:
-            def __enter__(self):
-                with app._idle:
-                    app._inflight += 1
-                return self
-
-            def __exit__(self, *exc):
-                with app._idle:
-                    app._inflight -= 1
-                    app._idle.notify_all()
-                return False
-
-        return _Tracker()
-
     def begin_drain(self) -> None:
         """Refuse new work; requests already in flight run to completion."""
         self.draining = True
@@ -349,6 +427,26 @@ class ServingApp:
                         return False
                 self._idle.wait(remaining)
             return True
+
+
+class _InFlight:
+    """Counts a request in flight on ``app`` for the length of a ``with``
+    block; one per app, reused by every request (the count is the app's)."""
+
+    __slots__ = ("app",)
+
+    def __init__(self, app: ServingApp):
+        self.app = app
+
+    def __enter__(self) -> None:
+        with self.app._idle:
+            self.app._inflight += 1
+
+    def __exit__(self, *exc) -> bool:
+        with self.app._idle:
+            self.app._inflight -= 1
+            self.app._idle.notify_all()
+        return False
 
 
 class _AppHTTPServer(ThreadingHTTPServer):
@@ -374,7 +472,80 @@ class _AppRequestHandler(BaseHTTPRequestHandler):
         return f"repro-serving/{package_version()}"
 
     def log_message(self, fmt, *args):  # stdlib default prints to stderr
-        log.debug("%s %s", self.address_string(), fmt % args)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s", self.address_string(), fmt % args)
+
+    def parse_request(self) -> bool:
+        """The stdlib's request parsing, with the header block read by
+        :func:`read_headers` instead of ``email.parser``: the request-line
+        rules, the ``//`` path collapse, ``Connection`` and ``Expect:
+        100-continue`` are the stdlib's.  False once an error answer is
+        sent (or, for an empty request line, when there is nothing to
+        answer)."""
+        if not self._parse_request_line():
+            return False
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeaderBlockError as err:
+            self.send_error(err.status, err.message, err.explain)
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _parse_request_line(self) -> bool:
+        # BaseHTTPRequestHandler.parse_request's request-line half, as is.
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                major, minor = version[5:].split(".")
+                if not (major.isdigit() and minor.isdigit()):
+                    raise ValueError
+                if len(major) > 10 or len(minor) > 10:
+                    raise ValueError
+                number = int(major), int(minor)
+            except ValueError:
+                self.send_error(400, "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        # A path starting "//" reads as a scheme-less absolute URI to a
+        # client; collapse it so no answer can redirect off-site (gh-87389).
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        return True
 
     @contextlib.contextmanager
     def _one_write(self):

@@ -25,10 +25,10 @@ downstream in ``X-Repro-Deadline`` and doubles as the socket timeout, so
 a request admitted with 80 ms left can neither wait 10 s on a socket nor
 ask the engine for more time than its caller has.
 
-Connections are pooled per ``(pid, thread)`` (``http.client`` connections
-are not thread-safe; the broker's dispatcher calls from many threads) and
+Connections are pooled per ``(pid, thread)`` (a connection carries one
+exchange at a time; the broker's dispatcher calls from many threads) and
 reused via HTTP/1.1 keep-alive for as long as the calling thread lives,
-with one transparent retry when a pooled connection turns out to have
+with one transparent redial when a pooled connection turns out to have
 been closed by the server.  The dispatcher's fan-out threads are cached
 across fan-outs (:mod:`repro.metasearch.dispatch`), so a coordinator or
 gateway holds about one kept-alive connection per (fan-out thread,
@@ -40,18 +40,27 @@ requests (shard workers, multiprocessing load generators) inherits the
 parent's pooled sockets, and writing on one of those would interleave two
 processes' requests on a single connection — so a pooled entry whose pid
 no longer matches is closed and redialed.
+
+Framing is done here, on the socket, not by ``http.client``: a request's
+head and body leave in one ``sendall`` on a ``TCP_NODELAY`` socket, the
+status line and headers are read by :func:`repro.serving.http.
+read_headers` under the server's own limits, and exactly
+``Content-Length`` body bytes are read.  A response that cannot be framed
+— a truncated head, a head over the limits, a missing, negative,
+non-numeric or conflicting ``Content-Length``, a body cut short — is a
+:class:`RemoteServingError`; a peer that stops sending is a
+:class:`RemoteTimeout` once the budget's socket timeout fires.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import socket
 import threading
 import weakref
 import zipfile
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
@@ -64,6 +73,7 @@ from repro.fleet.delta import (
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.metasearch.selection import EstimateRow
+from repro.serving.http import MAX_LINE, HeaderBlockError, Headers, read_headers
 from repro.serving.wire import (
     decode_hits,
     estimate_row_from_wire,
@@ -111,6 +121,93 @@ class RemoteTimeout(RemoteServingError):
     failure_kind = "timeout"
 
 
+#: Largest single read of a response body: a declared length is read in
+#: pieces of at most this many bytes, so a hostile ``Content-Length`` never
+#: sizes a buffer by itself.
+_READ_CHUNK = 1 << 20
+
+
+class _Reply(NamedTuple):
+    """One framed response."""
+
+    status: int
+    headers: Headers
+    body: bytes
+    keep_alive: bool
+
+
+class _Connection:
+    """One HTTP/1.1 connection to ``host:port``, dialed on first use and
+    kept alive between exchanges; one exchange at a time."""
+
+    def __init__(self, host: str, port: int, timeout: Optional[float]):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+        self._rfile = None
+
+    def exchange(self, request: bytes) -> _Reply:
+        """Send ``request`` (head and body) and read the response.
+
+        Raises ``OSError`` for transport failures (``socket.timeout``
+        when the timeout fires), :class:`HeaderBlockError` for a response
+        that cannot be framed, and ``ValueError`` when :meth:`close`, from
+        another thread, closed the stream under the read.
+        """
+        sock, rfile = self.sock, self._rfile
+        if sock is None:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            rfile = sock.makefile("rb")
+            self.sock, self._rfile = sock, rfile
+        sock.sendall(request)
+        return _read_reply(rfile)
+
+    def close(self) -> None:
+        rfile, sock = self._rfile, self.sock
+        self._rfile = self.sock = None
+        if rfile is not None:
+            rfile.close()
+        if sock is not None:
+            sock.close()
+
+
+def _read_reply(rfile) -> _Reply:
+    line = rfile.readline(MAX_LINE + 1)
+    if not line:  # what a stale kept-alive connection answers
+        raise ConnectionError("connection closed before a status line")
+    parts = line.split(None, 2)
+    if (
+        len(line) > MAX_LINE
+        or not line.endswith(b"\r\n")
+        or len(parts) < 2
+        or not parts[0].startswith(b"HTTP/")
+        or len(parts[1]) != 3
+        or not parts[1].isdigit()
+    ):
+        raise HeaderBlockError(400, "Bad status line (%r)" % line[:64])
+    headers = read_headers(rfile, eof_ends_block=False)
+    declared = headers.get("content-length")
+    if declared is None or not (declared.isascii() and declared.isdigit()):
+        raise HeaderBlockError(400, f"No valid Content-Length ({declared!r})")
+    length = int(declared)
+    chunks, received = [], 0
+    while received < length:
+        chunk = rfile.read(min(length - received, _READ_CHUNK))
+        if not chunk:
+            raise HeaderBlockError(
+                400, f"Body cut short at {received} of {length} bytes"
+            )
+        chunks.append(chunk)
+        received += len(chunk)
+    keep_alive = (
+        parts[0] == b"HTTP/1.1"
+        and headers.get("connection", "").lower() != "close"
+    )
+    return _Reply(int(parts[1]), headers, b"".join(chunks), keep_alive)
+
+
 class _HTTPJsonClient:
     """Thread-pooled JSON-over-HTTP with deadline propagation."""
 
@@ -125,18 +222,17 @@ class _HTTPJsonClient:
         self.base_url = base_url.rstrip("/")
         self.host = split.hostname
         self.port = split.port or 80
+        self._host_header = split.netloc
         self.timeout = timeout
         self._local = threading.local()
         # Every thread's pooled connection, for close(); weak, so one goes
         # (and its socket closes) with the thread that held it.
-        self._pooled: "weakref.WeakSet[http.client.HTTPConnection]" = (
-            weakref.WeakSet()
-        )
+        self._pooled: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
         self._pooled_lock = threading.Lock()
 
     # -- connection pool -----------------------------------------------------
 
-    def _connection(self, budget: Optional[float]) -> http.client.HTTPConnection:
+    def _connection(self, budget: Optional[float]) -> _Connection:
         # Fork safety: thread-local state survives fork() into the child's
         # surviving thread, so the pooled connection's socket would be
         # shared with the parent process.  Detect the pid change and
@@ -153,9 +249,7 @@ class _HTTPJsonClient:
             self._local.pid = os.getpid()
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=budget
-            )
+            conn = _Connection(self.host, self.port, budget)
             self._local.conn = conn
             with self._pooled_lock:
                 self._pooled.add(conn)
@@ -209,7 +303,7 @@ class _HTTPJsonClient:
     ):
         """One JSON round trip; returns the response body, run through
         ``decode`` when given (see :meth:`_decoded`)."""
-        raw, response = self._roundtrip(method, path, payload)
+        raw, __ = self._roundtrip(method, path, payload)
         try:
             answer = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -241,25 +335,36 @@ class _HTTPJsonClient:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _roundtrip(self, method: str, path: str, payload: Optional[dict]):
-        budget = self._budget()
-        body = None
-        headers = {"Accept": "application/json"}
+    def _request_bytes(
+        self, method: str, path: str, payload: Optional[dict],
+        budget: Optional[float],
+    ) -> bytes:
+        lines = [
+            f"{method} {path} HTTP/1.1",
+            f"Host: {self._host_header}",
+            "Accept: application/json",
+        ]
+        body = b""
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            lines.append("Content-Type: application/json")
+            lines.append(f"Content-Length: {len(body)}")
         if budget is not None:
-            headers[DEADLINE_HEADER] = repr(budget)
+            lines.append(f"{DEADLINE_HEADER}: {budget!r}")
+        lines.append("\r\n")
+        return "\r\n".join(lines).encode("iso-8859-1") + body
+
+    def _roundtrip(self, method: str, path: str, payload: Optional[dict]):
+        budget = self._budget()
+        request = self._request_bytes(method, path, payload, budget)
         # One transparent retry: a pooled keep-alive connection may have
         # been closed server-side since its last use.
         for attempt in (0, 1):
             conn = self._connection(budget)
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                reply = conn.exchange(request)
                 break
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
+            except (ValueError, OSError) as exc:  # HeaderBlockError too
                 self._drop_connection()
                 if isinstance(exc, socket.timeout):
                     raise RemoteTimeout(
@@ -269,21 +374,21 @@ class _HTTPJsonClient:
                     raise RemoteServingError(
                         f"cannot reach {self.base_url}{path}: {exc}"
                     ) from exc
-        if response.getheader("Connection", "").lower() == "close":
+        if not reply.keep_alive:
             self._drop_connection()
-        if not 200 <= response.status < 300:
-            message = f"HTTP {response.status}"
+        if not 200 <= reply.status < 300:
+            message = f"HTTP {reply.status}"
             try:
-                detail = json.loads(raw.decode("utf-8")).get("error")
+                detail = json.loads(reply.body.decode("utf-8")).get("error")
             except (AttributeError, ValueError, UnicodeDecodeError):
                 detail = None
             if detail:
                 message = f"{message}: {detail}"
             raise RemoteServingError(
                 f"{self.base_url}{path} answered {message}",
-                status=response.status,
+                status=reply.status,
             )
-        return raw, response
+        return reply.body, reply
 
 
 class RemoteEngine:
@@ -496,12 +601,9 @@ class GatewayClient:
 
     def metrics_text(self) -> str:
         # /metrics is Prometheus text, not JSON — fetch raw.
-        import urllib.request
-
-        with urllib.request.urlopen(
-            f"{self.base_url}/metrics", timeout=self._client.timeout
-        ) as response:
-            return response.read().decode("utf-8")
+        return self._client.request_raw(
+            "GET", "/metrics", lambda raw, headers: raw.decode("utf-8")
+        )
 
     def close(self) -> None:
         self._client.close()

@@ -25,7 +25,7 @@ the list it replaces under ``len``, indexing, slicing and ``==``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -117,6 +117,16 @@ def assert_routine_matches_oracle(broker, oracle, batch, batch_first):
     cache_size=st.sampled_from([0, 2, 1024]),
     mutation=st.sampled_from(["none", "register", "delta"]),
     batch_first=st.booleans(),
+)
+@example(  # proportional, not by a power of two: one key, one answer
+    before=[(Query(terms=("rocket",), weights=(0.5,)), 0.0)],
+    after=[
+        (Query(terms=("rocket", "orbit"), weights=(0.5, 0.5)), 0.0),
+        (Query(terms=("rocket", "orbit"), weights=(3.0, 3.0)), 0.0),
+    ],
+    cache_size=0,
+    mutation="none",
+    batch_first=False,
 )
 @settings(max_examples=40, deadline=None)
 def test_batch_equals_serial_equals_oracle_across_mutations(

@@ -245,3 +245,22 @@ def test_estimate_path_builds_no_per_engine_objects():
     assert "metasearch/broker.py" not in builders
     assert "serving/coordinator.py" not in builders
     assert sorted(builders) == ["metasearch/selection.py", "serving/wire.py"]
+
+
+def test_serving_frames_http_in_one_place():
+    """The serving layer frames HTTP itself: the server reads request
+    heads with ``serving/http.py``'s reader and the client writes requests
+    on the socket, so no serving module makes requests through
+    ``http.client`` or ``urllib.request``."""
+    stdlib_clients = ("http.client", "urllib.request")
+    found = []
+    for path in sorted((ROOT / "serving").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT.parent).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(
+                name == client or name.startswith(client + ".")
+                for name in imported_names(node, module)
+                for client in stdlib_clients
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []

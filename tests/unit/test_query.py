@@ -103,6 +103,23 @@ class TestScaleInvariance:
         ).normalized_weights()
         assert scaled.tobytes() == base.tobytes()
 
+    @pytest.mark.parametrize(
+        "weights, factor",
+        [((0.5, 0.5), 6.0), ((1.0, 1.0), 3.0), ((1.0, 3.0), 5.0), ((2.0, 5.0, 7.0), 1.5)],
+    )
+    def test_proportional_weights_normalize_to_the_same_floats(
+        self, weights, factor
+    ):
+        """The estimate cache keys proportional queries together, so their
+        normalized weights must agree bit for bit, not only power-of-two
+        multiples: ``1/sqrt(2)`` and ``3/sqrt(18)`` differ in the last bit."""
+        terms = tuple(f"t{i}" for i in range(len(weights)))
+        base = Query(terms, weights).normalized_weights()
+        scaled = Query(
+            terms, tuple(w * factor for w in weights)
+        ).normalized_weights()
+        assert scaled.tobytes() == base.tobytes()
+
     @pytest.mark.parametrize("weight", [1e200, 1e-170, sys.float_info.max])
     def test_extreme_single_weight_normalizes_to_one(self, weight):
         assert Query(("a",), (weight,)).normalized_weights().tolist() == [1.0]
