@@ -1,15 +1,14 @@
-"""Concurrent fan-out to local search engines.
+"""Concurrent fan-out to search engines.
 
 The broker in the paper is a thin routing layer over many autonomous
 engines; in a real deployment those engines answer over a network and can
 be slow, flaky, or down entirely.  This module gives the broker a
 production dispatch path:
 
-* **Fan-out** — selected engines are queried in parallel on up to
-  ``workers`` reused daemon threads.
-  Engine calls are dominated by I/O wait in a networked deployment (and
-  by NumPy kernels, which release the GIL, in-process), so threads give
-  real overlap.
+* **Fan-out** — selected engines are queried in parallel: remote
+  engines by writing every request before reading any reply, local ones
+  on up to ``workers`` reused daemon threads (NumPy kernels release the
+  GIL, so threads give real overlap).
 * **Timeout** — each dispatch has a deadline of ``timeout`` seconds
   measured from fan-out start; an engine that has not answered by then is
   abandoned and reported as a :class:`EngineFailure` of kind
@@ -39,22 +38,42 @@ There is one execution core: every call runs the same worker body
 outcome record instead of raising) and one loop in
 :meth:`~ConcurrentDispatcher.dispatch_many` turns outcomes into reports,
 failure records and metrics; :meth:`~ConcurrentDispatcher.dispatch` is a
-batch of one.  ``workers`` selects only *where* the worker body runs.
-``workers=1`` runs it inline — the caller's thread, selection order, no
-other thread; a deadline cannot preempt an in-thread call, so ``timeout``
-together with ``workers=1`` is rejected at construction rather than
-silently ignored.  ``workers > 1`` runs it on up to ``min(workers, calls)``
-threads taken from the dispatcher's cache of idle daemon threads (new ones
-are started when too few are idle), each call inside a copy of the caller's
-:mod:`contextvars` context, so a call observes the request's ambient state
-(its deadline) on either path — which, with identical results for healthy
-engines, the property suite asserts.  A thread goes back to the cache when
-its fan-out has nothing left for it, so thread-local state — above all the
-kept-alive connections of :mod:`repro.serving.remote_engine` — outlives the
-fan-out; a thread still running a call abandoned at the deadline is simply
-not idle, so it never delays a later fan-out.  Idle threads retire after
-:data:`IDLE_SECONDS`, on :meth:`ConcurrentDispatcher.close`, or when the
-dispatcher is garbage collected; a forked child starts with an empty cache.
+batch of one.  The calls and ``workers`` select only *where* the worker
+body runs.
+
+* **Split calls, inline.**  A :class:`SplitCall` is a remote call in two
+  halves: ``send()`` writes the request and returns the reply half, a
+  call that reads the reply and a waitable on its socket.  When every
+  call of a fan-out is split, no thread is used: the caller's thread
+  sends every request in order, then waits on all the sockets at once
+  (``poll``) and reads each reply as it arrives; a retry is sent again
+  when its backoff is over, in the same loop.  The servers work in
+  parallel anyway — they are other processes — so a fan-out thread would
+  only add a hand-off per call, and reading in arrival order keeps what
+  a thread per call gave: a server that never answers holds up no other,
+  and each call's latency is its own.  ``timeout`` bounds the wait and
+  every read (each runs inside an ambient deadline,
+  :func:`repro.metasearch.deadlines.deadline_scope`, at the fan-out
+  deadline); a call with no outcome by the deadline is given up and
+  recorded as an abandoned pooled call is.  The coordinator's two
+  scatters are split.
+* **Plain callables, ``workers=1``.**  Inline too — the caller's thread,
+  selection order, no other thread; a deadline cannot preempt an
+  in-thread call, so ``timeout`` together with ``workers=1`` is rejected
+  at construction rather than silently ignored.
+* **Plain callables, ``workers > 1``.**  On up to ``min(workers, calls)``
+  threads taken from the dispatcher's cache of idle daemon threads (new
+  ones are started when too few are idle), each call inside a copy of the
+  caller's :mod:`contextvars` context, so a call observes the request's
+  ambient state (its deadline) on either path — which, with identical
+  results for healthy engines, the property suite asserts.  A thread goes
+  back to the cache when its fan-out has nothing left for it; a thread
+  still running a call abandoned at the deadline is simply not idle, so
+  it never delays a later fan-out.  Idle threads retire after
+  :data:`IDLE_SECONDS`, on :meth:`ConcurrentDispatcher.close`, or when the
+  dispatcher is garbage collected; a forked child starts with an empty
+  cache.  This is the gateway's path over local engines, and a broker's
+  over :class:`~repro.serving.remote_engine.RemoteEngine`\\ s.
 
 Dispatch is instrumented: pass a :class:`~repro.obs.MetricsRegistry` to
 record attempts, retries, timeouts, errors, and a per-engine latency
@@ -70,6 +89,7 @@ import functools
 import os
 import queue
 import random
+import selectors
 import threading
 import time
 import weakref
@@ -77,13 +97,42 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.results import SearchHit
-from repro.metasearch.deadlines import ambient_deadline
+from repro.metasearch.deadlines import Deadline, ambient_deadline, deadline_scope
 from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY
 
-__all__ = ["ConcurrentDispatcher", "DispatchReport", "EngineFailure"]
+__all__ = ["ConcurrentDispatcher", "DispatchReport", "EngineFailure", "SplitCall"]
 
 #: A zero-argument callable performing one engine search.
 EngineCall = Callable[[], List[SearchHit]]
+
+
+class SplitCall:
+    """An engine call in two halves, for a remote engine: ``send()``
+    writes the request and returns the reply half.  Calling the object
+    runs both halves.
+
+    The reply half is a zero-argument call that reads (and decodes) the
+    reply, and a waitable: ``fileno()`` is the socket the reply arrives
+    on, ``remaining()`` the seconds left of its own budget (``None`` for
+    none), and ``close()`` gives the reply up.  A fan-out made only of
+    split calls runs on the caller's thread: every request is written
+    before any reply is read, and each reply is read as it arrives, so
+    the servers work in parallel without a fan-out thread (see the module
+    docstring).
+    """
+
+    __slots__ = ("send",)
+
+    def __init__(self, send: Callable[[], EngineCall]):
+        self.send = send
+
+    def __call__(self) -> List[SearchHit]:
+        return self.send()()
+
+
+#: What a fan-out of split calls waits on: ``poll(2)`` where there is one
+#: (no descriptor of its own to open per fan-out, unlike epoll).
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 #: Seconds a cached fan-out thread waits idle for its next task before it
 #: retires (the idle expiry of a cached thread pool).
@@ -223,18 +272,19 @@ class _ThreadCache:
 class ConcurrentDispatcher:
     """Queries engines in parallel with timeout, retry, and degradation.
 
-    Fan-out threads come from a cache of idle daemon threads that
-    outlives each fan-out (see the module docstring); :meth:`close`
-    retires them.
+    A fan-out of :class:`SplitCall`\\ s runs on the caller's thread; one
+    of plain callables runs on fan-out threads from a cache of idle
+    daemon threads that outlives each fan-out (see the module docstring);
+    :meth:`close` retires them.
 
     Args:
-        workers: Maximum concurrent engine calls per fan-out; ``1`` runs
-            them inline in the caller's thread (no threads).
+        workers: Maximum concurrent plain engine calls per fan-out; ``1``
+            runs them inline in the caller's thread (no threads).
         timeout: Deadline in seconds for the whole fan-out, measured from
-            dispatch start; ``None`` disables it.  A deadline is only
-            enforceable on pool threads, so ``timeout`` with
-            ``workers=1`` raises :class:`ValueError` instead of silently
-            never firing.
+            dispatch start; ``None`` disables it.  A deadline cannot
+            preempt a plain call on the caller's thread, so ``timeout``
+            with ``workers=1`` raises :class:`ValueError` instead of
+            silently never firing.
         retries: Extra attempts after a raised engine call (a timed out
             call is never retried).
         backoff: Base sleep before retry ``i``: uniform jitter in
@@ -298,6 +348,25 @@ class ConcurrentDispatcher:
             budget = remaining if budget is None else min(budget, remaining)
         return budget
 
+    def _retry_pause(
+        self, exc: Exception, attempts: int, expires_at: Optional[float]
+    ) -> Optional[float]:
+        """After attempt number ``attempts`` raised ``exc``: the seconds
+        to wait before the next attempt, or ``None`` when the call has
+        failed — no retry left, an error marked not ``retryable``, or the
+        budget spent (a retry could never answer in time, so don't sleep
+        into it).  The wait is jittered and clamped to the budget."""
+        if attempts > self.retries or not getattr(exc, "retryable", True):
+            return None
+        if not self.backoff:
+            return 0.0
+        budget = self._retry_budget(expires_at)
+        if budget is not None and budget <= 0:
+            return None
+        base = self.backoff * (2 ** (attempts - 1))
+        sleep = base * (0.5 + 0.5 * random.random())
+        return sleep if budget is None else min(sleep, budget)
+
     def _call_with_retry(
         self, name: str, call: EngineCall, expires_at: Optional[float] = None
     ):
@@ -320,47 +389,47 @@ class ConcurrentDispatcher:
                 hits = call()
                 return hits, attempts, time.perf_counter() - start
             except Exception as exc:
-                if attempts > self.retries or not getattr(exc, "retryable", True):
+                pause = self._retry_pause(exc, attempts, expires_at)
+                if pause is None:
                     exc._dispatch_attempts = attempts
                     exc._dispatch_elapsed = time.perf_counter() - start
                     raise
-                if self.backoff:
-                    budget = self._retry_budget(expires_at)
-                    if budget is not None and budget <= 0:
-                        # Deadline already spent: a retry could never
-                        # answer in time, so don't sleep into it.
-                        exc._dispatch_attempts = attempts
-                        exc._dispatch_elapsed = time.perf_counter() - start
-                        raise
-                    base = self.backoff * (2 ** (attempts - 1))
-                    sleep = base * (0.5 + 0.5 * random.random())
-                    if budget is not None:
-                        sleep = min(sleep, budget)
-                    if sleep > 0:
-                        time.sleep(sleep)
+                if pause > 0:
+                    time.sleep(pause)
                 self._m_retries.inc()
 
     def _outcome(
         self, name: str, call: EngineCall, expires_at: Optional[float] = None
     ) -> _Outcome:
-        """The one worker body, wherever it runs: ``call`` under the retry
-        policy, answered as an outcome record — ``(hits, elapsed)``, or the
-        :class:`EngineFailure` when every attempt raised.  Never raises:
-        a failed engine degrades the fan-out, it does not sink it."""
+        """The worker body of plain calls, wherever it runs: ``call``
+        under the retry policy, answered as an outcome record — ``(hits,
+        elapsed)``, or the :class:`EngineFailure` when every attempt
+        raised.  Never raises: a failed engine degrades the fan-out, it
+        does not sink it."""
         try:
             hits, __, elapsed = self._call_with_retry(name, call, expires_at)
             return hits, elapsed
         except Exception as exc:
-            # Exceptions may carry a ``failure_kind`` (e.g. the serving
-            # layer marks an exhausted-deadline fail-fast as a "timeout"
-            # rather than a generic "error").
-            return EngineFailure(
-                engine=name,
-                kind=getattr(exc, "failure_kind", "error"),
-                attempts=getattr(exc, "_dispatch_attempts", 1),
-                elapsed=getattr(exc, "_dispatch_elapsed", 0.0),
-                message=f"{type(exc).__name__}: {exc}",
+            return self._failure(
+                name, exc,
+                getattr(exc, "_dispatch_attempts", 1),
+                getattr(exc, "_dispatch_elapsed", 0.0),
             )
+
+    @staticmethod
+    def _failure(
+        name: str, exc: Exception, attempts: int, elapsed: float
+    ) -> EngineFailure:
+        # Exceptions may carry a ``failure_kind`` (e.g. the serving layer
+        # marks an exhausted-deadline fail-fast as a "timeout" rather than
+        # a generic "error").
+        return EngineFailure(
+            engine=name,
+            kind=getattr(exc, "failure_kind", "error"),
+            attempts=attempts,
+            elapsed=elapsed,
+            message=f"{type(exc).__name__}: {exc}",
+        )
 
     # -- fan-out --------------------------------------------------------------------
 
@@ -416,10 +485,122 @@ class ConcurrentDispatcher:
             abandoned = True
             return dict(outcomes), time.perf_counter() - start
 
+    def _inline(self, calls: Dict[_Key, SplitCall]) -> tuple:
+        """Run split calls on this thread; returns ``(outcomes, waited)``
+        as :meth:`_pooled` does.
+
+        Every request is sent, in order, before any reply is read; then
+        each reply is read as its socket turns readable (replies that
+        arrive together are read in call order), so a server that never
+        answers holds up no other.  A failed attempt is retried under the
+        same policy as a plain call, its next request sent when its
+        backoff is over, again without holding up the others.  A read
+        runs inside an ambient deadline at the ``timeout`` deadline,
+        entered around the read only (a request's ``X-Repro-Deadline`` is
+        what it would be on a thread).  A call with no outcome by the
+        deadline is abandoned — its reply given up — and has none, exactly
+        as a pooled call abandoned at the deadline has none."""
+        start = time.perf_counter()
+        expires_at = None if self.timeout is None else start + self.timeout
+        deadline = None if self.timeout is None else Deadline(self.timeout)
+        order = {key: i for i, key in enumerate(calls)}
+        attempts = dict.fromkeys(calls, 0)
+        started: Dict[_Key, float] = {}
+        waiting: Dict[_Key, EngineCall] = {}  # reply halves not yet read
+        unwatched = set()  # ... that the selector could not take
+        due: Dict[_Key, float] = {}  # retries: when to send again
+        outcomes: Dict[_Key, _Outcome] = {}
+        selector = _Selector()
+
+        def settle(key: _Key, outcome: _Outcome) -> None:
+            if expires_at is None or time.perf_counter() < expires_at:
+                outcomes[key] = outcome
+
+        def failed(key: _Key, exc: Exception) -> None:
+            pause = self._retry_pause(exc, attempts[key], expires_at)
+            if pause is None:
+                elapsed = time.perf_counter() - started[key]
+                settle(key, self._failure(key[1], exc, attempts[key], elapsed))
+            else:
+                due[key] = time.perf_counter() + pause
+
+        def send(key: _Key) -> None:
+            attempts[key] += 1
+            self._m_attempts.inc()
+            try:
+                reply = waiting[key] = calls[key].send()
+            except Exception as exc:
+                failed(key, exc)
+                return
+            try:
+                selector.register(reply, selectors.EVENT_READ, key)
+            except (ValueError, OSError):  # its socket is gone already
+                unwatched.add(key)
+
+        try:
+            for key in calls:
+                started[key] = time.perf_counter()
+                send(key)
+            while waiting or due:
+                now = time.perf_counter()
+                if expires_at is not None and now >= expires_at:
+                    break
+                for key in [key for key, when in due.items() if when <= now]:
+                    del due[key]
+                    self._m_retries.inc()
+                    send(key)
+                ready = self._arrived(selector, waiting, unwatched, due, expires_at)
+                for key in sorted(ready, key=order.__getitem__):
+                    reply = waiting.pop(key)
+                    try:
+                        with deadline_scope(deadline):
+                            hits = reply()
+                    except Exception as exc:
+                        failed(key, exc)
+                    else:
+                        settle(key, (hits, time.perf_counter() - started[key]))
+        finally:
+            selector.close()
+            for reply in waiting.values():
+                reply.close()  # abandoned at the deadline
+        return outcomes, time.perf_counter() - start
+
+    @staticmethod
+    def _arrived(selector, waiting, unwatched, due, expires_at) -> set:
+        """The keys of the reply halves in ``waiting`` to read now, taken
+        off the ``selector``: those whose socket turned readable, waited
+        for until the first of the fan-out deadline (``expires_at``), a
+        retry falling ``due`` and a reply's own budget running out.  A
+        reply whose budget is spent, or whose socket the selector could
+        not take (``unwatched``), is read at once, to fail as it will.
+        Empty when the wait ended with nothing to read."""
+        ready = set(unwatched)
+        unwatched.clear()
+        now = time.perf_counter()
+        wakes = [*due.values()]
+        if expires_at is not None:
+            wakes.append(expires_at)
+        for key, reply in waiting.items():
+            left = reply.remaining()
+            if left is not None and left <= 0:
+                ready.add(key)
+            elif left is not None:
+                wakes.append(now + left)
+        if not ready:
+            timeout = None
+            if wakes:
+                timeout = max(min(wakes) - time.perf_counter(), 0.0)
+            ready = {selected.data for selected, __ in selector.select(timeout)}
+        for key in ready:
+            try:
+                selector.unregister(waiting[key])
+            except (KeyError, ValueError):  # never registered
+                pass
+        return ready
+
     def close(self) -> None:
         """Retire the cached fan-out threads: idle ones now, busy ones when
-        their call ends.  Their thread-local state (pooled connections)
-        goes with them.  Later fan-outs still run, on threads not kept."""
+        their call ends.  Later fan-outs still run, on threads not kept."""
         self._threads.close()
 
     def dispatch(self, calls: Mapping[str, EngineCall]) -> DispatchReport:
@@ -444,7 +625,8 @@ class ConcurrentDispatcher:
         :class:`DispatchReport` per input batch, preserving each batch's
         call order; an engine may appear in any number of batches.
 
-        Inline (``workers=1``) batches simply run back to back.
+        Inline (``workers=1``) batches simply run back to back; split
+        calls are all sent, across batches, before any reply is read.
         """
         self._m_dispatches.inc()
         calls: Dict[_Key, EngineCall] = {
@@ -452,7 +634,9 @@ class ConcurrentDispatcher:
             for index, batch in enumerate(batches)
             for name, call in batch.items()
         }
-        if self.workers == 1 or not calls:
+        if calls and all(isinstance(call, SplitCall) for call in calls.values()):
+            outcomes, waited = self._inline(calls)
+        elif self.workers == 1 or not calls:
             waited = 0.0
             outcomes = {
                 key: self._outcome(key[1], call) for key, call in calls.items()

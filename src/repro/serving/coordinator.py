@@ -32,10 +32,19 @@ The two steps: ``rows`` scatters the query batch to every shard's
 ``reports`` scatters ``{query, threshold, engines}`` entries to only the
 shards owning selected engines.  Both fan out on a
 :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`, reusing its
-deadline/retry/degradation machinery with shards in the engine seat.  A
-dead shard degrades, never sinks the query: the coordinator knows which
-engines the shard owned (from
-``/healthz`` at :meth:`ShardedFleet.attach` time) and records one
+deadline/retry/degradation machinery with shards in the engine seat.
+Each shard call is a :class:`~repro.metasearch.dispatch.SplitCall`, so a
+scatter runs on the thread handling the request: it writes every shard's
+request, then reads each reply as it arrives — the shards work in
+parallel because they are other processes, and no fan-out thread is
+woken just to block on one socket; a shard that never answers holds up
+no other.  The shard connections are pooled per
+shard client and shared by every request thread, so a new client
+connection to the coordinator dials no shard.
+
+A dead shard degrades, never sinks the query: the coordinator knows which
+engines the shard owned (from ``/healthz`` at :meth:`ShardedFleet.attach`
+time) and records one
 :class:`~repro.metasearch.dispatch.EngineFailure` per affected engine,
 while the surviving shards' answers merge exactly as the in-process
 broker restricted to the surviving engines would.
@@ -43,6 +52,7 @@ broker restricted to the surviving engines would.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -54,6 +64,7 @@ from repro.metasearch.dispatch import (
     ConcurrentDispatcher,
     DispatchReport,
     EngineFailure,
+    SplitCall,
 )
 
 # Not called here any more (the merge runs in SearchPipeline._respond); the
@@ -150,6 +161,9 @@ class ShardedFleet(SearchPipeline):
         # Shards sit in the dispatcher's engine seat: per-shard deadline
         # enforcement, retry with clamped backoff, and degradation-not-
         # failure all come from the same machinery engine calls use.
+        # The scatters are split calls, which use no thread; ``workers``
+        # bounds plain calls only, and is > 1 because a ``timeout`` is
+        # refused on a dispatcher that would run plain calls inline.
         self.dispatcher = ConcurrentDispatcher(
             workers=max(2, len(self._shards)),
             timeout=timeout,
@@ -246,11 +260,11 @@ class ShardedFleet(SearchPipeline):
         ]
 
     def close(self) -> None:
-        """Close every pooled shard connection, then retire the scatter
-        threads that held them."""
+        """Close every pooled shard connection, idle or in use.  There
+        are no scatter threads to retire: a scatter of split calls starts
+        none."""
         for shard in self._shards:
             shard.client.close()
-        self.dispatcher.close()
 
     # -- live-fleet delta propagation ----------------------------------------
 
@@ -285,7 +299,10 @@ class ShardedFleet(SearchPipeline):
 
     def _shard_estimates(
         self, shard: _ShardHandle, payload: dict, n_queries: int
-    ) -> List[EstimateRow]:
+    ) -> SplitCall:
+        """The ``/estimate`` call to ``shard``; it answers one row per
+        query."""
+
         def decode(answer):
             rows = [
                 estimate_row_from_wire(row)
@@ -297,11 +314,16 @@ class ShardedFleet(SearchPipeline):
                 )
             return rows
 
-        return shard.client.request("POST", "/estimate", payload, decode=decode)
+        return SplitCall(functools.partial(
+            shard.client.start, "POST", "/estimate", payload, decode
+        ))
 
     def _shard_dispatch(
         self, shard: _ShardHandle, entries: List[dict]
-    ) -> List[DispatchReport]:
+    ) -> SplitCall:
+        """The ``/dispatch`` call to ``shard``; it answers one report per
+        entry."""
+
         def decode(answer):
             reports = [
                 DispatchReport(
@@ -323,9 +345,10 @@ class ShardedFleet(SearchPipeline):
                 )
             return reports
 
-        return shard.client.request(
-            "POST", "/dispatch", {"entries": entries}, decode=decode
-        )
+        return SplitCall(functools.partial(
+            shard.client.start, "POST", "/dispatch", {"entries": entries},
+            decode,
+        ))
 
     def _shard_failures(
         self, shard: _ShardHandle, failure: EngineFailure, engines: List[str]
@@ -358,11 +381,7 @@ class ShardedFleet(SearchPipeline):
             "thresholds": thresholds,
         }
         calls = {
-            shard.name: (
-                lambda shard=shard: self._shard_estimates(
-                    shard, payload, len(queries)
-                )
-            )
+            shard.name: self._shard_estimates(shard, payload, len(queries))
             for shard in self._shards
         }
         self._m_fanouts["estimate"].inc()
@@ -411,10 +430,8 @@ class ShardedFleet(SearchPipeline):
                 }
                 asked.setdefault(shard, []).append((i, entry))
         calls = {
-            shard.name: (
-                lambda shard=shard, entries=[entry for __, entry in pairs]: (
-                    self._shard_dispatch(shard, entries)
-                )
+            shard.name: self._shard_dispatch(
+                shard, [entry for __, entry in pairs]
             )
             for shard, pairs in asked.items()
         }

@@ -25,21 +25,31 @@ downstream in ``X-Repro-Deadline`` and doubles as the socket timeout, so
 a request admitted with 80 ms left can neither wait 10 s on a socket nor
 ask the engine for more time than its caller has.
 
-Connections are pooled per ``(pid, thread)`` (a connection carries one
-exchange at a time; the broker's dispatcher calls from many threads) and
-reused via HTTP/1.1 keep-alive for as long as the calling thread lives,
-with one transparent redial when a pooled connection turns out to have
-been closed by the server.  The dispatcher's fan-out threads are cached
-across fan-outs (:mod:`repro.metasearch.dispatch`), so a coordinator or
-gateway holds about one kept-alive connection per (fan-out thread,
-server) and a steady load dials none; a connection leaves the pool when
-its thread retires or when the client's :meth:`_HTTPJsonClient.close`
-closes every connection it pooled, on every thread.  The pid half of the
-key makes the pool fork-safe: a process that ``fork()``\\ s after making
-requests (shard workers, multiprocessing load generators) inherits the
-parent's pooled sockets, and writing on one of those would interleave two
-processes' requests on a single connection — so a pooled entry whose pid
-no longer matches is closed and redialed.
+Every exchange has two halves.  The send half fixes the budget, writes
+the request and returns the receive half, which sets the socket timeout
+to what is left of that budget (tightened by any ambient deadline entered
+since) and reads, checks and decodes the reply.  :meth:`_HTTPJsonClient.
+request` runs both at once; :meth:`_HTTPJsonClient.start` hands back the
+receive half, so a caller can write to several servers before it reads
+from any, and then read each reply as it arrives: the receive half
+carries its socket's ``fileno()`` and what is left of its budget (the
+coordinator's scatter does this, on the request's own thread).
+
+Connections are pooled per client: an exchange checks out the most
+recently idled connection (or dials a new one) and checks it back in
+once a kept-alive reply has been read, so one connection carries one
+exchange at a time and a steady load, from however many threads, dials
+none.  A request is sent again, on a fresh connection, only when it
+cannot have been served: the connection was reused (the server may have
+closed it since) and no byte of a reply arrived.  A connection leaves the
+pool on any failure, on ``Connection: close``, and when
+:meth:`_HTTPJsonClient.close` closes every connection of the client,
+idle or checked out.  The pool is keyed on the pid: a process that
+``fork()``\\ s after making requests (shard workers, multiprocessing load
+generators) inherits the parent's pooled sockets, and writing on one of
+those would interleave two processes' requests on a single connection —
+so a child's first exchange closes the inherited connections and starts
+from an empty pool.
 
 Framing is done here, on the socket, not by ``http.client``: a request's
 head and body leave in one ``sendall`` on a ``TCP_NODELAY`` socket, the
@@ -54,13 +64,15 @@ non-numeric or conflicting ``Content-Length``, a body cut short — is a
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
 import threading
+import time
 import weakref
 import zipfile
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
@@ -136,32 +148,43 @@ class _Reply(NamedTuple):
     keep_alive: bool
 
 
+class _NoReply(ConnectionError):
+    """The peer closed or reset the connection before the first byte of a
+    response: the one failure after which re-sending cannot repeat work."""
+
+
 class _Connection:
     """One HTTP/1.1 connection to ``host:port``, dialed on first use and
-    kept alive between exchanges; one exchange at a time."""
+    kept alive between exchanges; one exchange at a time.
 
-    def __init__(self, host: str, port: int, timeout: Optional[float]):
+    Raises ``OSError`` for transport failures (``socket.timeout`` when
+    the timeout fires), :class:`HeaderBlockError` for a response that
+    cannot be framed, and ``ValueError`` when :meth:`close`, from another
+    thread, closed the stream under the read.
+    """
+
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.timeout = timeout
         self.sock: Optional[socket.socket] = None
         self._rfile = None
 
-    def exchange(self, request: bytes) -> _Reply:
-        """Send ``request`` (head and body) and read the response.
+    def send(self, request: bytes, timeout: Optional[float]) -> None:
+        """Write ``request`` (head and body) in one ``sendall``."""
+        sock = self.sock
+        if sock is None:
+            sock = socket.create_connection((self.host, self.port), timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock, self._rfile = sock, sock.makefile("rb")
+        else:
+            sock.settimeout(timeout)
+        sock.sendall(request)
 
-        Raises ``OSError`` for transport failures (``socket.timeout``
-        when the timeout fires), :class:`HeaderBlockError` for a response
-        that cannot be framed, and ``ValueError`` when :meth:`close`, from
-        another thread, closed the stream under the read.
-        """
+    def receive(self, timeout: Optional[float]) -> _Reply:
         sock, rfile = self.sock, self._rfile
         if sock is None:
-            sock = socket.create_connection((self.host, self.port), self.timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            rfile = sock.makefile("rb")
-            self.sock, self._rfile = sock, rfile
-        sock.sendall(request)
+            raise ValueError("connection closed before its reply was read")
+        sock.settimeout(timeout)
         return _read_reply(rfile)
 
     def close(self) -> None:
@@ -173,10 +196,49 @@ class _Connection:
             sock.close()
 
 
+class _Pending:
+    """The receive half of one exchange, the request already sent.
+    Calling it reads, checks and answers the reply (once: reading it is
+    what frees the connection).  For a caller waiting on several replies
+    at once it is also a waitable: :meth:`fileno` is the socket the reply
+    arrives on, :meth:`remaining` the seconds left of the exchange's
+    budget, and :meth:`close` gives the reply up, closing the connection
+    (a reply read later would desynchronize it)."""
+
+    __slots__ = ("conn", "expires_at", "finish")
+
+    def __init__(
+        self, conn: _Connection, expires_at: Optional[float],
+        finish: Callable[[], object],
+    ):
+        self.conn = conn
+        self.expires_at = expires_at
+        self.finish = finish
+
+    def __call__(self):
+        return self.finish()
+
+    def fileno(self) -> int:
+        sock = self.conn.sock
+        return -1 if sock is None else sock.fileno()
+
+    def remaining(self) -> Optional[float]:
+        if self.expires_at is None:
+            return None
+        return self.expires_at - time.monotonic()
+
+    def close(self) -> None:
+        self.conn.close()
+
+
 def _read_reply(rfile) -> _Reply:
+    try:
+        arrived = rfile.peek(1)
+    except ConnectionError as exc:  # a reset, not a timeout
+        raise _NoReply(f"connection reset before a status line: {exc}") from exc
+    if not arrived:  # what a stale kept-alive connection answers
+        raise _NoReply("connection closed before a status line")
     line = rfile.readline(MAX_LINE + 1)
-    if not line:  # what a stale kept-alive connection answers
-        raise ConnectionError("connection closed before a status line")
     parts = line.split(None, 2)
     if (
         len(line) > MAX_LINE
@@ -209,7 +271,8 @@ def _read_reply(rfile) -> _Reply:
 
 
 class _HTTPJsonClient:
-    """Thread-pooled JSON-over-HTTP with deadline propagation."""
+    """Pooled JSON-over-HTTP with deadline propagation, in two halves:
+    :meth:`start` sends, the call it returns reads the reply."""
 
     def __init__(self, base_url: str, timeout: Optional[float] = 10.0):
         split = urlsplit(base_url)
@@ -224,52 +287,54 @@ class _HTTPJsonClient:
         self.port = split.port or 80
         self._host_header = split.netloc
         self.timeout = timeout
-        self._local = threading.local()
-        # Every thread's pooled connection, for close(); weak, so one goes
-        # (and its socket closes) with the thread that held it.
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        # Kept-alive connections no exchange holds, most recently used last.
+        self._idle: List[_Connection] = []
+        # Every connection, idle or checked out, for close(); weak, so one
+        # goes (and its socket closes) when nothing holds it any more.
         self._pooled: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
-        self._pooled_lock = threading.Lock()
 
     # -- connection pool -----------------------------------------------------
 
-    def _connection(self, budget: Optional[float]) -> _Connection:
-        # Fork safety: thread-local state survives fork() into the child's
-        # surviving thread, so the pooled connection's socket would be
-        # shared with the parent process.  Detect the pid change and
-        # redial instead of writing on the inherited socket (close() only
-        # drops this process's descriptor; the parent's copy is unharmed).
-        if getattr(self._local, "pid", None) != os.getpid():
-            stale = getattr(self._local, "conn", None)
-            if stale is not None:
-                try:
-                    stale.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
-            self._local.conn = None
-            self._local.pid = os.getpid()
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = _Connection(self.host, self.port, budget)
-            self._local.conn = conn
-            with self._pooled_lock:
-                self._pooled.add(conn)
-        else:
-            conn.timeout = budget
-            if conn.sock is not None:
-                conn.sock.settimeout(budget)
+    def _checkout(self) -> _Connection:
+        """The most recently idled connection, or a new (undialed) one."""
+        if self._pid != os.getpid():
+            self._forget_inherited()
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+            conn = _Connection(self.host, self.port)
+            self._pooled.add(conn)
         return conn
 
-    def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+    def _checkin(self, conn: _Connection) -> None:
+        with self._lock:
+            self._idle.append(conn)
+
+    def _forget_inherited(self) -> None:
+        # Fork safety: a forked child inherits the pool, and writing on an
+        # inherited socket would interleave two processes' requests on one
+        # connection.  Close this process's copies (the parent's stay
+        # open) and start again from an empty pool, with a fresh lock: the
+        # old one may have been held by a thread that did not survive.
+        inherited = [*self._idle, *self._pooled]
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        self._idle = []
+        self._pooled = weakref.WeakSet()
+        for conn in inherited:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
 
     def close(self) -> None:
-        """Close every thread's pooled connection.  The client stays
-        usable: a thread's next request redials (and is pooled again)."""
-        with self._pooled_lock:
+        """Close every pooled connection, idle or checked out.  The client
+        stays usable: the next request dials (and is pooled) again."""
+        with self._lock:
             pooled = list(self._pooled)
+            self._idle.clear()
         for conn in pooled:
             conn.close()
 
@@ -294,6 +359,22 @@ class _HTTPJsonClient:
             )
         return budget
 
+    def start(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[dict] = None,
+        decode: Optional[Callable] = None,
+    ) -> _Pending:
+        """Send one JSON request now; returns its receive half, whose call
+        reads the reply and returns its body, run through ``decode`` when
+        given (see :meth:`_decoded`)."""
+        receive = self._send(method, path, payload)
+        return _Pending(
+            receive.conn, receive.expires_at,
+            functools.partial(self._answer, receive, path, decode),
+        )
+
     def request(
         self,
         method: str,
@@ -301,9 +382,17 @@ class _HTTPJsonClient:
         payload: Optional[dict] = None,
         decode: Optional[Callable] = None,
     ):
-        """One JSON round trip; returns the response body, run through
-        ``decode`` when given (see :meth:`_decoded`)."""
-        raw, __ = self._roundtrip(method, path, payload)
+        """One JSON round trip: :meth:`start`, then its reply."""
+        return self.start(method, path, payload, decode)()
+
+    def request_raw(self, method: str, path: str, decode: Callable):
+        """One round trip for a binary body; returns ``decode(bytes,
+        headers)``, the headers a case-insensitive mapping."""
+        raw, reply = self._send(method, path, None)()
+        return self._decoded(path, decode, raw, reply.headers)
+
+    def _answer(self, receive: Callable, path: str, decode: Optional[Callable]):
+        raw, __ = receive()
         try:
             answer = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -311,12 +400,6 @@ class _HTTPJsonClient:
                 f"{self.base_url}{path} returned invalid JSON: {exc}"
             ) from exc
         return answer if decode is None else self._decoded(path, decode, answer)
-
-    def request_raw(self, method: str, path: str, decode: Callable):
-        """One round trip for a binary body; returns ``decode(bytes,
-        headers)``, the headers a case-insensitive mapping."""
-        raw, response = self._roundtrip(method, path, None)
-        return self._decoded(path, decode, raw, response.headers)
 
     def _decoded(self, path: str, decode: Callable, *answer):
         """``decode(*answer)`` — the one place a 2xx answer of the wrong
@@ -354,28 +437,78 @@ class _HTTPJsonClient:
         lines.append("\r\n")
         return "\r\n".join(lines).encode("iso-8859-1") + body
 
-    def _roundtrip(self, method: str, path: str, payload: Optional[dict]):
+    @staticmethod
+    def _remaining(expires_at: Optional[float]) -> Optional[float]:
+        """Socket timeout for the next step of an exchange: what is left
+        of the budget fixed at send time, tightened by any ambient
+        deadline entered since (the dispatcher bounds a read that way).
+        A spent budget is a ``socket.timeout`` before any I/O."""
+        remaining = None
+        if expires_at is not None:
+            remaining = expires_at - time.monotonic()
+        ambient = ambient_deadline()
+        if ambient is not None:
+            left = ambient.remaining()
+            remaining = left if remaining is None else min(remaining, left)
+        if remaining is not None and remaining <= 0:
+            raise socket.timeout("budget spent before the reply was read")
+        return remaining
+
+    def _failure(self, exc: Exception, path: str) -> RemoteServingError:
+        if isinstance(exc, socket.timeout):
+            return RemoteTimeout(f"timed out calling {self.base_url}{path}")
+        return RemoteServingError(f"cannot reach {self.base_url}{path}: {exc}")
+
+    def _send(self, method: str, path: str, payload: Optional[dict]) -> _Pending:
+        """The send half: write the request on a checked-out connection;
+        returns the receive half, which reads and checks the reply and
+        answers ``(body, reply)``.
+
+        A request is sent again, once, only when it cannot have been
+        served: the connection was reused (a kept-alive connection the
+        server may have closed since) and no byte of a reply arrived.
+        """
         budget = self._budget()
         request = self._request_bytes(method, path, payload, budget)
-        # One transparent retry: a pooled keep-alive connection may have
-        # been closed server-side since its last use.
-        for attempt in (0, 1):
-            conn = self._connection(budget)
+        expires_at = None if budget is None else time.monotonic() + budget
+        conn = self._checkout()
+        reused = conn.sock is not None
+        try:
             try:
-                reply = conn.exchange(request)
-                break
-            except (ValueError, OSError) as exc:  # HeaderBlockError too
-                self._drop_connection()
-                if isinstance(exc, socket.timeout):
-                    raise RemoteTimeout(
-                        f"timed out calling {self.base_url}{path}"
-                    ) from exc
-                if attempt == 1:
-                    raise RemoteServingError(
-                        f"cannot reach {self.base_url}{path}: {exc}"
-                    ) from exc
-        if not reply.keep_alive:
-            self._drop_connection()
+                conn.send(request, budget)
+            except (ValueError, OSError):
+                if not reused:
+                    raise
+                conn.close()
+                reused = False
+                conn.send(request, self._remaining(expires_at))
+        except (ValueError, OSError) as exc:
+            conn.close()
+            raise self._failure(exc, path) from exc
+        return _Pending(conn, expires_at, functools.partial(
+            self._receive, conn, request, reused, expires_at, path
+        ))
+
+    def _receive(
+        self, conn: _Connection, request: bytes, reused: bool,
+        expires_at: Optional[float], path: str,
+    ) -> Tuple[bytes, _Reply]:
+        try:
+            try:
+                reply = conn.receive(self._remaining(expires_at))
+            except _NoReply:
+                if not reused:
+                    raise
+                conn.close()
+                conn.send(request, self._remaining(expires_at))
+                reply = conn.receive(self._remaining(expires_at))
+        except (ValueError, OSError) as exc:  # HeaderBlockError too
+            conn.close()
+            raise self._failure(exc, path) from exc
+        if reply.keep_alive:
+            self._checkin(conn)
+        else:
+            conn.close()
         if not 200 <= reply.status < 300:
             message = f"HTTP {reply.status}"
             try:

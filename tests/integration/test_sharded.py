@@ -40,6 +40,7 @@ from repro.serving import (
     CoordinatorApp,
     GatewayApp,
     GatewayClient,
+    RemoteServingError,
     ServingServer,
     ShardApp,
     ShardedFleet,
@@ -238,8 +239,8 @@ class TestShardedExactness:
         app = CoordinatorApp(fleet, max_active=8, max_queued=16)
         server = ServingServer(app)
         server.start_background()
+        client = GatewayClient(server.url)
         try:
-            client = GatewayClient(server.url)
             health = client.healthz()
             assert health["role"] == "coordinator"
             assert len(health["shards"]) == len(urls)
@@ -258,6 +259,7 @@ class TestShardedExactness:
             metrics = client.metrics_text()
             assert "repro_serving_requests_total" in metrics
         finally:
+            client.close()
             assert server.drain(timeout=15)
         assert server.final_metrics is not None
 
@@ -314,6 +316,77 @@ class TestPartialShardFailure:
         local = local_broker_for(survivors)
         query = QUERIES[0]
         assert fleet.estimate_all(query, 0.2) == local.estimate_all(query, 0.2)
+
+
+class HangsOnScatter(ShardApp):
+    """A shard that answers ``/healthz`` but, once a scatter reaches it,
+    reads the request and sends nothing until :attr:`release` is set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.release = threading.Event()
+
+    def handle(self, method, path, headers, body):
+        if path in ("/estimate", "/dispatch"):
+            self.release.wait(timeout=30)
+        return super().handle(method, path, headers, body)
+
+
+class TestHungShardUnderScatterDeadline:
+    """``ShardedFleet(timeout=...)`` bounds a scatter: a shard that never
+    answers costs the deadline, not the shard client's socket budget, and
+    holds up no other shard — wherever it sits in the scatter."""
+
+    TIMEOUT = 0.3
+    N_SHARDS = 3
+
+    @pytest.fixture(params=[0, N_SHARDS - 1], ids=["hung-first", "hung-last"])
+    def hung(self, request):
+        hung_index = request.param
+        collections = fleet_collections()
+        parts = partition_round_robin(collections, self.N_SHARDS)
+        apps = [
+            (HangsOnScatter if index == hung_index else ShardApp)(
+                local_broker_for(part), shard_index=index
+            )
+            for index, part in enumerate(parts)
+        ]
+        servers = [ServingServer(app) for app in apps]
+        for server in servers:
+            server.start_background()
+        fleet = ShardedFleet(
+            [server.url for server in servers],
+            timeout=self.TIMEOUT,
+            shard_timeout=5.0,
+        )
+        try:
+            fleet.attach(timeout=30.0)
+            hung_engines = [c.name for c in parts[hung_index]]
+            survivors = [c for c in collections if c.name not in hung_engines]
+            yield fleet, survivors, hung_engines, hung_index
+        finally:
+            fleet.close()
+            apps[hung_index].release.set()
+            for server in servers:
+                server.drain(timeout=10)
+
+    def test_search_returns_within_the_deadline_with_the_survivors(self, hung):
+        fleet, survivors, hung_engines, hung_index = hung
+        local = local_broker_for(survivors)
+        for query in QUERIES:
+            started = time.monotonic()
+            sharded = fleet.search(query, 0.0)
+            assert time.monotonic() - started < self.TIMEOUT + 1.0
+            expected = local.search(query, 0.0)
+            assert sharded.estimates == expected.estimates
+            assert sharded.hits == expected.hits
+            assert sharded.invoked == expected.invoked
+            assert sorted(f.engine for f in sharded.failures) == sorted(
+                hung_engines
+            )
+            for failure in sharded.failures:
+                assert failure.kind == "timeout"
+                assert f"shard {hung_index} " in failure.message
 
 
 class TestCoalescingCoordinatorProcesses:
@@ -686,9 +759,9 @@ class CountsConnections:
 
 
 class TestKeptAliveShardConnections:
-    """Scatter threads outlive the scatter, so their kept-alive shard
-    connections do too: sequential requests dial no new connection, and
-    :meth:`ShardedFleet.close` leaves none open."""
+    """Shard connections are pooled per shard client and outlive the
+    scatter: sequential requests, from any thread, dial no new connection,
+    and :meth:`ShardedFleet.close` leaves none open."""
 
     N_REQUESTS = 24
 
@@ -712,26 +785,40 @@ class TestKeptAliveShardConnections:
             for server in servers:
                 server.drain(timeout=10)
 
-    def test_sequential_scatters_reuse_one_connection_per_thread(
+    def test_sequential_scatters_reuse_one_connection_per_shard(
         self, counted_fleet
     ):
         fleet, counters = counted_fleet
-        callers = [set() for __ in counters]  # threads that called each shard
-        for shard, seen in zip(fleet._shards, callers):
-            def recorded(*args, _request=shard.client.request, _seen=seen, **kw):
-                _seen.add(threading.get_ident())
-                return _request(*args, **kw)
-
-            shard.client.request = recorded
         for i in range(self.N_REQUESTS):
             response = fleet.search(QUERIES[i % len(QUERIES)], 0.0)
             assert not response.failures
-        # One connection per (calling thread, shard), plus the one the
-        # attach call's thread (this one) opened; 2 RPCs per request would
-        # have dialed 2 * N_REQUESTS connections per shard.
-        for counter, seen in zip(counters, callers):
-            assert counter.accepted <= len(seen) + 1
-        assert sum(counter.accepted for counter in counters) < self.N_REQUESTS
+        # The connection attach() dialed for /healthz carries every
+        # scatter after it; 2 RPCs per request would have dialed
+        # 2 * N_REQUESTS connections per shard.
+        for counter in counters:
+            assert counter.accepted == 1
+
+    def test_fresh_client_connections_do_not_dial_the_shards(
+        self, counted_fleet
+    ):
+        """The coordinator's frontend runs a thread per client connection;
+        the shard connections are the fleet's, so a client that opens a
+        new connection per request costs the shards no new dial."""
+        fleet, counters = counted_fleet
+        server = ServingServer(CoordinatorApp(fleet))
+        server.start_background()
+        try:
+            for i in range(self.N_REQUESTS):
+                client = GatewayClient(server.url)
+                try:
+                    response = client.search(QUERIES[i % len(QUERIES)], 0.0)
+                finally:
+                    client.close()
+                assert not response.failures
+        finally:
+            assert server.drain(timeout=10)
+        for counter in counters:
+            assert counter.accepted <= 2
 
     def test_close_leaves_no_open_connection(self, counted_fleet):
         fleet, counters = counted_fleet
@@ -745,26 +832,36 @@ class TestKeptAliveShardConnections:
             time.sleep(0.01)
 
     def test_client_close_reaches_connections_of_live_threads(self):
-        """``close()`` closes every thread's pooled connection, including
-        those of threads that are still alive and would keep theirs."""
+        """``close()`` closes every pooled connection: the idle ones and
+        those that threads, still alive, hold checked out mid-exchange."""
         server = ServingServer(ServingApp())
         counter = CountsConnections(server)
         server.start_background()
         client = _HTTPJsonClient(server.url)
         release = threading.Event()
         holding = threading.Barrier(4)
+        outcomes = []
 
         def hold():
-            client.request("GET", "/healthz")
+            receive = client.start("GET", "/healthz")  # checked out
             holding.wait(timeout=10)
             release.wait(timeout=10)
+            try:
+                outcomes.append(receive())
+            except RemoteServingError as exc:
+                outcomes.append(exc)
 
         threads = [threading.Thread(target=hold) for __ in range(3)]
         try:
             for thread in threads:
                 thread.start()
             holding.wait(timeout=10)
-            assert counter.open == 3
+            assert client.request("GET", "/healthz")["status"] == "ok"
+            assert len(client._idle) == 1
+            deadline = time.monotonic() + 10
+            while counter.open < 4:
+                assert time.monotonic() < deadline, counter.open
+                time.sleep(0.01)
             client.close()
             deadline = time.monotonic() + 10
             while counter.open:
@@ -776,6 +873,8 @@ class TestKeptAliveShardConnections:
             for thread in threads:
                 thread.join(timeout=10)
             server.drain(timeout=10)
+        assert len(outcomes) == 3
+        assert all(isinstance(o, RemoteServingError) for o in outcomes)
 
     def test_listen_backlog_absorbs_a_burst_of_dials(self):
         """Fan-out threads starting together dial together.  Nothing is

@@ -3,6 +3,7 @@
 import os
 import random
 import signal
+import socket
 import sys
 import threading
 import time
@@ -12,7 +13,9 @@ import pytest
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.metasearch import ConcurrentDispatcher, MetasearchBroker
+from repro.metasearch.dispatch import SplitCall
 from repro.metasearch.deadlines import Deadline, ambient_deadline, deadline_scope
+from repro.obs import MetricsRegistry
 from repro.representatives import build_representative
 
 
@@ -453,6 +456,260 @@ class TestThreadReuse:
         dispatcher.close()
         self.wait_gone(first)
         assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
+
+
+HANG = object()  # a reply that never comes
+
+
+class Refused(Exception):
+    """A failure the dispatcher must not retry."""
+
+    retryable = False
+
+
+class ReadTimeout(TimeoutError):
+    """What a remote client raises when a read's budget is spent."""
+
+    retryable = False
+    failure_kind = "timeout"
+
+
+class FakeReply:
+    """A split call's reply half: ``read()`` behind a waitable, one end of
+    a socket pair that turns readable when the reply "arrives" — at once,
+    after ``delay`` seconds, or (``arrives=False``) never.  ``budget`` is
+    what :meth:`remaining` counts down from."""
+
+    def __init__(self, read, arrives=True, delay=0.0, budget=None, on_close=None):
+        self.read, self.on_close = read, on_close
+        self.ours, self.theirs = socket.socketpair()
+        self.expires_at = None if budget is None else time.monotonic() + budget
+        self.timer = None
+        if arrives and delay:
+            self.timer = threading.Timer(delay, self.theirs.send, (b"!",))
+            self.timer.start()
+        elif arrives:
+            self.theirs.send(b"!")
+
+    def fileno(self):
+        return self.ours.fileno()
+
+    def remaining(self):
+        return None if self.expires_at is None else self.expires_at - time.monotonic()
+
+    def __call__(self):
+        self.shut()
+        return self.read()
+
+    def close(self):
+        if self.on_close is not None:
+            self.on_close()
+        self.shut()
+
+    def shut(self):
+        if self.timer is not None:
+            self.timer.join()
+        self.ours.close()
+        self.theirs.close()
+
+
+class FakeRemote:
+    """A scripted remote engine.  ``replies`` are what successive attempts
+    get, the last one repeating: a hit list, an exception to raise, or
+    :data:`HANG`.  ``send`` is the request half and returns the reply
+    half; ``plain`` is both, as one plain call.  A reply arrives after
+    ``delay`` seconds, a hung one never: read anyway (as a thread reading
+    a socket would), it waits out the read's ambient deadline and then
+    fails as a socket read does, or, with none, answers too late (after
+    :attr:`HANG_SECONDS`)."""
+
+    HANG_SECONDS = 1.0
+
+    def __init__(self, name, log, *replies, delay=0.0):
+        self.name, self.log, self.replies, self.delay = name, log, replies, delay
+        self.attempts = 0
+
+    def send(self):
+        self.attempts += 1
+        self.log.append(("send", self.name, threading.get_ident()))
+        reply = self.replies[min(self.attempts, len(self.replies)) - 1]
+        return FakeReply(
+            lambda: self.read(reply),
+            arrives=reply is not HANG,
+            delay=self.delay,
+            on_close=lambda: self.log.append(
+                ("close", self.name, threading.get_ident())
+            ),
+        )
+
+    def read(self, reply):
+        self.log.append(("read", self.name, threading.get_ident()))
+        if reply is HANG:
+            ambient = ambient_deadline()
+            if ambient is None:
+                time.sleep(self.HANG_SECONDS)
+                return ["late"]
+            time.sleep(max(ambient.remaining(), 0.0))
+            raise ReadTimeout("timed out reading the reply")
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def plain(self):
+        return self.send()()
+
+
+class TestSplitCalls:
+    """A fan-out of split calls runs on the caller's thread — every
+    request sent before any reply is read, each reply read as it arrives
+    — and reports exactly what the same calls report as plain callables
+    on fan-out threads, wherever the engine that never answers sits."""
+
+    TIMEOUT = 0.3
+
+    @pytest.fixture(params=["hang-last", "hang-first"])
+    def hang_first(self, request):
+        return request.param == "hang-first"
+
+    def fakes(self, log, hang_first):
+        fakes = [
+            FakeRemote("answers", log, ["hit"]),
+            FakeRemote("flaky", log, ConnectionError("transient"), ["ok"]),
+            FakeRemote("refused", log, Refused("no")),
+        ]
+        hangs = FakeRemote("hangs", log, HANG)
+        return [hangs, *fakes] if hang_first else [*fakes, hangs]
+
+    def run(self, split, hang_first):
+        log, registry = [], MetricsRegistry()
+        dispatcher = ConcurrentDispatcher(
+            workers=8, timeout=self.TIMEOUT, retries=1, backoff=0.0,
+            registry=registry,
+        )
+        calls = {
+            fake.name: SplitCall(fake.send) if split else fake.plain
+            for fake in self.fakes(log, hang_first)
+        }
+        started = time.perf_counter()
+        report = dispatcher.dispatch(calls)
+        elapsed = time.perf_counter() - started
+        dispatcher.close()
+        return report, registry, log, elapsed
+
+    @staticmethod
+    def summary(report):
+        return (
+            list(report.results.items()),
+            [(f.engine, f.kind, f.attempts, f.message) for f in report.failures],
+            list(report.latencies),
+        )
+
+    COUNTERS = (
+        "dispatch.fanouts", "dispatch.attempts", "dispatch.retries",
+        "dispatch.timeouts", "dispatch.errors",
+    )
+
+    def test_split_and_threaded_fanouts_agree(self, hang_first):
+        threaded, threaded_registry, __, __ = self.run(False, hang_first)
+        split, split_registry, __, elapsed = self.run(True, hang_first)
+        assert self.summary(split) == self.summary(threaded)
+        refused = ("refused", "error", 1, "Refused: no")
+        hangs = (
+            "hangs", "timeout", 0, f"no answer within {self.TIMEOUT}s deadline"
+        )
+        names = ["answers", "flaky", "refused"]
+        assert self.summary(split) == (
+            [("answers", ["hit"]), ("flaky", ["ok"])],
+            [hangs, refused] if hang_first else [refused, hangs],
+            ["hangs", *names] if hang_first else [*names, "hangs"],
+        )
+        for name in self.COUNTERS:
+            assert split_registry.value(name) == threaded_registry.value(name), name
+        assert split_registry.value("dispatch.attempts") == 5
+        assert elapsed < self.TIMEOUT + 0.5
+        assert split.latencies["answers"] < self.TIMEOUT / 2
+
+    def test_split_fanout_reads_replies_as_they_arrive_on_the_callers_thread(
+        self, hang_first
+    ):
+        before = {
+            thread.ident for thread in threading.enumerate()
+            if thread.name == "repro-dispatch"
+        }
+        __, __, log, __ = self.run(True, hang_first)
+        after = {
+            thread.ident for thread in threading.enumerate()
+            if thread.name == "repro-dispatch"
+        }
+        assert after <= before, "a split fan-out started a fan-out thread"
+        assert {ident for __, __, ident in log} == {threading.get_ident()}
+        sends = [("send", "answers"), ("send", "flaky"), ("send", "refused")]
+        hang = [("send", "hangs")]
+        assert [(step, name) for step, name, __ in log] == [
+            *(hang + sends if hang_first else sends + hang),
+            ("read", "answers"), ("read", "flaky"), ("read", "refused"),
+            ("send", "flaky"), ("read", "flaky"),
+            ("close", "hangs"),  # given up at the deadline, never read
+        ]
+
+    def test_a_slow_reply_holds_up_no_later_one(self):
+        log = []
+        slow = FakeRemote("slow", log, ["s"], delay=0.2)
+        fast = FakeRemote("fast", log, ["f"])
+        report = ConcurrentDispatcher(workers=2, timeout=2.0).dispatch(
+            {"slow": SplitCall(slow.send), "fast": SplitCall(fast.send)}
+        )
+        assert report.results == {"slow": ["s"], "fast": ["f"]}
+        assert [(step, name) for step, name, __ in log] == [
+            ("send", "slow"), ("send", "fast"), ("read", "fast"), ("read", "slow"),
+        ]
+        assert report.latencies["fast"] < 0.1 <= report.latencies["slow"]
+
+    def test_a_reply_whose_own_budget_runs_out_is_read_as_its_timeout(self):
+        """With no fan-out deadline, a reply that never arrives is read
+        when its own budget is spent (a remote client's socket timeout),
+        so it fails as a timeout instead of being waited on forever."""
+
+        def timed_out():
+            raise ReadTimeout("timed out reading the reply")
+
+        dispatcher = ConcurrentDispatcher(workers=2)
+        started = time.perf_counter()
+        report = dispatcher.dispatch({
+            "hangs": SplitCall(
+                lambda: FakeReply(timed_out, arrives=False, budget=0.2)
+            ),
+            "answers": SplitCall(lambda: FakeReply(lambda: ["a"])),
+        })
+        assert 0.2 <= time.perf_counter() - started < 1.0
+        assert report.results == {"answers": ["a"]}
+        [failure] = report.failures
+        assert (failure.engine, failure.kind, failure.attempts) == (
+            "hangs", "timeout", 1
+        )
+
+    def test_a_failed_send_is_retried_inline(self):
+        attempts = []
+
+        def send():
+            attempts.append(threading.get_ident())
+            if len(attempts) == 1:
+                raise ConnectionError("refused")
+            return FakeReply(lambda: ["ok"])
+
+        dispatcher = ConcurrentDispatcher(workers=2, retries=1, backoff=0.0)
+        report = dispatcher.dispatch({"e": SplitCall(send)})
+        assert report.results == {"e": ["ok"]}
+        assert attempts == [threading.get_ident()] * 2
+
+    def test_mixed_fanout_runs_split_calls_as_plain_ones(self):
+        log = []
+        fake = FakeRemote("split", log, ["s"])
+        report = ConcurrentDispatcher(workers=2).dispatch(
+            {"split": SplitCall(fake.send), "plain": lambda: ["p"]}
+        )
+        assert report.results == {"split": ["s"], "plain": ["p"]}
+        assert [step for step, __, __ in log] == ["send", "read"]
 
 
 class TestBrokerFaultInjection:

@@ -9,6 +9,7 @@ version is looked up once per process, not once per response.
 
 import io
 import socket
+import sys
 import threading
 import time
 import types
@@ -16,11 +17,13 @@ from importlib import metadata
 
 import pytest
 
-from repro.serving import RemoteServingError, RemoteTimeout
+from repro.serving import Deadline, RemoteServingError, RemoteTimeout, deadline_scope
 from repro.serving.http import (
     MAX_HEADERS,
     MAX_LINE,
+    Response,
     ServingApp,
+    ServingServer,
     _AppRequestHandler,
 )
 from repro.serving.remote_engine import _HTTPJsonClient
@@ -36,8 +39,9 @@ def fetch_raw(client):
 
 class ScriptedServer:
     """A loopback listener that answers every request it reads with
-    ``answer``, then closes the connection (``close``) or waits for the
-    next request on it."""
+    ``answer`` (or, given a list, the n-th request with its n-th item, the
+    last one from then on), then closes the connection (``close``) or
+    waits for the next request on it."""
 
     def __init__(self, answer: bytes, close: bool = False):
         self.answer = answer
@@ -82,7 +86,10 @@ class ScriptedServer:
                     pending += conn.recv(65536)
                 self.requests.append(head + b"\r\n\r\n" + pending[:length])
                 pending = pending[length:]
-                conn.sendall(self.answer)
+                answer = self.answer
+                if isinstance(answer, list):
+                    answer = answer[min(len(self.requests), len(answer)) - 1]
+                conn.sendall(answer)
                 if self.close_after:
                     return
 
@@ -100,7 +107,7 @@ class ScriptedServer:
 def scripted():
     servers, clients = [], []
 
-    def start(answer: bytes, close: bool = False, timeout: float = 5.0):
+    def start(answer, close: bool = False, timeout: float = 5.0):
         server = ScriptedServer(answer, close)
         servers.append(server)
         client = _HTTPJsonClient(server.url, timeout=timeout)
@@ -186,13 +193,111 @@ def test_a_peer_that_stops_sending_is_a_remote_timeout(scripted, answer):
     assert time.monotonic() - started < 4.0
 
 
+@pytest.mark.parametrize("case", sorted(UNFRAMEABLE))
+def test_a_request_whose_answer_started_is_sent_once(scripted, case):
+    """``POST /delta`` and ``POST /dispatch`` are not idempotent: once a
+    byte of an answer has arrived, a failure is a failure — the request
+    is not sent a second time."""
+    server, client = scripted(UNFRAMEABLE[case], close=True)
+    with pytest.raises(RemoteServingError):
+        client.request("POST", "/delta", {"kind": "delta"})
+    assert len(server.requests) == 1
+    assert server.accepted == 1
+
+
+def test_an_unframeable_answer_on_a_reused_connection_is_not_resent(scripted):
+    server, client = scripted([OK, UNFRAMEABLE["missing-content-length"]])
+    assert client.request("POST", "/dispatch", {"entries": []}) == {}
+    with pytest.raises(RemoteServingError):
+        client.request("POST", "/dispatch", {"entries": []})
+    assert len(server.requests) == 2
+    assert server.accepted == 1
+
+
+def test_the_read_is_bounded_by_a_deadline_entered_after_the_send(scripted):
+    """The receive half sets the socket timeout to what is left of the
+    budget, tightened by an ambient deadline entered after the request
+    went out; the request itself carried the budget it was sent with."""
+    server, client = scripted(b"HTTP/1.1 200 OK\r\nContent-Le", timeout=30.0)
+    receive = client.start("GET", "/healthz")
+    started = time.monotonic()
+    with deadline_scope(Deadline(0.3)):
+        with pytest.raises(RemoteTimeout):
+            receive()
+    assert time.monotonic() - started < 4.0
+    assert client._idle == []
+    [sent] = server.requests
+    assert b"\r\nX-Repro-Deadline: 30.0\r\n" in sent
+
+
+def test_the_pool_is_the_clients_not_a_threads(scripted):
+    """A connection idled by one thread serves the next exchange of any
+    thread; one still checked out is never shared."""
+    server, client = scripted(OK)
+    for __ in range(4):
+        thread = threading.Thread(target=client.request, args=("GET", "/x"))
+        thread.start()
+        thread.join()
+    assert server.accepted == 1
+    first = client.start("GET", "/x")
+    second = client.start("GET", "/x")
+    assert first() == {} and second() == {}
+    assert server.accepted == 2
+    assert len(client._idle) == 2
+    for __ in range(3):
+        client.request("GET", "/x")
+    assert server.accepted == 2
+
+
+class Echoes(ServingApp):
+    """Answers ``POST /echo`` with the JSON object it was sent."""
+
+    def add_routes(self):
+        self.route("POST", "/echo", lambda params, payload: Response(payload=payload))
+
+
+def test_threads_sharing_one_client_each_get_their_own_answer():
+    """More threads than cores share one client's pool, switching often:
+    every exchange reads its own answer, and no connection is idle twice
+    or lost (the pool ends with at most one connection per thread)."""
+    server = ServingServer(Echoes())
+    server.start_background()
+    client = _HTTPJsonClient(server.url)
+    wrong = []
+
+    def work(thread):
+        for i in range(40):
+            payload = {"thread": thread, "i": i}
+            answer = client.request("POST", "/echo", payload)
+            if answer != payload:
+                wrong.append((payload, answer))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        idle = list(client._idle)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        server.drain(timeout=10)
+    assert wrong == []
+    assert 1 <= len(idle) == len({id(conn) for conn in idle}) <= len(threads)
+    assert len(client._pooled) <= len(threads)
+
+
 def test_connection_close_drops_the_pooled_connection(scripted):
     server, client = scripted(
         b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
         close=True,
     )
     assert client.request("GET", "/healthz") == {}
-    assert client._local.conn is None
+    assert client._idle == []
     assert client.request("GET", "/healthz") == {}
     assert server.accepted == 2
 
@@ -202,7 +307,7 @@ def test_http10_answer_is_not_kept_alive(scripted):
         b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}", close=True
     )
     assert client.request("GET", "/healthz") == {}
-    assert client._local.conn is None
+    assert client._idle == []
 
 
 def test_kept_alive_connection_is_reused(scripted):
@@ -239,7 +344,7 @@ class RecordsSends:
 def test_one_request_is_one_sendall_on_a_nodelay_socket(scripted):
     server, client = scripted(OK)
     client.request("GET", "/healthz")  # dial
-    conn = client._local.conn
+    [conn] = client._idle
     assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     conn.sock = recorder = RecordsSends(conn.sock)
     assert client.request("POST", "/search", {"query": "x" * 4000}) == {}

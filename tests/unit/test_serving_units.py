@@ -269,7 +269,7 @@ class TestExtremeQueryWeights:
 
 
 class TestConnectionPoolForkSafety:
-    """The per-thread pool is keyed on pid too: an entry inherited across
+    """The per-client pool is keyed on pid: a pool inherited across
     fork() is closed and redialed, never written to."""
 
     def make_client(self):
@@ -279,7 +279,6 @@ class TestConnectionPoolForkSafety:
 
     class FakeConnection:
         sock = None
-        timeout = None
 
         def __init__(self):
             self.closed = False
@@ -287,33 +286,58 @@ class TestConnectionPoolForkSafety:
         def close(self):
             self.closed = True
 
+    class FakeSocket:
+        """Records every socket timeout set on it; answers nothing."""
+
+        def __init__(self):
+            self.timeouts = []
+
+        def settimeout(self, timeout):
+            self.timeouts.append(timeout)
+
+        def sendall(self, data):
+            pass
+
+        def close(self):
+            pass
+
     def test_same_pid_reuses_pooled_connection(self):
+        import io
+
         client = self.make_client()
-        conn = client._connection(1.0)
-        assert client._connection(2.0) is conn
-        assert conn.timeout == 2.0  # budget refreshed on reuse
+        conn = client._checkout()
+        conn.sock = sock = self.FakeSocket()
+        conn._rfile = io.BufferedReader(
+            io.BytesIO(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+        )
+        client._checkin(conn)
+        client.timeout = 0.5
+        assert client.request("GET", "/healthz") == {}
+        assert client._checkout() is conn
+        # budget refreshed on reuse: the send and the read both ran under
+        # the new one
+        assert len(sock.timeouts) == 2
+        assert all(0 < timeout <= 0.5 for timeout in sock.timeouts)
 
     def test_pid_change_closes_and_redials(self):
         import os
 
         client = self.make_client()
         stale = self.FakeConnection()
-        client._local.conn = stale
-        client._local.pid = os.getpid() + 1  # as if inherited across fork()
-        fresh = client._connection(1.0)
+        client._idle.append(stale)
+        client._pid = os.getpid() + 1  # as if inherited across fork()
+        fresh = client._checkout()
         assert stale.closed, "inherited connection must be closed, not reused"
         assert fresh is not stale
-        assert client._local.pid == os.getpid()
+        assert client._pid == os.getpid()
 
-    def test_pool_is_per_thread(self):
+    def test_a_checked_out_connection_is_not_shared(self):
         import threading
 
         client = self.make_client()
-        here = client._connection(1.0)
+        here = client._checkout()
         seen = []
-        thread = threading.Thread(
-            target=lambda: seen.append(client._connection(1.0))
-        )
+        thread = threading.Thread(target=lambda: seen.append(client._checkout()))
         thread.start()
         thread.join()
         assert seen[0] is not here
@@ -487,7 +511,19 @@ class TestQueryLengthBound:
         assert response.status == 200
 
 
-DEAD_URL = "http://127.0.0.1:9"  # never dialed: _roundtrip is patched
+DEAD_URL = "http://127.0.0.1:9"  # never dialed: _send is patched
+
+
+def answering(body, reply=None):
+    """A stand-in for ``_HTTPJsonClient._send``: nothing is sent, and the
+    receive half, on a connection never dialed, answers ``(body, reply)``
+    at once."""
+    from repro.serving.remote_engine import _Connection, _Pending
+
+    def send(self, method, path, payload):
+        return _Pending(_Connection(self.host, self.port), None, lambda: (body, reply))
+
+    return send
 
 
 def client_calls():
@@ -511,8 +547,8 @@ def client_calls():
         "gateway.estimate": lambda: gateway.estimate(query, 0.1),
         "gateway.search": lambda: gateway.search(query, 0.1),
         "gateway.search_batch": lambda: gateway.search_batch([query], 0.1),
-        "fleet.estimates": lambda: fleet._shard_estimates(shard, {}, 1),
-        "fleet.dispatch": lambda: fleet._shard_dispatch(shard, [{}]),
+        "fleet.estimates": lambda: fleet._shard_estimates(shard, {}, 1)(),
+        "fleet.dispatch": lambda: fleet._shard_dispatch(shard, [{}])(),
         "fleet.apply_delta": lambda: fleet.apply_delta(delta),
     }
 
@@ -530,11 +566,7 @@ class TestClientsRejectMalformedAnswers:
         from repro.serving import RemoteServingError
         from repro.serving.remote_engine import _HTTPJsonClient
 
-        monkeypatch.setattr(
-            _HTTPJsonClient,
-            "_roundtrip",
-            lambda self, method, path, payload: (answer.encode(), None),
-        )
+        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(answer.encode()))
         with pytest.raises(RemoteServingError):
             client_calls()[call]()
 
@@ -550,11 +582,7 @@ class TestClientsRejectMalformedAnswers:
         response = SimpleNamespace(
             headers={"X-Repro-Representative-Version": "0"}
         )
-        monkeypatch.setattr(
-            _HTTPJsonClient,
-            "_roundtrip",
-            lambda self, method, path, payload: (body, response),
-        )
+        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(body, response))
         with pytest.raises(RemoteServingError, match="malformed answer"):
             RemoteEngine(DEAD_URL).snapshot_representative(columnar=True)
 
@@ -562,9 +590,7 @@ class TestClientsRejectMalformedAnswers:
         from repro.serving import RemoteEngine, RemoteServingError, ShardedFleet
         from repro.serving.remote_engine import _HTTPJsonClient
 
-        monkeypatch.setattr(
-            _HTTPJsonClient, "_roundtrip", lambda *args: (b"[]", None)
-        )
+        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(b"[]"))
         with pytest.raises(RemoteServingError, match="not ready"):
             ShardedFleet([DEAD_URL]).attach(timeout=0.05, interval=0.01)
         with pytest.raises(RemoteServingError):
@@ -577,9 +603,7 @@ class TestClientsRejectMalformedAnswers:
         from repro.serving import ShardedFleet
         from repro.serving.remote_engine import _HTTPJsonClient
 
-        monkeypatch.setattr(
-            _HTTPJsonClient, "_roundtrip", lambda *args: (b"[]", None)
-        )
+        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(b"[]"))
         fleet = ShardedFleet([DEAD_URL])
         fleet._shards[0].engines = ["e"]
         rows, failures = fleet.rows([Query.from_terms(["rocket"])], [0.1])
