@@ -27,10 +27,10 @@ The merge is **bit-exact** by construction, not by luck:
 * ``merge_hits`` is a global sort under a total key, so merging each
   shard's per-engine hit lists equals merging the same lists locally.
 
-The two steps: ``rows`` scatters the query batch to every shard's
-``/estimate`` and merges the rows; after the pipeline has selected,
-``reports`` scatters ``{query, threshold, engines}`` entries to only the
-shards owning selected engines.  Both fan out on a
+The two steps: ``rows`` scatters the query batch to the ``/estimate`` of
+every shard that can answer it and merges the rows; after the pipeline
+has selected, ``reports`` scatters ``{query, threshold, engines}``
+entries to only the shards owning selected engines.  Both fan out on a
 :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`, reusing its
 deadline/retry/degradation machinery with shards in the engine seat.
 Each shard call is a :class:`~repro.metasearch.dispatch.SplitCall`, so a
@@ -42,22 +42,41 @@ no other.  The shard connections are pooled per
 shard client and shared by every request thread, so a new client
 connection to the coordinator dials no shard.
 
+A shard that cannot answer is not asked.  Each shard serves a *headroom
+summary* at attach (``GET /headroom``): per term, the largest
+per-unit-weight bound on a factor exponent over its engines.  When
+``sum_j u_j * H[term_j]`` proves, by the kernel's own whole-row rule
+(:func:`~repro.core.vectorized.summary_rules_out`), that every engine of
+the shard estimates exactly ``(0.0, 0.0)`` for every query of the
+scatter, the shard's engines enter the merged row as those zeros — the
+values the shard would have sent, so rows, selection and hits do not
+change, and a skipped shard that is down costs no failure.  The summary
+is never stale low: :meth:`ShardedFleet.apply_delta` sets the terms a
+delta touches to ``+inf`` before it sends the delta and installs the
+exact values the shard reports under the apply.  A shard mutated behind
+the coordinator's back (a direct ``POST /delta``, an engine registered
+on the shard) is outside this guarantee.
+
 A dead shard degrades, never sinks the query: the coordinator knows which
 engines the shard owned (from ``/healthz`` at :meth:`ShardedFleet.attach`
 time) and records one
 :class:`~repro.metasearch.dispatch.EngineFailure` per affected engine,
 while the surviving shards' answers merge exactly as the in-process
-broker restricted to the surviving engines would.
+broker restricted to the surviving engines would.  A row naming any
+other engine than those is malformed, so that shard fails the request.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.vectorized import summary_rules_out
 from repro.corpus.query import Query
 from repro.metasearch.broker import SearchPipeline
 from repro.metasearch.dispatch import (
@@ -97,17 +116,69 @@ def _concatenated(parts: Sequence[EstimateRow]) -> EstimateRow:
     )
 
 
-class _ShardHandle:
-    """One attached shard: its client plus the engine ownership map."""
+def _headroom_value(value) -> float:
+    """A summary value off the wire: a finite number ``>= 0``, else
+    ``+inf`` (never rules a shard out)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            return math.inf
+        if 0.0 <= value < math.inf:
+            return value
+    return math.inf
 
-    __slots__ = ("name", "url", "client", "engines", "index")
+
+def _headroom_from_wire(raw) -> Optional[Dict[str, float]]:
+    """A shard's headroom summary; ``None`` (always ask the shard) when
+    the shard has none or it is not a map of term strings."""
+    if not isinstance(raw, dict) or not all(isinstance(t, str) for t in raw):
+        return None
+    return {term: _headroom_value(value) for term, value in raw.items()}
+
+
+class _ShardHandle:
+    """One attached shard: its client, the engines it owns and its
+    headroom summary (``None``: always asked)."""
+
+    __slots__ = (
+        "name", "url", "client", "engines", "owned", "index", "zeros",
+        "headroom", "term_local", "delta_lock",
+    )
 
     def __init__(self, name: str, url: str, client: _HTTPJsonClient):
         self.name = name
         self.url = url
         self.client = client
-        self.engines: List[str] = []
         self.index: int = -1
+        self.own([])
+        self.headroom: Optional[Dict[str, float]] = None
+        self.term_local = False
+        # Deltas to one shard go one at a time (see apply_delta).
+        self.delta_lock = threading.Lock()
+
+    def own(self, engines: List[str]) -> None:
+        self.engines = engines
+        self.owned = frozenset(engines)
+        zeros = np.zeros(len(engines))
+        self.zeros = EstimateRow.ranked(engines, zeros, zeros)
+
+    def fetch_headroom(self) -> None:
+        """Read the shard's summary; a shard that serves none is always
+        asked."""
+        try:
+            self.headroom, self.term_local = self.client.request(
+                "GET",
+                "/headroom",
+                decode=lambda answer: (
+                    _headroom_from_wire(
+                        _expect_kind(answer, "shard.headroom").get("headroom")
+                    ),
+                    answer.get("term_local") is True,
+                ),
+            )
+        except RemoteServingError:
+            self.headroom = None
 
     def __repr__(self) -> str:
         return f"_ShardHandle({self.name} @ {self.url}, {len(self.engines)} engines)"
@@ -178,9 +249,9 @@ class ShardedFleet(SearchPipeline):
         # Scatter accounting: one "fanout" is one scatter-gather round
         # (a batch of queries to all/owning shards); "rpcs" counts the
         # per-shard calls it cost.  With front-door coalescing these are
-        # the proof that a whole window costs one RPC per shard —
-        # rpcs/fanouts stays at the shard count while queries/fanout
-        # grows with window occupancy.
+        # the proof that a whole window costs at most one RPC per shard —
+        # (rpcs + skipped)/fanouts stays at the shard count while
+        # queries/fanout grows with window occupancy.
         self._m_fanouts = {
             phase: self.registry.counter(
                 "coordinator.scatter.fanouts", labels={"phase": phase}
@@ -193,6 +264,11 @@ class ShardedFleet(SearchPipeline):
             )
             for phase in ("estimate", "dispatch")
         }
+        # Shards a round did not ask because their headroom summary
+        # proved every estimate zero: rpcs + skipped = fanouts * shards.
+        self._m_skipped = self.registry.counter(
+            "coordinator.scatter.skipped", labels={"phase": "estimate"}
+        )
         self._m_fanout_queries = self.registry.histogram(
             "coordinator.scatter.batch.queries", buckets=OCCUPANCY_BUCKETS
         )
@@ -201,7 +277,9 @@ class ShardedFleet(SearchPipeline):
 
     def attach(self, timeout: float = 10.0, interval: float = 0.05) -> "ShardedFleet":
         """Wait for every shard's ``/healthz`` and learn which engines it
-        owns — the map that turns a dead shard into per-engine failures.
+        owns — the map that turns a dead shard into per-engine failures —
+        and its headroom summary (``GET /headroom``), which lets a
+        scatter skip it.
 
         Returns ``self`` so construction chains:
         ``ShardedFleet(urls).attach()``.
@@ -210,7 +288,7 @@ class ShardedFleet(SearchPipeline):
         for shard in self._shards:
             while True:
                 try:
-                    shard.engines, shard.index = shard.client.request(
+                    engines, shard.index = shard.client.request(
                         "GET",
                         "/healthz",
                         decode=lambda info: (
@@ -227,6 +305,8 @@ class ShardedFleet(SearchPipeline):
                     time.sleep(interval)
                     continue
                 break
+            shard.own(engines)
+            shard.fetch_headroom()
         self._owner = {}
         for shard in self._shards:
             for name in shard.engines:
@@ -275,7 +355,14 @@ class ShardedFleet(SearchPipeline):
         shard's ``POST /delta`` — the fan-out is a *routing* decision,
         not a broadcast, because each engine's representative lives on
         one shard only.  Returns the shard's apply report (mode, cache
-        eviction counts, new version).
+        eviction counts, new version, new headroom values).
+
+        The shard's headroom summary is never stale low.  Deltas to one
+        shard go one at a time; before one is sent, every term it touches
+        reads ``+inf`` (every term, for a shard whose summary is not
+        term-local), and the exact values the shard computed under the
+        apply replace them once it answers.  A rejected delta leaves them
+        at ``+inf``, so the shard is asked for those terms from then on.
 
         Raises:
             KeyError: No attached shard owns ``delta.name``.
@@ -288,12 +375,25 @@ class ShardedFleet(SearchPipeline):
             raise KeyError(
                 f"engine {delta.name!r} is not owned by any attached shard"
             )
-        return shard.client.request(
-            "POST",
-            "/delta",
-            delta.to_json_dict(),
-            decode=lambda answer: _expect_kind(answer, "shard.delta"),
-        )
+        with shard.delta_lock:
+            summary = shard.headroom
+            if summary is not None and shard.term_local:
+                summary.update(dict.fromkeys(delta.terms, math.inf))
+            else:
+                shard.headroom = None
+            answer = shard.client.request(
+                "POST",
+                "/delta",
+                delta.to_json_dict(),
+                decode=lambda answer: _expect_kind(answer, "shard.delta"),
+            )
+            fresh = _headroom_from_wire(answer.get("headroom"))
+            if summary is not None and fresh is not None:
+                # A term no engine holds any more may keep its old value:
+                # stale high is allowed.
+                summary.update(fresh)
+                shard.headroom = summary
+        return answer
 
     # -- shard RPC -----------------------------------------------------------
 
@@ -301,7 +401,7 @@ class ShardedFleet(SearchPipeline):
         self, shard: _ShardHandle, payload: dict, n_queries: int
     ) -> SplitCall:
         """The ``/estimate`` call to ``shard``; it answers one row per
-        query."""
+        query, over exactly the engines the shard owned at attach."""
 
         def decode(answer):
             rows = [
@@ -312,6 +412,14 @@ class ShardedFleet(SearchPipeline):
                 raise WireFormatError(
                     f"{len(rows)} estimate rows for {n_queries} queries"
                 )
+            for row in rows:
+                if len(row.names) != len(shard.owned) or not (
+                    shard.owned.issuperset(row.names)
+                ):
+                    raise WireFormatError(
+                        "an estimate row names other engines than the "
+                        f"{len(shard.owned)} the shard owned at attach"
+                    )
             return rows
 
         return SplitCall(functools.partial(
@@ -369,26 +477,61 @@ class ShardedFleet(SearchPipeline):
 
     # -- step 1: scatter estimation ------------------------------------------
 
+    def _ruled_out(
+        self, queries: List[Query], thresholds: List[float]
+    ) -> List[_ShardHandle]:
+        """The shards whose headroom summary proves every engine's
+        estimate ``(0.0, 0.0)`` for every query."""
+        # One read of each summary: a delta may withdraw it meanwhile.
+        held = [(shard, shard.headroom) for shard in self._shards]
+        held = [(shard, summary) for shard, summary in held if summary is not None]
+        if not queries or not held:
+            return []
+        width = max(len(query.terms) for query in queries)
+        u = np.zeros((len(queries), width))
+        head = np.zeros((len(held), len(queries), width))
+        for i, query in enumerate(queries):
+            u[i, : len(query.terms)] = query.normalized_weights()
+            for s, (__, summary) in enumerate(held):
+                head[s, i, : len(query.terms)] = [
+                    summary.get(term, 0.0) for term in query.terms
+                ]
+        with np.errstate(invalid="ignore"):  # inf * 0.0: NaN, never skips
+            totals = (u * head).sum(axis=2)
+        dead = summary_rules_out(
+            totals,
+            np.array([len(query.terms) for query in queries]),
+            np.array(thresholds, dtype=np.float64),
+        )
+        return [shard for (shard, __), out in zip(held, dead.all(axis=1)) if out]
+
     def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
-        """Fan ``/estimate`` to every shard; returns ``(rows, failures)``.
+        """Fan ``/estimate`` to every shard its headroom summary does not
+        rule out; returns ``(rows, failures)``.
 
         Each returned row is the merged, sorted estimate row over every
-        *answering* shard's engines; ``failures`` carries one per-engine
-        record for each engine whose shard did not answer.
+        answering shard's engines and every skipped shard's engines (as
+        the exact zeros the shard would have answered); ``failures``
+        carries one per-engine record for each engine whose shard was
+        asked and did not answer.
         """
         payload = {
             "queries": [query_to_wire(q) for q in queries],
             "thresholds": thresholds,
         }
+        skipped = self._ruled_out(queries, thresholds)
         calls = {
             shard.name: self._shard_estimates(shard, payload, len(queries))
             for shard in self._shards
+            if shard not in skipped
         }
         self._m_fanouts["estimate"].inc()
         self._m_rpcs["estimate"].inc(len(calls))
+        self._m_skipped.inc(len(skipped))
         self._m_fanout_queries.observe(len(queries))
         report = self.dispatcher.dispatch(calls)
         answered = list(report.results.values())  # answering shards only
+        answered += [[shard.zeros] * len(queries) for shard in skipped]
         # sort_key is a total order (unique engine names), so ranking the
         # concatenation reproduces the in-process row exactly.
         rows = [

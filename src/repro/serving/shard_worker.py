@@ -7,10 +7,11 @@ the representatives of the engines assigned to this shard (typically
 loaded from an ``.npz`` bundle written by
 :meth:`~repro.representatives.columnar.FleetRepresentativeStore.save_npz`).
 The scatter-gather coordinator (:mod:`repro.serving.coordinator`) fans
-each request out to every shard and merges the answers, so a shard never
-sees the rest of the fleet — and never needs to: per-engine usefulness
-estimates depend only on that engine's representative and the query, so
-a slice estimates bit-identically to the full fleet.
+each request out to the shards that can answer it and merges the
+answers, so a shard never sees the rest of the fleet — and never needs
+to: per-engine usefulness estimates depend only on that engine's
+representative and the query, so a slice estimates bit-identically to
+the full fleet.
 
 :class:`ShardApp` exposes the shard broker's own two pipeline steps (the
 shard protocol *is* :class:`~repro.metasearch.broker.SearchPipeline`'s
@@ -25,6 +26,14 @@ backend protocol, one process removed) plus slice shipping:
   per-engine hits, failure records, and latencies.  Selection is *not*
   applied here — the coordinator selects centrally on the merged estimate
   rows, so any policy behaves exactly as it would in one process.
+* ``GET /headroom`` — the shard's headroom summary (kind
+  ``shard.headroom``): ``headroom`` maps each term to the largest
+  per-unit-weight bound on a factor exponent over this shard's engines
+  (:func:`~repro.core.vectorized.fleet_headroom`; ``null`` for a bound
+  that is not finite, and ``null`` in place of the map when the estimator
+  has no whole-row bound), and ``term_local`` says whether a delta moves
+  only its own terms' values (``false``: every value may move).  The
+  coordinator skips a shard whose summary proves every estimate zero.
 * ``GET /slice`` — the shard's fleet slice as the columnar ``.npz``
   bundle (``application/octet-stream``), cached after the first build
   and invalidated when a delta mutates the slice; the ``X-Repro-Shard``
@@ -36,7 +45,9 @@ backend protocol, one process removed) plus slice shipping:
   apply_representative_delta`, so the columnar slice mutates in place
   and only the affected cache entries are evicted.  A delta whose base
   version does not match the shard's resident representative is a 409 —
-  the caller re-ships a snapshot.
+  the caller re-ships a snapshot.  The reply's ``headroom`` holds the new
+  summary values the delta can have moved, computed under the apply: its
+  own terms, or the whole summary when ``term_local`` is false.
 
 The coordinator treats a dead shard as a set of per-engine failures,
 so the shard's own error story stays simple: malformed requests are
@@ -47,9 +58,11 @@ generic 500.
 from __future__ import annotations
 
 import io
+import math
 import threading
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.core.vectorized import fleet_headroom
 from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.broker import MetasearchBroker
 from repro.obs.registry import OCCUPANCY_BUCKETS
@@ -64,6 +77,17 @@ from repro.serving.wire import (
 )
 
 __all__ = ["ShardApp"]
+
+
+def _headroom_to_wire(summary: Optional[Dict[str, float]]) -> Optional[dict]:
+    """A headroom summary as JSON: a value that is not finite is ``null``
+    (the coordinator reads it as ``+inf``, never skip)."""
+    if summary is None:
+        return None
+    return {
+        term: value if math.isfinite(value) else None
+        for term, value in summary.items()
+    }
 
 
 class ShardApp(ServingApp):
@@ -98,6 +122,8 @@ class ShardApp(ServingApp):
         self.max_batch = max_batch
         self._slice_lock = threading.Lock()
         self._slice_cache: Optional[bytes] = None
+        # A delta and the headroom values it reports are one step.
+        self._delta_lock = threading.Lock()
         super().__init__(**kwargs)
         self._m_estimates = self.registry.counter("serving.shard.estimates")
         self._m_dispatches = self.registry.counter("serving.shard.dispatches")
@@ -111,6 +137,7 @@ class ShardApp(ServingApp):
     def add_routes(self) -> None:
         self.route("POST", "/estimate", self._route_estimate)
         self.route("POST", "/dispatch", self._route_dispatch)
+        self.route("GET", "/headroom", self._route_headroom)
         self.route("GET", "/slice", self._route_slice)
         self.route("POST", "/delta", self._route_delta)
 
@@ -208,6 +235,23 @@ class ShardApp(ServingApp):
                 self._slice_cache = buffer.getvalue()
             return self._slice_cache
 
+    def _headroom(self, terms=None) -> Optional[dict]:
+        return _headroom_to_wire(
+            fleet_headroom(self.broker.estimator, self.broker.fleet, terms)
+        )
+
+    def _route_headroom(self, params, payload) -> Response:
+        with self._delta_lock:
+            summary = self._headroom()
+        return Response(
+            payload={
+                "kind": "shard.headroom",
+                "shard": self.shard_index,
+                "term_local": self.broker.estimator.term_local,
+                "headroom": summary,
+            }
+        )
+
     def _route_slice(self, params, payload) -> Response:
         return Response(
             raw=self._slice_bytes(),
@@ -221,7 +265,11 @@ class ShardApp(ServingApp):
         except (KeyError, TypeError, ValueError) as exc:
             raise HTTPError(400, f"bad delta: {exc}") from exc
         try:
-            report = self.broker.apply_representative_delta(delta)
+            with self._delta_lock:
+                report = self.broker.apply_representative_delta(delta)
+                headroom = self._headroom(
+                    delta.terms if self.broker.estimator.term_local else None
+                )
         except KeyError:
             raise HTTPError(
                 400,
@@ -245,5 +293,6 @@ class ShardApp(ServingApp):
                 "cache_retained": report.cache_retained,
                 "polycache_evicted": report.polycache_evicted,
                 "polycache_retained": report.polycache_retained,
+                "headroom": headroom,
             }
         )

@@ -395,6 +395,20 @@ class TestHTTPDeltaLoop:
     """LiveEngineApp + RemoteEngine + broker.sync_representative, end to end."""
 
     @pytest.fixture()
+    def remote_engine(self):
+        """``RemoteEngine(url)``, its pooled connections closed after the
+        test."""
+        opened = []
+
+        def remote_engine(url):
+            opened.append(RemoteEngine(url))
+            return opened[-1]
+
+        yield remote_engine
+        for remote in opened:
+            remote.close()
+
+    @pytest.fixture()
     def served(self):
         live = LiveEngineServer("engine0", make_documents(0))
         server = ServingServer(LiveEngineApp(live))
@@ -415,9 +429,9 @@ class TestHTTPDeltaLoop:
         with urllib.request.urlopen(request, timeout=10) as response:
             return json.loads(response.read())
 
-    def test_broker_catches_up_over_http(self, served):
+    def test_broker_catches_up_over_http(self, served, remote_engine):
         live, url = served
-        remote = RemoteEngine(url)
+        remote = remote_engine(url)
         broker = MetasearchBroker(estimator=get_estimator("subrange"))
         # An unregistered engine's first sync registers its snapshot.
         assert broker.sync_representative(remote) is None
@@ -442,7 +456,7 @@ class TestHTTPDeltaLoop:
         assert_rows_match(broker, fresh_oracle_for([(live, None)]))
 
     def test_live_engine_process_catches_up_like_a_fresh_snapshot(
-        self, tmp_path
+        self, tmp_path, remote_engine
     ):
         """A real ``repro serve engine --live`` process: ``/healthz``
         reports it live, ``POST /mutate`` churns it, the broker's delta
@@ -471,7 +485,7 @@ class TestHTTPDeltaLoop:
             with urllib.request.urlopen(f"{url}/healthz", timeout=10) as reply:
                 assert json.loads(reply.read())["live"] is True
 
-            remote = RemoteEngine(url)
+            remote = remote_engine(url)
             broker = MetasearchBroker()
             assert broker.sync_representative(remote) is None  # v0 snapshot
             mutated = self.post_mutate(url, {
@@ -500,12 +514,12 @@ class TestHTTPDeltaLoop:
                 proc.communicate()
         assert proc.returncode == 0
 
-    def test_compaction_over_http_falls_back_to_snapshot(self):
+    def test_compaction_over_http_falls_back_to_snapshot(self, remote_engine):
         live = LiveEngineServer("engine0", make_documents(0), log_limit=1)
         server = ServingServer(LiveEngineApp(live))
         server.start_background()
         try:
-            remote = RemoteEngine(server.url)
+            remote = remote_engine(server.url)
             broker = MetasearchBroker(estimator=get_estimator("subrange"))
             assert broker.sync_representative(remote) is None
             self.post_mutate(server.url, {"add": [{"doc_id": "n0", "terms": ["comet"]}]})
@@ -518,12 +532,12 @@ class TestHTTPDeltaLoop:
         finally:
             server.drain(timeout=10)
 
-    def test_engine_restart_over_http_falls_back_to_snapshot(self):
+    def test_engine_restart_over_http_falls_back_to_snapshot(self, remote_engine):
         app = LiveEngineApp(LiveEngineServer("engine0", make_documents(0)))
         server = ServingServer(app)
         server.start_background()
         try:
-            remote = RemoteEngine(server.url)
+            remote = remote_engine(server.url)
             broker = MetasearchBroker(estimator=get_estimator("subrange"))
             assert broker.sync_representative(remote) is None
             self.post_mutate(server.url, {"add": [{"doc_id": "n0", "terms": ["comet"]}]})
@@ -545,5 +559,6 @@ class TestHTTPDeltaLoop:
                         timeout=10,
                     )
                 assert caught.value.code == 400
+                caught.value.close()  # the error holds the response
         finally:
             server.drain(timeout=10)
