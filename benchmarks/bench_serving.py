@@ -215,9 +215,7 @@ def test_serving_gateway_exactness_and_overhead(benchmark, tmp_path):
         processes, urls = _launch_fleet(collections, tmp_path)
         broker = MetasearchBroker(workers=N_ENGINES)
         for url in urls:
-            remote = RemoteEngine(url)
-            snapshot = remote.snapshot_representative()
-            broker.register(remote, representative=snapshot.representative)
+            broker.sync_representative(RemoteEngine(url))
         server = ServingServer(
             GatewayApp(broker, max_active=WORKERS * 2, max_queued=64)
         )

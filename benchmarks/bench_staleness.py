@@ -18,7 +18,8 @@ choosing between expensive freshness and cheap staleness, the broker stays
 churn a few percent of their documents per step (removals and re-additions,
 document count constant — the steady state of a mutating fleet) and both
 broker lanes catch up after every step: the full lane pays a representative
-rebuild plus a whole-snapshot wire round trip per engine (what a stateless
+rebuild plus a full-delta wire round trip (the delta from version 0, the
+empty representative) and a replacing apply per engine (what a stateless
 engine server charges for ``GET /representative``), the delta lane pays
 ``delta_since`` composition plus the canonical delta wire round trip plus
 an in-place apply.  Mutation-time costs on the engine side (the live
@@ -37,9 +38,9 @@ from pathlib import Path
 
 from repro.corpus import Document
 from repro.fleet import LiveEngineServer
-from repro.fleet.delta import RepresentativeDelta
+from repro.fleet.delta import RepresentativeDelta, diff_representatives
 from repro.metasearch import MetasearchBroker
-from repro.serving.wire import representative_from_wire, representative_to_wire
+from repro.representatives import DatabaseRepresentative
 
 N_ENGINES = 6
 THRESHOLD = 0.3
@@ -211,17 +212,12 @@ def test_delta_refresh_vs_full_snapshot(benchmark, corpus_model, query_log):
             live = LiveEngineServer(
                 name, list(documents[:keep]), log_limit=4 * STEPS
             )
-            snapshot = live.snapshot()
-            delta_broker.register(
-                live,
-                representative=snapshot.representative,
-                version=snapshot.version,
-            )
-            full_broker.register(live, representative=snapshot.representative)
+            delta_broker.sync_representative(live)
+            full_broker.sync_representative(live)
             servers[g] = live
             current[g] = deque(documents[:keep])
             reserve[g] = deque(documents[keep:])
-            versions[g] = snapshot.version
+            versions[g] = live.version
 
         totals = {
             "delta_bytes": 0,
@@ -264,7 +260,7 @@ def test_delta_refresh_vs_full_snapshot(benchmark, corpus_model, query_log):
             step_delta_seconds = time.perf_counter() - started
 
             # Full lane: what a stateless engine server charges — rebuild
-            # the snapshot, round-trip the whole representative, re-register.
+            # the representative, round-trip its full delta, replace.
             step_full_bytes = 0
             started = time.perf_counter()
             for g, live in servers.items():
@@ -273,16 +269,13 @@ def test_delta_refresh_vs_full_snapshot(benchmark, corpus_model, query_log):
                         Collection.from_documents(live.name, list(current[g]))
                     )
                 )
-                wire = json.dumps(
-                    representative_to_wire(rebuilt),
-                    separators=(",", ":"),
-                ).encode("utf-8")
+                wire = diff_representatives(
+                    DatabaseRepresentative(live.name, 0, {}), rebuilt,
+                    from_version=0, to_version=live.version,
+                ).encode()
                 step_full_bytes += len(wire)
-                full_broker.register(
-                    live,
-                    representative=representative_from_wire(
-                        json.loads(wire.decode("utf-8"))
-                    ),
+                full_broker.apply_representative_delta(
+                    RepresentativeDelta.decode(wire)
                 )
             step_full_seconds = time.perf_counter() - started
 

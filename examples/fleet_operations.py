@@ -7,7 +7,8 @@ Two operational scenarios beyond the basic routing demo:
    representative delta; the broker keeps selecting from its stale copy
    (the paper's "propagation can be done infrequently") until it syncs,
    then catches up with one composed delta — the negotiation
-   ``GET /representative/delta`` performs over HTTP.
+   ``GET /representative?since=v`` performs over HTTP.  First contact is
+   the same call: the delta from version 0, the empty representative.
 2. A user asks for "the best 10 documents" rather than a threshold; the
    broker inverts the fleet's expected NoDoc to a threshold and hands each
    engine an integer retrieval quota.
@@ -36,9 +37,10 @@ def main() -> None:
     print("-- 1. live representative deltas --")
     live = LiveEngineServer("group02", documents_of(model.generate_group(2)))
     broker = MetasearchBroker()
-    broker.sync_representative(live)  # first contact: a full snapshot
-    print(f"registered {live}")
-    known = {term for term, __ in live.snapshot().representative.items()}
+    first = broker.sync_representative(live)  # the delta from version 0
+    print(f"registered {live}: a full delta of {first.terms_touched} terms")
+    held = live.delta_since(0).as_representative()
+    known = {term for term, __ in held.items()}
     # Three "new" documents, borrowed from another newsgroup for the demo.
     newcomers = documents_of(model.generate_group(3))[:3]
     fresh_term = next(
@@ -57,12 +59,12 @@ def main() -> None:
     print(
         f"synced v{report.from_version} -> v{report.to_version} with one "
         f"composed delta: {report.terms_touched} terms touched, "
-        f"{report.nbytes} bytes, {report.mode} cache invalidation"
+        f"{report.mode} cache invalidation"
     )
     print(f"synced broker selects {broker.select(query, threshold)}")
     exact = (
         broker.representative_of("group02").materialize()
-        == live.snapshot().representative
+        == live.delta_since(0).as_representative()
     )
     print(f"broker copy equals the engine's rebuilt representative: {exact}")
 

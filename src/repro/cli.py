@@ -51,6 +51,7 @@ from repro.representatives import (
     FleetRepresentativeStore,
     PAPER_COLLECTION_STATS,
     build_representative,
+    quantize_representative,
     sizing_for_collection,
 )
 from repro.version import package_version
@@ -513,13 +514,22 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.quantize is not None and args.quantize < 1:
+        print(f"error: --quantize must be >= 1, got {args.quantize}",
+              file=sys.stderr)
+        return 2
     for url in args.engines or []:
         remote = RemoteEngine(url, timeout=args.engine_timeout)
-        snapshot = remote.snapshot_representative(quantize=args.quantize)
-        broker.register(remote, representative=snapshot.representative)
+        delta = remote.sync_representative()
+        representative = delta.as_representative()
+        if args.quantize is not None:
+            representative = quantize_representative(
+                representative, args.quantize
+            )
+        broker.register(remote, representative=representative)
         print(
             f"registered remote engine {remote.name!r} at {url} "
-            f"(version {snapshot.version})",
+            f"(version {delta.to_version})",
             flush=True,
         )
     for path in args.collections or []:
@@ -860,11 +870,11 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
                 live = LiveEngineServer(
                     engine.name, documents[: len(documents) - held_back]
                 )
-                snapshot = live.snapshot()
+                base = live.delta_since(0)
                 broker.register(
                     engine,
-                    representative=snapshot.representative,
-                    version=snapshot.version,
+                    representative=base.as_representative(),
+                    version=base.to_version,
                 )
                 if live.n_documents:
                     victim = documents[0]
@@ -872,7 +882,7 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
                     live.add_documents([victim])
                 live.add_documents(documents[len(documents) - held_back :])
                 broker.apply_representative_delta(
-                    live.delta_since(snapshot.version)
+                    live.delta_since(base.to_version)
                 )
             backends[name] = broker
         return backends
@@ -1213,8 +1223,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--index", default=None,
                         help="saved .npz index to serve without re-indexing")
     sp.add_argument("--live", action="store_true",
-                    help="serve a mutable live engine: adds POST /mutate and "
-                         "GET /representative/delta (needs --collection)")
+                    help="serve a mutable live engine: adds POST /mutate, and "
+                         "GET /representative answers its deltas "
+                         "(needs --collection)")
     _common_serve_args(sp)
     sp.set_defaults(func=_cmd_serve_engine)
 
@@ -1226,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--collections", nargs="+", default=None,
                     help="JSONL collections served as in-process engines")
     sp.add_argument("--quantize", type=int, default=None,
-                    help="fetch remote representatives one-byte quantized "
+                    help="hold remote representatives one-byte quantized "
                          "with this many levels")
     sp.add_argument("--engine-timeout", type=float, default=10.0,
                     help="per-call budget for remote engine requests")

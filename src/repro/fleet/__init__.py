@@ -5,15 +5,15 @@ because the statistics tolerate staleness; this package makes being *right*
 cheap instead.  Engines publish version-stamped
 :class:`~repro.fleet.delta.RepresentativeDelta` objects describing exactly
 which terms changed; brokers apply them bit-exactly to their columnar
-representatives and evict only the affected cache entries.
+representatives and evict only the affected cache entries.  The delta is
+the only transfer: a whole representative is the delta from version 0,
+the empty representative.
 """
 
 from repro.fleet.delta import (
     DELTA_FORMAT,
     DELTA_KIND,
-    DeltaCompactedError,
     RepresentativeDelta,
-    RepresentativeSnapshot,
     TermDeltaRecord,
     canonicalize,
     diff_representatives,
@@ -24,10 +24,8 @@ from repro.fleet.live import LiveEngineServer
 __all__ = [
     "DELTA_FORMAT",
     "DELTA_KIND",
-    "DeltaCompactedError",
     "LiveEngineServer",
     "RepresentativeDelta",
-    "RepresentativeSnapshot",
     "TermDeltaRecord",
     "canonicalize",
     "diff_representatives",

@@ -1,11 +1,22 @@
-"""Representative deltas: versioned, bit-exact incremental updates.
+"""Representative deltas: versioned, bit-exact updates — the only way a
+representative crosses from an engine to a broker.
 
 A :class:`RepresentativeDelta` carries a corpus mutation from an engine to
 the broker without re-shipping the whole representative.  Records are
 *state-based*: a ``set`` record carries the term's **final** quadruplet, a
 ``del`` record retracts the term.  Application is therefore idempotent and
 trivially bit-exact — the broker ends up holding exactly the statistics a
-fresh snapshot would have produced, byte for byte.
+fresh build would have produced, byte for byte.
+
+Version 0 and the full delta
+----------------------------
+Version 0 is every engine's empty representative.  A delta from version 0
+(``from_version == 0``, so ``from_n_documents == 0``) is a *full* delta:
+one ``set`` record per term of the engine's current representative.  It is
+what first contact, a compacted log, an engine restart and a shard's 409
+re-ship all send, and a receiver applies it by replacing whatever it holds
+(:meth:`RepresentativeDelta.as_representative`).  A ``del`` record in a
+full delta is a no-op: its base is empty.
 
 Untouched terms and the probability rescale
 -------------------------------------------
@@ -15,7 +26,7 @@ Shipping a record per term would defeat the delta.  Instead the delta
 carries both document counts and the receiver rescales in place::
 
     df = rint(p_old * n_old)      # exact: df is an integer < 2**51
-    p_new = df / n_new            # identical to what a fresh snapshot computes
+    p_new = df / n_new            # identical to what a fresh build computes
 
 ``p_old`` was originally produced as ``df / n_old`` in float64, so
 ``rint(p_old * n_old)`` recovers the integer ``df`` exactly, and ``df /
@@ -33,8 +44,9 @@ Delta-applied representatives list their terms in sorted term-string
 order.  Estimators that reduce over the whole representative (the binary
 independence baseline averages the per-term means) are sensitive to
 iteration order in the last ulp, so the live pipeline fixes one canonical
-order at both ends: engines publish canonically ordered snapshots
-(:func:`canonicalize`) and delta application
+order at both ends: a full delta's records are sorted by term (and
+:func:`canonicalize` sorts a representative the same way), and delta
+application
 (:meth:`~repro.representatives.columnar.FleetRepresentativeStore.apply_delta`)
 re-emits sorted terms.
 
@@ -50,9 +62,10 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.representatives.representative import DatabaseRepresentative
 from repro.representatives.term_stats import TermStats
@@ -60,9 +73,7 @@ from repro.representatives.term_stats import TermStats
 __all__ = [
     "DELTA_FORMAT",
     "DELTA_KIND",
-    "DeltaCompactedError",
     "RepresentativeDelta",
-    "RepresentativeSnapshot",
     "TermDeltaRecord",
     "canonicalize",
     "diff_representatives",
@@ -71,14 +82,6 @@ __all__ = [
 
 DELTA_KIND = "representative.delta"
 DELTA_FORMAT = 1
-
-
-class DeltaCompactedError(LookupError):
-    """The requested base version predates the engine's retained delta log.
-
-    The caller must fall back to a full snapshot — exactly the degraded
-    path :meth:`LiveEngineServer.sync_representative` takes automatically.
-    """
 
 
 def rescale_probability(probability: float, n_old: int, n_new: int) -> float:
@@ -94,23 +97,19 @@ def rescale_probability(probability: float, n_old: int, n_new: int) -> float:
     return df / n_new if n_new else 0.0
 
 
-@dataclass(frozen=True)
-class TermDeltaRecord:
+class TermDeltaRecord(NamedTuple):
     """One term's change: ``set`` carries final stats, ``del`` retracts.
 
     ``stats`` is ``None`` exactly when ``op == "del"``.  A triplet-mode
-    term is a ``set`` whose stats carry ``max_weight=None``.
+    term is a ``set`` whose stats carry ``max_weight=None``.  A plain
+    tuple, so a full delta's one record per term costs one object;
+    :meth:`from_wire` checks outside input, and
+    :class:`RepresentativeDelta` refuses any other op.
     """
 
     op: str
     term: str
     stats: Optional[TermStats] = None
-
-    def __post_init__(self):
-        if self.op not in ("set", "del"):
-            raise ValueError(f"op must be 'set' or 'del', got {self.op!r}")
-        if (self.stats is None) != (self.op == "del"):
-            raise ValueError(f"op {self.op!r} inconsistent with stats {self.stats!r}")
 
     def to_wire(self) -> list:
         if self.op == "del":
@@ -121,15 +120,17 @@ class TermDeltaRecord:
     @classmethod
     def from_wire(cls, record: list) -> "TermDeltaRecord":
         """Decode one record; anything but the two :meth:`to_wire` shapes
-        raises :class:`ValueError` (the op/stats pairing and the statistics'
-        ranges are checked by the dataclasses themselves)."""
+        raises :class:`ValueError` (the statistics' ranges are checked by
+        :class:`TermStats`)."""
         if not isinstance(record, list) or len(record) not in (2, 6):
             raise ValueError(f"a delta record has 2 or 6 fields, got {record!r}")
         op, term, *stats = record
+        if op != ("set" if stats else "del"):
+            raise ValueError(f"op {op!r} does not fit a {len(record)}-field record")
         if not isinstance(term, str):
             raise ValueError(f"a delta record's term is a string, got {term!r}")
         if not stats:
-            return cls(op=op, term=term)
+            return cls(op, term)
         for value in stats[:3] if stats[3] is None else stats:  # mw may be null
             # JSON ``true`` is not a number; NaN fails the comparison; an
             # int past the float range would overflow the float64 columns.
@@ -139,21 +140,32 @@ class TermDeltaRecord:
                 or not abs(value) <= sys.float_info.max
             ):
                 raise ValueError(f"a term statistic is a finite number, got {value!r}")
-        return cls(op=op, term=term, stats=TermStats(*stats))
+        return cls(op, term, TermStats(*stats))
+
+
+_TERM = operator.itemgetter(1)
+_STATS = operator.itemgetter(2)
 
 
 def _canonical_records(
     records: Iterable[TermDeltaRecord],
 ) -> Tuple[TermDeltaRecord, ...]:
-    """Deletions first, each group sorted by term; duplicate terms raise."""
-    dels = sorted((r for r in records if r.op == "del"), key=lambda r: r.term)
-    sets = sorted((r for r in records if r.op == "set"), key=lambda r: r.term)
+    """Deletions first, each group sorted by term; any other op, a ``set``
+    without stats or a ``del`` with them, and duplicate terms raise."""
+    records = tuple(records)
+    dels = [r for r in records if r.op == "del"]
+    sets = [r for r in records if r.op == "set"]
+    if (
+        len(dels) + len(sets) != len(records)
+        or any(map(_STATS, dels))
+        or None in map(_STATS, sets)
+    ):
+        raise ValueError("a record is a 'set' with stats or a 'del' without")
+    dels.sort(key=_TERM)
+    sets.sort(key=_TERM)
     ordered = tuple(dels + sets)
-    seen = set()
-    for record in ordered:
-        if record.term in seen:
-            raise ValueError(f"duplicate record for term {record.term!r}")
-        seen.add(record.term)
+    if len(set(map(_TERM, ordered))) != len(ordered):
+        raise ValueError("a delta holds two records for one term")
     return ordered
 
 
@@ -165,7 +177,7 @@ class RepresentativeDelta:
     ``from_n_documents`` documents) and yields version ``to_version``
     (holding ``n_documents``).  Terms without a record rescale their
     probability via :func:`rescale_probability` and keep every other
-    statistic untouched.
+    statistic untouched.  A delta from version 0 is :attr:`is_full`.
     """
 
     name: str
@@ -194,6 +206,27 @@ class RepresentativeDelta:
     @property
     def is_empty(self) -> bool:
         return not self.records and self.from_n_documents == self.n_documents
+
+    @property
+    def is_full(self) -> bool:
+        """A delta from version 0, the empty representative: it carries
+        the whole representative, and its receiver replaces what it holds."""
+        return self.from_version == 0
+
+    def as_representative(self) -> DatabaseRepresentative:
+        """The representative a full delta carries: its ``set`` records in
+        record (sorted-term) order.  A ``del`` record retracts a term from
+        the empty base, so it is a no-op."""
+        if not self.is_full or self.from_n_documents:
+            raise ValueError(
+                f"delta {self.from_version} -> {self.to_version} for "
+                f"{self.name!r} is not a full delta"
+            )
+        return DatabaseRepresentative(self.name, self.n_documents, {
+            record.term: record.stats
+            for record in self.records
+            if record.op == "set"
+        })
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,6 +265,11 @@ class RepresentativeDelta:
                 raise ValueError(
                     f"delta {field} must be a non-negative integer, got {value!r}"
                 )
+        if counts["from_version"] == 0 and counts["from_n_documents"] != 0:
+            raise ValueError(
+                "a delta from version 0 starts from the empty representative: "
+                f"from_n_documents must be 0, got {counts['from_n_documents']}"
+            )
         return cls(
             name=name,
             records=tuple(TermDeltaRecord.from_wire(record) for record in records),
@@ -313,24 +351,11 @@ class RepresentativeDelta:
         )
 
 
-@dataclass(frozen=True)
-class RepresentativeSnapshot:
-    """A versioned whole representative as published by an engine — what
-    a sync answers when no delta can (first contact, compacted log, a
-    restarted engine)."""
-
-    name: str
-    #: A live engine's mutation counter at snapshot time (a static
-    #: ``EngineApp``, which never mutates, stamps its document count).
-    version: int
-    representative: DatabaseRepresentative
-
-
 def canonicalize(representative: DatabaseRepresentative) -> DatabaseRepresentative:
     """The same representative with terms in sorted-string order.
 
-    The live pipeline's canonical iteration order — both the engine's
-    published snapshots and every delta-applied representative use it, so
+    The live pipeline's canonical iteration order — a full delta's records
+    and every delta-applied representative use it, so
     order-sensitive whole-representative reductions (the binary baseline's
     database weight) agree to the last bit on both sides.
     """
@@ -355,7 +380,7 @@ def diff_representatives(
 ) -> RepresentativeDelta:
     """The delta turning ``old`` into ``new`` (both for the same engine).
 
-    A term present in both snapshots is skipped when its recovered integer
+    A term present in both representatives is skipped when its recovered integer
     document frequency and its mean/std/max-weight are identical — the
     receiver's probability rescale reproduces its new stats exactly.
     """

@@ -2,13 +2,15 @@
 
 :class:`LiveEngineServer` is the engine side of the live-engine protocol: a
 mutable document collection behind ``search`` / ``max_similarity`` /
-``sync_representative``, with a bounded delta log.  Every mutation bumps an
-integer mutation version and appends the
+``sync_representative``, with a bounded delta log.  Version 0 is the empty
+representative; a server built with documents starts at version 1.  Every
+mutation bumps an integer mutation version and appends the
 :class:`~repro.fleet.delta.RepresentativeDelta` between the previous and
-the new canonical snapshot; a broker that last synced at version ``v``
-catches up with ``delta_since(v)`` — the composed delta — unless ``v`` has
-been compacted out of the log, in which case it falls back to a full
-snapshot.  Until it syncs, the broker selects from its stale copy (the
+the new representative; a broker that last synced at version ``v``
+catches up with ``delta_since(v)`` — the composed delta — unless ``v`` is
+0, unknown, compacted out of the log or ahead of the server, in which case
+it gets the *full* delta from version 0, built straight from the per-term
+statistics.  Until it syncs, the broker selects from its stale copy (the
 paper's "propagation can be done infrequently") while searches run live.
 
 Why the index can be edited in place instead of rebuilt: a live engine
@@ -28,7 +30,7 @@ re-reduces only the terms they touch (:func:`reduce_weight_rows`, the
 reduction ``build_representative`` runs) and emits a ``set`` record for a
 touched term whose ``(df, mean, std, max)`` changed and a ``del`` for one
 whose posting emptied: the records ``diff_representatives`` would find
-between two rebuilt snapshots, bit for bit.
+between two rebuilt representatives, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,19 +38,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.corpus.document import Document
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
-from repro.fleet.delta import (
-    DeltaCompactedError,
-    RepresentativeDelta,
-    RepresentativeSnapshot,
-    TermDeltaRecord,
-)
+from repro.fleet.delta import RepresentativeDelta, TermDeltaRecord
 from repro.representatives.builder import reduce_weight_rows
-from repro.representatives.representative import DatabaseRepresentative
 from repro.representatives.term_stats import TermStats
 
 __all__ = ["LiveEngineServer"]
@@ -80,11 +76,11 @@ class LiveEngineServer:
 
     Args:
         name: Engine name (the broker's routing key).
-        documents: Initial corpus; version 0 covers exactly these.
+        documents: Initial corpus; version 1 covers exactly these (version
+            0, the empty representative, when there are none).
         log_limit: Number of per-mutation deltas retained.  Older entries
             are compacted away; ``delta_since`` below the compaction
-            horizon raises :class:`DeltaCompactedError` and
-            :meth:`sync_representative` falls back to a full snapshot.
+            horizon answers the full delta.
     """
 
     def __init__(
@@ -103,17 +99,16 @@ class LiveEngineServer:
         self._postings: Dict[str, Dict[str, float]] = {}
         self._stats: Dict[str, _Stats] = {}
         # A search walks the postings a mutation edits in place; the two
-        # (and the snapshot build) never interleave.
+        # (and a delta build) never interleave.
         self._lock = threading.Lock()
         for document in documents or []:
             if document.doc_id in self._weights:
                 raise ValueError(f"duplicate doc_id {document.doc_id!r}")
             self._insert(document)
         self._restat(self._postings)
-        self._version = 0
+        self._version = 1 if self._weights else 0
         self._log_limit = log_limit
         self._log: Deque[RepresentativeDelta] = deque()
-        self._snapshot: Optional[RepresentativeSnapshot] = None
 
     # -- identity and versioning ----------------------------------------------
 
@@ -136,7 +131,8 @@ class LiveEngineServer:
 
     @property
     def compacted_below(self) -> int:
-        """Oldest base version ``delta_since`` can still serve."""
+        """Oldest base version ``delta_since`` composes from the log; any
+        base below it (other than 0) gets the full delta."""
         return self._log[0].from_version if self._log else self._version
 
     # -- mutation --------------------------------------------------------------
@@ -229,67 +225,57 @@ class LiveEngineServer:
 
     # -- representative publication --------------------------------------------
 
-    def snapshot(self) -> RepresentativeSnapshot:
-        """The current canonical representative, version-stamped; built on
-        first request per version and then reused."""
-        with self._lock:
-            if self._snapshot is None or self._snapshot.version != self._version:
-                n = self.n_documents
-                self._snapshot = RepresentativeSnapshot(
-                    name=self._name,
-                    version=self._version,
-                    representative=DatabaseRepresentative(self._name, n, {
-                        term: TermStats(df / n, mean, std, mw)
-                        for term, (df, mean, std, mw) in sorted(self._stats.items())
-                    }),
-                )
-            return self._snapshot
+    def delta_since(self, since: Optional[int]) -> RepresentativeDelta:
+        """The delta from version ``since`` to the live version.
 
-    def delta_since(self, since: int) -> RepresentativeDelta:
-        """The composed delta from version ``since`` to the live version.
+        A ``since`` the log still covers gets the composed delta (the
+        empty delta at the live version itself).  Anything else — ``None``,
+        0, a version compacted out of the log, or one ahead of the server
+        (a broker that synced with an earlier run of this engine) — gets
+        the full delta from version 0, built from the per-term statistics
+        in sorted-term order.
 
-        Raises :class:`DeltaCompactedError` when ``since`` predates the
-        retained log and :class:`ValueError` when it lies in the future.
+        Raises:
+            ValueError: ``since`` is negative.
         """
-        if since > self._version or since < 0:
-            raise ValueError(
-                f"version {since} outside [0, {self._version}]"
-            )
-        if since == self._version:
+        if since is not None and since < 0:
+            raise ValueError(f"version {since} is negative")
+        with self._lock:
+            n = self.n_documents
+            if since == self._version:
+                return RepresentativeDelta(
+                    name=self._name,
+                    from_version=since,
+                    to_version=since,
+                    from_n_documents=n,
+                    n_documents=n,
+                    records=(),
+                )
+            if since and self.compacted_below <= since < self._version:
+                start = since - self._log[0].from_version
+                composed = self._log[start]
+                for index in range(start + 1, len(self._log)):
+                    composed = composed.compose(self._log[index])
+                return composed
             return RepresentativeDelta(
                 name=self._name,
-                from_version=since,
-                to_version=since,
-                from_n_documents=self.n_documents,
-                n_documents=self.n_documents,
-                records=(),
+                from_version=0,
+                to_version=self._version,
+                from_n_documents=0,
+                n_documents=n,
+                records=tuple(
+                    TermDeltaRecord("set", term, TermStats(df / n, mean, std, mw))
+                    for term, (df, mean, std, mw) in sorted(self._stats.items())
+                ),
             )
-        if not self._log or self._log[0].from_version > since:
-            raise DeltaCompactedError(
-                f"version {since} compacted (log starts at "
-                f"{self.compacted_below})"
-            )
-        start = since - self._log[0].from_version
-        composed = self._log[start]
-        for index in range(start + 1, len(self._log)):
-            composed = composed.compose(self._log[index])
-        return composed
 
     def sync_representative(
         self, since: Optional[int] = None
-    ) -> Union[RepresentativeDelta, RepresentativeSnapshot]:
-        """Delta when the base version is still in the log, else snapshot.
-
-        This is the in-process twin of ``GET /representative/delta`` — the
-        :class:`~repro.serving.remote_engine.RemoteEngine` method of the
-        same name performs the identical negotiation over HTTP.
-        """
-        if since is None:
-            return self.snapshot()
-        try:
-            return self.delta_since(since)
-        except (DeltaCompactedError, ValueError):
-            return self.snapshot()
+    ) -> RepresentativeDelta:
+        """:meth:`delta_since` under the name every engine answers it by:
+        the in-process twin of ``GET /representative?since=v``, which
+        :class:`~repro.serving.remote_engine.RemoteEngine` asks over HTTP."""
+        return self.delta_since(since)
 
     # -- serving ---------------------------------------------------------------
 

@@ -71,6 +71,7 @@ dispatcher/cache/estimator series.  The default
 from __future__ import annotations
 
 import numbers
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -144,9 +145,9 @@ class DeltaApplyReport:
         from_version: Version the delta was built against.
         to_version: Version the representative is now at.
         mode: ``"precise"`` when only the affected terms' cache entries
-            were evicted, ``"full"`` when the estimator is not term-local
-            and the broker fell back to whole-engine eviction.
-        nbytes: Canonical wire size of the delta.
+            were evicted, ``"full"`` when the delta was a full one (it
+            replaced the representative) or the estimator is not
+            term-local, and the broker evicted the whole engine.
         terms_touched: Terms the delta adds, removes, or reweights.
         cache_evicted / cache_retained: Estimate-cache entries for this
             engine dropped vs. kept by the invalidation.
@@ -159,7 +160,6 @@ class DeltaApplyReport:
     from_version: int
     to_version: int
     mode: str
-    nbytes: int
     terms_touched: int
     cache_evicted: int
     cache_retained: int
@@ -473,11 +473,16 @@ class MetasearchBroker(SearchPipeline):
         self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
+        # The two write sites (register, apply_representative_delta) edit
+        # the store, invalidate and bump the generation under this lock; a
+        # computed row goes into the cache under it only if the generation
+        # it was gathered at is still current.
+        self._write_lock = threading.Lock()
+        self._generation = 0
         self._m_search_seconds = self.registry.histogram(
             "broker.search.seconds", buckets=LATENCY_BUCKETS
         )
         self._m_delta_applies = self.registry.counter("fleet.delta.applies")
-        self._m_delta_bytes = self.registry.counter("fleet.delta.bytes")
         self._m_delta_terms = self.registry.counter("fleet.delta.terms")
         self._m_delta_full = self.registry.counter("fleet.delta.full_evictions")
         self._m_delta_cache_evicted = self.registry.counter(
@@ -546,16 +551,20 @@ class MetasearchBroker(SearchPipeline):
                     n_documents=representative.n_documents,
                     term_stats=dict(representative.items()),
                 )
-            # The fleet owns the packed arrays; the dict representative is
-            # dropped here, so the two forms are never resident together.
-            self.fleet.add(representative)
-        self._engines[engine.name] = engine
-        if version is not None:
-            self._rep_versions[engine.name] = version
-        else:
-            self._rep_versions.pop(engine.name, None)
-        self.cache.invalidate_engine(engine.name)
-        self.polycache.invalidate_engine(engine.name)
+        with self._write_lock:
+            if not adopt:
+                # The fleet owns the packed arrays; the dict representative
+                # is dropped here, so the two forms are never resident
+                # together.
+                self.fleet.add(representative)
+            self._engines[engine.name] = engine
+            if version is not None:
+                self._rep_versions[engine.name] = version
+            else:
+                self._rep_versions.pop(engine.name, None)
+            self.cache.invalidate_engine(engine.name)
+            self.polycache.invalidate_engine(engine.name)
+            self._generation += 1
 
     @property
     def engine_names(self) -> List[str]:
@@ -594,82 +603,90 @@ class MetasearchBroker(SearchPipeline):
     def apply_representative_delta(
         self, delta: RepresentativeDelta
     ) -> DeltaApplyReport:
-        """Apply one versioned delta to a registered representative in place.
+        """Apply one versioned delta to a registered representative.
 
-        The mutation is bit-exact: the updated representative equals the
-        one a full rebuild of the mutated corpus would produce (in
-        canonical sorted-term order); the dict-form reference the fleet
-        store's in-place edit is tested against is
-        ``tests/oracle.py::apply_delta``.
+        A *full* delta (from version 0, the empty representative) replaces
+        whatever the broker holds — no base-version check — and evicts the
+        whole engine from both caches (mode ``"full"``).  Any other delta
+        edits the representative in place.  The edit is bit-exact: the
+        updated representative equals the one a full rebuild of the
+        mutated corpus would produce (in canonical sorted-term order); the
+        dict-form reference the fleet store's in-place edit is tested
+        against is ``tests/oracle.py::apply_delta``.
 
-        Cache invalidation is *precise* when the estimator declares
-        ``term_local``: only estimate-cache entries whose queries touch an
-        affected term are evicted, and only the affected terms' polynomial
-        factors.  "Affected" is the delta's own terms; when the document
-        count changes it widens to every term present before the apply
-        (all per-term probabilities rescale), which still retains entries
-        for queries over terms this engine never held.  Estimators whose
-        estimates mix in representative-global state (``term_local =
+        An edit's cache invalidation is *precise* when the estimator
+        declares ``term_local``: only estimate-cache entries whose queries
+        touch an affected term are evicted, and only the affected terms'
+        polynomial factors.  "Affected" is the delta's own terms; when the
+        document count changes it widens to every term present before the
+        apply (all per-term probabilities rescale), which still retains
+        entries for queries over terms this engine never held.  Estimators
+        whose estimates mix in representative-global state (``term_local =
         False``) fall back to whole-engine eviction, which is always sound.
 
         Raises:
             KeyError: ``delta.name`` is not a registered engine.
-            ValueError: The broker knows the representative's source
-                version and the delta was built against a different one,
-                or the delta's base document count does not match.
+            ValueError: A full delta that does not start from 0 documents;
+                or an edit whose base version differs from the one the
+                broker knows, or whose base document count does not match.
         """
         started = time.perf_counter()
-        if delta.name not in self._engines:
-            raise KeyError(f"engine {delta.name!r} not registered")
-        known = self._rep_versions.get(delta.name)
-        if known is not None and known != delta.from_version:
-            raise ValueError(
-                f"delta for {delta.name!r} is based on version "
-                f"{delta.from_version}, but the broker holds version {known}"
-            )
-        term_local = bool(getattr(self.estimator, "term_local", False))
-        n_changed = delta.n_documents != delta.from_n_documents
-        affected: Optional[set] = None
-        if term_local:
-            affected = set(delta.terms)
-            if n_changed:
-                # Every present term's probability rescales with n; terms
-                # this engine never held keep their (zero / negative)
-                # entries — they do not depend on the document count.
-                affected |= self._present_terms(delta.name)
-        self.fleet.apply_delta(delta)
-        cache_evicted = cache_retained = 0
-        poly_evicted = poly_retained = 0
-        if affected is not None:
-            mode = "precise"
-            cache_evicted, cache_retained = self.cache.invalidate_terms(
-                delta.name, affected
-            )
-            poly_evicted, poly_retained = self.polycache.invalidate_terms(
-                delta.name, affected
-            )
-        else:
-            mode = "full"
-            cache_evicted = self.cache.invalidate_engine(delta.name)
-            poly_evicted = self.polycache.invalidate_engine(delta.name)
-            self._m_delta_full.inc()
-        self._rep_versions[delta.name] = delta.to_version
+        name = delta.name
+        if name not in self._engines:
+            raise KeyError(f"engine {name!r} not registered")
+        full = delta.is_full
+        if full:
+            representative = delta.as_representative()
+        with self._write_lock:
+            known = self._rep_versions.get(name)
+            if not full and known is not None and known != delta.from_version:
+                raise ValueError(
+                    f"delta for {name!r} is based on version "
+                    f"{delta.from_version}, but the broker holds version {known}"
+                )
+            affected: Optional[set] = None
+            if not full and self.estimator.term_local:
+                affected = set(delta.terms)
+                if delta.n_documents != delta.from_n_documents:
+                    # Every present term's probability rescales with n;
+                    # terms this engine never held keep their (zero /
+                    # negative) entries — they do not depend on the
+                    # document count.
+                    affected |= self._present_terms(name)
+            if full:
+                self.fleet.add(representative)
+            else:
+                self.fleet.apply_delta(delta)
+            cache_retained = poly_retained = 0
+            if affected is not None:
+                mode = "precise"
+                cache_evicted, cache_retained = self.cache.invalidate_terms(
+                    name, affected
+                )
+                poly_evicted, poly_retained = self.polycache.invalidate_terms(
+                    name, affected
+                )
+            else:
+                mode = "full"
+                cache_evicted = self.cache.invalidate_engine(name)
+                poly_evicted = self.polycache.invalidate_engine(name)
+                self._m_delta_full.inc()
+            self._rep_versions[name] = delta.to_version
+            self._generation += 1
         elapsed = time.perf_counter() - started
         self._m_delta_applies.inc()
-        self._m_delta_bytes.inc(delta.nbytes)
-        self._m_delta_terms.inc(len(delta.terms))
+        self._m_delta_terms.inc(len(delta.records))
         self._m_delta_cache_evicted.inc(cache_evicted)
         self._m_delta_cache_retained.inc(cache_retained)
         self._m_delta_poly_evicted.inc(poly_evicted)
         self._m_delta_poly_retained.inc(poly_retained)
         self._m_delta_seconds.observe(elapsed)
         return DeltaApplyReport(
-            name=delta.name,
+            name=name,
             from_version=delta.from_version,
             to_version=delta.to_version,
             mode=mode,
-            nbytes=delta.nbytes,
-            terms_touched=len(delta.terms),
+            terms_touched=len(delta.records),
             cache_evicted=cache_evicted,
             cache_retained=cache_retained,
             polycache_evicted=poly_evicted,
@@ -677,28 +694,34 @@ class MetasearchBroker(SearchPipeline):
             seconds=elapsed,
         )
 
-    def sync_representative(self, engine) -> Optional[DeltaApplyReport]:
-        """Catch a registered engine's representative up to its source.
+    def sync_representative(self, engine) -> DeltaApplyReport:
+        """Catch ``engine``'s representative up to its source: apply
+        ``engine.sync_representative(since=<last known version>)`` — live
+        engine servers and remote engine proxies both implement it.
 
-        Asks ``engine.sync_representative(since=<last known version>)``
-        — live engine servers and remote engine proxies both implement
-        it — and applies whatever comes back: a
-        :class:`~repro.fleet.delta.RepresentativeDelta` is applied
-        incrementally (returning the apply report), a full snapshot
-        (the compaction fallback, or the first sync) re-registers the
-        engine and returns ``None``.
+        An engine the broker does not hold yet asks with no version, gets
+        the full delta, and is first entered under its name.
+
+        Raises:
+            ValueError: A first contact answered by anything but the full
+                delta of the engine's own name.
         """
         name = engine.name
-        since = self._rep_versions.get(name) if name in self._engines else None
-        result = engine.sync_representative(since=since)
-        if isinstance(result, RepresentativeDelta):
-            return self.apply_representative_delta(result)
-        self.register(
-            engine,
-            representative=result.representative,
-            version=result.version,
-        )
-        return None
+        if name in self._engines:
+            since = self._rep_versions.get(name)
+            return self.apply_representative_delta(
+                engine.sync_representative(since=since)
+            )
+        delta = engine.sync_representative(since=None)
+        if delta.name != name or not delta.is_full or delta.from_n_documents:
+            raise ValueError(
+                f"first sync of {name!r} answered a delta for {delta.name!r} "
+                f"from version {delta.from_version}, not a full delta"
+            )
+        with self._write_lock:
+            if self._engines.setdefault(name, engine) is not engine:
+                raise ValueError(f"engine {name!r} already registered")
+        return self.apply_representative_delta(delta)
 
     # -- estimation ------------------------------------------------------------------------
 
@@ -763,6 +786,10 @@ class MetasearchBroker(SearchPipeline):
                 if t not in missing
             }
             if missing:
+                # A row gathered before a write must not land after the
+                # write's invalidation: read the generation first, and put
+                # (under the writers' lock) only if no write finished since.
+                generation = self._generation
                 # An engine registered since ``names`` was read is past
                 # its end: the grid's columns are cut to the snapshot.
                 grid = [
@@ -770,6 +797,7 @@ class MetasearchBroker(SearchPipeline):
                         self.estimator, self.fleet, queries[members[0]], missing
                     )
                 ]
+                puts = []
                 for t, nodoc, avgsim in zip(missing, *grid):
                     cached = slots[t]
                     filled = names
@@ -781,8 +809,12 @@ class MetasearchBroker(SearchPipeline):
                                 nodoc[e], avgsim[e] = value
                         filled = [names[e] for e in holes]
                         fresh = [fresh[e] for e in holes]
-                    self.cache.put_row(query_key, t, filled, fresh)
+                    puts.append((t, filled, fresh))
                     values[t] = nodoc, avgsim
+                with self._write_lock:
+                    if self._generation == generation:
+                        for t, filled, fresh in puts:
+                            self.cache.put_row(query_key, t, filled, fresh)
             rank = self._name_rank(names)
             ranked = {
                 t: EstimateRow.ranked(names, nodoc, avgsim, rank)

@@ -33,6 +33,7 @@ representation while reconstructing every :class:`TermStats` bit-exactly.
 from __future__ import annotations
 
 import io
+import threading
 from pathlib import Path
 from typing import (
     Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -563,6 +564,9 @@ class FleetRepresentativeStore:
         self._n_terms: List[int] = []
         # Every engine is either pending or fully in the packed layout.
         self._pending: Dict[int, ColumnarRepresentative] = {}
+        # Writes and the lazy pack hold it, so a pack never runs on two
+        # threads at once nor drops an engine parked while it ran.
+        self._lock = threading.RLock()
         self._packed = _PackedFleet.empty()
         # Derived per-engine arrays served on every grid call; rebuilt
         # lazily after a registration change instead of per read.
@@ -588,23 +592,24 @@ class FleetRepresentativeStore:
                 representative, self.vocab
             )
         name = columns.name
-        index = self._by_name.get(name)
-        if index is None:
-            index = len(self._names)
-            self._names.append(name)
-            self._by_name[name] = index
-            self._n_documents.append(columns.n_documents)
-            self._has_mw_default.append(columns.has_max_weights)
-            self._binary_mean_w.append(columns.binary_mean_w)
-            self._n_terms.append(columns.n_terms)
-        else:
-            self._n_documents[index] = columns.n_documents
-            self._has_mw_default[index] = columns.has_max_weights
-            self._binary_mean_w[index] = columns.binary_mean_w
-            self._n_terms[index] = columns.n_terms
-        self._pending[index] = columns
-        self._docs_array = None
-        self._mean_w_array = None
+        with self._lock:
+            index = self._by_name.get(name)
+            if index is None:
+                index = len(self._names)
+                self._names.append(name)
+                self._by_name[name] = index
+                self._n_documents.append(columns.n_documents)
+                self._has_mw_default.append(columns.has_max_weights)
+                self._binary_mean_w.append(columns.binary_mean_w)
+                self._n_terms.append(columns.n_terms)
+            else:
+                self._n_documents[index] = columns.n_documents
+                self._has_mw_default[index] = columns.has_max_weights
+                self._binary_mean_w[index] = columns.binary_mean_w
+                self._n_terms[index] = columns.n_terms
+            self._pending[index] = columns
+            self._docs_array = None
+            self._mean_w_array = None
         return FleetRepresentativeRef(name, self)
 
     def apply_delta(self, delta) -> None:
@@ -618,9 +623,13 @@ class FleetRepresentativeStore:
         which the next fleet-wide read merges into the packed layout in
         place of the engine's old entries; no other engine is unpacked.
         The engine's binary mean weight is recomputed over canonical
-        sorted-term-string order, matching what registering the engine's
-        fresh canonical snapshot would have produced.
+        sorted-term-string order, matching what applying the engine's full
+        delta would have produced.
         """
+        with self._lock:
+            self._apply_delta(delta)
+
+    def _apply_delta(self, delta) -> None:
         index = self._by_name.get(delta.name)
         if index is None:
             raise KeyError(delta.name)
@@ -653,7 +662,7 @@ class FleetRepresentativeStore:
         if n_old != n_new:
             # df = rint(p * n_old) is exact (df is an integer < 2**51 and p
             # was computed as df / n_old in float64), so df / n_new is the
-            # very division a fresh snapshot performs — bit-identical.
+            # very division a fresh build performs — bit-identical.
             kept_p = (
                 np.rint(kept_p * n_old) / n_new
                 if n_new
@@ -678,8 +687,8 @@ class FleetRepresentativeStore:
             raise ValueError("delta empties the database but terms survive")
 
         # The binary baseline's database weight reduces over the dict
-        # snapshot's iteration order — canonical sorted-term-string order
-        # on the live path — so recompute it in exactly that order.
+        # representative's iteration order — canonical sorted-term-string
+        # order on the live path — so recompute it in exactly that order.
         terms = [self.vocab.term_of(t) for t in merged_ids.tolist()]
         by_string = sorted(range(len(terms)), key=terms.__getitem__)
         means = [float(merged_w[i]) for i in by_string]
@@ -815,8 +824,10 @@ class FleetRepresentativeStore:
 
     def _ensure_packed(self) -> _PackedFleet:
         if self._pending:
-            self._packed = self._pack()
-            self._pending.clear()
+            with self._lock:
+                if self._pending:
+                    self._packed = self._pack()
+                    self._pending.clear()
         return self._packed
 
     # -- reads ---------------------------------------------------------------

@@ -64,12 +64,8 @@ from repro.serving.wire import (
     failure_to_wire,
     query_from_wire,
     query_to_wire,
-    representative_from_wire,
-    representative_to_wire,
     response_from_wire,
     response_to_wire,
-    snapshot_from_wire,
-    snapshot_to_wire,
     usefulness_from_wire,
     usefulness_to_wire,
 )
@@ -109,12 +105,8 @@ __all__ = [
     "failure_to_wire",
     "query_from_wire",
     "query_to_wire",
-    "representative_from_wire",
-    "representative_to_wire",
     "response_from_wire",
     "response_to_wire",
-    "snapshot_from_wire",
-    "snapshot_to_wire",
     "usefulness_from_wire",
     "usefulness_to_wire",
 ]

@@ -367,8 +367,9 @@ class ShardedFleet(SearchPipeline):
         Raises:
             KeyError: No attached shard owns ``delta.name``.
             RemoteServingError: The shard rejected the delta (including
-                the 409 base-version conflict — callers should fall back
-                to re-shipping a snapshot) or answered malformed JSON.
+                the 409 base-version conflict — callers re-ship the
+                engine's full delta, ``delta_since(0)``, which the shard
+                applies whatever it holds) or answered malformed JSON.
         """
         shard = self._owner.get(delta.name)
         if shard is None:

@@ -7,33 +7,32 @@ estimates from.  :class:`EngineApp` exposes exactly those over the wire:
 * ``POST /search`` — ``{"query": <wire query>, "threshold": t}`` →
   the engine's hits, best first.
 * ``POST /max_similarity`` — the oracle call used by ``true_selection``.
-* ``GET /representative`` — the engine's representative as a versioned
-  :class:`~repro.fleet.delta.RepresentativeSnapshot`; a static engine
-  stamps its *document count*, so a broker can tell whether its copy is
-  stale without re-downloading.
-  ``?quantize=256`` ships the one-byte form (~4 bytes/term, Section 3.2);
-  ``?format=npz`` ships the columnar binary form
-  (:meth:`~repro.representatives.columnar.ColumnarRepresentative.save_npz`)
-  as ``application/octet-stream`` with the version echoed in the
-  ``X-Repro-Representative-Version`` header — no JSON decode, no float
-  text round-trip, directly loadable into a broker's fleet store.
+* ``GET /representative?since=v`` — the
+  :class:`~repro.fleet.delta.RepresentativeDelta` from version ``v`` to
+  the engine's current version, as a ``representative.delta`` JSON
+  document.  Without ``since`` (first contact), or for a ``v`` the engine
+  cannot build a delta from, the answer is the *full* delta from version
+  0, the empty representative.  A static engine's version is its
+  *document count*: it answers the empty delta for its own version, so a
+  broker can tell its copy is current without re-downloading, and the
+  full delta for any other.
 
-The representative is built lazily and cached per version: rebuilding is
-the expensive call a deployment batches, and repeated ``GET``\\ s at the
-same version must not repeat the work.
+The full delta is built lazily and cached per version: building the
+representative is the expensive call a deployment batches, and repeated
+``GET``\\ s at the same version must not repeat the work.
 
 :class:`LiveEngineApp` wraps a mutable
-:class:`~repro.fleet.live.LiveEngineServer` and adds the live-fleet
-protocol on top of the same engine surface:
+:class:`~repro.fleet.live.LiveEngineServer` and adds mutation on top of
+the same engine surface:
 
 * ``POST /mutate`` — ``{"add": [<documents>], "remove": [<doc ids>]}``
   mutates the corpus; each non-empty list is one versioned mutation
   whose delta lands in the server's replay log.  The request is validated
   whole first: a refused one (400) has applied neither list.
-* ``GET /representative/delta?since=v`` — the composed
-  :class:`~repro.fleet.delta.RepresentativeDelta` from version ``v`` to
-  now, or the full ``representative.snapshot`` payload when ``v`` has
-  been compacted out of the log (callers discriminate on ``kind``).
+* ``GET /representative?since=v`` answers the server's
+  :meth:`~repro.fleet.live.LiveEngineServer.delta_since`: the composed
+  delta while ``v`` is in the log, the full delta when ``v`` is absent,
+  compacted out of the log or ahead of the server (the engine restarted).
 
 Versions here are *mutation counters*, not document counts — a remove
 followed by an add leaves ``n_documents`` unchanged but must still be
@@ -42,24 +41,17 @@ visible to a syncing broker.
 
 from __future__ import annotations
 
-import io
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.corpus.document import Document
 from repro.engine.search_engine import SearchEngine
-from repro.fleet.delta import RepresentativeSnapshot
+from repro.fleet.delta import RepresentativeDelta, diff_representatives
 from repro.fleet.live import LiveEngineServer
 from repro.representatives.builder import build_representative
-from repro.representatives.columnar import ColumnarRepresentative
 from repro.representatives.representative import DatabaseRepresentative
 from repro.serving.http import HTTPError, Response, ServingApp
-from repro.serving.wire import (
-    encode_hits,
-    query_from_wire,
-    snapshot_to_wire,
-    threshold_from_wire,
-)
+from repro.serving.wire import encode_hits, query_from_wire, threshold_from_wire
 
 __all__ = ["EngineApp", "LiveEngineApp"]
 
@@ -81,11 +73,13 @@ class EngineApp(ServingApp):
     def __init__(self, engine: SearchEngine, **kwargs):
         self.engine = engine
         self._rep_lock = threading.Lock()
-        self._rep_cache: Optional[Tuple[int, DatabaseRepresentative]] = None
-        self._npz_cache: Optional[Tuple[int, bytes]] = None
+        self._full: Optional[RepresentativeDelta] = None
         super().__init__(**kwargs)
         self._m_searches = self.registry.counter("serving.engine.searches")
-        self._m_snapshots = self.registry.counter("serving.engine.snapshots")
+        self._m_deltas = self.registry.counter("serving.engine.deltas")
+        self._m_delta_fallbacks = self.registry.counter(
+            "serving.engine.delta.fallbacks"
+        )
 
     def add_routes(self) -> None:
         self.route("POST", "/search", self._route_search)
@@ -123,73 +117,51 @@ class EngineApp(ServingApp):
             }
         )
 
-    def _representative(self) -> Tuple[int, DatabaseRepresentative]:
-        """The current representative, rebuilt only when the version moved."""
+    def _delta(self, since: Optional[int]) -> RepresentativeDelta:
+        """The empty delta when ``since`` is the engine's version (its
+        document count), else the full delta, built once per version."""
         version = self.engine.n_documents
+        if since == version:
+            return RepresentativeDelta(
+                self.engine.name, version, version, version, version, ()
+            )
         with self._rep_lock:
-            if self._rep_cache is None or self._rep_cache[0] != version:
-                self._rep_cache = (version, build_representative(self.engine))
-                self._m_snapshots.inc()
-            return self._rep_cache
-
-    def _npz_snapshot(self) -> Tuple[int, bytes]:
-        """The columnar binary form, cached per version like the dict form."""
-        version, representative = self._representative()
-        with self._rep_lock:
-            if self._npz_cache is None or self._npz_cache[0] != version:
-                buffer = io.BytesIO()
-                ColumnarRepresentative.from_representative(
-                    representative
-                ).save_npz(buffer)
-                self._npz_cache = (version, buffer.getvalue())
-            return self._npz_cache
+            if self._full is None or self._full.to_version != version:
+                self._full = diff_representatives(
+                    DatabaseRepresentative(self.engine.name, 0, {}),
+                    build_representative(self.engine),
+                    from_version=0,
+                    to_version=version,
+                )
+            return self._full
 
     def _route_representative(self, params, payload) -> Response:
-        fmt = params.get("format", "json")
-        if fmt not in ("json", "npz"):
-            raise HTTPError(
-                400, f"unknown representative format {fmt!r} (json or npz)"
-            )
-        if fmt == "npz":
-            if params.get("quantize") is not None:
-                raise HTTPError(
-                    400, "quantize is not supported with format=npz"
-                )
-            version, blob = self._npz_snapshot()
-            return Response(
-                raw=blob,
-                content_type="application/octet-stream",
-                headers={"X-Repro-Representative-Version": str(version)},
-            )
-        quantize: Optional[int] = None
-        raw = params.get("quantize")
-        if raw is not None:
+        raw_since = params.get("since")
+        since: Optional[int] = None
+        if raw_since is not None:
             try:
-                quantize = int(raw)
+                since = int(raw_since)
             except ValueError as exc:
-                raise HTTPError(400, f"bad quantize parameter: {exc}") from exc
-            if quantize < 1:
-                raise HTTPError(
-                    400, f"quantize must be >= 1, got {quantize}"
-                )
-        version, representative = self._representative()
-        return Response(
-            payload=snapshot_to_wire(
-                RepresentativeSnapshot(self.engine.name, version, representative),
-                quantize=quantize,
-            )
-        )
+                raise HTTPError(400, f"bad since parameter: {exc}") from exc
+            if since < 0:
+                raise HTTPError(400, f"since={since} must be >= 0")
+        delta = self._delta(since)
+        self._m_deltas.inc()
+        if since and delta.is_full:
+            # Compacted past ``since``, or ``since`` ahead of the engine
+            # (a restart, or another static corpus under the same name).
+            self._m_delta_fallbacks.inc()
+        return Response(payload=delta.to_json_dict())
 
 
 class LiveEngineApp(EngineApp):
     """Serve one mutable :class:`~repro.fleet.live.LiveEngineServer`.
 
     All of :class:`EngineApp`'s routes work unchanged (the live server is
-    duck-compatible with a search engine), plus the mutation and delta
-    endpoints of the live-fleet protocol.  ``/representative`` versions
-    are the server's mutation counter rather than the document count, and
-    the representative itself is the server's canonical snapshot, built
-    once per version from the statistics it edits in place — no rebuild
+    duck-compatible with a search engine), plus ``POST /mutate``.
+    ``/representative`` versions are the server's mutation counter rather
+    than the document count, and its answer is the server's own
+    :meth:`~repro.fleet.live.LiveEngineServer.delta_since` — no rebuild
     per ``GET``.
     """
 
@@ -197,18 +169,12 @@ class LiveEngineApp(EngineApp):
 
     def __init__(self, server: LiveEngineServer, **kwargs):
         self.server = server
-        self._last_snapshot_version: Optional[int] = None
         super().__init__(server, **kwargs)
         self._m_mutations = self.registry.counter("serving.engine.mutations")
-        self._m_deltas = self.registry.counter("serving.engine.deltas")
-        self._m_delta_fallbacks = self.registry.counter(
-            "serving.engine.delta.fallbacks"
-        )
 
     def add_routes(self) -> None:
         super().add_routes()
         self.route("POST", "/mutate", self._route_mutate)
-        self.route("GET", "/representative/delta", self._route_delta)
 
     def health_info(self) -> dict:
         info = super().health_info()
@@ -216,14 +182,9 @@ class LiveEngineApp(EngineApp):
         info["version"] = self.server.version
         return info
 
-    def _representative(self) -> Tuple[int, DatabaseRepresentative]:
-        """The server's maintained canonical snapshot — never rebuilt here."""
-        with self._rep_lock:
-            snapshot = self.server.snapshot()
-            if self._last_snapshot_version != snapshot.version:
-                self._last_snapshot_version = snapshot.version
-                self._m_snapshots.inc()
-            return snapshot.version, snapshot.representative
+    def _delta(self, since: Optional[int]) -> RepresentativeDelta:
+        with self._rep_lock:  # not between the two halves of a /mutate
+            return self.server.delta_since(since)
 
     # -- live-fleet routes ---------------------------------------------------
 
@@ -279,8 +240,6 @@ class LiveEngineApp(EngineApp):
             if documents:
                 self.server.add_documents(documents)
                 self._m_mutations.inc()
-            # The dict representative moved; drop the stale columnar blob.
-            self._npz_cache = None
         return Response(
             payload={
                 "kind": "engine.mutated",
@@ -291,24 +250,3 @@ class LiveEngineApp(EngineApp):
                 "added": len(documents),
             }
         )
-
-    def _route_delta(self, params, payload) -> Response:
-        raw_since = params.get("since")
-        since: Optional[int] = None
-        if raw_since is not None:
-            try:
-                since = int(raw_since)
-            except ValueError as exc:
-                raise HTTPError(400, f"bad since parameter: {exc}") from exc
-            if since < 0:
-                raise HTTPError(400, f"since={since} must be >= 0")
-        with self._rep_lock:
-            result = self.server.sync_representative(since=since)
-        if hasattr(result, "to_json_dict"):  # a RepresentativeDelta
-            self._m_deltas.inc()
-            return Response(payload=result.to_json_dict())
-        # No ``since``, compacted past it, or ``since`` ahead of the server
-        # (this engine restarted and its counter began again): full snapshot.
-        if since is not None:
-            self._m_delta_fallbacks.inc()
-        return Response(payload=snapshot_to_wire(result))

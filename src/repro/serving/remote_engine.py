@@ -71,17 +71,12 @@ import socket
 import threading
 import time
 import weakref
-import zipfile
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
 from repro.engine.results import SearchHit
-from repro.fleet.delta import (
-    DELTA_KIND,
-    RepresentativeDelta,
-    RepresentativeSnapshot,
-)
+from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.deadlines import DEADLINE_HEADER, ambient_deadline
 from repro.metasearch.selection import EstimateRow
@@ -91,7 +86,6 @@ from repro.serving.wire import (
     estimate_row_from_wire,
     query_to_wire,
     response_from_wire,
-    snapshot_from_wire,
 )
 
 __all__ = [
@@ -403,16 +397,12 @@ class _HTTPJsonClient:
 
     def _decoded(self, path: str, decode: Callable, *answer):
         """``decode(*answer)`` — the one place a 2xx answer of the wrong
-        shape (non-object body, missing field, wrong type, wrong ``kind``,
-        an empty or truncated ``.npz``) becomes a
-        :class:`RemoteServingError`, which callers — the dispatcher above
-        all — handle like any other remote fault."""
+        shape (non-object body, missing field, wrong type, wrong ``kind``)
+        becomes a :class:`RemoteServingError`, which callers — the
+        dispatcher above all — handle like any other remote fault."""
         try:
             return decode(*answer)
-        except (
-            AttributeError, KeyError, TypeError, ValueError, OSError,
-            EOFError, zipfile.BadZipFile,
-        ) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise RemoteServingError(
                 f"{self.base_url}{path} returned a malformed answer: "
                 f"{type(exc).__name__}: {exc}"
@@ -589,78 +579,20 @@ class RemoteEngine:
             decode=lambda answer: float(answer["value"]),
         )
 
-    def snapshot_representative(
-        self, quantize: Optional[int] = None, columnar: bool = False
-    ) -> RepresentativeSnapshot:
-        """Fetch the engine's versioned representative.
-
-        Args:
-            quantize: Ship the one-byte quantized wire form with this many
-                levels (~4 bytes/term) instead of the exact floats.
-            columnar: Ship the columnar ``.npz`` binary form instead of
-                JSON — no float text round-trip, decoded straight into a
-                :class:`~repro.representatives.columnar.ColumnarRepresentative`
-                (duck-compatible with the dict representative and directly
-                registrable with a columnar broker).  Exclusive with
-                ``quantize``.
-        """
-        if columnar:
-            if quantize is not None:
-                raise ValueError("quantize is not supported with columnar")
-            return self._snapshot_columnar()
-        path = "/representative"
-        if quantize is not None:
-            path = f"{path}?quantize={int(quantize)}"
-        return self._client.request("GET", path, decode=snapshot_from_wire)
-
     def sync_representative(
         self, since: Optional[int] = None
-    ) -> Union[RepresentativeDelta, RepresentativeSnapshot]:
-        """Fetch the cheapest representation of "everything after ``since``".
-
-        Asks the live engine's ``/representative/delta`` endpoint and
-        returns whatever it answers: a
-        :class:`~repro.fleet.delta.RepresentativeDelta` covering
-        ``since → now``, or a full :class:`RepresentativeSnapshot` when
-        ``since`` is ``None``, has been compacted out of the server's
-        replay log, or the server is a plain (non-live) engine server —
-        the caller discriminates with ``isinstance``.  This is the remote
-        half of :meth:`~repro.metasearch.broker.MetasearchBroker.
-        sync_representative`.
+    ) -> RepresentativeDelta:
+        """The engine's :class:`~repro.fleet.delta.RepresentativeDelta`
+        from version ``since`` (``GET /representative?since=v``): the
+        full delta from version 0 when ``since`` is ``None`` or the engine
+        cannot build one from it.  This is the remote half of
+        :meth:`~repro.metasearch.broker.MetasearchBroker.sync_representative`.
         """
-        path = "/representative/delta"
+        path = "/representative"
         if since is not None:
             path = f"{path}?since={int(since)}"
-
-        def decode(answer):
-            if answer.get("kind") == DELTA_KIND:
-                return RepresentativeDelta.from_json_dict(answer)
-            return snapshot_from_wire(answer)  # rejects any other kind
-
-        try:
-            return self._client.request("GET", path, decode=decode)
-        except RemoteServingError as exc:
-            if exc.status == 404:
-                # A plain EngineApp without the live protocol: fall back
-                # to the full snapshot it does serve.
-                return self.snapshot_representative()
-            raise
-
-    def _snapshot_columnar(self) -> RepresentativeSnapshot:
-        import io
-
-        from repro.representatives.columnar import ColumnarRepresentative
-
-        def decode(raw, headers):
-            representative = ColumnarRepresentative.load_npz(io.BytesIO(raw))
-            return RepresentativeSnapshot(
-                name=representative.name,
-                version=int(headers.get("X-Repro-Representative-Version")),
-                representative=representative,
-            )
-
-        return self._client.request_raw(
-            "GET", "/representative?format=npz", decode
+        return self._client.request(
+            "GET", path, decode=RepresentativeDelta.from_json_dict
         )
 
     def close(self) -> None:

@@ -15,7 +15,8 @@ the full fleet.
 
 :class:`ShardApp` exposes the shard broker's own two pipeline steps (the
 shard protocol *is* :class:`~repro.metasearch.broker.SearchPipeline`'s
-backend protocol, one process removed) plus slice shipping:
+backend protocol, one process removed) plus the summary and the deltas
+that keep the slice current:
 
 * ``POST /estimate`` — the *rows* step: a batch of queries with per-query
   thresholds; returns one estimate row per query covering this shard's
@@ -34,20 +35,19 @@ backend protocol, one process removed) plus slice shipping:
   has no whole-row bound), and ``term_local`` says whether a delta moves
   only its own terms' values (``false``: every value may move).  The
   coordinator skips a shard whose summary proves every estimate zero.
-* ``GET /slice`` — the shard's fleet slice as the columnar ``.npz``
-  bundle (``application/octet-stream``), cached after the first build
-  and invalidated when a delta mutates the slice; the ``X-Repro-Shard``
-  header echoes the shard index.
 * ``POST /delta`` — one :class:`~repro.fleet.delta.RepresentativeDelta`
   document (the canonical wire form) for an engine on this shard;
   applied through the broker's
   :meth:`~repro.metasearch.broker.MetasearchBroker.
   apply_representative_delta`, so the columnar slice mutates in place
   and only the affected cache entries are evicted.  A delta whose base
-  version does not match the shard's resident representative is a 409 —
-  the caller re-ships a snapshot.  The reply's ``headroom`` holds the new
-  summary values the delta can have moved, computed under the apply: its
-  own terms, or the whole summary when ``term_local`` is false.
+  version does not match the shard's resident representative is a 409;
+  the caller re-ships the engine's full delta (from version 0), which
+  replaces the representative whatever the shard held.  A malformed
+  delta — a full one not starting from 0 documents included — is a 400.
+  The reply's ``headroom`` holds the new summary values the delta can
+  have moved, computed under the apply: its own terms, or the whole
+  summary when ``term_local`` is false.
 
 The coordinator treats a dead shard as a set of per-engine failures,
 so the shard's own error story stays simple: malformed requests are
@@ -57,10 +57,9 @@ generic 500.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.vectorized import fleet_headroom
 from repro.fleet.delta import RepresentativeDelta
@@ -91,14 +90,13 @@ def _headroom_to_wire(summary: Optional[Dict[str, float]]) -> Optional[dict]:
 
 
 class ShardApp(ServingApp):
-    """Serve one fleet shard: batch estimation, targeted dispatch, slice.
+    """Serve one fleet shard: batch estimation, targeted dispatch, deltas.
 
     Args:
-        broker: The shard's broker, holding this shard's engines; its
-            fleet store is what ``/slice`` ships.
+        broker: The shard's broker, holding this shard's engines.
         shard_index: This shard's position in the coordinator's shard
-            list; echoed in ``/healthz`` and the ``X-Repro-Shard`` header
-            so a misconfigured topology is visible.
+            list; echoed in ``/healthz`` and every reply so a
+            misconfigured topology is visible.
         max_batch: Queries accepted per ``/estimate`` request and entries
             per ``/dispatch`` request.
     """
@@ -120,8 +118,6 @@ class ShardApp(ServingApp):
         self.broker = broker
         self.shard_index = shard_index
         self.max_batch = max_batch
-        self._slice_lock = threading.Lock()
-        self._slice_cache: Optional[bytes] = None
         # A delta and the headroom values it reports are one step.
         self._delta_lock = threading.Lock()
         super().__init__(**kwargs)
@@ -138,7 +134,6 @@ class ShardApp(ServingApp):
         self.route("POST", "/estimate", self._route_estimate)
         self.route("POST", "/dispatch", self._route_dispatch)
         self.route("GET", "/headroom", self._route_headroom)
-        self.route("GET", "/slice", self._route_slice)
         self.route("POST", "/delta", self._route_delta)
 
     def health_info(self) -> dict:
@@ -225,16 +220,6 @@ class ShardApp(ServingApp):
             }
         )
 
-    def _slice_bytes(self) -> bytes:
-        """The fleet slice as ``.npz`` bytes, cached until a ``/delta``
-        mutates the slice (which drops the cache)."""
-        with self._slice_lock:
-            if self._slice_cache is None:
-                buffer = io.BytesIO()
-                self.broker.fleet.save_npz(buffer)
-                self._slice_cache = buffer.getvalue()
-            return self._slice_cache
-
     def _headroom(self, terms=None) -> Optional[dict]:
         return _headroom_to_wire(
             fleet_headroom(self.broker.estimator, self.broker.fleet, terms)
@@ -250,13 +235,6 @@ class ShardApp(ServingApp):
                 "term_local": self.broker.estimator.term_local,
                 "headroom": summary,
             }
-        )
-
-    def _route_slice(self, params, payload) -> Response:
-        return Response(
-            raw=self._slice_bytes(),
-            content_type="application/octet-stream",
-            headers={"X-Repro-Shard": str(self.shard_index)},
         )
 
     def _route_delta(self, params, payload) -> Response:
@@ -277,10 +255,8 @@ class ShardApp(ServingApp):
             ) from None
         except ValueError as exc:
             # Base version / document count mismatch: the caller's view of
-            # this shard is stale — re-ship a snapshot instead.
+            # this shard is stale — re-ship the full delta instead.
             raise HTTPError(409, f"delta conflict: {exc}") from exc
-        with self._slice_lock:
-            self._slice_cache = None
         self._m_deltas.inc()
         return Response(
             payload={

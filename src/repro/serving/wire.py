@@ -1,25 +1,17 @@
 """JSON wire schema for the serving layer.
 
 Everything that crosses the network — queries, hit lists, usefulness
-estimates, failure records, whole broker responses, and database
-representatives — has an explicit serializer/deserializer pair here.
-The encoding rules are chosen so a round trip is *exact*:
-
-* Floats travel as JSON numbers.  ``json.dumps`` renders a double via
-  ``repr`` (the shortest string that parses back to the same double) and
-  ``json.loads`` parses to the nearest double, so every finite float
-  survives serialize → deserialize bit-for-bit.  Estimates computed from
-  a decoded representative are therefore byte-identical to estimates
-  computed from the original — the property suite asserts exactly this.
-* A representative additionally supports the paper's Section 3.2 wire
-  sizing: :func:`representative_to_wire` with ``quantize=levels`` ships
-  the per-term *one-byte codes* of :func:`~repro.representatives.quantized.
-  encode_representative` (base64-packed, so four fields cost ~4
-  bytes/term before framing) plus one small decode grid per field per
-  database.  This module only serializes them and checks what arrives;
-  fitting, coding and the decode clamps are the quantizer's, so a broker
-  holding a wire-quantized representative estimates identically to one
-  that quantized locally.
+estimates, failure records and whole broker responses — has an explicit
+serializer/deserializer pair here.  A database representative crosses only
+as a :class:`~repro.fleet.delta.RepresentativeDelta` document (its own
+``to_json_dict`` / ``from_json_dict``; a whole representative is the full
+delta from version 0).  The encoding rules are chosen so a round trip is
+*exact*: floats travel as JSON numbers.  ``json.dumps`` renders a double
+via ``repr`` (the shortest string that parses back to the same double)
+and ``json.loads`` parses to the nearest double, so every finite float
+survives serialize → deserialize bit-for-bit.  Estimates computed from a
+decoded representative are therefore byte-identical to estimates computed
+from the original — the property suite asserts exactly this.
 
 Every payload carries a ``kind`` tag; decoders validate it so a payload
 routed to the wrong decoder fails loudly instead of half-parsing.
@@ -27,25 +19,16 @@ routed to the wrong decoder fails loudly instead of half-parsing.
 
 from __future__ import annotations
 
-import base64
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro.core.types import Usefulness
 from repro.corpus.query import Query, check_query_length
 from repro.engine.results import SearchHit
-from repro.fleet.delta import RepresentativeSnapshot
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.dispatch import EngineFailure
 from repro.metasearch.selection import EstimatedUsefulness, EstimateRow
-from repro.representatives.quantized import (
-    FIELDS,
-    REQUIRED_FIELDS,
-    decode_representative,
-    encode_representative,
-)
-from repro.representatives.representative import DatabaseRepresentative
 
 __all__ = [
     "WireFormatError",
@@ -60,12 +43,8 @@ __all__ = [
     "limit_from_wire",
     "query_from_wire",
     "query_to_wire",
-    "representative_from_wire",
-    "representative_to_wire",
     "response_from_wire",
     "response_to_wire",
-    "snapshot_from_wire",
-    "snapshot_to_wire",
     "threshold_from_wire",
     "thresholds_from_wire",
     "usefulness_from_wire",
@@ -306,132 +285,4 @@ def response_from_wire(payload: dict) -> MetasearchResponse:
             str(name): float(v)
             for name, v in payload.get("latencies", {}).items()
         },
-    )
-
-
-# -- representatives -----------------------------------------------------------
-
-
-def _pack_codes(codes: np.ndarray, levels: int):
-    """Codes as base64 bytes when they fit one byte each, plain ints otherwise."""
-    if levels <= 256:
-        return base64.b64encode(codes.astype(np.uint8).tobytes()).decode("ascii")
-    return [int(c) for c in codes]
-
-
-def _unpack_codes(packed, n_terms: int) -> np.ndarray:
-    if isinstance(packed, str):
-        raw = np.frombuffer(base64.b64decode(packed), dtype=np.uint8)
-        codes = raw.astype(np.int64)
-    else:
-        codes = np.asarray([int(c) for c in packed], dtype=np.int64)
-    if codes.size != n_terms:
-        raise WireFormatError(
-            f"expected {n_terms} codes, got {codes.size}"
-        )
-    return codes
-
-
-def representative_to_wire(
-    representative: DatabaseRepresentative, quantize: Optional[int] = None
-) -> dict:
-    """Encode a representative, exactly (default) or one-byte quantized.
-
-    Args:
-        representative: The representative to ship.
-        quantize: When given, the number of quantization levels (256 is the
-            paper's one-byte scheme).  The wire carries
-            :func:`~repro.representatives.quantized.encode_representative`'s
-            one code per term per field plus the per-field decode grids —
-            ~4 bytes/term, the Section 3.2 sizing.
-    """
-    if quantize is None:
-        return representative.to_json_dict()
-    terms, encoded = encode_representative(representative, quantize)
-    return {
-        "kind": "representative.quantized",
-        "name": representative.name,
-        "n_documents": representative.n_documents,
-        "levels": int(quantize),
-        "terms": terms,
-        "fields": {
-            field: {
-                "low": float(grid.low),
-                "high": float(grid.high),
-                "decode": [float(v) for v in grid.decode_values],
-                "codes": _pack_codes(codes, quantize),
-            }
-            for field, (grid, codes) in encoded.items()
-        },
-    }
-
-
-def _decode_columns(fields: dict, n_terms: int) -> Dict[str, np.ndarray]:
-    """Each shipped field's decoded values, one per term."""
-    columns: Dict[str, np.ndarray] = {}
-    for name, spec in fields.items():
-        if name not in FIELDS:
-            raise WireFormatError(f"unknown quantized field {name!r}")
-        decode_values = np.asarray(
-            [float(v) for v in _field(spec, "decode")], dtype=float
-        )
-        codes = _unpack_codes(_field(spec, "codes"), n_terms)
-        if codes.size and (codes.min() < 0 or codes.max() >= decode_values.size):
-            raise WireFormatError("quantization code out of grid range")
-        columns[name] = decode_values[codes]
-    for required in REQUIRED_FIELDS:
-        if required not in columns:
-            raise WireFormatError(f"quantized payload missing field {required!r}")
-    return columns
-
-
-def _decode_quantized(payload: dict) -> DatabaseRepresentative:
-    terms = [str(t) for t in _field(payload, "terms")]
-    fields = _field(payload, "fields")
-    return decode_representative(
-        str(_field(payload, "name")),
-        int(_field(payload, "n_documents")),
-        terms,
-        _decode_columns(fields, len(terms)) if terms else {},
-    )
-
-
-def representative_from_wire(payload: dict) -> DatabaseRepresentative:
-    """Decode either representative wire form into a plain representative."""
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            f"expected a JSON object, got {type(payload).__name__}"
-        )
-    kind = payload.get("kind")
-    if kind == "representative":
-        try:
-            return DatabaseRepresentative.from_json_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireFormatError(f"invalid representative payload: {exc}") from exc
-    if kind == "representative.quantized":
-        return _decode_quantized(payload)
-    raise WireFormatError(f"unknown representative kind {kind!r}")
-
-
-def snapshot_to_wire(
-    snapshot: RepresentativeSnapshot, quantize: Optional[int] = None
-) -> dict:
-    """Encode a versioned representative — what ``GET /representative``
-    and the live ``/representative/delta`` fallback both answer."""
-    return {
-        "kind": "representative.snapshot",
-        "name": snapshot.name,
-        "version": snapshot.version,
-        "representative": representative_to_wire(
-            snapshot.representative, quantize=quantize
-        ),
-    }
-
-
-def snapshot_from_wire(payload: dict) -> RepresentativeSnapshot:
-    _expect_kind(payload, "representative.snapshot")
-    return RepresentativeSnapshot(
-        name=str(_field(payload, "name")),
-        version=int(_field(payload, "version")),
-        representative=representative_from_wire(_field(payload, "representative")),
     )

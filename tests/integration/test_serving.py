@@ -141,14 +141,17 @@ class TestSubprocessFleet:
     def gateway(self, fleet):
         __, urls = fleet
         broker = MetasearchBroker(workers=N_ENGINES)
-        for url in urls:
-            remote = RemoteEngine(url)
-            snapshot = remote.snapshot_representative()
-            broker.register(remote, representative=snapshot.representative)
+        remotes = [RemoteEngine(url) for url in urls]
+        for remote in remotes:
+            broker.sync_representative(remote)
         server = ServingServer(GatewayApp(broker, max_active=8, max_queued=16))
         server.start_background()
-        yield GatewayClient(server.url)
+        client = GatewayClient(server.url)
+        yield client
+        client.close()
         server.drain(timeout=10)
+        for remote in remotes:
+            remote.close()
 
     @pytest.fixture(scope="class")
     def local_broker(self, fleet):
@@ -214,15 +217,50 @@ class TestSubprocessFleet:
         assert remote.hits == local.hits
 
     def test_quantized_representative_matches_local_quantization(self, fleet):
+        """``repro serve gateway --quantize 256`` quantizes the full delta
+        each engine sent, so it estimates exactly like a broker holding
+        ``quantize_representative`` of the same representatives (in the
+        delta's canonical term order: a grid's per-interval means sum in
+        term order)."""
+        from repro.fleet import canonicalize
         from repro.representatives.quantized import quantize_representative
 
         collections, urls = fleet
-        remote = RemoteEngine(urls[0])
-        snapshot = remote.snapshot_representative(quantize=256)
-        local = quantize_representative(
-            build_representative(SearchEngine(collections[0])), levels=256
+        local = MetasearchBroker()
+        for collection in collections:
+            engine = SearchEngine(collection)
+            local.register(engine, representative=quantize_representative(
+                canonicalize(build_representative(engine)), levels=256
+            ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "gateway",
+             "--engines", *urls, "--quantize", "256"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        assert snapshot.representative == local
+        client = None
+        try:
+            for line in proc.stdout:
+                announced = re.search(r"serving gateway at (http://\S+)", line)
+                if announced:
+                    break
+            else:
+                pytest.fail("the gateway exited without serving")
+            client = GatewayClient(announced.group(1))
+            for query in QUERIES:
+                for threshold in (0.0, 0.2, 0.5):
+                    assert client.estimate(query, threshold) == (
+                        local.estimate_all(query, threshold)
+                    )
+        finally:
+            if client is not None:
+                client.close()
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.communicate(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
 
     def test_healthz_and_metrics(self, gateway):
         health = gateway.healthz()
@@ -354,6 +392,7 @@ class TestGracefulDrain:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post_json(server.url + "/search", SEARCH_BODY, timeout=10)
         assert excinfo.value.code == 503
+        excinfo.value.close()  # the error holds the response
         thread.join(timeout=30)
         drainer.join(timeout=30)
         # ...but the in-flight request completed normally,
@@ -379,6 +418,7 @@ class TestDeadlines:
                 headers={"X-Repro-Deadline": "0.0"},
             )
         assert excinfo.value.code == 504
+        excinfo.value.close()  # the error holds the response
         server.drain(timeout=5)
 
     def test_deadline_exceeded_mid_request_reported(self):
@@ -391,6 +431,7 @@ class TestDeadlines:
                 timeout=15,
             )
         assert excinfo.value.code == 504
+        excinfo.value.close()  # the error holds the response
         server.drain(timeout=10)
 
     def test_bad_deadline_header_is_400(self):
@@ -402,6 +443,7 @@ class TestDeadlines:
                 headers={"X-Repro-Deadline": "soon"},
             )
         assert excinfo.value.code == 400
+        excinfo.value.close()  # the error holds the response
         server.drain(timeout=5)
 
     def test_client_budget_propagates_to_engine_failure(self):
@@ -485,24 +527,30 @@ class TestDeadlinePropagation:
         for server in servers:
             server.drain(timeout=5)
 
-    @staticmethod
-    def gateway_over(urls, workers, **gateway_kwargs):
-        broker = MetasearchBroker(workers=workers)
-        for url in urls:
-            # No client timeout: the only budget is the request's own.
-            remote = RemoteEngine(url, timeout=None)
-            broker.register(
-                remote,
-                representative=remote.snapshot_representative().representative,
-            )
-        return GatewayApp(broker, default_deadline=None, **gateway_kwargs)
+    @pytest.fixture
+    def gateway_over(self):
+        """``gateway_over(urls, workers, **gateway_kwargs)``: a gateway
+        app over remote engines, whose connections close after the test."""
+        remotes = []
+
+        def gateway_over(urls, workers, **gateway_kwargs):
+            broker = MetasearchBroker(workers=workers)
+            for url in urls:
+                # No client timeout: the only budget is the request's own.
+                remotes.append(RemoteEngine(url, timeout=None))
+                broker.sync_representative(remotes[-1])
+            return GatewayApp(broker, default_deadline=None, **gateway_kwargs)
+
+        yield gateway_over
+        for remote in remotes:
+            remote.close()
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_gateway_forwards_the_header_to_every_engine(
-        self, engine_apps, workers
+        self, engine_apps, gateway_over, workers
     ):
         apps, urls = engine_apps
-        gateway = self.gateway_over(urls, workers)
+        gateway = gateway_over(urls, workers)
         body = json.dumps(SEARCH_BODY).encode("utf-8")
         response = gateway.handle(
             "POST", "/search", {"X-Repro-Deadline": "5.0"}, body
@@ -519,13 +567,13 @@ class TestDeadlinePropagation:
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_coalesced_batch_runs_under_its_loosest_member_deadline(
-        self, engine_apps, workers
+        self, engine_apps, gateway_over, workers
     ):
         """Two members with different budgets, queued behind a request held
         in flight and flushed as *one* batch: every engine call of that
         batch carries the loosest member's budget, not the leader's own."""
         apps, urls = engine_apps
-        gateway = self.gateway_over(urls, workers, coalesce_window=30.0)
+        gateway = gateway_over(urls, workers, coalesce_window=30.0)
         body = json.dumps(SEARCH_BODY).encode("utf-8")
         statuses = []
 
@@ -628,7 +676,8 @@ class TestRemoteEngineErrors:
 
 
 class TestColumnarSnapshot:
-    """``GET /representative?format=npz`` ships the columnar binary form."""
+    """A whole representative over HTTP is the engine's full delta; the
+    broker holds it in its columnar store, bit-exactly."""
 
     @pytest.fixture
     def engine_server(self):
@@ -649,19 +698,26 @@ class TestColumnarSnapshot:
     def test_columnar_snapshot_is_bit_exact(self, engine_server):
         engine, server = engine_server
         remote = RemoteEngine(server.url)
-        snapshot = remote.snapshot_representative(columnar=True)
+        try:
+            broker = MetasearchBroker()
+            report = broker.sync_representative(remote)
+        finally:
+            remote.close()
         local = build_representative(engine)
-        assert snapshot.version == engine.n_documents
-        assert snapshot.representative.name == local.name
-        assert snapshot.representative.n_documents == local.n_documents
-        assert dict(snapshot.representative.items()) == dict(local.items())
+        assert (report.from_version, report.to_version) == (0, engine.n_documents)
+        held = broker.representative_of("colnpz").materialize()
+        assert held.name == local.name
+        assert held.n_documents == local.n_documents
+        assert dict(held.items()) == dict(local.items())
 
     def test_columnar_snapshot_registers_into_columnar_broker(self, engine_server):
         engine, server = engine_server
         remote = RemoteEngine(server.url)
-        snapshot = remote.snapshot_representative(columnar=True)
-        broker = MetasearchBroker()
-        broker.register(remote, representative=snapshot.representative)
+        try:
+            broker = MetasearchBroker()
+            broker.sync_representative(remote)
+        finally:
+            remote.close()
         local = ScalarOracle()
         local.register(engine)
         query = Query.from_terms(["rocket", "orbit"])
@@ -670,23 +726,6 @@ class TestColumnarSnapshot:
         ] == [
             (e.engine, e.usefulness) for e in local.estimate_all(query, 0.1)
         ]
-
-    def test_columnar_excludes_quantize(self, engine_server):
-        __, server = engine_server
-        remote = RemoteEngine(server.url)
-        with pytest.raises(ValueError):
-            remote.snapshot_representative(quantize=256, columnar=True)
-
-    @pytest.mark.parametrize(
-        "suffix", ["?format=bogus", "?format=npz&quantize=256"]
-    )
-    def test_bad_format_requests_are_400(self, engine_server, suffix):
-        __, server = engine_server
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(
-                f"{server.url}/representative{suffix}", timeout=5
-            )
-        assert excinfo.value.code == 400
 
 
 class TestEstimateRowBytes:

@@ -89,16 +89,10 @@ class LiveShards:
         for index in range(2):
             broker = MetasearchBroker(estimator=get_estimator(estimator_name))
             for live in self.lives[index::2]:
-                base = live.snapshot()
-                broker.register(
-                    live, representative=base.representative, version=base.version
-                )
+                broker.sync_representative(live)
             self.servers.append(ServingServer(ShardApp(broker, shard_index=index)))
         for live in self.lives:
-            base = live.snapshot()
-            self.local.register(
-                live, representative=base.representative, version=base.version
-            )
+            self.local.sync_representative(live)
         for server in self.servers:
             server.start_background()
         self.registry = MetricsRegistry()

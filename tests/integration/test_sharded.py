@@ -537,21 +537,6 @@ class TestShardAppValidation:
         assert response.status == 400
         assert "engine7" in response.payload["error"]
 
-    def test_slice_round_trips_the_columnar_store(self, shard_app, tmp_path):
-        import io
-
-        from repro.representatives import FleetRepresentativeStore
-
-        response = shard_app.handle("GET", "/slice", {}, b"")
-        assert response.status == 200
-        assert response.content_type == "application/octet-stream"
-        assert response.headers["X-Repro-Shard"] == "3"
-        restored = FleetRepresentativeStore.load_npz(io.BytesIO(response.raw))
-        assert restored.engine_names == shard_app.broker.fleet.engine_names
-        # Cached: the second request serves the identical buffer.
-        again = shard_app.handle("GET", "/slice", {}, b"")
-        assert again.raw is response.raw
-
 
 class TestFrontendFraming:
     """The HTTP frontend's body/keep-alive policy."""

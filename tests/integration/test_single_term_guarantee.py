@@ -181,18 +181,16 @@ class TestGuarantee:
                 for i in range(len(collection))
             ]
             live = LiveEngineServer(engine.name, documents[:-3])
-            base = live.snapshot()
-            broker.register(
-                live, representative=base.representative, version=base.version
-            )
+            broker.sync_representative(live)
+            since = live.version
             live.remove_documents([documents[0].doc_id])
             live.add_documents(documents[-3:])
-            report = broker.apply_representative_delta(
-                live.delta_since(base.version)
-            )
+            report = broker.apply_representative_delta(live.delta_since(since))
             assert report.mode == "precise"
             lives.append(live)
-        final = {live.name: live.snapshot().representative for live in lives}
+        final = {
+            live.name: live.delta_since(0).as_representative() for live in lives
+        }
         assert self.assert_broker_guarantee(broker, lives, final, limit=40) > 5
 
     def test_broker_guarantee_at_the_exact_boundary(self):

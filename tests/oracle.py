@@ -26,7 +26,6 @@ from repro.corpus import Collection
 from repro.engine import SearchEngine
 from repro.fleet.delta import (
     RepresentativeDelta,
-    RepresentativeSnapshot,
     canonicalize,
     diff_representatives,
     rescale_probability,
@@ -118,9 +117,9 @@ def per_term_representative(
 def apply_delta(
     representative: DatabaseRepresentative, delta: RepresentativeDelta
 ) -> DatabaseRepresentative:
-    """Apply ``delta`` to a dict representative; returns the new snapshot.
+    """Apply ``delta`` to a dict representative; returns the new one.
 
-    The result is bit-exact against a fresh canonical snapshot at
+    The result is bit-exact against a fresh canonical representative at
     ``delta.to_version``: touched terms take the final stats the delta
     carries, untouched terms rescale their probability exactly, and the
     output iterates in canonical sorted-term order.  Deleting an absent
@@ -167,7 +166,8 @@ class RebuiltLiveEngine:
     """A live engine that rebuilds ``Collection`` + ``SearchEngine`` and the
     canonical representative after every mutation and publishes the diff of
     two rebuilds.  Keeps every delta (no compaction), so it can answer
-    ``delta_since`` for any version."""
+    ``delta_since`` for any version; from version 0 (or ``None``) that is
+    the diff from the empty representative."""
 
     def __init__(self, name, documents=()):
         self.name = name
@@ -176,7 +176,7 @@ class RebuiltLiveEngine:
             if document.doc_id in self._documents:
                 raise ValueError(f"duplicate doc_id {document.doc_id!r}")
             self._documents[document.doc_id] = document
-        self.version = 0
+        self.version = 1 if self._documents else 0
         self._log: List[RepresentativeDelta] = []
         self._rebuild()
 
@@ -187,6 +187,11 @@ class RebuiltLiveEngine:
     @property
     def doc_ids(self):
         return list(self._documents)
+
+    @property
+    def representative(self):
+        """The canonical representative of the current documents."""
+        return self._representative
 
     def document(self, doc_id):
         return self._documents[doc_id]
@@ -223,9 +228,6 @@ class RebuiltLiveEngine:
         self._log.append(delta)
         return delta
 
-    def snapshot(self):
-        return RepresentativeSnapshot(self.name, self.version, self._representative)
-
     def delta_since(self, since):
         if since == self.version:
             return RepresentativeDelta(
@@ -233,8 +235,14 @@ class RebuiltLiveEngine:
                 from_n_documents=self.n_documents,
                 n_documents=self.n_documents, records=(),
             )
-        composed = self._log[since]
-        for later in self._log[since + 1:]:
+        if not since or since > self.version:
+            return diff_representatives(
+                DatabaseRepresentative(self.name, 0, {}), self._representative,
+                from_version=0, to_version=self.version,
+            )
+        first = self.version - len(self._log)  # the log's oldest base
+        composed = self._log[since - first]
+        for later in self._log[since - first + 1:]:
             composed = composed.compose(later)
         return composed
 

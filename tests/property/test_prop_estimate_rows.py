@@ -138,11 +138,11 @@ def test_batch_equals_serial_equals_oracle_across_mutations(
     )
     oracle = ScalarOracle(estimator_factory())
     for live in lives:
-        base = live.snapshot()
+        base = live.delta_since(0)
         broker.register(
-            live, representative=base.representative, version=base.version
+            live, representative=base.as_representative(), version=base.to_version
         )
-        oracle.register(live, representative=base.representative)
+        oracle.register(live, representative=base.as_representative())
     assert_routine_matches_oracle(broker, oracle, before, batch_first)
 
     live = lives[0]
@@ -150,16 +150,16 @@ def test_batch_equals_serial_equals_oracle_across_mutations(
         since = live.version
         live.remove_documents([live.doc_ids[0]])
         live.add_documents([Document("fresh", ["rocket", "plum", "comet"])])
-        current = live.snapshot()
+        current = live.delta_since(0)
         if mutation == "delta":
             broker.apply_representative_delta(live.delta_since(since))
         else:
             broker.register(
                 live,
-                representative=current.representative,
-                version=current.version,
+                representative=current.as_representative(),
+                version=current.to_version,
             )
-        oracle.register(live, representative=current.representative)
+        oracle.register(live, representative=current.as_representative())
     assert_routine_matches_oracle(broker, oracle, after, batch_first)
     assert_routine_matches_oracle(broker, oracle, before, not batch_first)
 

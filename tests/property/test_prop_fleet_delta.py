@@ -4,7 +4,9 @@ The wire path's contract is *bit-exactness*: applying a
 :class:`~repro.fleet.delta.RepresentativeDelta` to the representative it
 was diffed from must reproduce the freshly rebuilt representative of the
 mutated corpus exactly — same values, same canonical iteration order — on
-both the dict and the columnar fleet backend.
+both the dict and the columnar fleet backend.  And whatever version a
+broker syncs from, it ends up estimating exactly like a broker built from
+the engine's current statistics.
 """
 
 import itertools
@@ -12,7 +14,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corpus import Collection, Document
+from repro.core import get_estimator
+from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
 from repro.fleet import LiveEngineServer
 from repro.fleet.delta import (
@@ -21,7 +24,8 @@ from repro.fleet.delta import (
     canonicalize,
     diff_representatives,
 )
-from repro.representatives import build_representative
+from repro.metasearch import MetasearchBroker
+from repro.representatives import DatabaseRepresentative, build_representative
 from repro.representatives.columnar import FleetRepresentativeStore
 from tests.oracle import apply_delta
 
@@ -75,6 +79,11 @@ def _run_script(server, mutations, counter):
     return deltas
 
 
+def current(server):
+    """The server's whole representative: its full delta's."""
+    return server.delta_since(0).as_representative()
+
+
 def _assert_identical(applied, fresh):
     """Bit-exact: same canonical order, same float values, same n."""
     assert applied.n_documents == fresh.n_documents
@@ -90,7 +99,7 @@ class TestDictDeltaExactness:
         server = LiveEngineServer(
             "db", [Document(f"d{next(counter)}", t) for t in initial]
         )
-        held = server.snapshot().representative
+        held = current(server)
         for kind, spec in mutations:
             if kind == "add":
                 delta = server.add_documents(
@@ -102,7 +111,7 @@ class TestDictDeltaExactness:
                     continue
                 delta = server.remove_documents(doomed)
             held = apply_delta(held, delta)
-            _assert_identical(held, server.snapshot().representative)
+            _assert_identical(held, current(server))
 
     @given(live_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -112,11 +121,11 @@ class TestDictDeltaExactness:
         server = LiveEngineServer(
             "db", [Document(f"d{next(counter)}", t) for t in initial]
         )
-        base = server.snapshot()
+        base = server.delta_since(0)
         _run_script(server, mutations, counter)
-        composed = server.delta_since(base.version)
-        applied = apply_delta(base.representative, composed)
-        _assert_identical(applied, server.snapshot().representative)
+        composed = server.delta_since(base.to_version)
+        applied = apply_delta(base.as_representative(), composed)
+        _assert_identical(applied, current(server))
 
     @given(live_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -126,21 +135,21 @@ class TestDictDeltaExactness:
         server = LiveEngineServer(
             "db", [Document(f"d{next(counter)}", t) for t in initial]
         )
-        base = server.snapshot()
+        base = server.delta_since(0)
         _run_script(server, mutations, counter)
-        composed = server.delta_since(base.version)
+        composed = server.delta_since(base.to_version)
         decoded = RepresentativeDelta.decode(composed.encode())
         assert decoded == composed
-        applied = apply_delta(base.representative, decoded)
-        _assert_identical(applied, server.snapshot().representative)
+        applied = apply_delta(base.as_representative(), decoded)
+        _assert_identical(applied, current(server))
 
     def test_del_of_absent_term_is_noop(self):
         server = LiveEngineServer("db", [Document("d1", ["w0", "w1"])])
-        representative = server.snapshot().representative
+        representative = current(server)
         delta = RepresentativeDelta(
             name="db",
-            from_version=0,
-            to_version=1,
+            from_version=1,
+            to_version=2,
             from_n_documents=1,
             n_documents=1,
             records=(TermDeltaRecord(op="del", term="ghost"),),
@@ -150,7 +159,7 @@ class TestDictDeltaExactness:
 
     def test_empty_delta_is_identity(self):
         server = LiveEngineServer("db", [Document("d1", ["w0", "w1"])])
-        representative = server.snapshot().representative
+        representative = current(server)
         delta = server.delta_since(server.version)
         assert delta.is_empty
         _assert_identical(apply_delta(representative, delta), representative)
@@ -166,10 +175,10 @@ class TestColumnarDeltaExactness:
             "db", [Document(f"d{next(counter)}", t) for t in initial]
         )
         store = FleetRepresentativeStore()
-        store.add(server.snapshot().representative)
+        store.add(current(server))
         for delta in _run_script(server, mutations, counter):
             store.apply_delta(delta)
-        fresh = server.snapshot().representative
+        fresh = current(server)
         materialized = store.materialize("db")
         assert materialized.n_documents == fresh.n_documents
         assert set(dict(materialized.items())) == set(dict(fresh.items()))
@@ -184,16 +193,81 @@ class TestColumnarDeltaExactness:
         server = LiveEngineServer(
             "db", [Document(f"d{next(counter)}", t) for t in initial]
         )
-        base = server.snapshot()
+        base = server.delta_since(0)
         store = FleetRepresentativeStore()
-        store.add(base.representative)
+        store.add(base.as_representative())
         _run_script(server, mutations, counter)
-        store.apply_delta(server.delta_since(base.version))
-        fresh = server.snapshot().representative
+        store.apply_delta(server.delta_since(base.to_version))
+        fresh = current(server)
         materialized = store.materialize("db")
         for term, stats in fresh.items():
             assert materialized.get(term) == stats
         assert len(dict(materialized.items())) == len(dict(fresh.items()))
+
+
+ESTIMATORS = [
+    "basic", "binary-independence", "gloss-hc", "gloss-disjoint", "subrange",
+]
+SYNC_QUERIES = [
+    Query(terms=("w0",), weights=(1.0,)),
+    Query(terms=("w1", "w2"), weights=(2.0, 1.0)),
+    Query(terms=("x0", "w3", "w4"), weights=(1.0, 1.0, 3.0)),
+]
+
+
+class TestAnySinceSyncsToTheTruth:
+    """``broker.sync_representative`` from any held version — none at all,
+    0, one the engine's log retains, one compacted out of it, one ahead of
+    the engine — leaves the broker's rows equal to a broker built from the
+    engine's current statistics, for every estimator."""
+
+    @given(live_scenarios(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sync_from_any_since(self, scenario, data):
+        initial, mutations = scenario
+        counter = itertools.count()
+        server = LiveEngineServer(
+            "db", [Document(f"d{next(counter)}", t) for t in initial],
+            log_limit=2,
+        )
+        held = {server.version: server.delta_since(0)}
+        for kind, spec in mutations:
+            _run_script(server, [(kind, spec)], counter)
+            held[server.version] = server.delta_since(0)
+        retained = range(server.compacted_below, server.version + 1)
+        candidates = [("none", None), ("zero", 0), ("ahead", server.version + 3)]
+        candidates += [("retained", v) for v in retained]
+        candidates += [
+            ("compacted", v) for v in range(1, server.compacted_below)
+        ]
+        kind, since = data.draw(st.sampled_from(candidates))
+        for name in ESTIMATORS:
+            broker = MetasearchBroker(estimator=get_estimator(name))
+            if kind == "zero":
+                broker.register(
+                    server,
+                    representative=DatabaseRepresentative("db", 0, {}),
+                    version=0,
+                )
+            elif kind != "none":
+                # What the broker held at ``since``; ahead of the engine,
+                # it holds another run's representative.
+                base = held.get(since, held[min(held)])
+                broker.register(
+                    server,
+                    representative=base.as_representative(),
+                    version=since,
+                )
+            report = broker.sync_representative(server)
+            assert report.to_version == server.version
+            assert report.mode == "full" or kind == "retained"
+            truth = MetasearchBroker(estimator=get_estimator(name))
+            truth.register(server, representative=current(server))
+            for query in SYNC_QUERIES:
+                for threshold in (0.0, 0.2, 0.5):
+                    assert broker.estimate_all(query, threshold) == (
+                        truth.estimate_all(query, threshold)
+                    )
 
 
 @st.composite
@@ -238,7 +312,7 @@ class TestTripletModeDeltas:
                 include_max_weight=False,
             )
         )
-        delta = diff_representatives(old, new, from_version=0, to_version=1)
+        delta = diff_representatives(old, new, from_version=1, to_version=2)
         for record in delta.records:
             if record.op == "set":
                 assert record.stats.max_weight is None

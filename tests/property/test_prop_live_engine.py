@@ -11,9 +11,11 @@ drains the engine to zero documents and sends empty batches.  After every
 rule the two engines agree on:
 
 * the mutation's delta;
-* the snapshot — terms, their order, every statistic bit for bit;
-* ``delta_since(v)`` for every version the live log retains (and
-  ``DeltaCompactedError`` below it);
+* the full delta (``delta_since(0)``, built from the live statistics, not
+  the log) — terms, their order, every statistic bit for bit;
+* ``delta_since(v)`` for every version the live log retains, and the full
+  delta for every other ``v``: ``None``, compacted below the log, ahead
+  of the engine;
 * ``doc_ids`` and ``n_documents``;
 * ``search`` and ``max_similarity`` — similarities bit for bit — on drawn
   queries and thresholds, a term neither engine holds included.
@@ -34,7 +36,7 @@ from hypothesis.stateful import (
 )
 
 from repro.corpus import Document, Query
-from repro.fleet import DeltaCompactedError, LiveEngineServer
+from repro.fleet import LiveEngineServer
 from tests.oracle import RebuiltLiveEngine
 
 VOCAB = [f"w{i}" for i in range(8)]
@@ -143,7 +145,7 @@ class LiveEngineMachine(RuleBasedStateMachine):
         doomed = self.live.doc_ids
         self.removed += [self.oracle.document(doc_id) for doc_id in doomed]
         self.mutate(data, "remove_documents", doomed)
-        assert self.live.snapshot().representative.n_terms == 0
+        assert self.live.delta_since(0).as_representative().n_terms == 0
 
     @rule(method=st.sampled_from(["add_documents", "remove_documents"]))
     def empty_batch(self, method):
@@ -158,18 +160,22 @@ class LiveEngineMachine(RuleBasedStateMachine):
         assert self.live.n_documents == self.oracle.n_documents
 
     @invariant()
-    def same_snapshot(self):
-        got, want = self.live.snapshot(), self.oracle.snapshot()
-        assert (got.name, got.version) == (want.name, want.version)
-        assert bits(got.representative) == bits(want.representative)
+    def same_full_delta(self):
+        got, want = self.live.delta_since(0), self.oracle.delta_since(0)
+        assert got == want and got.is_full
+        assert got.to_version == self.live.version == self.oracle.version
+        assert bits(got.as_representative()) == bits(self.oracle.representative)
 
     @invariant()
     def same_catch_up_from_every_retained_version(self):
         for since in range(self.live.compacted_below, self.live.version + 1):
-            assert self.live.delta_since(since) == self.oracle.delta_since(since)
-        if self.live.compacted_below:
-            with pytest.raises(DeltaCompactedError):
-                self.live.delta_since(self.live.compacted_below - 1)
+            if since:
+                assert self.live.delta_since(since) == self.oracle.delta_since(since)
+        full = self.oracle.delta_since(0)
+        past = [None, self.live.version + 1, self.live.version + 7]
+        past += range(1, self.live.compacted_below)  # compacted out of the log
+        for since in past:
+            assert self.live.delta_since(since) == full
 
 
 TestLiveEngine = LiveEngineMachine.TestCase

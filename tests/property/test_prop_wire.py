@@ -10,9 +10,10 @@ The wire contract is *exactness*: anything serialized, pushed through a
 real ``json.dumps``/``json.loads`` cycle (what HTTP transports), and
 deserialized must come back ``==`` — and estimates computed from a
 decoded representative must be byte-identical to estimates from the
-original.  The quantized wire form must decode to exactly what
-:func:`~repro.representatives.quantized.quantize_representative` builds
-locally, so a broker can hold either without changing any answer.
+original.  A representative crosses as its full delta (from version 0);
+quantizing what arrived equals quantizing the original, so ``serve
+gateway --quantize`` answers like a broker holding
+:func:`~repro.representatives.quantized.quantize_representative` of it.
 """
 
 import copy
@@ -25,7 +26,12 @@ from hypothesis import strategies as st
 from repro.core import SubrangeEstimator
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine, SearchHit
-from repro.fleet import LiveEngineServer
+from repro.fleet import (
+    LiveEngineServer,
+    RepresentativeDelta,
+    canonicalize,
+    diff_representatives,
+)
 from repro.metasearch import MetasearchBroker
 from repro.representatives import DatabaseRepresentative, TermStats
 from repro.representatives.quantized import quantize_representative
@@ -38,8 +44,6 @@ from repro.serving import (
     encode_hits,
     query_from_wire,
     query_to_wire,
-    representative_from_wire,
-    representative_to_wire,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -113,6 +117,17 @@ def through_json(payload):
     return json.loads(json.dumps(payload))
 
 
+def over_the_wire(representative):
+    """``representative`` shipped as its full delta, through JSON, and
+    decoded: what a broker's first sync holds."""
+    full = diff_representatives(
+        DatabaseRepresentative(representative.name, 0, {}), representative,
+        from_version=0, to_version=1,
+    )
+    wire = through_json(full.to_json_dict())
+    return RepresentativeDelta.from_json_dict(wire).as_representative()
+
+
 @given(queries())
 def test_query_roundtrip_exact(query):
     assert query_from_wire(through_json(query_to_wire(query))) == query
@@ -125,15 +140,16 @@ def test_hits_roundtrip_exact(hits):
 
 @given(representatives())
 def test_plain_representative_roundtrip_exact(representative):
-    wire = through_json(representative_to_wire(representative))
-    assert representative_from_wire(wire) == representative
+    assert over_the_wire(representative) == representative
 
 
 @given(representatives(), st.sampled_from([7, 256, 300]))
 def test_quantized_wire_equals_local_quantization(representative, levels):
-    wire = through_json(representative_to_wire(representative, quantize=levels))
-    decoded = representative_from_wire(wire)
-    assert decoded == quantize_representative(representative, levels=levels)
+    # A full delta lists terms in canonical order, and a grid's per-interval
+    # means sum in term order: the local twin quantizes that same order.
+    decoded = quantize_representative(over_the_wire(representative), levels)
+    local = quantize_representative(canonicalize(representative), levels)
+    assert decoded == local
 
 
 @given(representatives(), st.floats(min_value=0.0, max_value=2.0))
@@ -146,10 +162,7 @@ def test_estimates_survive_the_wire_byte_for_byte(representative, threshold):
     )
     estimator = SubrangeEstimator()
     local = estimator.estimate(query, representative, threshold)
-    wire = through_json(representative_to_wire(representative))
-    remote = estimator.estimate(
-        query, representative_from_wire(wire), threshold
-    )
+    remote = estimator.estimate(query, over_the_wire(representative), threshold)
     assert remote == local
 
 
@@ -316,6 +329,7 @@ def test_mutated_request_is_4xx_and_leaves_no_trace(case, value):
 @example((("shard", "/delta"), ("name",)), ["e1"])
 @example((("shard", "/delta"), ("records", 2, 3)), math.nan)
 @example((("shard", "/delta"), ("to_version",)), True)
+@example((("shard", "/delta"), ("from_version",)), 0)  # full, from 3 documents
 @example((("live", "/mutate"), ("add", 0, "doc_id")), "d1")  # add half refused
 @example((("live", "/mutate"), ("remove",)), ["d0", "d0"])
 @example((("live", "/mutate"), ("remove", 0)), "zz")
@@ -348,4 +362,4 @@ def test_mutated_write_is_4xx_and_a_refused_delta_changes_nothing(case, value):
         assert post(app, route[1], bodies[route]).status == 200
         if route[1] == "/mutate":
             assert app.server.doc_ids == ["d1", "d2", "x1"]
-            assert app.server.version == 2
+            assert app.server.version == 3  # documents at 1, remove, add

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +180,66 @@ class TestFleetStore:
         assert store.n_documents.tolist() == [30, 20]
         assert store.term_stats("d1", "apple") is None
         assert store.term_stats("d1", "kiwi") is not None
+
+    @staticmethod
+    def paused_pack(monkeypatch):
+        """Make ``_pack`` wait for ``release`` once it has read the pending
+        engines, before it returns; returns ``(entered, release, depths)``,
+        ``depths`` recording how many packs were running as each began."""
+        entered, release, depths = threading.Event(), threading.Event(), []
+        running = []
+        pack = FleetRepresentativeStore._pack
+
+        def paused(self):
+            running.append(None)
+            depths.append(len(running))
+            try:
+                packed = pack(self)
+                entered.set()
+                release.wait(timeout=30)
+                return packed
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(FleetRepresentativeStore, "_pack", paused)
+        return entered, release, depths
+
+    def test_two_readers_never_pack_at_once(self, monkeypatch):
+        store = FleetRepresentativeStore()
+        store.add(make_rep("d1"))
+        store.add(make_rep("d2", terms=("apple", "kiwi")))
+        entered, release, depths = self.paused_pack(monkeypatch)
+        ids = store.vocab.ids_of(["apple", "kiwi"])
+        readers = [threading.Thread(target=store.gather, args=(ids,))]
+        readers[0].start()
+        assert entered.wait(timeout=30)
+        readers.append(threading.Thread(target=store.gather, args=(ids,)))
+        readers[1].start()
+        time.sleep(0.05)  # the second reader reaches the pack meanwhile
+        release.set()
+        for reader in readers:
+            reader.join(timeout=30)
+        # It waited for the first pack and then found nothing pending.
+        assert depths == [1]
+
+    def test_a_pack_never_drops_an_engine_parked_meanwhile(self, monkeypatch):
+        store = FleetRepresentativeStore()
+        store.add(make_rep("d1"))
+        entered, release, __ = self.paused_pack(monkeypatch)
+        ids = store.vocab.ids_of(["apple", "kiwi"])
+        reader = threading.Thread(target=store.gather, args=(ids,))
+        reader.start()
+        assert entered.wait(timeout=30)
+        writer = threading.Thread(
+            target=store.add, args=(make_rep("d2", terms=("kiwi",)),)
+        )
+        writer.start()
+        time.sleep(0.05)  # the writer reaches the store meanwhile
+        release.set()
+        reader.join(timeout=30)
+        writer.join(timeout=30)
+        p = store.gather(store.vocab.ids_of(["kiwi"]))[0]
+        assert p[store.index_of("d2"), 0] > 0.0
 
     def test_term_stats_reads_pending_before_pack(self):
         store = FleetRepresentativeStore()
@@ -375,7 +437,7 @@ class TestBinaryMeanWTravels:
         from repro.corpus import Query
 
         by_dict = FleetRepresentativeStore()
-        by_npz = FleetRepresentativeStore()  # what ?format=npz delivers
+        by_npz = FleetRepresentativeStore()  # what convert-rep's .npz loads
         by_store_npz = FleetRepresentativeStore()  # shared-vocabulary order
         for rep in representatives:
             by_dict.add(rep)

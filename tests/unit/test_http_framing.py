@@ -358,16 +358,15 @@ def test_one_request_is_one_sendall_on_a_nodelay_socket(scripted):
 
 def test_request_raw_headers_are_case_insensitive(scripted):
     server, client = scripted(
-        b"HTTP/1.1 200 OK\r\nx-repro-representative-version: 7\r\n"
-        b"content-length: 3\r\n\r\nnpz"
+        b"HTTP/1.1 200 OK\r\nx-repro-probe: 7\r\n"
+        b"content-length: 3\r\n\r\nraw"
     )
     assert client.request_raw(
-        "GET", "/representative?format=npz",
+        "GET", "/metrics",
         lambda raw, headers: (
-            raw, headers.get("X-Repro-Representative-Version"),
-            headers["X-REPRO-REPRESENTATIVE-VERSION"],
+            raw, headers.get("X-Repro-Probe"), headers["X-REPRO-PROBE"],
         ),
-    ) == (b"npz", "7", "7")
+    ) == (b"raw", "7", "7")
 
 
 def test_non_2xx_answer_keeps_its_status_and_detail(scripted):

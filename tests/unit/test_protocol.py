@@ -1,6 +1,7 @@
 """Unit tests for the live engine/broker protocol and staleness handling:
 :class:`LiveEngineServer` publishes, ``MetasearchBroker.sync_representative``
-subscribes, and a broker that has not synced selects from a stale copy."""
+subscribes, and a broker that has not synced selects from a stale copy.
+The engine's whole representative is its full delta, ``delta_since(0)``."""
 
 import sys
 import threading
@@ -10,6 +11,11 @@ import pytest
 from repro.corpus import Document, Query
 from repro.fleet import LiveEngineServer
 from repro.metasearch import MetasearchBroker
+
+
+def current(server):
+    """The server's whole representative: its full delta's."""
+    return server.delta_since(0).as_representative()
 
 
 def docs(prefix, term_lists):
@@ -27,19 +33,25 @@ def server():
 
 class TestEngineServer:
     def test_version_tracks_documents(self, server):
-        # One tick per mutation, whatever it does to the document count.
-        assert (server.version, server.n_documents) == (0, 2)
+        # Version 0 is the empty representative; the initial documents are
+        # version 1, and every mutation ticks, whatever it does to the
+        # document count.
+        assert (server.version, server.n_documents) == (1, 2)
         server.add_documents(docs("b", [["new"], ["newer"]]))
-        assert (server.version, server.n_documents) == (1, 4)
+        assert (server.version, server.n_documents) == (2, 4)
         server.remove_documents(["b-0"])
-        assert (server.version, server.n_documents) == (2, 3)
+        assert (server.version, server.n_documents) == (3, 3)
 
     def test_snapshot_carries_version(self, server):
+        # The whole representative is the full delta: from version 0 and
+        # 0 documents to the live version.
         server.add_documents(docs("b", [["new"]]))
-        snapshot = server.snapshot()
-        assert snapshot.version == 1
-        assert snapshot.name == "alpha"
-        assert "rocket" in snapshot.representative
+        full = server.delta_since(0)
+        assert full.is_full
+        assert (full.from_version, full.to_version) == (0, 2)
+        assert (full.from_n_documents, full.n_documents) == (0, 3)
+        assert full.name == "alpha"
+        assert "rocket" in full.as_representative()
 
     def test_search_sees_new_documents(self, server):
         query = Query.from_terms(["fresh"])
@@ -48,10 +60,10 @@ class TestEngineServer:
         assert len(server.search(query, 0.1)) == 1
 
     def test_snapshot_is_point_in_time(self, server):
-        snapshot = server.snapshot()
+        full = server.delta_since(0)
         server.add_documents(docs("b", [["fresh"]]))
-        assert "fresh" not in snapshot.representative
-        assert "fresh" in server.snapshot().representative
+        assert "fresh" not in full.as_representative()
+        assert "fresh" in current(server)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -64,11 +76,11 @@ class TestEngineServer:
         ids=["remove", "add"],
     )
     def test_repeated_id_rejects_the_batch_untouched(self, server, mutate):
-        before = (server.version, server.doc_ids, server.snapshot())
+        before = (server.version, server.doc_ids, server.delta_since(0))
         with pytest.raises(ValueError):
             mutate(server)
-        assert (server.version, server.doc_ids, server.snapshot()) == before
-        assert server.snapshot().representative.n_documents == 2
+        assert (server.version, server.doc_ids, server.delta_since(0)) == before
+        assert current(server).n_documents == 2
 
     @pytest.mark.parametrize(
         "mutate",
@@ -86,8 +98,8 @@ class TestEngineServer:
             delta = mutate(server)
             assert delta == server.delta_since(server.version)
             assert delta.is_empty
-        assert server.version == 1
-        assert server.delta_since(0) == real
+        assert server.version == 2
+        assert server.delta_since(1) == real
 
     @pytest.mark.parametrize(
         "mutate",
@@ -98,10 +110,10 @@ class TestEngineServer:
         ids=["remove", "add"],
     )
     def test_bare_string_batch_is_a_type_error(self, server, mutate):
-        before = (server.version, server.doc_ids, server.snapshot())
+        before = (server.version, server.doc_ids, server.delta_since(0))
         with pytest.raises(TypeError, match="not a str"):
             mutate(server)
-        assert (server.version, server.doc_ids, server.snapshot()) == before
+        assert (server.version, server.doc_ids, server.delta_since(0)) == before
 
     def test_searches_beside_mutations_see_whole_states(self):
         # Searches walk the postings a mutation edits in place.  Every
@@ -147,14 +159,21 @@ class TestEngineServer:
         assert server.version == 0
         assert server.n_documents == 0
         assert server.search(Query.from_terms(["x"]), 0.1) == []
+        # Version 0 is the empty representative: its full delta is empty.
+        assert server.delta_since(None).is_empty
+        assert server.delta_since(None).is_full
 
 
 class TestSubscribingBroker:
     def test_register_takes_snapshot(self, server):
-        # The first sync has no base version: a full snapshot re-registers.
+        # The first sync has no base version: the full delta enters the
+        # engine and replaces what the broker held (nothing).
         broker = MetasearchBroker()
-        assert broker.sync_representative(server) is None
-        assert broker.representative_version("alpha") == 0
+        report = broker.sync_representative(server)
+        assert (report.from_version, report.to_version, report.mode) == (
+            0, 1, "full"
+        )
+        assert broker.representative_version("alpha") == 1
         assert broker.representative_of("alpha").n_documents == 2
 
     def test_duplicate_registration_rejected(self, server):
@@ -175,7 +194,7 @@ class TestSubscribingBroker:
         assert broker.true_selection(query, 0.1) == ["alpha"]
         # ... until a sync, which this time is a delta.
         report = broker.sync_representative(server)
-        assert (report.from_version, report.to_version) == (0, 1)
+        assert (report.from_version, report.to_version) == (1, 2)
         assert broker.select(query, 0.1) == ["alpha"]
 
     def test_search_uses_live_engines(self, server):
@@ -202,14 +221,14 @@ class TestReRegistration:
         broker.sync_representative(server)
         server.add_documents(docs("b", [["fresh"]]))
         # An explicit re-registration of the same object with its current
-        # snapshot refreshes immediately, no delta needed.
-        snapshot = server.snapshot()
+        # representative refreshes immediately, no delta needed.
+        full = server.delta_since(0)
         broker.register(
             server,
-            representative=snapshot.representative,
-            version=snapshot.version,
+            representative=full.as_representative(),
+            version=full.to_version,
         )
-        assert broker.representative_version("alpha") == 1
+        assert broker.representative_version("alpha") == 2
         assert broker.select(Query.from_terms(["fresh"]), 0.1) == ["alpha"]
         # Already current: the next sync is the empty delta.
         assert broker.sync_representative(server).terms_touched == 0
@@ -221,5 +240,5 @@ class TestReRegistration:
         with pytest.raises(ValueError, match="already registered"):
             broker.register(impostor)
         # The original subscription is untouched.
-        assert broker.representative_version("alpha") == 0
+        assert broker.representative_version("alpha") == 1
         assert broker.select(Query.from_terms(["rocket"]), 0.1) == ["alpha"]

@@ -1,5 +1,6 @@
 """Unit tests for the serving support pieces: deadlines and admission."""
 
+import json
 import threading
 import time
 
@@ -542,7 +543,6 @@ def client_calls():
         "engine.name": lambda: engine.name,
         "engine.search": lambda: engine.search(query, 0.1),
         "engine.max_similarity": lambda: engine.max_similarity(query),
-        "engine.snapshot": lambda: engine.snapshot_representative(),
         "engine.sync": lambda: engine.sync_representative(since=3),
         "gateway.estimate": lambda: gateway.estimate(query, 0.1),
         "gateway.search": lambda: gateway.search(query, 0.1),
@@ -570,21 +570,20 @@ class TestClientsRejectMalformedAnswers:
         with pytest.raises(RemoteServingError):
             client_calls()[call]()
 
-    @pytest.mark.parametrize(
-        "body", [b"", b"PK\x03\x04garbage"], ids=["empty", "truncated-zip"]
-    )
-    def test_bad_npz_body_raises_remote_serving_error(self, monkeypatch, body):
-        from types import SimpleNamespace
-
+    def test_a_full_delta_from_documents_raises_remote_serving_error(
+        self, monkeypatch
+    ):
+        """A delta from version 0 starts from the empty representative: one
+        claiming a base of documents is a malformed answer."""
+        from repro.fleet import RepresentativeDelta
         from repro.serving import RemoteEngine, RemoteServingError
         from repro.serving.remote_engine import _HTTPJsonClient
 
-        response = SimpleNamespace(
-            headers={"X-Repro-Representative-Version": "0"}
-        )
-        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(body, response))
-        with pytest.raises(RemoteServingError, match="malformed answer"):
-            RemoteEngine(DEAD_URL).snapshot_representative(columnar=True)
+        payload = RepresentativeDelta("e", 0, 2, 3, 3, ()).to_json_dict()
+        body = json.dumps(payload).encode()
+        monkeypatch.setattr(_HTTPJsonClient, "_send", answering(body))
+        with pytest.raises(RemoteServingError, match="from_n_documents must be 0"):
+            RemoteEngine(DEAD_URL).sync_representative()
 
     def test_non_object_healthz_never_attaches(self, monkeypatch):
         from repro.serving import RemoteEngine, RemoteServingError, ShardedFleet

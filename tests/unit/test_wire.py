@@ -8,6 +8,7 @@ from repro.core import SubrangeEstimator
 from repro.core.types import Usefulness
 from repro.corpus import Query
 from repro.engine import SearchHit
+from repro.fleet import RepresentativeDelta, canonicalize, diff_representatives
 from repro.metasearch import MetasearchResponse
 from repro.metasearch.dispatch import EngineFailure
 from repro.metasearch.selection import EstimatedUsefulness
@@ -23,12 +24,8 @@ from repro.serving import (
     failure_to_wire,
     query_from_wire,
     query_to_wire,
-    representative_from_wire,
-    representative_to_wire,
     response_from_wire,
     response_to_wire,
-    snapshot_from_wire,
-    snapshot_to_wire,
     usefulness_from_wire,
     usefulness_to_wire,
 )
@@ -37,6 +34,21 @@ from repro.serving import (
 def roundtrip_json(payload):
     """Push a payload through an actual JSON encode/decode, as HTTP would."""
     return json.loads(json.dumps(payload))
+
+
+def full_delta(representative, version=7):
+    """How a representative crosses the wire: its full delta, the delta
+    from version 0 (the empty representative)."""
+    return diff_representatives(
+        DatabaseRepresentative(representative.name, 0, {}), representative,
+        from_version=0, to_version=version,
+    )
+
+
+def over_the_wire(representative):
+    """``representative`` shipped as its full delta and decoded."""
+    wire = roundtrip_json(full_delta(representative).to_json_dict())
+    return RepresentativeDelta.from_json_dict(wire).as_representative()
 
 
 @pytest.fixture
@@ -131,107 +143,80 @@ class TestResponseWire:
 
 
 class TestRepresentativeWire:
+    """A representative crosses the wire as its full delta; ``serve
+    gateway --quantize N`` quantizes what arrived."""
+
     def test_plain_roundtrip_is_exact(self, representative):
-        wire = roundtrip_json(representative_to_wire(representative))
-        assert representative_from_wire(wire) == representative
+        assert over_the_wire(representative) == representative
 
     def test_quantized_equals_local_quantization(self, representative):
-        wire = roundtrip_json(
-            representative_to_wire(representative, quantize=256)
+        # Both sides quantize the canonical (sorted-term) order: a grid's
+        # per-interval means sum in term order.
+        received = quantize_representative(
+            over_the_wire(representative), levels=256
         )
-        decoded = representative_from_wire(wire)
-        assert decoded == quantize_representative(representative, levels=256)
-
-    def test_quantized_codes_pack_one_byte_per_term_per_field(
-        self, representative
-    ):
-        import base64
-
-        wire = representative_to_wire(representative, quantize=256)
-        for spec in wire["fields"].values():
-            raw = base64.b64decode(spec["codes"])
-            assert len(raw) == len(wire["terms"])  # 1 byte/term/field
+        local = quantize_representative(canonicalize(representative), levels=256)
+        assert received == local
 
     def test_quantized_estimates_match(self, representative):
         query = Query(terms=("rocket", "orbit"), weights=(1.0, 1.0))
         estimator = SubrangeEstimator()
         local = estimator.estimate(
-            query, quantize_representative(representative, levels=256), 0.2
+            query,
+            quantize_representative(canonicalize(representative), levels=256),
+            0.2,
         )
-        wire = roundtrip_json(
-            representative_to_wire(representative, quantize=256)
+        remote = estimator.estimate(
+            query,
+            quantize_representative(over_the_wire(representative), levels=256),
+            0.2,
         )
-        remote = estimator.estimate(query, representative_from_wire(wire), 0.2)
         assert remote == local
-
-    def test_many_levels_fall_back_to_int_lists(self, representative):
-        wire = roundtrip_json(
-            representative_to_wire(representative, quantize=300)
-        )
-        for spec in wire["fields"].values():
-            assert isinstance(spec["codes"], list)
-        decoded = representative_from_wire(wire)
-        assert decoded == quantize_representative(representative, levels=300)
 
     def test_empty_representative(self):
         empty = DatabaseRepresentative("empty", n_documents=0, term_stats={})
-        for quantize in (None, 256):
-            wire = roundtrip_json(
-                representative_to_wire(empty, quantize=quantize)
-            )
-            assert representative_from_wire(wire) == empty
+        assert over_the_wire(empty) == empty
+        assert quantize_representative(over_the_wire(empty)) == empty
 
     def test_bad_levels_rejected(self, representative):
         with pytest.raises(ValueError):
-            representative_to_wire(representative, quantize=0)
+            quantize_representative(representative, levels=0)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WireFormatError):
-            representative_from_wire({"kind": "nope"})
-
-    def test_code_out_of_range_rejected(self, representative):
-        wire = representative_to_wire(representative, quantize=300)
-        wire["fields"]["mean"]["codes"][0] = 999
-        with pytest.raises(WireFormatError):
-            representative_from_wire(wire)
-
-    def test_wrong_code_count_rejected(self, representative):
-        wire = representative_to_wire(representative, quantize=300)
-        wire["fields"]["mean"]["codes"].append(0)
-        with pytest.raises(WireFormatError):
-            representative_from_wire(wire)
+        with pytest.raises(ValueError):
+            RepresentativeDelta.from_json_dict({"kind": "nope"})
 
     def test_missing_required_field_rejected(self, representative):
-        wire = representative_to_wire(representative, quantize=300)
-        del wire["fields"]["std"]
-        with pytest.raises(WireFormatError):
-            representative_from_wire(wire)
+        wire = full_delta(representative).to_json_dict()
+        del wire["n_documents"]
+        with pytest.raises(ValueError):
+            RepresentativeDelta.from_json_dict(wire)
 
 
 class TestSnapshotWire:
-    def test_roundtrip_and_envelope(self, representative):
-        from repro.fleet import RepresentativeSnapshot
+    """The whole representative is the full delta's JSON document."""
 
-        snapshot = RepresentativeSnapshot("db1", 7, representative)
-        wire = snapshot_to_wire(snapshot)
-        assert list(wire) == ["kind", "name", "version", "representative"]
-        assert wire["kind"] == "representative.snapshot"
-        assert wire["representative"] == representative_to_wire(representative)
-        assert snapshot_from_wire(roundtrip_json(wire)) == snapshot
-        quantized = snapshot_from_wire(
-            roundtrip_json(snapshot_to_wire(snapshot, quantize=256))
-        )
-        assert quantized.representative == quantize_representative(
-            representative, levels=256
-        )
+    def test_roundtrip_and_envelope(self, representative):
+        full = full_delta(representative)
+        wire = full.to_json_dict()
+        assert list(wire) == [
+            "kind", "format", "name", "from_version", "to_version",
+            "from_n_documents", "n_documents", "records",
+        ]
+        assert wire["kind"] == "representative.delta"
+        assert (wire["from_version"], wire["from_n_documents"]) == (0, 0)
+        assert [record[1] for record in wire["records"]] == ["orbit", "rocket"]
+        decoded = RepresentativeDelta.from_json_dict(roundtrip_json(wire))
+        assert decoded == full and decoded.is_full
+        assert decoded.as_representative() == representative
 
     @pytest.mark.parametrize(
         "payload",
         [[], {}, {"kind": "representative"}, {"kind": "representative.snapshot"}],
     )
     def test_anything_else_rejected(self, payload):
-        with pytest.raises(WireFormatError):
-            snapshot_from_wire(payload)
+        with pytest.raises(ValueError):
+            RepresentativeDelta.from_json_dict(payload)
 
 
 class TestShardWirePayloads:
