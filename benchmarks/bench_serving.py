@@ -11,7 +11,7 @@ estimates, invoked engines and failures are all exactly equal — and
 reports what it costs: throughput, latency percentiles, and the per-request
 overhead over the in-process path.
 
-The sharded bench pits the 4-shard scatter-gather coordinator (spawned
+The sharded bench pits the 4-shard coordinator (spawned
 end-to-end through ``repro serve coordinator --shards 4``: four shard
 worker processes plus the coordinator) against the PR 4
 single-broker gateway over the same collections, driven by a
@@ -28,15 +28,16 @@ recorded either way) — force it with ``REPRO_BENCH_SHARDED_FLOOR=1``/
 
 The coalescing bench isolates what the front-door micro-batcher buys:
 an in-process :class:`CoordinatorApp` over four live shard-worker
-servers, driven closed-loop at concurrency 1 / 4 / 16 with coalescing on
-versus off.  Shard estimate caches are warmed (and on==off exactness
-asserted byte-for-byte) before timing, so per-request scatter RPCs —
-the cost coalescing collapses — dominate the measured window.  The
-coordinator's scatter counters must prove at most one ``/estimate`` RPC
-per shard per flushed window (a shard the headroom summary rules out is
-skipped), the idle fast-path must add <1 ms p50 at
-concurrency 1, and at concurrency 16 the coalesced lane must clear the
-2x throughput floor (armed like the sharded floor; force with
+servers, driven closed-loop with ``/search`` at concurrency 1 / 4 / 16
+with coalescing on versus off.  The coordinators' estimate caches are
+warmed (and on==off exactness asserted byte-for-byte, timing fields
+aside) before timing, so the per-request ``/dispatch`` RPCs — the cost a
+search window collapses — dominate the measured window.  The
+coordinator estimates from its own copy of the representatives, so the
+shards' counters must show no ``/estimate`` RPC at all; its dispatch
+counters must prove at most one ``/dispatch`` RPC per shard per flushed
+window; the idle fast-path must add <1 ms p50 at concurrency 1; and at
+concurrency 16 the coalesced lane must clear the 2x throughput floor (armed like the sharded floor; force with
 ``REPRO_BENCH_COALESCE_FLOOR=1``/``0``).  Occupancy and flush-reason
 distributions land in ``BENCH_sharded_serving.json`` (merged, not
 overwritten) and the human-readable breakdown — including why the
@@ -589,22 +590,33 @@ def test_sharded_coordinator_throughput_vs_single_broker(tmp_path):
         )
 
 
-# -- front-door coalescing: window batching vs per-request scatter -----------
+# -- front-door coalescing: window batching vs per-request calls -------------
 
 
-def _estimate_body(query, threshold) -> bytes:
+def _query_body(query, threshold) -> bytes:
     return json.dumps(
         {"query": query_to_wire(query), "threshold": threshold}
     ).encode("utf-8")
 
 
+def _untimed(response) -> dict:
+    """A ``/search`` answer with its timing fields (dispatch latencies,
+    failure elapsed) zeroed: everything else must be byte-equal."""
+    payload = json.loads(response.body_bytes())
+    payload["latencies"] = dict.fromkeys(payload["latencies"], 0.0)
+    for failure in payload["failures"]:
+        failure["elapsed"] = 0.0
+    return payload
+
+
 def _inproc_closed_loop(app, bodies, concurrency, rounds):
-    """Drive ``bodies`` through ``app.handle`` from ``concurrency``
-    closed-loop threads; returns (total, wall_seconds, sorted_latencies).
+    """Drive ``bodies`` through ``app.handle("POST", "/search")`` from
+    ``concurrency`` closed-loop threads; returns (total, wall_seconds,
+    sorted_latencies).
 
     Calling the app in-process keeps the front door out of the measured
-    path on purpose: the shard RPCs (the cost coalescing collapses) are
-    still real HTTP round trips to live shard servers.
+    path on purpose: the shard ``/dispatch`` RPCs (the cost coalescing
+    collapses) are still real HTTP round trips to live shard servers.
     """
     order = list(range(len(bodies))) * rounds
     latencies = [0.0] * len(order)
@@ -619,7 +631,7 @@ def _inproc_closed_loop(app, bodies, concurrency, rounds):
                 return
             body = bodies[order[slot]]
             start = time.perf_counter()
-            response = app.handle("POST", "/estimate", {}, body)
+            response = app.handle("POST", "/search", {}, body)
             latencies[slot] = time.perf_counter() - start
             assert response.status == 200, response.body_bytes()
 
@@ -633,7 +645,7 @@ def _inproc_closed_loop(app, bodies, concurrency, rounds):
 
 
 def _coalesce_metrics(registry) -> dict:
-    """Flush-reason counts and occupancy distribution for the estimate
+    """Flush-reason counts and occupancy distribution for the search
     window, read straight from the in-process registry."""
     flush_reasons = {}
     occupancy = {}
@@ -642,12 +654,12 @@ def _coalesce_metrics(registry) -> dict:
         labels = entry.get("labels", {})
         if (
             entry["name"] == "serving.coalesce.flush"
-            and labels.get("window") == "estimate"
+            and labels.get("window") == "search"
         ):
             flush_reasons[labels["reason"]] = entry["value"]
         elif (
             entry["name"] == "serving.coalesce.batch.occupancy"
-            and labels.get("window") == "estimate"
+            and labels.get("window") == "search"
         ):
             occupancy = {
                 "count": entry["count"],
@@ -656,7 +668,7 @@ def _coalesce_metrics(registry) -> dict:
             }
         elif (
             entry["name"] == "serving.coalesce.wait.seconds"
-            and labels.get("window") == "estimate"
+            and labels.get("window") == "search"
         ):
             wait = {"count": entry["count"], "sum": entry["sum"]}
     return {
@@ -704,21 +716,21 @@ def _write_sharded_txt(report: dict) -> None:
             lines += [
                 "",
                 "Why the sharded lane regresses here (the ~"
-                f"{speedup:.2f}x): scatter-gather turns every request "
-                f"into {report.get('n_shards', 4)} shard RPCs plus a "
-                "merge.  That trade buys parallel compute across "
-                "processes - but on a container with "
+                f"{speedup:.2f}x): the coordinator estimates and selects "
+                "locally, as the single broker does, then sends each "
+                "request to every shard owning a selected engine - one "
+                "more HTTP hop, its JSON codec work and a merge per "
+                "request.  That trade buys parallel engine search "
+                "across processes - but on a container with "
                 f"{cpus} visible cpu(s) there is no parallelism to buy, "
-                "so the per-request RPC fan-out is pure overhead: "
-                "4x the HTTP round trips, 4x the JSON codec work, all "
-                "serialized onto one core.  The floor stays disarmed "
-                "below 4 cpus for exactly this reason.",
+                "so the extra hop is pure overhead.  The floor stays "
+                "disarmed below 4 cpus for exactly this reason.",
             ]
     if lanes:
         lines += [
             "",
-            "Lane B - in-process coordinator, /estimate workload, warm "
-            "shard caches (scatter RPCs dominate; coalescing window "
+            "Lane B - in-process coordinator, /search workload, warm "
+            "coordinator caches (dispatch RPCs dominate; coalescing window "
             f"{report['coalescing'].get('window_ms', '?')} ms, max batch "
             f"{report['coalescing'].get('max_batch', '?')}):",
             f"  {'concurrency':>11} {'off req/s':>10} {'on req/s':>10} "
@@ -732,13 +744,21 @@ def _write_sharded_txt(report: dict) -> None:
                 f"{lane['off']['p50_ms']:>8.2f}m {lane['on']['p50_ms']:>8.2f}m"
             )
         coalesce = report["coalescing"]
+        per_request = coalesce.get("scatter", {}).get(
+            "dispatch_rpcs_per_request", {}
+        )
         lines += [
             "",
-            "How coalescing recovers the scatter overhead: concurrent "
-            "requests gathered by one window leave as ONE /estimate RPC "
-            "per shard (coordinator.scatter.rpcs + skipped == fanouts x "
-            "shards, asserted), so the per-request RPC cost is amortized across "
-            "the window's occupancy instead of paid per request.  A lone "
+            "How coalescing recovers the dispatch overhead: the "
+            "coordinator estimates locally (no /estimate RPC, asserted "
+            "on the shards' counters), and concurrent searches gathered "
+            "by one window leave as ONE /dispatch RPC per shard owning "
+            "a selected engine (coordinator.scatter.rpcs <= fanouts x "
+            "shards, asserted), so the per-request RPC cost is amortized "
+            "across the window's occupancy instead of paid per request "
+            "(/dispatch RPCs per request in the timed rounds: "
+            f"{per_request.get('off', 0.0):.2f} off, "
+            f"{per_request.get('on', 0.0):.2f} on).  A lone "
             "request takes the idle fast-path and never waits for the "
             "window (p50 delta at concurrency 1: "
             f"{coalesce.get('idle_p50_delta_ms', 0.0):.3f} ms, floor "
@@ -756,7 +776,7 @@ def test_coalescing_gateway_throughput():
     collections = [model.generate_group(group) for group in range(N_ENGINES)]
     queries = QueryLogModel(model, seed=44).generate(COALESCE_QUERIES)
     bodies = [
-        _estimate_body(query, THRESHOLDS[i % len(THRESHOLDS)])
+        _query_body(query, THRESHOLDS[i % len(THRESHOLDS)])
         for i, query in enumerate(queries)
     ]
 
@@ -772,7 +792,9 @@ def test_coalescing_gateway_throughput():
                 broker.register(
                     engine, representative=build_representative(engine)
                 )
-            server = ServingServer(ShardApp(broker, shard_index=index))
+            server = ServingServer(ShardApp(
+                broker, shard_index=index, registry=MetricsRegistry()
+            ))
             server.start_background()
             shard_servers.append(server)
             urls.append(server.url)
@@ -787,17 +809,27 @@ def test_coalescing_gateway_throughput():
             max_active=32,
             max_queued=128,
         )
+        registry_off = MetricsRegistry()
         app_off = CoordinatorApp(
-            ShardedFleet(urls).attach(), max_active=32, max_queued=128
+            ShardedFleet(urls, registry=registry_off).attach(),
+            registry=registry_off,
+            max_active=32,
+            max_queued=128,
         )
 
-        # Warm every shard's estimate cache and assert on == off
-        # byte-for-byte before any timing.
+        # Warm both coordinators' estimate caches and assert on == off
+        # byte-for-byte (timing fields aside) before any timing.
         for body in bodies:
-            want = app_off.handle("POST", "/estimate", {}, body)
-            got = app_on.handle("POST", "/estimate", {}, body)
+            want = app_off.handle("POST", "/search", {}, body)
+            got = app_on.handle("POST", "/search", {}, body)
             assert want.status == got.status == 200
-            assert got.body_bytes() == want.body_bytes()
+            assert _untimed(got) == _untimed(want)
+        timed_from = {
+            name: reg.value(
+                "coordinator.scatter.rpcs", labels={"phase": "dispatch"}
+            ) or 0
+            for name, reg in (("on", registry), ("off", registry_off))
+        }
 
         lanes = {}
         for concurrency in COALESCE_CONCURRENCY:
@@ -824,23 +856,33 @@ def test_coalescing_gateway_throughput():
                 "speedup": on_rps / off_rps if off_rps > 0 else float("inf"),
             }
 
-        # The coordinator invariant behind the win: every scatter round
-        # cost at most one /estimate RPC per shard, whatever its width
-        # (none for a shard its headroom summary rules out).
+        # The coordinator invariants behind the win: it estimates from
+        # its own copy of the representatives, so no estimate costs a
+        # shard RPC, and every dispatch round cost at most one /dispatch
+        # RPC per shard, whatever its width.
+        estimate_rpcs = sum(
+            server.app.registry.value("serving.shard.estimates") or 0
+            for server in shard_servers
+        )
+        assert estimate_rpcs == 0
         fanouts = registry.value(
-            "coordinator.scatter.fanouts", labels={"phase": "estimate"}
+            "coordinator.scatter.fanouts", labels={"phase": "dispatch"}
         )
         rpcs = registry.value(
-            "coordinator.scatter.rpcs", labels={"phase": "estimate"}
+            "coordinator.scatter.rpcs", labels={"phase": "dispatch"}
         )
-        skipped = registry.value(
-            "coordinator.scatter.skipped", labels={"phase": "estimate"}
-        )
-        assert fanouts and rpcs + skipped == fanouts * N_SHARDS
         on_requests = registry.value(
-            "serving.coalesce.requests", labels={"window": "estimate"}
+            "serving.coalesce.requests", labels={"window": "search"}
         )
+        assert fanouts and rpcs <= fanouts * N_SHARDS
         assert fanouts <= on_requests
+        timed = len(bodies) * COALESCE_ROUNDS * len(COALESCE_CONCURRENCY)
+        rpcs_per_request = {
+            name: ((reg.value(
+                "coordinator.scatter.rpcs", labels={"phase": "dispatch"}
+            ) or 0) - timed_from[name]) / timed
+            for name, reg in (("on", registry), ("off", registry_off))
+        }
         metrics = _coalesce_metrics(registry)
     finally:
         for server in shard_servers:
@@ -862,11 +904,11 @@ def test_coalescing_gateway_throughput():
         "lanes": lanes,
         "idle_p50_delta_ms": idle_delta_ms,
         "scatter": {
-            "fanouts": fanouts,
-            "rpcs": rpcs,
-            "skipped": skipped,
+            "estimate_rpcs": estimate_rpcs,
+            "dispatch_fanouts": fanouts,
+            "dispatch_rpcs": rpcs,
             "requests": on_requests,
-            "rpcs_per_fanout": rpcs / fanouts if fanouts else 0.0,
+            "dispatch_rpcs_per_request": rpcs_per_request,
         },
         "metrics": metrics,
         "cpus": cpus,
@@ -880,8 +922,8 @@ def test_coalescing_gateway_throughput():
     lines = [
         "",
         f"=== front-door coalescing over {N_SHARDS} shard servers "
-        f"({len(bodies)} /estimate bodies x {COALESCE_ROUNDS} rounds, "
-        "warm shard caches) ===",
+        f"({len(bodies)} /search bodies x {COALESCE_ROUNDS} rounds, "
+        "warm coordinator caches) ===",
         f"{'concurrency':>11} {'off req/s':>10} {'on req/s':>10} "
         f"{'speedup':>8}",
     ]
@@ -894,8 +936,11 @@ def test_coalescing_gateway_throughput():
     lines += [
         f"idle path  : p50 delta {idle_delta_ms:+.3f} ms at concurrency 1 "
         "(floor <1 ms)",
-        f"scatter    : {fanouts} fanouts x {N_SHARDS} shards = {rpcs} "
-        f"RPCs + {skipped} skipped for {on_requests} coalesced requests",
+        f"shard RPCs : {estimate_rpcs} /estimate RPCs (the coordinator "
+        f"estimates locally); {rpcs:.0f} /dispatch RPCs in "
+        f"{fanouts:.0f} rounds for {on_requests:.0f} coalesced requests",
+        f"per request: {rpcs_per_request['off']:.2f} /dispatch RPCs off, "
+        f"{rpcs_per_request['on']:.2f} on (timed rounds)",
         f"flushes    : {metrics['flush_reasons']}",
     ]
     emit("coalescing", "\n".join(lines))

@@ -558,7 +558,7 @@ def _serving_registry():
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
     """Serve one shard of a partitioned fleet: a broker over the engines
-    assigned to this shard, behind the shard scatter endpoints."""
+    assigned to this shard, behind the shard endpoints."""
     from repro.serving import ServingServer, ShardApp
 
     registry = _serving_registry()
@@ -618,47 +618,60 @@ def _spawn_shards(args: argparse.Namespace) -> tuple:
         if paths
     ]
     processes = []
-    for index, paths in enumerate(slices):
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "serve",
-            "shard",
-            "--shard-index",
-            str(index),
-            "--collections",
-            *paths,
-        ]
-        processes.append(
-            subprocess.Popen(
-                command,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
+    try:
+        for index, paths in enumerate(slices):
+            command = [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "shard",
+                "--shard-index",
+                str(index),
+                "--collections",
+                *paths,
+            ]
+            processes.append(
+                subprocess.Popen(
+                    command,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    text=True,
+                )
             )
-        )
-    urls = []
-    for index, proc in enumerate(processes):
-        url = None
-        deadline = time.time() + 60
-        while time.time() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            match = re.search(r"serving shard at (http://\S+)", line)
-            if match:
-                url = match.group(1)
-                break
-        if url is None:
-            raise RuntimeError(f"shard {index} did not announce its URL")
-        print(f"shard {index} at {url}", flush=True)
-        urls.append(url)
+        urls = []
+        for index, proc in enumerate(processes):
+            url = None
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                match = re.search(r"serving shard at (http://\S+)", line)
+                if match:
+                    url = match.group(1)
+                    break
+            if url is None:
+                raise RuntimeError(f"shard {index} did not announce its URL")
+            print(f"shard {index} at {url}", flush=True)
+            urls.append(url)
+    except BaseException:
+        # The caller holds no handle on the shards started so far until
+        # this returns: stop them here, or they outlive the coordinator.
+        for proc in processes:
+            proc.terminate()
+        for proc in processes:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        raise
     return processes, urls
 
 
 def _cmd_serve_coordinator(args: argparse.Namespace) -> int:
-    """Serve the scatter-gather coordinator over shard workers — spawned
+    """Serve the coordinator over shard workers — spawned
     here (``--shards N`` partitioning ``--collections``) or already
     running (``--shard-urls``)."""
     from repro.serving import (
@@ -887,10 +900,11 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
             backends[name] = broker
         return backends
 
-    # Sharded: per estimator, a real scatter-gather topology — shard
-    # brokers behind in-process HTTP servers, a ShardedFleet coordinator
-    # in front.  Estimates travel the same wire CI's subprocess topology
-    # uses; only the process boundary is elided.
+    # Sharded: per estimator, a real sharded topology — shard brokers
+    # behind in-process HTTP servers, a ShardedFleet coordinator in front
+    # estimating from the representatives it read off the shards at
+    # attach.  Representatives and hits travel the same wire CI's
+    # subprocess topology uses; only the process boundary is elided.
     from repro.serving import ServingServer, ShardApp, ShardedFleet
 
     for name in estimator_names:
@@ -898,14 +912,16 @@ def _eval_backends(args, estimator_names, engines, representatives, stack):
         for index, engine_slice in enumerate(
             s for s in partition_round_robin(engines, args.shards) if s
         ):
-            broker = MetasearchBroker(estimator=get_estimator(name))
+            broker = MetasearchBroker()
             for engine in engine_slice:
                 broker.register(engine, representative=representatives[engine.name])
             server = ServingServer(ShardApp(broker, shard_index=index))
             server.start_background()
             stack.callback(server.drain, 10.0)
             urls.append(server.url)
-        fleet = ShardedFleet(urls).attach(timeout=30.0)
+        fleet = ShardedFleet(urls, estimator=get_estimator(name)).attach(
+            timeout=30.0
+        )
         stack.callback(fleet.close)
         backends[name] = fleet
     return backends
@@ -1292,7 +1308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = serve_sub.add_parser(
         "coordinator",
-        help="serve the scatter-gather coordinator over shard workers",
+        help="serve the coordinator (the broker) over shard workers",
     )
     sp.add_argument("--shards", type=int, default=None,
                     help="spawn this many shard worker processes, "
@@ -1304,8 +1320,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attach to already-running shard workers instead "
                          "of spawning")
     sp.add_argument("--timeout", type=float, default=None,
-                    help="scatter deadline per fan-out; a shard missing it "
-                         "is treated as dead for that request")
+                    help="dispatch deadline per fan-out; a shard missing "
+                         "it is treated as dead for that request")
     sp.add_argument("--retries", type=int, default=0,
                     help="extra attempts per shard call")
     sp.add_argument("--shard-timeout", type=float, default=30.0,

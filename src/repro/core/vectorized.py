@@ -55,7 +55,7 @@ is expanded with the scalar :meth:`GenFunc.product`, counted by
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -72,14 +72,12 @@ from repro.representatives.columnar import FleetRepresentativeStore
 
 __all__ = [
     "fallback_count",
-    "fleet_headroom",
     "fleet_tails",
     "fleet_usefulness_grid",
     "fleet_usefulness_rows",
     "require_kernel",
     "reset_fallback_count",
     "rules_out",
-    "summary_rules_out",
 ]
 
 #: Accumulated-exponent ceiling: ``np.round`` scales by ``10**DECIMALS``,
@@ -297,18 +295,15 @@ def _cut_margin(n_terms, bound: np.ndarray, floor) -> np.ndarray:
     return (n_terms + 2) * (4.0 * unit + 1e-12 * (1.0 + bound + np.abs(floor)))
 
 
-def rules_out(total, bound, n_terms, floor, slack: float = 1.0) -> np.ndarray:
+def rules_out(total, bound, n_terms, floor) -> np.ndarray:
     """The whole-row rule: a row whose headroom sums to ``total`` reads
     the empty tail ``(0.0, 0.0)`` at every threshold ``>= floor`` when
-    ``total <= floor - slack * margin`` (:func:`_cut_margin` of the row's
-    term count ``n_terms`` and magnitude sum ``bound``).  A NaN or
-    infinite ``floor`` never rules out, and a NaN ``total`` compares
-    false.  The kernel applies it with ``slack = 1``
-    (:func:`_live_rows`); a coarser bound over many rows applies it
-    through :func:`summary_rules_out`."""
+    ``total <= floor - margin`` (:func:`_cut_margin` of the row's term
+    count ``n_terms`` and magnitude sum ``bound``).  A NaN or infinite
+    ``floor`` never rules out, and a NaN ``total`` compares false."""
     finite = np.isfinite(floor)
     at = np.where(finite, floor, 0.0)
-    return finite & (total <= at - slack * _cut_margin(n_terms, bound, at))
+    return finite & (total <= at - _cut_margin(n_terms, bound, at))
 
 
 def _live_rows(matched, headroom, bound, n_terms, floor) -> np.ndarray:
@@ -623,84 +618,6 @@ _EXPANSIONS = {
         rows.u * rows.binary_mean_w[:, None], rows.p, rows.matched
     ),
 }
-
-#: Per packed entry, what bounds ``|exponent| / u`` of a matched factor
-#: (its magnitude per unit query weight, which also bounds its headroom),
-#: by exact type: ``bound(estimator, store, entries)``.  Only the
-#: expansion kernels have a whole-row bound; the previous method (whose
-#: factors depend on the threshold) and gGlOSS have no summary.
-_HEADROOM = {
-    SubrangeEstimator: lambda est, store, entries: est.effective_max(
-        entries.w, entries.sigma, entries.mw
-    ),
-    BasicEstimator: lambda est, store, entries: np.abs(entries.w),
-    BinaryIndependenceEstimator: lambda est, store, entries: np.abs(
-        store.binary_mean_w[entries.engine_idx]
-    ),
-}
-
-
-def fleet_headroom(
-    estimator: UsefulnessEstimator,
-    store: FleetRepresentativeStore,
-    terms: Optional[Sequence[str]] = None,
-) -> Optional[Dict[str, float]]:
-    """The store's *headroom summary*: for each term, the largest
-    per-unit-weight bound on a matched factor's ``|exponent|`` over the
-    store's engines — ``mw_eff`` for subrange, ``|w|`` for basic, the
-    engine's ``|mean w|`` for binary independence (a NaN bound stays
-    NaN).  One ``np.maximum.reduceat`` over the store's term-major
-    entries.
-
-    For a query with normalized weights ``u``, ``sum_j u_j * H[term_j]``
-    is at least every engine's kernel headroom sum *and* magnitude sum
-    (:func:`_expand_live`'s ``total`` and ``bound``), so
-    :func:`summary_rules_out` applied to it rules out only rows the
-    kernel's own :func:`rules_out` rules out.
-
-    Returns:
-        ``None`` when ``estimator`` has no whole-row bound (the previous
-        method, gGlOSS).  Otherwise every term holding an entry, or with
-        ``terms``, exactly those terms (``0.0`` for one no engine holds).
-    """
-    bound = _HEADROOM.get(type(estimator))
-    if bound is None:
-        return None
-    entries = store.term_entries(
-        None if terms is None else store.vocab.ids_of(terms)
-    )
-    top = np.zeros(entries.terms.size)
-    if entries.p.size:
-        per_entry = np.where(
-            entries.p > 0.0, bound(estimator, store, entries), 0.0
-        )
-        top = np.maximum.reduceat(per_entry, entries.starts)
-    summary = dict(
-        zip(map(store.vocab.term_of, entries.terms.tolist()), top.tolist())
-    )
-    if terms is None:
-        return summary
-    return {term: summary.get(term, 0.0) for term in terms}
-
-
-def summary_rules_out(totals, n_terms, floors) -> np.ndarray:
-    """:func:`rules_out` for a headroom summary's sums ``totals``
-    (``sum_j u_j * H[term_j]`` per query, see :func:`fleet_headroom`),
-    which stand in for both the headroom and the magnitude sum.
-
-    Each engine's sums are at most ``totals`` — ``u * H``, sums of
-    non-negative terms and :func:`_cut_margin` are all monotone — except
-    that a different summation order moves a sum by ulps (at most ``Q *
-    2**-53`` relative).  The margin is taken twice to cover that: one
-    margin is at least ``1e-12`` relative to ``1 + bound``, four orders
-    of magnitude above any ulp drift.  ``totals`` at or above half the
-    demotion ceiling never rule out, so no ruled-out row needs the scalar
-    path.  A row ruled out here is ``(0.0, 0.0)`` at every threshold
-    ``>= floors``, whatever smaller threshold the kernel call also reads.
-    """
-    safe = totals < _EXPONENT_CEILING / 2.0
-    return safe & rules_out(totals, totals, n_terms, floors, slack=2.0)
-
 
 #: Every estimator type's kernel: ``kernel(estimator, rows, thresholds)``
 #: returns ``(nodoc, avgsim)`` of shape ``(T, R)`` over the stacked

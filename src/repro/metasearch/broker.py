@@ -74,7 +74,7 @@ import numbers
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -585,6 +585,16 @@ class MetasearchBroker(SearchPipeline):
         if name not in self._engines:
             raise KeyError(f"engine {name!r} not registered")
         return self._rep_versions.get(name)
+
+    def versioned_representative(
+        self, name: str
+    ) -> Tuple[DatabaseRepresentative, Optional[int]]:
+        """``name``'s representative and its recorded source version, read
+        together: a delta applied concurrently lands before or after
+        both, never between them."""
+        with self._write_lock:
+            version = self.representative_version(name)
+            return self.fleet.materialize(name), version
 
     def engine_of(self, name: str) -> SearchEngine:
         """The registered engine object itself."""

@@ -35,9 +35,7 @@ from __future__ import annotations
 import io
 import threading
 from pathlib import Path
-from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -524,21 +522,6 @@ class _PackedFleet:
         )
 
 
-class TermEntries(NamedTuple):
-    """Some terms' packed entries, term after term: the entries of
-    ``terms[k]`` sit at ``starts[k]:starts[k + 1]`` (the last to the end)
-    of the parallel entry columns, the layout ``np.ufunc.reduceat(column,
-    starts)`` reduces per term."""
-
-    terms: np.ndarray
-    starts: np.ndarray
-    engine_idx: np.ndarray
-    p: np.ndarray
-    w: np.ndarray
-    sigma: np.ndarray
-    mw: np.ndarray
-
-
 class FleetRepresentativeStore:
     """Every engine's representative, packed into fleet-wide term-major
     arrays keyed by a shared :class:`BrokerVocabulary`.
@@ -913,40 +896,6 @@ class FleetRepresentativeStore:
                     sigma[rows[local], j] = packed.sigma_extra[first:last]
                     mw[rows[local], j] = packed.mw_extra[first:last]
         return p, w, sigma, mw
-
-    def term_entries(
-        self, term_ids: Optional[np.ndarray] = None
-    ) -> TermEntries:
-        """The packed entries of ``term_ids`` (every id by default), in
-        the order given, reconstructed bit-exactly as :meth:`gather` reads
-        them; an id that holds no entry (or is unknown) is left out of
-        ``terms``."""
-        packed = self._ensure_packed()
-        if term_ids is None:
-            ids = np.arange(packed.vocab_size, dtype=np.int64)
-        else:
-            ids = np.asarray(term_ids, dtype=np.int64)
-            ids = ids[(ids >= 0) & (ids < packed.vocab_size)]
-        lo = packed.starts[ids]
-        counts = packed.starts[ids + 1] - lo
-        held = counts > 0
-        ids, lo, counts = ids[held], lo[held], counts[held]
-        starts = np.cumsum(counts) - counts
-        positions = np.repeat(lo - starts, counts) + np.arange(counts.sum())
-        engine_idx = packed.engine_idx[positions]
-        w = packed.w[positions]
-        sigma = np.zeros(positions.size)
-        has_default = np.asarray(self._has_mw_default, dtype=bool)
-        mw = np.where(has_default[engine_idx], w, np.nan)
-        if packed.extra_pos.size:
-            where = np.searchsorted(packed.extra_pos, positions)
-            where = np.clip(where, 0, packed.extra_pos.size - 1)
-            hit = packed.extra_pos[where] == positions
-            sigma[hit] = packed.sigma_extra[where[hit]]
-            mw[hit] = packed.mw_extra[where[hit]]
-        return TermEntries(
-            ids, starts, engine_idx, packed.p[positions], w, sigma, mw
-        )
 
     def term_stats(self, name: str, term: str) -> Optional[TermStats]:
         """One engine's stats for one term, reconstructed bit-exactly."""

@@ -18,10 +18,11 @@ that split on the wire with nothing beyond the standard library:
   body limits, metrics, drain); the deadline scope itself is
   :mod:`repro.metasearch.deadlines`, re-exported here.
 * :mod:`repro.serving.shard_worker` — one shard of a partitioned fleet:
-  batch estimation and targeted dispatch over a columnar slice.
-* :mod:`repro.serving.coordinator` — scatter-gather over shard workers
-  behind the broker interface; :class:`CoordinatorApp` is the gateway
-  served over a :class:`ShardedFleet`.
+  its engines' representatives, targeted dispatch and deltas.
+* :mod:`repro.serving.coordinator` — the broker over shard workers: local
+  estimates from representatives read off the shards, dispatch to the
+  owning shards; :class:`CoordinatorApp` is the gateway served over a
+  :class:`ShardedFleet`.
 
 Every role is served by the one threaded stdlib frontend: start servers
 with ``repro serve engine|gateway|shard|coordinator ...`` or

@@ -1,53 +1,37 @@
 """One shard of a partitioned fleet, behind HTTP.
 
 A shard worker owns a *slice* of the fleet: a
-:class:`~repro.metasearch.broker.MetasearchBroker` whose
-:class:`~repro.representatives.columnar.FleetRepresentativeStore` holds
-the representatives of the engines assigned to this shard (typically
-loaded from an ``.npz`` bundle written by
+:class:`~repro.metasearch.broker.MetasearchBroker` holding the engines
+assigned to this shard and their representatives (typically loaded from
+collections, or from an ``.npz`` bundle written by
 :meth:`~repro.representatives.columnar.FleetRepresentativeStore.save_npz`).
-The scatter-gather coordinator (:mod:`repro.serving.coordinator`) fans
-each request out to the shards that can answer it and merges the
-answers, so a shard never sees the rest of the fleet — and never needs
-to: per-engine usefulness estimates depend only on that engine's
-representative and the query, so a slice estimates bit-identically to
-the full fleet.
+The coordinator (:mod:`repro.serving.coordinator`) is the paper's broker:
+it holds a copy of every representative, estimates and selects locally,
+and asks a shard only for what needs the documents.  So a shard serves:
 
-:class:`ShardApp` exposes the shard broker's own two pipeline steps (the
-shard protocol *is* :class:`~repro.metasearch.broker.SearchPipeline`'s
-backend protocol, one process removed) plus the summary and the deltas
-that keep the slice current:
-
-* ``POST /estimate`` — the *rows* step: a batch of queries with per-query
-  thresholds; returns one estimate row per query covering this shard's
-  engines (``broker.estimate_batch``).
-* ``POST /dispatch`` — the *reports* step: a batch of ``{query, threshold,
-  engines}`` entries; ``broker.reports`` forwards each query to the named
-  engines (which must live on this shard) and the answer carries
-  per-engine hits, failure records, and latencies.  Selection is *not*
-  applied here — the coordinator selects centrally on the merged estimate
-  rows, so any policy behaves exactly as it would in one process.
-* ``GET /headroom`` — the shard's headroom summary (kind
-  ``shard.headroom``): ``headroom`` maps each term to the largest
-  per-unit-weight bound on a factor exponent over this shard's engines
-  (:func:`~repro.core.vectorized.fleet_headroom`; ``null`` for a bound
-  that is not finite, and ``null`` in place of the map when the estimator
-  has no whole-row bound), and ``term_local`` says whether a delta moves
-  only its own terms' values (``false``: every value may move).  The
-  coordinator skips a shard whose summary proves every estimate zero.
+* ``GET /representative?engine=<name>`` — that engine's *full* delta (the
+  delta from version 0), the same ``representative.delta`` document an
+  engine server answers, built from this shard's store; its
+  ``to_version`` is the version the shard records for the engine, ``0``
+  when it records none.  The coordinator reads it at attach.  An engine
+  that is not on this shard is a 400.
+* ``POST /dispatch`` — the pipeline's *reports* step: a batch of
+  ``{query, threshold, engines}`` entries; ``broker.reports`` forwards
+  each query to the named engines (which must live on this shard) and the
+  answer carries per-engine hits, failure records, and latencies.
+  Selection is *not* applied here — the coordinator has already selected.
 * ``POST /delta`` — one :class:`~repro.fleet.delta.RepresentativeDelta`
   document (the canonical wire form) for an engine on this shard;
   applied through the broker's
   :meth:`~repro.metasearch.broker.MetasearchBroker.
-  apply_representative_delta`, so the columnar slice mutates in place
-  and only the affected cache entries are evicted.  A delta whose base
-  version does not match the shard's resident representative is a 409;
-  the caller re-ships the engine's full delta (from version 0), which
-  replaces the representative whatever the shard held.  A malformed
-  delta — a full one not starting from 0 documents included — is a 400.
-  The reply's ``headroom`` holds the new summary values the delta can
-  have moved, computed under the apply: its own terms, or the whole
-  summary when ``term_local`` is false.
+  apply_representative_delta`, so the shard stays the source the next
+  attach reads.  A delta whose base version does not match the shard's
+  resident representative is a 409; the caller re-ships the engine's
+  full delta (from version 0), which replaces the representative
+  whatever the shard held.  A malformed delta — a full one not starting
+  from 0 documents included — is a 400.
+* ``POST /estimate`` — the shard broker's *rows* step over its own
+  engines; only the benchmark's shard probes call it.
 
 The coordinator treats a dead shard as a set of per-engine failures,
 so the shard's own error story stays simple: malformed requests are
@@ -57,14 +41,10 @@ generic 500.
 
 from __future__ import annotations
 
-import math
-import threading
-from typing import Dict, Optional
-
-from repro.core.vectorized import fleet_headroom
-from repro.fleet.delta import RepresentativeDelta
+from repro.fleet.delta import RepresentativeDelta, diff_representatives
 from repro.metasearch.broker import MetasearchBroker
 from repro.obs.registry import OCCUPANCY_BUCKETS
+from repro.representatives.representative import DatabaseRepresentative
 from repro.serving.http import HTTPError, Response, ServingApp
 from repro.serving.wire import (
     encode_hits,
@@ -78,19 +58,8 @@ from repro.serving.wire import (
 __all__ = ["ShardApp"]
 
 
-def _headroom_to_wire(summary: Optional[Dict[str, float]]) -> Optional[dict]:
-    """A headroom summary as JSON: a value that is not finite is ``null``
-    (the coordinator reads it as ``+inf``, never skip)."""
-    if summary is None:
-        return None
-    return {
-        term: value if math.isfinite(value) else None
-        for term, value in summary.items()
-    }
-
-
 class ShardApp(ServingApp):
-    """Serve one fleet shard: batch estimation, targeted dispatch, deltas.
+    """Serve one fleet shard: representatives, targeted dispatch, deltas.
 
     Args:
         broker: The shard's broker, holding this shard's engines.
@@ -118,22 +87,20 @@ class ShardApp(ServingApp):
         self.broker = broker
         self.shard_index = shard_index
         self.max_batch = max_batch
-        # A delta and the headroom values it reports are one step.
-        self._delta_lock = threading.Lock()
         super().__init__(**kwargs)
         self._m_estimates = self.registry.counter("serving.shard.estimates")
         self._m_dispatches = self.registry.counter("serving.shard.dispatches")
         self._m_deltas = self.registry.counter("serving.shard.deltas")
-        # Occupancy of each /estimate RPC: front-door coalescing shows up
-        # here as batches > 1 where per-request scatter would show all 1s.
+        # Queries per /estimate RPC.
         self._m_batch_occupancy = self.registry.histogram(
             "serving.shard.batch.occupancy", buckets=OCCUPANCY_BUCKETS
         )
 
     def add_routes(self) -> None:
+        # Kept only for bench/'s shard_rpcs and shard_handle_estimate probes.
         self.route("POST", "/estimate", self._route_estimate)
+        self.route("GET", "/representative", self._route_representative)
         self.route("POST", "/dispatch", self._route_dispatch)
-        self.route("GET", "/headroom", self._route_headroom)
         self.route("POST", "/delta", self._route_delta)
 
     def health_info(self) -> dict:
@@ -220,22 +187,23 @@ class ShardApp(ServingApp):
             }
         )
 
-    def _headroom(self, terms=None) -> Optional[dict]:
-        return _headroom_to_wire(
-            fleet_headroom(self.broker.estimator, self.broker.fleet, terms)
+    def _route_representative(self, params, payload) -> Response:
+        name = params.get("engine", "")
+        try:
+            representative, version = self.broker.versioned_representative(
+                name
+            )
+        except KeyError:
+            raise HTTPError(
+                400, f"engine {name!r} is not on shard {self.shard_index}"
+            ) from None
+        delta = diff_representatives(
+            DatabaseRepresentative(name, 0, {}),
+            representative,
+            from_version=0,
+            to_version=version or 0,
         )
-
-    def _route_headroom(self, params, payload) -> Response:
-        with self._delta_lock:
-            summary = self._headroom()
-        return Response(
-            payload={
-                "kind": "shard.headroom",
-                "shard": self.shard_index,
-                "term_local": self.broker.estimator.term_local,
-                "headroom": summary,
-            }
-        )
+        return Response(payload=delta.to_json_dict())
 
     def _route_delta(self, params, payload) -> Response:
         try:
@@ -243,11 +211,7 @@ class ShardApp(ServingApp):
         except (KeyError, TypeError, ValueError) as exc:
             raise HTTPError(400, f"bad delta: {exc}") from exc
         try:
-            with self._delta_lock:
-                report = self.broker.apply_representative_delta(delta)
-                headroom = self._headroom(
-                    delta.terms if self.broker.estimator.term_local else None
-                )
+            report = self.broker.apply_representative_delta(delta)
         except KeyError:
             raise HTTPError(
                 400,
@@ -269,6 +233,5 @@ class ShardApp(ServingApp):
                 "cache_retained": report.cache_retained,
                 "polycache_evicted": report.polycache_evicted,
                 "polycache_retained": report.polycache_retained,
-                "headroom": headroom,
             }
         )

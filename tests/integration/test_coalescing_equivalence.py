@@ -15,10 +15,11 @@ collections:
   only nondeterministic bytes on the wire), including the per-engine
   ``EngineFailure`` records a broken backend produces and per-request
   ``limit`` truncation demuxed from the unlimited shared batch.
-* The sharded topology: a gated fleet proves one flushed window costs
-  at most one ``/estimate`` RPC per shard (``coordinator.scatter.rpcs``
-  + ``skipped`` == fanouts x shards) while duplicate queries dedup into
-  one grid row.
+* The sharded topology: a gated fleet proves a flushed estimate window
+  costs no shard RPC at all (the coordinator estimates from its own
+  representatives) while duplicate queries dedup into one grid row, and
+  a search round costs one ``/dispatch`` RPC per shard owning an invoked
+  engine.
 * Cache interplay: a warm estimate answers from the probe without
   joining any window, and invalidating the cache mid-window (between
   enqueue and flush) never poisons the flushed batch.
@@ -394,7 +395,8 @@ class TestCacheInterplay:
 
 
 class TestShardedCoordinator:
-    """One flushed window costs one /estimate RPC per shard."""
+    """A flushed window costs no estimate RPC, and a search round one
+    dispatch RPC per owning shard."""
 
     @pytest.fixture()
     def shard_servers(self):
@@ -409,16 +411,18 @@ class TestShardedCoordinator:
                     broker.register(
                         engine, representative=build_representative(engine)
                     )
-                server = ServingServer(ShardApp(broker, shard_index=index))
+                server = ServingServer(ShardApp(
+                    broker, shard_index=index, registry=MetricsRegistry()
+                ))
                 server.start_background()
                 servers.append(server)
-            yield [server.url for server in servers]
+            yield servers
         finally:
             for server in servers:
                 server.drain(timeout=10)
 
     def test_window_costs_one_rpc_per_shard_and_dedups(self, shard_servers):
-        urls = shard_servers
+        urls = [server.url for server in shard_servers]
         registry = MetricsRegistry()
         entered = threading.Event()
         gate = threading.Event()
@@ -494,26 +498,38 @@ class TestShardedCoordinator:
             assert got.status == 200
             assert got.body_bytes() == want.body_bytes()
 
-        # Exactly two scatter rounds reached the fleet: the solo leader
+        # Exactly two estimate batches reached the fleet: the solo leader
         # and the single flushed window holding every queued member.
         assert GatedFleet.calls == 2
-        fanouts = registry.value(
-            "coordinator.scatter.fanouts", labels={"phase": "estimate"}
-        )
-        rpcs = registry.value(
+        # Not one of them asked a shard: the coordinator estimates from
+        # its own representatives.
+        for server in shard_servers:
+            assert server.app.registry.value("serving.shard.estimates") == 0
+        assert registry.value(
             "coordinator.scatter.rpcs", labels={"phase": "estimate"}
-        )
-        skipped = registry.value(
-            "coordinator.scatter.skipped", labels={"phase": "estimate"}
-        )
-        assert fanouts == 2
-        # No shard is asked twice in a round; a shard whose headroom
-        # summary rules the whole round out is not asked at all.
-        assert rpcs + skipped == fanouts * len(urls)
+        ) is None
         # The duplicate pair collapsed to one grid row inside the window.
         assert registry.value(
             "serving.coalesce.deduped", labels={"window": "estimate"}
         ) == 1
+
+        # A search round asks each shard owning an invoked engine once.
+        responses = fleet.search_batch(
+            [query for query, __ in member_specs],
+            [threshold for __, threshold in member_specs],
+        )
+        owners = {
+            fleet.local.engine_of(name).shard.url
+            for response in responses
+            for name in response.invoked
+        }
+        assert owners
+        assert registry.value(
+            "coordinator.scatter.fanouts", labels={"phase": "dispatch"}
+        ) == 1
+        assert registry.value(
+            "coordinator.scatter.rpcs", labels={"phase": "dispatch"}
+        ) == len(owners)
 
 
 class TestArrivalJitter:

@@ -131,10 +131,11 @@ class TestBackendEquivalence:
         assert dict_result.detail == columnar_result.detail
 
     def test_sharded_matches_columnar(self, golden, eval_fleet, columnar_result):
-        # The differential gate: a real scatter-gather topology (shard
-        # brokers behind in-process HTTP servers, ShardedFleet in front)
-        # must reproduce the columnar report exactly — same per-query
-        # rankings, same selected sets, same aggregate scores.
+        # The differential gate: a real sharded topology (shard brokers
+        # behind in-process HTTP servers, ShardedFleet in front estimating
+        # with each estimator from the representatives it read off the
+        # shards) must reproduce the columnar report exactly — same
+        # per-query rankings, same selected sets, same aggregate scores.
         engines, representatives = eval_fleet
         with contextlib.ExitStack() as stack:
             backends = {}
@@ -143,7 +144,7 @@ class TestBackendEquivalence:
                 for index, engine_slice in enumerate(
                     s for s in partition_round_robin(engines, 2) if s
                 ):
-                    broker = MetasearchBroker(estimator=get_estimator(name))
+                    broker = MetasearchBroker()
                     for engine in engine_slice:
                         broker.register(
                             engine, representative=representatives[engine.name]
@@ -152,7 +153,9 @@ class TestBackendEquivalence:
                     server.start_background()
                     stack.callback(server.drain, 10.0)
                     urls.append(server.url)
-                fleet = ShardedFleet(urls).attach(timeout=30.0)
+                fleet = ShardedFleet(
+                    urls, estimator=get_estimator(name)
+                ).attach(timeout=30.0)
                 stack.callback(fleet.close)
                 backends[name] = fleet
             sharded_result = run_evaluation(

@@ -228,9 +228,12 @@ class TestShardedDeltaPropagation:
         # The shard already advanced past ``base`` in the previous test;
         # re-shipping the same catch-up delta must 409, not corrupt state.
         stale = live.delta_since(base.to_version)
+        generation = sharded_fleet.local._generation
         with pytest.raises(RemoteServingError) as excinfo:
             sharded_fleet.apply_delta(stale)
         assert excinfo.value.status == 409
+        # The refused forward never reached the coordinator's own store.
+        assert sharded_fleet.local._generation == generation
 
     def test_a_409_is_healed_by_re_shipping_the_full_delta(self, sharded):
         fleet, sharded_fleet = sharded
@@ -255,7 +258,7 @@ class TestShardedDeltaPropagation:
         fleet, sharded_fleet = sharded
         payload = fleet[0][0].delta_since(0).to_json_dict()
         payload["from_n_documents"] = 1
-        url = sharded_fleet._owner[fleet[0][0].name].url
+        url = sharded_fleet.local.engine_of(fleet[0][0].name).shard.url
         request = urllib.request.Request(
             f"{url}/delta", data=json.dumps(payload).encode("ascii"),
             headers={"Content-Type": "application/json"}, method="POST",
@@ -273,6 +276,168 @@ class TestShardedDeltaPropagation:
         ghost.add_documents([Document("g2", ["orbit"])])
         with pytest.raises(KeyError):
             sharded_fleet.apply_delta(ghost.delta_since(base.to_version))
+
+
+class DropsDeltaReplies:
+    """A shard client whose ``POST /delta`` reaches the shard but whose
+    reply is lost; with ``reads_fail`` every other request fails before
+    it is sent."""
+
+    def __init__(self, client, reads_fail=False):
+        self.client = client
+        self.reads_fail = reads_fail
+
+    def request(self, method, path, *args, **kwargs):
+        if path != "/delta" and self.reads_fail:
+            raise RemoteServingError("connection refused")
+        answer = self.client.request(method, path, *args, **kwargs)
+        if path == "/delta":
+            raise RemoteServingError("connection reset by peer")
+        return answer
+
+
+class HangsOnDelta(ShardApp):
+    """A shard whose ``POST /delta`` waits until ``release`` is set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _route_delta(self, params, payload):
+        self.entered.set()
+        self.release.wait(10)
+        return super()._route_delta(params, payload)
+
+
+class TestShardedDeltaRecovery:
+    """The coordinator's copy catches up with its shard when a forward's
+    reply is lost or a delta reached the shard some other way, and a
+    hung shard holds up no delta to another shard."""
+
+    @pytest.fixture
+    def sharded(self, request):
+        versioned = getattr(request, "param", True)
+        fleet = make_live_fleet()
+        servers, urls = [], []
+        try:
+            for index in range(2):
+                shard_broker = MetasearchBroker()
+                for live, base in fleet[index::2]:
+                    shard_broker.register(
+                        live,
+                        representative=base.as_representative(),
+                        version=base.to_version if versioned else None,
+                    )
+                app_class = HangsOnDelta if index == 0 else ShardApp
+                server = ServingServer(app_class(shard_broker, shard_index=index))
+                server.start_background()
+                servers.append(server)
+                urls.append(server.url)
+            sharded_fleet = ShardedFleet(urls, shard_timeout=3.0).attach(
+                timeout=30.0
+            )
+            try:
+                yield fleet, sharded_fleet, servers
+            finally:
+                sharded_fleet.close()
+        finally:
+            if servers:
+                servers[0].app.release.set()
+            for server in servers:
+                server.drain(timeout=10)
+
+    def assert_exact(self, fleet, sharded_fleet):
+        oracle = fresh_oracle_for(fleet)
+        for query in QUERIES:
+            for threshold in THRESHOLDS:
+                assert sharded_fleet.estimate_all(
+                    query, threshold
+                ) == oracle.estimate_all(query, threshold)
+
+    @pytest.mark.parametrize("sharded", [True, False], indirect=True)
+    def test_a_lost_reply_is_healed_by_re_reading_the_shard(self, sharded):
+        fleet, sharded_fleet, servers = sharded
+        servers[0].app.release.set()
+        live, base = fleet[1]
+        shard = sharded_fleet.local.engine_of(live.name).shard
+        churn(live)
+        shard.client = DropsDeltaReplies(shard.client)
+        try:
+            with pytest.raises(RemoteServingError) as lost:
+                sharded_fleet.apply_delta(live.delta_since(base.to_version))
+        finally:
+            shard.client = shard.client.client
+        assert lost.value.status is None
+        self.assert_exact(fleet, sharded_fleet)
+
+    @pytest.mark.parametrize("sharded", [True, False], indirect=True)
+    def test_a_lost_reply_not_re_read_is_re_read_by_the_next_delta(
+        self, sharded
+    ):
+        fleet, sharded_fleet, servers = sharded
+        servers[0].app.release.set()
+        live, base = fleet[1]
+        shard = sharded_fleet.local.engine_of(live.name).shard
+        churn(live)
+        shard.client = DropsDeltaReplies(shard.client, reads_fail=True)
+        try:
+            with pytest.raises(RemoteServingError):
+                sharded_fleet.apply_delta(live.delta_since(base.to_version))
+        finally:
+            shard.client = shard.client.client
+        applied = live.version
+        live.add_documents([Document("after-lost", ["comet", "kiwi", "kiwi"])])
+        sharded_fleet.apply_delta(live.delta_since(applied))
+        self.assert_exact(fleet, sharded_fleet)
+
+    def test_a_delta_sent_to_the_shard_directly_is_read_at_the_next(
+        self, sharded
+    ):
+        fleet, sharded_fleet, servers = sharded
+        servers[0].app.release.set()
+        live, base = fleet[1]
+        churn(live)
+        request = urllib.request.Request(
+            f"{servers[1].url}/delta",
+            data=json.dumps(
+                live.delta_since(base.to_version).to_json_dict()
+            ).encode("ascii"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        urllib.request.urlopen(request, timeout=10).close()
+        applied = live.version
+        live.add_documents([Document("after-direct", ["comet", "lens"])])
+        sharded_fleet.apply_delta(live.delta_since(applied))
+        self.assert_exact(fleet, sharded_fleet)
+
+    def test_a_hung_shard_holds_up_no_delta_to_another(self, sharded):
+        fleet, sharded_fleet, servers = sharded
+        (hung_live, hung_base), (live, base) = fleet[0], fleet[1]
+        churn(hung_live)
+        churn(live)
+        hung_answers = []
+        hung = threading.Thread(
+            target=lambda: hung_answers.append(sharded_fleet.apply_delta(
+                hung_live.delta_since(hung_base.to_version)
+            )),
+            daemon=True,
+        )
+        hung.start()
+        try:
+            assert servers[0].app.entered.wait(10)
+            started = time.monotonic()
+            answer = sharded_fleet.apply_delta(live.delta_since(base.to_version))
+            elapsed = time.monotonic() - started
+        finally:
+            servers[0].app.release.set()
+            hung.join(10)
+        assert answer["to_version"] == live.version
+        # Well inside the 3 s shard timeout the hung forward is waiting out.
+        assert elapsed < 1.5
+        assert [a["to_version"] for a in hung_answers] == [hung_live.version]
+        self.assert_exact(fleet, sharded_fleet)
 
 
 class TestPreciseInvalidation:

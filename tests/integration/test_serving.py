@@ -607,8 +607,9 @@ class TestDeadlinePropagation:
     def test_coordinator_forwards_the_header_through_the_shard(
         self, engine_doubles, shard_workers
     ):
-        """Coordinator -> shard -> engine: the shard sees the header on both
-        scatter phases, and its engines' calls see the ambient deadline."""
+        """Coordinator -> shard -> engine: the shard sees the header on its
+        one call, the dispatch, and its engines' calls see the ambient
+        deadline.  The coordinator estimates locally: no /estimate call."""
         probes, apps, servers = [], [], []
         for index, name in enumerate(("left", "right")):
             probe = engine_doubles.DeadlineProbe(rocket_engine(name))
@@ -634,15 +635,15 @@ class TestDeadlinePropagation:
             assert response.status == 200
             assert len(response.payload["invoked"]) == 2
             for app, probe in zip(apps, probes):
-                for path in ("/estimate", "/dispatch"):
-                    [budget] = app.budgets(path)
-                    assert budget is not None and 0.0 < budget <= 5.0
+                assert app.budgets("/estimate") == []
+                [budget] = app.budgets("/dispatch")
+                assert budget is not None and 0.0 < budget <= 5.0
                 [deadline] = probe.observed
                 assert deadline is not None and 0.0 < deadline.remaining() <= 5.0
             response = coordinator.handle("POST", "/search", {}, body)
             assert response.status == 200
             for app, probe in zip(apps, probes):
-                assert app.budgets("/estimate")[1:] == [None]
+                assert app.budgets("/estimate") == []
                 assert app.budgets("/dispatch")[1:] == [None]
                 assert probe.observed[1:] == [None]
         finally:
@@ -730,8 +731,9 @@ class TestColumnarSnapshot:
 
 class TestEstimateRowBytes:
     """The gateway, the shard and ``response_to_wire`` encode an estimate
-    row straight from its arrays, and the coordinator merges shard rows as
-    arrays; the bytes must be those of encoding estimate *objects* one by
+    row straight from its arrays, and so does the coordinator over the
+    representatives it read off the shards; the bytes must be those of
+    encoding estimate *objects* one by
     one — ``[estimate_to_wire(e) for e in row]`` over the scalar oracle's
     row — on a bench-style fleet (newsgroup groups, a 1-6 term query log,
     thresholds 0.0-0.6)."""

@@ -1,14 +1,15 @@
 """Integration tests for the sharded fleet topology.
 
 The headline contract: a fleet partitioned across shard-worker
-*processes* behind the scatter-gather coordinator answers every query
+*processes* behind the coordinator answers every query
 **exactly** (``==``) like an in-process broker over the same
 collections — same merged hits, same estimate rows, same invoked
 engines — at 2 shards and at 4, with the estimate rows pinned to the
 scalar oracle (:class:`tests.oracle.ScalarOracle`).  Plus the degradation story: a shard
-killed mid-flight becomes per-engine ``EngineFailure`` records naming
-the shard, while the surviving shards' answers merge exactly as the
-in-process broker restricted to the surviving engines would.  A
+killed mid-flight behaves like dead engines behind a gateway — its
+engines keep their estimates and may be selected, and each invoked one
+becomes an ``EngineFailure`` naming the shard — exactly as the in-process
+broker over the whole fleet answers when those engines fail.  A
 coalescing coordinator process answers concurrent requests exactly like a
 per-request one over the same shard processes.  The HTTP frontend's
 framing policy (keep-alive reuse, one write per response, 411/413/400) and
@@ -33,9 +34,11 @@ import pytest
 
 from repro.corpus import Collection, Document, Query, save_collection
 from repro.engine import SearchEngine
+from repro.fleet import LiveEngineServer
+from repro.fleet.delta import RepresentativeDelta, canonicalize
 from repro.metasearch import MetasearchBroker
 from repro.obs import MetricsRegistry
-from repro.representatives import partition_round_robin
+from repro.representatives import build_representative, partition_round_robin
 from repro.serving import (
     CoordinatorApp,
     GatewayApp,
@@ -264,8 +267,53 @@ class TestShardedExactness:
         assert server.final_metrics is not None
 
 
+class DeadEngine:
+    """An engine whose host is gone: it keeps its representative, and
+    every search raises — a dead shard's engine behind a gateway."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def search(self, query, threshold):
+        raise ConnectionError(f"{self.name} is gone")
+
+
+def broker_with_dead(collections, dead):
+    """The in-process broker over the *whole* fleet, the engines named in
+    ``dead`` registered with their representatives but failing every
+    search."""
+    broker = MetasearchBroker(workers=4)
+    for collection in collections:
+        engine = SearchEngine(collection)
+        if collection.name in dead:
+            broker.register(
+                DeadEngine(collection.name), build_representative(engine)
+            )
+        else:
+            broker.register(engine)
+    return broker
+
+
+def assert_dead_shard_answer(sharded, expected, dead, shard_index, kinds):
+    """A dead shard costs only its invoked engines: estimates, invoked
+    engines and hits equal the whole-fleet broker's whose dead engines
+    fail, and the failures are the invoked dead engines, naming the
+    shard."""
+    assert sharded.estimates == expected.estimates
+    assert sharded.invoked == expected.invoked
+    assert sharded.hits == expected.hits
+    failed = [f.engine for f in sharded.failures]
+    assert failed == [name for name in sharded.invoked if name in dead]
+    assert failed == [f.engine for f in expected.failures]
+    for failure in sharded.failures:
+        assert f"shard {shard_index} " in failure.message
+        assert failure.kind in kinds
+
+
 class TestPartialShardFailure:
-    """A dead shard degrades to per-engine failures, never a failed query."""
+    """A dead shard behaves like a dead engine behind a gateway: its
+    engines keep their estimates and may be selected, and only the
+    invoked ones fail, at dispatch."""
 
     @pytest.fixture
     def degraded(self, tmp_path):
@@ -282,40 +330,31 @@ class TestPartialShardFailure:
                 dead_engines = json.loads(r.read())["engines"]
             processes[1].kill()
             processes[1].wait(timeout=15)
-            survivors = [
-                c for c in collections if c.name not in set(dead_engines)
-            ]
-            yield fleet, survivors, dead_engines
+            yield fleet, collections, dead_engines
         finally:
             fleet.close()
             stop_processes(processes)
 
     def test_search_degrades_to_surviving_engines(self, degraded):
-        fleet, survivors, dead_engines = degraded
-        local = local_broker_for(survivors)
-        for query in QUERIES[:2]:
+        fleet, collections, dead_engines = degraded
+        local = broker_with_dead(collections, dead_engines)
+        invoked_dead = 0
+        for query in QUERIES:
             sharded = fleet.search(query, 0.2)
-            expected = local.search(query, 0.2)
-            # The merged ranking is exactly the in-process broker
-            # restricted to the surviving engines...
-            assert sharded.hits == expected.hits
-            assert sharded.estimates == expected.estimates
-            assert sharded.invoked == expected.invoked
-            # ...plus one failure record per engine the dead shard owned,
-            # naming the shard so the topology fault is diagnosable.
-            assert sorted(f.engine for f in sharded.failures) == sorted(
-                dead_engines
+            assert_dead_shard_answer(
+                sharded, local.search(query, 0.2), dead_engines, 1,
+                ("error", "timeout"),
             )
-            for failure in sharded.failures:
-                assert "shard 1" in failure.message
-                assert failure.kind in ("error", "timeout")
-            assert sharded.degraded
+            invoked_dead += len(sharded.failures)
+        assert invoked_dead, "no query invoked an engine of the dead shard"
 
-    def test_estimates_degrade_to_surviving_engines(self, degraded):
-        fleet, survivors, dead_engines = degraded
-        local = local_broker_for(survivors)
-        query = QUERIES[0]
-        assert fleet.estimate_all(query, 0.2) == local.estimate_all(query, 0.2)
+    def test_estimates_keep_every_engine(self, degraded):
+        fleet, collections, __ = degraded
+        local = local_broker_for(collections)
+        for query in QUERIES:
+            assert fleet.estimate_all(query, 0.2) == local.estimate_all(
+                query, 0.2
+            )
 
 
 class HangsOnScatter(ShardApp):
@@ -362,8 +401,7 @@ class TestHungShardUnderScatterDeadline:
         try:
             fleet.attach(timeout=30.0)
             hung_engines = [c.name for c in parts[hung_index]]
-            survivors = [c for c in collections if c.name not in hung_engines]
-            yield fleet, survivors, hung_engines, hung_index
+            yield fleet, collections, hung_engines, hung_index
         finally:
             fleet.close()
             apps[hung_index].release.set()
@@ -371,22 +409,19 @@ class TestHungShardUnderScatterDeadline:
                 server.drain(timeout=10)
 
     def test_search_returns_within_the_deadline_with_the_survivors(self, hung):
-        fleet, survivors, hung_engines, hung_index = hung
-        local = local_broker_for(survivors)
+        fleet, collections, hung_engines, hung_index = hung
+        local = broker_with_dead(collections, hung_engines)
+        invoked_hung = 0
         for query in QUERIES:
             started = time.monotonic()
             sharded = fleet.search(query, 0.0)
             assert time.monotonic() - started < self.TIMEOUT + 1.0
-            expected = local.search(query, 0.0)
-            assert sharded.estimates == expected.estimates
-            assert sharded.hits == expected.hits
-            assert sharded.invoked == expected.invoked
-            assert sorted(f.engine for f in sharded.failures) == sorted(
-                hung_engines
+            assert_dead_shard_answer(
+                sharded, local.search(query, 0.0), hung_engines, hung_index,
+                ("timeout",),
             )
-            for failure in sharded.failures:
-                assert failure.kind == "timeout"
-                assert f"shard {hung_index} " in failure.message
+            invoked_hung += len(sharded.failures)
+        assert invoked_hung, "no query invoked an engine of the hung shard"
 
 
 class TestCoalescingCoordinatorProcesses:
@@ -536,6 +571,108 @@ class TestShardAppValidation:
         )
         assert response.status == 400
         assert "engine7" in response.payload["error"]
+
+
+class SwapsRepresentatives(ShardApp):
+    """A shard whose ``/representative`` answers, for each engine asked in
+    ``swap``, another engine's full delta — and whose ``/healthz`` reports
+    only the engines in ``reported``."""
+
+    def __init__(self, broker, swap, reported, **kwargs):
+        super().__init__(broker, **kwargs)
+        self.swap = swap
+        self.reported = reported
+
+    def health_info(self) -> dict:
+        return {**super().health_info(), "engines": self.reported}
+
+    def handle(self, method, path, headers, body):
+        for asked, answered in self.swap.items():
+            path = path.replace(f"engine={asked}", f"engine={answered}")
+        return super().handle(method, path, headers, body)
+
+
+class TestAttach:
+    """``attach()`` reads every engine's full delta off its shard, and
+    refuses a shard whose representatives do not name exactly the engines
+    its ``/healthz`` reported."""
+
+    @pytest.fixture(scope="class")
+    def broker(self):
+        return local_broker_for(fleet_collections()[:3])
+
+    def test_the_route_answers_the_full_delta_at_the_recorded_version(
+        self, broker
+    ):
+        app = ShardApp(broker, shard_index=0)
+        answer = app.handle("GET", "/representative?engine=engine1", {}, b"")
+        assert answer.status == 200
+        delta = RepresentativeDelta.from_json_dict(answer.payload)
+        assert delta.is_full
+        # No version recorded: the document says 0.
+        assert (delta.name, delta.to_version) == ("engine1", 0)
+        assert delta.as_representative() == canonicalize(
+            broker.fleet.materialize("engine1")
+        )
+        missing = app.handle("GET", "/representative?engine=engine9", {}, b"")
+        assert missing.status == 400
+        assert "engine9" in missing.payload["error"]
+
+    def test_a_delta_racing_the_read_lands_before_or_after_it(
+        self, monkeypatch
+    ):
+        live = LiveEngineServer("live0", [Document("d0", ["rocket", "orbit"])])
+        base = live.delta_since(0)
+        broker = MetasearchBroker()
+        broker.register(
+            live, representative=base.as_representative(),
+            version=base.to_version,
+        )
+        live.add_documents([Document("d1", ["rocket", "dune"])])
+        delta = live.delta_since(base.to_version)
+        writers = []
+        materialize = broker.fleet.materialize
+
+        def racing(name):
+            # A delta arrives between the version read and this one; a
+            # read that holds the broker's write lock keeps it waiting.
+            writer = threading.Thread(
+                target=broker.apply_representative_delta, args=(delta,)
+            )
+            writers.append(writer)
+            writer.start()
+            writer.join(0.3)
+            return materialize(name)
+
+        monkeypatch.setattr(broker.fleet, "materialize", racing)
+        answer = ShardApp(broker).handle(
+            "GET", "/representative?engine=live0", {}, b""
+        )
+        writers[0].join(10)
+        got = RepresentativeDelta.from_json_dict(answer.payload)
+        want = {base.to_version: base, delta.to_version: live.delta_since(0)}
+        assert got.as_representative() == want[
+            got.to_version
+        ].as_representative()
+
+    @pytest.mark.parametrize("swap, reported", [
+        # An answer naming an engine /healthz did not report.
+        ({"engine1": "engine2"}, ["engine0", "engine1"]),
+        # An answer naming an engine already answered: one goes missing.
+        ({"engine1": "engine0"}, ["engine0", "engine1", "engine2"]),
+    ], ids=["extra", "missing"])
+    def test_a_shard_answering_other_engines_is_refused(
+        self, broker, swap, reported
+    ):
+        server = ServingServer(SwapsRepresentatives(broker, swap, reported))
+        server.start_background()
+        fleet = ShardedFleet([server.url])
+        try:
+            with pytest.raises(ValueError, match="/healthz reported"):
+                fleet.attach(timeout=10.0)
+        finally:
+            fleet.close()
+            server.drain(timeout=10)
 
 
 class TestFrontendFraming:

@@ -6,11 +6,15 @@ was diffed from must reproduce the freshly rebuilt representative of the
 mutated corpus exactly — same values, same canonical iteration order — on
 both the dict and the columnar fleet backend.  And whatever version a
 broker syncs from, it ends up estimating exactly like a broker built from
-the engine's current statistics.
+the engine's current statistics.  So does the coordinator, over any
+sequence of accepted, stale and malformed deltas sent through
+``ShardedFleet.apply_delta``.
 """
 
+import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +31,8 @@ from repro.fleet.delta import (
 from repro.metasearch import MetasearchBroker
 from repro.representatives import DatabaseRepresentative, build_representative
 from repro.representatives.columnar import FleetRepresentativeStore
+from repro.serving import RemoteServingError, ServingServer, ShardApp, ShardedFleet
+from repro.serving.remote_engine import _HTTPJsonClient
 from tests.oracle import apply_delta
 
 VOCAB = [f"w{i}" for i in range(10)]
@@ -319,3 +325,197 @@ class TestTripletModeDeltas:
         decoded = RepresentativeDelta.decode(delta.encode())
         _assert_identical(apply_delta(old, decoded), new)
 
+
+
+@st.composite
+def sharded_scenarios(draw):
+    """2-4 live engines, each registered on its shard with or without a
+    version, and 1-6 delta steps: ``("accept", e, mutation)`` ships the
+    mutated engine's delta, ``("stale", e)`` one from a version the shard
+    does not hold (409), ``("malformed", e)`` a full delta claiming a base
+    of documents (400), ``("unreachable", e, mutation)`` the next
+    delta to a shard that cannot be reached, and ``("lost", e,
+    mutation)`` the next delta, which the shard applies but whose reply
+    is lost."""
+    n_engines = draw(st.integers(min_value=2, max_value=4))
+    initial = [
+        [_terms(draw) for __ in range(draw(st.integers(1, 4)))]
+        for __ in range(n_engines)
+    ]
+    versioned = [draw(st.booleans()) for __ in range(n_engines)]
+    mutation = st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.lists(st.lists(st.sampled_from(VOCAB + FRESH), min_size=1,
+                              max_size=6), min_size=1, max_size=2),
+        ),
+        st.tuples(st.just("remove"), st.integers(min_value=1, max_value=2)),
+    )
+    engine = st.integers(min_value=0, max_value=n_engines - 1)
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("accept"), engine, mutation),
+            st.tuples(st.just("stale"), engine),
+            st.tuples(st.just("malformed"), engine),
+            st.tuples(st.just("unreachable"), engine, mutation),
+            st.tuples(st.just("lost"), engine, mutation),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    return initial, versioned, steps
+
+
+def hexed_rows(rows):
+    """Each row best first, its values bit for bit."""
+    return [
+        [(e.engine, e.usefulness.nodoc.hex(), e.usefulness.avgsim.hex())
+         for e in row]
+        for row in rows
+    ]
+
+
+class LosesDeltaReplies:
+    """A shard client whose ``POST /delta`` reaches the shard but whose
+    reply is lost."""
+
+    def __init__(self, client):
+        self.client = client
+
+    def request(self, method, path, *args, **kwargs):
+        answer = self.client.request(method, path, *args, **kwargs)
+        if path == "/delta":
+            raise RemoteServingError("connection reset by peer")
+        return answer
+
+
+class TestShardedDeltasStayExact:
+    """After every step the coordinator's rows hex-equal a from-scratch
+    broker over the representatives the shards hold, for all five
+    estimators; a refused forward leaves its rows, its cache contents and
+    its broker generation as they were, and one whose reply is lost
+    leaves the coordinator holding what the shard holds."""
+
+    THRESHOLDS = [0.0, 0.2, 0.5]
+
+    @pytest.fixture(scope="class")
+    def servers(self):
+        apps = [ShardApp(MetasearchBroker(), shard_index=i) for i in range(2)]
+        servers = [ServingServer(app) for app in apps]
+        for server in servers:
+            server.start_background()
+        try:
+            yield apps, [server.url for server in servers]
+        finally:
+            for server in servers:
+                server.drain(timeout=10)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=sharded_scenarios())
+    def test_rows_equal_a_fresh_broker_after_every_step(
+        self, servers, name, scenario
+    ):
+        apps, urls = servers
+        initial, versioned, steps = scenario
+        counter = itertools.count()
+        engines = [
+            LiveEngineServer(
+                f"engine{e}",
+                [Document(f"d{next(counter)}", terms) for terms in docs],
+            )
+            for e, docs in enumerate(initial)
+        ]
+        shipped = {}  # engine name -> the live version its shard holds
+        recorded = {}  # engine name -> the version its shard records
+        # The servers outlive examples; each example installs its own
+        # shard brokers before the coordinator attaches.
+        for index, app in enumerate(apps):
+            app.broker = MetasearchBroker()
+            for e in range(index, len(engines), len(apps)):
+                live, base = engines[e], engines[e].delta_since(0)
+                app.broker.register(
+                    live,
+                    representative=base.as_representative(),
+                    version=base.to_version if versioned[e] else None,
+                )
+                shipped[live.name] = base.to_version
+                recorded[live.name] = base.to_version if versioned[e] else None
+        fleet = ShardedFleet(urls, estimator=get_estimator(name)).attach(
+            timeout=10.0
+        )
+        batch = [q for q in SYNC_QUERIES for __ in self.THRESHOLDS]
+        thresholds = self.THRESHOLDS * len(SYNC_QUERIES)
+
+        def rows():
+            return hexed_rows(fleet.estimate_batch(batch, thresholds))
+
+        def fresh_rows():
+            truth = MetasearchBroker(estimator=get_estimator(name))
+            for live in engines:
+                truth.register(live, representative=app_representative(live))
+            return hexed_rows(truth.estimate_batch(batch, thresholds))
+
+        def app_representative(live):
+            owner = apps[engines.index(live) % len(apps)]
+            return owner.broker.fleet.materialize(live.name)
+
+        try:
+            assert rows() == fresh_rows()
+            for step in steps:
+                kind, live = step[0], engines[step[1]]
+                if kind in ("accept", "unreachable", "lost"):
+                    _run_script(live, [step[2]], counter)
+                delta = live.delta_since(shipped[live.name])
+                if kind == "stale":
+                    base = shipped[live.name] + 5
+                    delta = dataclasses.replace(
+                        delta, from_version=base, to_version=base + 1
+                    )
+                elif kind == "malformed":
+                    delta = dataclasses.replace(
+                        live.delta_since(0), from_n_documents=1
+                    )
+                if kind == "stale" and recorded[live.name] is None:
+                    continue  # a shard that records no version takes any base
+                if kind == "accept":
+                    fleet.apply_delta(delta)
+                    shipped[live.name] = recorded[live.name] = delta.to_version
+                    assert rows() == fresh_rows()
+                    continue
+                shard = fleet.local.engine_of(live.name).shard
+                client = shard.client
+                if kind == "lost":
+                    shard.client = LosesDeltaReplies(client)
+                    try:
+                        with pytest.raises(RemoteServingError) as lost:
+                            fleet.apply_delta(delta)
+                    finally:
+                        shard.client = client
+                    assert lost.value.status is None
+                    shipped[live.name] = recorded[live.name] = delta.to_version
+                    assert rows() == fresh_rows()
+                    continue
+                before = (
+                    rows(),
+                    {k: dict(v) for k, v in fleet.local.cache._rows.items()},
+                    fleet.local._generation,
+                )
+                if kind == "unreachable":
+                    shard.client = _HTTPJsonClient("http://127.0.0.1:9")
+                try:
+                    with pytest.raises(RemoteServingError) as refused:
+                        fleet.apply_delta(delta)
+                finally:
+                    shard.client = client
+                if kind != "unreachable":
+                    assert refused.value.status == (
+                        409 if kind == "stale" else 400
+                    )
+                assert (
+                    {k: dict(v) for k, v in fleet.local.cache._rows.items()},
+                    fleet.local._generation,
+                ) == before[1:]
+                assert rows() == before[0] == fresh_rows()
+        finally:
+            fleet.close()

@@ -274,3 +274,43 @@ class TestConvertRep:
             main(["convert-rep", str(rep_json), str(tmp_path / "o.json")]) == 2
         )
         assert "exactly one" in capsys.readouterr().out
+
+
+class TestSpawnShards:
+    def test_a_shard_that_never_announces_stops_those_already_started(
+        self, monkeypatch
+    ):
+        """``serve coordinator --shards N`` holds no handle on the shards
+        ``_spawn_shards`` started until it returns, so a failed announce
+        must stop and reap them itself."""
+        import argparse
+        import io
+
+        from repro import cli
+
+        started = []
+
+        class FakeShard:
+            def __init__(self, command, **kwargs):
+                index = int(command[command.index("--shard-index") + 1])
+                announce = "serving shard at http://127.0.0.1:1\n"
+                self.stdout = io.StringIO(announce if index == 0 else "")
+                self.events = []
+                started.append(self)
+
+            def terminate(self):
+                self.events.append("terminate")
+
+            def wait(self, timeout=None):
+                self.events.append("wait")
+                return 0
+
+            def kill(self):
+                self.events.append("kill")
+
+        monkeypatch.setattr(subprocess, "Popen", FakeShard)
+        args = argparse.Namespace(collections=["a.jsonl", "b.jsonl"], shards=2)
+        with pytest.raises(RuntimeError, match="shard 1 did not announce"):
+            cli._spawn_shards(args)
+        assert len(started) == 2
+        assert [shard.events for shard in started] == [["terminate", "wait"]] * 2

@@ -527,6 +527,23 @@ def answering(body, reply=None):
     return send
 
 
+def owning_fleet(name):
+    """A ``ShardedFleet`` over one shard at :data:`DEAD_URL`, attached by
+    hand: it holds ``name``'s (empty) representative, owned by that
+    shard."""
+    from repro.representatives import DatabaseRepresentative
+    from repro.serving import ShardedFleet
+    from repro.serving.coordinator import _ShardEngine
+
+    fleet = ShardedFleet([DEAD_URL])
+    shard = fleet._shards[0]
+    shard.engines = [name]
+    fleet.local.register(
+        _ShardEngine(name, shard), DatabaseRepresentative(name, 3, {})
+    )
+    return fleet
+
+
 def client_calls():
     """One call per client decoder, by name."""
     from repro.corpus import Query
@@ -535,9 +552,8 @@ def client_calls():
 
     query = Query.from_terms(["rocket"])
     engine, gateway = RemoteEngine(DEAD_URL), GatewayClient(DEAD_URL)
-    fleet = ShardedFleet([DEAD_URL])
+    fleet = owning_fleet("e")
     shard = fleet._shards[0]
-    fleet._owner = {"e": shard}
     delta = RepresentativeDelta("e", 1, 2, 3, 3, ())
     return {
         "engine.name": lambda: engine.name,
@@ -547,7 +563,7 @@ def client_calls():
         "gateway.estimate": lambda: gateway.estimate(query, 0.1),
         "gateway.search": lambda: gateway.search(query, 0.1),
         "gateway.search_batch": lambda: gateway.search_batch([query], 0.1),
-        "fleet.estimates": lambda: fleet._shard_estimates(shard, {}, 1)(),
+        "fleet.representative": lambda: shard.representative("e"),
         "fleet.dispatch": lambda: fleet._shard_dispatch(shard, [{}])(),
         "fleet.apply_delta": lambda: fleet.apply_delta(delta),
     }
@@ -595,17 +611,15 @@ class TestClientsRejectMalformedAnswers:
         with pytest.raises(RemoteServingError):
             RemoteEngine(DEAD_URL).n_documents
 
-    def test_malformed_shard_answer_degrades_the_row_not_the_query(
+    def test_malformed_shard_answer_degrades_the_engines_not_the_query(
         self, monkeypatch
     ):
         from repro.corpus import Query
-        from repro.serving import ShardedFleet
         from repro.serving.remote_engine import _HTTPJsonClient
 
         monkeypatch.setattr(_HTTPJsonClient, "_send", answering(b"[]"))
-        fleet = ShardedFleet([DEAD_URL])
-        fleet._shards[0].engines = ["e"]
-        rows, failures = fleet.rows([Query.from_terms(["rocket"])], [0.1])
-        assert rows == [[]]
-        assert [f.engine for f in failures] == ["e"]
-        assert "malformed answer" in failures[0].message
+        fleet = owning_fleet("e")
+        [report] = fleet.reports([Query.from_terms(["rocket"])], [0.1], [["e"]])
+        assert report.results == {}
+        assert [f.engine for f in report.failures] == ["e"]
+        assert "malformed answer" in report.failures[0].message
