@@ -603,11 +603,38 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
     return _serve(server, args)
 
 
+def _forward_output(stream) -> None:
+    """Copy a shard's later output to stderr: a full pipe would block it."""
+    try:
+        for line in stream:
+            sys.stderr.write(line)
+    except (OSError, ValueError):  # the pipe was closed under the read
+        pass
+
+
+def _stop_shards(processes) -> None:
+    """Terminate and reap the shard workers; close their output pipes."""
+    import subprocess
+
+    for proc in processes:
+        proc.terminate()
+    for proc in processes:
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    for proc in processes:
+        proc.stdout.close()
+
+
 def _spawn_shards(args: argparse.Namespace) -> tuple:
     """Launch ``--shards`` shard worker subprocesses, each owning a
-    round-robin slice of ``--collections``; returns (processes, urls)."""
+    round-robin slice of ``--collections``; returns (processes, urls).
+    Each shard's output after its announce line goes on to stderr."""
     import re
     import subprocess
+    import threading
     import time
 
     from repro.representatives import partition_round_robin
@@ -655,17 +682,13 @@ def _spawn_shards(args: argparse.Namespace) -> tuple:
                 raise RuntimeError(f"shard {index} did not announce its URL")
             print(f"shard {index} at {url}", flush=True)
             urls.append(url)
+            forward = threading.Thread(target=_forward_output, args=(proc.stdout,))
+            forward.daemon = True
+            forward.start()
     except BaseException:
         # The caller holds no handle on the shards started so far until
         # this returns: stop them here, or they outlive the coordinator.
-        for proc in processes:
-            proc.terminate()
-        for proc in processes:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        _stop_shards(processes)
         raise
     return processes, urls
 
@@ -735,13 +758,7 @@ def _cmd_serve_coordinator(args: argparse.Namespace) -> int:
         )
         return _serve(ServingServer(app, host=args.host, port=args.port), args)
     finally:
-        for proc in children:
-            proc.terminate()
-        for proc in children:
-            try:
-                proc.wait(timeout=5)
-            except Exception:
-                proc.kill()
+        _stop_shards(children)
 
 
 def _cmd_convert_rep(args: argparse.Namespace) -> int:
@@ -1258,7 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine-timeout", type=float, default=10.0,
                     help="per-call budget for remote engine requests")
     sp.add_argument("--workers", type=int, default=8,
-                    help="concurrent engine calls per search")
+                    help="concurrent in-process (--collections) engine calls "
+                         "per search; calls to --engines servers use no "
+                         "thread")
     sp.add_argument("--timeout", type=float, default=None,
                     help="broker fan-out deadline (requires workers > 1)")
     sp.add_argument("--retries", type=int, default=0,

@@ -14,8 +14,8 @@ merge`` — and one of everything on that path:
   path — the estimate/select/search surface, the traces, the response
   assembly, its series — over a backend of two steps, *rows* and *reports*.
   :class:`MetasearchBroker` supplies them from its fleet store and
-  dispatcher, the serving layer's ``ShardedFleet`` as two
-  scatters over shards that serve their own broker's two steps.  The
+  dispatcher; the serving layer's ``ShardedFleet`` is a broker over
+  engines that shard workers serve, and supplies its local broker's.  The
   broker's solo ``search`` is the one remaining fork.
 * **One representative backend.**  Every registered representative is
   packed into the broker's
@@ -48,7 +48,9 @@ merge`` — and one of everything on that path:
   degradation; ``workers=1`` (the default) is serial dispatch.
   The *reports* step pools every query's engine calls under a single batch
   deadline
-  (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`).
+  (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`),
+  one split call per engine *host* (an engine server or a shard) for all
+  the invoked engines it serves.
 
 Two caches invalidate through the same per-engine registration hook (or
 per term, on a representative delta): the estimate cache of fleet rows,
@@ -70,11 +72,12 @@ dispatcher/cache/estimator series.  The default
 
 from __future__ import annotations
 
+import functools
 import numbers
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,7 +102,7 @@ from repro.metasearch.selection import (
     ThresholdPolicy,
     rank_names,
 )
-from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY
+from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY, OCCUPANCY_BUCKETS
 from repro.obs.trace import QueryTrace
 from repro.representatives.builder import build_representative
 from repro.representatives.columnar import (
@@ -183,8 +186,9 @@ class MetasearchResponse:
         failures: One :class:`~repro.metasearch.dispatch.EngineFailure`
             per invoked engine that timed out or errored; such an engine
             contributes no hits but does not sink the query.
-        latencies: Wall-clock seconds per invoked engine (time until
-            abandonment for a failed one).
+        latencies: Seconds per invoked engine: wall-clock until it
+            answered or was given up on, or, for an engine its host
+            answered for, the seconds the host reports.
         trace: The per-stage :class:`~repro.obs.QueryTrace` recorded while
             answering (estimate/select/dispatch/merge spans plus one
             ``dispatch:<engine>`` span per invoked engine).  Excluded from
@@ -407,7 +411,7 @@ class SearchPipeline:
 
 
 class MetasearchBroker(SearchPipeline):
-    """Selects and queries local search engines via usefulness estimates.
+    """Selects and queries search engines via usefulness estimates.
 
     Args:
         estimator: Usefulness estimator applied to each representative; the
@@ -438,6 +442,9 @@ class MetasearchBroker(SearchPipeline):
             cache / estimator series; the shared no-op registry by default,
             which keeps every hook free.
     """
+
+    #: ``<series_prefix>.<host_series>.failures`` counts failed host calls.
+    host_series = "host"
 
     def __init__(
         self,
@@ -481,6 +488,19 @@ class MetasearchBroker(SearchPipeline):
         self._generation = 0
         self._m_search_seconds = self.registry.histogram(
             "broker.search.seconds", buckets=LATENCY_BUCKETS
+        )
+        prefix = self.series_prefix
+        self._m_host_fanouts = self.registry.counter(
+            f"{prefix}.scatter.fanouts", labels={"phase": "dispatch"}
+        )
+        self._m_host_rpcs = self.registry.counter(
+            f"{prefix}.scatter.rpcs", labels={"phase": "dispatch"}
+        )
+        self._m_host_queries = self.registry.histogram(
+            f"{prefix}.scatter.batch.queries", buckets=OCCUPANCY_BUCKETS
+        )
+        self._m_host_failures = self.registry.counter(
+            f"{prefix}.{self.host_series}.failures"
         )
         self._m_delta_applies = self.registry.counter("fleet.delta.applies")
         self._m_delta_terms = self.registry.counter("fleet.delta.terms")
@@ -859,26 +879,67 @@ class MetasearchBroker(SearchPipeline):
 
     # -- search ------------------------------------------------------------------------------
 
-    def _engine_calls(
-        self, names: List[str], query: Query, threshold: float
-    ) -> Dict[str, Callable[[], List[SearchHit]]]:
-        return {
-            name: (
-                lambda engine=self._engines[name]: engine.search(
-                    query, threshold
-                )
-            )
-            for name in names
-        }
-
     def reports(
         self, queries: List[Query], thresholds: List[float], invoked_lists: list
     ) -> List[DispatchReport]:
-        """The dispatch step: every query's engine calls pooled on the
-        dispatcher under a *single* batch deadline (``dispatch_many``)."""
-        return self.dispatcher.dispatch_many(
-            list(map(self._engine_calls, invoked_lists, queries, thresholds))
-        )
+        """The dispatch step, under a *single* batch deadline
+        (``dispatch_many``): a plain call per in-process engine and query,
+        and one ``host.dispatch(asks)`` per engine host for all its invoked
+        engines (a ``(query, threshold, names)`` ask per query, answered by
+        a report each); a failed host call fails each engine asked of it."""
+        batches: List[dict] = [{} for __ in queries]
+        asked: Dict[object, Dict[int, List[str]]] = {}  # host -> {query: names}
+        for i, (query, threshold, invoked) in enumerate(
+            zip(queries, thresholds, invoked_lists)
+        ):
+            for name in invoked:
+                engine = self._engines[name]
+                host = getattr(engine, "host", None)
+                if host is None:
+                    batches[i][name] = functools.partial(
+                        engine.search, query, threshold
+                    )
+                else:
+                    asked.setdefault(host, {}).setdefault(i, []).append(name)
+        if not asked:
+            return self.dispatcher.dispatch_many(batches)
+        self._m_host_fanouts.inc()
+        self._m_host_rpcs.inc(len(asked))
+        self._m_host_queries.observe(len(queries))
+        *reports, scatter = self.dispatcher.dispatch_many([*batches, {
+            host.name: host.dispatch(
+                [(queries[i], thresholds[i], names) for i, names in asks.items()]
+            )
+            for host, asks in asked.items()
+        }])
+        for host, asks in asked.items():
+            parts = scatter.results.get(host.name)
+            if parts is None:
+                self._m_host_failures.inc()
+                [failure] = [f for f in scatter.failures if f.engine == host.name]
+                message = f"{host.name}: {failure.message}"
+                parts = [
+                    DispatchReport(
+                        failures=[
+                            replace(failure, engine=name, message=message)
+                            for name in names
+                        ],
+                        latencies=dict.fromkeys(names, failure.elapsed),
+                    )
+                    for names in asks.values()
+                ]
+            for i, part in zip(asks, parts):
+                reports[i].results.update(part.results)
+                reports[i].failures.extend(part.failures)
+                reports[i].latencies.update(part.latencies)
+        return [  # in invoked order
+            DispatchReport(
+                results={n: r.results[n] for n in invoked if n in r.results},
+                failures=sorted(r.failures, key=lambda f: invoked.index(f.engine)),
+                latencies={n: r.latencies[n] for n in invoked if n in r.latencies},
+            )
+            for r, invoked in zip(reports, invoked_lists)
+        ]
 
     def _dispatch_one(
         self,
@@ -891,9 +952,7 @@ class MetasearchBroker(SearchPipeline):
         started: float,
     ) -> MetasearchResponse:
         with trace.span("dispatch", engines=len(invoked)) as span:
-            report = self.dispatcher.dispatch(
-                self._engine_calls(invoked, query, threshold)
-            )
+            [report] = self.reports([query], [threshold], [invoked])
             span.metadata["failures"] = len(report.failures)
         self._stage_seconds("dispatch").observe(span.duration)
         response = self._respond(invoked, estimates, report, limit, trace)
@@ -907,7 +966,7 @@ class MetasearchBroker(SearchPipeline):
         limit: Optional[int] = None,
     ) -> MetasearchResponse:
         """Estimate, select, dispatch, merge — with a trace of each stage.
-        The solo path (``estimate_all`` + ``dispatcher.dispatch``, with an
+        The solo path (``estimate_all`` + :meth:`reports`, with an
         aggregate ``dispatch`` span) instead of the inherited batch of one."""
         started = time.perf_counter()
         trace = QueryTrace()
@@ -939,3 +998,4 @@ class MetasearchBroker(SearchPipeline):
             if self._engines[name].max_similarity(query) > threshold:
                 selected.append(name)
         return selected
+

@@ -55,8 +55,10 @@ body runs.
   every read (each runs inside an ambient deadline,
   :func:`repro.metasearch.deadlines.deadline_scope`, at the fan-out
   deadline); a call with no outcome by the deadline is given up and
-  recorded as an abandoned pooled call is.  The coordinator's two
-  scatters are split.
+  recorded as an abandoned pooled call is.  The broker's calls to engine
+  hosts (engine servers and shard workers, one per host per round) are
+  split, so a broker over remote engines only fans out on the request's
+  thread.
 * **Plain callables, ``workers=1``.**  Inline too — the caller's thread,
   selection order, no other thread; a deadline cannot preempt an
   in-thread call, so ``timeout`` together with ``workers=1`` is rejected
@@ -72,8 +74,9 @@ body runs.
   it never delays a later fan-out.  Idle threads retire after
   :data:`IDLE_SECONDS`, on :meth:`ConcurrentDispatcher.close`, or when the
   dispatcher is garbage collected; a forked child starts with an empty
-  cache.  This is the gateway's path over local engines, and a broker's
-  over :class:`~repro.serving.remote_engine.RemoteEngine`\\ s.
+  cache.  This is the gateway's path over in-process engines; a fan-out
+  that mixes them with split calls (a gateway over engine servers *and*
+  local collections) runs every call here, a split call as a plain one.
 
 Dispatch is instrumented: pass a :class:`~repro.obs.MetricsRegistry` to
 record attempts, retries, timeouts, errors, and a per-engine latency

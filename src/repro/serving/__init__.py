@@ -7,7 +7,7 @@ that split on the wire with nothing beyond the standard library:
 * :mod:`repro.serving.wire` — the JSON schema; round trips are exact.
 * :mod:`repro.serving.engine_server` — one engine behind HTTP.
 * :mod:`repro.serving.remote_engine` — clients; a :class:`RemoteEngine`
-  plugs into the existing brokers unchanged.
+  (an engine host of one) plugs into the existing brokers unchanged.
 * :mod:`repro.serving.gateway` — the broker behind bounded admission
   with load shedding and graceful drain.
 * :mod:`repro.serving.coalesce` — continuous micro-batching: concurrent
@@ -20,9 +20,9 @@ that split on the wire with nothing beyond the standard library:
 * :mod:`repro.serving.shard_worker` — one shard of a partitioned fleet:
   its engines' representatives, targeted dispatch and deltas.
 * :mod:`repro.serving.coordinator` — the broker over shard workers: local
-  estimates from representatives read off the shards, dispatch to the
-  owning shards; :class:`CoordinatorApp` is the gateway served over a
-  :class:`ShardedFleet`.
+  estimates from representatives read off the shards, and the broker's own
+  dispatch step to the owning shards; :class:`CoordinatorApp` is the
+  gateway served over a :class:`ShardedFleet`.
 
 Every role is served by the one threaded stdlib frontend: start servers
 with ``repro serve engine|gateway|shard|coordinator ...`` or

@@ -9,10 +9,11 @@ full delta (``GET /representative?engine=<name>``) from the shard that
 owns it into one local :class:`~repro.metasearch.broker.MetasearchBroker`;
 from then on the *rows* step is that broker's own estimate — its columnar
 store, estimate cache, generation lock and precise invalidation — and
-asks no shard.  Only the *reports* step leaves the process: after the
-pipeline has selected, it scatters ``{query, threshold, engines}``
-entries to the shards owning selected engines, one ``/dispatch`` RPC per
-owning shard per round.
+asks no shard.  Only the *reports* step leaves the process: the local
+broker's own dispatch step, over engines whose ``host`` is the shard that
+serves them, so a round of queries costs one ``/dispatch`` RPC per shard
+owning an invoked engine — the same path a gateway takes over engine
+servers.
 
 :class:`ShardedFleet` is a :class:`~repro.metasearch.broker.SearchPipeline`
 backend, not a second pipeline: it supplies the two steps and inherits
@@ -35,72 +36,50 @@ first and applies it locally only once the shard has accepted it.  The
 local store records the version each shard records (none when the shard
 records none), so a delta the shard accepts is never refused locally.
 
-Each dispatch is a :class:`~repro.metasearch.dispatch.SplitCall` on a
-:class:`~repro.metasearch.dispatch.ConcurrentDispatcher`, reusing its
-deadline/retry/degradation machinery with shards in the engine seat: the
-request thread writes every shard's request, then reads each reply as it
-arrives, and a shard that never answers holds up no other.  The shard
-connections are pooled per shard client and shared by every request
-thread, so a new client connection to the coordinator dials no shard.
-
-A dead shard behaves like a dead engine behind a gateway: its engines
-keep their (local) estimates and may be selected; each invoked one fails
-at dispatch with one :class:`~repro.metasearch.dispatch.EngineFailure`
+A dead shard behaves like a dead engine server behind a gateway: its
+engines keep their (local) estimates and may be selected; each invoked one
+fails at dispatch with one :class:`~repro.metasearch.dispatch.EngineFailure`
 naming the shard, while the other engines answer as usual.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 from urllib.parse import quote
 
 from repro.core.base import UsefulnessEstimator
 from repro.corpus.query import Query
 from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.broker import MetasearchBroker, SearchPipeline
-from repro.metasearch.dispatch import (
-    ConcurrentDispatcher,
-    DispatchReport,
-    EngineFailure,
-    SplitCall,
-)
+from repro.metasearch.dispatch import DispatchReport
 
 # Kept only for bench/'s trace_replica, which wraps
 # repro.serving.coordinator.merge_hits by module attribute.
 from repro.metasearch.merge import merge_hits  # noqa: F401
 from repro.metasearch.selection import EstimateRow, SelectionPolicy
-from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.serving.gateway import GatewayApp
-from repro.serving.remote_engine import RemoteServingError, _HTTPJsonClient
-from repro.serving.wire import (
-    WireFormatError,
-    _expect_kind,
-    decode_hits,
-    failure_from_wire,
-    query_to_wire,
+from repro.serving.remote_engine import (
+    EngineHost,
+    HostedEngine,
+    RemoteServingError,
+    _HTTPJsonClient,
 )
+from repro.serving.wire import _expect_kind
 
 __all__ = ["CoordinatorApp", "ShardedFleet"]
 
 
-class _ShardHandle:
-    """One attached shard: its client, the engines it owns, and the lock
-    that keeps a forwarded delta and its local apply one step."""
+class _ShardHandle(EngineHost):
+    """One attached shard: the engine host, the engines it owns, and the
+    lock that keeps a forwarded delta and its local apply one step."""
 
-    __slots__ = (
-        "name", "url", "client", "engines", "index", "delta_lock", "stale"
-    )
-
-    def __init__(self, name: str, url: str, client: _HTTPJsonClient):
-        self.name = name
-        self.url = url
-        self.client = client
+    def __init__(self, index: int, client: _HTTPJsonClient):
+        super().__init__(f"shard {index} at {client.base_url}", client)
         self.engines: List[str] = []
-        self.index: int = -1
+        self.index = index
         self.delta_lock = threading.Lock()
         # Engines whose local copy may trail the shard: a forward's reply
         # was lost and re-reading the representative failed too.
@@ -114,21 +93,12 @@ class _ShardHandle:
             decode=RepresentativeDelta.from_json_dict,
         )
 
-    def __repr__(self) -> str:
-        return f"_ShardHandle({self.name} @ {self.url}, {len(self.engines)} engines)"
 
+class _CoordinatorBroker(MetasearchBroker):
+    """The local broker: ``coordinator.scatter.*``, ``.shard.failures``."""
 
-class _ShardEngine(NamedTuple):
-    """An engine in the local broker's engine seat: its name, and the
-    shard that serves its documents."""
-
-    name: str
-    shard: _ShardHandle
-
-
-def _in_order(mapping: dict, names: List[str]) -> dict:
-    """``mapping`` restricted to ``names``, in their order."""
-    return {name: mapping[name] for name in names if name in mapping}
+    series_prefix = "coordinator"
+    host_series = "shard"
 
 
 class ShardedFleet(SearchPipeline):
@@ -150,7 +120,8 @@ class ShardedFleet(SearchPipeline):
             the remaining scatter/ambient deadline by the dispatcher).
         shard_timeout: Per-request socket budget for shard calls.
         registry: Metrics sink; the shared no-op registry by default.  The
-            local broker's cache, estimator and delta series land here too.
+            local broker's cache, estimator, delta and dispatch series land
+            here too.
     """
 
     series_prefix = "coordinator"
@@ -170,43 +141,22 @@ class ShardedFleet(SearchPipeline):
         if not shard_urls:
             raise ValueError("shard_urls must name at least one shard")
         super().__init__(policy, registry)
-        # Every engine's representative, read off its shard at attach, and
-        # the estimate cache over them: the rows step.
-        self.local = MetasearchBroker(estimator, registry=self.registry)
-        self._shards = [
-            _ShardHandle(
-                f"shard{i}", url, _HTTPJsonClient(url, timeout=shard_timeout)
-            )
-            for i, url in enumerate(shard_urls)
-        ]
-        # Shards sit in the dispatcher's engine seat: per-shard deadline
-        # enforcement, retry with clamped backoff, and degradation-not-
-        # failure all come from the same machinery engine calls use.
-        # The scatters are split calls, which use no thread; ``workers``
-        # bounds plain calls only, and is > 1 because a ``timeout`` is
-        # refused on a dispatcher that would run plain calls inline.
-        self.dispatcher = ConcurrentDispatcher(
-            workers=max(2, len(self._shards)),
+        # Both steps: the representatives read off the shards at attach,
+        # and the dispatch to them.  Its shard calls are split, which use
+        # no thread; ``workers`` > 1 only because a ``timeout`` needs it.
+        self.local = _CoordinatorBroker(
+            estimator,
+            workers=max(2, len(shard_urls)),
             timeout=timeout,
             retries=retries,
             backoff=backoff,
             registry=self.registry,
         )
-        self._m_shard_failures = self.registry.counter(
-            "coordinator.shard.failures"
-        )
-        # Scatter accounting: one "fanout" is one dispatch round (a batch
-        # of queries to the owning shards); "rpcs" counts the per-shard
-        # calls it cost — at most one per shard, whatever the batch.
-        self._m_fanouts = self.registry.counter(
-            "coordinator.scatter.fanouts", labels={"phase": "dispatch"}
-        )
-        self._m_rpcs = self.registry.counter(
-            "coordinator.scatter.rpcs", labels={"phase": "dispatch"}
-        )
-        self._m_fanout_queries = self.registry.histogram(
-            "coordinator.scatter.batch.queries", buckets=OCCUPANCY_BUCKETS
-        )
+        self.dispatcher = self.local.dispatcher
+        self._shards = [
+            _ShardHandle(i, _HTTPJsonClient(url, timeout=shard_timeout))
+            for i, url in enumerate(shard_urls)
+        ]
 
     # -- attachment ----------------------------------------------------------
 
@@ -255,11 +205,12 @@ class ShardedFleet(SearchPipeline):
                     f"shard at {shard.url} answered representatives of "
                     f"{named}, but /healthz reported {shard.engines}"
                 )
+            shard.name = f"shard {shard.index} at {shard.url}"
             for delta in deltas:
-                self._install(_ShardEngine(delta.name, shard), delta)
+                self._install(HostedEngine(delta.name, shard), delta)
         return self
 
-    def _install(self, engine: _ShardEngine, delta: RepresentativeDelta) -> None:
+    def _install(self, engine: HostedEngine, delta: RepresentativeDelta) -> None:
         """Hold ``delta``, a full delta read off the engine's shard, at the
         version the shard records (none when it records none)."""
         self.local.register(
@@ -270,11 +221,11 @@ class ShardedFleet(SearchPipeline):
         """Re-read ``name``'s full delta off its shard and hold it, unless
         the shard records the version already held."""
         engine = self.local.engine_of(name)
-        delta = engine.shard.representative(name)
+        delta = engine.host.representative(name)
         held = self.local.representative_version(name)
         if held is None or held != delta.to_version:
             self._install(engine, delta)
-        engine.shard.stale.discard(name)
+        engine.host.stale.discard(name)
 
     @property
     def engine_names(self) -> List[str]:
@@ -299,7 +250,7 @@ class ShardedFleet(SearchPipeline):
 
     def close(self) -> None:
         """Close every pooled shard connection, idle or in use.  There
-        are no scatter threads to retire: a scatter of split calls starts
+        are no dispatch threads to retire: a fan-out of split calls starts
         none."""
         for shard in self._shards:
             shard.client.close()
@@ -334,7 +285,7 @@ class ShardedFleet(SearchPipeline):
                 applies whatever it holds), answered malformed JSON, or
                 could not be reached.
         """
-        shard = self.local.engine_of(delta.name).shard
+        shard = self.local.engine_of(delta.name).host
         with shard.delta_lock:
             try:
                 answer = shard.client.request(
@@ -359,57 +310,6 @@ class ShardedFleet(SearchPipeline):
                     self._resync(delta.name)
         return answer
 
-    # -- shard RPC -----------------------------------------------------------
-
-    def _shard_dispatch(
-        self, shard: _ShardHandle, entries: List[dict]
-    ) -> SplitCall:
-        """The ``/dispatch`` call to ``shard``; it answers one report per
-        entry."""
-
-        def decode(answer):
-            reports = [
-                DispatchReport(
-                    results={
-                        str(name): list(decode_hits(hits))
-                        for name, hits in report["results"].items()
-                    },
-                    failures=[failure_from_wire(f) for f in report["failures"]],
-                    latencies={
-                        str(name): float(v)
-                        for name, v in report["latencies"].items()
-                    },
-                )
-                for report in _expect_kind(answer, "shard.dispatches")["reports"]
-            ]
-            if len(reports) != len(entries):
-                raise WireFormatError(
-                    f"{len(reports)} dispatch reports for {len(entries)} entries"
-                )
-            return reports
-
-        return SplitCall(functools.partial(
-            shard.client.start, "POST", "/dispatch", {"entries": entries},
-            decode,
-        ))
-
-    def _shard_failures(
-        self, shard: _ShardHandle, failure: EngineFailure, engines: List[str]
-    ) -> List[EngineFailure]:
-        """Translate one shard-level failure into per-engine records — the
-        coordinator's callers reason about engines, not topology."""
-        self._m_shard_failures.inc()
-        return [
-            EngineFailure(
-                engine=name,
-                kind=failure.kind,
-                attempts=failure.attempts,
-                elapsed=failure.elapsed,
-                message=f"shard {shard.index} at {shard.url}: {failure.message}",
-            )
-            for name in engines
-        ]
-
     # -- step 1: local estimation ---------------------------------------------
 
     def rows(self, queries: List[Query], thresholds: List[float]) -> tuple:
@@ -425,7 +325,7 @@ class ShardedFleet(SearchPipeline):
     ) -> Optional[EstimateRow]:
         return self.local.estimate_all_cached(query, threshold)
 
-    # -- step 2: scatter dispatch, gather ------------------------------------
+    # -- step 2: dispatch ------------------------------------------------------
 
     def reports(
         self,
@@ -433,68 +333,9 @@ class ShardedFleet(SearchPipeline):
         thresholds: List[float],
         invoked_lists: List[List[str]],
     ) -> List[DispatchReport]:
-        """Fan ``/dispatch`` to the shards owning invoked engines; one
-        report per query, stitched from its owning shards' reports (or, for
-        a shard that did not answer, one failure per engine asked of it)
-        and put back in invoked order."""
-        asked: Dict[_ShardHandle, List[tuple]] = {}  # -> [(query index, entry)]
-        for i, (query, threshold, invoked) in enumerate(
-            zip(queries, thresholds, invoked_lists)
-        ):
-            by_shard: Dict[_ShardHandle, List[str]] = {}
-            for name in invoked:
-                shard = self.local.engine_of(name).shard
-                by_shard.setdefault(shard, []).append(name)
-            wire_query = query_to_wire(query)
-            for shard, names in by_shard.items():
-                entry = {
-                    "query": wire_query,
-                    "threshold": float(threshold),
-                    "engines": names,
-                }
-                asked.setdefault(shard, []).append((i, entry))
-        calls = {
-            shard.name: self._shard_dispatch(
-                shard, [entry for __, entry in pairs]
-            )
-            for shard, pairs in asked.items()
-        }
-        if calls:
-            self._m_fanouts.inc()
-            self._m_rpcs.inc(len(calls))
-            self._m_fanout_queries.observe(len(queries))
-        scatter = self.dispatcher.dispatch(calls)
-        shard_failures = {f.engine: f for f in scatter.failures}
-        gathered = [DispatchReport() for __ in queries]
-        for shard, pairs in asked.items():
-            shard_reports = scatter.results.get(shard.name)
-            if shard_reports is None:
-                failure = shard_failures[shard.name]
-                elapsed = scatter.latencies.get(shard.name, failure.elapsed)
-                shard_reports = [
-                    DispatchReport(
-                        failures=self._shard_failures(
-                            shard, failure, entry["engines"]
-                        ),
-                        latencies=dict.fromkeys(entry["engines"], elapsed),
-                    )
-                    for __, entry in pairs
-                ]
-            for (i, __), part in zip(pairs, shard_reports):
-                gathered[i].results.update(part.results)
-                gathered[i].failures.extend(part.failures)
-                gathered[i].latencies.update(part.latencies)
-        reports = []
-        for invoked, part in zip(invoked_lists, gathered):
-            failed = {failure.engine: failure for failure in part.failures}
-            reports.append(
-                DispatchReport(
-                    results=_in_order(part.results, invoked),
-                    failures=list(_in_order(failed, invoked).values()),
-                    latencies=_in_order(part.latencies, invoked),
-                )
-            )
-        return reports
+        """The local broker's dispatch step: one ``/dispatch`` per shard
+        owning an invoked engine."""
+        return self.local.reports(queries, thresholds, invoked_lists)
 
     def __repr__(self) -> str:
         return (
@@ -513,9 +354,6 @@ class CoordinatorApp(GatewayApp):
     """
 
     role = "coordinator"
-
-    def __init__(self, fleet: ShardedFleet, **kwargs):
-        super().__init__(fleet, **kwargs)
 
     @property
     def fleet(self) -> ShardedFleet:

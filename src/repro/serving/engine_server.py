@@ -4,8 +4,9 @@ The paper's architecture has each search engine answering two remote
 calls: serve a query, and publish the database representative the broker
 estimates from.  :class:`EngineApp` exposes exactly those over the wire:
 
-* ``POST /search`` — ``{"query": <wire query>, "threshold": t}`` →
-  the engine's hits, best first.
+* ``POST /dispatch`` — every engine host's route (:func:`dispatch_route`,
+  a shard's too): ``{query, threshold, engines}`` entries → one report
+  per entry, the engine's hits (best first) or its failure record.
 * ``POST /max_similarity`` — the oracle call used by ``true_selection``.
 * ``GET /representative?since=v`` — the
   :class:`~repro.fleet.delta.RepresentativeDelta` from version ``v`` to
@@ -41,19 +42,87 @@ visible to a syncing broker.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Optional
+from typing import Callable, Container, List, Optional
 
 from repro.corpus.document import Document
 from repro.engine.search_engine import SearchEngine
 from repro.fleet.delta import RepresentativeDelta, diff_representatives
 from repro.fleet.live import LiveEngineServer
+from repro.metasearch.dispatch import ConcurrentDispatcher, DispatchReport
 from repro.representatives.builder import build_representative
 from repro.representatives.representative import DatabaseRepresentative
 from repro.serving.http import HTTPError, Response, ServingApp
-from repro.serving.wire import encode_hits, query_from_wire, threshold_from_wire
+from repro.serving.wire import (
+    encode_hits,
+    failure_to_wire,
+    query_from_wire,
+    threshold_from_wire,
+)
 
-__all__ = ["EngineApp", "LiveEngineApp"]
+__all__ = ["EngineApp", "LiveEngineApp", "dispatch_route"]
+
+
+def batch_from_wire(payload: dict, name: str, limit: Optional[int]) -> list:
+    """``payload[name]``, which must be a list (else 400) of at most
+    ``limit`` items, if given (else 413)."""
+    raw = payload.get(name)
+    if not isinstance(raw, list):
+        raise HTTPError(400, f"{name!r} must be a list")
+    if limit is not None and len(raw) > limit:
+        raise HTTPError(
+            413, f"{len(raw)} {name} exceed the batch limit of {limit}"
+        )
+    return raw
+
+
+def dispatch_route(
+    payload: dict,
+    *,
+    serves: Container[str],
+    where: str,
+    reports: Callable[..., List[DispatchReport]],
+    limit: Optional[int] = None,
+) -> Response:
+    """``POST /dispatch`` of every engine host: ``{query, threshold,
+    engines}`` entries through ``reports(queries, thresholds, engine
+    lists)``, which isolates failures per (entry, engine) as a dispatcher
+    does; one report per entry.  An engine the host does not ``serve`` is
+    a 400 naming ``where``, before any engine is called; more entries
+    than a given ``limit``, a 413 (else the body cap bounds a batch)."""
+    entries = batch_from_wire(payload, "entries", limit)
+    queries, thresholds, engine_lists = [], [], []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise HTTPError(400, "each dispatch entry must be an object")
+        queries.append(query_from_wire(entry.get("query")))
+        thresholds.append(threshold_from_wire(entry))
+        names = entry.get("engines")
+        if not isinstance(names, list):
+            raise HTTPError(400, "'engines' must be a list of names")
+        engine_lists.append([str(name) for name in names])
+        for name in engine_lists[-1]:
+            if name not in serves:
+                raise HTTPError(400, f"engine {name!r} is not on {where}")
+    return Response(
+        payload={
+            "kind": "dispatches",
+            "reports": [
+                {
+                    "results": {
+                        name: encode_hits(hits)
+                        for name, hits in report.results.items()
+                    },
+                    "failures": [failure_to_wire(f) for f in report.failures],
+                    "latencies": {
+                        name: float(v) for name, v in report.latencies.items()
+                    },
+                }
+                for report in reports(queries, thresholds, engine_lists)
+            ],
+        }
+    )
 
 
 class EngineApp(ServingApp):
@@ -75,6 +144,7 @@ class EngineApp(ServingApp):
         self._rep_lock = threading.Lock()
         self._full: Optional[RepresentativeDelta] = None
         super().__init__(**kwargs)
+        self._dispatcher = ConcurrentDispatcher(registry=self.registry)
         self._m_searches = self.registry.counter("serving.engine.searches")
         self._m_deltas = self.registry.counter("serving.engine.deltas")
         self._m_delta_fallbacks = self.registry.counter(
@@ -82,7 +152,7 @@ class EngineApp(ServingApp):
         )
 
     def add_routes(self) -> None:
-        self.route("POST", "/search", self._route_search)
+        self.route("POST", "/dispatch", self._route_dispatch)
         self.route("POST", "/max_similarity", self._route_max_similarity)
         self.route("GET", "/representative", self._route_representative)
 
@@ -94,18 +164,24 @@ class EngineApp(ServingApp):
 
     # -- routes --------------------------------------------------------------
 
-    def _route_search(self, params, payload) -> Response:
-        query = query_from_wire(payload.get("query"))
-        threshold = threshold_from_wire(payload)
-        hits = self.engine.search(query, threshold)
-        self._m_searches.inc()
-        return Response(
-            payload={
-                "kind": "hits",
-                "engine": self.engine.name,
-                "hits": encode_hits(hits),
-            }
+    def _route_dispatch(self, params, payload) -> Response:
+        return dispatch_route(
+            payload,
+            serves=(self.engine.name,),
+            where=f"engine server {self.engine.name!r}",
+            reports=self._reports,
         )
+
+    def _reports(self, queries, thresholds, engine_lists) -> List[DispatchReport]:
+        reports = self._dispatcher.dispatch_many([
+            {
+                name: functools.partial(self.engine.search, query, threshold)
+                for name in names
+            }
+            for query, threshold, names in zip(queries, thresholds, engine_lists)
+        ])
+        self._m_searches.inc(sum(map(len, engine_lists)))
+        return reports
 
     def _route_max_similarity(self, params, payload) -> Response:
         query = query_from_wire(payload.get("query"))

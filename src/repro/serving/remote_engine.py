@@ -1,9 +1,11 @@
 """HTTP clients for the serving layer.
 
-:class:`RemoteEngine` is the adapter that makes a network engine look
-like a local one: it implements the same calls
-:class:`~repro.metasearch.broker.MetasearchBroker` consumes (``name``,
-``search``, ``max_similarity``, and ``sync_representative`` — the method
+:class:`RemoteEngine` is an engine server's engine, on an
+:class:`EngineHost` of one: the broker's dispatch step sends each host
+(an engine server, or a shard worker for its slice) one ``POST
+/dispatch`` per round for all the invoked engines it serves.  It also
+answers the broker's other engine calls (``name``, ``max_similarity``,
+and ``sync_representative`` — the method
 :class:`~repro.fleet.live.LiveEngineServer` answers in-process), so the
 entire broker stack — selection, concurrent dispatch, retries, degradation,
 merging, live sync — runs unchanged over remote engines.  Failure mapping
@@ -33,7 +35,7 @@ request` runs both at once; :meth:`_HTTPJsonClient.start` hands back the
 receive half, so a caller can write to several servers before it reads
 from any, and then read each reply as it arrives: the receive half
 carries its socket's ``fileno()`` and what is left of its budget (the
-coordinator's scatter does this, on the request's own thread).
+broker's dispatch to its hosts does this, on the request's own thread).
 
 Connections are pooled per client: an exchange checks out the most
 recently idled connection (or dials a new one) and checks it back in
@@ -75,21 +77,26 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.corpus.query import Query
-from repro.engine.results import SearchHit
 from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.broker import MetasearchResponse
 from repro.metasearch.deadlines import DEADLINE_HEADER, ambient_deadline
+from repro.metasearch.dispatch import DispatchReport, SplitCall
 from repro.metasearch.selection import EstimateRow
 from repro.serving.http import MAX_LINE, HeaderBlockError, Headers, read_headers
 from repro.serving.wire import (
+    WireFormatError,
+    _expect_kind,
     decode_hits,
     estimate_row_from_wire,
+    failure_from_wire,
     query_to_wire,
     response_from_wire,
 )
 
 __all__ = [
+    "EngineHost",
     "GatewayClient",
+    "HostedEngine",
     "RemoteEngine",
     "RemoteServingError",
     "RemoteTimeout",
@@ -514,8 +521,64 @@ class _HTTPJsonClient:
         return reply.body, reply
 
 
+class EngineHost:
+    """The client half of an engine host: one server answering ``POST
+    /dispatch`` for the engines it serves.  ``name`` keys its calls in
+    the dispatcher and prefixes its failures' messages."""
+
+    def __init__(self, name: str, client: _HTTPJsonClient):
+        self.name = name
+        self.url = client.base_url
+        self.client = client
+
+    def dispatch(self, asks: Sequence[Tuple[Query, float, List[str]]]) -> SplitCall:
+        """The ``/dispatch`` call for ``asks``, one ``(query, threshold,
+        engine names)`` entry each.  It answers one
+        :class:`~repro.metasearch.dispatch.DispatchReport` per entry, and
+        fails as malformed unless each names exactly its entry's engines."""
+        entries = [
+            {"query": query_to_wire(q), "threshold": float(t), "engines": names}
+            for q, t, names in asks
+        ]
+
+        def decode(answer):
+            reports = [
+                DispatchReport(
+                    results={
+                        str(name): list(decode_hits(hits))
+                        for name, hits in report["results"].items()
+                    },
+                    failures=[failure_from_wire(f) for f in report["failures"]],
+                    latencies={
+                        str(name): float(v)
+                        for name, v in report["latencies"].items()
+                    },
+                )
+                for report in _expect_kind(answer, "dispatches")["reports"]
+            ]
+            answered = [{*r.results, *(f.engine for f in r.failures)} for r in reports]
+            if answered != [set(entry["engines"]) for entry in entries]:
+                raise WireFormatError(
+                    f"dispatch reports answered {answered} for "
+                    f"{[entry['engines'] for entry in entries]}"
+                )
+            return reports
+
+        return SplitCall(functools.partial(
+            self.client.start, "POST", "/dispatch", {"entries": entries}, decode
+        ))
+
+
+class HostedEngine(NamedTuple):
+    """An engine in a broker's engine seat that its host serves."""
+
+    name: str
+    host: EngineHost
+
+
 class RemoteEngine:
-    """A search engine reached over HTTP, usable wherever a local one is.
+    """An engine server's engine, on a host of one: usable wherever a
+    local engine is.
 
     Args:
         base_url: The engine server's root URL (``http://host:port``).
@@ -533,10 +596,9 @@ class RemoteEngine:
     ):
         self._client = _HTTPJsonClient(base_url, timeout=timeout)
         self._name = name
-
-    @property
-    def base_url(self) -> str:
-        return self._client.base_url
+        #: The engine server, as the host of this one engine.
+        url = self._client.base_url
+        self.host = EngineHost(f"engine server at {url}", self._client)
 
     @property
     def name(self) -> str:
@@ -548,28 +610,13 @@ class RemoteEngine:
             )
             if not engine:
                 raise RemoteServingError(
-                    f"{self.base_url} does not identify an engine "
+                    f"{self._client.base_url} does not identify an engine "
                     f"(role={role!r})"
                 )
             self._name = str(engine)
         return self._name
 
-    @property
-    def n_documents(self) -> int:
-        """The engine's live document count (one ``/healthz`` round trip)."""
-        return self._client.request(
-            "GET", "/healthz", decode=lambda info: int(info.get("documents", 0))
-        )
-
     # -- the engine protocol -------------------------------------------------
-
-    def search(self, query: Query, threshold: float) -> List[SearchHit]:
-        return self._client.request(
-            "POST",
-            "/search",
-            {"query": query_to_wire(query), "threshold": float(threshold)},
-            decode=lambda answer: list(decode_hits(answer["hits"])),
-        )
 
     def max_similarity(self, query: Query) -> float:
         return self._client.request(
@@ -599,8 +646,7 @@ class RemoteEngine:
         self._client.close()
 
     def __repr__(self) -> str:
-        name = self._name or "?"
-        return f"RemoteEngine({name!r} @ {self.base_url})"
+        return f"RemoteEngine({self._name or '?'!r} @ {self._client.base_url})"
 
 
 class GatewayClient:

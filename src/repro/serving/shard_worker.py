@@ -18,8 +18,9 @@ and asks a shard only for what needs the documents.  So a shard serves:
 * ``POST /dispatch`` — the pipeline's *reports* step: a batch of
   ``{query, threshold, engines}`` entries; ``broker.reports`` forwards
   each query to the named engines (which must live on this shard) and the
-  answer carries per-engine hits, failure records, and latencies.
-  Selection is *not* applied here — the coordinator has already selected.
+  answer carries per-engine hits, failure records, and latencies (the
+  route an engine server answers too).  Selection is *not* applied here —
+  the coordinator has already selected.
 * ``POST /delta`` — one :class:`~repro.fleet.delta.RepresentativeDelta`
   document (the canonical wire form) for an engine on this shard;
   applied through the broker's
@@ -45,13 +46,11 @@ from repro.fleet.delta import RepresentativeDelta, diff_representatives
 from repro.metasearch.broker import MetasearchBroker
 from repro.obs.registry import OCCUPANCY_BUCKETS
 from repro.representatives.representative import DatabaseRepresentative
+from repro.serving.engine_server import batch_from_wire, dispatch_route
 from repro.serving.http import HTTPError, Response, ServingApp
 from repro.serving.wire import (
-    encode_hits,
     estimate_row_to_wire,
-    failure_to_wire,
     query_from_wire,
-    threshold_from_wire,
     thresholds_from_wire,
 )
 
@@ -64,7 +63,7 @@ class ShardApp(ServingApp):
     Args:
         broker: The shard's broker, holding this shard's engines.
         shard_index: This shard's position in the coordinator's shard
-            list; echoed in ``/healthz`` and every reply so a
+            list; echoed in ``/healthz`` and the shard's own replies so a
             misconfigured topology is visible.
         max_batch: Queries accepted per ``/estimate`` request and entries
             per ``/dispatch`` request.
@@ -109,24 +108,10 @@ class ShardApp(ServingApp):
             "engines": self.broker.engine_names,
         }
 
-    # -- request parsing -----------------------------------------------------
-
-    def _parse_batch(self, payload: dict, name: str) -> list:
-        raw = payload.get(name)
-        if not isinstance(raw, list):
-            raise HTTPError(400, f"{name!r} must be a list")
-        if len(raw) > self.max_batch:
-            raise HTTPError(
-                413,
-                f"{len(raw)} {name} exceed the shard batch limit of "
-                f"{self.max_batch}",
-            )
-        return raw
-
     # -- routes --------------------------------------------------------------
 
     def _route_estimate(self, params, payload) -> Response:
-        raw_queries = self._parse_batch(payload, "queries")
+        raw_queries = batch_from_wire(payload, "queries", self.max_batch)
         queries = [query_from_wire(raw) for raw in raw_queries]
         thresholds = thresholds_from_wire(payload)
         try:
@@ -144,48 +129,15 @@ class ShardApp(ServingApp):
         )
 
     def _route_dispatch(self, params, payload) -> Response:
-        entries = self._parse_batch(payload, "entries")
-        owned = set(self.broker.engine_names)
-        queries, thresholds, engine_lists = [], [], []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise HTTPError(400, "each dispatch entry must be an object")
-            queries.append(query_from_wire(entry.get("query")))
-            thresholds.append(threshold_from_wire(entry))
-            names = entry.get("engines")
-            if not isinstance(names, list):
-                raise HTTPError(400, "'engines' must be a list of names")
-            engine_lists.append([str(name) for name in names])
-            for name in engine_lists[-1]:
-                if name not in owned:
-                    raise HTTPError(
-                        400,
-                        f"engine {name!r} is not on shard {self.shard_index}",
-                    )
-        reports = self.broker.reports(queries, thresholds, engine_lists)
-        self._m_dispatches.inc(len(entries))
-        return Response(
-            payload={
-                "kind": "shard.dispatches",
-                "shard": self.shard_index,
-                "reports": [
-                    {
-                        "results": {
-                            name: encode_hits(hits)
-                            for name, hits in report.results.items()
-                        },
-                        "failures": [
-                            failure_to_wire(f) for f in report.failures
-                        ],
-                        "latencies": {
-                            name: float(v)
-                            for name, v in report.latencies.items()
-                        },
-                    }
-                    for report in reports
-                ],
-            }
+        response = dispatch_route(
+            payload,
+            serves=set(self.broker.engine_names),
+            where=f"shard {self.shard_index}",
+            reports=self.broker.reports,
+            limit=self.max_batch,
         )
+        self._m_dispatches.inc(len(payload["entries"]))
+        return response
 
     def _route_representative(self, params, payload) -> Response:
         name = params.get("engine", "")

@@ -519,7 +519,7 @@ class TestShardedCoordinator:
             [threshold for __, threshold in member_specs],
         )
         owners = {
-            fleet.local.engine_of(name).shard.url
+            fleet.local.engine_of(name).host.url
             for response in responses
             for name in response.invoked
         }

@@ -258,7 +258,7 @@ class TestShardedDeltaPropagation:
         fleet, sharded_fleet = sharded
         payload = fleet[0][0].delta_since(0).to_json_dict()
         payload["from_n_documents"] = 1
-        url = sharded_fleet.local.engine_of(fleet[0][0].name).shard.url
+        url = sharded_fleet.local.engine_of(fleet[0][0].name).host.url
         request = urllib.request.Request(
             f"{url}/delta", data=json.dumps(payload).encode("ascii"),
             headers={"Content-Type": "application/json"}, method="POST",
@@ -360,7 +360,7 @@ class TestShardedDeltaRecovery:
         fleet, sharded_fleet, servers = sharded
         servers[0].app.release.set()
         live, base = fleet[1]
-        shard = sharded_fleet.local.engine_of(live.name).shard
+        shard = sharded_fleet.local.engine_of(live.name).host
         churn(live)
         shard.client = DropsDeltaReplies(shard.client)
         try:
@@ -378,7 +378,7 @@ class TestShardedDeltaRecovery:
         fleet, sharded_fleet, servers = sharded
         servers[0].app.release.set()
         live, base = fleet[1]
-        shard = sharded_fleet.local.engine_of(live.name).shard
+        shard = sharded_fleet.local.engine_of(live.name).host
         churn(live)
         shard.client = DropsDeltaReplies(shard.client, reads_fail=True)
         try:

@@ -457,7 +457,7 @@ class TestDeadlines:
         engine_server.start_background()
         remote = RemoteEngine(engine_server.url, timeout=1e-6)
         with pytest.raises(RemoteServingError):
-            remote.search(Query.from_terms(["rocket"]), 0.1)
+            remote.host.dispatch([(Query.from_terms(["rocket"]), 0.1, ["slow"])])()
         engine_server.drain(timeout=5)
 
 
@@ -558,19 +558,19 @@ class TestDeadlinePropagation:
         assert response.status == 200
         assert len(response.payload["invoked"]) == 2
         for app in apps:
-            [budget] = app.budgets("/search")
+            [budget] = app.budgets("/dispatch")
             assert budget is not None and 0.0 < budget <= 5.0
         response = gateway.handle("POST", "/search", {}, body)
         assert response.status == 200
         for app in apps:
-            assert app.budgets("/search")[1:] == [None]
+            assert app.budgets("/dispatch")[1:] == [None]
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_coalesced_batch_runs_under_its_loosest_member_deadline(
         self, engine_apps, gateway_over, workers
     ):
         """Two members with different budgets, queued behind a request held
-        in flight and flushed as *one* batch: every engine call of that
+        in flight and flushed as *one* batch: the one engine call of that
         batch carries the loosest member's budget, not the leader's own."""
         apps, urls = engine_apps
         gateway = gateway_over(urls, workers, coalesce_window=30.0)
@@ -598,9 +598,10 @@ class TestDeadlinePropagation:
             thread.join(timeout=30)
         assert statuses == [200, 200, 200]
         for app in apps:
-            first, *batch = app.budgets("/search")
+            # The flushed batch of two asks each engine server once.
+            first, *batch = app.budgets("/dispatch")
             assert 60.0 < first <= 120.0
-            assert len(batch) == 2
+            assert len(batch) == 1
             assert all(b is not None and 20.0 < b <= 60.0 for b in batch)
 
     @pytest.mark.parametrize("shard_workers", [1, 4])
@@ -656,7 +657,7 @@ class TestRemoteEngineErrors:
     def test_unreachable_server_raises_connection_error(self):
         remote = RemoteEngine("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(RemoteServingError):
-            remote.search(Query.from_terms(["x"]), 0.1)
+            remote.host.dispatch([(Query.from_terms(["x"]), 0.1, ["x"])])()
 
     def test_dispatcher_degrades_on_dead_remote(self):
         """A dead remote engine becomes an EngineFailure, not a crash."""

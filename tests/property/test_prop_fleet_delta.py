@@ -483,7 +483,7 @@ class TestShardedDeltasStayExact:
                     shipped[live.name] = recorded[live.name] = delta.to_version
                     assert rows() == fresh_rows()
                     continue
-                shard = fleet.local.engine_of(live.name).shard
+                shard = fleet.local.engine_of(live.name).host
                 client = shard.client
                 if kind == "lost":
                     shard.client = LosesDeltaReplies(client)

@@ -146,7 +146,7 @@ class TestShardedEqualsInProcess:
             assert not g.failures
         # One dispatch RPC per shard owning an invoked engine, at most.
         owners = {
-            sharded.local.engine_of(engine).shard.url
+            sharded.local.engine_of(engine).host.url
             for response in got
             for engine in response.invoked
         }

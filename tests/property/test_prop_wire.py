@@ -218,9 +218,9 @@ def build_apps():
             "entries": [{**search, "engines": ["e0", "e1"]}]
         },
         ("shard", "/delta"): live.delta_since(synced).to_json_dict(),
-        ("engine", "/search"): search,
+        ("engine", "/dispatch"): {"entries": [{**search, "engines": ["e0"]}]},
         ("engine", "/max_similarity"): {"query": WIRE_QUERY},
-        ("live", "/search"): search,
+        ("live", "/dispatch"): {"entries": [{**search, "engines": ["lv"]}]},
         ("live", "/max_similarity"): {"query": WIRE_QUERY},
         ("live", "/mutate"): {
             "add": [{"doc_id": "x1", "terms": ["kiwi"], "text": "kiwi"}],

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -314,3 +315,42 @@ class TestSpawnShards:
             cli._spawn_shards(args)
         assert len(started) == 2
         assert [shard.events for shard in started] == [["terminate", "wait"]] * 2
+
+    def test_a_shard_that_writes_after_its_announce_never_blocks(
+        self, monkeypatch, capsys
+    ):
+        """What a shard writes after its announce line (a traceback per
+        unhandled error it serves) is read on and forwarded to stderr: a
+        pipe left unread would block the shard once it filled up."""
+        import argparse
+
+        from repro import cli
+
+        size = 256 * 1024
+        script = (
+            "import sys\n"
+            "print('serving shard at http://127.0.0.1:1', flush=True)\n"
+            f"sys.stdout.write(('x' * 1023 + '\\n') * {size // 1024})\n"
+        )
+        popen = subprocess.Popen
+        monkeypatch.setattr(
+            subprocess, "Popen",
+            lambda command, **kwargs: popen(
+                [sys.executable, "-c", script], **kwargs
+            ),
+        )
+        args = argparse.Namespace(collections=["a.jsonl"], shards=1)
+        [proc], urls = cli._spawn_shards(args)
+        try:
+            assert urls == ["http://127.0.0.1:1"]
+            assert proc.wait(timeout=10) == 0
+            forwarded = ""
+            deadline = time.monotonic() + 10
+            while forwarded.count("x") < size - size // 1024:
+                assert time.monotonic() < deadline, len(forwarded)
+                time.sleep(0.01)
+                forwarded += capsys.readouterr().err
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()

@@ -431,6 +431,96 @@ class TestShardDispatchRoute:
         assert report["failures"] == []
 
 
+class RaisesOn:
+    """An engine whose search raises for one query term, and answers the
+    wrapped engine's hits otherwise."""
+
+    def __init__(self, engine, term):
+        self.engine = engine
+        self.name = engine.name
+        self.n_documents = engine.n_documents
+        self.term = term
+
+    def search(self, query, threshold):
+        if self.term in query.terms:
+            raise RuntimeError(f"{self.term} breaks {self.name}")
+        return self.engine.search(query, threshold)
+
+
+class TestEngineDispatchRoute:
+    """An engine server answers ``/dispatch`` from the shard's route code:
+    the same entries, reply kind, 400 and per-entry failure isolation."""
+
+    @pytest.fixture
+    def engine_app(self):
+        from repro.corpus import Collection, Document
+        from repro.engine import SearchEngine
+        from repro.serving import EngineApp
+
+        engine = SearchEngine(Collection.from_documents(
+            "e0", [Document("e0-d", terms=["rocket"])]
+        ))
+        return EngineApp(RaisesOn(engine, "orbit"))
+
+    def dispatch(self, app, entries):
+        import json
+
+        body = json.dumps({"entries": [
+            {
+                "query": {"kind": "query", "terms": terms, "weights": [1.0]},
+                "threshold": 0.1,
+                "engines": engines,
+            }
+            for terms, engines in entries
+        ]}).encode("utf-8")
+        return app.handle("POST", "/dispatch", {}, body)
+
+    def test_a_batch_is_one_report_per_entry(self, engine_app):
+        response = self.dispatch(
+            engine_app, [(["rocket"], ["e0"]), (["kiwi"], ["e0"])]
+        )
+        assert response.status == 200
+        assert response.payload["kind"] == "dispatches"
+        rocket, kiwi = response.payload["reports"]
+        assert rocket["results"] == {"e0": [[1.0, "e0-d", "e0"]]}
+        assert kiwi["results"] == {"e0": []}
+        assert rocket["failures"] == kiwi["failures"] == []
+        assert engine_app.registry.value("serving.engine.searches") == 2
+
+    def test_a_batch_past_the_shard_limit_is_served(self, engine_app):
+        """A broker's round past 256 queries (a wide coalescing window)
+        reaches an engine server as one ``/dispatch``; only its request
+        body cap bounds the batch."""
+        response = self.dispatch(engine_app, [(["rocket"], ["e0"])] * 300)
+        assert response.status == 200
+        assert len(response.payload["reports"]) == 300
+
+    def test_another_engine_is_400_before_any_call(self, engine_app):
+        response = self.dispatch(engine_app, [(["rocket"], ["e0", "e7"])])
+        assert response.status == 400
+        assert response.payload["error"] == (
+            "engine 'e7' is not on engine server 'e0'"
+        )
+        assert engine_app.registry.value("dispatch.attempts") in (None, 0)
+
+    def test_a_failing_search_fails_its_entry_only(self, engine_app):
+        response = self.dispatch(
+            engine_app, [(["orbit"], ["e0"]), (["rocket"], ["e0"])]
+        )
+        assert response.status == 200
+        orbit, rocket = response.payload["reports"]
+        assert orbit["results"] == {}
+        [failure] = orbit["failures"]
+        assert (failure["engine"], failure["failure_kind"]) == ("e0", "error")
+        assert "orbit breaks e0" in failure["message"]
+        assert rocket["results"] == {"e0": [[1.0, "e0-d", "e0"]]}
+        assert rocket["failures"] == []
+
+    def test_the_search_route_is_gone(self, engine_app):
+        response = engine_app.handle("POST", "/search", {}, b"{}")
+        assert response.status == 404
+
+
 class TestQueryLengthBound:
     """Every route that decodes a query answers one longer than
     ``MAX_QUERY_TERMS`` with 400, before any expansion or engine call."""
@@ -491,7 +581,7 @@ class TestQueryLengthBound:
         return json.dumps(payload).encode("utf-8")
 
     @pytest.mark.parametrize("role, path", [
-        ("engine", "/search"),
+        ("engine", "/dispatch"),
         ("engine", "/max_similarity"),
         ("gateway", "/estimate"),
         ("gateway", "/search"),
@@ -533,13 +623,13 @@ def owning_fleet(name):
     shard."""
     from repro.representatives import DatabaseRepresentative
     from repro.serving import ShardedFleet
-    from repro.serving.coordinator import _ShardEngine
+    from repro.serving.remote_engine import HostedEngine
 
     fleet = ShardedFleet([DEAD_URL])
     shard = fleet._shards[0]
     shard.engines = [name]
     fleet.local.register(
-        _ShardEngine(name, shard), DatabaseRepresentative(name, 3, {})
+        HostedEngine(name, shard), DatabaseRepresentative(name, 3, {})
     )
     return fleet
 
@@ -557,14 +647,14 @@ def client_calls():
     delta = RepresentativeDelta("e", 1, 2, 3, 3, ())
     return {
         "engine.name": lambda: engine.name,
-        "engine.search": lambda: engine.search(query, 0.1),
+        "engine.dispatch": lambda: engine.host.dispatch([(query, 0.1, ["e"])])(),
         "engine.max_similarity": lambda: engine.max_similarity(query),
         "engine.sync": lambda: engine.sync_representative(since=3),
         "gateway.estimate": lambda: gateway.estimate(query, 0.1),
         "gateway.search": lambda: gateway.search(query, 0.1),
         "gateway.search_batch": lambda: gateway.search_batch([query], 0.1),
         "fleet.representative": lambda: shard.representative("e"),
-        "fleet.dispatch": lambda: fleet._shard_dispatch(shard, [{}])(),
+        "fleet.dispatch": lambda: shard.dispatch([(query, 0.1, ["e"])])(),
         "fleet.apply_delta": lambda: fleet.apply_delta(delta),
     }
 
@@ -609,7 +699,7 @@ class TestClientsRejectMalformedAnswers:
         with pytest.raises(RemoteServingError, match="not ready"):
             ShardedFleet([DEAD_URL]).attach(timeout=0.05, interval=0.01)
         with pytest.raises(RemoteServingError):
-            RemoteEngine(DEAD_URL).n_documents
+            RemoteEngine(DEAD_URL).name
 
     def test_malformed_shard_answer_degrades_the_engines_not_the_query(
         self, monkeypatch
