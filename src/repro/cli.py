@@ -492,9 +492,40 @@ def _cmd_serve_engine(args: argparse.Namespace) -> int:
     return _serve(server, args)
 
 
+class _QuantizedRemote:
+    """``serve gateway --quantize``'s engine seat: a remote engine whose
+    every sync answers its *full* delta, one-byte quantized.  The
+    quantizer fits its grids across all terms, so an edit delta cannot be
+    quantized term by term: a pull quantizes the whole, as registration
+    does."""
+
+    def __init__(self, remote, levels: int):
+        self.remote, self.levels, self.host = remote, levels, remote.host
+
+    @property
+    def name(self) -> str:
+        return self.remote.name
+
+    def sync_representative(self, since=None):
+        from repro.fleet.delta import diff_representatives
+
+        full = self.remote.sync_representative(None)
+        return diff_representatives(
+            DatabaseRepresentative(full.name, 0, {}),
+            quantize_representative(full.as_representative(), self.levels),
+            from_version=0,
+            to_version=full.to_version,
+        )
+
+
 def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     """Serve a metasearch broker over remote and/or local engines."""
-    from repro.serving import GatewayApp, RemoteEngine, ServingServer
+    from repro.serving import (
+        GatewayApp,
+        RemoteEngine,
+        RemoteServingError,
+        ServingServer,
+    )
 
     if not args.engines and not args.collections:
         print(
@@ -520,16 +551,16 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         return 2
     for url in args.engines or []:
         remote = RemoteEngine(url, timeout=args.engine_timeout)
-        delta = remote.sync_representative()
-        representative = delta.as_representative()
         if args.quantize is not None:
-            representative = quantize_representative(
-                representative, args.quantize
-            )
-        broker.register(remote, representative=representative)
+            remote = _QuantizedRemote(remote, args.quantize)
+        try:
+            report = broker.sync_representative(remote)
+        except (RemoteServingError, ValueError) as exc:
+            print(f"error: cannot register {url}: {exc}", file=sys.stderr)
+            return 2
         print(
             f"registered remote engine {remote.name!r} at {url} "
-            f"(version {delta.to_version})",
+            f"(version {report.to_version})",
             flush=True,
         )
     for path in args.collections or []:

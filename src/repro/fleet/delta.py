@@ -243,7 +243,7 @@ class RepresentativeDelta:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RepresentativeDelta":
         """Decode the :meth:`to_json_dict` form.  The payload is outside
-        input (a shard's ``POST /delta`` body, an engine's sync answer):
+        input (an engine host's ``/representative`` answer):
         anything but a well-formed delta document raises ValueError."""
         if not isinstance(payload, dict) or payload.get("kind") != DELTA_KIND:
             raise ValueError("payload is not a representative delta")

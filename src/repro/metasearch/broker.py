@@ -11,63 +11,49 @@ There is one path through it — ``estimate rows → select → dispatch →
 merge`` — and one of everything on that path:
 
 * **One pipeline, for every topology.**  :class:`SearchPipeline` owns the
-  path — the estimate/select/search surface, the traces, the response
-  assembly, its series — over a backend of two steps, *rows* and *reports*.
+  path over a backend of two steps, *rows* and *reports*.
   :class:`MetasearchBroker` supplies them from its fleet store and
-  dispatcher; the serving layer's ``ShardedFleet`` is a broker over
-  engines that shard workers serve, and supplies its local broker's.  The
-  broker's solo ``search`` is the one remaining fork.
-* **One representative backend.**  Every registered representative is
-  packed into the broker's
+  dispatcher; the serving layer's ``ShardedFleet`` supplies its local
+  broker's.  The broker's solo ``search`` is the one remaining fork.
+* **One representative backend.**  Every representative is packed into
+  the broker's
   :class:`~repro.representatives.columnar.FleetRepresentativeStore`
-  (``broker.fleet``, never ``None``): terms interned into one shared
-  vocabulary, per-engine statistics as packed numpy columns.  A dict
+  (``broker.fleet``, never ``None``); a dict
   :class:`~repro.representatives.representative.DatabaseRepresentative` is
-  the builder/interchange format; the broker drops it once packed and keeps
-  a name-keyed :class:`~repro.representatives.columnar.FleetRepresentativeRef`.
+  only the builder/interchange format.
 * **One estimation routine.**  :meth:`MetasearchBroker._estimate_rows`
-  answers any ``(queries, thresholds)`` batch: group the queries by their
-  normalized ``(terms, weights)`` identity, probe the
-  :class:`~repro.metasearch.cache.EstimateCache`, make one
-  :func:`~repro.core.vectorized.fleet_usefulness_grid` call per group over
-  the thresholds the cache could not answer, populate the cache, rank
-  each row with one ``np.lexsort``.  A row is an
-  :class:`~repro.metasearch.selection.EstimateRow` — names plus
-  ``nodoc`` / ``avgsim`` arrays and a best-first permutation — from the
-  kernel to the selection policy; no per-engine object is built unless a
-  caller reads one.
-  :meth:`~MetasearchBroker.estimate_all` is the batch of one,
-  :meth:`~MetasearchBroker.estimate_batch` the general case and
-  :meth:`~MetasearchBroker.estimate_all_cached` the probe-only step.  Every
-  estimator type has a batched kernel (any other type is refused at
-  construction with ``TypeError``), bit-identical to the scalar estimators,
-  which stay public as the paper's reference algorithms and the oracle the
-  test suites compare against.
+  answers any ``(queries, thresholds)`` batch: one
+  :func:`~repro.core.vectorized.fleet_usefulness_grid` call per normalized
+  query over the thresholds the
+  :class:`~repro.metasearch.cache.EstimateCache` could not answer, each
+  row ranked with one ``np.lexsort`` into an
+  :class:`~repro.metasearch.selection.EstimateRow` (names plus ``nodoc`` /
+  ``avgsim`` arrays); no per-engine object is built unless a caller reads
+  one.  Every estimator type has a batched kernel, bit-identical to the
+  scalar estimators, which stay public as the paper's reference
+  algorithms and the oracle the test suites compare against.
 * **One dispatcher.**  A :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
-  — parallel fan-out with per-dispatch timeout, bounded retry, and graceful
-  degradation; ``workers=1`` (the default) is serial dispatch.
-  The *reports* step pools every query's engine calls under a single batch
-  deadline
-  (:meth:`~repro.metasearch.dispatch.ConcurrentDispatcher.dispatch_many`),
-  one split call per engine *host* (an engine server or a shard) for all
-  the invoked engines it serves.
+  (timeout, bounded retry, graceful degradation; ``workers=1`` is serial)
+  pools every query's engine calls under one batch deadline, one split
+  call per engine *host* (an engine server or a shard) for all the
+  invoked engines it serves.
+* **One freshness path.**  The engines own their data and the broker
+  pulls: :meth:`MetasearchBroker.catch_up`, run before every estimate,
+  re-reads through :meth:`~MetasearchBroker.sync_representative` each
+  engine whose host reported another version than the one held, asking a
+  host that has reported nothing for :data:`REPORT_MAX_AGE` seconds first.
+  In-process engines are synced by their callers.
 
-Two caches invalidate through the same per-engine registration hook (or
-per term, on a representative delta): the estimate cache of fleet rows,
-one per (query, threshold), which every request reads (``cache_size=0``
-makes it the zero-capacity cache that holds nothing and counts every
-read as a miss), and ``broker.polycache`` — a
-:class:`~repro.metasearch.cache.TermPolynomialCache` nothing fills any more
-(the batched kernels build every factor in one numpy pass).  Cached answers
-are bit-identical to fresh computation.
-
-The whole pipeline is observable: every search builds a
-:class:`~repro.obs.QueryTrace` with one span per stage (``estimate``,
-``select``, ``dispatch`` plus a ``dispatch:<engine>`` child per invoked
-engine, ``merge``), and a :class:`~repro.obs.MetricsRegistry` passed at
-construction collects search totals, per-stage latency histograms, and the
-dispatcher/cache/estimator series.  The default
-:class:`~repro.obs.NullRegistry` keeps all metric hooks free.
+The estimate cache invalidates per engine on registration and per term on
+a representative delta (``cache_size=0`` makes it the zero-capacity cache
+that counts every read as a miss); ``broker.polycache``, a
+:class:`~repro.metasearch.cache.TermPolynomialCache`, is invalidated
+alongside though nothing fills it any more.  Cached answers are
+bit-identical to fresh computation.  Every search builds a
+:class:`~repro.obs.QueryTrace` with one span per stage, and a
+:class:`~repro.obs.MetricsRegistry` passed at construction collects the
+search, stage, dispatcher, cache and estimator series (the default
+:class:`~repro.obs.NullRegistry` keeps every hook free).
 """
 
 from __future__ import annotations
@@ -115,8 +101,15 @@ __all__ = [
     "DeltaApplyReport",
     "MetasearchBroker",
     "MetasearchResponse",
+    "REPORT_MAX_AGE",
     "broadcast_thresholds",
 ]
+
+#: Seconds an engine host may go without reporting its engines' versions
+#: before a request asks it for them (``host.probe()``, its ``/healthz``):
+#: the served bound on how long a change at a host that no query invokes
+#: stays unseen.  A host whose probe or pull failed is left alone as long.
+REPORT_MAX_AGE = 1.0
 
 
 def broadcast_thresholds(
@@ -154,8 +147,6 @@ class DeltaApplyReport:
         terms_touched: Terms the delta adds, removes, or reweights.
         cache_evicted / cache_retained: Estimate-cache entries for this
             engine dropped vs. kept by the invalidation.
-        polycache_evicted / polycache_retained: Same for the term-
-            polynomial cache.
         seconds: Wall-clock apply time (mutation plus invalidation).
     """
 
@@ -166,9 +157,19 @@ class DeltaApplyReport:
     terms_touched: int
     cache_evicted: int
     cache_retained: int
-    polycache_evicted: int
-    polycache_retained: int
     seconds: float = field(compare=False)
+
+
+class _HostWatch:
+    """The broker's side of one engine host: the report it last caught up
+    with, its last failure, and the single-flight lock."""
+
+    __slots__ = ("seen", "failed_at", "lock")
+
+    def __init__(self):
+        self.seen: Optional[dict] = None
+        self.failed_at = float("-inf")
+        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -480,6 +481,8 @@ class MetasearchBroker(SearchPipeline):
         self.polycache = TermPolynomialCache(registry=self.registry)
         self._engines: Dict[str, SearchEngine] = {}
         self._rep_versions: Dict[str, int] = {}
+        # Engine hosts (an engine's duck-typed ``host``), for catch_up.
+        self._hosts: Dict[object, _HostWatch] = {}
         # The two write sites (register, apply_representative_delta) edit
         # the store, invalidate and bump the generation under this lock; a
         # computed row goes into the cache under it only if the generation
@@ -502,6 +505,10 @@ class MetasearchBroker(SearchPipeline):
         self._m_host_failures = self.registry.counter(
             f"{prefix}.{self.host_series}.failures"
         )
+        self._m_pulls = self.registry.counter(f"{prefix}.pulls")
+        self._m_pulls_failed = self.registry.counter(f"{prefix}.pulls.failed")
+        self._m_probes = self.registry.counter(f"{prefix}.probes")
+        self._m_probes_failed = self.registry.counter(f"{prefix}.probes.failed")
         self._m_delta_applies = self.registry.counter("fleet.delta.applies")
         self._m_delta_terms = self.registry.counter("fleet.delta.terms")
         self._m_delta_full = self.registry.counter("fleet.delta.full_evictions")
@@ -510,12 +517,6 @@ class MetasearchBroker(SearchPipeline):
         )
         self._m_delta_cache_retained = self.registry.counter(
             "fleet.delta.cache.retained"
-        )
-        self._m_delta_poly_evicted = self.registry.counter(
-            "fleet.delta.polycache.evicted"
-        )
-        self._m_delta_poly_retained = self.registry.counter(
-            "fleet.delta.polycache.retained"
         )
         self._m_delta_seconds = self.registry.histogram(
             "fleet.delta.apply.seconds", buckets=LATENCY_BUCKETS
@@ -578,6 +579,7 @@ class MetasearchBroker(SearchPipeline):
                 # together.
                 self.fleet.add(representative)
             self._engines[engine.name] = engine
+            self._watch(engine)
             if version is not None:
                 self._rep_versions[engine.name] = version
             else:
@@ -687,19 +689,17 @@ class MetasearchBroker(SearchPipeline):
                 self.fleet.add(representative)
             else:
                 self.fleet.apply_delta(delta)
-            cache_retained = poly_retained = 0
+            cache_retained = 0
             if affected is not None:
                 mode = "precise"
                 cache_evicted, cache_retained = self.cache.invalidate_terms(
                     name, affected
                 )
-                poly_evicted, poly_retained = self.polycache.invalidate_terms(
-                    name, affected
-                )
+                self.polycache.invalidate_terms(name, affected)
             else:
                 mode = "full"
                 cache_evicted = self.cache.invalidate_engine(name)
-                poly_evicted = self.polycache.invalidate_engine(name)
+                self.polycache.invalidate_engine(name)
                 self._m_delta_full.inc()
             self._rep_versions[name] = delta.to_version
             self._generation += 1
@@ -708,8 +708,6 @@ class MetasearchBroker(SearchPipeline):
         self._m_delta_terms.inc(len(delta.records))
         self._m_delta_cache_evicted.inc(cache_evicted)
         self._m_delta_cache_retained.inc(cache_retained)
-        self._m_delta_poly_evicted.inc(poly_evicted)
-        self._m_delta_poly_retained.inc(poly_retained)
         self._m_delta_seconds.observe(elapsed)
         return DeltaApplyReport(
             name=name,
@@ -719,8 +717,6 @@ class MetasearchBroker(SearchPipeline):
             terms_touched=len(delta.records),
             cache_evicted=cache_evicted,
             cache_retained=cache_retained,
-            polycache_evicted=poly_evicted,
-            polycache_retained=poly_retained,
             seconds=elapsed,
         )
 
@@ -733,15 +729,17 @@ class MetasearchBroker(SearchPipeline):
         the full delta, and is first entered under its name.
 
         Raises:
-            ValueError: A first contact answered by anything but the full
-                delta of the engine's own name.
+            ValueError: An answer for another engine's name, or a first
+                contact answered by anything but a full delta.
         """
         name = engine.name
         if name in self._engines:
-            since = self._rep_versions.get(name)
-            return self.apply_representative_delta(
-                engine.sync_representative(since=since)
-            )
+            delta = engine.sync_representative(since=self._rep_versions.get(name))
+            if delta.name != name:
+                raise ValueError(
+                    f"sync of {name!r} answered a delta for {delta.name!r}"
+                )
+            return self.apply_representative_delta(delta)
         delta = engine.sync_representative(since=None)
         if delta.name != name or not delta.is_full or delta.from_n_documents:
             raise ValueError(
@@ -751,7 +749,68 @@ class MetasearchBroker(SearchPipeline):
         with self._write_lock:
             if self._engines.setdefault(name, engine) is not engine:
                 raise ValueError(f"engine {name!r} already registered")
+            self._watch(engine)
         return self.apply_representative_delta(delta)
+
+    def _watch(self, engine) -> None:
+        """Track ``engine``'s host for :meth:`catch_up`, if it has one."""
+        host = getattr(engine, "host", None)
+        if host is not None and host not in self._hosts:
+            self._hosts = {**self._hosts, host: _HostWatch()}
+
+    def catch_up(self) -> None:
+        """The freshness step, run before every estimate.  Per engine host:
+        if its last version report is :data:`REPORT_MAX_AGE` old, ask for
+        one (``host.probe()``); then pull through
+        :meth:`sync_representative` every engine of the report whose
+        version differs from the held one (``!=``: a restarted engine
+        reports a lower one).  Single-flight per host, on the caller's
+        thread, and never raises: a failure is counted, changes nothing,
+        and leaves the host alone for ``REPORT_MAX_AGE``."""
+        now = time.monotonic()
+        for host, watch in self._hosts.items():
+            stale = now - host.reported_at >= REPORT_MAX_AGE
+            if (
+                now - watch.failed_at < REPORT_MAX_AGE
+                or not stale and host.versions == watch.seen
+                or not watch.lock.acquire(blocking=False)
+            ):
+                continue  # current, backing off, or being caught up
+            try:
+                if stale:
+                    self._m_probes.inc()
+                    try:
+                        host.probe()
+                    except ConnectionError:  # dead, or a garbled report
+                        self._m_probes_failed.inc()
+                        watch.failed_at = time.monotonic()
+                        continue
+                versions = host.versions
+                if versions != watch.seen:
+                    if self._pull(host, versions):
+                        watch.seen = versions
+                    else:
+                        watch.failed_at = time.monotonic()
+            finally:
+                watch.lock.release()
+
+    def _pull(self, host, versions: Dict[str, int]) -> bool:
+        """Sync every engine of ``host``'s report whose version differs
+        from the held one; True iff none failed."""
+        caught_up = True
+        for name, version in versions.items():
+            engine = self._engines.get(name)
+            if getattr(engine, "host", None) is not host:
+                continue  # not an engine the broker holds from this host
+            if self._rep_versions.get(name) == version:
+                continue
+            self._m_pulls.inc()
+            try:
+                self.sync_representative(engine)
+            except (ConnectionError, ValueError):  # unreachable, garbled, refused
+                self._m_pulls_failed.inc()
+                caught_up = False
+        return caught_up
 
     # -- estimation ------------------------------------------------------------------------
 
@@ -792,8 +851,11 @@ class MetasearchBroker(SearchPipeline):
         With ``cached_only`` nothing is ever computed: the rows are returned
         only when every needed entry is resident — checked with a
         non-counting ``peek_row`` first, so a failed probe leaves the
-        hit/miss accounting untouched — and ``None`` otherwise.
+        hit/miss accounting untouched — and ``None`` otherwise.  Either way
+        :meth:`catch_up` runs first, so no row is read from a
+        representative it would have replaced.
         """
+        self.catch_up()
         names = self.fleet.engine_names
         if cached_only and not names:
             return None

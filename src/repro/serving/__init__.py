@@ -5,28 +5,29 @@ documents, the broker holds only representatives — and this package puts
 that split on the wire with nothing beyond the standard library:
 
 * :mod:`repro.serving.wire` — the JSON schema; round trips are exact.
-* :mod:`repro.serving.engine_server` — one engine behind HTTP.
+* :mod:`repro.serving.engine_server` — one engine behind HTTP, and the
+  two routes every engine host answers (``/dispatch``,
+  ``/representative``).
 * :mod:`repro.serving.remote_engine` — clients; a :class:`RemoteEngine`
   (an engine host of one) plugs into the existing brokers unchanged.
 * :mod:`repro.serving.gateway` — the broker behind bounded admission
   with load shedding and graceful drain.
-* :mod:`repro.serving.coalesce` — continuous micro-batching: concurrent
-  ``/estimate`` and ``/search`` requests coalesce into single broker
-  batch calls (enable with the gateway's ``coalesce_window`` /
-  ``--coalesce-window-ms``).
+* :mod:`repro.serving.coalesce` — continuous micro-batching of concurrent
+  ``/estimate`` and ``/search`` requests into single broker batch calls.
 * :mod:`repro.serving.http` — the shared server substrate (deadlines,
-  body limits, metrics, drain); the deadline scope itself is
-  :mod:`repro.metasearch.deadlines`, re-exported here.
-* :mod:`repro.serving.shard_worker` — one shard of a partitioned fleet:
-  its engines' representatives, targeted dispatch and deltas.
-* :mod:`repro.serving.coordinator` — the broker over shard workers: local
-  estimates from representatives read off the shards, and the broker's own
-  dispatch step to the owning shards; :class:`CoordinatorApp` is the
-  gateway served over a :class:`ShardedFleet`.
+  body limits, metrics, drain).
+* :mod:`repro.serving.shard_worker` — one shard of a partitioned fleet,
+  an engine host like an engine server.
+* :mod:`repro.serving.coordinator` — the broker over shard workers;
+  :class:`CoordinatorApp` is the gateway served over a
+  :class:`ShardedFleet`.
 
-Every role is served by the one threaded stdlib frontend: start servers
-with ``repro serve engine|gateway|shard|coordinator ...`` or
-programmatically via :class:`ServingServer`.
+The engines own their data and every broker pulls: each engine host
+reports its engines' versions on every ``/dispatch`` and ``/healthz``
+reply, and the broker re-reads (``GET /representative``) an engine whose
+reported version differs from the one it holds.  Every role is served by
+the one threaded stdlib frontend: ``repro serve
+engine|gateway|shard|coordinator ...``, or :class:`ServingServer`.
 """
 
 from repro.metasearch.deadlines import (

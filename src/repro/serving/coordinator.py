@@ -4,55 +4,33 @@ In the paper, the metasearch engine keeps one small representative per
 local engine and estimates usefulness from it locally; only the engines
 it selects ever see the query.  :class:`ShardedFleet` is that broker with
 its engines spread over N shard workers (:mod:`repro.serving.
-shard_worker`).  At :meth:`ShardedFleet.attach` it reads every engine's
-full delta (``GET /representative?engine=<name>``) from the shard that
-owns it into one local :class:`~repro.metasearch.broker.MetasearchBroker`;
-from then on the *rows* step is that broker's own estimate — its columnar
-store, estimate cache, generation lock and precise invalidation — and
-asks no shard.  Only the *reports* step leaves the process: the local
-broker's own dispatch step, over engines whose ``host`` is the shard that
-serves them, so a round of queries costs one ``/dispatch`` RPC per shard
-owning an invoked engine — the same path a gateway takes over engine
-servers.
+shard_worker`), which are engine hosts like engine servers.  Its
+:meth:`~ShardedFleet.attach` enters every engine into one local
+:class:`~repro.metasearch.broker.MetasearchBroker` through that broker's
+own ``sync_representative`` (``GET /representative?engine=<name>`` off
+the owning shard).  From then on the *rows* step is that broker's own
+estimate, which asks no shard, and the *reports* step is its dispatch
+step: one ``/dispatch`` per shard owning an invoked engine per round.
+Freshness is the same pull a gateway's is: every shard reply reports its
+engines' versions, and the local broker's catch-up step re-reads an
+engine whose version changed.
 
 :class:`ShardedFleet` is a :class:`~repro.metasearch.broker.SearchPipeline`
-backend, not a second pipeline: it supplies the two steps and inherits
-everything else (the estimate/search surface, selection, traces, merge,
-response assembly) from the class the in-process broker uses.  So
-:class:`CoordinatorApp` is the ordinary
-:class:`~repro.serving.gateway.GatewayApp` pointed at it — same wire
-schema, same admission control, same drain story, and the same idle fast
-path and coalescing probe (``estimate_all_cached``).
-
-The answers are **bit-exact** against an in-process broker over the same
-representatives: a full delta is state-based, so the local store holds
-exactly the statistics the shard holds, and ``merge_hits`` is a global
-sort under a total key, so merging each shard's per-engine hit lists
-equals merging the same lists locally.
-
-The shards stay the source of the representatives:
-:meth:`ShardedFleet.apply_delta` forwards a delta to its owning shard
-first and applies it locally only once the shard has accepted it.  The
-local store records the version each shard records (none when the shard
-records none), so a delta the shard accepts is never refused locally.
-
-A dead shard behaves like a dead engine server behind a gateway: its
-engines keep their (local) estimates and may be selected; each invoked one
-fails at dispatch with one :class:`~repro.metasearch.dispatch.EngineFailure`
-naming the shard, while the other engines answer as usual.
+backend, not a second pipeline, so :class:`CoordinatorApp` is the
+ordinary :class:`~repro.serving.gateway.GatewayApp` pointed at it.  The
+answers are **bit-exact** against an in-process broker over the same
+representatives: a full delta is state-based, and ``merge_hits`` sorts
+under a total key.  A dead shard behaves like a dead engine server: each
+of its invoked engines fails at dispatch, naming the shard.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import time
 from typing import List, Optional, Sequence
-from urllib.parse import quote
 
 from repro.core.base import UsefulnessEstimator
 from repro.corpus.query import Query
-from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.broker import MetasearchBroker, SearchPipeline
 from repro.metasearch.dispatch import DispatchReport
 
@@ -67,31 +45,17 @@ from repro.serving.remote_engine import (
     RemoteServingError,
     _HTTPJsonClient,
 )
-from repro.serving.wire import _expect_kind
 
 __all__ = ["CoordinatorApp", "ShardedFleet"]
 
 
 class _ShardHandle(EngineHost):
-    """One attached shard: the engine host, the engines it owns, and the
-    lock that keeps a forwarded delta and its local apply one step."""
+    """One attached shard: the engine host and the engines it owns."""
 
     def __init__(self, index: int, client: _HTTPJsonClient):
         super().__init__(f"shard {index} at {client.base_url}", client)
         self.engines: List[str] = []
         self.index = index
-        self.delta_lock = threading.Lock()
-        # Engines whose local copy may trail the shard: a forward's reply
-        # was lost and re-reading the representative failed too.
-        self.stale: set = set()
-
-    def representative(self, engine: str) -> RepresentativeDelta:
-        """``engine``'s full delta, as the shard holds it."""
-        return self.client.request(
-            "GET",
-            f"/representative?engine={quote(engine)}",
-            decode=RepresentativeDelta.from_json_dict,
-        )
 
 
 class _CoordinatorBroker(MetasearchBroker):
@@ -162,33 +126,24 @@ class ShardedFleet(SearchPipeline):
 
     def attach(self, timeout: float = 10.0, interval: float = 0.05) -> "ShardedFleet":
         """Wait for every shard's ``/healthz``, learn which engines it
-        owns, and read each one's full delta from it into the local
-        broker, at the version the shard records (none when it records
-        none).  Call it once.
-
-        Returns ``self`` so construction chains:
-        ``ShardedFleet(urls).attach()``.
+        owns, and enter each into the local broker through its
+        ``sync_representative`` (the full delta, at the version the shard
+        records).  Call it once; returns ``self``.
 
         Raises:
             RemoteServingError: A shard was not ready within ``timeout``,
                 or refused or garbled a representative.
-            ValueError: A shard's representatives do not name exactly the
-                engines its ``/healthz`` reported, or two shards own one
-                engine.
+            ValueError: A shard answered another engine's representative
+                than the one asked for, or two shards own one engine.
         """
         deadline = time.monotonic() + timeout
         for shard in self._shards:
             while True:
                 try:
-                    shard.engines, shard.index = shard.client.request(
-                        "GET",
-                        "/healthz",
-                        decode=lambda info: (
-                            [str(n) for n in info.get("engines", [])],
-                            int(info.get("shard", -1)),
-                        ),
-                    )
-                except RemoteServingError as exc:
+                    info = shard.probe()
+                    shard.engines = [str(n) for n in info.get("engines", [])]
+                    shard.index = int(info.get("shard", -1))
+                except (RemoteServingError, TypeError, ValueError) as exc:
                     if time.monotonic() >= deadline:
                         raise RemoteServingError(
                             f"shard at {shard.url} not ready within "
@@ -198,34 +153,16 @@ class ShardedFleet(SearchPipeline):
                     continue
                 break
         for shard in self._shards:
-            deltas = [shard.representative(name) for name in shard.engines]
-            named = [delta.name for delta in deltas]
-            if named != shard.engines:
-                raise ValueError(
-                    f"shard at {shard.url} answered representatives of "
-                    f"{named}, but /healthz reported {shard.engines}"
-                )
             shard.name = f"shard {shard.index} at {shard.url}"
-            for delta in deltas:
-                self._install(HostedEngine(delta.name, shard), delta)
+            for name in shard.engines:
+                try:
+                    self.local.sync_representative(HostedEngine(name, shard))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"shard at {shard.url}: {exc}; its /healthz "
+                        f"reported {shard.engines}"
+                    ) from exc
         return self
-
-    def _install(self, engine: HostedEngine, delta: RepresentativeDelta) -> None:
-        """Hold ``delta``, a full delta read off the engine's shard, at the
-        version the shard records (none when it records none)."""
-        self.local.register(
-            engine, delta.as_representative(), version=delta.to_version or None
-        )
-
-    def _resync(self, name: str) -> None:
-        """Re-read ``name``'s full delta off its shard and hold it, unless
-        the shard records the version already held."""
-        engine = self.local.engine_of(name)
-        delta = engine.host.representative(name)
-        held = self.local.representative_version(name)
-        if held is None or held != delta.to_version:
-            self._install(engine, delta)
-        engine.host.stale.discard(name)
 
     @property
     def engine_names(self) -> List[str]:
@@ -254,61 +191,6 @@ class ShardedFleet(SearchPipeline):
         none."""
         for shard in self._shards:
             shard.client.close()
-
-    # -- live-fleet delta propagation ----------------------------------------
-
-    def apply_delta(self, delta) -> dict:
-        """Forward one representative delta to the shard owning its
-        engine, then apply it to the local broker.
-
-        The shard goes first, so it stays the source the next attach
-        reads; a delta it refuses (a 4xx) raises here and leaves the local
-        store and estimate cache untouched.  The local apply evicts precisely
-        (:meth:`~repro.metasearch.broker.MetasearchBroker.
-        apply_representative_delta`).  Returns the shard's apply report
-        (mode, cache eviction counts, new version).
-
-        When the local copy may differ from the shard's — the reply was
-        lost (a transport error or a 5xx, after which the shard may hold
-        the delta), or the local copy refuses a delta the shard accepted
-        (a delta sent to the shard directly came between) — the engine's
-        full delta is read off the shard again and replaces the local
-        copy; if that read fails too, the next accepted delta for the
-        engine re-reads it instead of applying.  Deltas to different
-        shards do not wait for each other.
-
-        Raises:
-            KeyError: No attached shard owns ``delta.name``.
-            RemoteServingError: The shard rejected the delta (including
-                the 409 base-version conflict — callers re-ship the
-                engine's full delta, ``delta_since(0)``, which the shard
-                applies whatever it holds), answered malformed JSON, or
-                could not be reached.
-        """
-        shard = self.local.engine_of(delta.name).host
-        with shard.delta_lock:
-            try:
-                answer = shard.client.request(
-                    "POST",
-                    "/delta",
-                    delta.to_json_dict(),
-                    decode=lambda answer: _expect_kind(answer, "shard.delta"),
-                )
-            except RemoteServingError as exc:
-                if exc.status is None or exc.status >= 500:
-                    # The shard may have applied it before the reply was lost.
-                    shard.stale.add(delta.name)
-                    with contextlib.suppress(RemoteServingError):
-                        self._resync(delta.name)
-                raise
-            if delta.name in shard.stale:
-                self._resync(delta.name)
-            else:
-                try:
-                    self.local.apply_representative_delta(delta)
-                except ValueError:
-                    self._resync(delta.name)
-        return answer
 
     # -- step 1: local estimation ---------------------------------------------
 

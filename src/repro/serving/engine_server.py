@@ -1,50 +1,42 @@
 """HTTP front for one local :class:`~repro.engine.SearchEngine`.
 
-The paper's architecture has each search engine answering two remote
-calls: serve a query, and publish the database representative the broker
-estimates from.  :class:`EngineApp` exposes exactly those over the wire:
+The paper has each search engine answer two remote calls: serve a query,
+and publish the database representative the broker estimates from.
+:class:`EngineApp` exposes exactly those, through the two route
+functions every engine host (a shard too) answers with:
 
-* ``POST /dispatch`` — every engine host's route (:func:`dispatch_route`,
-  a shard's too): ``{query, threshold, engines}`` entries → one report
-  per entry, the engine's hits (best first) or its failure record.
-* ``POST /max_similarity`` — the oracle call used by ``true_selection``.
-* ``GET /representative?since=v`` — the
+* ``POST /dispatch`` (:func:`dispatch_route`): ``{query, threshold,
+  engines}`` entries → one report per entry, the engine's hits (best
+  first) or its failure record.
+* ``GET /representative?engine=<name>&since=v``
+  (:func:`representative_route`): the
   :class:`~repro.fleet.delta.RepresentativeDelta` from version ``v`` to
-  the engine's current version, as a ``representative.delta`` JSON
-  document.  Without ``since`` (first contact), or for a ``v`` the engine
-  cannot build a delta from, the answer is the *full* delta from version
-  0, the empty representative.  A static engine's version is its
-  *document count*: it answers the empty delta for its own version, so a
-  broker can tell its copy is current without re-downloading, and the
-  full delta for any other.
+  the engine's current version; the *full* delta from version 0 without
+  ``since`` or for a ``v`` no delta can be built from.  ``engine`` may be
+  left out on an engine server.
 
-The full delta is built lazily and cached per version: building the
-representative is the expensive call a deployment batches, and repeated
-``GET``\\ s at the same version must not repeat the work.
+plus ``POST /max_similarity``, the oracle call of ``true_selection``.
+Every ``/dispatch`` and ``/healthz`` reply reports ``versions``, the
+current version of every engine the host serves, and a broker that sees
+another version than the one it holds pulls ``/representative``: the
+engines own their data, and nothing is pushed to a broker.
 
-:class:`LiveEngineApp` wraps a mutable
-:class:`~repro.fleet.live.LiveEngineServer` and adds mutation on top of
-the same engine surface:
-
-* ``POST /mutate`` — ``{"add": [<documents>], "remove": [<doc ids>]}``
-  mutates the corpus; each non-empty list is one versioned mutation
-  whose delta lands in the server's replay log.  The request is validated
-  whole first: a refused one (400) has applied neither list.
-* ``GET /representative?since=v`` answers the server's
-  :meth:`~repro.fleet.live.LiveEngineServer.delta_since`: the composed
-  delta while ``v`` is in the log, the full delta when ``v`` is absent,
-  compacted out of the log or ahead of the server (the engine restarted).
-
-Versions here are *mutation counters*, not document counts — a remove
-followed by an add leaves ``n_documents`` unchanged but must still be
-visible to a syncing broker.
+A static engine's version is its *document count*: it answers the empty
+delta for its own version and the full delta (built lazily, once per
+version) for any other.  :class:`LiveEngineApp` serves a mutable
+:class:`~repro.fleet.live.LiveEngineServer`, whose version is its
+mutation counter, answers ``/representative`` from its
+:meth:`~repro.fleet.live.LiveEngineServer.delta_since`, and adds ``POST
+/mutate`` — ``{"add": [<documents>], "remove": [<doc ids>]}``, one
+versioned mutation per non-empty list, validated whole first (a refused
+one applied neither list).
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Container, List, Optional
+from typing import Callable, Container, Dict, List, Optional
 
 from repro.corpus.document import Document
 from repro.engine.search_engine import SearchEngine
@@ -61,7 +53,12 @@ from repro.serving.wire import (
     threshold_from_wire,
 )
 
-__all__ = ["EngineApp", "LiveEngineApp", "dispatch_route"]
+__all__ = [
+    "EngineApp",
+    "LiveEngineApp",
+    "dispatch_route",
+    "representative_route",
+]
 
 
 def batch_from_wire(payload: dict, name: str, limit: Optional[int]) -> list:
@@ -83,15 +80,16 @@ def dispatch_route(
     serves: Container[str],
     where: str,
     reports: Callable[..., List[DispatchReport]],
-    limit: Optional[int] = None,
+    versions: Callable[[], Dict[str, int]],
 ) -> Response:
     """``POST /dispatch`` of every engine host: ``{query, threshold,
     engines}`` entries through ``reports(queries, thresholds, engine
     lists)``, which isolates failures per (entry, engine) as a dispatcher
-    does; one report per entry.  An engine the host does not ``serve`` is
-    a 400 naming ``where``, before any engine is called; more entries
-    than a given ``limit``, a 413 (else the body cap bounds a batch)."""
-    entries = batch_from_wire(payload, "entries", limit)
+    does; one report per entry, and the host's ``versions()`` of every
+    engine it serves.  An engine the host does not ``serve`` is a 400
+    naming ``where``, before any engine is called; the request body cap
+    bounds a batch."""
+    entries = batch_from_wire(payload, "entries", None)
     queries, thresholds, engine_lists = [], [], []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -121,8 +119,38 @@ def dispatch_route(
                 }
                 for report in reports(queries, thresholds, engine_lists)
             ],
+            "versions": versions(),
         }
     )
+
+
+def representative_route(
+    params: dict,
+    *,
+    serves: Container[str],
+    where: str,
+    delta: Callable[[str, Optional[int]], RepresentativeDelta],
+    default: Optional[str] = None,
+) -> Response:
+    """``GET /representative?engine=<name>&since=v`` of every engine host:
+    ``delta(name, since)`` as a ``representative.delta`` document; the
+    engine is ``default`` without ``engine``.  An engine the host does not
+    ``serve``, or a ``since`` that is not a count, is a 400."""
+    name = params.get("engine", default)
+    if name is None:
+        raise HTTPError(400, "missing engine parameter")
+    if name not in serves:
+        raise HTTPError(400, f"engine {name!r} is not on {where}")
+    raw_since = params.get("since")
+    since: Optional[int] = None
+    if raw_since is not None:
+        try:
+            since = int(raw_since)
+        except ValueError as exc:
+            raise HTTPError(400, f"bad since parameter: {exc}") from exc
+        if since < 0:
+            raise HTTPError(400, f"since={since} must be >= 0")
+    return Response(payload=delta(name, since).to_json_dict())
 
 
 class EngineApp(ServingApp):
@@ -160,7 +188,13 @@ class EngineApp(ServingApp):
         return {
             "engine": self.engine.name,
             "documents": self.engine.n_documents,
+            "versions": self.versions(),
         }
+
+    def versions(self) -> Dict[str, int]:
+        """The version report of every ``/dispatch`` and ``/healthz``
+        reply: a static engine's version is its document count."""
+        return {self.engine.name: self.engine.n_documents}
 
     # -- routes --------------------------------------------------------------
 
@@ -170,6 +204,7 @@ class EngineApp(ServingApp):
             serves=(self.engine.name,),
             where=f"engine server {self.engine.name!r}",
             reports=self._reports,
+            versions=self.versions,
         )
 
     def _reports(self, queries, thresholds, engine_lists) -> List[DispatchReport]:
@@ -212,34 +247,28 @@ class EngineApp(ServingApp):
             return self._full
 
     def _route_representative(self, params, payload) -> Response:
-        raw_since = params.get("since")
-        since: Optional[int] = None
-        if raw_since is not None:
-            try:
-                since = int(raw_since)
-            except ValueError as exc:
-                raise HTTPError(400, f"bad since parameter: {exc}") from exc
-            if since < 0:
-                raise HTTPError(400, f"since={since} must be >= 0")
+        return representative_route(
+            params,
+            serves=(self.engine.name,),
+            where=f"engine server {self.engine.name!r}",
+            delta=self._pulled,
+            default=self.engine.name,
+        )
+
+    def _pulled(self, name: str, since: Optional[int]) -> RepresentativeDelta:
         delta = self._delta(since)
         self._m_deltas.inc()
         if since and delta.is_full:
             # Compacted past ``since``, or ``since`` ahead of the engine
             # (a restart, or another static corpus under the same name).
             self._m_delta_fallbacks.inc()
-        return Response(payload=delta.to_json_dict())
+        return delta
 
 
 class LiveEngineApp(EngineApp):
-    """Serve one mutable :class:`~repro.fleet.live.LiveEngineServer`.
-
-    All of :class:`EngineApp`'s routes work unchanged (the live server is
-    duck-compatible with a search engine), plus ``POST /mutate``.
-    ``/representative`` versions are the server's mutation counter rather
-    than the document count, and its answer is the server's own
-    :meth:`~repro.fleet.live.LiveEngineServer.delta_since` — no rebuild
-    per ``GET``.
-    """
+    """Serve one mutable :class:`~repro.fleet.live.LiveEngineServer`:
+    :class:`EngineApp`'s routes plus ``POST /mutate``, versioned by the
+    server's mutation counter (see the module docstring)."""
 
     role = "engine"
 
@@ -253,10 +282,10 @@ class LiveEngineApp(EngineApp):
         self.route("POST", "/mutate", self._route_mutate)
 
     def health_info(self) -> dict:
-        info = super().health_info()
-        info["live"] = True
-        info["version"] = self.server.version
-        return info
+        return {**super().health_info(), "live": True}
+
+    def versions(self) -> Dict[str, int]:
+        return {self.server.name: self.server.version}
 
     def _delta(self, since: Optional[int]) -> RepresentativeDelta:
         with self._rep_lock:  # not between the two halves of a /mutate

@@ -1,67 +1,33 @@
 """HTTP clients for the serving layer.
 
-:class:`RemoteEngine` is an engine server's engine, on an
-:class:`EngineHost` of one: the broker's dispatch step sends each host
-(an engine server, or a shard worker for its slice) one ``POST
-/dispatch`` per round for all the invoked engines it serves.  It also
-answers the broker's other engine calls (``name``, ``max_similarity``,
-and ``sync_representative`` — the method
-:class:`~repro.fleet.live.LiveEngineServer` answers in-process), so the
-entire broker stack — selection, concurrent dispatch, retries, degradation,
-merging, live sync — runs unchanged over remote engines.  Failure mapping
-falls out of that: a transport or server error raises
-:class:`RemoteServingError`
-(a ``ConnectionError``), which the dispatcher retries and finally records
-as an :class:`~repro.metasearch.dispatch.EngineFailure` of kind
-``"error"``; a socket timeout or an already-exhausted deadline raises
-:class:`RemoteTimeout` (non-retryable, kind ``"timeout"``); a hung server
-trips the dispatcher's own deadline and becomes kind ``"timeout"``.
-Remote engines degrade exactly like slow or broken local ones.
+An :class:`EngineHost` is the client half of an engine host (an engine
+server, or a shard worker for its slice): the broker's dispatch step
+sends it one ``POST /dispatch`` per round for all the invoked engines it
+serves, its engines' ``sync_representative`` is one ``GET
+/representative`` (:meth:`EngineHost.representative`), and it keeps the
+last version report its ``/dispatch`` or ``/healthz`` replies carried,
+which the broker's catch-up step reads.  :class:`RemoteEngine` is an
+engine server's engine, on a host of one, so the whole broker stack runs
+unchanged over remote engines.  A transport or server error raises
+:class:`RemoteServingError` (a ``ConnectionError``), which the dispatcher
+retries and records as kind ``"error"``; a spent budget raises
+:class:`RemoteTimeout` (non-retryable, kind ``"timeout"``).
 
-Deadline handling: every request's budget is the tightest of the
-client's configured ``timeout`` and the ambient
-:func:`~repro.metasearch.deadlines.ambient_deadline` (set by the gateway
-around request handling; a context variable, so it is the request's on
-the dispatcher's pool threads too).  The remaining budget travels
-downstream in ``X-Repro-Deadline`` and doubles as the socket timeout, so
-a request admitted with 80 ms left can neither wait 10 s on a socket nor
-ask the engine for more time than its caller has.
+Every request's budget is the tightest of the client's ``timeout`` and
+the ambient :func:`~repro.metasearch.deadlines.ambient_deadline`; it
+travels downstream in ``X-Repro-Deadline`` and doubles as the socket
+timeout.  Every exchange has two halves: :meth:`_HTTPJsonClient.start`
+writes the request and returns the receive half, which a caller waiting
+on several servers reads as its reply arrives (it carries its socket's
+``fileno()`` and what is left of its budget).
 
-Every exchange has two halves.  The send half fixes the budget, writes
-the request and returns the receive half, which sets the socket timeout
-to what is left of that budget (tightened by any ambient deadline entered
-since) and reads, checks and decodes the reply.  :meth:`_HTTPJsonClient.
-request` runs both at once; :meth:`_HTTPJsonClient.start` hands back the
-receive half, so a caller can write to several servers before it reads
-from any, and then read each reply as it arrives: the receive half
-carries its socket's ``fileno()`` and what is left of its budget (the
-broker's dispatch to its hosts does this, on the request's own thread).
-
-Connections are pooled per client: an exchange checks out the most
-recently idled connection (or dials a new one) and checks it back in
-once a kept-alive reply has been read, so one connection carries one
-exchange at a time and a steady load, from however many threads, dials
-none.  A request is sent again, on a fresh connection, only when it
-cannot have been served: the connection was reused (the server may have
-closed it since) and no byte of a reply arrived.  A connection leaves the
-pool on any failure, on ``Connection: close``, and when
-:meth:`_HTTPJsonClient.close` closes every connection of the client,
-idle or checked out.  The pool is keyed on the pid: a process that
-``fork()``\\ s after making requests (shard workers, multiprocessing load
-generators) inherits the parent's pooled sockets, and writing on one of
-those would interleave two processes' requests on a single connection —
-so a child's first exchange closes the inherited connections and starts
-from an empty pool.
-
-Framing is done here, on the socket, not by ``http.client``: a request's
-head and body leave in one ``sendall`` on a ``TCP_NODELAY`` socket, the
-status line and headers are read by :func:`repro.serving.http.
-read_headers` under the server's own limits, and exactly
-``Content-Length`` body bytes are read.  A response that cannot be framed
-— a truncated head, a head over the limits, a missing, negative,
-non-numeric or conflicting ``Content-Length``, a body cut short — is a
-:class:`RemoteServingError`; a peer that stops sending is a
-:class:`RemoteTimeout` once the budget's socket timeout fires.
+Connections are pooled per client, most recently idled first, and keyed
+on the pid (a forked child closes the inherited ones).  A request is sent
+again, on a fresh connection, only when the reused connection gave no
+byte of a reply.  Framing is done here, on the socket: a request leaves
+in one ``sendall`` on a ``TCP_NODELAY`` socket, heads are read by
+:func:`repro.serving.http.read_headers` under the server's own limits,
+and a response that cannot be framed is a :class:`RemoteServingError`.
 """
 
 from __future__ import annotations
@@ -73,8 +39,17 @@ import socket
 import threading
 import time
 import weakref
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
-from urllib.parse import urlsplit
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+from urllib.parse import quote, urlsplit
 
 from repro.corpus.query import Query
 from repro.fleet.delta import RepresentativeDelta
@@ -91,6 +66,7 @@ from repro.serving.wire import (
     failure_from_wire,
     query_to_wire,
     response_from_wire,
+    versions_from_wire,
 )
 
 __all__ = [
@@ -118,17 +94,9 @@ class RemoteServingError(ConnectionError):
 class RemoteTimeout(RemoteServingError):
     """A remote call ran out of time — socket timeout, or the ambient
     deadline was already spent before the request could even be sent.
-
     The class attributes are the dispatcher's duck-typed failure
-    contract: ``retryable = False`` stops
-    :class:`~repro.metasearch.dispatch.ConcurrentDispatcher` from
-    re-issuing a request whose budget is gone (the fail-fast half of the
-    ``X-Repro-Deadline: 0`` bug — previously the clamped-to-zero budget
-    raised a generic retryable error, so the dispatcher would burn the
-    caller's non-existent remaining time on retries), and
-    ``failure_kind = "timeout"`` records the degradation as a timeout
-    rather than a generic error.
-    """
+    contract: a request whose budget is gone is not re-issued, and its
+    failure is recorded as a timeout."""
 
     retryable = False
     failure_kind = "timeout"
@@ -523,19 +491,57 @@ class _HTTPJsonClient:
 
 class EngineHost:
     """The client half of an engine host: one server answering ``POST
-    /dispatch`` for the engines it serves.  ``name`` keys its calls in
-    the dispatcher and prefixes its failures' messages."""
+    /dispatch``, ``GET /representative`` and ``GET /healthz`` for the
+    engines it serves.  ``name`` keys its calls in the dispatcher and
+    prefixes its failures' messages.
+
+    ``versions`` is the host's last version report (engine name ->
+    version), as its last well-formed ``/dispatch`` or ``/healthz`` reply
+    gave it, and ``reported_at`` the ``time.monotonic()`` of that reply
+    (``-inf`` before the first).
+    """
 
     def __init__(self, name: str, client: _HTTPJsonClient):
         self.name = name
         self.url = client.base_url
         self.client = client
+        self.versions: Dict[str, int] = {}
+        self.reported_at = float("-inf")
+
+    def _report(self, versions: Dict[str, int]) -> None:
+        self.versions, self.reported_at = versions, time.monotonic()
+
+    def probe(self) -> dict:
+        """``GET /healthz``: records its version report and returns the
+        whole answer."""
+
+        def decode(info):
+            self._report(versions_from_wire(info))
+            return info
+
+        return self.client.request("GET", "/healthz", decode=decode)
+
+    def representative(
+        self, engine: str, since: Optional[int] = None
+    ) -> RepresentativeDelta:
+        """``engine``'s :class:`~repro.fleet.delta.RepresentativeDelta`
+        from version ``since`` (``GET /representative?engine=&since=``):
+        the full delta from version 0 when ``since`` is ``None`` or the
+        host cannot build one from it."""
+        path = f"/representative?engine={quote(engine)}"
+        if since is not None:
+            path = f"{path}&since={int(since)}"
+        return self.client.request(
+            "GET", path, decode=RepresentativeDelta.from_json_dict
+        )
 
     def dispatch(self, asks: Sequence[Tuple[Query, float, List[str]]]) -> SplitCall:
         """The ``/dispatch`` call for ``asks``, one ``(query, threshold,
         engine names)`` entry each.  It answers one
         :class:`~repro.metasearch.dispatch.DispatchReport` per entry, and
-        fails as malformed unless each names exactly its entry's engines."""
+        fails as malformed unless each names exactly its entry's engines
+        and the reply carries a well-formed version report, which it
+        records."""
         entries = [
             {"query": query_to_wire(q), "threshold": float(t), "engines": names}
             for q, t, names in asks
@@ -562,6 +568,7 @@ class EngineHost:
                     f"dispatch reports answered {answered} for "
                     f"{[entry['engines'] for entry in entries]}"
                 )
+            self._report(versions_from_wire(answer))
             return reports
 
         return SplitCall(functools.partial(
@@ -574,6 +581,11 @@ class HostedEngine(NamedTuple):
 
     name: str
     host: EngineHost
+
+    def sync_representative(
+        self, since: Optional[int] = None
+    ) -> RepresentativeDelta:
+        return self.host.representative(self.name, since)
 
 
 class RemoteEngine:
@@ -603,17 +615,13 @@ class RemoteEngine:
     @property
     def name(self) -> str:
         if self._name is None:
-            engine, role = self._client.request(
-                "GET",
-                "/healthz",
-                decode=lambda info: (info.get("engine"), info.get("role")),
-            )
-            if not engine:
+            info = self.host.probe()
+            if not info.get("engine"):
                 raise RemoteServingError(
                     f"{self._client.base_url} does not identify an engine "
-                    f"(role={role!r})"
+                    f"(role={info.get('role')!r})"
                 )
-            self._name = str(engine)
+            self._name = str(info["engine"])
         return self._name
 
     # -- the engine protocol -------------------------------------------------
@@ -630,17 +638,11 @@ class RemoteEngine:
         self, since: Optional[int] = None
     ) -> RepresentativeDelta:
         """The engine's :class:`~repro.fleet.delta.RepresentativeDelta`
-        from version ``since`` (``GET /representative?since=v``): the
-        full delta from version 0 when ``since`` is ``None`` or the engine
-        cannot build one from it.  This is the remote half of
+        from version ``since`` (:meth:`EngineHost.representative`).  This
+        is the remote half of
         :meth:`~repro.metasearch.broker.MetasearchBroker.sync_representative`.
         """
-        path = "/representative"
-        if since is not None:
-            path = f"{path}?since={int(since)}"
-        return self._client.request(
-            "GET", path, decode=RepresentativeDelta.from_json_dict
-        )
+        return self.host.representative(self.name, since)
 
     def close(self) -> None:
         self._client.close()

@@ -19,7 +19,7 @@ routed to the wrong decoder fails loudly instead of half-parsing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "thresholds_from_wire",
     "usefulness_from_wire",
     "usefulness_to_wire",
+    "versions_from_wire",
 ]
 
 
@@ -138,6 +139,21 @@ def limit_from_wire(payload: dict) -> Optional[int]:
     if limit < 0:
         raise WireFormatError(f"limit must be >= 0, got {limit}")
     return limit
+
+
+def versions_from_wire(payload: dict) -> Dict[str, int]:
+    """The required ``versions`` of an engine host's ``/dispatch`` or
+    ``/healthz`` reply: engine name -> the version the host serves, an int
+    in ``[0, 2**63)`` (a count of documents or mutations; not a bool)."""
+    raw = _field(payload, "versions")
+    if not isinstance(raw, dict) or not all(
+        type(version) is int and 0 <= version < 2**63
+        for version in raw.values()
+    ):
+        raise WireFormatError(
+            f"versions must map engine names to versions >= 0, got {raw!r:.80}"
+        )
+    return raw
 
 
 # -- hits ----------------------------------------------------------------------

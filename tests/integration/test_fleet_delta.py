@@ -14,6 +14,7 @@ engine or a shard's 409 resyncs through the full delta (from version 0),
 which replaces whatever the receiver held.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -27,6 +28,7 @@ import urllib.request
 
 import pytest
 
+import repro.metasearch.broker as broker_module
 from repro.core import get_estimator
 from repro.corpus import Collection, Document, Query, save_collection
 from repro.engine import SearchEngine
@@ -180,27 +182,53 @@ class TestDifferentialBackends:
         assert_rows_match(broker, fresh_oracle_for([churned_fleet[0]]))
 
 
+def serve_shards(fleet, app_class=ShardApp, versioned=True):
+    """Two shard servers, each over a broker holding every other engine of
+    ``fleet`` at its base version (none unless ``versioned``); returns the
+    servers."""
+    servers = []
+    for index in range(2):
+        shard_broker = MetasearchBroker()
+        for live, base in fleet[index::2]:
+            shard_broker.register(
+                live,
+                representative=base.as_representative(),
+                version=base.to_version if versioned else None,
+            )
+        servers.append(ServingServer(app_class(shard_broker, shard_index=index)))
+        servers[-1].start_background()
+    return servers
+
+
+def ship(servers, live, since):
+    """Apply ``live``'s delta from ``since`` to the broker of the shard
+    that owns it — the only place a shard's representatives change."""
+    index = int(live.name[-1]) % len(servers)
+    servers[index].app.broker.apply_representative_delta(live.delta_since(since))
+
+
+@pytest.fixture
+def no_report_age(monkeypatch):
+    """Every request asks each host for its versions: the bound has always
+    passed."""
+    monkeypatch.setattr(broker_module, "REPORT_MAX_AGE", 0.0)
+
+
 class TestShardedDeltaPropagation:
-    @pytest.fixture(scope="class")
-    def sharded(self):
+    """A delta applied on the shard that owns its engine reaches the
+    coordinator by the coordinator's own pull, and stays exact."""
+
+    @pytest.fixture
+    def sharded(self, no_report_age):
         fleet = make_live_fleet()
-        servers, urls = [], []
+        servers = serve_shards(fleet)
         try:
-            for index in range(2):
-                shard_broker = MetasearchBroker()
-                for live, base in fleet[index::2]:
-                    shard_broker.register(
-                        live,
-                        representative=base.as_representative(),
-                        version=base.to_version,
-                    )
-                server = ServingServer(ShardApp(shard_broker, shard_index=index))
-                server.start_background()
-                servers.append(server)
-                urls.append(server.url)
-            sharded_fleet = ShardedFleet(urls).attach(timeout=30.0)
+            registry = MetricsRegistry()
+            sharded_fleet = ShardedFleet(
+                [server.url for server in servers], registry=registry
+            ).attach(timeout=30.0)
             try:
-                yield fleet, sharded_fleet
+                yield fleet, sharded_fleet, servers, registry
             finally:
                 sharded_fleet.close()
         finally:
@@ -208,79 +236,58 @@ class TestShardedDeltaPropagation:
                 server.drain(timeout=10)
 
     def test_delta_routes_to_owning_shard_and_stays_exact(self, sharded):
-        fleet, sharded_fleet = sharded
+        fleet, sharded_fleet, servers, registry = sharded
         for live, base in fleet:
             churn(live)
-            answer = sharded_fleet.apply_delta(live.delta_since(base.to_version))
-            assert answer["engine"] == live.name
-            assert answer["to_version"] == live.version
-            assert answer["mode"] == "precise"
+            ship(servers, live, base.to_version)
         local = fresh_oracle_for(fleet)
         for query in QUERIES:
             for threshold in THRESHOLDS:
                 assert sharded_fleet.estimate_all(
                     query, threshold
                 ) == local.estimate_all(query, threshold)
+        assert registry.value("coordinator.pulls") == len(fleet)
+        for live, __ in fleet:
+            assert sharded_fleet.local.representative_version(
+                live.name
+            ) == live.version
 
-    def test_conflicting_delta_is_rejected_with_409(self, sharded):
-        fleet, sharded_fleet = sharded
-        live, base = fleet[0]
-        # The shard already advanced past ``base`` in the previous test;
-        # re-shipping the same catch-up delta must 409, not corrupt state.
-        stale = live.delta_since(base.to_version)
-        generation = sharded_fleet.local._generation
-        with pytest.raises(RemoteServingError) as excinfo:
-            sharded_fleet.apply_delta(stale)
-        assert excinfo.value.status == 409
-        # The refused forward never reached the coordinator's own store.
-        assert sharded_fleet.local._generation == generation
-
-    def test_a_409_is_healed_by_re_shipping_the_full_delta(self, sharded):
-        fleet, sharded_fleet = sharded
+    def test_a_malformed_pull_is_refused(self, sharded):
+        fleet, sharded_fleet, servers, registry = sharded
         live, base = fleet[1]
-        live.add_documents([Document("reship-n0", ["comet", "kiwi"])])
-        with pytest.raises(RemoteServingError) as excinfo:
-            # The shard holds the churned version, not ``base``.
-            sharded_fleet.apply_delta(live.delta_since(base.to_version + 1))
-        assert excinfo.value.status == 409
-        answer = sharded_fleet.apply_delta(live.delta_since(0))
-        assert (answer["to_version"], answer["mode"]) == (live.version, "full")
-        local = MetasearchBroker()
-        for other, __ in fleet:
-            local.sync_representative(other)
-        for query in QUERIES:
-            for threshold in THRESHOLDS:
-                assert sharded_fleet.estimate_all(
-                    query, threshold
-                ) == local.estimate_all(query, threshold)
+        held = sharded_fleet.estimate_all(QUERIES[0], 0.2)
+        churn(live)
+        ship(servers, live, base.to_version)
+        app = servers[1].app
+        route = app._delta
 
-    def test_a_malformed_full_delta_is_a_400(self, sharded):
-        fleet, sharded_fleet = sharded
-        payload = fleet[0][0].delta_since(0).to_json_dict()
-        payload["from_n_documents"] = 1
-        url = sharded_fleet.local.engine_of(fleet[0][0].name).host.url
-        request = urllib.request.Request(
-            f"{url}/delta", data=json.dumps(payload).encode("ascii"),
-            headers={"Content-Type": "application/json"}, method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(request, timeout=10)
-        assert caught.value.code == 400
-        assert b"from_n_documents must be 0" in caught.value.read()
-        caught.value.close()
+        def from_documents(name, since):  # a full delta claiming a base
+            return dataclasses.replace(route(name, since), from_n_documents=1)
+
+        app._delta = from_documents
+        generation = sharded_fleet.local._generation
+        try:
+            assert sharded_fleet.estimate_all(QUERIES[0], 0.2) == held
+            assert registry.value("coordinator.pulls.failed") == 1
+            assert sharded_fleet.local._generation == generation
+        finally:
+            del app._delta
+        assert_rows_match(sharded_fleet, fresh_oracle_for(fleet))
 
     def test_unowned_engine_is_refused(self, sharded):
-        __, sharded_fleet = sharded
+        """A version the shard reports for an engine the coordinator did
+        not attach from it is not pulled."""
+        __, sharded_fleet, servers, registry = sharded
         ghost = LiveEngineServer("ghost", [Document("g1", ["rocket"])])
-        base = ghost.delta_since(0)
-        ghost.add_documents([Document("g2", ["orbit"])])
-        with pytest.raises(KeyError):
-            sharded_fleet.apply_delta(ghost.delta_since(base.to_version))
+        servers[0].app.broker.sync_representative(ghost)
+        sharded_fleet.estimate_all(QUERIES[0], 0.2)
+        assert "ghost" not in sharded_fleet.engine_names
+        assert registry.value("coordinator.pulls") in (None, 0)
 
 
-class DropsDeltaReplies:
-    """A shard client whose ``POST /delta`` reaches the shard but whose
-    reply is lost; with ``reads_fail`` every other request fails before
+class DropsPullReplies:
+    """A shard client whose ``GET /representative`` reaches the shard but
+    whose reply is lost; with ``reads_fail`` every request fails before
     it is sent."""
 
     def __init__(self, client, reads_fail=False):
@@ -288,87 +295,71 @@ class DropsDeltaReplies:
         self.reads_fail = reads_fail
 
     def request(self, method, path, *args, **kwargs):
-        if path != "/delta" and self.reads_fail:
+        if self.reads_fail:
             raise RemoteServingError("connection refused")
         answer = self.client.request(method, path, *args, **kwargs)
-        if path == "/delta":
+        if path.startswith("/representative"):
             raise RemoteServingError("connection reset by peer")
         return answer
 
 
-class HangsOnDelta(ShardApp):
-    """A shard whose ``POST /delta`` waits until ``release`` is set."""
+class HangsOnPull(ShardApp):
+    """A shard whose ``GET /representative``, once ``armed``, waits until
+    ``release`` is set."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.armed = threading.Event()
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def _route_delta(self, params, payload):
-        self.entered.set()
-        self.release.wait(10)
-        return super()._route_delta(params, payload)
+    def _route_representative(self, params, payload):
+        if self.armed.is_set():
+            self.entered.set()
+            self.release.wait(10)
+        return super()._route_representative(params, payload)
 
 
 class TestShardedDeltaRecovery:
-    """The coordinator's copy catches up with its shard when a forward's
-    reply is lost or a delta reached the shard some other way, and a
-    hung shard holds up no delta to another shard."""
+    """The coordinator's copy catches up with its shard when a pull's
+    reply is lost or the shard cannot be reached, and a hung shard holds
+    up no pull from another shard."""
 
     @pytest.fixture
-    def sharded(self, request):
-        versioned = getattr(request, "param", True)
+    def sharded(self, request, no_report_age):
         fleet = make_live_fleet()
-        servers, urls = [], []
+        servers = serve_shards(
+            fleet, HangsOnPull, versioned=getattr(request, "param", True)
+        )
         try:
-            for index in range(2):
-                shard_broker = MetasearchBroker()
-                for live, base in fleet[index::2]:
-                    shard_broker.register(
-                        live,
-                        representative=base.as_representative(),
-                        version=base.to_version if versioned else None,
-                    )
-                app_class = HangsOnDelta if index == 0 else ShardApp
-                server = ServingServer(app_class(shard_broker, shard_index=index))
-                server.start_background()
-                servers.append(server)
-                urls.append(server.url)
-            sharded_fleet = ShardedFleet(urls, shard_timeout=3.0).attach(
-                timeout=30.0
-            )
+            sharded_fleet = ShardedFleet(
+                [server.url for server in servers], shard_timeout=3.0
+            ).attach(timeout=30.0)
             try:
                 yield fleet, sharded_fleet, servers
             finally:
                 sharded_fleet.close()
         finally:
-            if servers:
-                servers[0].app.release.set()
             for server in servers:
+                server.app.release.set()
                 server.drain(timeout=10)
 
     def assert_exact(self, fleet, sharded_fleet):
-        oracle = fresh_oracle_for(fleet)
-        for query in QUERIES:
-            for threshold in THRESHOLDS:
-                assert sharded_fleet.estimate_all(
-                    query, threshold
-                ) == oracle.estimate_all(query, threshold)
+        assert_rows_match(sharded_fleet, fresh_oracle_for(fleet))
 
     @pytest.mark.parametrize("sharded", [True, False], indirect=True)
     def test_a_lost_reply_is_healed_by_re_reading_the_shard(self, sharded):
         fleet, sharded_fleet, servers = sharded
-        servers[0].app.release.set()
         live, base = fleet[1]
         shard = sharded_fleet.local.engine_of(live.name).host
+        held = sharded_fleet.estimate_all(QUERIES[0], 0.2)
         churn(live)
-        shard.client = DropsDeltaReplies(shard.client)
+        ship(servers, live, base.to_version)
+        shard.client = DropsPullReplies(shard.client)
         try:
-            with pytest.raises(RemoteServingError) as lost:
-                sharded_fleet.apply_delta(live.delta_since(base.to_version))
+            assert sharded_fleet.estimate_all(QUERIES[0], 0.2) == held
         finally:
             shard.client = shard.client.client
-        assert lost.value.status is None
         self.assert_exact(fleet, sharded_fleet)
 
     @pytest.mark.parametrize("sharded", [True, False], indirect=True)
@@ -376,40 +367,31 @@ class TestShardedDeltaRecovery:
         self, sharded
     ):
         fleet, sharded_fleet, servers = sharded
-        servers[0].app.release.set()
         live, base = fleet[1]
         shard = sharded_fleet.local.engine_of(live.name).host
         churn(live)
-        shard.client = DropsDeltaReplies(shard.client, reads_fail=True)
+        ship(servers, live, base.to_version)
+        shard.client = DropsPullReplies(shard.client, reads_fail=True)
         try:
-            with pytest.raises(RemoteServingError):
-                sharded_fleet.apply_delta(live.delta_since(base.to_version))
+            sharded_fleet.estimate_all(QUERIES[0], 0.2)
         finally:
             shard.client = shard.client.client
         applied = live.version
         live.add_documents([Document("after-lost", ["comet", "kiwi", "kiwi"])])
-        sharded_fleet.apply_delta(live.delta_since(applied))
+        ship(servers, live, applied)
         self.assert_exact(fleet, sharded_fleet)
 
     def test_a_delta_sent_to_the_shard_directly_is_read_at_the_next(
         self, sharded
     ):
         fleet, sharded_fleet, servers = sharded
-        servers[0].app.release.set()
         live, base = fleet[1]
         churn(live)
-        request = urllib.request.Request(
-            f"{servers[1].url}/delta",
-            data=json.dumps(
-                live.delta_since(base.to_version).to_json_dict()
-            ).encode("ascii"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        urllib.request.urlopen(request, timeout=10).close()
+        ship(servers, live, base.to_version)
+        self.assert_exact(fleet, sharded_fleet)
         applied = live.version
         live.add_documents([Document("after-direct", ["comet", "lens"])])
-        sharded_fleet.apply_delta(live.delta_since(applied))
+        ship(servers, live, applied)
         self.assert_exact(fleet, sharded_fleet)
 
     def test_a_hung_shard_holds_up_no_delta_to_another(self, sharded):
@@ -417,26 +399,26 @@ class TestShardedDeltaRecovery:
         (hung_live, hung_base), (live, base) = fleet[0], fleet[1]
         churn(hung_live)
         churn(live)
-        hung_answers = []
+        servers[0].app.armed.set()
+        ship(servers, hung_live, hung_base.to_version)
+        ship(servers, live, base.to_version)
         hung = threading.Thread(
-            target=lambda: hung_answers.append(sharded_fleet.apply_delta(
-                hung_live.delta_since(hung_base.to_version)
-            )),
+            target=sharded_fleet.estimate_all, args=(QUERIES[0], 0.2),
             daemon=True,
         )
         hung.start()
         try:
             assert servers[0].app.entered.wait(10)
             started = time.monotonic()
-            answer = sharded_fleet.apply_delta(live.delta_since(base.to_version))
+            sharded_fleet.estimate_all(QUERIES[0], 0.2)
             elapsed = time.monotonic() - started
+            caught_up = sharded_fleet.local.representative_version(live.name)
         finally:
             servers[0].app.release.set()
             hung.join(10)
-        assert answer["to_version"] == live.version
-        # Well inside the 3 s shard timeout the hung forward is waiting out.
+        assert caught_up == live.version
+        # Well inside the 3 s shard timeout the hung pull is waiting out.
         assert elapsed < 1.5
-        assert [a["to_version"] for a in hung_answers] == [hung_live.version]
         self.assert_exact(fleet, sharded_fleet)
 
 

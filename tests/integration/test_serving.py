@@ -216,37 +216,80 @@ class TestSubprocessFleet:
         assert len(remote.hits) <= 3
         assert remote.hits == local.hits
 
-    def test_quantized_representative_matches_local_quantization(self, fleet):
+    def test_quantized_representative_matches_local_quantization(
+        self, fleet, tmp_path
+    ):
         """``repro serve gateway --quantize 256`` quantizes the full delta
         each engine sent, so it estimates exactly like a broker holding
         ``quantize_representative`` of the same representatives (in the
         delta's canonical term order: a grid's per-interval means sum in
-        term order)."""
-        from repro.fleet import canonicalize
+        term order).  A pull after a live engine's ``/mutate`` re-reads
+        and quantizes the whole representative the same way."""
+        from repro.fleet import LiveEngineServer, canonicalize
+        from repro.metasearch.broker import REPORT_MAX_AGE
         from repro.representatives.quantized import quantize_representative
 
         collections, urls = fleet
-        local = MetasearchBroker()
-        for collection in collections:
-            engine = SearchEngine(collection)
-            local.register(engine, representative=quantize_representative(
-                canonicalize(build_representative(engine)), levels=256
+        live_path = tmp_path / "live.jsonl.gz"
+        live_documents = [
+            Document("l0", ["rocket", "orbit", "orbit"]),
+            Document("l1", ["kiwi", "plum", "rocket"]),
+            Document("l2", ["sauce", "basil"]),
+        ]
+        save_collection(Collection.from_documents("live", live_documents), live_path)
+        mirror = LiveEngineServer("live", live_documents)
+
+        def quantized_local():
+            local = MetasearchBroker()
+            for collection in collections:
+                engine = SearchEngine(collection)
+                local.register(engine, representative=quantize_representative(
+                    canonicalize(build_representative(engine)), levels=256
+                ))
+            local.register(mirror, representative=quantize_representative(
+                canonicalize(mirror.delta_since(0).as_representative()),
+                levels=256,
             ))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "gateway",
-             "--engines", *urls, "--quantize", "256"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        client = None
-        try:
+            return local
+
+        def announced(proc, role):
             for line in proc.stdout:
-                announced = re.search(r"serving gateway at (http://\S+)", line)
-                if announced:
-                    break
-            else:
-                pytest.fail("the gateway exited without serving")
-            client = GatewayClient(announced.group(1))
-            for query in QUERIES:
+                found = re.search(rf"serving {role} at (http://\S+)", line)
+                if found:
+                    return found.group(1)
+            pytest.fail(f"the {role} exited without serving")
+
+        procs, client = [], None
+        try:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "engine", "--live",
+                 "--collection", str(live_path)],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            ))
+            live_url = announced(procs[-1], "engine")
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "gateway",
+                 "--engines", *urls, live_url, "--quantize", "256"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            ))
+            client = GatewayClient(announced(procs[-1], "gateway"))
+            queries = [*QUERIES, Query(terms=("zebra",), weights=(1.0,))]
+            local = quantized_local()
+            for query in queries:
+                for threshold in (0.0, 0.2, 0.5):
+                    assert client.estimate(query, threshold) == (
+                        local.estimate_all(query, threshold)
+                    )
+            status, answer = post_json(f"{live_url}/mutate", {
+                "remove": ["l2"],
+                "add": [{"doc_id": "l3", "terms": ["zebra", "rocket", "kiwi"]}],
+            })
+            assert (status, answer["version"]) == (200, 3)
+            mirror.remove_documents(["l2"])
+            mirror.add_documents([Document("l3", ["zebra", "rocket", "kiwi"])])
+            time.sleep(REPORT_MAX_AGE + 0.2)
+            local = quantized_local()
+            for query in queries:
                 for threshold in (0.0, 0.2, 0.5):
                     assert client.estimate(query, threshold) == (
                         local.estimate_all(query, threshold)
@@ -254,13 +297,14 @@ class TestSubprocessFleet:
         finally:
             if client is not None:
                 client.close()
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.communicate(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == 0
+            for proc in reversed(procs):
+                proc.send_signal(signal.SIGTERM)
+                try:
+                    proc.communicate(timeout=15)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.communicate()
+        assert [proc.returncode for proc in procs] == [0, 0]
 
     def test_healthz_and_metrics(self, gateway):
         health = gateway.healthz()

@@ -6,18 +6,20 @@ was diffed from must reproduce the freshly rebuilt representative of the
 mutated corpus exactly — same values, same canonical iteration order — on
 both the dict and the columnar fleet backend.  And whatever version a
 broker syncs from, it ends up estimating exactly like a broker built from
-the engine's current statistics.  So does the coordinator, over any
-sequence of accepted, stale and malformed deltas sent through
-``ShardedFleet.apply_delta``.
+the engine's current statistics.  So does the coordinator, which pulls
+every delta applied on a shard, over any sequence of pulls that land,
+fail to reach the shard, lose their reply or are answered garbled.
 """
 
 import dataclasses
 import itertools
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.metasearch.broker as broker_module
 from repro.core import get_estimator
 from repro.corpus import Collection, Document, Query
 from repro.engine import SearchEngine
@@ -330,13 +332,12 @@ class TestTripletModeDeltas:
 @st.composite
 def sharded_scenarios(draw):
     """2-4 live engines, each registered on its shard with or without a
-    version, and 1-6 delta steps: ``("accept", e, mutation)`` ships the
-    mutated engine's delta, ``("stale", e)`` one from a version the shard
-    does not hold (409), ``("malformed", e)`` a full delta claiming a base
-    of documents (400), ``("unreachable", e, mutation)`` the next
-    delta to a shard that cannot be reached, and ``("lost", e,
-    mutation)`` the next delta, which the shard applies but whose reply
-    is lost."""
+    version, and 1-6 steps, each a mutation of one engine whose delta is
+    applied on its shard: ``("accept", e, mutation)`` the coordinator
+    then pulls; ``("unreachable", e, mutation)`` its shard cannot be
+    reached; ``("lost", e, mutation)`` the pull reaches the shard but its
+    reply is lost; ``("garbled", e, mutation)`` the pull is answered with
+    a full delta claiming a base of documents."""
     n_engines = draw(st.integers(min_value=2, max_value=4))
     initial = [
         [_terms(draw) for __ in range(draw(st.integers(1, 4)))]
@@ -352,17 +353,8 @@ def sharded_scenarios(draw):
         st.tuples(st.just("remove"), st.integers(min_value=1, max_value=2)),
     )
     engine = st.integers(min_value=0, max_value=n_engines - 1)
-    steps = draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("accept"), engine, mutation),
-            st.tuples(st.just("stale"), engine),
-            st.tuples(st.just("malformed"), engine),
-            st.tuples(st.just("unreachable"), engine, mutation),
-            st.tuples(st.just("lost"), engine, mutation),
-        ),
-        min_size=1,
-        max_size=6,
-    ))
+    kind = st.sampled_from(["accept", "unreachable", "lost", "garbled"])
+    steps = draw(st.lists(st.tuples(kind, engine, mutation), min_size=1, max_size=6))
     return initial, versioned, steps
 
 
@@ -375,26 +367,25 @@ def hexed_rows(rows):
     ]
 
 
-class LosesDeltaReplies:
-    """A shard client whose ``POST /delta`` reaches the shard but whose
-    reply is lost."""
+class LosesPullReplies:
+    """A shard client whose ``GET /representative`` reaches the shard but
+    whose reply is lost."""
 
     def __init__(self, client):
         self.client = client
 
     def request(self, method, path, *args, **kwargs):
         answer = self.client.request(method, path, *args, **kwargs)
-        if path == "/delta":
+        if path.startswith("/representative"):
             raise RemoteServingError("connection reset by peer")
         return answer
 
 
 class TestShardedDeltasStayExact:
-    """After every step the coordinator's rows hex-equal a from-scratch
-    broker over the representatives the shards hold, for all five
-    estimators; a refused forward leaves its rows, its cache contents and
-    its broker generation as they were, and one whose reply is lost
-    leaves the coordinator holding what the shard holds."""
+    """After every step the coordinator's rows, once the report bound has
+    passed, hex-equal a from-scratch broker over the representatives the
+    shards hold, for all five estimators; a pull that fails leaves its
+    rows, its cache contents and its broker generation as they were."""
 
     THRESHOLDS = [0.0, 0.2, 0.5]
 
@@ -427,7 +418,6 @@ class TestShardedDeltasStayExact:
             for e, docs in enumerate(initial)
         ]
         shipped = {}  # engine name -> the live version its shard holds
-        recorded = {}  # engine name -> the version its shard records
         # The servers outlive examples; each example installs its own
         # shard brokers before the coordinator attaches.
         for index, app in enumerate(apps):
@@ -440,12 +430,14 @@ class TestShardedDeltasStayExact:
                     version=base.to_version if versioned[e] else None,
                 )
                 shipped[live.name] = base.to_version
-                recorded[live.name] = base.to_version if versioned[e] else None
         fleet = ShardedFleet(urls, estimator=get_estimator(name)).attach(
             timeout=10.0
         )
         batch = [q for q in SYNC_QUERIES for __ in self.THRESHOLDS]
         thresholds = self.THRESHOLDS * len(SYNC_QUERIES)
+
+        def owner(live):
+            return apps[engines.index(live) % len(apps)]
 
         def rows():
             return hexed_rows(fleet.estimate_batch(batch, thresholds))
@@ -453,69 +445,51 @@ class TestShardedDeltasStayExact:
         def fresh_rows():
             truth = MetasearchBroker(estimator=get_estimator(name))
             for live in engines:
-                truth.register(live, representative=app_representative(live))
+                truth.register(
+                    live,
+                    representative=owner(live).broker.fleet.materialize(
+                        live.name
+                    ),
+                )
             return hexed_rows(truth.estimate_batch(batch, thresholds))
 
-        def app_representative(live):
-            owner = apps[engines.index(live) % len(apps)]
-            return owner.broker.fleet.materialize(live.name)
-
         try:
-            assert rows() == fresh_rows()
-            for step in steps:
-                kind, live = step[0], engines[step[1]]
-                if kind in ("accept", "unreachable", "lost"):
-                    _run_script(live, [step[2]], counter)
-                delta = live.delta_since(shipped[live.name])
-                if kind == "stale":
-                    base = shipped[live.name] + 5
-                    delta = dataclasses.replace(
-                        delta, from_version=base, to_version=base + 1
+            with unittest.mock.patch.object(broker_module, "REPORT_MAX_AGE", 0.0):
+                assert rows() == fresh_rows()
+                for kind, e, mutation in steps:
+                    live = engines[e]
+                    before = (
+                        rows(),
+                        {k: dict(v) for k, v in fleet.local.cache._rows.items()},
+                        fleet.local._generation,
                     )
-                elif kind == "malformed":
-                    delta = dataclasses.replace(
-                        live.delta_since(0), from_n_documents=1
+                    _run_script(live, [mutation], counter)
+                    app = owner(live)
+                    app.broker.apply_representative_delta(
+                        live.delta_since(shipped[live.name])
                     )
-                if kind == "stale" and recorded[live.name] is None:
-                    continue  # a shard that records no version takes any base
-                if kind == "accept":
-                    fleet.apply_delta(delta)
-                    shipped[live.name] = recorded[live.name] = delta.to_version
+                    shipped[live.name] = live.version
+                    if kind != "accept":
+                        shard = fleet.local.engine_of(live.name).host
+                        client = shard.client
+                        if kind == "unreachable":
+                            shard.client = _HTTPJsonClient("http://127.0.0.1:9")
+                        elif kind == "lost":
+                            shard.client = LosesPullReplies(client)
+                        else:
+                            route = app._delta
+                            app._delta = lambda n, since: dataclasses.replace(
+                                route(n, since), from_n_documents=1
+                            )
+                        try:
+                            assert rows() == before[0]
+                            assert (
+                                {k: dict(v) for k, v in fleet.local.cache._rows.items()},
+                                fleet.local._generation,
+                            ) == before[1:]
+                        finally:
+                            shard.client = client
+                            app.__dict__.pop("_delta", None)
                     assert rows() == fresh_rows()
-                    continue
-                shard = fleet.local.engine_of(live.name).host
-                client = shard.client
-                if kind == "lost":
-                    shard.client = LosesDeltaReplies(client)
-                    try:
-                        with pytest.raises(RemoteServingError) as lost:
-                            fleet.apply_delta(delta)
-                    finally:
-                        shard.client = client
-                    assert lost.value.status is None
-                    shipped[live.name] = recorded[live.name] = delta.to_version
-                    assert rows() == fresh_rows()
-                    continue
-                before = (
-                    rows(),
-                    {k: dict(v) for k, v in fleet.local.cache._rows.items()},
-                    fleet.local._generation,
-                )
-                if kind == "unreachable":
-                    shard.client = _HTTPJsonClient("http://127.0.0.1:9")
-                try:
-                    with pytest.raises(RemoteServingError) as refused:
-                        fleet.apply_delta(delta)
-                finally:
-                    shard.client = client
-                if kind != "unreachable":
-                    assert refused.value.status == (
-                        409 if kind == "stale" else 400
-                    )
-                assert (
-                    {k: dict(v) for k, v in fleet.local.cache._rows.items()},
-                    fleet.local._generation,
-                ) == before[1:]
-                assert rows() == before[0] == fresh_rows()
         finally:
             fleet.close()

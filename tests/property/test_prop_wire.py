@@ -3,8 +3,12 @@
 The decoders' contract is *4xx, never 500*: any POST route handed a valid
 body with one field replaced by an arbitrary JSON value answers with a
 status below 500, and — on the routes that change no state — answers the
-next valid request exactly as before, while a refused write (``/delta``,
-``/mutate``) changes nothing (decoder fuzzing, first slice).
+next valid request exactly as before, while a refused write (``/mutate``)
+changes nothing (decoder fuzzing, first slice).  The replies a broker
+decodes from an engine host get the same treatment: a pull answered with
+a garbled delta, or a ``/dispatch`` or ``/healthz`` reply with a garbled
+version report, is refused, changes nothing the broker holds, triggers
+no pull and never raises out of the request.
 
 The wire contract is *exactness*: anything serialized, pushed through a
 real ``json.dumps``/``json.loads`` cycle (what HTTP transports), and
@@ -19,6 +23,7 @@ gateway --quantize`` answers like a broker holding
 import copy
 import json
 import math
+import unittest.mock
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -32,7 +37,9 @@ from repro.fleet import (
     canonicalize,
     diff_representatives,
 )
+import repro.metasearch.broker as broker_module
 from repro.metasearch import MetasearchBroker
+from repro.obs import MetricsRegistry
 from repro.representatives import DatabaseRepresentative, TermStats
 from repro.representatives.quantized import quantize_representative
 from repro.serving import (
@@ -44,6 +51,13 @@ from repro.serving import (
     encode_hits,
     query_from_wire,
     query_to_wire,
+)
+from repro.serving.remote_engine import (
+    EngineHost,
+    HostedEngine,
+    _Connection,
+    _HTTPJsonClient,
+    _Pending,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -179,7 +193,7 @@ OTHER_QUERY = query_to_wire(Query(terms=("plum",), weights=(1.0,)))
 
 #: Routes whose valid request changes the app's state (so each example
 #: gets fresh apps and there is no "next request answers as before").
-MUTATING = {("shard", "/delta"), ("live", "/mutate")}
+MUTATING = {("live", "/mutate")}
 
 
 def build_apps():
@@ -191,13 +205,11 @@ def build_apps():
     broker.register(
         SearchEngine(Collection.from_documents("e1", documents("b", CORPUS[:2])))
     )
-    live = LiveEngineServer("e1", documents("c", CORPUS))
     shard_broker = MetasearchBroker()
     shard_broker.register(static)
-    shard_broker.sync_representative(live)
-    synced = live.version
-    live.remove_documents(["c2"])  # "plum", "fuel" vanish: two del records
-    live.add_documents(documents("n", [["rocket", "kiwi"], ["kiwi"]]))
+    shard_broker.sync_representative(
+        LiveEngineServer("e1", documents("c", CORPUS))
+    )
     apps = {
         "gateway": GatewayApp(broker),
         "shard": ShardApp(shard_broker),
@@ -217,7 +229,6 @@ def build_apps():
         ("shard", "/dispatch"): {
             "entries": [{**search, "engines": ["e0", "e1"]}]
         },
-        ("shard", "/delta"): live.delta_since(synced).to_json_dict(),
         ("engine", "/dispatch"): {"entries": [{**search, "engines": ["e0"]}]},
         ("engine", "/max_similarity"): {"query": WIRE_QUERY},
         ("live", "/dispatch"): {"entries": [{**search, "engines": ["lv"]}]},
@@ -294,8 +305,9 @@ json_values = st.recursive(
 
 def test_every_post_route_and_decoder_shape_is_fuzzed():
     assert {route for route, __ in CASES} == set(BODIES)
-    records = BODIES["shard", "/delta"]["records"]
+    records = PULL["edit"]["records"]
     assert {len(record) for record in records} == {2, 6}
+    assert {path[0] for path in PULL_PATHS} == set(PULL["edit"])
 
 
 def test_bodies_past_the_json_parser_limits_are_400():
@@ -323,31 +335,17 @@ def test_mutated_request_is_4xx_and_leaves_no_trace(case, value):
 
 
 @given(st.sampled_from([c for c in CASES if c[0] in MUTATING]), json_values)
-@example((("shard", "/delta"), ("records", 2)), ["set", "a"])
-@example((("shard", "/delta"), ("records",)), "x")
-@example((("shard", "/delta"), ("n_documents",)), "2")
-@example((("shard", "/delta"), ("name",)), ["e1"])
-@example((("shard", "/delta"), ("records", 2, 3)), math.nan)
-@example((("shard", "/delta"), ("to_version",)), True)
-@example((("shard", "/delta"), ("from_version",)), 0)  # full, from 3 documents
 @example((("live", "/mutate"), ("add", 0, "doc_id")), "d1")  # add half refused
 @example((("live", "/mutate"), ("remove",)), ["d0", "d0"])
 @example((("live", "/mutate"), ("remove", 0)), "zz")
-def test_mutated_write_is_4xx_and_a_refused_delta_changes_nothing(case, value):
-    """``/delta`` and ``/mutate`` alike: a refused write leaves no trace —
-    not even the half of it that was valid — and the next valid write
-    still applies."""
+def test_mutated_write_is_4xx_and_changes_nothing(case, value):
+    """A refused ``/mutate`` leaves no trace — not even the half of it
+    that was valid — and the next valid write still applies."""
     route, path = case
     apps, bodies = build_apps()
     app = apps[route[0]]
 
     def state():
-        if route[1] == "/delta":
-            return (
-                app.broker.representative_version("e1"),
-                app.broker.representative_of("e1").materialize(),
-                post(app, "/estimate", bodies["shard", "/estimate"]).payload,
-            )
         return (
             app.server.version,
             app.server.doc_ids,
@@ -360,6 +358,158 @@ def test_mutated_write_is_4xx_and_a_refused_delta_changes_nothing(case, value):
     if response.status != 200:
         assert state() == before
         assert post(app, route[1], bodies[route]).status == 200
-        if route[1] == "/mutate":
-            assert app.server.doc_ids == ["d1", "d2", "x1"]
-            assert app.server.version == 3  # documents at 1, remove, add
+        assert app.server.doc_ids == ["d1", "d2", "x1"]
+        assert app.server.version == 3  # documents at 1, remove, add
+
+
+# -- replies a broker decodes from an engine host -------------------------------
+
+
+def pull_replies():
+    """What a broker holding ``e1`` at its first version decodes once
+    ``e1`` has changed: the full delta it registered from, the edit delta
+    its pull is answered with (two ``del`` and some ``set`` records), and
+    the versions before and after."""
+    live = LiveEngineServer("e1", documents("c", CORPUS))
+    full, synced = live.delta_since(0).to_json_dict(), live.version
+    live.remove_documents(["c2"])  # "plum", "fuel" vanish: two del records
+    live.add_documents(documents("n", [["rocket", "kiwi"], ["kiwi"]]))
+    return {
+        "full": full,
+        "synced": synced,
+        "edit": live.delta_since(synced).to_json_dict(),
+        "version": live.version,
+        "current": live.delta_since(0).as_representative(),
+    }
+
+
+PULL = pull_replies()
+PULL_PATHS = list(paths_of(PULL["edit"]))
+DEAD_URL = "http://127.0.0.1:9"  # never dialed: _send is patched
+
+
+def answering(replies):
+    """A stand-in for ``_HTTPJsonClient._send``: nothing is sent, and every
+    request is answered ``replies[<its path, without the query>]``."""
+
+    def send(self, method, path, payload):
+        body = json.dumps(replies[path.split("?")[0]]).encode("utf-8")
+        return _Pending(_Connection(self.host, self.port), None, lambda: (body, None))
+
+    return send
+
+
+def hosted_broker(replies):
+    """A broker holding ``e1`` from an engine host at :data:`DEAD_URL`, at
+    the version ``replies`` first answer; its registry and the host."""
+    broker = MetasearchBroker(registry=MetricsRegistry())
+    host = EngineHost("host", _HTTPJsonClient(DEAD_URL))
+    broker.sync_representative(HostedEngine("e1", host))
+    host.probe()
+    return broker, host
+
+
+def held(broker):
+    return (
+        broker.representative_version("e1"),
+        sorted(broker.fleet.materialize("e1").items()),
+        broker.fleet.materialize("e1").n_documents,
+    )
+
+
+@given(st.sampled_from(PULL_PATHS), json_values)
+@example(("records", 2), ["set", "a"])
+@example(("records",), "x")
+@example(("n_documents",), "2")
+@example(("name",), ["e1"])
+@example(("name",), "")  # another engine's delta: refused, not applied
+@example(("records", 2, 3), math.nan)
+@example(("to_version",), True)
+@example(("from_version",), 0)  # full, from 3 documents
+def test_a_garbled_pull_reply_is_refused_and_changes_nothing(path, value):
+    """A pull answered with a garbled delta is counted as failed and
+    leaves what the broker holds; the next well-formed reply catches it
+    up."""
+    replies = {
+        "/healthz": {"versions": {"e1": PULL["synced"]}},
+        "/representative": PULL["full"],
+    }
+    with unittest.mock.patch.object(
+        _HTTPJsonClient, "_send", answering(replies)
+    ), unittest.mock.patch.object(broker_module, "REPORT_MAX_AGE", 0.0):
+        broker, __ = hosted_broker(replies)
+        before = held(broker)
+        replies["/healthz"] = {"versions": {"e1": PULL["version"]}}
+        replies["/representative"] = replaced(PULL["edit"], path, value)
+        broker.catch_up()
+        if broker.registry.value("broker.pulls.failed"):
+            assert held(broker) == before
+            replies["/representative"] = PULL["edit"]
+            broker.catch_up()
+            current = PULL["current"]
+            assert held(broker) == (
+                PULL["version"], sorted(current.items()), current.n_documents
+            )
+
+
+REPORT_PATHS = [("versions",), ("versions", "e1")]
+
+
+@given(st.sampled_from(REPORT_PATHS), json_values)
+@example(("versions", "e1"), True)
+@example(("versions", "e1"), -1)
+@example(("versions", "e1"), 2**63)
+@example(("versions", "e1"), "3")
+@example(("versions",), [3])
+def test_a_garbled_dispatch_report_fails_the_host_and_pulls_nothing(path, value):
+    """A ``/dispatch`` reply whose version report is garbled fails the
+    engines asked of the host with kind ``error`` and is not recorded."""
+    report = {"results": {"e1": []}, "failures": [], "latencies": {"e1": 0.0}}
+    replies = {
+        "/healthz": {"versions": {"e1": PULL["synced"]}},
+        "/representative": PULL["full"],
+        "/dispatch": replaced(
+            {
+                "kind": "dispatches",
+                "reports": [report],
+                "versions": {"e1": PULL["synced"]},
+            },
+            path, value,
+        ),
+    }
+    with unittest.mock.patch.object(
+        _HTTPJsonClient, "_send", answering(replies)
+    ), unittest.mock.patch.object(broker_module, "REPORT_MAX_AGE", 3600.0):
+        broker, host = hosted_broker(replies)
+        versions = host.versions
+        [answer] = broker.reports([Query.from_terms(["rocket"])], [0.2], [["e1"]])
+        broker.catch_up()
+    if answer.failures:
+        assert [(f.engine, f.kind) for f in answer.failures] == [("e1", "error")]
+        assert host.versions is versions
+        assert broker.registry.value("broker.pulls") in (None, 0)
+
+
+@given(st.sampled_from(REPORT_PATHS), json_values)
+@example(("versions", "e1"), False)
+@example(("versions", "e1"), 1.0)
+@example(("versions",), None)
+def test_a_garbled_healthz_report_fails_the_probe_and_pulls_nothing(path, value):
+    """A ``/healthz`` reply whose version report is garbled counts a
+    failed probe, is not recorded and triggers no pull."""
+    replies = {
+        "/healthz": {"versions": {"e1": PULL["synced"]}},
+        "/representative": PULL["full"],
+    }
+    with unittest.mock.patch.object(
+        _HTTPJsonClient, "_send", answering(replies)
+    ), unittest.mock.patch.object(broker_module, "REPORT_MAX_AGE", 0.0):
+        broker, host = hosted_broker(replies)
+        versions = host.versions
+        replies["/healthz"] = replaced(
+            {"versions": {"e1": PULL["version"]}}, path, value
+        )
+        broker.catch_up()
+    if broker.registry.value("broker.probes.failed"):
+        assert host.versions is versions
+        assert broker.registry.value("broker.pulls") in (None, 0)

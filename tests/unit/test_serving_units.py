@@ -637,25 +637,24 @@ def owning_fleet(name):
 def client_calls():
     """One call per client decoder, by name."""
     from repro.corpus import Query
-    from repro.fleet import RepresentativeDelta
-    from repro.serving import GatewayClient, RemoteEngine, ShardedFleet
+    from repro.serving import GatewayClient, RemoteEngine
 
     query = Query.from_terms(["rocket"])
-    engine, gateway = RemoteEngine(DEAD_URL), GatewayClient(DEAD_URL)
-    fleet = owning_fleet("e")
-    shard = fleet._shards[0]
-    delta = RepresentativeDelta("e", 1, 2, 3, 3, ())
+    engine = RemoteEngine(DEAD_URL, name="e")
+    gateway = GatewayClient(DEAD_URL)
+    shard = owning_fleet("e")._shards[0]
     return {
-        "engine.name": lambda: engine.name,
+        "engine.name": lambda: RemoteEngine(DEAD_URL).name,
         "engine.dispatch": lambda: engine.host.dispatch([(query, 0.1, ["e"])])(),
         "engine.max_similarity": lambda: engine.max_similarity(query),
+        "engine.probe": lambda: engine.host.probe(),
         "engine.sync": lambda: engine.sync_representative(since=3),
         "gateway.estimate": lambda: gateway.estimate(query, 0.1),
         "gateway.search": lambda: gateway.search(query, 0.1),
         "gateway.search_batch": lambda: gateway.search_batch([query], 0.1),
         "fleet.representative": lambda: shard.representative("e"),
         "fleet.dispatch": lambda: shard.dispatch([(query, 0.1, ["e"])])(),
-        "fleet.apply_delta": lambda: fleet.apply_delta(delta),
+        "fleet.probe": lambda: shard.probe(),
     }
 
 
@@ -689,7 +688,7 @@ class TestClientsRejectMalformedAnswers:
         body = json.dumps(payload).encode()
         monkeypatch.setattr(_HTTPJsonClient, "_send", answering(body))
         with pytest.raises(RemoteServingError, match="from_n_documents must be 0"):
-            RemoteEngine(DEAD_URL).sync_representative()
+            RemoteEngine(DEAD_URL, name="e").sync_representative()
 
     def test_non_object_healthz_never_attaches(self, monkeypatch):
         from repro.serving import RemoteEngine, RemoteServingError, ShardedFleet
