@@ -91,13 +91,20 @@ def test_full_fleet_selection(benchmark, corpus_model, query_log):
 
 
 def test_full_fleet_concurrent_speedup(benchmark, corpus_model, query_log):
-    """workers=8 over 16 latency-bound engines beats the serial path."""
+    """workers=8 over 16 latency-bound engines beats the serial path.
+
+    Only a fan-out with a deadline to enforce runs on threads (without
+    one, in-process engines run on the caller's thread), so the
+    concurrent broker has a deadline far past any call: this is the
+    check that the pool still buys overlap under a deadline."""
     engines = [
         SearchEngine(corpus_model.generate_group(g)) for g in range(DISPATCH_FLEET)
     ]
     representatives = [build_representative(e) for e in engines]
     serial = _latency_broker(engines, representatives, DISPATCH_DELAY, workers=1)
-    concurrent = _latency_broker(engines, representatives, DISPATCH_DELAY, workers=8)
+    concurrent = _latency_broker(
+        engines, representatives, DISPATCH_DELAY, workers=8, timeout=30.0
+    )
     queries = query_log[:5]
 
     def broadcast(broker):
@@ -121,7 +128,7 @@ def test_full_fleet_concurrent_speedup(benchmark, corpus_model, query_log):
                 f"{DISPATCH_DELAY * 1000:.0f}ms simulated RTT, "
                 f"{len(queries)} broadcast queries ===",
                 f"serial (workers=1) : {t_serial:.2f}s",
-                f"workers=8          : {t_concurrent:.2f}s",
+                f"workers=8, timeout : {t_concurrent:.2f}s",
                 f"speedup            : {t_serial / t_concurrent:.1f}x",
             ]
         ),

@@ -359,10 +359,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     n_groups = min(args.groups, model.n_groups)
 
     def make_broker() -> MetasearchBroker:
-        broker = MetasearchBroker(
-            workers=args.workers,
-            cache_size=args.cache_size,
-        )
+        broker = MetasearchBroker(cache_size=args.cache_size)
         for group in range(n_groups):
             broker.register(SearchEngine(model.generate_group(group)))
         return broker
@@ -1196,9 +1193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--workers", type=int, default=8,
-                   help="concurrent engine calls (1 = serial path)")
+                   help="engine-call threads of a fan-out with a --timeout; "
+                        "without one, calls run on the caller's thread")
     p.add_argument("--timeout", type=float, default=None,
-                   help="fan-out deadline in seconds (default: none)")
+                   help="fan-out deadline in seconds, enforced on up to "
+                        "--workers threads (default: none; requires "
+                        "workers > 1)")
     p.add_argument("--retries", type=int, default=0,
                    help="extra attempts after an engine error")
     p.add_argument("--cache-size", type=int, default=1024,
@@ -1221,9 +1221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=25)
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--workers", type=int, default=4,
-                   help="concurrent engine calls (1 = serial path)")
+                   help="engine-call threads of a fan-out with a --timeout; "
+                        "without one, calls run on the caller's thread")
     p.add_argument("--timeout", type=float, default=None,
-                   help="fan-out deadline in seconds (requires workers > 1)")
+                   help="fan-out deadline in seconds, enforced on up to "
+                        "--workers threads (requires workers > 1)")
     p.add_argument("--retries", type=int, default=0)
     p.add_argument("--cache-size", type=int, default=1024)
     p.add_argument("--format", choices=("json", "prometheus"), default="json",
@@ -1245,8 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.3)
     p.add_argument("--mode", choices=("estimate", "search"), default="estimate",
                    help="batched estimation only, or the full search pipeline")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent engine calls (1 = serial dispatch)")
     p.add_argument("--cache-size", type=int, default=1024,
                    help="estimate cache capacity (0 disables)")
     p.add_argument("--compare-serial", action="store_true",
@@ -1306,11 +1306,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine-timeout", type=float, default=10.0,
                     help="per-call budget for remote engine requests")
     sp.add_argument("--workers", type=int, default=8,
-                    help="concurrent in-process (--collections) engine calls "
-                         "per search; calls to --engines servers use no "
-                         "thread")
+                    help="engine-call threads of a fan-out with a "
+                         "--timeout over in-process (--collections) "
+                         "engines; every other fan-out runs on the "
+                         "request's thread")
     sp.add_argument("--timeout", type=float, default=None,
-                    help="broker fan-out deadline (requires workers > 1)")
+                    help="broker fan-out deadline, enforced on up to "
+                         "--workers threads (requires workers > 1)")
     sp.add_argument("--retries", type=int, default=0,
                     help="extra attempts after an engine error")
     sp.add_argument("--cache-size", type=int, default=1024,
@@ -1346,9 +1348,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shard-index", type=int, default=0,
                     help="this shard's position in the coordinator's list")
     sp.add_argument("--workers", type=int, default=4,
-                    help="concurrent engine calls per dispatch entry")
+                    help="engine-call threads of a /dispatch under a "
+                         "--timeout; without one, calls run on the "
+                         "request's thread")
     sp.add_argument("--timeout", type=float, default=None,
-                    help="engine fan-out deadline (requires workers > 1)")
+                    help="engine fan-out deadline, enforced on up to "
+                         "--workers threads (requires workers > 1)")
     sp.add_argument("--retries", type=int, default=0,
                     help="extra attempts after an engine error")
     sp.add_argument("--cache-size", type=int, default=1024,

@@ -124,12 +124,27 @@ class Query:
         and ``3/sqrt(18)`` differ in the last bit), and the estimate cache,
         which keys proportional queries together, would then answer one
         with the other's estimate.
+
+        Computed once per query; every call answers a fresh copy.
         """
-        arr = np.asarray(self.weights, dtype=float)
-        if not arr.size:  # the empty query
-            return arr
-        ratios = arr / arr.max()
-        return ratios / math.sqrt(sum(r * r for r in ratios.tolist()))
+        return self._unit().copy()
+
+    def _unit(self) -> np.ndarray:
+        """The unit-norm weights, memoized on the instance: the caller
+        must not mutate them.  The memo is left out of the pickled state,
+        and equality and hashing read only the fields."""
+        unit = self.__dict__.get("_unit_weights")
+        if unit is None:
+            arr = np.asarray(self.weights, dtype=float)
+            unit = arr
+            if arr.size:  # not the empty query
+                ratios = arr / arr.max()
+                unit = ratios / math.sqrt(sum(r * r for r in ratios.tolist()))
+            object.__setattr__(self, "_unit_weights", unit)
+        return unit
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_unit_weights"}
 
     def items(self) -> Iterable[Tuple[str, float]]:
         """Iterate ``(term, raw_weight)`` pairs."""
@@ -137,7 +152,7 @@ class Query:
 
     def normalized_items(self) -> Iterable[Tuple[str, float]]:
         """Iterate ``(term, normalized_weight)`` pairs."""
-        return zip(self.terms, self.normalized_weights().tolist())
+        return zip(self.terms, self._unit().tolist())
 
     def __repr__(self) -> str:
         shown = " ".join(self.terms[:6])

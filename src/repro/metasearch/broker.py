@@ -33,10 +33,11 @@ merge`` — and one of everything on that path:
   scalar estimators, which stay public as the paper's reference
   algorithms and the oracle the test suites compare against.
 * **One dispatcher.**  A :class:`~repro.metasearch.dispatch.ConcurrentDispatcher`
-  (timeout, bounded retry, graceful degradation; ``workers=1`` is serial)
-  pools every query's engine calls under one batch deadline, one split
-  call per engine *host* (an engine server or a shard) for all the
-  invoked engines it serves.
+  (timeout, bounded retry, graceful degradation) fans every query's
+  engine calls out under one batch deadline, one split call per engine
+  *host* (an engine server or a shard) for all the invoked engines it
+  serves; the fan-out runs on the request's thread unless it has a
+  deadline to enforce over an in-process engine.
 * **One freshness path.**  The engines own their data and the broker
   pulls: :meth:`MetasearchBroker.catch_up`, run before every estimate,
   re-reads through :meth:`~MetasearchBroker.sync_representative` each
@@ -75,6 +76,7 @@ from repro.engine.results import SearchHit
 from repro.engine.search_engine import SearchEngine
 from repro.fleet.delta import RepresentativeDelta
 from repro.metasearch.cache import EstimateCache, TermPolynomialCache
+from repro.metasearch.deadlines import Deadline, deadline_scope
 from repro.metasearch.dispatch import (
     ConcurrentDispatcher,
     DispatchReport,
@@ -420,11 +422,12 @@ class MetasearchBroker(SearchPipeline):
             kernel (a subclass included) is a ``TypeError``.
         policy: Engine selection policy; the paper's threshold criterion
             (estimated NoDoc >= 1) by default.
-        workers: Concurrent engine calls per search; ``1`` keeps the
-            serial dispatch path.
+        workers: Threads a fan-out with a ``timeout`` runs its in-process
+            engine calls on; without one, every fan-out runs on the
+            caller's thread whatever ``workers`` is.
         timeout: Fan-out deadline in seconds; ``None`` waits indefinitely.
-            Requires ``workers > 1`` (the serial path cannot preempt an
-            in-thread call, so the combination raises :class:`ValueError`
+            Requires ``workers > 1`` (a call on the caller's thread cannot
+            be preempted, so the combination raises :class:`ValueError`
             instead of silently never enforcing the deadline).
         retries: Extra attempts after an engine call raises.
         backoff: Base backoff in seconds between retry attempts.
@@ -761,7 +764,9 @@ class MetasearchBroker(SearchPipeline):
     def catch_up(self) -> None:
         """The freshness step, run before every estimate.  Per engine host:
         if its last version report is :data:`REPORT_MAX_AGE` old, ask for
-        one (``host.probe()``); then pull through
+        one (``host.probe()``, under the tighter of ``REPORT_MAX_AGE`` and
+        the request's remaining deadline, so a hung host holds a request
+        no longer than that); then pull through
         :meth:`sync_representative` every engine of the report whose
         version differs from the held one (``!=``: a restarted engine
         reports a lower one).  Single-flight per host, on the caller's
@@ -779,8 +784,13 @@ class MetasearchBroker(SearchPipeline):
             try:
                 if stale:
                     self._m_probes.inc()
+                    # A report that takes longer than the bound cannot
+                    # keep it.  A bound of 0 (every request asks) leaves
+                    # the probe the request's own budget.
+                    bound = Deadline(REPORT_MAX_AGE) if REPORT_MAX_AGE > 0 else None
                     try:
-                        host.probe()
+                        with deadline_scope(bound):
+                            host.probe()
                     except ConnectionError:  # dead, or a garbled report
                         self._m_probes_failed.inc()
                         watch.failed_at = time.monotonic()

@@ -15,12 +15,12 @@ each server rejects work whose budget is already exhausted (504) rather
 than burning cycles on an answer nobody is waiting for.
 
 A context variable, not a thread-local, because the request does not stay
-on one thread: the dispatcher runs engine calls on pool threads, each
-inside a copy of the submitting thread's context, so a call sees its
-*request's* deadline wherever it runs (a thread started any other way
-begins with an empty context and sees none).  The module lives below the
-broker and imports nothing from the serving package, which re-exports its
-public names.
+on one thread: a fan-out with a deadline to enforce runs engine calls on
+pool threads, each inside a copy of the submitting thread's context, so
+a call sees its *request's* deadline wherever it runs (a thread started
+any other way begins with an empty context and sees none).  The module
+lives below the broker and imports nothing from the serving package,
+which re-exports its public names.
 """
 
 from __future__ import annotations

@@ -5,10 +5,13 @@ engines; in a real deployment those engines answer over a network and can
 be slow, flaky, or down entirely.  This module gives the broker a
 production dispatch path:
 
-* **Fan-out** — selected engines are queried in parallel: remote
-  engines by writing every request before reading any reply, local ones
-  on up to ``workers`` reused daemon threads (NumPy kernels release the
-  GIL, so threads give real overlap).
+* **Fan-out** — selected engines are queried together: remote engines
+  by writing every request before reading any reply, so the servers work
+  in parallel; in-process ones one after another on the caller's thread,
+  unless the fan-out has a deadline to enforce (an in-process search holds
+  the GIL over a few small NumPy operations, so a thread per call buys no
+  overlap, only a hand-off; a plain call that *waits* instead overlaps
+  others only under a deadline).
 * **Timeout** — each dispatch has a deadline of ``timeout`` seconds
   measured from fan-out start; an engine that has not answered by then is
   abandoned and reported as a :class:`EngineFailure` of kind
@@ -38,45 +41,45 @@ There is one execution core: every call runs the same worker body
 outcome record instead of raising) and one loop in
 :meth:`~ConcurrentDispatcher.dispatch_many` turns outcomes into reports,
 failure records and metrics; :meth:`~ConcurrentDispatcher.dispatch` is a
-batch of one.  The calls and ``workers`` select only *where* the worker
-body runs.
+batch of one.  The calls and ``timeout`` select only *where* the worker
+body runs, one of two places:
 
-* **Split calls, inline.**  A :class:`SplitCall` is a remote call in two
-  halves: ``send()`` writes the request and returns the reply half, a
-  call that reads the reply and a waitable on its socket.  When every
-  call of a fan-out is split, no thread is used: the caller's thread
-  sends every request in order, then waits on all the sockets at once
-  (``poll``) and reads each reply as it arrives; a retry is sent again
-  when its backoff is over, in the same loop.  The servers work in
-  parallel anyway — they are other processes — so a fan-out thread would
-  only add a hand-off per call, and reading in arrival order keeps what
-  a thread per call gave: a server that never answers holds up no other,
-  and each call's latency is its own.  ``timeout`` bounds the wait and
-  every read (each runs inside an ambient deadline,
+* **The caller's thread:** every fan-out without a ``timeout`` (whatever
+  ``workers`` is), and one made only of split calls.  A :class:`SplitCall`
+  is a remote call in two halves: ``send()`` writes the request and
+  returns the reply half, a call that reads the reply and a waitable on
+  its socket.  The caller's thread sends every split call's request in
+  order; then runs every plain call, in order, inside its own context
+  (so a call observes the request's ambient deadline); then waits on all
+  the sockets at once (``poll``) and reads each reply as it arrives.  A
+  split call's retry is sent again when its backoff is over, in the same
+  loop; a plain call's retries run back to back.  The servers work in
+  parallel anyway — they are other processes, and already hold their
+  requests while the plain calls run — so a fan-out thread would only
+  add a hand-off per call, and reading in arrival order keeps what a
+  thread per call gave: a server that never answers holds up no other,
+  and each call's latency is its own (but for a reply that arrives while
+  the plain calls run: it is read, and timed, after them).  ``timeout``
+  bounds the wait and every read (each runs inside an ambient deadline,
   :func:`repro.metasearch.deadlines.deadline_scope`, at the fan-out
   deadline); a call with no outcome by the deadline is given up and
-  recorded as an abandoned pooled call is.  The broker's calls to engine
-  hosts (engine servers and shard workers, one per host per round) are
-  split, so a broker over remote engines only fans out on the request's
-  thread.
-* **Plain callables, ``workers=1``.**  Inline too — the caller's thread,
-  selection order, no other thread; a deadline cannot preempt an
-  in-thread call, so ``timeout`` together with ``workers=1`` is rejected
-  at construction rather than silently ignored.
-* **Plain callables, ``workers > 1``.**  On up to ``min(workers, calls)``
-  threads taken from the dispatcher's cache of idle daemon threads (new
-  ones are started when too few are idle), each call inside a copy of the
-  caller's :mod:`contextvars` context, so a call observes the request's
-  ambient state (its deadline) on either path — which, with identical
-  results for healthy engines, the property suite asserts.  A thread goes
-  back to the cache when its fan-out has nothing left for it; a thread
-  still running a call abandoned at the deadline is simply not idle, so
-  it never delays a later fan-out.  Idle threads retire after
-  :data:`IDLE_SECONDS`, on :meth:`ConcurrentDispatcher.close`, or when the
-  dispatcher is garbage collected; a forked child starts with an empty
-  cache.  This is the gateway's path over in-process engines; a fan-out
-  that mixes them with split calls (a gateway over engine servers *and*
-  local collections) runs every call here, a split call as a plain one.
+  recorded as an abandoned pooled call is.  A deadline cannot preempt a
+  plain call on this thread, which is why a fan-out with a ``timeout``
+  and a plain call goes to the pool instead, and why ``timeout`` with
+  ``workers=1`` is rejected at construction rather than silently ignored.
+* **Pooled threads:** a fan-out with a ``timeout`` and a plain call.  On
+  up to ``min(workers, calls)`` threads taken from the dispatcher's cache
+  of idle daemon threads (new ones are started when too few are idle),
+  each call inside a copy of the caller's :mod:`contextvars` context, so a
+  call observes the request's ambient state (its deadline) on either
+  path — which, with identical results, the property suite asserts.  The
+  pool exists to abandon a call that misses the deadline: a thread still
+  running one is simply not idle, so it never delays a later fan-out.  A
+  thread goes back to the cache when its fan-out has nothing left for it.
+  Idle threads retire after :data:`IDLE_SECONDS`, on
+  :meth:`ConcurrentDispatcher.close`, or when the dispatcher is garbage
+  collected; a forked child starts with an empty cache.  A fan-out here
+  runs its split calls as plain ones.
 
 Dispatch is instrumented: pass a :class:`~repro.obs.MetricsRegistry` to
 record attempts, retries, timeouts, errors, and a per-engine latency
@@ -117,11 +120,10 @@ class SplitCall:
     The reply half is a zero-argument call that reads (and decodes) the
     reply, and a waitable: ``fileno()`` is the socket the reply arrives
     on, ``remaining()`` the seconds left of its own budget (``None`` for
-    none), and ``close()`` gives the reply up.  A fan-out made only of
-    split calls runs on the caller's thread: every request is written
-    before any reply is read, and each reply is read as it arrives, so
-    the servers work in parallel without a fan-out thread (see the module
-    docstring).
+    none), and ``close()`` gives the reply up.  On the caller's thread
+    every request is written before any reply is read, and each reply is
+    read as it arrives, so the servers work in parallel without a fan-out
+    thread (see the module docstring).
     """
 
     __slots__ = ("send",)
@@ -275,14 +277,15 @@ class _ThreadCache:
 class ConcurrentDispatcher:
     """Queries engines in parallel with timeout, retry, and degradation.
 
-    A fan-out of :class:`SplitCall`\\ s runs on the caller's thread; one
-    of plain callables runs on fan-out threads from a cache of idle
-    daemon threads that outlives each fan-out (see the module docstring);
-    :meth:`close` retires them.
+    A fan-out runs on the caller's thread unless it has a deadline to
+    enforce over a plain call; that one runs on fan-out threads from a
+    cache of idle daemon threads that outlives each fan-out (see the
+    module docstring); :meth:`close` retires them.
 
     Args:
-        workers: Maximum concurrent plain engine calls per fan-out; ``1``
-            runs them inline in the caller's thread (no threads).
+        workers: Maximum concurrent plain engine calls of a fan-out with
+            a ``timeout`` (its pooled threads); a fan-out without one
+            runs on the caller's thread whatever ``workers`` is.
         timeout: Deadline in seconds for the whole fan-out, measured from
             dispatch start; ``None`` disables it.  A deadline cannot
             preempt a plain call on the caller's thread, so ``timeout``
@@ -438,12 +441,13 @@ class ConcurrentDispatcher:
 
     def _pooled(self, calls: Dict[_Key, EngineCall]) -> tuple:
         """Run the worker body for every call on up to ``min(workers,
-        len(calls))`` cached threads, under the ``timeout`` deadline;
-        returns ``(outcomes, waited)``.  A call abandoned at the deadline
-        (or never started before it) has no outcome; ``waited`` is the
-        seconds the fan-out waited for it."""
+        len(calls))`` cached threads, under the ``timeout`` deadline (there
+        is one: it is what the threads are for); returns ``(outcomes,
+        waited)``.  A call abandoned at the deadline (or never started
+        before it) has no outcome; ``waited`` is the seconds the fan-out
+        waited for it."""
         start = time.perf_counter()
-        expires_at = None if self.timeout is None else start + self.timeout
+        expires_at = start + self.timeout
         # Each call runs in a copy of *this* thread's context, so it
         # observes the caller's ambient state (the request deadline)
         # exactly as an inline call would.  One copy per call: a Context
@@ -479,35 +483,36 @@ class ConcurrentDispatcher:
             self._threads.run(drain)
         with settled:
             while len(outcomes) < len(calls):
-                remaining = None
-                if expires_at is not None:
-                    remaining = expires_at - time.perf_counter()
-                    if remaining <= 0:
-                        break
+                remaining = expires_at - time.perf_counter()
+                if remaining <= 0:
+                    break
                 settled.wait(remaining)
             abandoned = True
             return dict(outcomes), time.perf_counter() - start
 
-    def _inline(self, calls: Dict[_Key, SplitCall]) -> tuple:
-        """Run split calls on this thread; returns ``(outcomes, waited)``
+    def _inline(self, calls: Dict[_Key, EngineCall]) -> tuple:
+        """Run the fan-out on this thread; returns ``(outcomes, waited)``
         as :meth:`_pooled` does.
 
-        Every request is sent, in order, before any reply is read; then
-        each reply is read as its socket turns readable (replies that
-        arrive together are read in call order), so a server that never
-        answers holds up no other.  A failed attempt is retried under the
+        Every split call's request is sent, in order; then every plain
+        call runs, in order, through the worker body; then each split
+        reply is read as its socket turns readable (replies that arrive
+        together are read in call order), so a server that never answers
+        holds up no other.  A failed split attempt is retried under the
         same policy as a plain call, its next request sent when its
         backoff is over, again without holding up the others.  A read
         runs inside an ambient deadline at the ``timeout`` deadline,
         entered around the read only (a request's ``X-Repro-Deadline`` is
-        what it would be on a thread).  A call with no outcome by the
-        deadline is abandoned — its reply given up — and has none, exactly
-        as a pooled call abandoned at the deadline has none."""
+        what it would be on a thread).  A split call with no outcome by
+        the deadline is abandoned — its reply given up — and has none,
+        exactly as a pooled call abandoned at the deadline has none.
+        Plain calls come here only without a deadline."""
         start = time.perf_counter()
         expires_at = None if self.timeout is None else start + self.timeout
         deadline = None if self.timeout is None else Deadline(self.timeout)
-        order = {key: i for i, key in enumerate(calls)}
-        attempts = dict.fromkeys(calls, 0)
+        split = [key for key, call in calls.items() if isinstance(call, SplitCall)]
+        order = {key: i for i, key in enumerate(split)}
+        attempts = dict.fromkeys(split, 0)
         started: Dict[_Key, float] = {}
         waiting: Dict[_Key, EngineCall] = {}  # reply halves not yet read
         unwatched = set()  # ... that the selector could not take
@@ -541,9 +546,12 @@ class ConcurrentDispatcher:
                 unwatched.add(key)
 
         try:
-            for key in calls:
+            for key in split:
                 started[key] = time.perf_counter()
                 send(key)
+            for key, call in calls.items():  # the plain calls, in order
+                if key not in order:
+                    outcomes[key] = self._outcome(key[1], call)
             while waiting or due:
                 now = time.perf_counter()
                 if expires_at is not None and now >= expires_at:
@@ -619,17 +627,18 @@ class ConcurrentDispatcher:
     def dispatch_many(
         self, batches: Sequence[Mapping[str, EngineCall]]
     ) -> List[DispatchReport]:
-        """Fan out several queries' engine calls as one pooled dispatch.
+        """Fan out several queries' engine calls as one dispatch.
 
-        All calls across all batches share the threads and — unlike
+        All calls across all batches share one fan-out and — unlike
         per-batch :meth:`dispatch` loops, where every batch gets a fresh
         ``timeout`` — a *single* deadline measured from the start of the
         whole fan-out.  Per-batch results are split back into one
         :class:`DispatchReport` per input batch, preserving each batch's
         call order; an engine may appear in any number of batches.
 
-        Inline (``workers=1``) batches simply run back to back; split
-        calls are all sent, across batches, before any reply is read.
+        On the caller's thread (see the module docstring), split calls
+        are all sent, across batches, before any plain call runs and any
+        reply is read; plain calls run in batch order.
         """
         self._m_dispatches.inc()
         calls: Dict[_Key, EngineCall] = {
@@ -637,15 +646,12 @@ class ConcurrentDispatcher:
             for index, batch in enumerate(batches)
             for name, call in batch.items()
         }
-        if calls and all(isinstance(call, SplitCall) for call in calls.values()):
-            outcomes, waited = self._inline(calls)
-        elif self.workers == 1 or not calls:
-            waited = 0.0
-            outcomes = {
-                key: self._outcome(key[1], call) for key, call in calls.items()
-            }
-        else:
+        if self.timeout is not None and not all(
+            isinstance(call, SplitCall) for call in calls.values()
+        ):
             outcomes, waited = self._pooled(calls)
+        else:
+            outcomes, waited = self._inline(calls)
         reports = [DispatchReport() for __ in batches]
         for key in calls:
             index, name = key

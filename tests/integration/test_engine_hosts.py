@@ -2,11 +2,12 @@
 
 A broker asks every engine host — an engine server for its one engine, a
 shard worker for its slice — with one split ``POST /dispatch`` per round:
-a batch costs one RPC per engine server, a gateway whose engines are all
-remote starts no fan-out thread, and a gateway mixing engine servers with
-in-process engines answers exactly like an in-process broker, a hung
-server failing only its own engines.  A host reply that does not answer
-exactly the engines it was asked for is refused.
+a batch costs one RPC per engine server, no fan-out without a deadline
+starts a thread (remote engines, in-process ones or both), and a gateway
+mixing engine servers with in-process engines answers exactly like an
+in-process broker, a hung server failing only its own engines.  A host
+reply that does not answer exactly the engines it was asked for is
+refused.
 """
 
 import json
@@ -163,9 +164,81 @@ class TestGatewayOverEngineServers:
         assert broker.dispatcher._threads._idle == []
 
 
+def dispatch_threads():
+    """Idents of the live ``repro-dispatch`` (fan-out) threads."""
+    return {
+        thread.ident for thread in threading.enumerate()
+        if thread.name == "repro-dispatch"
+    }
+
+
+def serve_searches(gateway, n):
+    """``n`` ``/search`` requests through ``gateway.handle``; returns how
+    many invoked an engine."""
+    invoked = 0
+    for i in range(n):
+        query = QUERIES[i % len(QUERIES)]
+        body = {
+            "query": {"kind": "query", "terms": list(query.terms),
+                      "weights": list(query.weights)},
+            "threshold": (0.0, 0.2)[i % 2],
+        }
+        response = gateway.handle(
+            "POST", "/search", {}, json.dumps(body).encode("utf-8")
+        )
+        assert response.status == 200
+        invoked += bool(response.payload["invoked"])
+    return invoked
+
+
+class TestNoFanOutThreadWithoutADeadline:
+    """Without a ``timeout`` no fan-out starts a thread, whatever
+    ``workers`` is: a gateway's in-process engines, a shard's
+    ``/dispatch`` and a mixed gateway all run their engine calls on the
+    request's thread."""
+
+    def test_a_gateway_over_in_process_engines(self):
+        before = dispatch_threads()
+        broker = MetasearchBroker(workers=8)
+        for collection in collections(4):
+            broker.register(SearchEngine(collection))
+        gateway = GatewayApp(broker, default_deadline=None)
+        assert serve_searches(gateway, 24) >= 20
+        assert broker.dispatcher._threads._idle == []
+        assert dispatch_threads() <= before
+
+    def test_a_shards_dispatch(self, serve):
+        before = dispatch_threads()
+        fleet = collections(4)
+        brokers = [MetasearchBroker(workers=4) for __ in range(2)]
+        for i, collection in enumerate(fleet):
+            brokers[i % 2].register(SearchEngine(collection))
+        shards = [ShardApp(b, shard_index=i) for i, b in enumerate(brokers)]
+        sharded = ShardedFleet([serve(shard) for shard in shards]).attach()
+        serve.remotes.append(sharded)
+        for i in range(24):
+            assert not sharded.search(QUERIES[i % len(QUERIES)], 0.0).failures
+        assert sum(map(dispatches, shards)) >= 20
+        for broker in brokers:
+            assert broker.dispatcher._threads._idle == []
+        assert dispatch_threads() <= before
+
+    def test_a_mixed_gateway(self, serve):
+        before = dispatch_threads()
+        fleet = collections(4)
+        broker, apps = gateway_broker(serve, fleet[:2], fleet[2:], workers=8)
+        gateway = GatewayApp(broker, default_deadline=None)
+        assert serve_searches(gateway, 24) >= 20
+        assert sum(map(dispatches, apps)) >= 1
+        assert broker.dispatcher._threads._idle == []
+        assert dispatch_threads() <= before
+
+
 class TestMixedGateway:
-    """Engine servers and in-process engines in one broker: the one
-    fan-out whose split calls still run on pooled threads."""
+    """Engine servers and in-process engines in one broker.  Without a
+    ``timeout`` the engine servers' requests are sent before the local
+    engines run, all on the request's thread; with one, the fan-out runs
+    on pooled threads, its split calls as plain ones."""
 
     def test_answers_equal_an_in_process_broker(self, serve):
         fleet = collections(4)

@@ -280,7 +280,8 @@ class TestAQuietFleetCostsNothing:
 
 class TestTheProbeIsSingleFlight:
     def test_concurrent_requests_probe_a_stale_host_once(self, monkeypatch):
-        monkeypatch.setattr(broker_module, "REPORT_MAX_AGE", 0.05)
+        # A probe's budget is the bound: 1 s outlasts the 0.5 s /healthz.
+        monkeypatch.setattr(broker_module, "REPORT_MAX_AGE", 1.0)
         [engine] = static_engines(1)
         app = SlowHealthz(engine)
         with serving(app) as (url,):
@@ -316,6 +317,30 @@ class TestTheProbeIsSingleFlight:
                 assert started == set()
             finally:
                 remote.close()
+
+
+class TestAHungProbeHoldsARequestNoLongerThanTheBound:
+    def test_a_probe_gives_up_at_the_bound_and_backs_off(self):
+        """A ``/healthz`` that takes 3 s behind a gateway whose engines
+        have a 10 s budget: the probing ``/search`` answers within
+        :data:`REPORT_MAX_AGE` (plus slack), the probe counts as failed,
+        and no request probes the host again within the bound."""
+        bound = broker_module.REPORT_MAX_AGE
+        [engine] = static_engines(1)
+        app = SlowHealthz(engine)
+        with serving(app) as (url,), served_gateway([url]) as (broker, client):
+            app.delay = 3.0
+            let_the_bound_pass()
+            started = time.monotonic()
+            assert client.search(ROCKET, 0.1).invoked == ["static0"]
+            assert time.monotonic() - started < bound + 0.75
+            assert broker.registry.value("broker.probes") == 1
+            assert broker.registry.value("broker.probes.failed") == 1
+            until = started + bound * 0.9
+            while time.monotonic() < until:  # no /dispatch reply reports
+                assert client.search(QUIET_QUERIES[3], 0.1).invoked == []
+                time.sleep(0.05)
+            assert broker.registry.value("broker.probes") == 1
 
 
 class TestOneLimitRule:

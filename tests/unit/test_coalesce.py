@@ -223,7 +223,10 @@ def test_expired_member_gets_504_without_spending_work():
 
 def test_expired_member_never_poisons_batchmates():
     executor = GatedExecutor()
-    window = CoalescingWindow(executor, max_wait=10.0, max_batch=8)
+    registry = MetricsRegistry()
+    window = CoalescingWindow(
+        executor, max_wait=10.0, max_batch=8, registry=registry, name="w"
+    )
     leader = threading.Thread(target=window.submit, args=(0,))
     leader.start()
     assert executor.entered.wait(5)
@@ -233,10 +236,17 @@ def test_expired_member_never_poisons_batchmates():
         [1, 2],
         deadlines=[Deadline(0.02), Deadline(30.0)],
     )
-    wait_queued(window, 2)
     # Hold the gate until the tight-budget member has expired out of the
-    # queue, so the surviving member demonstrably flushes without it.
-    wait_until(lambda: window.queued == 1, message="member 1 expiry")
+    # queue and the other is queued, so the surviving member demonstrably
+    # flushes without it.  Both states last (the counter only grows, and
+    # nothing flushes while the leader holds the gate); a queue of two
+    # need never be seen, as member 1 can expire before member 2 arrives.
+    wait_until(
+        lambda: registry.value(
+            "serving.coalesce.expired", labels={"window": "w"}
+        ) == 1 and window.queued == 1,
+        message="member 1 expired and member 2 queued",
+    )
     executor.gate.set()
     results, errors = finish()
     leader.join(timeout=10)

@@ -1,5 +1,6 @@
 """Unit tests for the concurrent dispatch layer (fault injection)."""
 
+import functools
 import os
 import random
 import signal
@@ -273,7 +274,11 @@ class TestDeadlineRaceWindow:
 
 class TestThreadReuse:
     """Fan-out threads come from a cache that outlives the fan-out; the
-    per-fan-out semantics stay those of a pool made for each fan-out."""
+    per-fan-out semantics stay those of a pool made for each fan-out.
+    Only a fan-out with a deadline to enforce uses them, so every
+    dispatcher here has a ``timeout`` no call comes near (:data:`POOLED`)."""
+
+    POOLED = 30.0
 
     @staticmethod
     def rendezvous_calls(n):
@@ -301,7 +306,7 @@ class TestThreadReuse:
             time.sleep(0.01)
 
     def test_back_to_back_fanouts_run_on_the_same_threads(self):
-        dispatcher = ConcurrentDispatcher(workers=3)
+        dispatcher = ConcurrentDispatcher(workers=3, timeout=self.POOLED)
         first = self.idents(dispatcher.dispatch(self.rendezvous_calls(3)))
         assert len(first) == 3
         for __ in range(5):
@@ -328,7 +333,7 @@ class TestThreadReuse:
     def test_concurrent_fanouts_each_run_workers_calls_at_once(self):
         """Two fan-outs in flight: each runs ``min(workers, calls)`` = 2
         calls at a time, and both pairs run together (no shared cap)."""
-        dispatcher = ConcurrentDispatcher(workers=2)
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=self.POOLED)
         barrier = threading.Barrier(4)  # both fan-outs' pairs at once
         peaks = {}
 
@@ -358,7 +363,7 @@ class TestThreadReuse:
         dispatcher.close()
 
     def test_calls_see_the_callers_ambient_deadline(self):
-        dispatcher = ConcurrentDispatcher(workers=2)
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=self.POOLED)
         calls = {name: lambda: [ambient_deadline()] for name in ("a", "b")}
         for deadline in (Deadline(5.0), Deadline(7.0), None):
             with deadline_scope(deadline):
@@ -371,7 +376,7 @@ class TestThreadReuse:
         """The parent's cached threads do not exist in a forked child; the
         child's first fan-out must start its own instead of waiting on
         them."""
-        dispatcher = ConcurrentDispatcher(workers=2)
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=self.POOLED)
         # Both parent threads ran a call, so both are cached idle.
         assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
         pid = os.fork()
@@ -444,14 +449,14 @@ class TestThreadReuse:
         self, monkeypatch
     ):
         monkeypatch.setattr("repro.metasearch.dispatch.IDLE_SECONDS", 0.05)
-        dispatcher = ConcurrentDispatcher(workers=2)
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=self.POOLED)
         self.wait_gone(self.idents(dispatcher.dispatch(self.rendezvous_calls(2))))
         assert dispatcher._threads._idle == []
         assert len(self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))) == 2
         dispatcher.close()
 
     def test_close_retires_idle_threads_and_dispatch_still_works(self):
-        dispatcher = ConcurrentDispatcher(workers=2)
+        dispatcher = ConcurrentDispatcher(workers=2, timeout=self.POOLED)
         first = self.idents(dispatcher.dispatch(self.rendezvous_calls(2)))
         dispatcher.close()
         self.wait_gone(first)
@@ -703,13 +708,111 @@ class TestSplitCalls:
         assert attempts == [threading.get_ident()] * 2
 
     def test_mixed_fanout_runs_split_calls_as_plain_ones(self):
+        """With a deadline to enforce over its plain call, a mixed fan-out
+        goes to the pool, where its split call is a plain one too."""
         log = []
         fake = FakeRemote("split", log, ["s"])
-        report = ConcurrentDispatcher(workers=2).dispatch(
+        report = ConcurrentDispatcher(workers=2, timeout=30.0).dispatch(
             {"split": SplitCall(fake.send), "plain": lambda: ["p"]}
         )
         assert report.results == {"split": ["s"], "plain": ["p"]}
         assert [step for step, __, __ in log] == ["send", "read"]
+        [(__, __, sent), (__, __, read)] = log
+        assert sent == read != threading.get_ident()
+
+
+def dispatch_threads():
+    """Idents of the live ``repro-dispatch`` (fan-out) threads."""
+    return {
+        thread.ident for thread in threading.enumerate()
+        if thread.name == "repro-dispatch"
+    }
+
+
+class TestTheFanOutRule:
+    """A fan-out runs on the caller's thread unless it has a deadline to
+    enforce over a plain call: without a ``timeout`` no fan-out thread
+    starts, whatever ``workers`` is, and split calls are sent before the
+    first plain call runs."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_plain_calls_without_a_deadline_run_on_the_callers_thread(
+        self, workers
+    ):
+        before = dispatch_threads()
+        dispatcher = ConcurrentDispatcher(workers=workers)
+        order = []
+
+        def call(name):
+            order.append(name)
+            return [threading.get_ident()]
+
+        names = [f"e{i}" for i in range(6)]
+        for __ in range(5):
+            report = dispatcher.dispatch(
+                {name: functools.partial(call, name) for name in names}
+            )
+            assert report.ok
+            assert [hits for hits in report.results.values()] == [
+                [threading.get_ident()]
+            ] * len(names)
+        assert order == names * 5
+        assert dispatcher._threads._idle == []
+        assert dispatch_threads() <= before
+
+    def test_a_mixed_fanout_without_a_deadline_sends_before_the_first_plain_call(
+        self,
+    ):
+        log = []
+        remotes = [FakeRemote(f"r{i}", log, [f"r{i}"]) for i in range(2)]
+
+        def plain(name):
+            log.append(("plain", name, threading.get_ident()))
+            return [name]
+
+        before = dispatch_threads()
+        dispatcher = ConcurrentDispatcher(workers=4)
+        report = dispatcher.dispatch({
+            "p0": functools.partial(plain, "p0"),
+            "r0": SplitCall(remotes[0].send),
+            "p1": functools.partial(plain, "p1"),
+            "r1": SplitCall(remotes[1].send),
+        })
+        assert report.results == {
+            "p0": ["p0"], "r0": ["r0"], "p1": ["p1"], "r1": ["r1"],
+        }
+        assert [(step, name) for step, name, __ in log] == [
+            ("send", "r0"), ("send", "r1"),
+            ("plain", "p0"), ("plain", "p1"),
+            ("read", "r0"), ("read", "r1"),
+        ]
+        assert {ident for __, __, ident in log} == {threading.get_ident()}
+        assert dispatch_threads() <= before
+
+    def test_a_raising_plain_call_is_retried_back_to_back_inline(self):
+        attempts = []
+
+        def flaky():
+            attempts.append(threading.get_ident())
+            if len(attempts) < 3:
+                raise ConnectionError("transient")
+            return ["ok"]
+
+        registry = MetricsRegistry()
+        dispatcher = ConcurrentDispatcher(
+            workers=8, retries=2, backoff=0.0, registry=registry
+        )
+        report = dispatcher.dispatch({"flaky": flaky, "down": self.down})
+        assert report.results == {"flaky": ["ok"]}
+        [failure] = report.failures
+        assert (failure.engine, failure.kind, failure.attempts) == ("down", "error", 3)
+        assert attempts == [threading.get_ident()] * 3
+        assert registry.value("dispatch.retries") == 4
+        assert registry.value("dispatch.attempts") == 6
+
+    @staticmethod
+    def down():
+        raise ConnectionError("down")
 
 
 class TestBrokerFaultInjection:
@@ -854,10 +957,14 @@ class TestRetryBackoffBudget:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_dispatch_clamps_backoff_to_ambient_deadline(self, sleeps, workers):
         """The request deadline reaches the retry loop wherever the worker
-        body runs — inline or on a pool thread."""
+        body runs — inline or on a pool thread (a fan-out with a deadline
+        of its own, far off)."""
         from repro.serving import Deadline, deadline_scope
 
-        dispatcher = ConcurrentDispatcher(workers=workers, retries=1, backoff=10.0)
+        dispatcher = ConcurrentDispatcher(
+            workers=workers, timeout=None if workers == 1 else 30.0,
+            retries=1, backoff=10.0,
+        )
         with deadline_scope(Deadline(0.05)):
             report = dispatcher.dispatch(
                 {"a": self.failing_call(), "b": self.failing_call()}

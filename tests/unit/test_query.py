@@ -1,8 +1,11 @@
 """Unit tests for repro.corpus.Query."""
 
+import copy
 import math
+import pickle
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -123,6 +126,56 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("weight", [1e200, 1e-170, sys.float_info.max])
     def test_extreme_single_weight_normalizes_to_one(self, weight):
         assert Query(("a",), (weight,)).normalized_weights().tolist() == [1.0]
+
+
+def unit_weights(weights):
+    """The normalized weights as :meth:`Query.normalized_weights` derives
+    them, computed here without its memo."""
+    ratios = [w / max(weights) for w in weights]
+    norm = math.sqrt(sum(r * r for r in ratios))
+    return [r / norm for r in ratios]
+
+
+class TestNormalizedWeightsMemo:
+    """The normalized weights are computed once per query; a caller gets
+    its own copy each time, and the memo is invisible to equality,
+    hashing and pickling."""
+
+    @given(st.lists(
+        st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=6
+    ))
+    def test_the_memo_answers_the_computation_bit_for_bit(self, weights):
+        terms = tuple(f"t{i}" for i in range(len(weights)))
+        query = Query(terms, tuple(weights))
+        want = np.array(unit_weights(weights)).tobytes().hex()
+        for __ in range(3):
+            assert query.normalized_weights().tobytes().hex() == want
+        assert [w for __, w in query.normalized_items()] == unit_weights(weights)
+
+    def test_a_caller_mutating_its_array_changes_no_later_answer(self):
+        query = Query(("a", "b", "c"), (1.0, 2.0, 2.0))
+        first = query.normalized_weights()
+        want = first.tobytes()
+        first[:] = 0.0
+        assert query.normalized_weights().tobytes() == want
+        assert query.normalized_weights() is not query.normalized_weights()
+        assert [w for __, w in query.normalized_items()] == unit_weights([1, 2, 2])
+
+    def test_equality_hashing_and_pickling_ignore_the_memo(self):
+        asked = Query(("a", "b"), (1.0, 3.0))
+        asked.normalized_weights()
+        fresh = Query(("a", "b"), (1.0, 3.0))
+        assert asked == fresh and hash(asked) == hash(fresh)
+        assert pickle.dumps(asked) == pickle.dumps(fresh)
+        assert copy.deepcopy(asked) == fresh
+        assert pickle.loads(pickle.dumps(asked)).normalized_weights().tobytes() == (
+            fresh.normalized_weights().tobytes()
+        )
+
+    def test_the_empty_query_normalizes_to_an_empty_array(self):
+        query = Query((), ())
+        assert query.normalized_weights().size == 0
+        assert query.normalized_weights().size == 0
 
 
 class TestPredicates:
