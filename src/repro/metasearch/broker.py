@@ -643,7 +643,9 @@ class MetasearchBroker(SearchPipeline):
         A *full* delta (from version 0, the empty representative) replaces
         whatever the broker holds — no base-version check — and evicts the
         whole engine from both caches (mode ``"full"``).  Any other delta
-        edits the representative in place.  The edit is bit-exact: the
+        edits the representative in place; an empty one at the version
+        already held (a pull that found nothing new) changes nothing, not
+        even the generation.  The edit is bit-exact: the
         updated representative equals the one a full rebuild of the
         mutated corpus would produce (in canonical sorted-term order); the
         dict-form reference the fleet store's in-place edit is tested
@@ -678,6 +680,14 @@ class MetasearchBroker(SearchPipeline):
                 raise ValueError(
                     f"delta for {name!r} is based on version "
                     f"{delta.from_version}, but the broker holds version {known}"
+                )
+            if not full and delta.is_empty and delta.to_version == known:
+                # Nothing to apply: the representative, the caches and the
+                # generation stay, so estimates in flight still land.
+                return DeltaApplyReport(
+                    name=name, from_version=known, to_version=known,
+                    mode="precise", terms_touched=0, cache_evicted=0,
+                    cache_retained=0, seconds=time.perf_counter() - started,
                 )
             affected: Optional[set] = None
             if not full and self.estimator.term_local:

@@ -497,7 +497,10 @@ class EngineHost:
 
     ``versions`` is the host's last version report (engine name ->
     version), as its last well-formed ``/dispatch`` or ``/healthz`` reply
-    gave it, and ``reported_at`` the ``time.monotonic()`` of that reply
+    gave it, with each engine's version of a later ``/representative``
+    reply written over it (unless a report that arrived while that pull
+    was in flight changed the engine's version); ``reported_at`` is the
+    ``time.monotonic()`` of that ``/dispatch`` or ``/healthz`` reply
     (``-inf`` before the first).
     """
 
@@ -507,9 +510,11 @@ class EngineHost:
         self.client = client
         self.versions: Dict[str, int] = {}
         self.reported_at = float("-inf")
+        self._reports = threading.Lock()
 
     def _report(self, versions: Dict[str, int]) -> None:
-        self.versions, self.reported_at = versions, time.monotonic()
+        with self._reports:
+            self.versions, self.reported_at = versions, time.monotonic()
 
     def probe(self) -> dict:
         """``GET /healthz``: records its version report and returns the
@@ -527,13 +532,21 @@ class EngineHost:
         """``engine``'s :class:`~repro.fleet.delta.RepresentativeDelta`
         from version ``since`` (``GET /representative?engine=&since=``):
         the full delta from version 0 when ``since`` is ``None`` or the
-        host cannot build one from it."""
+        host cannot build one from it.  The reply is the host's newest word
+        on ``engine``, so its ``to_version`` goes into :attr:`versions`,
+        unless a report that came in while the pull was in flight changed
+        ``engine``'s version (it may carry a later write)."""
         path = f"/representative?engine={quote(engine)}"
         if since is not None:
             path = f"{path}&since={int(since)}"
-        return self.client.request(
+        before = self.versions.get(engine)
+        delta = self.client.request(
             "GET", path, decode=RepresentativeDelta.from_json_dict
         )
+        with self._reports:
+            if self.versions.get(engine) == before:
+                self.versions = {**self.versions, engine: delta.to_version}
+        return delta
 
     def dispatch(self, asks: Sequence[Tuple[Query, float, List[str]]]) -> SplitCall:
         """The ``/dispatch`` call for ``asks``, one ``(query, threshold,

@@ -183,6 +183,68 @@ class TestAServedGatewayKeepsUp:
                 assert client.estimate(query, 0.1) == oracle.estimate_all(query, 0.1)
 
 
+class TestAPullThatWouldFindNothingIsNotMade:
+    def test_a_library_sync_leaves_nothing_to_pull(self, engine0, monkeypatch):
+        """A ``/representative`` reply is the host's newest word on its
+        engine.  After a library sync past the host's last report, the
+        catch-up step finds the version it holds: it pulls nothing, and
+        the generation (which estimates in flight put under) stays."""
+        monkeypatch.setattr(broker_module, "REPORT_MAX_AGE", 3600.0)
+        app, url = engine0
+        broker = MetasearchBroker(registry=MetricsRegistry())
+        remote = RemoteEngine(url)
+        try:
+            broker.sync_representative(remote)  # its name probe reports 1
+            add_zebra(url)
+            assert broker.sync_representative(remote).to_version == 2
+            generation = broker._generation
+            assert broker.estimate_all(ZEBRA, 0.1).names == ["engine0"]
+            assert broker.registry.value("broker.pulls") in (None, 0)
+            assert broker._generation == generation
+        finally:
+            remote.close()
+
+    def test_a_report_that_lands_during_a_pull_is_kept(self, engine0, monkeypatch):
+        """A pull answered before a write, whose reply is read only after a
+        ``/dispatch`` reply reported that write, must not record its older
+        version over the report: the next request pulls the write."""
+        monkeypatch.setattr(broker_module, "REPORT_MAX_AGE", 3600.0)
+        app, url = engine0
+        broker = MetasearchBroker(registry=MetricsRegistry())
+        remote = RemoteEngine(url)
+        host = remote.host
+        request, raced = host.client.request, []
+
+        def write_during_the_pull(method, path, *args, **kwargs):
+            answer = request(method, path, *args, **kwargs)
+            if path.startswith("/representative") and not raced:
+                raced.append(add_zebra(url))
+                host.dispatch([(ROCKET, 0.0, ["engine0"])])()
+            return answer
+
+        try:
+            broker.sync_representative(remote)  # its name probe reports 1
+            monkeypatch.setattr(host.client, "request", write_during_the_pull)
+            assert broker.sync_representative(remote).to_version == 1
+            assert raced and host.versions == {"engine0": 2}
+            assert broker.estimate_all(ZEBRA, 0.1).names == ["engine0"]
+            assert broker.registry.value("broker.pulls") == 1
+            assert broker.representative_version("engine0") == 2
+        finally:
+            remote.close()
+
+    def test_an_empty_delta_at_the_held_version_changes_nothing(self):
+        live = LiveEngineServer("live0", documents("d", [["rocket"]]))
+        broker = MetasearchBroker()
+        broker.sync_representative(live)
+        broker.estimate_all(ROCKET, 0.1)
+        generation, cached = broker._generation, len(broker.cache)
+        report = broker.sync_representative(live)
+        assert (report.from_version, report.to_version) == (1, 1)
+        assert (report.terms_touched, report.cache_evicted) == (0, 0)
+        assert (broker._generation, len(broker.cache)) == (generation, cached)
+
+
 class SlowHealthz(EngineApp):
     """An engine server whose ``/healthz`` takes ``delay`` seconds."""
 

@@ -93,22 +93,32 @@ class TestUnknownEstimatorName:
              "error: --methods names subrange more than once"),
             (["evaluate", "--database", "D2", "D1", "D2"],
              "error: --database names D2 more than once"),
+            (["fleet", "--groups", "0"], "error: --groups must be >= 1, got 0"),
+            (["fleet", "--queries", "0"], "error: --queries must be >= 1, got 0"),
+            (["stats", "--groups", "0"], "error: --groups must be >= 1, got 0"),
+            (["stats", "--queries", "0"], "error: --queries must be >= 1, got 0"),
+            (["batch", "--groups", "0"], "error: --groups must be >= 1, got 0"),
+            (["batch", "--queries", "0"], "error: --queries must be >= 1, got 0"),
         ],
         ids=["estimate", "evaluate", "evaluate-negative-queries",
              "evaluate-zero-queries", "evaluate-repeated-method",
-             "evaluate-repeated-database"],
+             "evaluate-repeated-database", "fleet-zero-groups",
+             "fleet-zero-queries", "stats-zero-groups", "stats-zero-queries",
+             "batch-zero-groups", "batch-zero-queries"],
     )
     def test_answers_error_before_any_work(self, argv, message, monkeypatch,
                                            capsys):
-        """An unknown estimator name or a bad ``evaluate`` option is a
-        usage error (exit 2, ``error: ...``) found before the collection is
-        read or D1-D3 are built."""
+        """An unknown estimator name, a bad ``evaluate`` option or an empty
+        demo fleet or query log is a usage error (exit 2, ``error: ...``)
+        found before the collection is read, D1-D3 are built or a
+        synthetic model is made."""
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the options were checked")
 
-        monkeypatch.setattr("repro.cli.load_collection", no_work)
-        monkeypatch.setattr("repro.cli.build_paper_databases", no_work)
+        monkeypatch.setattr("repro.cli.paper.load_collection", no_work)
+        monkeypatch.setattr("repro.cli.paper.build_paper_databases", no_work)
+        monkeypatch.setattr("repro.cli.demos.NewsgroupModel", no_work)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(message)
 

@@ -274,7 +274,21 @@ class TestConvertRep:
         assert (
             main(["convert-rep", str(rep_json), str(tmp_path / "o.json")]) == 2
         )
-        assert "exactly one" in capsys.readouterr().out
+        assert "exactly one" in capsys.readouterr().err
+
+    def test_rep_diff_refuses_two_databases(self, rep_json, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        engine = SearchEngine(
+            Collection.from_documents("other", [Document("d1", terms=["orbit"])])
+        )
+        build_representative(engine).save(other)
+        assert main(["rep-diff", str(rep_json), str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: representatives name different databases "
+            "('db' vs 'other')\n"
+        )
 
 
 class TestSpawnShards:
@@ -287,7 +301,7 @@ class TestSpawnShards:
         import argparse
         import io
 
-        from repro import cli
+        from repro.cli import serve
 
         started = []
 
@@ -312,7 +326,7 @@ class TestSpawnShards:
         monkeypatch.setattr(subprocess, "Popen", FakeShard)
         args = argparse.Namespace(collections=["a.jsonl", "b.jsonl"], shards=2)
         with pytest.raises(RuntimeError, match="shard 1 did not announce"):
-            cli._spawn_shards(args)
+            serve._spawn_shards(args)
         assert len(started) == 2
         assert [shard.events for shard in started] == [["terminate", "wait"]] * 2
 
@@ -324,7 +338,7 @@ class TestSpawnShards:
         pipe left unread would block the shard once it filled up."""
         import argparse
 
-        from repro import cli
+        from repro.cli import serve
 
         size = 256 * 1024
         script = (
@@ -340,7 +354,7 @@ class TestSpawnShards:
             ),
         )
         args = argparse.Namespace(collections=["a.jsonl"], shards=1)
-        [proc], urls = cli._spawn_shards(args)
+        [proc], urls = serve._spawn_shards(args)
         try:
             assert urls == ["http://127.0.0.1:1"]
             assert proc.wait(timeout=10) == 0
@@ -354,3 +368,27 @@ class TestSpawnShards:
             proc.kill()
             proc.wait()
             proc.stdout.close()
+
+    def test_a_usage_error_after_the_spawn_still_stops_the_shards(
+        self, monkeypatch, capsys
+    ):
+        """A usage error raised once the shards run (here a failed attach)
+        goes through the one error path, exit 2 and ``error: ...`` on
+        stderr, and ``serve coordinator`` still stops the shards."""
+        from repro.cli import serve
+        from repro.serving import ShardedFleet
+
+        stopped = []
+        monkeypatch.setattr(
+            serve, "_spawn_shards", lambda args: (["shard 0"], ["http://127.0.0.1:1"])
+        )
+        monkeypatch.setattr(serve, "_stop_shards", stopped.extend)
+
+        def refuse(fleet, timeout=None):
+            raise ValueError("no engine to attach")
+
+        monkeypatch.setattr(ShardedFleet, "attach", refuse)
+        argv = ["serve", "coordinator", "--shards", "1", "--collections", "a.jsonl"]
+        assert main(argv) == 2
+        assert stopped == ["shard 0"]
+        assert capsys.readouterr().err == "error: no engine to attach\n"

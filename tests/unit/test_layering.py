@@ -109,14 +109,16 @@ def _reached_by(name, modules):
 
 
 def unreached_modules():
-    """Modules no import chain from ``repro.__main__`` or an estimator
-    plug-in (a module calling ``register_estimator``) reaches, following
-    imports at any depth of the module."""
+    """Modules no import chain from a ``__main__`` module (``python -m
+    repro``, ``python -m repro.cli``) or an estimator plug-in (a module
+    calling ``register_estimator``) reaches, following imports at any
+    depth of the module."""
     modules = _modules()
-    pending = ["repro.__main__"] + [
+    pending = [
         name
         for name, (tree, __) in modules.items()
-        if any(
+        if name.endswith(".__main__")
+        or any(
             isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "register_estimator"
             for node in ast.walk(tree)
