@@ -7,7 +7,7 @@ of their documents and grow in ten steps to full size while a query batch
 runs after every step; refresh policies from "always" to "never" are swept
 and selection recall against the live oracle is measured, along with the
 number of syncs each policy paid for.  The engines are
-:class:`~repro.fleet.LiveEngineServer`\ s and a refresh is
+:class:`~repro.fleet.LiveEngineServer` instances and a refresh is
 ``MetasearchBroker.sync_representative`` — the policy is only the
 ``_grown_beyond`` predicate deciding *when* to call it.
 
@@ -112,12 +112,14 @@ def test_staleness_tolerance(benchmark, corpus_model, query_log):
     def run_policy(refresh_growth):
         broker = MetasearchBroker()
         servers = {}
+        seen = {}  # each engine's document count at its last sync
         syncs = 0
         for g, documents in all_docs.items():
             servers[g] = LiveEngineServer(
                 f"group{g:02d}", documents[: n_initial[g]]
             )
             broker.sync_representative(servers[g])
+            seen[g] = servers[g].n_documents
             syncs += 1
         missed = 0
         useful_total = 0
@@ -129,10 +131,10 @@ def test_staleness_tolerance(benchmark, corpus_model, query_log):
                 added = documents[start: start + tranche]
                 if added:
                     servers[g].add_documents(added)
-            for live in servers.values():
-                seen = broker.representative_of(live.name).n_documents
-                if _grown_beyond(live.n_documents, seen, refresh_growth):
+            for g, live in servers.items():
+                if _grown_beyond(live.n_documents, seen[g], refresh_growth):
                     broker.sync_representative(live)
+                    seen[g] = live.n_documents
                     syncs += 1
             batch = queries[
                 step * QUERIES_PER_STEP: (step + 1) * QUERIES_PER_STEP

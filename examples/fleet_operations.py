@@ -63,7 +63,7 @@ def main() -> None:
     )
     print(f"synced broker selects {broker.select(query, threshold)}")
     exact = (
-        broker.representative_of("group02").materialize()
+        broker.representative_of("group02")
         == live.delta_since(0).as_representative()
     )
     print(f"broker copy equals the engine's rebuilt representative: {exact}")

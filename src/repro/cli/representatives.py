@@ -1,5 +1,9 @@
 """Representative files: ``convert-rep`` (JSON <-> columnar ``.npz``) and
-``rep-diff`` (two snapshots -> the equivalent delta)."""
+``rep-diff`` (two snapshots -> the equivalent delta).
+
+The ``.npz`` form of one representative is a one-engine fleet bundle
+(:meth:`~repro.representatives.FleetRepresentativeStore.save_npz`), the
+same file ``serve shard --slice`` reads."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from repro.cli.common import UsageError
-from repro.representatives import DatabaseRepresentative
+from repro.representatives import DatabaseRepresentative, FleetRepresentativeStore
 
 
 def add_convert_rep(sub) -> None:
@@ -25,8 +29,6 @@ def add_convert_rep(sub) -> None:
 
 def _cmd_convert_rep(args: argparse.Namespace) -> int:
     """Convert a representative between JSON and the columnar ``.npz`` form."""
-    from repro.representatives.columnar import ColumnarRepresentative
-
     src = Path(args.input)
     dst = Path(args.output)
     to_npz = dst.suffix == ".npz"
@@ -37,7 +39,9 @@ def _cmd_convert_rep(args: argparse.Namespace) -> int:
         )
     representative = _load_any_representative(src)
     if to_npz:
-        ColumnarRepresentative.from_representative(representative).save_npz(dst)
+        store = FleetRepresentativeStore()
+        store.add(representative)
+        store.save_npz(dst)
     else:
         representative.save(dst)
     print(
@@ -67,12 +71,17 @@ def add_rep_diff(sub) -> None:
 
 
 def _load_any_representative(path: Path):
-    """A representative from JSON or the columnar ``.npz`` form, by suffix."""
-    from repro.representatives.columnar import ColumnarRepresentative
-
-    if path.suffix == ".npz":
-        return ColumnarRepresentative.load_npz(path).to_representative()
-    return DatabaseRepresentative.load(path)
+    """A representative from JSON or a one-engine ``.npz`` bundle, by
+    suffix."""
+    if path.suffix != ".npz":
+        return DatabaseRepresentative.load(path)
+    store = FleetRepresentativeStore.load_npz(path)
+    if len(store) != 1:
+        raise UsageError(
+            f"{path.name} holds {len(store)} representatives; "
+            "a representative file holds one"
+        )
+    return store.materialize(store.engine_names[0])
 
 
 def _cmd_rep_diff(args: argparse.Namespace) -> int:

@@ -82,9 +82,6 @@ class ExperimentResult:
         first = self.metrics[self.methods[0]]
         return [row.useful_queries for row in first]
 
-    def method_metrics(self, key: str) -> List[ThresholdMetrics]:
-        return self.metrics[key]
-
 
 #: Method keys of the subrange method on the paper's two degraded
 #: representatives: one byte per stored number (Tables 7-9) and the maximum

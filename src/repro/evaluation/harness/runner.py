@@ -135,15 +135,6 @@ class EvalResult:
     def config(self) -> str:
         return self.payload["config"]
 
-    def comparable(self) -> dict:
-        """The payload minus run identity (config label, timestamp) — two
-        backends claiming exactness must agree on this, byte for byte."""
-        return {
-            k: v
-            for k, v in self.payload.items()
-            if k not in ("config", "generated_at")
-        }
-
 
 def _score_estimator(
     backend,

@@ -93,10 +93,7 @@ from repro.metasearch.selection import (
 from repro.obs.registry import LATENCY_BUCKETS, NULL_REGISTRY, OCCUPANCY_BUCKETS
 from repro.obs.trace import QueryTrace
 from repro.representatives.builder import build_representative
-from repro.representatives.columnar import (
-    FleetRepresentativeRef,
-    FleetRepresentativeStore,
-)
+from repro.representatives.columnar import FleetRepresentativeStore
 from repro.representatives.representative import DatabaseRepresentative
 
 __all__ = [
@@ -598,12 +595,12 @@ class MetasearchBroker(SearchPipeline):
     def __len__(self) -> int:
         return len(self._engines)
 
-    def representative_of(self, name: str) -> FleetRepresentativeRef:
-        """A read-through view of ``name``'s packed representative
-        (``.materialize()`` rebuilds the dict form on demand)."""
+    def representative_of(self, name: str) -> DatabaseRepresentative:
+        """``name``'s representative, rebuilt bit-exactly from the fleet
+        store (a copy: editing it changes nothing the broker holds)."""
         if name not in self._engines:
             raise KeyError(name)
-        return FleetRepresentativeRef(name, self.fleet)
+        return self.fleet.materialize(name)
 
     def representative_version(self, name: str) -> Optional[int]:
         """Recorded source version of ``name``'s representative, if known."""
@@ -626,14 +623,6 @@ class MetasearchBroker(SearchPipeline):
         return self._engines[name]
 
     # -- live-fleet delta propagation ---------------------------------------------
-
-    def _present_terms(self, name: str) -> set:
-        """Term strings currently present in ``name``'s representative."""
-        vocab = self.fleet.vocab
-        return {
-            vocab.term_of(int(t))
-            for t in self.fleet.columnar_of(name).term_ids
-        }
 
     def apply_representative_delta(
         self, delta: RepresentativeDelta
@@ -697,7 +686,7 @@ class MetasearchBroker(SearchPipeline):
                     # terms this engine never held keep their (zero /
                     # negative) entries — they do not depend on the
                     # document count.
-                    affected |= self._present_terms(name)
+                    affected.update(self.fleet.terms_of(name))
             if full:
                 self.fleet.add(representative)
             else:

@@ -72,10 +72,6 @@ class Deadline:
             raise ValueError(f"deadline must be finite, got {value!r}")
         return cls(seconds)
 
-    def header_value(self) -> str:
-        """The remaining budget rendered for the wire."""
-        return repr(self.remaining())
-
     def __repr__(self) -> str:
         return f"Deadline(remaining={self.remaining():.3f}s)"
 

@@ -112,9 +112,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -174,18 +171,6 @@ class Histogram:
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
-        with self._lock:
-            counts = list(self._counts)
-        running = 0
-        out: List[Tuple[float, int]] = []
-        for bound, count in zip(self.bounds, counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + counts[-1]))
-        return out
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -300,9 +285,6 @@ class _NullGauge:
         pass
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     value = 0.0

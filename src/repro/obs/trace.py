@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 __all__ = ["QueryTrace", "Span"]
 
@@ -79,16 +79,6 @@ class QueryTrace:
         )
         self.spans.append(record)
         return record
-
-    def duration_of(self, name: str) -> Optional[float]:
-        """Duration of the first span called ``name``; None when absent."""
-        for span in self.spans:
-            if span.name == name:
-                return span.duration
-        return None
-
-    def stage_names(self) -> List[str]:
-        return [span.name for span in self.spans]
 
     @property
     def total_seconds(self) -> float:

@@ -5,7 +5,9 @@ The paper's full representative stores a quadruplet per distinct term —
 ``(p, w, sigma, mw)``: occurrence probability, mean and standard deviation of
 the term's normalized weights over the documents containing it, and the
 maximum normalized weight.  Builders derive these from an engine's inverted
-index; :mod:`repro.representatives.quantized` applies the one-byte
+index; :mod:`repro.representatives.columnar` packs a fleet of them into
+the broker's columnar store (which is also their binary ``.npz`` form);
+:mod:`repro.representatives.quantized` applies the one-byte
 approximation of Section 3.2; :mod:`repro.representatives.sizing` reproduces
 the scalability accounting.
 """
@@ -13,8 +15,6 @@ the scalability accounting.
 from repro.representatives.builder import build_representative
 from repro.representatives.columnar import (
     BrokerVocabulary,
-    ColumnarRepresentative,
-    FleetRepresentativeRef,
     FleetRepresentativeStore,
     partition_round_robin,
 )
@@ -32,9 +32,7 @@ from repro.representatives.term_stats import TermStats
 __all__ = [
     "BrokerVocabulary",
     "CollectionSizing",
-    "ColumnarRepresentative",
     "DatabaseRepresentative",
-    "FleetRepresentativeRef",
     "FleetRepresentativeStore",
     "PAPER_COLLECTION_STATS",
     "SubrangeScheme",

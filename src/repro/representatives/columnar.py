@@ -1,25 +1,22 @@
-"""Columnar representatives and the fleet-level store.
+"""The fleet-level columnar store of representatives.
 
 The dict-of-dataclasses :class:`~repro.representatives.DatabaseRepresentative`
 is convenient for one engine but ruinous at fleet scale: every term costs a
 dict slot, a frozen dataclass, and four boxed floats (~330 bytes measured),
 and every estimate walks it term-by-term in Python.  This module holds the
-same statistics in parallel numpy arrays keyed by a *shared broker
-vocabulary*, in three layers:
+same statistics in numpy arrays keyed by a *shared broker vocabulary*, in
+two layers:
 
 * :class:`BrokerVocabulary` — interns term strings into dense integer ids
   shared by every engine the broker knows.  Ids are append-only, so an id
   handed out once stays valid for the life of the broker.
-* :class:`ColumnarRepresentative` — one engine's representative as parallel
-  sorted arrays (``term_ids``, ``p``, ``w``, ``sigma``, ``mw``), convertible
-  losslessly to and from :class:`DatabaseRepresentative` and persistable as
-  a binary ``.npz`` (memory-mappable member arrays, vs. today's JSON).  It
-  is also the one per-engine form the fleet store holds between packs and
-  hands back from ``columnar_of``.
 * :class:`FleetRepresentativeStore` — the broker-side fleet matrix: all
   engines' statistics packed into one term-major compressed sparse layout,
   so a query gathers an ``(engines, terms)`` block of statistics with a few
-  array reads instead of ``engines x terms`` dict lookups.
+  array reads instead of ``engines x terms`` dict lookups.  It takes dict
+  representatives in, hands one back per engine (:meth:`materialize`), and
+  persists as a binary ``.npz`` bundle of any number of engines — a
+  one-engine bundle is ``convert-rep``'s file, a slice is a shard's.
 
 The packed layout exploits the Zipf reality of representatives: in measured
 builds ~60% of (engine, term) entries are singleton terms whose ``sigma``
@@ -35,7 +32,7 @@ from __future__ import annotations
 import io
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,8 +41,6 @@ from repro.representatives.term_stats import TermStats
 
 __all__ = [
     "BrokerVocabulary",
-    "ColumnarRepresentative",
-    "FleetRepresentativeRef",
     "FleetRepresentativeStore",
     "partition_round_robin",
 ]
@@ -64,8 +59,19 @@ def partition_round_robin(items: Sequence, n_shards: int) -> List[list]:
     items = list(items)
     return [items[i::n_shards] for i in range(n_shards)]
 
-#: .npz member schema version for :meth:`ColumnarRepresentative.save_npz`.
+
+#: .npz member schema version for :meth:`FleetRepresentativeStore.save_npz`.
 _FORMAT_VERSION = 1
+
+#: The members of a fleet bundle after ``format_version`` and ``kind``,
+#: each a one-dimensional array of this dtype.
+_BUNDLE_MEMBERS = {
+    "name_blob": np.uint8, "name_offsets": np.int64,
+    "n_documents": np.int64, "binary_mean_w": np.float64,
+    "entry_starts": np.int64, "term_local": np.int64,
+    "term_blob": np.uint8, "term_offsets": np.int64,
+    "p": np.float64, "w": np.float64, "sigma": np.float64, "mw": np.float64,
+}
 
 #: Sentinel id for terms a vocabulary has never seen.
 UNKNOWN_TERM = -1
@@ -83,6 +89,11 @@ def _encode_terms(terms: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _decode_terms(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
+    if (
+        offsets.size == 0 or offsets[0] != 0 or offsets[-1] != blob.size
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError("string offsets must run from 0 to the blob's end")
     raw = blob.tobytes()
     bounds = offsets.tolist()
     return [
@@ -167,290 +178,72 @@ class BrokerVocabulary:
         return f"BrokerVocabulary(terms={len(self._terms)})"
 
 
-class ColumnarRepresentative:
-    """One engine's representative as parallel sorted numpy arrays.
+class _Columns(NamedTuple):
+    """One engine's statistics as the store parks them between packs:
+    parallel columns over its distinct terms, sorted by ascending
+    vocabulary id, ``mw`` ``NaN`` where the representative withholds it."""
 
-    The arrays are parallel over the engine's distinct terms, sorted by
-    ascending ``term_ids`` (ids from the attached vocabulary):
+    term_ids: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    sigma: np.ndarray
+    mw: np.ndarray
 
-    * ``term_ids`` — int64 vocabulary ids, strictly ascending;
-    * ``p`` / ``w`` / ``sigma`` — float64 probability, mean weight, std;
-    * ``mw`` — float64 maximum weight, ``NaN`` where the representative
-      withholds it (the triplet form).
 
-    ``binary_mean_w`` is a carried statistic like ``n_documents``: the mean
-    of the per-term mean weights (the binary-independence estimator's
-    database weight) taken over the *source's* iteration order.  ``np.mean``
-    over another order can differ in the last ulp, so the value travels with
-    the representative through re-interning, slicing and ``.npz`` instead of
-    being recomputed from whatever order the columns are in.
-
-    Conversion to and from :class:`DatabaseRepresentative` is lossless and
-    bit-exact; the duck API (``get``/``items``/``n_documents``/...) matches
-    the dict representative's, so estimators accept either.
-    """
-
-    __slots__ = ("name", "n_documents", "vocab", "term_ids", "p", "w", "sigma",
-                 "mw", "binary_mean_w")
-
-    def __init__(
-        self,
-        name: str,
-        n_documents: int,
-        vocab: BrokerVocabulary,
-        term_ids: np.ndarray,
-        p: np.ndarray,
-        w: np.ndarray,
-        sigma: np.ndarray,
-        mw: np.ndarray,
-        binary_mean_w: Optional[float] = None,
-    ):
-        if n_documents < 0:
-            raise ValueError(f"n_documents must be >= 0, got {n_documents!r}")
-        term_ids = np.asarray(term_ids, dtype=np.int64)
-        arrays = [np.asarray(a, dtype=np.float64) for a in (p, w, sigma, mw)]
-        for arr in arrays:
-            if arr.shape != term_ids.shape or arr.ndim != 1:
-                raise ValueError("statistic arrays must parallel term_ids")
-        if term_ids.size > 1 and not np.all(np.diff(term_ids) > 0):
-            raise ValueError("term_ids must be strictly ascending")
-        p, w, sigma, mw = arrays
-        # TermStats' domain in one pass (every comparison is False on NaN):
-        # p in [0, 1]; w, sigma and mw finite and >= 0, NaN in mw meaning
-        # "no stored max".
-        in_domain = (
-            (p >= 0.0) & (p <= 1.0)
-            & (w >= 0.0) & (w < np.inf)
-            & (sigma >= 0.0) & (sigma < np.inf)
-            & (((mw >= 0.0) & (mw < np.inf)) | np.isnan(mw))
-        )
-        if not in_domain.all():
+def _check_bundle(members: Dict[str, np.ndarray]) -> Tuple[List[str], List[str]]:
+    """The engine names and term strings of a fleet bundle's members, once
+    every member is known to be well formed; a malformed bundle is a
+    ``ValueError``."""
+    for key, dtype in _BUNDLE_MEMBERS.items():
+        if members[key].ndim != 1 or members[key].dtype != dtype:
             raise ValueError(
-                "term statistics out of domain: p must lie in [0, 1]; w, "
-                "sigma and mw must be finite and >= 0 (mw may be NaN)"
+                f"bundle member {key!r} must be a 1-d {np.dtype(dtype)} array"
             )
-        if binary_mean_w is None:
-            binary_mean_w = float(np.mean(arrays[1])) if term_ids.size else 0.0
-        for arr in (term_ids, *arrays):
-            arr.setflags(write=False)
-        self._fill(name, int(n_documents), vocab, term_ids, *arrays,
-                   float(binary_mean_w))
-
-    def _fill(self, name, n_documents, vocab, term_ids, p, w, sigma, mw,
-              binary_mean_w) -> None:
-        self.name = name
-        self.n_documents = n_documents
-        self.vocab = vocab
-        self.term_ids = term_ids
-        self.p, self.w, self.sigma, self.mw = p, w, sigma, mw
-        self.binary_mean_w = binary_mean_w
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, *fields) -> "ColumnarRepresentative":
-        """The constructor minus validation and write-protection — for the
-        fleet store, whose columns are fresh float64 arrays, parallel and
-        id-sorted by construction (reconstructed on every single-engine
-        read and every delta apply)."""
-        self = cls.__new__(cls)
-        self._fill(*fields)
-        return self
-
-    @classmethod
-    def _interned(
-        cls, name, n_documents, vocab, terms, p, w, sigma, mw, binary_mean_w
-    ) -> "ColumnarRepresentative":
-        """Columns parallel to ``terms`` (any order), interned into
-        ``vocab`` and sorted by the resulting ids."""
-        ids = vocab.intern_many(terms)
-        order = np.argsort(ids, kind="stable")
-        return cls(name, n_documents, vocab, ids[order], p[order], w[order],
-                   sigma[order], mw[order], binary_mean_w)
-
-    @classmethod
-    def from_representative(
-        cls,
-        representative: DatabaseRepresentative,
-        vocab: Optional[BrokerVocabulary] = None,
-    ) -> "ColumnarRepresentative":
-        """Intern the dict representative's terms and columnarize it."""
-        items = list(representative.items())
-        p, w, sigma, mw = _stat_columns([stats for __, stats in items])
-        return cls._interned(
-            representative.name,
-            representative.n_documents,
-            vocab if vocab is not None else BrokerVocabulary(),
-            [term for term, __ in items], p, w, sigma, mw,
-            # Taken here, in the dict's iteration order, before sorting
-            # loses it: bit-identical to the scalar binary estimator.
-            float(np.mean(w)) if items else 0.0,
+    names = _decode_terms(members["name_blob"], members["name_offsets"])
+    terms = _decode_terms(members["term_blob"], members["term_offsets"])
+    if len(set(names)) != len(names) or len(set(terms)) != len(terms):
+        raise ValueError("engine names and term strings must be distinct")
+    local = members["term_local"]
+    for keys, want in ((("n_documents", "binary_mean_w"), len(names)),
+                       (("p", "w", "sigma", "mw"), local.size)):
+        for key in keys:
+            if members[key].size != want:
+                raise ValueError(f"bundle member {key!r} holds "
+                                 f"{members[key].size} values, not {want}")
+    starts = members["entry_starts"]
+    if (
+        starts.size != len(names) + 1 or starts[0] != 0
+        or starts[-1] != local.size or (np.diff(starts) < 0).any()
+    ):
+        raise ValueError(
+            "entry_starts must run from 0 to the entry count, never decreasing"
         )
-
-    def with_vocab(self, vocab: BrokerVocabulary) -> "ColumnarRepresentative":
-        """This representative re-interned into ``vocab`` (itself when it
-        already is)."""
-        if vocab is self.vocab:
-            return self
-        return self._interned(
-            self.name, self.n_documents, vocab,
-            [self.vocab.term_of(t) for t in self.term_ids.tolist()],
-            self.p, self.w, self.sigma, self.mw, self.binary_mean_w,
+    if (members["n_documents"] < 0).any():
+        raise ValueError("n_documents must be >= 0")
+    if local.size and (local.min() < 0 or local.max() >= len(terms)):
+        raise ValueError(f"term_local must lie in [0, {len(terms)})")
+    # Within each engine the local indices strictly ascend (the order
+    # save_npz writes); the step into the next engine may go down.
+    opens_engine = np.zeros(local.size + 1, dtype=bool)
+    opens_engine[starts] = True
+    if not ((np.diff(local) > 0) | opens_engine[1:-1]).all():
+        raise ValueError("an engine's term_local must be strictly ascending")
+    p, w, sigma, mw = (members[key] for key in ("p", "w", "sigma", "mw"))
+    # TermStats' domain in one pass (every comparison is False on NaN):
+    # p in [0, 1]; w, sigma and mw finite and >= 0, NaN in mw meaning
+    # "no stored max".
+    in_domain = (
+        (p >= 0.0) & (p <= 1.0)
+        & (w >= 0.0) & (w < np.inf)
+        & (sigma >= 0.0) & (sigma < np.inf)
+        & (((mw >= 0.0) & (mw < np.inf)) | np.isnan(mw))
+    )
+    if not in_domain.all():
+        raise ValueError(
+            "term statistics out of domain: p must lie in [0, 1]; w, "
+            "sigma and mw must be finite and >= 0 (mw may be NaN)"
         )
-
-    def to_representative(self) -> DatabaseRepresentative:
-        """The equivalent dict representative (canonical term-id order)."""
-        return DatabaseRepresentative(
-            name=self.name,
-            n_documents=self.n_documents,
-            term_stats=dict(self.items()),
-        )
-
-    # -- duck API (DatabaseRepresentative-compatible) ------------------------
-
-    def _index_of(self, term: str) -> int:
-        tid = self.vocab.id_of(term)
-        if tid == UNKNOWN_TERM:
-            return -1
-        i = int(np.searchsorted(self.term_ids, tid))
-        if i < self.term_ids.size and self.term_ids[i] == tid:
-            return i
-        return -1
-
-    def _stats_at(self, i: int) -> TermStats:
-        raw_mw = float(self.mw[i])
-        return TermStats(
-            probability=float(self.p[i]),
-            mean=float(self.w[i]),
-            std=float(self.sigma[i]),
-            max_weight=None if raw_mw != raw_mw else raw_mw,
-        )
-
-    def get(self, term: str) -> Optional[TermStats]:
-        i = self._index_of(term)
-        return self._stats_at(i) if i >= 0 else None
-
-    def __contains__(self, term: str) -> bool:
-        return self._index_of(term) >= 0
-
-    def __len__(self) -> int:
-        return int(self.term_ids.size)
-
-    @property
-    def n_terms(self) -> int:
-        return int(self.term_ids.size)
-
-    def items(self) -> Iterator[Tuple[str, TermStats]]:
-        for i, tid in enumerate(self.term_ids.tolist()):
-            yield self.vocab.term_of(tid), self._stats_at(i)
-
-    @property
-    def has_max_weights(self) -> bool:
-        return not bool(np.isnan(self.mw).any())
-
-    def document_frequency(self, term: str) -> float:
-        i = self._index_of(term)
-        return float(self.p[i]) * self.n_documents if i >= 0 else 0.0
-
-    def as_triplets(self) -> "ColumnarRepresentative":
-        """The triplet view: ``mw`` withheld for every term."""
-        return ColumnarRepresentative(
-            name=self.name,
-            n_documents=self.n_documents,
-            vocab=self.vocab,
-            term_ids=self.term_ids,
-            p=self.p,
-            w=self.w,
-            sigma=self.sigma,
-            mw=np.full(self.mw.shape, np.nan),
-            binary_mean_w=self.binary_mean_w,
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the statistic arrays (the vocabulary is shared
-        and accounted separately)."""
-        return sum(
-            a.nbytes for a in (self.term_ids, self.p, self.w, self.sigma, self.mw)
-        )
-
-    # -- persistence ---------------------------------------------------------
-
-    def save_npz(self, path: Union[str, Path, io.IOBase]) -> None:
-        """Write the representative as an *uncompressed* ``.npz``.
-
-        Uncompressed members keep ``np.load(..., mmap_mode)``-style lazy
-        reads cheap and make the statistics arrays page-mappable; terms go
-        as a UTF-8 blob plus offsets so ``allow_pickle=False`` suffices.
-        """
-        terms = [self.vocab.term_of(t) for t in self.term_ids.tolist()]
-        blob, offsets = _encode_terms(terms)
-        np.savez(
-            path,
-            format_version=np.int64(_FORMAT_VERSION),
-            kind=np.frombuffer(b"columnar-representative", dtype=np.uint8),
-            name=np.frombuffer(self.name.encode("utf-8"), dtype=np.uint8),
-            n_documents=np.int64(self.n_documents),
-            term_blob=blob,
-            term_offsets=offsets,
-            p=self.p,
-            w=self.w,
-            sigma=self.sigma,
-            mw=self.mw,
-            binary_mean_w=np.float64(self.binary_mean_w),
-        )
-
-    @classmethod
-    def load_npz(
-        cls,
-        path: Union[str, Path, io.IOBase],
-        vocab: Optional[BrokerVocabulary] = None,
-    ) -> "ColumnarRepresentative":
-        """Read a representative written by :meth:`save_npz`, interning its
-        terms into ``vocab`` (a fresh private vocabulary when omitted)."""
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["format_version"])
-            if version != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported representative format version {version}"
-                )
-            kind = data["kind"].tobytes().decode("utf-8")
-            if kind != "columnar-representative":
-                raise ValueError(f"not a columnar representative: {kind!r}")
-            name = data["name"].tobytes().decode("utf-8")
-            n_documents = int(data["n_documents"])
-            terms = _decode_terms(data["term_blob"], data["term_offsets"])
-            p = data["p"].copy()
-            w = data["w"].copy()
-            sigma = data["sigma"].copy()
-            mw = data["mw"].copy()
-            # Absent from files written before the member existed: those
-            # fall back to the constructor's column-order mean.
-            binary_mean_w = (
-                float(data["binary_mean_w"])
-                if "binary_mean_w" in data.files
-                else None
-            )
-        return cls._interned(
-            name, n_documents,
-            vocab if vocab is not None else BrokerVocabulary(),
-            terms, p, w, sigma, mw, binary_mean_w,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarRepresentative):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.n_documents == other.n_documents
-            and self.to_representative() == other.to_representative()
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarRepresentative({self.name!r}, docs={self.n_documents}, "
-            f"terms={self.n_terms}, max_weights={self.has_max_weights})"
-        )
+    return names, terms
 
 
 def _smallest_uint(max_value: int) -> np.dtype:
@@ -526,8 +319,8 @@ class FleetRepresentativeStore:
     """Every engine's representative, packed into fleet-wide term-major
     arrays keyed by a shared :class:`BrokerVocabulary`.
 
-    ``add`` accepts dict or columnar representatives and parks the changed
-    engine's dense columns as *pending*; the first fleet-wide read after a
+    ``add`` takes a dict representative and parks the changed engine's
+    dense columns as *pending*; the first fleet-wide read after a
     change merges the pending engines into the packed layout (the other
     engines' entries keep their place, so a write costs the engine it
     changes plus one linear pass) and drops their columns, so resident
@@ -546,7 +339,7 @@ class FleetRepresentativeStore:
         self._binary_mean_w: List[float] = []
         self._n_terms: List[int] = []
         # Every engine is either pending or fully in the packed layout.
-        self._pending: Dict[int, ColumnarRepresentative] = {}
+        self._pending: Dict[int, _Columns] = {}
         # Writes and the lazy pack hold it, so a pack never runs on two
         # threads at once nor drops an engine parked while it ran.
         self._lock = threading.RLock()
@@ -558,42 +351,55 @@ class FleetRepresentativeStore:
 
     # -- registration --------------------------------------------------------
 
-    def add(
-        self,
-        representative: Union[DatabaseRepresentative, ColumnarRepresentative],
-    ) -> "FleetRepresentativeRef":
-        """Add or replace an engine's representative (keyed by its name).
+    def add(self, representative: DatabaseRepresentative) -> None:
+        """Add or replace an engine's representative (keyed by its name)."""
+        items = list(representative.items())
+        p, w, sigma, mw = _stat_columns([stats for __, stats in items])
+        self._park(
+            representative.name, representative.n_documents,
+            self._interned([term for term, __ in items], p, w, sigma, mw),
+            # Taken here, in the dict's iteration order, before sorting
+            # loses it: bit-identical to the scalar binary estimator.
+            float(np.mean(w)) if items else 0.0,
+        )
 
-        Returns:
-            A lightweight :class:`FleetRepresentativeRef` reading through
-            this store — hand it to anything expecting a representative.
+    def _interned(self, terms, p, w, sigma, mw) -> _Columns:
+        """Columns parallel to ``terms`` (any order), interned into the
+        store's vocabulary and sorted by the resulting ids."""
+        ids = self.vocab.intern_many(terms)
+        order = np.argsort(ids, kind="stable")
+        return _Columns(ids[order], p[order], w[order], sigma[order], mw[order])
+
+    def _park(
+        self, name: str, n_documents: int, columns: _Columns,
+        binary_mean_w: float,
+    ) -> None:
+        """Record an engine's metadata and park its columns as pending.
+
+        ``binary_mean_w`` is a carried statistic like ``n_documents``: the
+        mean of the per-term mean weights taken over the *source's*
+        iteration order.  ``np.mean`` over the id-sorted columns can differ
+        in the last ulp, so it is never recomputed from them.
         """
-        if isinstance(representative, ColumnarRepresentative):
-            columns = representative.with_vocab(self.vocab)
-        else:
-            columns = ColumnarRepresentative.from_representative(
-                representative, self.vocab
-            )
-        name = columns.name
+        has_max_weights = not bool(np.isnan(columns.mw).any())
         with self._lock:
             index = self._by_name.get(name)
             if index is None:
                 index = len(self._names)
                 self._names.append(name)
                 self._by_name[name] = index
-                self._n_documents.append(columns.n_documents)
-                self._has_mw_default.append(columns.has_max_weights)
-                self._binary_mean_w.append(columns.binary_mean_w)
-                self._n_terms.append(columns.n_terms)
+                self._n_documents.append(n_documents)
+                self._has_mw_default.append(has_max_weights)
+                self._binary_mean_w.append(binary_mean_w)
+                self._n_terms.append(columns.term_ids.size)
             else:
-                self._n_documents[index] = columns.n_documents
-                self._has_mw_default[index] = columns.has_max_weights
-                self._binary_mean_w[index] = columns.binary_mean_w
-                self._n_terms[index] = columns.n_terms
+                self._n_documents[index] = n_documents
+                self._has_mw_default[index] = has_max_weights
+                self._binary_mean_w[index] = binary_mean_w
+                self._n_terms[index] = columns.term_ids.size
             self._pending[index] = columns
             self._docs_array = None
             self._mean_w_array = None
-        return FleetRepresentativeRef(name, self)
 
     def apply_delta(self, delta) -> None:
         """Apply a :class:`~repro.fleet.delta.RepresentativeDelta` in place.
@@ -677,11 +483,10 @@ class FleetRepresentativeStore:
         means = [float(merged_w[i]) for i in by_string]
         binary_mean_w = float(np.mean(means)) if means else 0.0
 
-        self.add(
-            ColumnarRepresentative._trusted(
-                delta.name, n_new, self.vocab, merged_ids, merged_p,
-                merged_w, merged_sigma, merged_mw, binary_mean_w,
-            )
+        self._park(
+            delta.name, n_new,
+            _Columns(merged_ids, merged_p, merged_w, merged_sigma, merged_mw),
+            binary_mean_w,
         )
 
     # -- packing -------------------------------------------------------------
@@ -702,7 +507,7 @@ class FleetRepresentativeStore:
         mw[packed.extra_pos] = packed.mw_extra
         return term_ids, packed.engine_idx, packed.p, packed.w, sigma, mw
 
-    def _columns_at(self, index: int) -> ColumnarRepresentative:
+    def _columns_at(self, index: int) -> _Columns:
         """Dense columns for one engine: its pending columns, else its
         entries of the packed layout (single-engine reads and delta
         applies; bit-exact)."""
@@ -728,10 +533,7 @@ class FleetRepresentativeStore:
             hit = packed.extra_pos[where] == positions
             sigma[hit] = packed.sigma_extra[where[hit]]
             mw[hit] = packed.mw_extra[where[hit]]
-        return ColumnarRepresentative._trusted(
-            self._names[index], self._n_documents[index], self.vocab,
-            term_ids, p, w, sigma, mw, self._binary_mean_w[index],
-        )
+        return _Columns(term_ids, p, w, sigma, mw)
 
     def _pack(self) -> _PackedFleet:
         """Merge the pending engines' columns into the term-major layout.
@@ -751,7 +553,7 @@ class FleetRepresentativeStore:
         pending = list(self._pending.items())
         fresh = [
             np.concatenate([c.term_ids for __, c in pending]),
-            np.concatenate([np.full(c.n_terms, i) for i, c in pending]),
+            np.concatenate([np.full(c.term_ids.size, i) for i, c in pending]),
             *(
                 np.concatenate([getattr(c, stat) for __, c in pending])
                 for stat in ("p", "w", "sigma", "mw")
@@ -826,9 +628,6 @@ class FleetRepresentativeStore:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def index_of(self, name: str) -> int:
-        return self._by_name[name]
-
     @property
     def n_documents(self) -> np.ndarray:
         if self._docs_array is None:
@@ -847,12 +646,6 @@ class FleetRepresentativeStore:
             arr.flags.writeable = False
             self._mean_w_array = arr
         return self._mean_w_array
-
-    def has_max_weights(self, name: str) -> bool:
-        return self._has_mw_default[self._by_name[name]]
-
-    def n_terms_of(self, name: str) -> int:
-        return self._n_terms[self._by_name[name]]
 
     def gather(
         self, term_ids: np.ndarray
@@ -897,74 +690,39 @@ class FleetRepresentativeStore:
                     mw[rows[local], j] = packed.mw_extra[first:last]
         return p, w, sigma, mw
 
-    def term_stats(self, name: str, term: str) -> Optional[TermStats]:
-        """One engine's stats for one term, reconstructed bit-exactly."""
-        index = self._by_name[name]
-        pending = self._pending.get(index)
-        if pending is not None:
-            return pending.get(term)
-        packed = self._packed
-        tid = self.vocab.id_of(term)
-        if tid == UNKNOWN_TERM or tid >= packed.vocab_size:
-            return None
-        lo = int(packed.starts[tid])
-        hi = int(packed.starts[tid + 1])
-        rows = packed.engine_idx[lo:hi]
-        i = int(np.searchsorted(rows, index))
-        if i >= rows.size or rows[i] != index:
-            return None
-        entry = lo + i
-        std = 0.0
-        if self._has_mw_default[index]:
-            raw_mw: float = float(packed.w[entry])
-        else:
-            raw_mw = float("nan")
-        if packed.extra_pos.size:
-            at = int(np.searchsorted(packed.extra_pos, entry))
-            if at < packed.extra_pos.size and packed.extra_pos[at] == entry:
-                std = float(packed.sigma_extra[at])
-                raw_mw = float(packed.mw_extra[at])
-        return TermStats(
-            probability=float(packed.p[entry]),
-            mean=float(packed.w[entry]),
-            std=std,
-            max_weight=None if raw_mw != raw_mw else raw_mw,
-        )
-
     def materialize(self, name: str) -> DatabaseRepresentative:
         """Reconstruct one engine's dict representative (bit-exact, in
         canonical term-id order).  One mask over the packed entries, never
         a repack — a diagnostics and interop path, not a hot one."""
-        return self.columnar_of(name).to_representative()
+        index = self._by_name[name]
+        columns = self._columns_at(index)
+        term_of = self.vocab.term_of
+        return DatabaseRepresentative(
+            name,
+            self._n_documents[index],
+            {
+                term_of(tid): TermStats(p, w, sigma, None if mw != mw else mw)
+                for tid, p, w, sigma, mw in zip(
+                    *(column.tolist() for column in columns)
+                )
+            },
+        )
+
+    def terms_of(self, name: str) -> List[str]:
+        """The term strings ``name``'s representative holds, read off its
+        pending or packed columns without a repack."""
+        term_of = self.vocab.term_of
+        return [
+            term_of(tid)
+            for tid in self._columns_at(self._by_name[name]).term_ids.tolist()
+        ]
 
     # -- slicing and persistence ---------------------------------------------
-
-    def columnar_of(self, name: str) -> ColumnarRepresentative:
-        """One engine's representative as a :class:`ColumnarRepresentative`
-        sharing this store's vocabulary (bit-exact reconstruction)."""
-        return self._columns_at(self._by_name[name])
 
     def partition(self, n_shards: int) -> List[List[str]]:
         """Engine names dealt round-robin (registration order) into
         ``n_shards`` slices — the canonical shard assignment."""
         return partition_round_robin(self._names, n_shards)
-
-    def slice_engines(
-        self,
-        names: Sequence[str],
-        vocab: Optional[BrokerVocabulary] = None,
-    ) -> "FleetRepresentativeStore":
-        """A new store holding only ``names`` (a shard's slice).
-
-        The slice gets its own (fresh or supplied) vocabulary; statistics
-        reconstruct bit-exactly, and each engine's registration-time binary
-        mean weight travels with its columns, so shard estimates match the
-        fleet-wide broker bit-for-bit.
-        """
-        store = FleetRepresentativeStore(vocab)
-        for name in names:
-            store.add(self.columnar_of(name))
-        return store
 
     def save_npz(self, path: Union[str, Path, io.IOBase]) -> None:
         """Write the whole fleet (or slice) as one uncompressed ``.npz``.
@@ -1017,7 +775,15 @@ class FleetRepresentativeStore:
         path: Union[str, Path, io.IOBase],
         vocab: Optional[BrokerVocabulary] = None,
     ) -> "FleetRepresentativeStore":
-        """Read a fleet bundle written by :meth:`save_npz`."""
+        """Read a fleet bundle written by :meth:`save_npz`, interning its
+        terms into ``vocab`` (a fresh private vocabulary when omitted).
+
+        The whole bundle is checked before a term is interned — member
+        shapes, ``entry_starts``, each engine's ``term_local`` strictly
+        ascending inside the term table, and every statistic inside
+        :class:`TermStats`' domain — so a malformed file is a
+        ``ValueError``, never a partly loaded store.
+        """
         with np.load(path, allow_pickle=False) as data:
             version = int(data["format_version"])
             if version != _FORMAT_VERSION:
@@ -1027,26 +793,24 @@ class FleetRepresentativeStore:
             kind = data["kind"].tobytes().decode("utf-8")
             if kind != "columnar-fleet":
                 raise ValueError(f"not a columnar fleet bundle: {kind!r}")
-            names = _decode_terms(data["name_blob"], data["name_offsets"])
-            n_documents = data["n_documents"].tolist()
-            binary_mean_w = data["binary_mean_w"].tolist()
-            entry_starts = data["entry_starts"].tolist()
-            term_local = data["term_local"]
-            terms = _decode_terms(data["term_blob"], data["term_offsets"])
-            p = data["p"].copy()
-            w = data["w"].copy()
-            sigma = data["sigma"].copy()
-            mw = data["mw"].copy()
+            missing = sorted(set(_BUNDLE_MEMBERS) - set(data.files))
+            if missing:
+                raise ValueError(f"fleet bundle lacks members {missing}")
+            members = {key: data[key] for key in _BUNDLE_MEMBERS}
+        names, terms = _check_bundle(members)
+        starts = members["entry_starts"].tolist()
+        local = members["term_local"]
+        p, w, sigma, mw = (members[key] for key in ("p", "w", "sigma", "mw"))
         store = cls(vocab)
         for i, name in enumerate(names):
-            lo, hi = entry_starts[i], entry_starts[i + 1]
-            store.add(
-                ColumnarRepresentative._interned(
-                    name, int(n_documents[i]), store.vocab,
-                    [terms[k] for k in term_local[lo:hi].tolist()],
+            lo, hi = starts[i], starts[i + 1]
+            store._park(
+                name, int(members["n_documents"][i]),
+                store._interned(
+                    [terms[k] for k in local[lo:hi].tolist()],
                     p[lo:hi], w[lo:hi], sigma[lo:hi], mw[lo:hi],
-                    float(binary_mean_w[i]),
-                )
+                ),
+                float(members["binary_mean_w"][i]),
             )
         return store
 
@@ -1071,53 +835,3 @@ class FleetRepresentativeStore:
             f"FleetRepresentativeStore(engines={len(self._names)}, "
             f"vocab={len(self.vocab)})"
         )
-
-
-class FleetRepresentativeRef:
-    """A representative facade reading through a fleet store.
-
-    Registered engines in columnar brokers keep no per-engine dict
-    representative; anything that walks a representative (the scalar
-    estimators, diagnostics) goes through this reference, which answers
-    from the packed fleet layout bit-exactly.
-    """
-
-    __slots__ = ("name", "_store")
-
-    def __init__(self, name: str, store: FleetRepresentativeStore):
-        self.name = name
-        self._store = store
-
-    @property
-    def n_documents(self) -> int:
-        return int(self._store._n_documents[self._store.index_of(self.name)])
-
-    def get(self, term: str) -> Optional[TermStats]:
-        return self._store.term_stats(self.name, term)
-
-    def __contains__(self, term: str) -> bool:
-        return self.get(term) is not None
-
-    def __len__(self) -> int:
-        return self._store.n_terms_of(self.name)
-
-    @property
-    def n_terms(self) -> int:
-        return self._store.n_terms_of(self.name)
-
-    @property
-    def has_max_weights(self) -> bool:
-        return self._store.has_max_weights(self.name)
-
-    def document_frequency(self, term: str) -> float:
-        stats = self.get(term)
-        return stats.probability * self.n_documents if stats else 0.0
-
-    def items(self) -> Iterator[Tuple[str, TermStats]]:
-        return self._store.materialize(self.name).items()
-
-    def materialize(self) -> DatabaseRepresentative:
-        return self._store.materialize(self.name)
-
-    def __repr__(self) -> str:
-        return f"FleetRepresentativeRef({self.name!r})"

@@ -57,7 +57,7 @@ def quantize_representative(
     for field, values in columns.items():
         quantizer = unit_interval if field == "probability" else observed_range
         grid = quantizer.fit(values)
-        decoded[field] = grid.decode(grid.encode(values))
+        decoded[field] = grid.roundtrip(values)
     has_max = "max_weight" in decoded
     term_stats = {}
     for i, (term, __) in enumerate(items):

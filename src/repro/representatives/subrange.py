@@ -67,11 +67,6 @@ class SubrangeScheme:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
-    @property
-    def n_subranges(self) -> int:
-        """Number of subranges, counting the max-weight singleton."""
-        return len(self.masses) + (1 if self.include_max else 0)
-
     def normal_offsets(self) -> Tuple[float, ...]:
         """The ``c_j`` constants: standard-normal quantiles of the medians.
 

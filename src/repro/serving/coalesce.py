@@ -185,11 +185,6 @@ class CoalescingWindow:
         with self._cond:
             return len(self._queue)
 
-    @property
-    def inflight(self) -> int:
-        with self._cond:
-            return self._inflight
-
     def __repr__(self) -> str:
         with self._cond:
             return (

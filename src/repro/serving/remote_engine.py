@@ -159,6 +159,13 @@ class _Connection:
     def close(self) -> None:
         rfile, sock = self._rfile, self.sock
         self._rfile = self.sock = None
+        if sock is not None:
+            # Wakes a read in flight on another thread at once: the
+            # reader's close below waits for that read to give up its lock.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if rfile is not None:
             rfile.close()
         if sock is not None:

@@ -11,8 +11,8 @@ Covered: estimate_all/estimate_batch/search equality across all six
 estimator families, the estimate cache in front of the grid (and the
 zero-capacity cache that stands in for none), representative refresh via
 re-registration, the ``TypeError`` for an estimator type without a
-kernel, and the lightweight read-through ref the registration keeps in
-place of the dict representative.
+kernel, and the dict representative ``representative_of`` rebuilds from
+the fleet store in place of one kept per engine.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.engine import SearchEngine
 from repro.metasearch import MetasearchBroker, ThresholdPolicy, merge_hits
 from repro.representatives import (
     DatabaseRepresentative,
-    FleetRepresentativeRef,
     SubrangeScheme,
     build_representative,
 )
@@ -199,7 +198,7 @@ class TestRegistration:
         __, columnar = make_pair(fleet_engines, SubrangeEstimator)
         name = fleet_engines[0].name
         rep = columnar.representative_of(name)
-        assert isinstance(rep, FleetRepresentativeRef)
+        assert isinstance(rep, DatabaseRepresentative)
         materialized = columnar.fleet.materialize(name)
         assert dict(rep.items()) == dict(materialized.items())
 

@@ -751,7 +751,7 @@ class TestColumnarSnapshot:
             remote.close()
         local = build_representative(engine)
         assert (report.from_version, report.to_version) == (0, engine.n_documents)
-        held = broker.representative_of("colnpz").materialize()
+        held = broker.representative_of("colnpz")
         assert held.name == local.name
         assert held.n_documents == local.n_documents
         assert dict(held.items()) == dict(local.items())

@@ -2,8 +2,8 @@
 
 Two invariants the columnar subsystem promises:
 
-* **Lossless round-trip** — ``ColumnarRepresentative`` (and the fleet
-  store, and the ``.npz`` binary form) reproduce the dict-of-dataclasses
+* **Lossless round-trip** — the fleet store (``add`` then ``materialize``,
+  and its ``.npz`` binary form) reproduces the dict-of-dataclasses
   representative exactly, float for float, including triplet-mode
   ``max_weight=None``.
 * **Bit-identity** — :func:`repro.core.fleet_usefulness_grid` returns the
@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.corpus import Query
 from repro.representatives import (
-    ColumnarRepresentative,
     DatabaseRepresentative,
     FleetRepresentativeStore,
     SubrangeScheme,
@@ -128,18 +127,22 @@ class TestRoundTrip:
     @given(representatives())
     @settings(max_examples=150, deadline=None)
     def test_columnar_round_trip_lossless(self, rep):
-        columnar = ColumnarRepresentative.from_representative(rep)
-        assert len(columnar) == len(rep)
-        _assert_same_rep(rep, columnar.to_representative())
+        store = FleetRepresentativeStore()
+        store.add(rep)
+        assert store.total_entries == len(rep)
+        _assert_same_rep(rep, store.materialize(rep.name))
 
     @given(representatives())
     @settings(max_examples=60, deadline=None)
     def test_npz_round_trip_lossless(self, rep):
+        store = FleetRepresentativeStore()
+        store.add(rep)
         buffer = io.BytesIO()
-        ColumnarRepresentative.from_representative(rep).save_npz(buffer)
+        store.save_npz(buffer)
         buffer.seek(0)
-        restored = ColumnarRepresentative.load_npz(buffer)
-        _assert_same_rep(rep, restored.to_representative())
+        restored = FleetRepresentativeStore.load_npz(buffer)
+        assert restored.binary_mean_w.tobytes() == store.binary_mean_w.tobytes()
+        _assert_same_rep(rep, restored.materialize(rep.name))
 
     @given(st.lists(representatives(), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)

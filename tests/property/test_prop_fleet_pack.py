@@ -12,7 +12,7 @@ read:
 * every packed array — ``starts``, ``engine_idx`` (values *and* dtype),
   ``p``, ``w`` and the ``extra_pos`` / ``sigma_extra`` / ``mw_extra`` side
   channel — equals bitwise the layout of a store packed once, from
-  scratch, over every engine's ``columnar_of`` in registration order;
+  scratch, over every engine's ``materialize`` in registration order;
 * ``gather`` answers bitwise like that store, for held, absent, unknown
   and not-yet-packed term ids.
 
@@ -23,6 +23,8 @@ sigmas included).  A separate case registers past 256 engines so the
 ``engine_idx`` dtype widens from uint8 to uint16 mid-life.
 """
 
+import io
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -30,7 +32,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.fleet.delta import RepresentativeDelta, TermDeltaRecord
 from repro.representatives import (
-    ColumnarRepresentative,
     DatabaseRepresentative,
     FleetRepresentativeStore,
     TermStats,
@@ -46,10 +47,11 @@ sigmas = st.sampled_from([0.0, -0.0]) | weights
 
 def fresh_layout_of(store):
     """A store packed once over ``store``'s engines (registration order,
-    shared vocabulary) — the layout the merges must reproduce."""
+    shared vocabulary) — the layout the merges must reproduce.  The layout
+    does not depend on ``binary_mean_w``, which ``materialize`` drops."""
     fresh = FleetRepresentativeStore(store.vocab)
     for name in store.engine_names:
-        fresh.add(store.columnar_of(name))
+        fresh.add(store.materialize(name))
     return fresh, fresh._ensure_packed()
 
 
@@ -114,8 +116,14 @@ class FleetPackMachine(RuleBasedStateMachine):
     def register(self, data, name):
         rep = self.representative(data, name)
         if data.draw(st.booleans(), label="as columnar"):
-            # Interned into a private vocabulary first: add re-interns it.
-            self.store.add(ColumnarRepresentative.from_representative(rep))
+            # Through a one-engine bundle loaded into the shared vocabulary.
+            one = FleetRepresentativeStore()
+            one.add(rep)
+            buffer = io.BytesIO()
+            one.save_npz(buffer)
+            buffer.seek(0)
+            loaded = FleetRepresentativeStore.load_npz(buffer, self.store.vocab)
+            self.store.add(loaded.materialize(name))
         else:
             self.store.add(rep)
         self.model[name] = rep
@@ -196,9 +204,9 @@ class FleetPackMachine(RuleBasedStateMachine):
     def engines_read_back_as_the_model(self):
         assert self.store.engine_names == list(self.model)
         for name, rep in self.model.items():
-            columns = self.store.columnar_of(name)
-            assert columns.n_documents == rep.n_documents
-            assert bits(columns.to_representative()) == bits(rep)
+            held = self.store.materialize(name)
+            assert held.n_documents == rep.n_documents
+            assert bits(held) == bits(rep)
 
 
 TestFleetPack = FleetPackMachine.TestCase

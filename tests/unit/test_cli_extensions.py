@@ -267,8 +267,83 @@ class TestConvertRep:
         assert restored.name == original.name
         assert restored.n_documents == original.n_documents
         assert dict(restored.items()) == dict(original.items())
+        assert back.read_bytes() == rep_json.read_bytes()
         out = capsys.readouterr().out
         assert "rep.npz" in out
+
+    def test_output_is_a_one_engine_bundle_a_shard_loads(
+        self, rep_json, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import serve
+        from repro.representatives import DatabaseRepresentative
+
+        npz = tmp_path / "rep.npz"
+        assert main(["convert-rep", str(rep_json), str(npz)]) == 0
+        served = []
+        monkeypatch.setattr(
+            serve, "_serve",
+            lambda app_class, broker, *args, **kwargs: served.append(broker) or 0,
+        )
+        collection = tmp_path / "db.jsonl.gz"
+        save_collection(Collection.from_documents(
+            "other", [Document("d1", terms=["orbit"])]
+        ), collection)
+        assert main([
+            "serve", "shard", "--slice", str(npz),
+            "--collections", str(collection),
+        ]) == 0
+        assert f"loaded slice {npz} (1 representatives)" in (
+            capsys.readouterr().out
+        )
+        [broker] = served
+        assert broker.fleet.engine_names == ["db", "other"]
+        assert broker.fleet.materialize("db") == (
+            DatabaseRepresentative.load(rep_json)
+        )
+
+    def test_a_bundle_of_other_than_one_engine_is_refused(
+        self, rep_json, tmp_path, capsys
+    ):
+        from repro.representatives import (
+            DatabaseRepresentative,
+            FleetRepresentativeStore,
+        )
+
+        rep = DatabaseRepresentative.load(rep_json)
+        store = FleetRepresentativeStore()
+        store.add(rep)
+        store.add(DatabaseRepresentative("twin", rep.n_documents,
+                                         dict(rep.items())))
+        pair, empty = tmp_path / "pair.npz", tmp_path / "empty.npz"
+        store.save_npz(pair)
+        FleetRepresentativeStore().save_npz(empty)
+        out = str(tmp_path / "o.json")
+        for argv, refused in (
+            (["convert-rep", str(pair), out], "pair.npz holds 2"),
+            (["rep-diff", str(rep_json), str(pair)], "pair.npz holds 2"),
+            (["convert-rep", str(empty), out], "empty.npz holds 0"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {refused} representatives"
+            )
+
+    def test_an_old_single_engine_file_is_refused(self, rep_json, tmp_path):
+        import numpy as np
+
+        npz = tmp_path / "rep.npz"
+        assert main(["convert-rep", str(rep_json), str(npz)]) == 0
+        with np.load(npz) as data:
+            members = {key: data[key] for key in data.files}
+        members["kind"] = np.frombuffer(
+            b"columnar-representative", dtype=np.uint8
+        )
+        np.savez(npz, **members)
+        with pytest.raises(
+            ValueError,
+            match="not a columnar fleet bundle: 'columnar-representative'",
+        ):
+            main(["convert-rep", str(npz), str(tmp_path / "o.json")])
 
     def test_requires_exactly_one_npz_side(self, rep_json, tmp_path, capsys):
         assert (

@@ -11,9 +11,7 @@ import pytest
 
 from repro.representatives import (
     BrokerVocabulary,
-    ColumnarRepresentative,
     DatabaseRepresentative,
-    FleetRepresentativeRef,
     FleetRepresentativeStore,
     TermStats,
     partition_round_robin,
@@ -59,83 +57,125 @@ class TestBrokerVocabulary:
         assert vocab.nbytes > 0
 
 
+def one_engine_store(rep, vocab=None):
+    store = FleetRepresentativeStore(vocab)
+    store.add(rep)
+    return store
+
+
+def npz_bytes(store):
+    buffer = io.BytesIO()
+    store.save_npz(buffer)
+    buffer.seek(0)
+    return buffer
+
+
+def npz_round_trip(store, vocab=None):
+    return FleetRepresentativeStore.load_npz(npz_bytes(store), vocab)
+
+
+def bundle_members(store):
+    with np.load(npz_bytes(store)) as data:
+        return {key: data[key] for key in data.files}
+
+
+def bundle_of(members):
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    buffer.seek(0)
+    return buffer
+
+
 class TestColumnarRepresentative:
+    """One engine's columns as the store holds them."""
+
     def test_from_representative_sorts_by_term_id(self):
         vocab = BrokerVocabulary()
         vocab.intern_many(["zebra", "apple"])  # zebra gets the smaller id
         rep = make_rep(terms=("apple", "zebra"))
-        columnar = ColumnarRepresentative.from_representative(rep, vocab)
-        assert columnar.term_ids.tolist() == [0, 1]
-        assert np.all(np.diff(columnar.term_ids) > 0)
-        assert columnar.vocab is vocab
+        store = one_engine_store(rep, vocab)
+        assert store.vocab is vocab
+        assert store.terms_of("d1") == ["zebra", "apple"]  # id order
+        assert list(store.materialize("d1").items()) == [
+            ("zebra", rep.get("zebra")), ("apple", rep.get("apple"))
+        ]
 
     def test_duck_api_matches_dict_form(self):
         rep = make_rep()
-        columnar = ColumnarRepresentative.from_representative(rep)
-        assert len(columnar) == len(rep)
-        assert columnar.n_documents == rep.n_documents
-        assert "apple" in columnar and "ghost" not in columnar
-        assert columnar.get("ghost") is None
-        assert columnar.get("pear") == rep.get("pear")
-        assert dict(columnar.items()) == dict(rep.items())
-        assert columnar.document_frequency("apple") == pytest.approx(
+        back = one_engine_store(rep).materialize("d1")
+        assert isinstance(back, DatabaseRepresentative)
+        assert back == rep
+        assert len(back) == len(rep)
+        assert back.n_documents == rep.n_documents
+        assert back.get("pear") == rep.get("pear")
+        assert back.get("ghost") is None
+        assert back.has_max_weights
+        assert back.document_frequency("apple") == (
             rep.get("apple").probability * rep.n_documents
         )
-        assert columnar.document_frequency("ghost") == 0.0
 
     def test_triplet_mode_round_trips_none(self):
         rep = make_rep(triplet=True)
-        columnar = ColumnarRepresentative.from_representative(rep)
-        assert not columnar.has_max_weights
-        assert columnar.get("apple").max_weight is None
-        assert dict(columnar.to_representative().items()) == dict(rep.items())
+        store = one_engine_store(rep)
+        back = store.materialize("d1")
+        assert not back.has_max_weights
+        assert back.get("apple").max_weight is None
+        assert dict(back.items()) == dict(rep.items())
+        assert dict(npz_round_trip(store).materialize("d1").items()) == dict(
+            rep.items()
+        )
 
     def test_as_triplets_withholds_max(self):
-        columnar = ColumnarRepresentative.from_representative(make_rep())
-        triplets = columnar.as_triplets()
-        assert columnar.has_max_weights and not triplets.has_max_weights
-        assert triplets.get("apple").max_weight is None
-        assert triplets.get("apple").mean == columnar.get("apple").mean
+        rep = make_rep()
+        store = one_engine_store(rep.as_triplets())
+        __, __, __, mw = store.gather(store.vocab.ids_of(["apple"]))
+        assert np.isnan(mw).all()
+        back = store.materialize("d1")
+        assert not back.has_max_weights
+        assert back.get("apple").max_weight is None
+        assert back.get("apple").mean == rep.get("apple").mean
 
     def test_validation(self):
-        vocab = BrokerVocabulary()
-        ids = vocab.intern_many(["a", "b"]).astype(np.int64)
-        ok = dict(p=np.ones(2), w=np.ones(2), sigma=np.zeros(2), mw=np.ones(2))
-        with pytest.raises(ValueError, match="n_documents"):
-            ColumnarRepresentative("d", -1, vocab, ids, **ok)
-        with pytest.raises(ValueError, match="parallel"):
-            ColumnarRepresentative(
-                "d", 1, vocab, ids,
-                p=np.ones(3), w=np.ones(2), sigma=np.zeros(2), mw=np.ones(2),
-            )
-        with pytest.raises(ValueError, match="ascending"):
-            ColumnarRepresentative("d", 1, vocab, ids[::-1].copy(), **ok)
+        # What the dict form's constructor checks, a file must pass too:
+        # a document count >= 0 and one statistic per distinct term.
+        members = bundle_members(one_engine_store(make_rep()))
+        for column, value, message in (
+            ("n_documents", np.array([-1]), "n_documents"),
+            ("term_local", np.array([0, 1, 1]), "ascending"),
+            ("term_blob", np.frombuffer(b"applepearpear", dtype=np.uint8),
+             "distinct"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                FleetRepresentativeStore.load_npz(
+                    bundle_of({**members, column: value})
+                )
 
     def test_nbytes_is_array_budget(self):
-        columnar = ColumnarRepresentative.from_representative(make_rep())
-        # 3 terms x (int64 id + four float64 stats) = 3 x 40 bytes.
-        assert columnar.nbytes == 3 * 5 * 8
+        store = one_engine_store(make_rep())
+        # Three terms: 4 term starts (int64), a uint8 engine row, p and w
+        # per entry; apple's sigma is +0.0 but every mw differs from w, so
+        # all three entries spill (int32 position, sigma, mw).
+        assert store.nbytes == 4 * 8 + 3 * (1 + 8 + 8) + 3 * (4 + 8 + 8)
 
 
 class TestNpzPersistence:
+    """A one-engine bundle: ``convert-rep``'s representative file."""
+
     def test_round_trip_through_path(self, tmp_path):
         rep = make_rep()
         path = tmp_path / "rep.npz"
-        ColumnarRepresentative.from_representative(rep).save_npz(path)
-        restored = ColumnarRepresentative.load_npz(path)
-        assert dict(restored.to_representative().items()) == dict(rep.items())
-        assert restored.name == rep.name
-        assert restored.n_documents == rep.n_documents
+        one_engine_store(rep).save_npz(path)
+        restored = FleetRepresentativeStore.load_npz(path)
+        assert restored.engine_names == [rep.name]
+        assert restored.materialize(rep.name) == rep
 
     def test_load_interns_into_given_vocab(self):
-        buffer = io.BytesIO()
-        ColumnarRepresentative.from_representative(make_rep()).save_npz(buffer)
-        buffer.seek(0)
         vocab = BrokerVocabulary()
         vocab.intern("unrelated")
-        restored = ColumnarRepresentative.load_npz(buffer, vocab)
+        restored = npz_round_trip(one_engine_store(make_rep()), vocab)
         assert restored.vocab is vocab
         assert vocab.id_of("apple") != UNKNOWN_TERM
+        assert restored.materialize("d1") == make_rep()
 
     def test_rejects_foreign_npz(self):
         buffer = io.BytesIO()
@@ -144,30 +184,96 @@ class TestNpzPersistence:
         ))
         buffer.seek(0)
         with pytest.raises(ValueError, match="not a columnar"):
-            ColumnarRepresentative.load_npz(buffer)
+            FleetRepresentativeStore.load_npz(buffer)
 
     def test_rejects_unknown_version(self):
         buffer = io.BytesIO()
         np.savez(buffer, format_version=np.int64(999))
         buffer.seek(0)
         with pytest.raises(ValueError, match="version"):
-            ColumnarRepresentative.load_npz(buffer)
+            FleetRepresentativeStore.load_npz(buffer)
+
+
+def _negative_term_local(m):
+    m["term_local"] = m["term_local"].copy()
+    m["term_local"][-1] = -1
+
+
+def _entry_starts_past_the_end(m):
+    m["entry_starts"] = m["entry_starts"] + np.array([0, 0, 0, 2])
+
+
+def _decreasing_entry_starts(m):
+    m["entry_starts"] = np.array([0, 3, 1, 6])
+
+
+def _more_n_documents_than_names(m):
+    m["n_documents"] = np.append(m["n_documents"], 5)
+
+
+def _term_local_out_of_range(m):
+    m["term_local"] = m["term_local"].copy()
+    m["term_local"][0] = m["term_offsets"].size - 1
+
+
+def _short_p(m):
+    m["p"] = m["p"][:-1]
+
+
+def _missing_binary_mean_w(m):
+    del m["binary_mean_w"]
+
+
+def _descending_term_local(m):
+    m["term_local"] = m["term_local"].copy()
+    m["term_local"][:3] = m["term_local"][:3][::-1]
+
+
+class TestMalformedBundles:
+    """The store's ``.npz`` loader is the only ``.npz`` decoder: a bundle
+    edited one member at a time is refused with ``ValueError`` before a
+    term is interned, not loaded truncated or failed with ``IndexError``."""
+
+    @pytest.mark.parametrize("mutate", [
+        _negative_term_local,
+        _entry_starts_past_the_end,
+        _decreasing_entry_starts,
+        _more_n_documents_than_names,
+        _term_local_out_of_range,
+        _short_p,
+        _missing_binary_mean_w,
+        _descending_term_local,
+    ])
+    def test_a_malformed_bundle_is_a_value_error(self, mutate):
+        store = FleetRepresentativeStore()
+        store.add(make_rep("d1", terms=("apple", "pear", "plum")))
+        store.add(make_rep("d2", terms=("kiwi",)))
+        store.add(make_rep("d3", terms=("fig", "lime")))
+        members = bundle_members(store)
+        mutate(members)
+        vocab = BrokerVocabulary()
+        with pytest.raises(ValueError):
+            FleetRepresentativeStore.load_npz(bundle_of(members), vocab)
+        assert len(vocab) == 0
 
 
 class TestFleetStore:
     def test_add_returns_read_through_ref(self):
+        # add returns nothing to hold on to; the store itself reads the
+        # just-parked engine through, before (and without) a pack.
         store = FleetRepresentativeStore()
         rep = make_rep("d1")
-        ref = store.add(rep)
-        assert isinstance(ref, FleetRepresentativeRef)
-        assert ref.n_documents == rep.n_documents
-        assert len(ref) == len(rep)
-        assert ref.get("pear") == rep.get("pear")
-        assert ref.get("ghost") is None
-        assert "apple" in ref
-        assert dict(ref.items()) == dict(rep.items())
-        assert ref.has_max_weights
-        assert ref.document_frequency("apple") == pytest.approx(
+        assert store.add(rep) is None
+        back = store.materialize("d1")
+        assert store._pending  # the read did not pack
+        assert back.n_documents == rep.n_documents
+        assert len(back) == len(rep)
+        assert back.get("pear") == rep.get("pear")
+        assert back.get("ghost") is None
+        assert "apple" in dict(back.items())
+        assert dict(back.items()) == dict(rep.items())
+        assert back.has_max_weights
+        assert back.document_frequency("apple") == pytest.approx(
             rep.get("apple").probability * rep.n_documents
         )
 
@@ -178,8 +284,9 @@ class TestFleetStore:
         store.add(make_rep("d1", n=30, terms=("kiwi",)))
         assert store.engine_names == ["d1", "d2"]
         assert store.n_documents.tolist() == [30, 20]
-        assert store.term_stats("d1", "apple") is None
-        assert store.term_stats("d1", "kiwi") is not None
+        assert store.materialize("d1") == make_rep("d1", n=30, terms=("kiwi",))
+        assert store.terms_of("d1") == ["kiwi"]
+        assert store.materialize("d2") == make_rep("d2", n=20)
 
     @staticmethod
     def paused_pack(monkeypatch):
@@ -239,16 +346,19 @@ class TestFleetStore:
         reader.join(timeout=30)
         writer.join(timeout=30)
         p = store.gather(store.vocab.ids_of(["kiwi"]))[0]
-        assert p[store.index_of("d2"), 0] > 0.0
+        assert p[store.engine_names.index("d2"), 0] > 0.0
 
     def test_term_stats_reads_pending_before_pack(self):
         store = FleetRepresentativeStore()
         store.add(make_rep("d1"))
         store.gather(store.vocab.ids_of(["apple"]))  # pack d1
         store.add(make_rep("d1", n=7, terms=("kiwi",)))  # pending again
-        stats = store.term_stats("d1", "kiwi")
+        back = store.materialize("d1")
+        assert store._pending  # read off the pending columns, no repack
+        stats = back.get("kiwi")
         assert stats is not None and stats.mean == 0.2
-        assert store.term_stats("d1", "apple") is None
+        assert back.get("apple") is None
+        assert store.terms_of("d1") == ["kiwi"]
 
     def test_gather_shapes_and_unknowns(self):
         store = FleetRepresentativeStore()
@@ -278,7 +388,7 @@ class TestFleetStore:
         assert store.total_entries == 4
         assert store.nbytes > 0
         assert store.vocab_nbytes > 0
-        assert store.n_terms_of("d2") == 1
+        assert store.terms_of("d2") == ["apple"]
         assert "d1" in store and "d3" not in store
         assert len(store) == 2
 
@@ -372,11 +482,17 @@ class TestFleetNpz:
         )
 
     def test_rejects_representative_bundle(self):
-        buffer = io.BytesIO()
-        ColumnarRepresentative.from_representative(make_rep()).save_npz(buffer)
-        buffer.seek(0)
-        with pytest.raises(ValueError, match="fleet"):
-            FleetRepresentativeStore.load_npz(buffer)
+        # The single-engine file convert-rep wrote before a representative
+        # file became a one-engine bundle.
+        members = bundle_members(one_engine_store(make_rep()))
+        members["kind"] = np.frombuffer(
+            b"columnar-representative", dtype=np.uint8
+        )
+        with pytest.raises(
+            ValueError,
+            match="not a columnar fleet bundle: 'columnar-representative'",
+        ):
+            FleetRepresentativeStore.load_npz(bundle_of(members))
 
     def test_empty_fleet_round_trips(self):
         buffer = io.BytesIO()
@@ -384,31 +500,13 @@ class TestFleetNpz:
         buffer.seek(0)
         assert FleetRepresentativeStore.load_npz(buffer).engine_names == []
 
-    def test_slice_preserves_binary_mean_w(self):
-        store = self.fleet()
-        part = store.slice_engines(["d2", "d3"])
-        assert part.engine_names == ["d2", "d3"]
-        full = {n: v for n, v in zip(store.engine_names, store.binary_mean_w)}
-        assert part.binary_mean_w.tolist() == [full["d2"], full["d3"]]
-        for name in ("d2", "d3"):
-            assert dict(part.materialize(name).items()) == dict(
-                store.materialize(name).items()
-            )
-
     def test_slices_cover_the_fleet_disjointly(self):
         store = self.fleet()
-        slices = partition_round_robin(store.engine_names, 2)
+        slices = store.partition(2)
         assert slices == [["d1", "d3"], ["d2"]]
-        parts = [store.slice_engines(names) for names in slices]
-        seen = [n for part in parts for n in part.engine_names]
+        assert slices == partition_round_robin(store.engine_names, 2)
+        seen = [n for names in slices for n in names]
         assert sorted(seen) == store.engine_names
-
-
-def npz_round_trip(columnar):
-    buffer = io.BytesIO()
-    columnar.save_npz(buffer)
-    buffer.seek(0)
-    return ColumnarRepresentative.load_npz(buffer)
 
 
 class TestBinaryMeanWTravels:
@@ -436,82 +534,57 @@ class TestBinaryMeanWTravels:
         from repro.core.vectorized import fleet_usefulness_grid
         from repro.corpus import Query
 
-        by_dict = FleetRepresentativeStore()
-        by_npz = FleetRepresentativeStore()  # what convert-rep's .npz loads
-        by_store_npz = FleetRepresentativeStore()  # shared-vocabulary order
-        for rep in representatives:
-            by_dict.add(rep)
-            by_npz.add(
-                npz_round_trip(ColumnarRepresentative.from_representative(rep))
-            )
-        for name in reversed(by_dict.engine_names):
-            by_store_npz.add(npz_round_trip(by_dict.columnar_of(name)))
-        expected = dict(zip(by_dict.engine_names, by_dict.binary_mean_w))
-        for store in (by_npz, by_store_npz):
-            assert dict(zip(store.engine_names, store.binary_mean_w)) == expected
         terms = [t for t, __ in list(representatives[0].items())[:3]]
         query = Query(terms=tuple(terms), weights=(1.0, 2.0, 0.5))
-        grids = []
-        for store in (by_dict, by_npz, by_store_npz):
+
+        def grid_of(store):
             nodoc, avgsim = fleet_usefulness_grid(
                 BinaryIndependenceEstimator(), store, query, [0.1, 0.2, 0.3]
             )
-            grids.append(dict(zip(
+            return dict(zip(
                 store.engine_names, zip(nodoc.T.tolist(), avgsim.T.tolist())
-            )))
-        assert grids[0] == grids[1] == grids[2]
+            ))
 
-    def test_npz_without_the_member_loads_with_column_order_mean(self):
-        # Files written before the member existed.
-        columnar = ColumnarRepresentative.from_representative(make_rep())
-        buffer = io.BytesIO()
-        columnar.save_npz(buffer)
-        buffer.seek(0)
-        with np.load(buffer) as data:
-            members = {k: data[k] for k in data.files if k != "binary_mean_w"}
-        legacy = io.BytesIO()
-        np.savez(legacy, **members)
-        legacy.seek(0)
-        loaded = ColumnarRepresentative.load_npz(legacy)
-        assert loaded == columnar
-        assert loaded.binary_mean_w == float(np.mean(loaded.w))
+        by_dict = FleetRepresentativeStore()
+        for rep in representatives:
+            by_dict.add(rep)
+        expected = dict(zip(by_dict.engine_names, by_dict.binary_mean_w))
+        by_npz = {}
+        for rep in representatives:
+            one = npz_round_trip(one_engine_store(rep))  # convert-rep's file
+            assert one.binary_mean_w.tolist() == [expected[rep.name]]
+            by_npz.update(grid_of(one))
+        # A whole-fleet bundle loaded into a vocabulary of another order.
+        vocab = BrokerVocabulary()
+        vocab.intern_many([
+            by_dict.vocab.term_of(t) for t in reversed(range(len(by_dict.vocab)))
+        ])
+        by_store_npz = npz_round_trip(by_dict, vocab)
+        assert dict(
+            zip(by_store_npz.engine_names, by_store_npz.binary_mean_w)
+        ) == expected
+        assert grid_of(by_dict) == by_npz == grid_of(by_store_npz)
 
     @staticmethod
     def stamped(value):
-        """``make_rep`` columnarized, carrying a mean no recomputation over
-        its columns could produce."""
-        source = ColumnarRepresentative.from_representative(
+        """A one-engine bundle of ``make_rep`` carrying a mean no
+        recomputation over its columns could produce."""
+        members = bundle_members(one_engine_store(
             make_rep("d1", terms=("pear", "apple", "plum", "kiwi"))
-        )
-        return ColumnarRepresentative(
-            source.name, source.n_documents, source.vocab, source.term_ids,
-            source.p, source.w, source.sigma, source.mw, binary_mean_w=value,
-        )
+        ))
+        members["binary_mean_w"] = np.array([value])
+        return bundle_of(members)
 
     def test_round_trips_across_vocabularies(self):
-        source = FleetRepresentativeStore()
-        source.add(self.stamped(0.625))
+        source = FleetRepresentativeStore.load_npz(self.stamped(0.625))
+        assert source.binary_mean_w.tolist() == [0.625]
         vocab = BrokerVocabulary()
         for term in ("plum", "zebra", "kiwi"):  # another id order entirely
             vocab.intern(term)
-        target = FleetRepresentativeStore(vocab)
-        target.add(source.columnar_of("d1"))
+        target = npz_round_trip(source, vocab)
         assert target.binary_mean_w.tolist() == [0.625]
-        assert target.columnar_of("d1").binary_mean_w == 0.625
-        assert target.columnar_of("d1") == source.columnar_of("d1")
-        assert npz_round_trip(target.columnar_of("d1")).binary_mean_w == 0.625
-
-    def test_as_triplets_keeps_it(self):
-        assert self.stamped(0.625).as_triplets().binary_mean_w == 0.625
-
-    def test_direct_construction_defaults_to_column_order_mean(self):
-        vocab = BrokerVocabulary()
-        ids = vocab.intern_many(["a", "b", "c"])
-        w = np.array([0.1, 0.2, 0.7])
-        columnar = ColumnarRepresentative(
-            "x", 10, vocab, ids, w, w, np.zeros(3), w
-        )
-        assert columnar.binary_mean_w == float(np.mean(w))
+        assert target.materialize("d1") == source.materialize("d1")
+        assert npz_round_trip(target).binary_mean_w.tolist() == [0.625]
 
 
 class TestPartitionRoundRobin:

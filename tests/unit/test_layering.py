@@ -12,7 +12,9 @@ Every production estimate comes off the batched kernel: the scalar
 expansion is the paper's reference, called only by the estimators
 themselves and the kernel's overflow demotion.  And an estimate row stays
 arrays from the kernel to the selection policy: no per-engine object is
-built on the way.
+built on the way.  The same holds one level down: every public function
+or method has a caller outside ``tests/``, or an entry in ``UNCALLED``
+saying why it stays.
 """
 
 import ast
@@ -42,6 +44,49 @@ REFERENCES = (
     # scores against.
     "repro.vsm.similarity",
 )
+
+#: Where a public function's callers may live: everything but ``tests/``.
+CALLER_ROOTS = ("src", "bench", "benchmarks", "examples")
+#: Public functions and methods (``path:Qualname`` under ``src/repro``)
+#: that nothing outside ``tests/`` names, and why each stays.
+UNCALLED = {
+    "core/base.py:UsefulnessEstimator.estimate_many":
+        "the scalar oracle's batch entry; goes with the scalar path (item 5)",
+    "core/base.py:ExpansionEstimator.estimate_many":
+        "the scalar oracle's batch entry; goes with the scalar path (item 5)",
+    "serving/http.py:_AppRequestHandler.do_GET":
+        "BaseHTTPRequestHandler dispatches to it by the request's method",
+    "serving/http.py:_AppRequestHandler.do_POST":
+        "BaseHTTPRequestHandler dispatches to it by the request's method",
+    "serving/http.py:_AppRequestHandler.log_message":
+        "BaseHTTPRequestHandler override: the stdlib logs through it",
+    "serving/http.py:_AppRequestHandler.version_string":
+        "BaseHTTPRequestHandler override: the stdlib's Server header",
+    "serving/http.py:_AppRequestHandler.parse_request":
+        "BaseHTTPRequestHandler override: the stdlib's request-line parse",
+    "serving/remote_engine.py:GatewayClient.healthz":
+        "the client half of a gateway's /healthz route (public client API)",
+    "serving/remote_engine.py:GatewayClient.metrics_text":
+        "the client half of a gateway's /metrics route (public client API)",
+    "metasearch/broker.py:MetasearchBroker.engine_of":
+        "public broker API: a registered engine by name (its host, say)",
+    "corpus/collection.py:Collection.index_of":
+        "public corpus API: the inverse of Collection.doc_id",
+    "corpus/synth/newsgroups.py:NewsgroupModel.generate_all":
+        "public corpus API: every synthetic group in one call",
+    "text/pipeline.py:TextPipeline.terms_joined":
+        "public text API: the pipeline over several fields at once",
+    "vsm/vector.py:SparseVector.from_counts":
+        "public vector API: a raw tf vector from a token-id stream",
+    "vsm/vector.py:SparseVector.to_mapping":
+        "public vector API: the inverse of SparseVector.from_mapping",
+    "index/inverted.py:InvertedIndex.idf_factor":
+        "public index API: the idf factor the index applied to a term",
+    "evaluation/metrics.py:ThresholdMetrics.match_rate":
+        "public metrics API: the share of useful queries also estimated so",
+    "evaluation/paper_reference.py:paper_table":
+        "public reference API: the paper's published rows by table id",
+}
 
 
 def imported_names(node, module):
@@ -266,3 +311,80 @@ def test_serving_frames_http_in_one_place():
             ):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == []
+
+
+def _is_docstring(node, parent) -> bool:
+    return (
+        isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                            ast.AsyncFunctionDef))
+        and bool(parent.body) and parent.body[0] is node
+    )
+
+
+def referenced_names():
+    """Every identifier named anywhere under :data:`CALLER_ROOTS` — as a
+    name, an attribute, an import, or inside a string (``getattr`` by name,
+    ``module:function`` entry points) — docstrings and ``__all__`` lists
+    aside, since naming a function there calls nothing."""
+    repo = ROOT.parents[1]
+    names = set()
+    for root in CALLER_ROOTS:
+        assert (repo / root).is_dir(), root
+        for path in (repo / root).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            skipped = set()
+            for parent in ast.walk(tree):
+                for node in ast.iter_child_nodes(parent):
+                    if isinstance(node, ast.Expr) and _is_docstring(node, parent):
+                        skipped.add(node.value)
+                if isinstance(parent, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__"
+                    for target in parent.targets
+                ):
+                    skipped.update(ast.walk(parent.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node not in skipped
+                ):
+                    names.update(
+                        node.value.replace(":", " ").replace(".", " ").split()
+                    )
+    return names
+
+
+def uncalled_public_functions():
+    """``path:Qualname`` of every public function, method and class under
+    ``src/repro`` that no name under :data:`CALLER_ROOTS` refers to (its
+    own definition does not count)."""
+    names = referenced_names()
+    found = []
+
+    def visit(body, relative, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not node.name.startswith("_") and node.name not in names:
+                    found.append(f"{relative}:{owner}{node.name}")
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, relative, f"{owner}{node.name}.")
+
+    for path in sorted(ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree.body, path.relative_to(ROOT).as_posix(), "")
+    return found
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    uncalled = uncalled_public_functions()
+    stray = [name for name in uncalled if name not in UNCALLED]
+    assert stray == [], f"no caller outside tests/: {stray}"
+    # An exemption nothing needs any more goes too.
+    assert sorted(UNCALLED) == sorted(uncalled)

@@ -50,7 +50,7 @@ class TestCounterGauge:
         gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value == 12.0
 
     def test_same_name_same_instrument(self):
@@ -84,11 +84,11 @@ class TestHistogram:
         hist = MetricsRegistry().histogram("h", buckets=(1.0, 5.0, 10.0))
         for value in (0.5, 1.0, 3.0, 7.0, 100.0):
             hist.observe(value)
-        buckets = dict(hist.cumulative_buckets())
+        buckets = {b["le"]: b["count"] for b in hist.as_dict()["buckets"]}
         assert buckets[1.0] == 2  # 0.5 and the boundary value 1.0
         assert buckets[5.0] == 3
         assert buckets[10.0] == 4
-        assert buckets[float("inf")] == 5
+        assert buckets["+Inf"] == 5
         assert hist.count == 5
         assert hist.sum == pytest.approx(111.5)
 
@@ -143,15 +143,14 @@ class TestQueryTrace:
         with pytest.raises(RuntimeError):
             with trace.span("boom"):
                 raise RuntimeError("x")
-        assert trace.stage_names() == ["boom"]
+        assert [span.name for span in trace.spans] == ["boom"]
 
     def test_add_external_duration(self):
         trace = QueryTrace()
         span = trace.add("dispatch:space", 0.25, ok=True)
         assert span.duration == 0.25
         assert span.start >= 0.0
-        assert trace.duration_of("dispatch:space") == 0.25
-        assert trace.duration_of("missing") is None
+        assert trace.spans == [span]
 
     def test_as_dict_and_format(self):
         trace = QueryTrace()
@@ -211,7 +210,7 @@ class TestBrokerTraceIntegration:
     def test_search_yields_all_pipeline_spans(self):
         broker = make_broker(cache_size=16)
         response = broker.search(Query.from_terms(["rocket"]), 0.1)
-        names = response.trace.stage_names()
+        names = [span.name for span in response.trace.spans]
         for stage in ("estimate", "select", "dispatch", "merge"):
             assert stage in names
         for engine in response.invoked:
@@ -221,7 +220,7 @@ class TestBrokerTraceIntegration:
     def test_search_all_traces_dispatch_and_merge(self):
         broker = make_broker()
         response = broker.search_all(Query.from_terms(["rocket"]), 0.1)
-        names = response.trace.stage_names()
+        names = [span.name for span in response.trace.spans]
         assert "dispatch" in names and "merge" in names
         assert {f"dispatch:{e}" for e in broker.engine_names} <= set(names)
 

@@ -26,7 +26,8 @@ class TestDeadline:
 
     def test_header_roundtrip(self):
         deadline = Deadline(5.0)
-        parsed = Deadline.parse_header(deadline.header_value())
+        # What the client writes: the remaining budget's repr.
+        parsed = Deadline.parse_header(repr(deadline.remaining()))
         assert abs(parsed.remaining() - deadline.remaining()) < 0.1
 
     @pytest.mark.parametrize("bad", ["soon", "", "nan", "inf"])
@@ -342,6 +343,47 @@ class TestConnectionPoolForkSafety:
         thread.start()
         thread.join()
         assert seen[0] is not here
+
+
+class TestClientCloseUnderARead:
+    """``close()`` promises every pooled connection, checked out too: a
+    read in flight on another thread must not hold it for the client's
+    whole budget."""
+
+    def test_close_returns_while_a_read_is_in_flight(self):
+        import socket
+        import threading
+        import time
+
+        from repro.serving.remote_engine import _HTTPJsonClient
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = _HTTPJsonClient(
+            f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=10.0
+        )
+        failures = []
+
+        def ask():
+            try:
+                client.request("GET", "/healthz")
+            except Exception as exc:  # what the closed read raises
+                failures.append(exc)
+
+        reader = threading.Thread(target=ask)
+        reader.start()
+        peer, __ = listener.accept()
+        try:
+            assert peer.recv(65536).startswith(b"GET /healthz")
+            time.sleep(0.1)  # the client is now blocked reading the reply
+            started = time.monotonic()
+            client.close()
+            assert time.monotonic() - started < 2.0
+            reader.join(timeout=2.0)
+            assert not reader.is_alive()
+            assert len(failures) == 1
+        finally:
+            peer.close()
+            listener.close()
 
 
 class TestRemoteTimeoutFailFast:

@@ -34,7 +34,8 @@ class TestEqualScheme:
             SubrangeScheme.equal(0)
 
     def test_equal_with_max(self):
-        assert SubrangeScheme.equal(4, include_max=True).n_subranges == 5
+        scheme = SubrangeScheme.equal(4, include_max=True)
+        assert len(scheme.masses) == 4 and scheme.include_max  # 5 in all
 
 
 class TestPaperSix:
@@ -43,7 +44,8 @@ class TestPaperSix:
         assert scheme.median_percentiles == (98.0, 93.1, 70.0, 37.5, 12.5)
 
     def test_six_subranges_total(self):
-        assert SubrangeScheme.paper_six().n_subranges == 6
+        scheme = SubrangeScheme.paper_six()
+        assert len(scheme.masses) == 5 and scheme.include_max  # + max = 6
 
     def test_includes_max(self):
         assert SubrangeScheme.paper_six().include_max

@@ -9,8 +9,8 @@ import pytest
 
 from repro.fleet import TermDeltaRecord
 from repro.representatives import (
-    ColumnarRepresentative,
     DatabaseRepresentative,
+    FleetRepresentativeStore,
     TermStats,
 )
 
@@ -101,7 +101,9 @@ class TestNonFiniteStatisticsFromOutside:
             "db", 2, {"t": TermStats(0.5, 0.1, 0.1, 0.3)}
         )
         buffer = io.BytesIO()
-        ColumnarRepresentative.from_representative(rep).save_npz(buffer)
+        store = FleetRepresentativeStore()
+        store.add(rep)
+        store.save_npz(buffer)
         buffer.seek(0)
         with np.load(buffer) as data:
             members = {key: data[key] for key in data.files}
@@ -110,4 +112,4 @@ class TestNonFiniteStatisticsFromOutside:
         np.savez(tampered, **members)
         tampered.seek(0)
         with pytest.raises(ValueError, match="out of domain"):
-            ColumnarRepresentative.load_npz(tampered)
+            FleetRepresentativeStore.load_npz(tampered)
